@@ -271,7 +271,8 @@ def _check_parity_discriminator(chi_max, k_max):
             "even data must be inconclusive")
     _expect(catalog.parity_discriminator([]) == catalog.PARITY_INCONCLUSIVE,
             "vacuous data must be inconclusive")
-    for k in range(1, (chi_max - 3) // 4 + 1):
+    # chi = 7 is always tested, so the check has a case below chi_max = 7
+    for k in range(1, max(1, (chi_max - 3) // 4) + 1):
         chi = 4 * k + 3
         recipe = catalog.build_component_one(chi)
         verdict = catalog.parity_discriminator(recipe.fiber_component_self_intersections)

@@ -35,12 +35,14 @@ class TestFaultRegistry:
 
     @pytest.mark.parametrize("name", faults.fault_names())
     def test_each_fault_fails_some_named_check(self, name):
-        outcome = verify.run_verification(chi_max=12, k_max=4, fault=name)
-        assert not outcome.passed, name
-        first = outcome.first_failure
-        assert first is not None
-        assert first.name in verify.check_names()
-        assert first.identity
+        # (6, 2) is the smallest accepted range
+        for chi_max, k_max in ((6, 2), (12, 4)):
+            outcome = verify.run_verification(chi_max=chi_max, k_max=k_max, fault=name)
+            assert not outcome.passed, (name, chi_max, k_max)
+            first = outcome.first_failure
+            assert first is not None
+            assert first.name in verify.check_names()
+            assert first.identity
 
     def test_unknown_fault_raises(self):
         with pytest.raises(KeyError, match="unknown fault"):
