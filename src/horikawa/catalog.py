@@ -158,7 +158,7 @@ class ConstructionRecipe:
     blow_up_count: int
     report: InvariantReport
     component_claim: str
-    certificates: tuple = ()
+    certificates: tuple[AmplenessCertificate | NefCertificate, ...] = ()
     parameters: tuple[int, int, int] | None = None
     k: int | None = None
     canonical_image: str | None = None

@@ -5,332 +5,35 @@ derivation trail of its numeric fields and the assumptions in force.
 Reports serialise to JSON and parse back to equal values; integers whose
 magnitude exceeds 64 bits are carried as decimal strings so that no
 consumer silently truncates them.
+
+One codec, driven by the dataclass fields and their annotations, covers
+every payload; the "wire format" tables list where the JSON differs.
+Decoding is strict: a missing key, a wrong JSON type or an unknown tag
+raises ValueError.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattice, stable
-from .catalog import (AdmissiblePair, AmplenessCertificate, ComponentInfo,
-                      ConstructionRecipe, NefCertificate)
-from .covers import CanonicalMultiple, InvariantReport, ScrollCurve
-from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
-from .stable import SingularityLedger, StableSurfaceRecord
+from .catalog import (AmplenessCertificate, ComponentInfo, ConstructionRecipe,
+                      NefCertificate)
+from .covers import CanonicalMultiple, InvariantReport
+from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
+from .stable import StableSurfaceRecord
 from .verify import CheckResult, VerificationOutcome
 
 SCHEMA = "horikawa-report/1"
 P_G_UNAVAILABLE = "unavailable(virtual)"
 
-_INT64_MAX = 2**63 - 1
-_INT64_MIN = -(2**63)
-
-
-# ---------------------------------------------------------------------------
-# scalar codecs
-
-def _enc_int(value: int):
-    if _INT64_MIN <= value <= _INT64_MAX:
-        return value
-    return str(value)
-
-
-def _dec_int(value) -> int:
-    if isinstance(value, bool):
-        raise ValueError("expected an integer, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _enc_fraction(value: Fraction) -> str:
-    return str(value)
-
-
-def _dec_fraction(value) -> Fraction:
-    return Fraction(str(value))
-
-
-def _dec_opt(decoder, value):
-    return None if value is None else decoder(value)
-
-
-def _enc_opt(encoder, value):
-    return None if value is None else encoder(value)
-
-
-# ---------------------------------------------------------------------------
-# structured codecs
-
-def _enc_surface(surface: SurfaceModel) -> dict:
-    if isinstance(surface, ProjectivePlane):
-        return {"kind": "plane"}
-    if isinstance(surface, Hirzebruch):
-        return {"kind": "ruled", "e": surface.e}
-    if isinstance(surface, BlowUp):
-        return {
-            "kind": "blow-up",
-            "base": _enc_surface(surface.base),
-            "points": surface.point_count,
-            "general_position": surface.general_position,
-        }
-    raise ValueError(f"cannot encode surface {surface!r}")
-
-
-def _dec_surface(data: dict) -> SurfaceModel:
-    kind = data["kind"]
-    if kind == "plane":
-        return ProjectivePlane()
-    if kind == "ruled":
-        return Hirzebruch(_dec_int(data["e"]))
-    if kind == "blow-up":
-        return BlowUp(
-            _dec_surface(data["base"]),
-            _dec_int(data["points"]),
-            bool(data["general_position"]),
-        )
-    raise ValueError(f"unknown surface kind {kind!r}")
-
-
-def _enc_class(d: DivisorClass) -> dict:
-    return {
-        "surface": _enc_surface(d.surface),
-        "coeffs": [_enc_int(c) for c in d.coeffs],
-        "display": str(d),
-    }
-
-
-def _dec_class(data: dict) -> DivisorClass:
-    surface = _dec_surface(data["surface"])
-    return DivisorClass(surface, tuple(_dec_int(c) for c in data["coeffs"]))
-
-
-def _enc_invariants(report: InvariantReport) -> dict:
-    return {
-        "k_squared": _enc_fraction(report.k_squared),
-        "chi": _enc_int(report.chi),
-        "p_g": P_G_UNAVAILABLE if report.p_g is None else _enc_int(report.p_g),
-        "canonical_multiple": {
-            "multiple": report.canonical_multiple.multiple,
-            "class": _enc_class(report.canonical_multiple.cls),
-        },
-        "minimal_or_ample": report.minimal_or_ample,
-        "warnings": list(report.warnings),
-        "assumptions": list(report.assumptions),
-    }
-
-
-def _dec_invariants(data: dict) -> InvariantReport:
-    p_g = data["p_g"]
-    return InvariantReport(
-        k_squared=_dec_fraction(data["k_squared"]),
-        chi=_dec_int(data["chi"]),
-        p_g=None if p_g == P_G_UNAVAILABLE else _dec_int(p_g),
-        canonical_multiple=CanonicalMultiple(
-            _dec_int(data["canonical_multiple"]["multiple"]),
-            _dec_class(data["canonical_multiple"]["class"]),
-        ),
-        minimal_or_ample=data["minimal_or_ample"],
-        warnings=tuple(data["warnings"]),
-        assumptions=tuple(data["assumptions"]),
-    )
-
-
-def _enc_ledger(ledger: SingularityLedger) -> dict:
-    return {
-        "third11_count": _enc_int(ledger.third11_count),
-        "canonical_count": _enc_int(ledger.canonical_count),
-    }
-
-
-def _dec_ledger(data: dict) -> SingularityLedger:
-    return SingularityLedger(
-        third11_count=_dec_int(data["third11_count"]),
-        canonical_count=_dec_int(data["canonical_count"]),
-    )
-
-
-def _enc_record(record: StableSurfaceRecord) -> dict:
-    return {
-        "k_squared": _enc_fraction(record.k_squared),
-        "chi": _enc_int(record.chi),
-        "ledger": _enc_ledger(record.ledger),
-        "ample_canonical": record.ample_canonical,
-        "smoothable": record.smoothable,
-        "in_component_without_canonical_models":
-            record.in_component_without_canonical_models,
-    }
-
-
-def _dec_record(data: dict) -> StableSurfaceRecord:
-    return StableSurfaceRecord(
-        k_squared=_dec_fraction(data["k_squared"]),
-        chi=_dec_int(data["chi"]),
-        ledger=_dec_ledger(data["ledger"]),
-        ample_canonical=bool(data["ample_canonical"]),
-        smoothable=bool(data["smoothable"]),
-        in_component_without_canonical_models=bool(
-            data["in_component_without_canonical_models"]
-        ),
-    )
-
-
-def _enc_scroll_curve(curve: ScrollCurve) -> dict:
-    return {
-        "e": _enc_int(curve.e),
-        "monomials": sorted([_enc_int(x) for x in m] for m in curve.monomials),
-    }
-
-
-def _dec_scroll_curve(data: dict) -> ScrollCurve:
-    return ScrollCurve(
-        e=_dec_int(data["e"]),
-        monomials=frozenset(tuple(_dec_int(x) for x in m) for m in data["monomials"]),
-    )
-
-
-def _enc_component_info(info: ComponentInfo) -> dict:
-    return {
-        "count": info.count,
-        "labels": list(info.labels),
-        "canonical_images": {label: list(images)
-                             for label, images in sorted(info.canonical_images.items())},
-    }
-
-
-def _dec_component_info(data: dict) -> ComponentInfo:
-    return ComponentInfo(
-        count=_dec_int(data["count"]),
-        labels=tuple(data["labels"]),
-        canonical_images={label: tuple(images)
-                          for label, images in data["canonical_images"].items()},
-    )
-
-
-def _enc_ampleness(cert: AmplenessCertificate) -> dict:
-    return {
-        "certificate": "ampleness",
-        "divisor": _enc_class(cert.divisor),
-        "self_intersection": _enc_int(cert.self_intersection),
-        "feasibility_verdict": cert.feasibility_verdict,
-        "coefficient": _enc_int(cert.coefficient),
-        "witness_class": _enc_class(cert.witness_class),
-        "witness_virtual_count": _enc_int(cert.witness_virtual_count),
-        "witness_tight": cert.witness_tight,
-        "exceptional_witness": (None if cert.exceptional_witness is None
-                                else [_enc_int(x) for x in cert.exceptional_witness]),
-        "exceptional_reason": cert.exceptional_reason,
-    }
-
-
-def _dec_ampleness(data: dict) -> AmplenessCertificate:
-    witness = data["exceptional_witness"]
-    return AmplenessCertificate(
-        divisor=_dec_class(data["divisor"]),
-        self_intersection=_dec_int(data["self_intersection"]),
-        feasibility_verdict=data["feasibility_verdict"],
-        coefficient=_dec_int(data["coefficient"]),
-        witness_class=_dec_class(data["witness_class"]),
-        witness_virtual_count=_dec_int(data["witness_virtual_count"]),
-        witness_tight=bool(data["witness_tight"]),
-        exceptional_witness=None if witness is None else tuple(_dec_int(x) for x in witness),
-        exceptional_reason=data["exceptional_reason"],
-    )
-
-
-def _enc_nef(cert: NefCertificate) -> dict:
-    return {
-        "certificate": "nefness",
-        "verdict": cert.verdict,
-        "divisor": _enc_class(cert.divisor),
-        "pairings": [[name, _enc_int(value)] for name, value in cert.pairings],
-        "closure_coefficient": _enc_int(cert.closure_coefficient),
-        "gap": cert.gap,
-    }
-
-
-def _dec_nef(data: dict) -> NefCertificate:
-    return NefCertificate(
-        verdict=data["verdict"],
-        divisor=_dec_class(data["divisor"]),
-        pairings=tuple((name, _dec_int(value)) for name, value in data["pairings"]),
-        closure_coefficient=_dec_int(data["closure_coefficient"]),
-        gap=data["gap"],
-    )
-
-
-def _enc_certificate(cert) -> dict:
-    if isinstance(cert, AmplenessCertificate):
-        return _enc_ampleness(cert)
-    if isinstance(cert, NefCertificate):
-        return _enc_nef(cert)
-    raise ValueError(f"cannot encode certificate {cert!r}")
-
-
-def _dec_certificate(data: dict):
-    kind = data["certificate"]
-    if kind == "ampleness":
-        return _dec_ampleness(data)
-    if kind == "nefness":
-        return _dec_nef(data)
-    raise ValueError(f"unknown certificate kind {kind!r}")
-
-
-def _enc_recipe(recipe: ConstructionRecipe) -> dict:
-    return {
-        "target": {"k_squared": _enc_int(recipe.target.k_squared),
-                   "chi": _enc_int(recipe.target.chi)},
-        "base": _enc_surface(recipe.base),
-        "base_display": lattice.surface_descriptor(recipe.base),
-        "branch": [_enc_class(d) for d in recipe.branch],
-        "blow_up_count": _enc_int(recipe.blow_up_count),
-        "report": _enc_invariants(recipe.report),
-        "component_claim": recipe.component_claim,
-        "certificates": [_enc_certificate(c) for c in recipe.certificates],
-        "parameters": (None if recipe.parameters is None
-                       else [_enc_int(x) for x in recipe.parameters]),
-        "k": None if recipe.k is None else _enc_int(recipe.k),
-        "canonical_image": recipe.canonical_image,
-        "canonical_sections": (None if recipe.canonical_sections is None
-                               else _enc_int(recipe.canonical_sections)),
-        "fiber_component_self_intersections": (
-            None if recipe.fiber_component_self_intersections is None
-            else [_enc_int(x) for x in recipe.fiber_component_self_intersections]),
-        "scroll_curve": (None if recipe.scroll_curve is None
-                         else _enc_scroll_curve(recipe.scroll_curve)),
-        "germ": recipe.germ,
-        "ledger": _enc_ledger(recipe.ledger),
-        "notes": list(recipe.notes),
-    }
-
-
-def _dec_recipe(data: dict) -> ConstructionRecipe:
-    fibers = data["fiber_component_self_intersections"]
-    parameters = data["parameters"]
-    return ConstructionRecipe(
-        target=AdmissiblePair(_dec_int(data["target"]["k_squared"]),
-                              _dec_int(data["target"]["chi"])),
-        base=_dec_surface(data["base"]),
-        branch=tuple(_dec_class(d) for d in data["branch"]),
-        blow_up_count=_dec_int(data["blow_up_count"]),
-        report=_dec_invariants(data["report"]),
-        component_claim=data["component_claim"],
-        certificates=tuple(_dec_certificate(c) for c in data["certificates"]),
-        parameters=None if parameters is None else tuple(_dec_int(x) for x in parameters),
-        k=_dec_opt(_dec_int, data["k"]),
-        canonical_image=data["canonical_image"],
-        canonical_sections=_dec_opt(_dec_int, data["canonical_sections"]),
-        fiber_component_self_intersections=(
-            None if fibers is None else tuple(_dec_int(x) for x in fibers)),
-        scroll_curve=_dec_opt(_dec_scroll_curve, data["scroll_curve"]),
-        germ=data["germ"],
-        ledger=_dec_ledger(data["ledger"]),
-        notes=tuple(data["notes"]),
-    )
+_INT64 = range(-(2**63), 2**63)
 
 
 # ---------------------------------------------------------------------------
@@ -388,102 +91,152 @@ class VerificationPayload:
         )
 
 
-def _enc_classification(payload: ClassificationPayload) -> dict:
-    return {
-        "k_squared": _enc_int(payload.k_squared),
-        "chi": _enc_int(payload.chi),
-        "admissible": payload.admissible,
-        "on_line": payload.on_line,
-        "components": None if payload.info is None else _enc_component_info(payload.info),
-        "explanation": payload.explanation,
-    }
+# ---------------------------------------------------------------------------
+# wire format: the only places where the JSON differs from the fields
 
-
-def _dec_classification(data: dict) -> ClassificationPayload:
-    return ClassificationPayload(
-        k_squared=_dec_int(data["k_squared"]),
-        chi=_dec_int(data["chi"]),
-        admissible=bool(data["admissible"]),
-        on_line=bool(data["on_line"]),
-        info=_dec_opt(_dec_component_info, data["components"]),
-        explanation=data["explanation"],
-    )
-
-
-def _enc_construction(payload: ConstructionPayload) -> dict:
-    return {
-        "variant": payload.variant,
-        "recipe": _enc_recipe(payload.recipe),
-        "record": None if payload.record is None else _enc_record(payload.record),
-    }
-
-
-def _dec_construction(data: dict) -> ConstructionPayload:
-    return ConstructionPayload(
-        variant=data["variant"],
-        recipe=_dec_recipe(data["recipe"]),
-        record=_dec_opt(_dec_record, data["record"]),
-    )
-
-
-def _enc_row(row: EnumerationRow) -> dict:
-    return {
-        "chi": _enc_int(row.chi),
-        "general_type_k_squared": _enc_opt(_enc_int, row.general_type_k_squared),
-        "component_count": _enc_opt(_enc_int, row.component_count),
-        "constructions": list(row.constructions),
-        "stable_k_squared": _enc_opt(_enc_int, row.stable_k_squared),
-        "stable_third11_count": _enc_opt(_enc_int, row.stable_third11_count),
-        "notes": list(row.notes),
-    }
-
-
-def _dec_row(data: dict) -> EnumerationRow:
-    return EnumerationRow(
-        chi=_dec_int(data["chi"]),
-        general_type_k_squared=_dec_opt(_dec_int, data["general_type_k_squared"]),
-        component_count=_dec_opt(_dec_int, data["component_count"]),
-        constructions=tuple(data["constructions"]),
-        stable_k_squared=_dec_opt(_dec_int, data["stable_k_squared"]),
-        stable_third11_count=_dec_opt(_dec_int, data["stable_third11_count"]),
-        notes=tuple(data["notes"]),
-    )
-
-
-def _enc_verification(payload: VerificationPayload) -> dict:
-    return {
-        "chi_max": _enc_int(payload.chi_max),
-        "k_max": _enc_int(payload.k_max),
-        "fault": payload.fault,
-        "passed": payload.passed,
-        "checks": [
-            {"name": c.name, "identity": c.identity, "passed": c.passed, "detail": c.detail}
-            for c in payload.checks
-        ],
-    }
-
-
-def _dec_verification(data: dict) -> VerificationPayload:
-    return VerificationPayload(
-        chi_max=_dec_int(data["chi_max"]),
-        k_max=_dec_int(data["k_max"]),
-        fault=data["fault"],
-        passed=bool(data["passed"]),
-        checks=tuple(
-            CheckResult(c["name"], c["identity"], bool(c["passed"]), c["detail"])
-            for c in data["checks"]
-        ),
-    )
-
-
-_PAYLOAD_CODECS = {
-    "classification": (ClassificationPayload, _enc_classification, _dec_classification),
-    "construction": (ConstructionPayload, _enc_construction, _dec_construction),
-    "enumeration": (EnumerationPayload,
-                    lambda p: {"rows": [_enc_row(r) for r in p.rows]},
-                    lambda d: EnumerationPayload(tuple(_dec_row(r) for r in d["rows"]))),
-    "verification": (VerificationPayload, _enc_verification, _dec_verification),
+_RENAMED = {
+    (CanonicalMultiple, "cls"): "class",
+    (ClassificationPayload, "info"): "components",
+    (BlowUp, "point_count"): "points",
 }
+# a field annotated with a union, or with a base class, holds one of these
+_TAGS = {
+    ProjectivePlane: ("kind", "plane"),
+    Hirzebruch: ("kind", "ruled"),
+    BlowUp: ("kind", "blow-up"),
+    AmplenessCertificate: ("certificate", "ampleness"),
+    NefCertificate: ("certificate", "nefness"),
+}
+# written for human readers and ignored when decoding
+_ENCODE_ONLY = {
+    DivisorClass: ("display", str),
+    ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base)),
+}
+# written in place of None
+_NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE}
+
+
+# ---------------------------------------------------------------------------
+# codec: each annotation becomes a shape, a tuple headed by its kind, such as
+# ("int",), ("optional", inner, none_as), ("tuple", item), ("fixed", items) or
+# ("object", tag_key, {tag: cls}); a dataclass that needs no tag has key None
+
+_INT, _STR = ("int",), ("str",)
+_SCALARS = {int: _INT, bool: ("bool",), str: _STR, Fraction: ("fraction",)}
+# the JSON type each kind other than "int" and "optional" decodes from
+_JSON_TYPES = {"bool": bool, "str": str, "fraction": str, "dict": dict, "object": dict,
+               "tuple": list, "fixed": list, "frozenset": list}
+
+
+def _shape(hint, none_as=None) -> tuple:
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    members = (hint,)
+    if origin in (typing.Union, types.UnionType):
+        members = tuple(a for a in args if a is not type(None))
+        if len(members) < len(args):
+            return ("optional", _shape(typing.Union[members]), none_as)
+    elif origin is tuple:
+        if args[-1] is Ellipsis:
+            return ("tuple", _shape(args[0]))
+        return ("fixed", tuple(_shape(a) for a in args))
+    elif origin is frozenset:
+        return ("frozenset", _shape(args[0]))
+    elif origin is dict:
+        return ("dict", _shape(args[0]), _shape(args[1]))
+    elif dataclasses.is_dataclass(hint) and hint not in _TAGS:
+        return ("object", None, {None: hint})
+    tagged = [cls for cls in _TAGS if issubclass(cls, members)]
+    return ("object", _TAGS[tagged[0]][0], {_TAGS[cls][1]: cls for cls in tagged})
+
+
+_PAYLOADS = {kind: _shape(cls) for kind, cls in (
+    ("classification", ClassificationPayload), ("construction", ConstructionPayload),
+    ("enumeration", EnumerationPayload), ("verification", VerificationPayload))}
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """((attribute, key, shape), ...), tag and encode-only key of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    fields = tuple(
+        (f.name, _RENAMED.get((cls, f.name), f.name),
+         _shape(hints[f.name], _NONE_AS.get((cls, f.name))))
+        for f in dataclasses.fields(cls))
+    return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
+
+
+def _encode(value, shape: tuple):
+    kind = shape[0]
+    if kind == "int":
+        return value if value in _INT64 else str(value)
+    if kind == "str" or kind == "bool":
+        return value
+    if kind == "object":
+        fields, tag, extra = _plan(type(value))
+        data = {key: _encode(getattr(value, name), sub) for name, key, sub in fields}
+        if tag is not None:
+            data[tag[0]] = tag[1]
+        if extra is not None:
+            data[extra[0]] = extra[1](value)
+        return data
+    if kind == "optional":
+        return shape[2] if value is None else _encode(value, shape[1])
+    if kind == "tuple":
+        if shape[1] is _INT:
+            return [v if v in _INT64 else str(v) for v in value]
+        return [_encode(v, shape[1]) for v in value]
+    if kind == "fixed":
+        return [_encode(v, sub) for v, sub in zip(value, shape[1])]
+    if kind == "frozenset":
+        return [_encode(v, shape[1]) for v in sorted(value)]
+    if kind == "dict":
+        return {_encode(k, shape[1]): _encode(v, shape[2]) for k, v in value.items()}
+    return str(value)  # fraction
+
+
+def _decode(data, shape: tuple):
+    kind = shape[0]
+    if kind == "int":
+        if type(data) is int:
+            return data
+        if type(data) is str:
+            return int(data)
+        raise ValueError(f"expected an integer, got {data!r:.80}")
+    if kind == "optional":
+        return None if data == shape[2] else _decode(data, shape[1])
+    if type(data) is not _JSON_TYPES[kind]:
+        raise ValueError(f"expected {_JSON_TYPES[kind].__name__}, got {data!r:.80}")
+    if kind == "str" or kind == "bool":
+        return data
+    if kind == "object":
+        tag = data.get(shape[1])
+        cls = shape[2].get(tag if type(tag) is str else None)
+        if cls is None:
+            raise ValueError(f"unknown {shape[1]} {tag!r:.80}")
+        values = {}
+        try:
+            for name, key, sub in _plan(cls)[0]:
+                values[name] = _decode(data[key], sub)
+        except KeyError:
+            raise ValueError(f"missing key {key!r} of {cls.__name__}") from None
+        except (ValueError, ZeroDivisionError) as error:
+            raise ValueError(f"{key}: {error}") from None
+        return cls(**values)
+    if kind == "tuple":
+        if shape[1] is _INT:
+            return tuple([v if type(v) is int else _decode(v, _INT) for v in data])
+        return tuple([_decode(v, shape[1]) for v in data])
+    if kind == "fixed":
+        if len(data) != len(shape[1]):
+            raise ValueError(f"expected {len(shape[1])} entries, got {len(data)}")
+        return tuple([_decode(v, sub) for v, sub in zip(data, shape[1])])
+    if kind == "frozenset":
+        return frozenset([_decode(v, shape[1]) for v in data])
+    if kind == "dict":
+        return {_decode(k, shape[1]): _decode(v, shape[2]) for k, v in data.items()}
+    return Fraction(data)
 
 
 @dataclass(frozen=True)
@@ -499,15 +252,14 @@ class Report:
     notes: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        if self.payload_kind not in _PAYLOAD_CODECS:
+        if self.payload_kind not in _PAYLOADS:
             raise ValueError(f"unknown payload kind {self.payload_kind!r}")
-        _cls, encode, _decode = _PAYLOAD_CODECS[self.payload_kind]
         return {
             "schema": SCHEMA,
             "command": self.command,
             "inputs": dict(self.inputs),
             "payload_kind": self.payload_kind,
-            "payload": encode(self.payload),
+            "payload": _encode(self.payload, _PAYLOADS[self.payload_kind]),
             "derivations": dict(self.derivations),
             "assumptions": list(self.assumptions),
             "notes": list(self.notes),
@@ -518,21 +270,22 @@ class Report:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Report":
-        if data.get("schema") != SCHEMA:
-            raise ValueError(f"unsupported report schema {data.get('schema')!r}")
-        kind = data["payload_kind"]
-        if kind not in _PAYLOAD_CODECS:
-            raise ValueError(f"unknown payload kind {kind!r}")
-        _cls, _encode, decode = _PAYLOAD_CODECS[kind]
-        return cls(
-            command=data["command"],
-            inputs=dict(data["inputs"]),
-            payload_kind=kind,
-            payload=decode(data["payload"]),
-            derivations=dict(data["derivations"]),
-            assumptions=tuple(data["assumptions"]),
-            notes=tuple(data["notes"]),
-        )
+        schema = data.get("schema") if type(data) is dict else None
+        if schema != SCHEMA:
+            raise ValueError(f"unsupported report schema {schema!r}")
+        try:
+            kind, inputs = data["payload_kind"], data["inputs"]
+            if type(kind) is not str or kind not in _PAYLOADS:
+                raise ValueError(f"unknown payload kind {kind!r:.80}")
+            if type(inputs) is not dict:
+                raise ValueError(f"inputs: expected an object, got {inputs!r:.80}")
+            return cls(inputs=dict(inputs), payload_kind=kind, **{
+                key: _decode(data[key], shape) for key, shape in (
+                    ("command", _STR), ("payload", _PAYLOADS[kind]),
+                    ("derivations", ("dict", _STR, _STR)), ("assumptions", ("tuple", _STR)),
+                    ("notes", ("tuple", _STR)))})
+        except KeyError as missing:
+            raise ValueError(f"missing key {missing} of Report") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

@@ -1,14 +1,20 @@
-"""Report serialisation: JSON round trips, big integers, text rendering."""
+"""Report serialisation: JSON round trips, big integers, strict decoding,
+text rendering."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horikawa import catalog, verify
-from horikawa.lattice import Hirzebruch
+from horikawa.lattice import DivisorClass, Hirzebruch
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 EnumerationPayload, EnumerationRow, Report,
-                                VerificationPayload, render_text)
+                                VerificationPayload, _decode, _encode, _shape,
+                                render_text)
+from horikawa.stable import StableSurfaceRecord
 
 
 def _construction_report(variant="component-I", chi=9):
@@ -97,32 +103,151 @@ class TestBigIntegers:
         assert Report.from_json(report.to_json()) == report
 
     def test_divisor_class_with_huge_coefficient(self):
-        from horikawa.reporting import _dec_class, _enc_class
-
         ruled = Hirzebruch(2)
         cls = ruled.divisor((2**70, -(2**90)))
-        encoded = _enc_class(cls)
+        shape = _shape(DivisorClass)
+        encoded = _encode(cls, shape)
         assert isinstance(encoded["coeffs"][0], str)
-        assert _dec_class(encoded) == cls
+        assert isinstance(encoded["coeffs"][1], str)
+        assert _decode(encoded, shape) == cls
 
     def test_small_integers_stay_numeric(self):
-        from horikawa.reporting import _enc_int
-
-        assert _enc_int(42) == 42
-        assert _enc_int(-(2**62)) == -(2**62)
-        assert _enc_int(2**63) == str(2**63)
+        shape = _shape(int)
+        assert _encode(42, shape) == 42
+        assert _encode(-(2**62), shape) == -(2**62)
+        assert _encode(2**63, shape) == str(2**63)
+        assert _encode(2**63 - 1, shape) == 2**63 - 1
+        assert _encode(-(2**63), shape) == -(2**63)
+        assert _encode(-(2**63) - 1, shape) == str(-(2**63) - 1)
+        assert _decode(str(2**63), shape) == 2**63
 
     def test_fractional_record_round_trips(self):
-        from fractions import Fraction
-
-        from horikawa.reporting import _dec_record, _enc_record
         from horikawa.stable import contract_minus3
 
         record = contract_minus3(5, 0, 1)
         assert record.k_squared == Fraction(1, 3)
-        encoded = _enc_record(record)
+        shape = _shape(StableSurfaceRecord)
+        encoded = _encode(record, shape)
         assert encoded["k_squared"] == "1/3"
-        assert _dec_record(encoded) == record
+        assert _decode(encoded, shape) == record
+
+
+def _verification_report():
+    outcome = verify.run_verification(chi_max=6, k_max=2)
+    return Report(command="verify-paper", inputs={"chi_max": 6, "k_max": 2},
+                  payload_kind="verification",
+                  payload=VerificationPayload.from_outcome(outcome))
+
+
+def _stable_report():
+    construction = catalog.build_stable(6)
+    return Report(command="construct", inputs={"variant": "stable", "chi": 6},
+                  payload_kind="construction",
+                  payload=ConstructionPayload("stable", construction.recipe,
+                                              construction.record))
+
+
+_REPORTS = {"verification": _verification_report, "stable": _stable_report,
+            "component-I": _construction_report}
+_DELETE = object()
+
+
+class TestStrictDecoding:
+    @pytest.mark.parametrize("report,path,value,match", [
+        # booleans accept JSON booleans only
+        ("verification", ("payload", "passed"), "false", "passed: expected bool"),
+        ("verification", ("payload", "checks", 0, "passed"), 0, "expected bool"),
+        ("stable", ("payload", "record", "smoothable"), "false", "expected bool"),
+        ("component-I", ("payload", "recipe", "branch", 0, "surface", "general_position"),
+         1, "expected bool"),
+        # strings accept JSON strings only
+        ("verification", ("payload", "checks", 0, "name"), 123, "expected str"),
+        ("component-I", ("payload", "variant"), 123, "expected str"),
+        ("component-I", ("command",), None, "expected str"),
+        ("stable", ("payload", "recipe", "notes"), [1], "expected str"),
+        # integers: an int or a decimal string, never a boolean or a float
+        ("verification", ("payload", "chi_max"), True, "expected an integer"),
+        ("component-I", ("payload", "recipe", "blow_up_count"), 12.0, "expected an integer"),
+        ("component-I", ("payload", "recipe", "branch", 0, "coeffs", 0), "x",
+         "invalid literal"),
+        ("stable", ("payload", "record", "k_squared"), 1, "expected str"),
+        ("stable", ("payload", "record", "k_squared"), "1/0", "k_squared"),
+        # a missing key names the field
+        ("verification", ("payload", "checks", 0, "detail"), _DELETE,
+         "missing key 'detail' of CheckResult"),
+        ("component-I", ("payload", "recipe", "report", "chi"), _DELETE,
+         "missing key 'chi' of InvariantReport"),
+        ("stable", ("payload", "recipe", "ledger"), _DELETE, "missing key 'ledger'"),
+        ("stable", ("notes",), _DELETE, "missing key 'notes' of Report"),
+        # tags, containers and fixed-length tuples
+        ("component-I", ("payload", "recipe", "base", "kind"), "torus", "unknown kind"),
+        ("stable", ("payload", "recipe", "certificates", 0, "certificate"), ["x"],
+         "unknown certificate"),
+        ("component-I", ("payload", "recipe", "parameters"), [1, 9], "expected 3 entries"),
+        ("component-I", ("payload", "recipe", "branch"), {}, "expected list"),
+        ("verification", ("payload",), [], "expected dict"),
+        ("verification", ("payload_kind",), "mystery", "unknown payload kind"),
+    ])
+    def test_rejects_malformed_field(self, report, path, value, match):
+        data = json.loads(_REPORTS[report]().to_json())
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(ValueError, match=match):
+            Report.from_jsonable(data)
+
+    def test_decimal_string_integers_still_accepted(self):
+        data = json.loads(_verification_report().to_json())
+        data["payload"]["chi_max"] = "6"
+        assert Report.from_jsonable(data) == _verification_report()
+
+    def test_encode_only_keys_are_ignored(self):
+        data = json.loads(_construction_report().to_json())
+        data["payload"]["recipe"]["base_display"] = "anything"
+        data["payload"]["recipe"]["branch"][0]["display"] = "anything"
+        assert Report.from_jsonable(data) == _construction_report()
+
+
+def _stable_payload(chi):
+    construction = catalog.build_stable(chi)
+    return ConstructionPayload("stable", construction.recipe, construction.record)
+
+
+_optional_int = st.none() | st.integers()
+_strings = st.lists(st.text(max_size=8), max_size=3).map(tuple)
+_PAYLOADS = st.one_of(
+    st.integers(4, 40).map(
+        lambda chi: ConstructionPayload("component-I", catalog.build_component_one(chi))),
+    st.integers(1, 8).map(
+        lambda k: ConstructionPayload("component-II", catalog.build_component_two(k))),
+    st.integers(3, 40).map(_stable_payload),
+    st.builds(ClassificationPayload, st.integers(), st.integers(), st.booleans(),
+              st.booleans(), st.none() | st.integers(4, 60).map(
+                  lambda chi: catalog.classify(2 * chi - 6, chi)), st.text()),
+    st.lists(st.builds(EnumerationRow, st.integers(), _optional_int, _optional_int,
+                       _strings, _optional_int, _optional_int, _strings),
+             max_size=4).map(lambda rows: EnumerationPayload(tuple(rows))),
+)
+_KINDS = {ConstructionPayload: "construction", ClassificationPayload: "classification",
+          EnumerationPayload: "enumeration"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(payload=_PAYLOADS,
+       inputs=st.dictionaries(st.text(max_size=8),
+                              st.integers() | st.text(max_size=8) | st.booleans()),
+       derivations=st.dictionaries(st.text(max_size=8), st.text(max_size=8)),
+       assumptions=_strings)
+def test_report_round_trip_property(payload, inputs, derivations, assumptions):
+    report = Report(command="construct", inputs=inputs, payload_kind=_KINDS[type(payload)],
+                    payload=payload, derivations=derivations, assumptions=assumptions)
+    text = report.to_json()
+    assert Report.from_json(text) == report
+    assert Report.from_json(text).to_json() == text
 
 
 class TestTextRendering:
