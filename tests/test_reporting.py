@@ -139,12 +139,14 @@ def _verification_report():
                   payload=VerificationPayload.from_outcome(outcome))
 
 
+def _stable_payload(chi):
+    construction = catalog.build_stable(chi)
+    return ConstructionPayload("stable", construction.recipe, construction.record)
+
+
 def _stable_report():
-    construction = catalog.build_stable(6)
     return Report(command="construct", inputs={"variant": "stable", "chi": 6},
-                  payload_kind="construction",
-                  payload=ConstructionPayload("stable", construction.recipe,
-                                              construction.record))
+                  payload_kind="construction", payload=_stable_payload(6))
 
 
 _REPORTS = {"verification": _verification_report, "stable": _stable_report,
@@ -201,20 +203,16 @@ class TestStrictDecoding:
             Report.from_jsonable(data)
 
     def test_decimal_string_integers_still_accepted(self):
-        data = json.loads(_verification_report().to_json())
+        report = _verification_report()
+        data = json.loads(report.to_json())
         data["payload"]["chi_max"] = "6"
-        assert Report.from_jsonable(data) == _verification_report()
+        assert Report.from_jsonable(data) == report
 
     def test_encode_only_keys_are_ignored(self):
         data = json.loads(_construction_report().to_json())
         data["payload"]["recipe"]["base_display"] = "anything"
         data["payload"]["recipe"]["branch"][0]["display"] = "anything"
         assert Report.from_jsonable(data) == _construction_report()
-
-
-def _stable_payload(chi):
-    construction = catalog.build_stable(chi)
-    return ConstructionPayload("stable", construction.recipe, construction.record)
 
 
 _optional_int = st.none() | st.integers()
