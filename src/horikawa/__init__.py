@@ -21,7 +21,7 @@ from .covers import (CanonicalImageInfo, CanonicalMultiple, CoverSpec,
                      invariance_check, scroll_class, triple_cover_invariants)
 from .lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                       SectionCount, SurfaceMismatchError, SurfaceModel, blow_up,
-                      canonical_class, h0, intersect, picard_rank, pullback)
+                      canonical_class, h0, picard_rank, pullback)
 from .stable import (SingularityLedger, StableSurfaceRecord, contract_minus3,
                      h0_2K, resolve_node_bookkeeping, rr_correction)
 from .verify import run_verification
@@ -66,7 +66,6 @@ __all__ = [
     "epsilon_family",
     "h0",
     "h0_2K",
-    "intersect",
     "invariance_check",
     "nef_certificate",
     "parity_discriminator",

@@ -12,6 +12,7 @@ the mechanical argument closes, and downgraded to "asserted" otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import covers, lattice, stable
 from .covers import CoverSpec, InvariantReport, ScrollCurve
@@ -49,9 +50,23 @@ NOTE_K1_INVOLUTION = (
 NOTE_ORDER3_SYMMETRY = "an order-3 symmetry of the branch data lifts to the cover"
 
 
+def admissibility_failures(k_squared: int, chi: int) -> list[str]:
+    """The inequalities for minimal surfaces of general type that the pair violates."""
+    failures = []
+    if chi < 1:
+        failures.append(f"chi = {chi} < 1")
+    if k_squared < 1:
+        failures.append(f"K^2 = {k_squared} < 1")
+    if k_squared < 2 * chi - 6:
+        failures.append(f"K^2 = {k_squared} < 2*chi - 6 = {2 * chi - 6}")
+    if k_squared > 9 * chi:
+        failures.append(f"K^2 = {k_squared} > 9*chi = {9 * chi}")
+    return failures
+
+
 def admissible(k_squared: int, chi: int) -> bool:
     """Whether the pair can occur for a minimal surface of general type."""
-    return chi >= 1 and k_squared >= 1 and 2 * chi - 6 <= k_squared <= 9 * chi
+    return not admissibility_failures(k_squared, chi)
 
 
 @dataclass(frozen=True)
@@ -170,15 +185,19 @@ class ConstructionRecipe:
     notes: tuple[str, ...] = ()
 
 
-def _first_component_branch(chi: int, general_position: bool):
-    e, alpha, beta = pick_parameters(chi)
-    points = 2 * alpha + 2 * beta - 4 * e
+def _blown_scroll(e: int, points: int, general_position: bool):
+    """Blow up F_e at ``points`` points.
+
+    Returns the blow-up, the pullback of a*D0 + b*F as a function of (a, b)
+    and the exceptional sum; each branch curve is pull(2, x) - exceptional.
+    """
     ruled = Hirzebruch(e)
     blown = lattice.blow_up(ruled, points, general_position)
-    exceptional = blown.exceptional_sum()
-    d1 = lattice.pullback(blown, ruled.divisor((2, alpha))) - exceptional
-    d2 = lattice.pullback(blown, ruled.divisor((2, beta))) - exceptional
-    return (e, alpha, beta), ruled, blown, d1, d2
+
+    def pull(a: int, b: int) -> DivisorClass:
+        return lattice.pullback(blown, ruled.divisor((a, b)))
+
+    return blown, pull, blown.exceptional_sum()
 
 
 def build_component_one(chi: int, general_position: bool = True,
@@ -192,7 +211,10 @@ def build_component_one(chi: int, general_position: bool = True,
     """
     if chi < 4:
         raise ValueError("the general type line K^2 = 2*chi - 6 needs chi >= 4")
-    (e, alpha, beta), _ruled, blown, d1, d2 = _first_component_branch(chi, general_position)
+    e, alpha, beta = pick_parameters(chi)
+    blown, pull, exceptional = _blown_scroll(e, 2 * alpha + 2 * beta - 4 * e, general_position)
+    d1 = pull(2, alpha) - exceptional
+    d2 = pull(2, beta) - exceptional
     spec = CoverSpec.triple(blown, d1, d2, smoothness_assumed=smoothness_assumed)
     report = covers.triple_cover_invariants(spec)
     nef = nef_certificate(e, alpha, beta, general_position=general_position)
@@ -288,7 +310,7 @@ def build_component_two(k: int, smoothness_assumed: bool = True) -> Construction
         image = covers.canonical_image_info(spec)
         if not covers.invariance_check(P2_BRANCH_MONOMIALS, covers.PERMUTE_P2):
             raise CertificateError("plane branch curve lost its cyclic symmetry")
-        if report.canonical_multiple.cls.coeffs[0] < 1:
+        if not lattice.ample(report.canonical_multiple.cls):
             raise CertificateError("adjoint class on the plane is not ample")
         report = replace(report, minimal_or_ample=covers.AMPLE_CERTIFIED)
         return ConstructionRecipe(
@@ -329,7 +351,7 @@ def build_component_two(k: int, smoothness_assumed: bool = True) -> Construction
         notes.append("branch curve smooth in this residue class (declared input)")
     # K is the pullback of the adjoint class under a finite cover, so its
     # ampleness follows from ampleness of the adjoint class on the scroll.
-    if not _ample_on_hirzebruch(ruled, report.canonical_multiple.cls):
+    if not lattice.ample(report.canonical_multiple.cls):
         raise CertificateError("adjoint class on the scroll is not ample")
     report = replace(report, minimal_or_ample=covers.AMPLE_CERTIFIED)
     return ConstructionRecipe(
@@ -349,11 +371,6 @@ def build_component_two(k: int, smoothness_assumed: bool = True) -> Construction
     )
 
 
-def _ample_on_hirzebruch(surface: Hirzebruch, d: DivisorClass) -> bool:
-    a, b = d.coeffs
-    return a >= 1 and b > a * surface.e
-
-
 def ampleness_certificate(e: int, alpha: int, beta: int,
                           general_position: bool = True) -> AmplenessCertificate:
     """Certify ampleness of the stable construction's tri-canonical divisor.
@@ -369,18 +386,12 @@ def ampleness_certificate(e: int, alpha: int, beta: int,
     points = 2 * alpha + 2 * beta - 4 * e - 3
     if points < 1:
         raise CertificateError("parameter triple leaves no points to blow up")
-    ruled = Hirzebruch(e)
-    blown = lattice.blow_up(ruled, points, general_position)
-    exceptional = blown.exceptional_sum()
-    divisor = (
-        lattice.pullback(blown, ruled.divisor((2, 2 * alpha + 2 * beta - 3 * e - 6)))
-        - exceptional
-    )
+    blown, pull, exceptional = _blown_scroll(e, points, general_position)
+    divisor = pull(2, 2 * alpha + 2 * beta - 3 * e - 6) - exceptional
     square = divisor.dot(divisor)
     if square <= 0:
         raise CertificateError(f"divisor self-intersection {square} is not positive")
-    witness_base = ruled.divisor((1, alpha + beta - e - 2))
-    witness = lattice.pullback(blown, witness_base) - exceptional
+    witness = pull(1, alpha + beta - e - 2) - exceptional
     witness_count = lattice.h0(blown, witness)
     if witness_count.value < 1:
         raise CertificateError(
@@ -441,13 +452,7 @@ def nef_certificate(e: int, alpha: int, beta: int,
     points = 2 * alpha + 2 * beta - 4 * e
     if points < 1:
         raise CertificateError("parameter triple admits no blown-up points")
-    ruled = Hirzebruch(e)
-    blown = lattice.blow_up(ruled, points, general_position)
-    exceptional = blown.exceptional_sum()
-
-    def pull(a, b):
-        return lattice.pullback(blown, ruled.divisor((a, b)))
-
+    blown, pull, exceptional = _blown_scroll(e, points, general_position)
     divisor = pull(2, 2 * alpha + 2 * beta - 3 * e - 6) - exceptional
     d1 = pull(2, alpha) - exceptional
     d2 = pull(2, beta) - exceptional
@@ -483,25 +488,11 @@ def nef_certificate(e: int, alpha: int, beta: int,
     )
 
 
-class StableConstruction:
+class StableConstruction(NamedTuple):
     """Result of the stable pipeline: the surface record plus its recipe."""
 
-    def __init__(self, record: StableSurfaceRecord, recipe: ConstructionRecipe):
-        self.record = record
-        self.recipe = recipe
-
-    def __iter__(self):
-        return iter((self.record, self.recipe))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StableConstruction)
-            and self.record == other.record
-            and self.recipe == other.recipe
-        )
-
-    def __repr__(self):
-        return f"StableConstruction(record={self.record!r}, recipe={self.recipe!r})"
+    record: StableSurfaceRecord
+    recipe: ConstructionRecipe
 
 
 def build_stable(chi: int, general_position: bool = True,
@@ -518,20 +509,17 @@ def build_stable(chi: int, general_position: bool = True,
         raise ValueError("the stable line K^2 = 2*chi - 5 needs chi >= 3")
     e, alpha, beta = pick_parameters(chi)
     points = 2 * alpha + 2 * beta - 4 * e - 3
-    ruled = Hirzebruch(e)
-    blown = lattice.blow_up(ruled, points, general_position)
-    exceptional = blown.exceptional_sum()
-    d1 = lattice.pullback(blown, ruled.divisor((2, alpha))) - exceptional
-    d2 = lattice.pullback(blown, ruled.divisor((2, beta))) - exceptional
+    blown, pull, exceptional = _blown_scroll(e, points, general_position)
+    d1 = pull(2, alpha) - exceptional
+    d2 = pull(2, beta) - exceptional
     spec = CoverSpec.triple(
         blown, d1, d2,
         smoothness_assumed=smoothness_assumed,
         transversal_node_count=3,
     )
     resolution = stable.resolve_node_bookkeeping(spec)
-    record = resolution.unresolved
     certificate = ampleness_certificate(e, alpha, beta, general_position=general_position)
-    record.ample_canonical = True
+    record = replace(resolution.unresolved, ample_canonical=True)
     stable.h0_2K(record)
     recipe = ConstructionRecipe(
         target=AdmissiblePair(2 * chi - 5, chi),

@@ -38,21 +38,8 @@ def _emit(report: Report, fmt: str) -> None:
         sys.stdout.write(render_text(report))
 
 
-def _inequalities(k_squared: int, chi: int) -> list[str]:
-    failures = []
-    if chi < 1:
-        failures.append(f"chi = {chi} < 1")
-    if k_squared < 1:
-        failures.append(f"K^2 = {k_squared} < 1")
-    if k_squared < 2 * chi - 6:
-        failures.append(f"K^2 = {k_squared} < 2*chi - 6 = {2 * chi - 6}")
-    if k_squared > 9 * chi:
-        failures.append(f"K^2 = {k_squared} > 9*chi = {9 * chi}")
-    return failures
-
-
 def run_classify(k_squared: int, chi: int, fmt: str = "text") -> int:
-    failures = _inequalities(k_squared, chi)
+    failures = catalog.admissibility_failures(k_squared, chi)
     on_line = k_squared == 2 * chi - 6
     info = None
     if failures:
@@ -273,12 +260,27 @@ def run_verify(chi_max: int = 30, k_max: int = 6, fault: str | None = None,
 # ---------------------------------------------------------------------------
 # scenario files
 
-_SCENARIO_KEYS = {
-    "classify": {"command", "k2", "chi", "format"},
-    "construct": {"command", "variant", "chi", "k", "epsilon", "format", "assumptions"},
-    "enumerate": {"command", "chi", "chi_max", "format"},
-    "verify-paper": {"command", "chi_max", "k_max", "inject_fault", "format"},
+# the JSON type of every key each command takes; a JSON boolean is not an
+# integer and a number is not a string, so nothing is coerced
+_SCENARIO_TYPES = {
+    "classify": {"k2": int, "chi": int},
+    "construct": {"variant": str, "chi": int, "k": int, "epsilon": int, "assumptions": dict},
+    "enumerate": {"chi": int, "chi_max": int},
+    "verify-paper": {"chi_max": int, "k_max": int, "inject_fault": str},
 }
+_ASSUMPTION_TYPES = {"general_position": bool, "smoothness_assumed": bool}
+_JSON_NAMES = {int: "an integer", str: "a string", bool: "a boolean", dict: "an object"}
+
+
+def _scenario_type_error(values: dict, types: dict, where: str) -> str | None:
+    unknown = set(values) - set(types)
+    if unknown:
+        return f"unknown {where} keys {sorted(unknown)}"
+    for key, value in values.items():
+        if type(value) is not types[key]:
+            return (f"{where} value {key!r} must be {_JSON_NAMES[types[key]]}, "
+                    f"got {json.dumps(value)}")
+    return None
 
 
 def run_scenario(path: str) -> int:
@@ -294,13 +296,16 @@ def run_scenario(path: str) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     command = scenario["command"]
-    allowed = _SCENARIO_KEYS.get(command)
-    if allowed is None:
+    types = _SCENARIO_TYPES.get(command) if type(command) is str else None
+    if types is None:
         print(f"error: unknown scenario command {command!r}", file=sys.stderr)
         return EXIT_USAGE
-    unknown = set(scenario) - allowed
-    if unknown:
-        print(f"error: unknown scenario keys {sorted(unknown)}", file=sys.stderr)
+    error = (_scenario_type_error(scenario, {"command": str, "format": str, **types},
+                                  "scenario")
+             or _scenario_type_error(scenario.get("assumptions", {}), _ASSUMPTION_TYPES,
+                                     "assumption"))
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     fmt = scenario.get("format", "text")
     if fmt not in ("text", "json"):
@@ -308,36 +313,21 @@ def run_scenario(path: str) -> int:
         return EXIT_USAGE
     try:
         if command == "classify":
-            return run_classify(int(scenario["k2"]), int(scenario["chi"]), fmt)
+            return run_classify(scenario["k2"], scenario["chi"], fmt)
         if command == "construct":
-            assumptions = scenario.get("assumptions", {})
-            if not isinstance(assumptions, dict) or not set(assumptions) <= {
-                    "general_position", "smoothness_assumed"}:
-                print("error: scenario assumptions may override only general_position "
-                      "and smoothness_assumed", file=sys.stderr)
-                return EXIT_USAGE
-            chi = scenario.get("chi")
-            k = scenario.get("k")
-            epsilon = scenario.get("epsilon")
             return run_construct(
-                scenario["variant"],
-                chi=None if chi is None else int(chi),
-                k=None if k is None else int(k),
-                epsilon=None if epsilon is None else int(epsilon),
-                fmt=fmt,
-                general_position=bool(assumptions.get("general_position", True)),
-                smoothness_assumed=bool(assumptions.get("smoothness_assumed", True)),
-            )
+                scenario["variant"], chi=scenario.get("chi"), k=scenario.get("k"),
+                epsilon=scenario.get("epsilon"), fmt=fmt, **scenario.get("assumptions", {}))
         if command == "enumerate":
-            return run_enumerate(int(scenario["chi"]), int(scenario["chi_max"]), fmt)
+            return run_enumerate(scenario["chi"], scenario["chi_max"], fmt)
         return run_verify(
-            chi_max=int(scenario.get("chi_max", 30)),
-            k_max=int(scenario.get("k_max", 6)),
+            chi_max=scenario.get("chi_max", 30),
+            k_max=scenario.get("k_max", 6),
             fault=scenario.get("inject_fault"),
             fmt=fmt,
         )
-    except (KeyError, TypeError, ValueError) as error:
-        print(f"error: malformed scenario: {error}", file=sys.stderr)
+    except KeyError as error:
+        print(f"error: malformed scenario: missing key {error}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -247,15 +247,6 @@ class CanonicalImageInfo:
     notes: tuple[str, ...] = ()
 
 
-def _very_ample(surface: SurfaceModel, d: DivisorClass) -> bool:
-    if isinstance(surface, lattice.ProjectivePlane):
-        return d.coeffs[0] >= 1
-    if isinstance(surface, lattice.Hirzebruch):
-        a, b = d.coeffs
-        return a >= 1 and b > a * surface.e
-    return False
-
-
 def canonical_image_info(spec: CoverSpec) -> CanonicalImageInfo:
     """Canonical image data of a double cover whose base has no canonical forms.
 
@@ -281,7 +272,7 @@ def canonical_image_info(spec: CoverSpec) -> CanonicalImageInfo:
     if not count.exact:
         raise BuildingDataError("cannot certify the canonical image from a virtual count")
     notes = ["canonical map factors through the base cover map"]
-    very_ample = _very_ample(spec.base, system)
+    very_ample = lattice.ample(system)
     if count.value == 0:
         notes.append("empty adjoint system: degenerate case")
     elif very_ample:

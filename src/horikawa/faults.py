@@ -216,9 +216,7 @@ def _scroll_class_wrong(curve):
 
 
 def _contract_wrong_gain(orig, chi, k2, count):
-    record = orig(chi, k2, count)
-    record.k_squared = Fraction(k2) + Fraction(count, 2)
-    return record
+    return dc_replace(orig(chi, k2, count), k_squared=Fraction(k2) + Fraction(count, 2))
 
 
 def _h0_2k_without_correction(record):
@@ -227,7 +225,6 @@ def _h0_2k_without_correction(record):
         from .stable import LedgerError
 
         raise LedgerError("bicanonical count is not an integer")
-    record.in_component_without_canonical_models = False
     return int(total)
 
 
@@ -266,8 +263,7 @@ def _tweak_family_curve(curve):
 
 
 def _bump_record_ksq(record, epsilon):
-    record.k_squared = record.k_squared + epsilon
-    return record
+    return dc_replace(record, k_squared=record.k_squared + epsilon)
 
 
 REGISTRY: dict[str, Fault] = _registry()

@@ -20,34 +20,16 @@ class SurfaceMismatchError(ValueError):
 class SurfaceModel:
     """Shared behaviour of the supported symbolic surface descriptions."""
 
-    def picard_rank(self) -> int:
-        return picard_rank(self)
-
-    def basis_labels(self) -> tuple[str, ...]:
-        return basis_labels(self)
-
     def divisor(self, coeffs) -> "DivisorClass":
         return DivisorClass(self, tuple(coeffs))
 
     def zero(self) -> "DivisorClass":
         return DivisorClass(self, (0,) * picard_rank(self))
 
-    def canonical_class(self) -> "DivisorClass":
-        return canonical_class(self)
-
-    def blow_up(self, point_count: int, general_position: bool = True) -> "BlowUp":
-        return blow_up(self, point_count, general_position)
-
-    def describe(self) -> str:
-        return surface_descriptor(self)
-
 
 @dataclass(frozen=True)
 class ProjectivePlane(SurfaceModel):
     """The projective plane with Picard basis (H)."""
-
-    def hyperplane(self) -> "DivisorClass":
-        return self.divisor((1,))
 
 
 @dataclass(frozen=True)
@@ -61,7 +43,7 @@ class Hirzebruch(SurfaceModel):
     e: int
 
     def __post_init__(self):
-        if not isinstance(self.e, int) or self.e < 0:
+        if type(self.e) is not int or self.e < 0:
             raise ValueError("Hirzebruch parameter e must be a nonnegative integer")
 
     def negative_section(self) -> "DivisorClass":
@@ -88,7 +70,7 @@ class BlowUp(SurfaceModel):
     def __post_init__(self):
         if not isinstance(self.base, SurfaceModel):
             raise ValueError("blow-up base must be a SurfaceModel")
-        if not isinstance(self.point_count, int) or self.point_count < 1:
+        if type(self.point_count) is not int or self.point_count < 1:
             raise ValueError("blow-up point count must be a positive integer")
 
     def exceptional(self, i: int) -> "DivisorClass":
@@ -121,7 +103,7 @@ class DivisorClass:
                 f"expected {picard_rank(self.surface)} coefficients, got {len(coeffs)}"
             )
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -205,11 +187,6 @@ def surface_descriptor(surface: SurfaceModel) -> str:
     raise TypeError(f"unsupported surface {surface!r}")
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    """Symmetric bilinear intersection pairing, exact."""
-    return a.dot(b)
-
-
 def _dot(surface: SurfaceModel, u: tuple[int, ...], v: tuple[int, ...]) -> int:
     if isinstance(surface, ProjectivePlane):
         return u[0] * v[0]
@@ -239,6 +216,20 @@ def canonical_class(surface: SurfaceModel) -> DivisorClass:
     if isinstance(surface, BlowUp):
         return pullback(surface, canonical_class(surface.base)) + surface.exceptional_sum()
     raise TypeError(f"unsupported surface {surface!r}")
+
+
+def ample(d: DivisorClass) -> bool:
+    """Whether the class is ample; on the plane and on F_e it is then very ample.
+
+    Blow-ups are not decided here and report False.
+    """
+    surface = d.surface
+    if isinstance(surface, ProjectivePlane):
+        return d.coeffs[0] >= 1
+    if isinstance(surface, Hirzebruch):
+        a, b = d.coeffs
+        return a >= 1 and b > a * surface.e
+    return False
 
 
 def blow_up(surface: SurfaceModel, point_count: int, general_position: bool = True) -> BlowUp:

@@ -107,10 +107,12 @@ _TAGS = {
     AmplenessCertificate: ("certificate", "ampleness"),
     NefCertificate: ("certificate", "nefness"),
 }
-# written for human readers and ignored when decoding
+# derived or written for human readers, and ignored when decoding
 _ENCODE_ONLY = {
     DivisorClass: ("display", str),
     ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base)),
+    StableSurfaceRecord: ("in_component_without_canonical_models",
+                          lambda record: record.in_component_without_canonical_models),
 }
 # written in place of None
 _NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE}

@@ -36,7 +36,7 @@ class SingularityLedger:
 EMPTY_LEDGER = SingularityLedger()
 
 
-@dataclass
+@dataclass(frozen=True)
 class StableSurfaceRecord:
     """Invariants and flags of a normal stable surface."""
 
@@ -45,14 +45,21 @@ class StableSurfaceRecord:
     ledger: SingularityLedger
     ample_canonical: bool = False
     smoothable: bool = False
-    in_component_without_canonical_models: bool = False
 
     def __post_init__(self):
-        self.k_squared = Fraction(self.k_squared)
+        object.__setattr__(self, "k_squared", Fraction(self.k_squared))
         if self.ledger.third11_count > 0 and self.smoothable:
             raise LedgerError(
                 "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
             )
+
+    @property
+    def in_component_without_canonical_models(self) -> bool:
+        """Whether the surface's moduli component has no canonical models.
+
+        That holds exactly when the bicanonical count differs from chi + K^2.
+        """
+        return h0_2K(self) != self.chi + self.k_squared
 
 
 def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfaceRecord:
@@ -81,21 +88,14 @@ def rr_correction(ledger: SingularityLedger) -> Fraction:
 
 
 def h0_2K(record: StableSurfaceRecord) -> int:
-    """Bicanonical section count chi + K^2 + correction, which must be integral.
-
-    Also updates the record's no-canonical-models flag: the component of
-    the moduli space containing the surface has no canonical models
-    exactly when the count differs from chi + K^2.
-    """
+    """Bicanonical section count chi + K^2 + correction, which must be integral."""
     total = record.chi + record.k_squared + rr_correction(record.ledger)
     if total.denominator != 1:
         raise LedgerError(
             f"bicanonical count {total} is not an integer: ledger inconsistent "
             "with the claimed invariants"
         )
-    value = int(total)
-    record.in_component_without_canonical_models = value != record.chi + record.k_squared
-    return value
+    return int(total)
 
 
 class NodeResolution(NamedTuple):

@@ -104,14 +104,15 @@ def _check_symmetry_bilinearity(chi_max, k_max, pairs=400):
         b = _random_class(rng, surface)
         c = _random_class(rng, surface)
         m = rng.randint(-6, 6)
-        _expect(a.dot(b) == b.dot(a), f"pairing not symmetric on {surface.describe()}")
+        name = lattice.surface_descriptor(surface)
+        _expect(a.dot(b) == b.dot(a), f"pairing not symmetric on {name}")
         _expect(
             (a + b).dot(c) == a.dot(c) + b.dot(c),
-            f"pairing not additive on {surface.describe()}",
+            f"pairing not additive on {name}",
         )
         _expect(
             (m * a).dot(b) == m * a.dot(b),
-            f"pairing not homogeneous on {surface.describe()}",
+            f"pairing not homogeneous on {name}",
         )
 
 

@@ -1,8 +1,12 @@
 """Command line behaviour: exit codes, formats, scenarios, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horikawa import cli, faults
 from horikawa.reporting import Report
@@ -201,6 +205,35 @@ class TestScenarioFiles:
         assert code == 2
         assert "unknown scenario keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"command": "classify", "k2": True, "chi": 7}, "value 'k2' must be an integer"),
+        ({"command": "classify", "k2": 1, "chi": 7.9}, "value 'chi' must be an integer"),
+        ({"command": "classify", "k2": 8, "chi": "7"}, "value 'chi' must be an integer"),
+        ({"command": "classify", "k2": 8, "chi": 7, "format": 1}, "'format' must be a string"),
+        ({"command": "construct", "variant": 1, "chi": 5}, "'variant' must be a string"),
+        ({"command": "construct", "variant": "stable", "chi": None},
+         "value 'chi' must be an integer"),
+        ({"command": "construct", "variant": "stable", "chi": 5,
+          "assumptions": {"general_position": "false"}},
+         "value 'general_position' must be a boolean"),
+        ({"command": "construct", "variant": "stable", "chi": 5,
+          "assumptions": {"smoothness_assumed": 0}},
+         "value 'smoothness_assumed' must be a boolean"),
+        ({"command": "construct", "variant": "stable", "chi": 5, "assumptions": []},
+         "value 'assumptions' must be an object"),
+        ({"command": "construct", "variant": "stable", "chi": 5,
+          "assumptions": {"q": True}}, "unknown assumption keys ['q']"),
+        ({"command": "verify-paper", "inject_fault": None},
+         "value 'inject_fault' must be a string"),
+        ({"command": ["classify"]}, "unknown scenario command"),
+    ])
+    def test_wrong_json_type_rejected(self, capsys, tmp_path, payload, message):
+        code = cli.main(["--scenario", self._write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_missing_file(self, capsys):
         code = cli.main(["--scenario", "/nonexistent/path.json"])
         assert code == 2
@@ -237,3 +270,54 @@ class TestJsonStability:
         code, out, _err = run(capsys, *argv)
         assert code == 0
         assert Report.from_json(out).to_json() == out
+
+
+# small integers only: chi and k have no upper bound yet, and cost grows with them
+_SMALL_INTS = st.integers(-2, 12)
+_PRIMITIVES = (st.none() | st.booleans() | _SMALL_INTS | st.floats(-2, 12)
+               | st.text(max_size=3))
+_COMMAND_KEYS = {
+    "classify": ("k2", "chi"),
+    "construct": ("variant", "chi", "k", "epsilon", "assumptions"),
+    "enumerate": ("chi", "chi_max"),
+    "verify-paper": ("chi_max", "k_max", "inject_fault"),
+}
+# a well-typed value for each key that is not an integer
+_WELL_TYPED = {
+    "format": st.sampled_from(["text", "json"]),
+    "variant": st.sampled_from(["component-I", "component-II", "stable"]),
+    "inject_fault": st.sampled_from(["fiber-data-evened", "germ-index-shift"]),
+    "assumptions": st.dictionaries(st.sampled_from(["general_position", "smoothness_assumed"]),
+                                   st.booleans() | _PRIMITIVES, max_size=2),
+}
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenario objects whose values are JSON primitives, most of them well typed."""
+    def rarely(one_in):
+        return draw(st.integers(1, one_in)) == one_in
+
+    def value(well_typed):
+        return draw(_PRIMITIVES if rarely(8) else well_typed)
+
+    command = value(st.sampled_from(sorted(_COMMAND_KEYS)))
+    keys = [key for key in _COMMAND_KEYS.get(command, ()) if not rarely(5)]
+    keys += ["format"] * draw(st.booleans()) + ["zeta"] * rarely(10)
+    scenario = {"command": command}
+    for key in keys:
+        scenario[key] = value(_WELL_TYPED.get(key, _SMALL_INTS))
+    return scenario
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scenario=_scenarios())
+def test_scenario_property(tmp_path_factory, scenario):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--scenario", str(path)])
+    assert code in (0, 1, 2)
+    if scenario.get("format") == "json" and out.getvalue():
+        Report.from_json(out.getvalue())

@@ -106,7 +106,7 @@ class TestDoubleCoverInvariants:
         f1 = Hirzebruch(1)
         for coeffs in [(0, 2), (1, 0), (3, 5), (2, 7)]:
             d = f1.divisor(coeffs)
-            assert d.dot(d + f1.canonical_class()) % 2 == 0
+            assert d.dot(d + lattice.canonical_class(f1)) % 2 == 0
         report = double_cover_invariants(CoverSpec.double(f1, f1.divisor((2, 4))))
         assert isinstance(report.chi, int)
 
@@ -167,6 +167,13 @@ class TestCanonicalImage:
         assert info.system == f6.divisor((1, 7))
         assert info.very_ample
         assert info.sections == 10
+
+    def test_scroll_image_at_the_ample_boundary(self):
+        # the adjoint class D0 + 6F on F_6 has b == a*e: nef, not ample
+        f6 = Hirzebruch(6)
+        info = canonical_image_info(CoverSpec.double(f6, f6.divisor((6, 28))))
+        assert info.system == f6.divisor((1, 6))
+        assert not info.very_ample
 
     def test_degenerate_empty_system(self):
         f0 = Hirzebruch(0)

@@ -105,6 +105,15 @@ class TestBlowUpAndPullback:
         with pytest.raises(ValueError):
             lattice.blow_up(P2, 0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Hirzebruch(True),
+        lambda: lattice.blow_up(Hirzebruch(0), True),
+        lambda: Hirzebruch(0).divisor((True, 2)),
+    ], ids=["hirzebruch", "blow-up", "coefficient"])
+    def test_bool_is_not_an_integer(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_pullback_of_zero(self):
         blown = lattice.blow_up(Hirzebruch(0), 2)
         assert lattice.pullback(blown, Hirzebruch(0).zero()) == blown.zero()
@@ -205,10 +214,10 @@ class TestSectionCounts:
 
 class TestLabelsAndFormatting:
     def test_labels(self):
-        assert P2.basis_labels() == ("H",)
-        assert Hirzebruch(3).basis_labels() == ("D0", "F")
+        assert lattice.basis_labels(P2) == ("H",)
+        assert lattice.basis_labels(Hirzebruch(3)) == ("D0", "F")
         nested = lattice.blow_up(lattice.blow_up(Hirzebruch(1), 2), 3)
-        assert nested.basis_labels() == ("D0", "F", "E1", "E2", "E3", "E4", "E5")
+        assert lattice.basis_labels(nested) == ("D0", "F", "E1", "E2", "E3", "E4", "E5")
 
     def test_format_groups_exceptional_runs(self):
         blown = lattice.blow_up(Hirzebruch(1), 4)

@@ -1,5 +1,6 @@
 """One-third quotient point bookkeeping."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,17 @@ class TestBicanonicalCount:
         record = StableSurfaceRecord(Fraction(3), 4, SingularityLedger(3))
         assert h0_2K(record) == 6
         assert record.in_component_without_canonical_models
+
+    def test_count_leaves_the_record_unchanged(self):
+        record = StableSurfaceRecord(Fraction(1), 3, SingularityLedger(3))
+        before = dict(vars(record))
+        h0_2K(record)
+        assert vars(record) == before
+
+    def test_record_refuses_assignment(self):
+        record = StableSurfaceRecord(Fraction(1), 3, SingularityLedger(3))
+        with pytest.raises(FrozenInstanceError):
+            record.k_squared = Fraction(2)
 
     def test_non_integral_total_rejected(self):
         record = StableSurfaceRecord(Fraction(4), 5, SingularityLedger(1))
