@@ -62,15 +62,19 @@ def derive_root(degree: int, branch, base: SurfaceModel | None = None) -> Diviso
         if d.surface != base:
             raise BuildingDataError("branch classes must live on the base surface")
         weighted = weighted + j * d
-    coeffs = []
-    for c in weighted.coeffs:
-        q, r = divmod(c, degree)
-        if r:
-            raise BuildingDataError(
-                f"coefficient {c} of the weighted branch sum is not divisible by {degree}"
-            )
-        coeffs.append(q)
-    return DivisorClass(base, tuple(coeffs))
+    # exact division keeps adjacent run values distinct, so the runs stay canonical
+    return DivisorClass._make(
+        base, tuple([_exact_quotient(c, degree) for c in weighted.head]),
+        tuple([(_exact_quotient(c, degree), length) for c, length in weighted.runs]))
+
+
+def _exact_quotient(c: int, degree: int) -> int:
+    q, r = divmod(c, degree)
+    if r:
+        raise BuildingDataError(
+            f"coefficient {c} of the weighted branch sum is not divisible by {degree}"
+        )
+    return q
 
 
 @dataclass(frozen=True)

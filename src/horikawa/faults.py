@@ -43,7 +43,7 @@ def _registry() -> dict[str, Fault]:
     add("pairing-exceptional-sign",
         "exceptional curves square to +1 instead of -1",
         "lattice", "_exceptional_dot",
-        lambda orig: lambda u, v: sum(x * y for x, y in zip(u, v)))
+        lambda orig: lambda u, v: _exceptional_dot_plus(u, v))
     add("canonical-ruled-fiber-coefficient",
         "the ruled surface canonical class uses fiber coefficient e+1",
         "lattice", "canonical_class",
@@ -158,6 +158,12 @@ def _blowup_canonical_minus(surface):
         surface.exceptional_sum()
 
 
+def _exceptional_dot_plus(u, v):
+    from . import lattice
+
+    return sum(x * y * length for x, y, length in lattice._aligned(u, v))
+
+
 def _pullback_padded_wrong(orig, surface, d):
     from . import lattice
 
@@ -168,7 +174,7 @@ def _pullback_padded_wrong(orig, surface, d):
 
 
 def _derive_root_wrong(degree, branch, base):
-    from . import covers
+    from . import lattice
     from .covers import BuildingDataError
 
     branch = tuple(branch)
@@ -177,13 +183,16 @@ def _derive_root_wrong(degree, branch, base):
     weighted = base.zero()
     for j, d in enumerate(branch, start=1):
         weighted = weighted + (j + 1) * d
-    coeffs = []
-    for c in weighted.coeffs:
+
+    def quotient(c):
         q, r = divmod(c, degree)
         if r:
             raise BuildingDataError(f"coefficient {c} not divisible by {degree}")
-        coeffs.append(q)
-    return base.divisor(tuple(coeffs))
+        return q
+
+    return lattice.DivisorClass._make(
+        base, tuple([quotient(c) for c in weighted.head]),
+        tuple([(quotient(c), length) for c, length in weighted.runs]))
 
 
 def _scale_ksq(report, factor):

@@ -2,15 +2,19 @@
 
 The supported ambient surfaces are the projective plane, the Hirzebruch
 surfaces and iterated blow-ups of these at anonymous points.  A divisor
-class is an integer coefficient vector over the surface's Picard basis,
-and every pairing or section count below is computed in exact integer
-arithmetic.
+class keeps its coefficients on the root surface (the plane or F_e) and
+one run-length encoding of its coefficients on all exceptional classes,
+so arithmetic costs grow with the number of runs, not with the number of
+blown-up points.  Every pairing or section count below is computed in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import add, sub
 
 
 class SurfaceMismatchError(ValueError):
@@ -21,10 +25,11 @@ class SurfaceModel:
     """Shared behaviour of the supported symbolic surface descriptions."""
 
     def divisor(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, tuple(coeffs))
+        return DivisorClass(self, coeffs)
 
     def zero(self) -> "DivisorClass":
-        return DivisorClass(self, (0,) * picard_rank(self))
+        root, count = _levels(self)
+        return DivisorClass._make(self, (0,) * picard_rank(root), ((0, count),) if count else ())
 
 
 @dataclass(frozen=True)
@@ -77,40 +82,66 @@ class BlowUp(SurfaceModel):
         """Class of the i-th exceptional curve of this blow-up level, 1-based."""
         if not 1 <= i <= self.point_count:
             raise ValueError(f"exceptional index {i} out of range 1..{self.point_count}")
-        rank = picard_rank(self)
-        coeffs = [0] * rank
-        coeffs[rank - self.point_count + i - 1] = 1
-        return DivisorClass(self, tuple(coeffs))
+        root, below = _levels(self.base)
+        runs = ((0, below + i - 1), (1, 1), (0, self.point_count - i))
+        return DivisorClass._make(self, (0,) * picard_rank(root),
+                                  tuple(run for run in runs if run[1]))
 
     def exceptional_sum(self) -> "DivisorClass":
         """Sum of all exceptional classes of this blow-up level."""
-        rank = picard_rank(self)
-        base_rank = rank - self.point_count
-        return DivisorClass(self, (0,) * base_rank + (1,) * self.point_count)
+        root, below = _levels(self.base)
+        runs = ((0, below), (1, self.point_count))
+        return DivisorClass._make(self, (0,) * picard_rank(root),
+                                  tuple(run for run in runs if run[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class DivisorClass:
-    """Integer coefficient vector over the Picard basis of a surface."""
+    """A divisor class: root coefficients plus runs over the exceptional classes.
+
+    ``head`` holds the coefficients on the root surface's basis, (H) or
+    (D0, F).  ``runs`` is ((value, length), ...) over all exceptional
+    classes E1, E2, ... of every blow-up level in order, with adjacent
+    values distinct and no empty run, so equal classes have equal fields.
+    One list serves all levels because E_i.E_j = -delta_ij throughout.
+    """
 
     surface: SurfaceModel
-    coeffs: tuple[int, ...]
+    head: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != picard_rank(self.surface):
-            raise ValueError(
-                f"expected {picard_rank(self.surface)} coefficients, got {len(coeffs)}"
-            )
+    def __init__(self, surface: SurfaceModel, coeffs):
+        """Build a class from its dense coefficient vector over the Picard basis."""
+        coeffs = tuple(coeffs)
+        rank = picard_rank(surface)
+        if len(coeffs) != rank:
+            raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
         for c in coeffs:
             if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        split = picard_rank(_levels(surface)[0])
+        runs = tuple((v, len(list(group))) for v, group in groupby(coeffs[split:]))
+        _init(self, surface, coeffs[:split], runs)
+
+    @classmethod
+    def _make(cls, surface: SurfaceModel, head: tuple[int, ...], runs: tuple) -> "DivisorClass":
+        """Unchecked constructor for canonical runs computed by this package."""
+        d = object.__new__(cls)
+        _init(d, surface, head, runs)
+        return d
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense coefficient vector over the Picard basis, built on each access."""
+        dense = list(self.head)
+        for value, length in self.runs:
+            dense += [value] * length
+        return tuple(dense)
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a DivisorClass, got {other!r}")
-        if self.surface != other.surface:
+        if other.surface is not self.surface and other.surface != self.surface:
             raise SurfaceMismatchError(
                 f"classes live on different surfaces: "
                 f"{surface_descriptor(self.surface)} vs {surface_descriptor(other.surface)}"
@@ -118,36 +149,101 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_surface(other)
-        return DivisorClass(self.surface, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass._make(self.surface, tuple(map(add, self.head, other.head)),
+                                  _merge_runs(self.runs, other.runs, add))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_surface(other)
-        return DivisorClass(self.surface, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass._make(self.surface, tuple(map(sub, self.head, other.head)),
+                                  _merge_runs(self.runs, other.runs, sub))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
+        return -1 * self
 
     def __rmul__(self, n: int) -> "DivisorClass":
-        if not isinstance(n, int):
+        if type(n) is not int:
+            if type(n) is bool:
+                raise ValueError(f"a class is scaled by an integer, not by {n!r}")
             return NotImplemented
-        return DivisorClass(self.surface, tuple(n * a for a in self.coeffs))
+        if n == 0:
+            return self.surface.zero()
+        return DivisorClass._make(self.surface, tuple([n * a for a in self.head]),
+                                  tuple([(n * v, length) for v, length in self.runs]))
 
     __mul__ = __rmul__
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.head) and all(v == 0 for v, _length in self.runs)
 
     def dot(self, other: "DivisorClass") -> int:
         """Intersection number of the two classes."""
         self._require_same_surface(other)
-        return _dot(self.surface, self.coeffs, other.coeffs)
+        root = _levels(self.surface)[0]
+        if isinstance(root, Hirzebruch):
+            head = _hirzebruch_dot(root.e, self.head, other.head)
+        else:
+            head = self.head[0] * other.head[0]
+        return head + _exceptional_dot(self.runs, other.runs)
 
     def square(self) -> int:
         return self.dot(self)
 
     def __str__(self) -> str:
         return format_class(self)
+
+
+def _init(d: DivisorClass, surface, head, runs) -> None:
+    object.__setattr__(d, "surface", surface)
+    object.__setattr__(d, "head", head)
+    object.__setattr__(d, "runs", runs)
+
+
+def _levels(surface: SurfaceModel) -> tuple[SurfaceModel, int]:
+    """The root surface under all blow-ups and the number of exceptional classes."""
+    count = 0
+    while isinstance(surface, BlowUp):
+        count += surface.point_count
+        surface = surface.base
+    return surface, count
+
+
+def _aligned(u: tuple, v: tuple):
+    """(x, y, length) for each stretch where two run lists of one rank are both constant."""
+    u, v = iter(u), iter(v)
+    x, m = next(u, (0, 0))
+    y, n = next(v, (0, 0))
+    while m:
+        step = m if m < n else n
+        yield x, y, step
+        m -= step
+        n -= step
+        if not m:
+            x, m = next(u, (0, 0))
+        if not n:
+            y, n = next(v, (0, 0))
+
+
+def _merge_runs(u: tuple, v: tuple, op) -> tuple:
+    """Canonical runs of ``op`` applied position by position."""
+    merged: list[tuple[int, int]] = []
+    for x, y, length in _aligned(u, v):
+        z = op(x, y)
+        if merged and merged[-1][0] == z:
+            merged[-1] = (z, merged[-1][1] + length)
+        else:
+            merged.append((z, length))
+    return tuple(merged)
+
+
+def _split_runs(runs: tuple, k: int) -> tuple[tuple, tuple]:
+    """The runs of the first ``k`` positions and the runs of the rest."""
+    for i, (value, length) in enumerate(runs):
+        if k < length:
+            lower = runs[:i] + (((value, k),) if k else ())
+            return lower, ((value, length - k),) + runs[i + 1:]
+        k -= length
+    return runs, ()
 
 
 def picard_rank(surface: SurfaceModel) -> int:
@@ -187,25 +283,15 @@ def surface_descriptor(surface: SurfaceModel) -> str:
     raise TypeError(f"unsupported surface {surface!r}")
 
 
-def _dot(surface: SurfaceModel, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    if isinstance(surface, ProjectivePlane):
-        return u[0] * v[0]
-    if isinstance(surface, Hirzebruch):
-        return _hirzebruch_dot(surface.e, u, v)
-    base_rank = picard_rank(surface.base)
-    return _dot(surface.base, u[:base_rank], v[:base_rank]) + _exceptional_dot(
-        u[base_rank:], v[base_rank:]
-    )
-
-
 def _hirzebruch_dot(e: int, u, v) -> int:
     # D0.D0 = -e, D0.F = F.D0 = 1, F.F = 0
     return -e * u[0] * v[0] + u[0] * v[1] + u[1] * v[0]
 
 
 def _exceptional_dot(u, v) -> int:
-    # E_i.E_i = -1, distinct exceptionals and pullbacks are orthogonal
-    return -sum(x * y for x, y in zip(u, v))
+    # E_i.E_i = -1, distinct exceptionals and pullbacks are orthogonal;
+    # u and v are the runs of the two classes
+    return -sum(x * y * length for x, y, length in _aligned(u, v))
 
 
 def canonical_class(surface: SurfaceModel) -> DivisorClass:
@@ -225,9 +311,9 @@ def ample(d: DivisorClass) -> bool:
     """
     surface = d.surface
     if isinstance(surface, ProjectivePlane):
-        return d.coeffs[0] >= 1
+        return d.head[0] >= 1
     if isinstance(surface, Hirzebruch):
-        a, b = d.coeffs
+        a, b = d.head
         return a >= 1 and b > a * surface.e
     return False
 
@@ -246,7 +332,10 @@ def pullback(surface: BlowUp, d: DivisorClass) -> DivisorClass:
             f"class lives on {surface_descriptor(d.surface)}, "
             f"not on the blow-up base {surface_descriptor(surface.base)}"
         )
-    return DivisorClass(surface, d.coeffs + (0,) * surface.point_count)
+    runs, zeros = d.runs, surface.point_count
+    if runs and runs[-1][0] == 0:
+        runs, zeros = runs[:-1], runs[-1][1] + zeros
+    return DivisorClass._make(surface, d.head, runs + ((0, zeros),))
 
 
 @dataclass(frozen=True)
@@ -279,20 +368,19 @@ def h0(surface: SurfaceModel, d: DivisorClass) -> SectionCount:
     if d.surface != surface:
         raise SurfaceMismatchError("class does not live on the given surface")
     if isinstance(surface, ProjectivePlane):
-        return SectionCount(_plane_sections(d.coeffs[0]), True)
+        return SectionCount(_plane_sections(d.head[0]), True)
     if isinstance(surface, Hirzebruch):
-        return SectionCount(_hirzebruch_sections(surface.e, d.coeffs[0], d.coeffs[1]), True)
+        return SectionCount(_hirzebruch_sections(surface.e, d.head[0], d.head[1]), True)
     if isinstance(surface, BlowUp):
-        base_rank = picard_rank(surface.base)
-        exceptional = d.coeffs[base_rank:]
-        bad = sorted({c for c in exceptional if c not in (0, -1)})
+        below, level = _split_runs(d.runs, _levels(surface.base)[1])
+        bad = sorted({c for c, _length in level if c not in (0, -1)})
         if bad:
             raise ValueError(
                 f"exceptional coefficients {bad} not supported: only simple "
                 "(multiplicity one) point conditions are modelled"
             )
-        base_count = h0(surface.base, DivisorClass(surface.base, d.coeffs[:base_rank]))
-        imposed = sum(1 for c in exceptional if c == -1)
+        base_count = h0(surface.base, DivisorClass._make(surface.base, d.head, below))
+        imposed = sum(length for c, length in level if c == -1)
         if imposed == 0:
             return base_count
         if not surface.general_position:
@@ -315,32 +403,18 @@ def _hirzebruch_sections(e: int, a: int, b: int) -> int:
 
 
 def format_class(d: DivisorClass) -> str:
-    """Human readable rendering, grouping runs of exceptional classes.
+    """Human readable rendering, one term per nonzero exceptional run.
 
     Inside a bracket such as ``E[4..16]`` the printed coefficient applies
     to each class of the range individually.
     """
-    labels = basis_labels(d.surface)
-    parts: list[tuple[int, str]] = []
-    i = 0
-    n = len(labels)
-    while i < n:
-        label, c = labels[i], d.coeffs[i]
-        if label.startswith("E"):
-            j = i
-            while j + 1 < n and labels[j + 1].startswith("E") and d.coeffs[j + 1] == c:
-                j += 1
-            if c != 0:
-                if i == j:
-                    name = label
-                else:
-                    name = f"E[{labels[i][1:]}..{labels[j][1:]}]"
-                parts.append((c, name))
-            i = j + 1
-        else:
-            if c != 0:
-                parts.append((c, label))
-            i += 1
+    labels = basis_labels(_levels(d.surface)[0])
+    parts = [(c, label) for c, label in zip(d.head, labels) if c != 0]
+    start = 1
+    for c, length in d.runs:
+        if c != 0:
+            parts.append((c, f"E{start}" if length == 1 else f"E[{start}..{start + length - 1}]"))
+        start += length
     if not parts:
         return "0"
     pieces = []

@@ -26,7 +26,7 @@ from . import lattice, stable
 from .catalog import (AmplenessCertificate, ComponentInfo, ConstructionRecipe,
                       NefCertificate)
 from .covers import CanonicalMultiple, InvariantReport
-from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
+from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
 from .stable import StableSurfaceRecord
 from .verify import CheckResult, VerificationOutcome
 
@@ -116,6 +116,9 @@ _ENCODE_ONLY = {
 }
 # written in place of None
 _NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE}
+# written as these public attributes instead of the stored fields, and
+# decoded by passing them to the constructor as keywords
+_VIEWS = {DivisorClass: (("surface", SurfaceModel), ("coeffs", tuple[int, ...]))}
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +164,13 @@ _PAYLOADS = {kind: _shape(cls) for kind, cls in (
 @functools.cache
 def _plan(cls) -> tuple:
     """((attribute, key, shape), ...), tag and encode-only key of a dataclass."""
-    hints = typing.get_type_hints(cls)
+    view = _VIEWS.get(cls)
+    if view is None:
+        hints = typing.get_type_hints(cls)
+        view = tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
     fields = tuple(
-        (f.name, _RENAMED.get((cls, f.name), f.name),
-         _shape(hints[f.name], _NONE_AS.get((cls, f.name))))
-        for f in dataclasses.fields(cls))
+        (name, _RENAMED.get((cls, name), name), _shape(hint, _NONE_AS.get((cls, name))))
+        for name, hint in view)
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
 

@@ -47,7 +47,12 @@ class StableSurfaceRecord:
     smoothable: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k_squared", Fraction(self.k_squared))
+        if type(self.k_squared) is int:
+            object.__setattr__(self, "k_squared", Fraction(self.k_squared))
+        elif type(self.k_squared) is not Fraction:
+            raise ValueError(f"K^2 must be an integer or a Fraction, got {self.k_squared!r}")
+        if type(self.chi) is not int:
+            raise ValueError(f"chi must be an integer, got {self.chi!r}")
         if self.ledger.third11_count > 0 and self.smoothable:
             raise LedgerError(
                 "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
@@ -71,7 +76,7 @@ def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfac
     if count < 1:
         raise ValueError("at least one curve must be contracted")
     return StableSurfaceRecord(
-        k_squared=Fraction(k_squared_smooth) + Fraction(count, 3),
+        k_squared=Fraction(3 * k_squared_smooth + count, 3),
         chi=chi,
         ledger=SingularityLedger(third11_count=count),
         smoothable=False,

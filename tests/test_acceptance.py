@@ -16,7 +16,7 @@ from horikawa.lattice import Hirzebruch, ProjectivePlane
 
 from oracles import count_scroll_monomials, gram_dot
 
-CHI_FULL = 100
+CHI_FULL = 1000
 
 
 @contextmanager
@@ -30,7 +30,7 @@ def criterion(number, description):
 
 
 def test_criterion_1_component_one_suite():
-    with criterion(1, "first-component identities for chi in 4..100"):
+    with criterion(1, f"first-component identities for chi in 4..{CHI_FULL}"):
         for chi in range(4, CHI_FULL + 1):
             recipe = catalog.build_component_one(chi)
             assert recipe.report.k_squared == 2 * chi - 6
@@ -64,7 +64,7 @@ def test_criterion_2_component_two_suite():
 
 
 def test_criterion_3_stable_suite():
-    with criterion(3, "stable-line identities for chi in 3..100"):
+    with criterion(3, f"stable-line identities for chi in 3..{CHI_FULL}"):
         for chi in range(3, CHI_FULL + 1):
             record, recipe = catalog.build_stable(chi)
             assert record.k_squared == 2 * chi - 5

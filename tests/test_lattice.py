@@ -1,11 +1,13 @@
 """Picard lattice arithmetic against independent oracles."""
 
+from operator import add, sub
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horikawa import lattice
-from horikawa.lattice import Hirzebruch, ProjectivePlane, SurfaceMismatchError
+from horikawa.lattice import BlowUp, Hirzebruch, ProjectivePlane, SurfaceMismatchError
 
 from oracles import count_plane_monomials, count_scroll_monomials, gram_dot
 
@@ -109,7 +111,9 @@ class TestBlowUpAndPullback:
         lambda: Hirzebruch(True),
         lambda: lattice.blow_up(Hirzebruch(0), True),
         lambda: Hirzebruch(0).divisor((True, 2)),
-    ], ids=["hirzebruch", "blow-up", "coefficient"])
+        lambda: True * Hirzebruch(1).divisor((1, 2)),
+        lambda: Hirzebruch(1).divisor((1, 2)) * False,
+    ], ids=["hirzebruch", "blow-up", "coefficient", "left-scalar", "right-scalar"])
     def test_bool_is_not_an_integer(self, build):
         with pytest.raises(ValueError):
             build()
@@ -228,3 +232,128 @@ class TestLabelsAndFormatting:
     def test_descriptor(self):
         assert lattice.surface_descriptor(Hirzebruch(6)) == "F_6"
         assert lattice.surface_descriptor(P2) == "P^2"
+
+
+# -- run-length classes against dense references at large rank --------------
+
+ROOTS = (P2, Hirzebruch(0), Hirzebruch(1), Hirzebruch(4))
+
+
+def _root(surface):
+    while isinstance(surface, BlowUp):
+        surface = surface.base
+    return surface
+
+
+@st.composite
+def nested_blow_ups(draw):
+    surface = draw(st.sampled_from(ROOTS))
+    for _ in range(draw(st.integers(1, 3))):
+        surface = lattice.blow_up(surface, draw(st.integers(1, 700)))
+    return surface
+
+
+@st.composite
+def dense_vectors(draw, surface, head=st.integers(-9, 9), values=(-4, 4), longest=(500, 125)):
+    """Dense coefficients whose exceptional part is a few long runs.
+
+    ``longest`` bounds the length of a run of zeros and of any other value.
+    """
+    split = lattice.picard_rank(_root(surface))
+    count = lattice.picard_rank(surface) - split
+    tail = []
+    while len(tail) < count:
+        value = draw(st.integers(*values))
+        tail += [value] * draw(st.integers(1, longest[value != 0]))
+    return tuple(draw(head) for _ in range(split)) + tuple(tail[:count])
+
+
+def dense_dot(surface, u, v):
+    root = _root(surface)
+    split = lattice.picard_rank(root)
+    return gram_dot(root, u[:split], v[:split]) - sum(x * y for x, y in zip(u[split:], v[split:]))
+
+
+def dense_format(surface, coeffs):
+    """The rendering rule written out over the full basis."""
+    labels = lattice.basis_labels(surface)
+    parts = []
+    i = 0
+    while i < len(labels):
+        j = i
+        if labels[i].startswith("E"):
+            while j + 1 < len(labels) and coeffs[j + 1] == coeffs[i]:
+                j += 1
+        if coeffs[i]:
+            name = labels[i] if i == j else f"E[{labels[i][1:]}..{labels[j][1:]}]"
+            parts.append((coeffs[i], name))
+        i = j + 1
+    terms = []
+    for k, (c, name) in enumerate(parts):
+        term = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        sign = ("" if c > 0 else "-") if k == 0 else ("+ " if c > 0 else "- ")
+        terms.append(sign + term)
+    return " ".join(terms) or "0"
+
+
+class TestRunsAgainstDenseReference:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_arithmetic_pairing_and_rendering(self, data):
+        surface = data.draw(nested_blow_ups())
+        ua, ub = (data.draw(dense_vectors(surface)) for _ in range(2))
+        a, b = surface.divisor(ua), surface.divisor(ub)
+        assert a.coeffs == ua and b.coeffs == ub
+        assert a.dot(b) == dense_dot(surface, ua, ub)
+        assert a.square() == dense_dot(surface, ua, ua)
+        if len(ua) <= 60:
+            assert a.dot(b) == gram_dot(surface, ua, ub)
+        assert (a + b).coeffs == tuple(map(add, ua, ub))
+        assert (a - b).coeffs == tuple(map(sub, ua, ub))
+        assert (-a).coeffs == tuple(-x for x in ua)
+        for n in (0, -1, data.draw(st.integers(-6, 6))):
+            assert (n * a).coeffs == (a * n).coeffs == tuple(n * x for x in ua)
+        for u in (ua, ub, tuple(map(sub, ua, ub))):
+            assert str(surface.divisor(u)) == dense_format(surface, u)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equal_classes_by_different_routes(self, data):
+        surface = data.draw(nested_blow_ups())
+        a, b = (surface.divisor(data.draw(dense_vectors(surface))) for _ in range(2))
+        for left, right in [(a + b, b + a), ((a + b) - b, a), (a + a, 2 * a),
+                            (0 * a, surface.zero()), (a - a, surface.zero()),
+                            (-(-a), a), (surface.divisor(list(a.coeffs)), a)]:
+            assert left == right and hash(left) == hash(right)
+        n = surface.point_count
+        i = data.draw(st.integers(1, n))
+        unit = surface.exceptional(i)
+        assert unit.coeffs == tuple(int(k == len(a.coeffs) - n + i - 1)
+                                    for k in range(len(a.coeffs)))
+        total = surface.exceptional_sum()
+        assert total.coeffs == (0,) * (len(a.coeffs) - n) + (1,) * n
+        assert unit.dot(total) == -1 and total.square() == -n
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_pullback_and_section_counts(self, data):
+        surface = data.draw(nested_blow_ups())
+        u = data.draw(dense_vectors(surface.base))
+        pulled = lattice.pullback(surface, surface.base.divisor(u))
+        assert pulled.coeffs == u + (0,) * surface.point_count
+        assert pulled == surface.divisor(pulled.coeffs)
+        assert hash(pulled) == hash(surface.divisor(pulled.coeffs))
+        root = _root(surface)
+        if isinstance(root, ProjectivePlane):
+            head = st.integers(0, 9)
+        else:
+            head = st.integers(0, 30) if data.draw(st.booleans()) else st.integers(0, 4)
+        v = data.draw(dense_vectors(surface, head=head, values=(-1, 0), longest=(400, 3)))
+        split = lattice.picard_rank(root)
+        if isinstance(root, ProjectivePlane):
+            base_count = count_plane_monomials(v[0])
+        else:
+            base_count = count_scroll_monomials(root.e, v[0], v[1])
+        imposed = v[split:].count(-1)
+        count = lattice.h0(surface, surface.divisor(v))
+        assert (count.value, count.exact) == (max(0, base_count - imposed), imposed == 0)

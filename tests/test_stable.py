@@ -24,6 +24,18 @@ class TestLedger:
         with pytest.raises(LedgerError):
             StableSurfaceRecord(Fraction(1), 3, SingularityLedger(3), smoothable=True)
 
+    @pytest.mark.parametrize("k_squared, chi", [
+        (1.5, 3), (True, 3), ("1", 3), (Fraction(3, 2), 3.0), (Fraction(1), True),
+        (Fraction(1), Fraction(3)),
+    ])
+    def test_record_rejects_non_exact_values(self, k_squared, chi):
+        with pytest.raises(ValueError):
+            StableSurfaceRecord(k_squared, chi, SingularityLedger(0))
+
+    def test_integer_k_squared_becomes_a_fraction(self):
+        record = StableSurfaceRecord(7, 5, SingularityLedger(0))
+        assert type(record.k_squared) is Fraction and record.k_squared == 7
+
 
 class TestContraction:
     def test_three_curves(self):
