@@ -1,5 +1,8 @@
 """Verification harness behaviour and fault registry coverage."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from horikawa import catalog, faults, verify
@@ -56,3 +59,37 @@ class TestFaultRegistry:
         assert catalog.pick_parameters is original
         assert catalog.pick_parameters(6) == (1, 6, 3)
         assert verify.run_verification(chi_max=6, k_max=2).passed
+
+
+KILL_MATRIX = Path(__file__).parent / "golden" / "kill_matrix.json"
+KILL_RANGES = ((6, 2), (12, 4), (30, 6))
+
+
+def kill_matrix() -> dict:
+    """Pass (".") or fail ("X") of every check, clean and under each fault.
+
+    Each row is one string with a character per check, in the order of
+    ``checks``; rows are keyed by range, then by "clean" or the fault name.
+    """
+    def row(chi_max, k_max, fault):
+        outcome = verify.run_verification(chi_max=chi_max, k_max=k_max, fault=fault)
+        return "".join("." if c.passed else "X" for c in outcome.checks)
+
+    return {
+        "checks": list(verify.check_names()),
+        "ranges": {
+            f"{chi_max},{k_max}": {
+                name: row(chi_max, k_max, fault)
+                for name, fault in (("clean", None),
+                                    *((f, f) for f in faults.fault_names()))
+            }
+            for chi_max, k_max in KILL_RANGES
+        },
+    }
+
+
+def test_kill_matrix_matches_golden():
+    # the fault-by-check matrix is fixed: a change to how checks share
+    # work must neither hide a fault from a check nor route one to another
+    want = json.loads(KILL_MATRIX.read_text(encoding="utf-8"))
+    assert kill_matrix() == want
