@@ -558,7 +558,7 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
             f"cannot contract {3 * epsilon}"
         )
     record = stable.contract_minus3(chi, 2 * chi - 6, 3 * epsilon)
-    if 3 * record.k_squared > 8 * chi - 16:
+    if record.k_squared * 3 > 8 * chi - 16:
         raise CertificateError("contracted surface violates the stable line bound")
     stable.h0_2K(record)
     return record

@@ -367,8 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_parser = sub.add_parser(
         "verify-paper", help="run the full identity suite over chi and k ranges")
-    verify_parser.add_argument("--chi-max", type=int, default=30)
-    verify_parser.add_argument("--k-max", type=int, default=6)
+    verify_parser.add_argument("--chi-max", type=int, default=30,
+                               help=f"largest chi checked, from 6 to {verify.RANGE_CAP} "
+                                    "(default 30)")
+    verify_parser.add_argument("--k-max", type=int, default=6,
+                               help="largest k checked on the second component, "
+                                    f"from 2 to {verify.RANGE_CAP} (default 6)")
     verify_parser.add_argument("--format", choices=("text", "json"), default="text")
     verify_parser.add_argument("--inject-fault", metavar="NAME", default=None,
                                help="test-only: run with one named fault installed")

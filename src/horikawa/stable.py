@@ -64,7 +64,7 @@ class StableSurfaceRecord:
 
         That holds exactly when the bicanonical count differs from chi + K^2.
         """
-        return h0_2K(self) != self.chi + self.k_squared
+        return h0_2K(self) != self.k_squared + self.chi
 
 
 def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfaceRecord:
@@ -94,13 +94,19 @@ def rr_correction(ledger: SingularityLedger) -> Fraction:
 
 def h0_2K(record: StableSurfaceRecord) -> int:
     """Bicanonical section count chi + K^2 + correction, which must be integral."""
-    total = record.chi + record.k_squared + rr_correction(record.ledger)
-    if total.denominator != 1:
+    k_squared = record.k_squared
+    correction = rr_correction(record.ledger)
+    # the sum over the common denominator, in integers
+    denominator = k_squared.denominator * correction.denominator
+    numerator = ((record.chi * k_squared.denominator + k_squared.numerator)
+                 * correction.denominator + correction.numerator * k_squared.denominator)
+    count, remainder = divmod(numerator, denominator)
+    if remainder:
         raise LedgerError(
-            f"bicanonical count {total} is not an integer: ledger inconsistent "
-            "with the claimed invariants"
+            f"bicanonical count {Fraction(numerator, denominator)} is not an integer: "
+            "ledger inconsistent with the claimed invariants"
         )
-    return int(total)
+    return count
 
 
 class NodeResolution(NamedTuple):

@@ -9,8 +9,10 @@ order, no environment dependence.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import catalog, covers, lattice, stable
 from .lattice import DivisorClass, Hirzebruch, ProjectivePlane
@@ -45,6 +47,13 @@ class VerificationOutcome:
 
 class _CheckFailure(Exception):
     pass
+
+
+class _Builds(NamedTuple):
+    """The builders the checks share within one run, each memoised by chi."""
+
+    component_one: Callable[[int], catalog.ConstructionRecipe]
+    stable: Callable[[int], catalog.StableConstruction]
 
 
 def _expect(condition: bool, detail: str):
@@ -95,7 +104,7 @@ def _random_class(rng: random.Random, surface) -> DivisorClass:
 # ---------------------------------------------------------------------------
 # checks
 
-def _check_symmetry_bilinearity(chi_max, k_max, pairs=400):
+def _check_symmetry_bilinearity(chi_max, k_max, builds, pairs=400):
     rng = random.Random(20260808)
     surfaces = _sample_surfaces()
     for n in range(pairs):
@@ -116,7 +125,7 @@ def _check_symmetry_bilinearity(chi_max, k_max, pairs=400):
         )
 
 
-def _check_pullback_isometry(chi_max, k_max):
+def _check_pullback_isometry(chi_max, k_max, builds):
     rng = random.Random(1729)
     for e in (0, 1, 2, 4):
         ruled = Hirzebruch(e)
@@ -134,7 +143,7 @@ def _check_pullback_isometry(chi_max, k_max):
                 )
 
 
-def _check_canonical_squares(chi_max, k_max):
+def _check_canonical_squares(chi_max, k_max, builds):
     _expect(lattice.canonical_class(ProjectivePlane()).square() == 9,
             "plane canonical square is not 9")
     for e in range(0, 7):
@@ -146,7 +155,7 @@ def _check_canonical_squares(chi_max, k_max):
                 f"canonical square does not drop by {n} under {n} blow-ups")
 
 
-def _check_section_count_oracle(chi_max, k_max, e_max=4, a_max=4, b_max=12):
+def _check_section_count_oracle(chi_max, k_max, builds, e_max=4, a_max=4, b_max=12):
     for e in range(0, e_max + 1):
         ruled = Hirzebruch(e)
         for a in range(0, a_max + 1):
@@ -162,7 +171,7 @@ def _check_section_count_oracle(chi_max, k_max, e_max=4, a_max=4, b_max=12):
         _expect(got.value == want, f"h0 on the plane of degree {d} disagrees with enumeration")
 
 
-def _check_section_count_monotone(chi_max, k_max):
+def _check_section_count_monotone(chi_max, k_max, builds):
     for e in range(0, 4):
         ruled = Hirzebruch(e)
         for a in range(0, 4):
@@ -172,7 +181,7 @@ def _check_section_count_monotone(chi_max, k_max):
                 _expect(hi >= lo, f"h0 not monotone in the fiber degree on F_{e}")
 
 
-def _check_parameter_table(chi_max, k_max):
+def _check_parameter_table(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
         _expect((alpha + 2 * beta) % 3 == 0,
@@ -186,9 +195,9 @@ def _check_parameter_table(chi_max, k_max):
         _expect(3 * root == d1 + 2 * d2, f"root class round trip failed at chi = {chi}")
 
 
-def _check_component_one_invariants(chi_max, k_max):
+def _check_component_one_invariants(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
-        recipe = catalog.build_component_one(chi)
+        recipe = builds.component_one(chi)
         report = recipe.report
         _expect(report.k_squared == 2 * chi - 6,
                 f"K^2 = {report.k_squared} instead of {2 * chi - 6} at chi = {chi}")
@@ -200,9 +209,9 @@ def _check_component_one_invariants(chi_max, k_max):
                 f"3*K^2 differs from the tri-canonical square at chi = {chi}")
 
 
-def _check_tricanonical_identity(chi_max, k_max):
+def _check_tricanonical_identity(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
-        recipe = catalog.build_component_one(chi)
+        recipe = builds.component_one(chi)
         e, alpha, beta = recipe.parameters
         fiber = lattice.pullback(recipe.base, Hirzebruch(e).fiber())
         alt = (alpha + 2 * beta - 3 * e - 6) * fiber + recipe.branch[0]
@@ -210,7 +219,7 @@ def _check_tricanonical_identity(chi_max, k_max):
                 f"tri-canonical class disagrees with its fiber form at chi = {chi}")
 
 
-def _check_component_two_invariants(chi_max, k_max):
+def _check_component_two_invariants(chi_max, k_max, builds):
     for k in range(1, k_max + 1):
         recipe = catalog.build_component_two(k)
         report = recipe.report
@@ -233,7 +242,7 @@ def _check_component_two_invariants(chi_max, k_max):
             _expect(recipe.germ is None, f"unexpected germ at k = {k}")
 
 
-def _check_scroll_symmetry_residues(chi_max, k_max):
+def _check_scroll_symmetry_residues(chi_max, k_max, builds):
     for k in range(2, max(k_max, 5) + 1):
         for residue in (0, 1, 2):
             curve = catalog.scroll_family_curve(residue, k)
@@ -243,7 +252,7 @@ def _check_scroll_symmetry_residues(chi_max, k_max):
                     f"symmetry check gave {got} for the residue {residue} family at k = {k}")
 
 
-def _check_classification(chi_max, k_max):
+def _check_classification(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         k_squared = 2 * chi - 6
         info = catalog.classify(k_squared, chi)
@@ -265,7 +274,7 @@ def _check_classification(chi_max, k_max):
                 f"constructed canonical image not among the classified ones at k = {k}")
 
 
-def _check_parity_discriminator(chi_max, k_max):
+def _check_parity_discriminator(chi_max, k_max, builds):
     _expect(catalog.parity_discriminator([-3, -3]) == catalog.COMPONENT_I,
             "odd self-intersections must certify the first component")
     _expect(catalog.parity_discriminator([-2, -2, 0]) == catalog.PARITY_INCONCLUSIVE,
@@ -275,15 +284,15 @@ def _check_parity_discriminator(chi_max, k_max):
     # chi = 7 is always tested, so the check has a case below chi_max = 7
     for k in range(1, max(1, (chi_max - 3) // 4) + 1):
         chi = 4 * k + 3
-        recipe = catalog.build_component_one(chi)
+        recipe = builds.component_one(chi)
         verdict = catalog.parity_discriminator(recipe.fiber_component_self_intersections)
         _expect(verdict == catalog.COMPONENT_I == recipe.component_claim,
                 f"fiber parity does not certify the first component at chi = {chi}")
 
 
-def _check_stable_invariants(chi_max, k_max):
+def _check_stable_invariants(chi_max, k_max, builds):
     for chi in range(3, chi_max + 1):
-        construction = catalog.build_stable(chi)
+        construction = builds.stable(chi)
         record = construction.record
         _expect(record.k_squared == 2 * chi - 5,
                 f"stable K^2 = {record.k_squared} instead of {2 * chi - 5} at chi = {chi}")
@@ -300,9 +309,9 @@ def _check_stable_invariants(chi_max, k_max):
                 f"contraction gain is not 1 at chi = {chi}")
 
 
-def _check_stable_tricanonical_lift(chi_max, k_max):
+def _check_stable_tricanonical_lift(chi_max, k_max, builds):
     for chi in range(3, chi_max + 1):
-        construction = catalog.build_stable(chi)
+        construction = builds.stable(chi)
         certificate = construction.recipe.certificates[0]
         resolved_cls = construction.recipe.report.canonical_multiple.cls
         resolved_surface = resolved_cls.surface
@@ -313,7 +322,7 @@ def _check_stable_tricanonical_lift(chi_max, k_max):
                 f"certified divisor at chi = {chi}")
 
 
-def _check_stable_certificates(chi_max, k_max):
+def _check_stable_certificates(chi_max, k_max, builds):
     for chi in range(3, chi_max + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
         certificate = catalog.ampleness_certificate(e, alpha, beta)
@@ -330,9 +339,9 @@ def _check_stable_certificates(chi_max, k_max):
                 f"{e + 1} at chi = {chi}")
 
 
-def _check_stable_bicanonical(chi_max, k_max):
+def _check_stable_bicanonical(chi_max, k_max, builds):
     for chi in range(3, chi_max + 1):
-        record = catalog.build_stable(chi).record
+        record = builds.stable(chi).record
         value = stable.h0_2K(record)
         k_squared = int(record.k_squared)
         _expect(value == chi + k_squared - 1,
@@ -341,7 +350,7 @@ def _check_stable_bicanonical(chi_max, k_max):
                 f"no-canonical-models flag not set at chi = {chi}")
 
 
-def _check_resolution_bookkeeping(chi_max, k_max):
+def _check_resolution_bookkeeping(chi_max, k_max, builds):
     for chi in range(3, min(chi_max, 20) + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
         ruled = Hirzebruch(e)
@@ -373,22 +382,27 @@ def _check_resolution_bookkeeping(chi_max, k_max):
             "node-free bookkeeping must leave the surface unchanged")
 
 
-def _check_epsilon_bound(chi_max, k_max):
+def _check_epsilon_bound(chi_max, k_max, builds):
+    # about chi_max**2 / 3 cases: each detail is formatted only on failure,
+    # and each Fraction operation keeps the Fraction on the left
     for chi in range(4, chi_max + 1):
+        bound = 8 * chi - 16
         for epsilon in range(1, (2 * chi + 2) // 3 + 1):
             record = catalog.epsilon_family(chi, epsilon)
-            _expect(record.k_squared == 2 * chi - 6 + epsilon,
-                    f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
-            bound = 8 * chi - 16
-            _expect(3 * record.k_squared <= bound,
-                    f"bound violated at chi = {chi}, epsilon = {epsilon}")
-            _expect((3 * record.k_squared == bound) == (3 * epsilon == 2 * chi + 2),
+            k_squared = record.k_squared
+            if k_squared != 2 * chi - 6 + epsilon:
+                raise _CheckFailure(f"K^2 = {k_squared} at chi = {chi}, epsilon = {epsilon}")
+            tripled = k_squared * 3
+            if not tripled <= bound:
+                raise _CheckFailure(f"bound violated at chi = {chi}, epsilon = {epsilon}")
+            if (tripled == bound) != (3 * epsilon == 2 * chi + 2):
+                raise _CheckFailure(
                     f"bound equality mischaracterised at chi = {chi}, epsilon = {epsilon}")
-            _expect(record.ledger.third11_count == 3 * epsilon,
-                    f"ledger count wrong at chi = {chi}, epsilon = {epsilon}")
+            if record.ledger.third11_count != 3 * epsilon:
+                raise _CheckFailure(f"ledger count wrong at chi = {chi}, epsilon = {epsilon}")
 
 
-def _check_nef_witnesses(chi_max, k_max):
+def _check_nef_witnesses(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
         certificate = catalog.nef_certificate(e, alpha, beta)
@@ -403,7 +417,7 @@ def _check_nef_witnesses(chi_max, k_max):
                 f"nef verdict is {certificate.verdict} at chi = {chi}")
 
 
-def _check_germ_classifier(chi_max, k_max):
+def _check_germ_classifier(chi_max, k_max, builds):
     table = {(20, 5): "A_4", (2, 2): "A_1", (7, 3): "A_2", (80, 5): "A_4"}
     for (m, p), label in sorted(table.items()):
         got = covers.classify_germ(m, p)
@@ -481,6 +495,11 @@ _CHECKS = (
 )
 
 
+# the largest chi_max and k_max a run accepts; the acceptance tests cover
+# chi up to the same value
+RANGE_CAP = 1000
+
+
 def check_names() -> tuple[str, ...]:
     return tuple(name for name, _identity, _fn in _CHECKS)
 
@@ -491,13 +510,18 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
     ``chi_max`` must be at least 6 so that all three residue classes of
     the parameter table are exercised, and ``k_max`` at least 2 so that
-    both second-component cover shapes appear.  An optional named fault
-    from the fault registry is injected for the duration of the run.
+    both second-component cover shapes appear.  Both are capped at
+    ``RANGE_CAP``, because the cost grows with chi_max squared.  An
+    optional named fault from the fault registry is injected for the
+    duration of the run.
     """
     if chi_max < 6:
         raise ValueError("chi_max must be at least 6 to cover all residue classes")
     if k_max < 2:
         raise ValueError("k_max must be at least 2 to cover both cover shapes")
+    for name, value in (("chi_max", chi_max), ("k_max", k_max)):
+        if value > RANGE_CAP:
+            raise ValueError(f"{name} must be at most {RANGE_CAP}, the cap on verified ranges")
     if fault is None:
         checks = _run_checks(chi_max, k_max)
     else:
@@ -509,10 +533,15 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
 
 def _run_checks(chi_max: int, k_max: int) -> tuple[CheckResult, ...]:
+    # One build per chi per run.  The builders are read here, inside any
+    # injected fault, and the memo dies with the run.  A build that raises
+    # is not cached, so each check that asks for it reports its own error.
+    builds = _Builds(functools.cache(catalog.build_component_one),
+                     functools.cache(catalog.build_stable))
     results = []
     for name, identity, fn in _CHECKS:
         try:
-            fn(chi_max, k_max)
+            fn(chi_max, k_max, builds)
         except _CheckFailure as failure:
             results.append(CheckResult(name, identity, False, str(failure)))
         except Exception as error:  # a broken pipeline is a failed identity too

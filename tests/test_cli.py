@@ -142,6 +142,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "chi_max" in err
 
+    @pytest.mark.parametrize("flag,name", [("--chi-max", "chi_max"), ("--k-max", "k_max")])
+    def test_oversized_range_rejected(self, capsys, flag, name):
+        code, out, err = run(capsys, "verify-paper", flag, "1001")
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be at most 1000" in err
+
+    def test_help_names_the_cap(self, capsys):
+        code, out, _err = run(capsys, "verify-paper", "--help")
+        words = " ".join(out.split())
+        assert code == 0
+        assert "from 6 to 1000" in words and "from 2 to 1000" in words
+
     def test_deterministic_output(self, capsys):
         _code, first, _err = run(capsys, "verify-paper", "--chi-max", "8", "--k-max", "2")
         _code, second, _err = run(capsys, "verify-paper", "--chi-max", "8", "--k-max", "2")
@@ -234,6 +247,15 @@ class TestScenarioFiles:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key", ["chi_max", "k_max"])
+    def test_oversized_range_rejected(self, capsys, tmp_path, key):
+        path = self._write(tmp_path, {"command": "verify-paper", key: 1001})
+        code = cli.main(["--scenario", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{key} must be at most 1000" in captured.err
+
     def test_missing_file(self, capsys):
         code = cli.main(["--scenario", "/nonexistent/path.json"])
         assert code == 2
@@ -272,7 +294,8 @@ class TestJsonStability:
         assert Report.from_json(out).to_json() == out
 
 
-# small integers only: chi and k have no upper bound yet, and cost grows with them
+# small integers only: construct and enumerate have no upper bound on chi
+# or k yet, and cost grows with them
 _SMALL_INTS = st.integers(-2, 12)
 _PRIMITIVES = (st.none() | st.booleans() | _SMALL_INTS | st.floats(-2, 12)
                | st.text(max_size=3))

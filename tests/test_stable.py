@@ -112,8 +112,24 @@ class TestBicanonicalCount:
 
     def test_non_integral_total_rejected(self):
         record = StableSurfaceRecord(Fraction(4), 5, SingularityLedger(1))
-        with pytest.raises(LedgerError, match="not an integer"):
+        with pytest.raises(LedgerError) as raised:
             h0_2K(record)
+        assert str(raised.value) == (
+            "bicanonical count 26/3 is not an integer: ledger inconsistent "
+            "with the claimed invariants")
+
+    @given(st.integers(-40, 40), st.fractions(max_denominator=9)
+           | st.integers(-120, 120).map(lambda n: Fraction(n, 3)),
+           st.integers(0, 30), st.integers(0, 4))
+    def test_count_is_the_exact_sum(self, chi, k_squared, third11, canonical):
+        record = StableSurfaceRecord(k_squared, chi, SingularityLedger(third11, canonical))
+        total = Fraction(chi) + k_squared + rr_correction(record.ledger)
+        if total.denominator == 1:
+            count = h0_2K(record)
+            assert type(count) is int and count == total
+        else:
+            with pytest.raises(LedgerError, match=f"^bicanonical count {total} is not"):
+                h0_2K(record)
 
     @given(st.integers(3, 60), st.integers(0, 12))
     def test_flag_tracks_quotient_points(self, chi, triples):

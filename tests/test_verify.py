@@ -1,6 +1,7 @@
 """Verification harness behaviour and fault registry coverage."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,77 @@ class TestRunVerification:
         with pytest.raises(ValueError):
             verify.run_verification(chi_max=chi_max, k_max=k_max)
 
+    @pytest.mark.parametrize("chi_max,k_max,name", [
+        (verify.RANGE_CAP + 1, 2, "chi_max"), (6, verify.RANGE_CAP + 1, "k_max"),
+    ])
+    def test_oversized_ranges_rejected(self, chi_max, k_max, name):
+        with pytest.raises(ValueError, match=f"{name} must be at most {verify.RANGE_CAP}"):
+            verify.run_verification(chi_max=chi_max, k_max=k_max)
+
+    def test_cap_is_inclusive(self):
+        assert verify.run_verification(chi_max=6, k_max=verify.RANGE_CAP).passed
+
     def test_check_names_are_stable(self):
         names = verify.check_names()
         assert len(names) == len(set(names))
         assert "component-one-invariants" in names
         assert "stable-ampleness-certificate" in names
+
+
+class TestSharedBuilds:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count builder calls by (builder name, chi)."""
+        calls = Counter()
+        for name in ("build_component_one", "build_stable"):
+            def counting(chi, *args, _name=name, _build=getattr(catalog, name), **kwargs):
+                calls[_name, chi] += 1
+                return _build(chi, *args, **kwargs)
+
+            monkeypatch.setattr(catalog, name, counting)
+        return calls
+
+    @staticmethod
+    def totals(calls):
+        totals = Counter()
+        for (name, _chi), count in calls.items():
+            totals[name] += count
+        return totals
+
+    def test_one_build_per_chi(self, calls):
+        verify.run_verification(chi_max=30, k_max=6)
+        assert self.totals(calls) == {"build_stable": 28, "build_component_one": 27}
+        assert set(calls.values()) == {1}
+
+    def test_nothing_cached_across_runs(self, calls):
+        verify.run_verification(chi_max=30, k_max=6)
+        verify.run_verification(chi_max=30, k_max=6)
+        assert self.totals(calls) == {"build_stable": 56, "build_component_one": 54}
+
+    def test_fault_does_not_outlive_its_run(self):
+        clean = verify.run_verification(chi_max=30, k_max=6)
+        faulted = verify.run_verification(chi_max=30, k_max=6, fault="fiber-data-evened")
+        assert not faulted.passed
+        assert verify.run_verification(chi_max=30, k_max=6) == clean
+
+    def test_failed_build_fails_every_check_that_needs_it(self, calls, monkeypatch):
+        counting = catalog.build_stable
+
+        def broken(chi, *args, **kwargs):
+            result = counting(chi, *args, **kwargs)
+            if chi == 5:
+                raise ValueError("no surface at chi = 5")
+            return result
+
+        monkeypatch.setattr(catalog, "build_stable", broken)
+        outcome = verify.run_verification(chi_max=30, k_max=6)
+        failed = {c.name: c.detail for c in outcome.checks if not c.passed}
+        assert failed == dict.fromkeys(
+            ("stable-invariants", "stable-tricanonical-lift", "stable-bicanonical-count"),
+            "pipeline error: ValueError: no surface at chi = 5")
+        # a build that raised is tried again by each check that needs it
+        assert calls["build_stable", 5] == 3
+        assert calls["build_stable", 4] == 1
 
 
 class TestFaultRegistry:
