@@ -90,6 +90,15 @@ class ComponentInfo:
     canonical_images: dict[str, tuple[str, ...]]
 
 
+def component_count(k_squared: int) -> int:
+    """Number of components of the moduli space at K^2 on the line K^2 = 2chi - 6.
+
+    Two when K^2 is a multiple of 8, otherwise one; ``classify`` checks
+    that the pair is admissible and on the line, this count does not.
+    """
+    return 2 if k_squared % 8 == 0 else 1
+
+
 def classify(k_squared: int, chi: int) -> ComponentInfo:
     """Component structure of the moduli space on the line K^2 = 2chi - 6.
 
@@ -104,7 +113,7 @@ def classify(k_squared: int, chi: int) -> ComponentInfo:
         raise ValueError(
             f"({k_squared}, {chi}) is off the line K^2 = 2*chi - 6; no classification data"
         )
-    if k_squared % 8 != 0:
+    if component_count(k_squared) == 1:
         return ComponentInfo(count=1, labels=(), canonical_images={})
     quarter = k_squared // 4
     first = tuple(f"F_{e}" for e in range(0, quarter + 1, 2))

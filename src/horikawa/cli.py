@@ -12,8 +12,10 @@ errors.  Output is human readable text by default and JSON behind
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from typing import NamedTuple
 
 from . import catalog, faults, verify
 from .reporting import (ClassificationPayload, ConstructionPayload,
@@ -31,16 +33,13 @@ _BASE_ASSUMPTIONS = (
 )
 
 
-def _emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(render_text(report))
+# Each ``run_*`` takes its command's table keys as keywords, raises
+# ValueError on a usage error and returns the report and its exit code;
+# ``_dispatch`` fills in the report's ``inputs`` and writes it.
 
-
-def run_classify(k_squared: int, chi: int, fmt: str = "text") -> int:
-    failures = catalog.admissibility_failures(k_squared, chi)
-    on_line = k_squared == 2 * chi - 6
+def run_classify(k2: int, chi: int) -> tuple[Report, int]:
+    failures = catalog.admissibility_failures(k2, chi)
+    on_line = k2 == 2 * chi - 6
     info = None
     if failures:
         explanation = "inadmissible pair: " + "; ".join(failures)
@@ -48,7 +47,7 @@ def run_classify(k_squared: int, chi: int, fmt: str = "text") -> int:
         explanation = ("admissible, but component classification data only exists on "
                        "the line K^2 = 2*chi - 6")
     else:
-        info = catalog.classify(k_squared, chi)
+        info = catalog.classify(k2, chi)
         if info.count == 1:
             explanation = ("one deformation class: K^2 is not a multiple of 8, so the "
                            "moduli space is connected")
@@ -56,167 +55,124 @@ def run_classify(k_squared: int, chi: int, fmt: str = "text") -> int:
             explanation = ("two deformation classes: K^2 is a multiple of 8, "
                            "distinguished by the canonical image")
     payload = ClassificationPayload(
-        k_squared=k_squared,
+        k_squared=k2,
         chi=chi,
         admissible=not failures,
         on_line=on_line,
         info=info,
         explanation=explanation,
     )
-    derivations = {
-        "k_squared": "echoed input",
-        "chi": "echoed input",
-    }
+    derivations = {"k_squared": "echoed input", "chi": "echoed input"}
     if info is not None:
         derivations["components.count"] = "classify: 8 divides K^2 test on the low line"
-    report = Report(
+    return Report(
         command="classify",
-        inputs={"k2": k_squared, "chi": chi, "format": fmt},
+        inputs={},
         payload_kind="classification",
         payload=payload,
         derivations=derivations,
-    )
-    _emit(report, fmt)
-    return EXIT_OK if not failures else EXIT_VERIFICATION_FAILURE
+    ), EXIT_OK if not failures else EXIT_VERIFICATION_FAILURE
 
 
 def run_construct(variant: str, chi: int | None = None, k: int | None = None,
-                  epsilon: int | None = None, fmt: str = "text",
-                  general_position: bool = True,
-                  smoothness_assumed: bool = True) -> int:
+                  epsilon: int | None = None, general_position: bool = True,
+                  smoothness_assumed: bool = True) -> tuple[Report, int]:
+    if epsilon is not None and variant != "stable":
+        raise ValueError("--epsilon only applies to the stable variant")
+    if k is not None and variant != "component-II":
+        raise ValueError("--k only applies to the component-II variant")
+    if chi is not None and variant == "component-II":
+        raise ValueError("--chi only applies to the component-I and stable variants")
+    assumed = {"general_position": general_position, "smoothness_assumed": smoothness_assumed}
     record = None
-    derivations: dict[str, str] = {}
-    try:
-        if epsilon is not None and variant != "stable":
-            raise ValueError("--epsilon only applies to the stable variant")
-        if variant == "component-I":
-            if chi is None:
-                raise ValueError("construct component-I needs --chi")
-            recipe = catalog.build_component_one(
-                chi, general_position=general_position,
-                smoothness_assumed=smoothness_assumed)
-            derivations.update({
-                "recipe.parameters": "parameter table by chi mod 3",
-                "recipe.blow_up_count": "2*alpha + 2*beta - 4*e branch intersection points",
-                "recipe.report.k_squared":
-                    "triple cover: square of the tri-canonical class divided by 3",
-                "recipe.report.chi": "triple cover structure formula",
-                "recipe.report.p_g": "exact section counts of the two adjoint classes",
-            })
-        elif variant == "component-II":
-            if k is None:
-                raise ValueError("construct component-II needs --k")
-            recipe = catalog.build_component_two(k, smoothness_assumed=smoothness_assumed)
-            derivations.update({
-                "recipe.report.k_squared": "double cover: twice the adjoint class square",
-                "recipe.report.chi": "double cover structure formula",
-                "recipe.report.p_g": "exact section count of the adjoint class",
-                "recipe.canonical_sections": "section count of the adjoint system",
-            })
-        elif variant == "stable":
-            if chi is None:
-                raise ValueError("construct stable needs --chi")
-            if epsilon is None:
-                construction = catalog.build_stable(
-                    chi, general_position=general_position,
-                    smoothness_assumed=smoothness_assumed)
-                recipe = construction.recipe
-                record = construction.record
-                derivations.update({
-                    "recipe.blow_up_count":
-                        "2*alpha + 2*beta - 4*e - 3 points, three nodes kept",
-                    "recipe.report.k_squared":
-                        "canonical resolution triple cover formula",
-                    "record.k_squared": "resolved K^2 plus 1/3 per retained node",
-                    "record.ledger.third11_count": "one quotient point per retained node",
-                })
-            else:
-                # contracted family: take the minimal surface and contract
-                # 3*epsilon disjoint (-3)-curves of its genus-2 fibers
-                record = catalog.epsilon_family(chi, epsilon)
-                recipe = catalog.build_component_one(
-                    chi, general_position=general_position,
-                    smoothness_assumed=smoothness_assumed)
-                derivations.update({
-                    "record.k_squared": "2*chi - 6 plus 1/3 per contracted curve",
-                    "record.ledger.third11_count": "3*epsilon contracted curves",
-                })
-        else:
-            raise ValueError(f"unknown construct variant {variant!r}")
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    if variant == "component-II":
+        if k is None:
+            raise ValueError("construct component-II needs --k")
+        recipe = catalog.build_component_two(k, smoothness_assumed=smoothness_assumed)
+        derivations = {
+            "recipe.report.k_squared": "double cover: twice the adjoint class square",
+            "recipe.report.chi": "double cover structure formula",
+            "recipe.report.p_g": "exact section count of the adjoint class",
+            "recipe.canonical_sections": "section count of the adjoint system",
+        }
+    elif chi is None:
+        raise ValueError(f"construct {variant} needs --chi")
+    elif variant == "component-I":
+        recipe = catalog.build_component_one(chi, **assumed)
+        derivations = {
+            "recipe.parameters": "parameter table by chi mod 3",
+            "recipe.blow_up_count": "2*alpha + 2*beta - 4*e branch intersection points",
+            "recipe.report.k_squared":
+                "triple cover: square of the tri-canonical class divided by 3",
+            "recipe.report.chi": "triple cover structure formula",
+            "recipe.report.p_g": "exact section counts of the two adjoint classes",
+        }
+    elif epsilon is None:
+        record, recipe = catalog.build_stable(chi, **assumed)
+        derivations = {
+            "recipe.blow_up_count": "2*alpha + 2*beta - 4*e - 3 points, three nodes kept",
+            "recipe.report.k_squared": "canonical resolution triple cover formula",
+            "record.k_squared": "resolved K^2 plus 1/3 per retained node",
+            "record.ledger.third11_count": "one quotient point per retained node",
+        }
+    else:
+        # contracted family: take the minimal surface and contract
+        # 3*epsilon disjoint (-3)-curves of its genus-2 fibers
+        record = catalog.epsilon_family(chi, epsilon)
+        recipe = catalog.build_component_one(chi, **assumed)
+        derivations = {
+            "record.k_squared": "2*chi - 6 plus 1/3 per contracted curve",
+            "record.ledger.third11_count": "3*epsilon contracted curves",
+        }
     derivations.update({
         "recipe.target.k_squared": "construction target on its invariant line",
         "recipe.target.chi": "echoed input",
     })
-    inputs = {"variant": variant, "format": fmt}
-    if chi is not None:
-        inputs["chi"] = chi
-    if k is not None:
-        inputs["k"] = k
-    if epsilon is not None:
-        inputs["epsilon"] = epsilon
-    if not general_position:
-        inputs["general_position"] = False
-    if not smoothness_assumed:
-        inputs["smoothness_assumed"] = False
     notes = ()
     if epsilon is not None:
         notes = (f"the recipe describes the minimal surface whose 3*{epsilon} "
                  "disjoint (-3)-curves are contracted to produce the record",)
-    report = Report(
+    return Report(
         command="construct",
-        inputs=inputs,
+        inputs={},
         payload_kind="construction",
         payload=ConstructionPayload(variant=variant, recipe=recipe, record=record),
         derivations=derivations,
         assumptions=_BASE_ASSUMPTIONS,
         notes=notes,
-    )
-    _emit(report, fmt)
-    return EXIT_OK
+    ), EXIT_OK
 
 
 def _enumeration_row(chi: int) -> EnumerationRow:
-    general_k2 = 2 * chi - 6
-    stable_k2 = 2 * chi - 5
+    k2 = 2 * chi - 6
+    on_line = catalog.admissible(k2, chi)
+    stable = chi >= 3
     constructions = []
     notes = []
-    component_count = None
-    line_a = None
-    if catalog.admissible(general_k2, chi):
-        line_a = general_k2
-        component_count = catalog.classify(general_k2, chi).count
-        if chi >= 4:
-            constructions.append("component-I")
-        if general_k2 % 8 == 0 and general_k2 >= 8:
-            k = general_k2 // 8
-            constructions.append(f"component-II (k = {k})")
-            if k >= 2 and k % 3 == 1:
-                notes.append("second-component branch curve carries one A_4 double point")
-    stable_entry = None
-    third11 = None
-    if chi >= 3:
-        stable_entry = stable_k2
-        third11 = 3
+    if on_line and chi >= 4:
+        constructions.append("component-I")
+    if on_line and k2 % 8 == 0:
+        constructions.append(f"component-II (k = {k2 // 8})")
+        if k2 >= 16 and k2 // 8 % 3 == 1:
+            notes.append("second-component branch curve carries one A_4 double point")
+    if stable:
         constructions.append("stable")
     return EnumerationRow(
         chi=chi,
-        general_type_k_squared=line_a,
-        component_count=component_count,
+        general_type_k_squared=k2 if on_line else None,
+        component_count=catalog.component_count(k2) if on_line else None,
         constructions=tuple(constructions),
-        stable_k_squared=stable_entry,
-        stable_third11_count=third11,
+        stable_k_squared=2 * chi - 5 if stable else None,
+        stable_third11_count=3 if stable else None,
         notes=tuple(notes),
     )
 
 
-def run_enumerate(chi_start: int, chi_end: int, fmt: str = "text") -> int:
-    rows = tuple(_enumeration_row(chi) for chi in range(chi_start, chi_end + 1))
-    report = Report(
+def run_enumerate(chi: int, chi_max: int) -> tuple[Report, int]:
+    rows = tuple(_enumeration_row(c) for c in range(chi, chi_max + 1))
+    return Report(
         command="enumerate",
-        inputs={"chi": chi_start, "chi_max": chi_end, "format": fmt},
+        inputs={},
         payload_kind="enumeration",
         payload=EnumerationPayload(rows=rows),
         derivations={
@@ -226,51 +182,125 @@ def run_enumerate(chi_start: int, chi_end: int, fmt: str = "text") -> int:
             "rows[].stable_third11_count": "three retained branch nodes",
         },
         assumptions=_BASE_ASSUMPTIONS,
-    )
-    _emit(report, fmt)
-    return EXIT_OK
+    ), EXIT_OK
 
 
-def run_verify(chi_max: int = 30, k_max: int = 6, fault: str | None = None,
-               fmt: str = "text") -> int:
-    if fault is not None and fault not in faults.REGISTRY:
-        print(f"error: unknown fault {fault!r}; known faults: "
-              f"{', '.join(faults.fault_names())}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        outcome = verify.run_verification(chi_max=chi_max, k_max=k_max, fault=fault)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    report = Report(
+def run_verify(chi_max: int, k_max: int,
+               inject_fault: str | None = None) -> tuple[Report, int]:
+    if inject_fault is not None and inject_fault not in faults.REGISTRY:
+        raise ValueError(f"unknown fault {inject_fault!r}; known faults: "
+                         f"{', '.join(faults.fault_names())}")
+    outcome = verify.run_verification(chi_max=chi_max, k_max=k_max, fault=inject_fault)
+    return Report(
         command="verify-paper",
-        inputs={"chi_max": chi_max, "k_max": k_max, "format": fmt,
-                **({"inject_fault": fault} if fault else {})},
+        inputs={},
         payload_kind="verification",
         payload=VerificationPayload.from_outcome(outcome),
         derivations={
             "checks[]": "each check recomputes its expected values independently",
         },
         assumptions=_BASE_ASSUMPTIONS,
-    )
-    _emit(report, fmt)
-    return EXIT_OK if outcome.passed else EXIT_VERIFICATION_FAILURE
+    ), EXIT_OK if outcome.passed else EXIT_VERIFICATION_FAILURE
 
 
 # ---------------------------------------------------------------------------
-# scenario files
+# the command table: argparse, scenario checks, bounds, the inputs echo and
+# the dispatch all read it
 
-# the JSON type of every key each command takes; a JSON boolean is not an
-# integer and a number is not a string, so nothing is coerced
-_SCENARIO_TYPES = {
-    "classify": {"k2": int, "chi": int},
-    "construct": {"variant": str, "chi": int, "k": int, "epsilon": int, "assumptions": dict},
-    "enumerate": {"chi": int, "chi_max": int},
-    "verify-paper": {"chi_max": int, "k_max": int, "inject_fault": str},
+class Arg(NamedTuple):
+    key: str  # scenario key; the flag is --key with dashes
+    type: type  # the JSON type a scenario must give; nothing is coerced
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    bound: tuple[int, int] | None = None  # inclusive (lo, hi)
+    help: str | None = None
+    positional: bool = False
+    metavar: str | None = None
+
+
+class Command(NamedTuple):
+    handler: str  # looked up in this module at call time, so wrappers apply
+    summary: str
+    args: tuple[Arg, ...]
+    assumptions: bool = False  # takes the scenario-only "assumptions" object
+
+
+# |value| caps that keep every report and its cost bounded; verify-paper's
+# ranges are checked by verify.run_verification, with their reasons
+_CAP = (-100_000, 100_000)
+_ENUMERATE_CAP = (-10_000, 10_000)
+_FORMAT = Arg("format", str, "text", choices=("text", "json"))
+
+_COMMANDS = {
+    "classify": Command("run_classify", "admissibility and component structure", (
+        Arg("k2", int, required=True, bound=_CAP),
+        Arg("chi", int, required=True, bound=_CAP),
+        _FORMAT)),
+    "construct": Command("run_construct", "run a construction pipeline", (
+        Arg("variant", str, required=True, positional=True,
+            choices=("component-I", "component-II", "stable")),
+        Arg("chi", int, bound=_CAP),
+        Arg("k", int, bound=_CAP),
+        Arg("epsilon", int, bound=_CAP,
+            help="stable only: contract 3*epsilon curves instead of "
+                 "running the direct cover pipeline"),
+        _FORMAT), assumptions=True),
+    "enumerate": Command("run_enumerate", "tabulate a chi range", (
+        Arg("chi", int, required=True, bound=_ENUMERATE_CAP,
+            help="start of the chi range (inclusive)"),
+        Arg("chi_max", int, required=True, bound=_ENUMERATE_CAP,
+            help="end of the chi range (inclusive)"),
+        _FORMAT)),
+    "verify-paper": Command(
+        "run_verify", "run the full identity suite over chi and k ranges", (
+            Arg("chi_max", int, 30,
+                help=f"largest chi checked, from 6 to {verify.RANGE_CAP} (default 30)"),
+            Arg("k_max", int, 6, help="largest k checked on the second component, "
+                                     f"from 2 to {verify.RANGE_CAP} (default 6)"),
+            _FORMAT,
+            Arg("inject_fault", str, metavar="NAME",
+                help="test-only: run with one named fault installed"))),
 }
 _ASSUMPTION_TYPES = {"general_position": bool, "smoothness_assumed": bool}
 _JSON_NAMES = {int: "an integer", str: "a string", bool: "a boolean", dict: "an object"}
 
+
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _dispatch(command: str, values: dict) -> int:
+    """Check ``values`` against the table, run the handler and write its report."""
+    try:
+        for arg in _COMMANDS[command].args:
+            value = values.setdefault(arg.key, arg.default)
+            if value is None:
+                if arg.required:
+                    raise ValueError(f"malformed scenario: missing key {arg.key!r}")
+            elif arg.choices is not None and value not in arg.choices:
+                # a positional is named with its command: "unknown construct variant"
+                name = f"{command} {arg.key}" if arg.positional else arg.key
+                raise ValueError(f"unknown {name} {value!r}")
+            elif arg.bound is not None and value < arg.bound[0]:
+                raise ValueError(f"{arg.key} must be at least {arg.bound[0]}")
+            elif arg.bound is not None and value > arg.bound[1]:
+                raise ValueError(f"{arg.key} must be at most {arg.bound[1]}")
+        fmt = values.pop("format")
+        report, code = globals()[_COMMANDS[command].handler](**values)
+    except ValueError as error:
+        return _usage_error(error)
+    # the echo: what was given, less assumption flags left at their default
+    inputs = {key: value for key, value in values.items()
+              if value is not None and not (key in _ASSUMPTION_TYPES and value is True)}
+    report = dataclasses.replace(report, inputs={**inputs, "format": fmt})
+    sys.stdout.write(report.to_json() if fmt == "json" else render_text(report))
+    return code
+
+
+# ---------------------------------------------------------------------------
+# scenario files
 
 def _scenario_type_error(values: dict, types: dict, where: str) -> str | None:
     unknown = set(values) - set(types)
@@ -288,47 +318,26 @@ def run_scenario(path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             scenario = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read scenario {path}: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError, RecursionError) as error:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # too long to convert; RecursionError covers nesting too deep to parse
+        return _usage_error(f"cannot read scenario {path}: {error}")
     if not isinstance(scenario, dict) or "command" not in scenario:
-        print("error: a scenario must be a JSON object with a 'command' key",
-              file=sys.stderr)
-        return EXIT_USAGE
-    command = scenario["command"]
-    types = _SCENARIO_TYPES.get(command) if type(command) is str else None
-    if types is None:
-        print(f"error: unknown scenario command {command!r}", file=sys.stderr)
-        return EXIT_USAGE
-    error = (_scenario_type_error(scenario, {"command": str, "format": str, **types},
-                                  "scenario")
+        return _usage_error("a scenario must be a JSON object with a 'command' key")
+    command = scenario.pop("command")
+    spec = _COMMANDS.get(command) if type(command) is str else None
+    if spec is None:
+        return _usage_error(f"unknown scenario command {command!r}")
+    types = {arg.key: arg.type for arg in spec.args}
+    if spec.assumptions:
+        types["assumptions"] = dict
+    error = (_scenario_type_error(scenario, types, "scenario")
              or _scenario_type_error(scenario.get("assumptions", {}), _ASSUMPTION_TYPES,
                                      "assumption"))
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    fmt = scenario.get("format", "text")
-    if fmt not in ("text", "json"):
-        print(f"error: unknown format {fmt!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if command == "classify":
-            return run_classify(scenario["k2"], scenario["chi"], fmt)
-        if command == "construct":
-            return run_construct(
-                scenario["variant"], chi=scenario.get("chi"), k=scenario.get("k"),
-                epsilon=scenario.get("epsilon"), fmt=fmt, **scenario.get("assumptions", {}))
-        if command == "enumerate":
-            return run_enumerate(scenario["chi"], scenario["chi_max"], fmt)
-        return run_verify(
-            chi_max=scenario.get("chi_max", 30),
-            k_max=scenario.get("k_max", 6),
-            fault=scenario.get("inject_fault"),
-            fmt=fmt,
-        )
-    except KeyError as error:
-        print(f"error: malformed scenario: missing key {error}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(error)
+    assumptions = scenario.pop("assumptions", {})
+    return _dispatch(command, {**scenario, **assumptions})
 
 
 # ---------------------------------------------------------------------------
@@ -343,67 +352,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", metavar="PATH",
                         help="execute the command stored in a JSON scenario file")
     sub = parser.add_subparsers(dest="command")
-
-    classify = sub.add_parser("classify", help="admissibility and component structure")
-    classify.add_argument("--k2", type=int, required=True)
-    classify.add_argument("--chi", type=int, required=True)
-    classify.add_argument("--format", choices=("text", "json"), default="text")
-
-    construct = sub.add_parser("construct", help="run a construction pipeline")
-    construct.add_argument("variant", choices=("component-I", "component-II", "stable"))
-    construct.add_argument("--chi", type=int)
-    construct.add_argument("--k", type=int)
-    construct.add_argument("--epsilon", type=int,
-                           help="stable only: contract 3*epsilon curves instead of "
-                                "running the direct cover pipeline")
-    construct.add_argument("--format", choices=("text", "json"), default="text")
-
-    enumerate_parser = sub.add_parser("enumerate", help="tabulate a chi range")
-    enumerate_parser.add_argument("--chi", type=int, required=True,
-                                  help="start of the chi range (inclusive)")
-    enumerate_parser.add_argument("--chi-max", type=int, required=True,
-                                  help="end of the chi range (inclusive)")
-    enumerate_parser.add_argument("--format", choices=("text", "json"), default="text")
-
-    verify_parser = sub.add_parser(
-        "verify-paper", help="run the full identity suite over chi and k ranges")
-    verify_parser.add_argument("--chi-max", type=int, default=30,
-                               help=f"largest chi checked, from 6 to {verify.RANGE_CAP} "
-                                    "(default 30)")
-    verify_parser.add_argument("--k-max", type=int, default=6,
-                               help="largest k checked on the second component, "
-                                    f"from 2 to {verify.RANGE_CAP} (default 6)")
-    verify_parser.add_argument("--format", choices=("text", "json"), default="text")
-    verify_parser.add_argument("--inject-fault", metavar="NAME", default=None,
-                               help="test-only: run with one named fault installed")
+    for command, spec in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=spec.summary)
+        for arg in spec.args:
+            name = arg.key if arg.positional else "--" + arg.key.replace("_", "-")
+            flag_only = {} if arg.positional else {"default": arg.default,
+                                                   "required": arg.required}
+            command_parser.add_argument(name, type=arg.type, choices=arg.choices,
+                                        metavar=arg.metavar, help=arg.help, **flag_only)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        values = vars(_PARSER.parse_args(argv))
     except SystemExit as exit_request:
-        code = exit_request.code
-        return EXIT_OK if code in (0, None) else EXIT_USAGE
-    if args.scenario is not None:
-        if args.command is not None:
-            print("error: --scenario replaces the command line; drop the subcommand",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        return run_scenario(args.scenario)
-    if args.command is None:
-        parser.print_help()
+        return EXIT_OK if exit_request.code in (0, None) else EXIT_USAGE
+    command, scenario = values.pop("command"), values.pop("scenario")
+    if scenario is not None:
+        if command is not None:
+            return _usage_error("--scenario replaces the command line; drop the subcommand")
+        return run_scenario(scenario)
+    if command is None:
+        _PARSER.print_help()
         return EXIT_USAGE
-    if args.command == "classify":
-        return run_classify(args.k2, args.chi, args.format)
-    if args.command == "construct":
-        return run_construct(args.variant, chi=args.chi, k=args.k,
-                             epsilon=args.epsilon, fmt=args.format)
-    if args.command == "enumerate":
-        return run_enumerate(args.chi, args.chi_max, args.format)
-    return run_verify(chi_max=args.chi_max, k_max=args.k_max,
-                      fault=args.inject_fault, fmt=args.format)
+    return _dispatch(command, values)
 
 
 def entrypoint() -> None:

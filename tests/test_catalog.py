@@ -68,6 +68,7 @@ class TestClassification:
     def test_count_rule(self, chi):
         info = classify(2 * chi - 6, chi)
         assert info.count == (2 if (2 * chi - 6) % 8 == 0 else 1)
+        assert catalog.component_count(2 * chi - 6) == info.count
 
 
 class TestParameterTable:

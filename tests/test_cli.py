@@ -95,6 +95,18 @@ class TestConstructCommand:
         assert code == 2
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["stable", "--chi", "5", "--k", "3"], "--k only applies to the component-II variant"),
+        (["component-I", "--chi", "5", "--k", "3"], "--k only applies to the component-II"),
+        (["component-II", "--k", "2", "--chi", "99"],
+         "--chi only applies to the component-I and stable variants"),
+    ])
+    def test_ignored_flag_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_epsilon_out_of_range(self, capsys):
         code, _out, err = run(capsys, "construct", "stable", "--chi", "4",
                               "--epsilon", "4")
@@ -179,6 +191,62 @@ class TestVerifyCommand:
         assert "first violated identity:" in out
 
 
+# (argv, message) for each integer flag one past its cap on either side
+_OUT_OF_RANGE = [
+    (["classify", "--k2", "100001", "--chi", "7"], "k2 must be at most 100000"),
+    (["classify", "--k2", "8", "--chi", "-100001"], "chi must be at least -100000"),
+    (["construct", "stable", "--chi", "100001"], "chi must be at most 100000"),
+    (["construct", "component-II", "--k", "-100001"], "k must be at least -100000"),
+    (["construct", "stable", "--chi", "7", "--epsilon", "100001"],
+     "epsilon must be at most 100000"),
+    (["enumerate", "--chi", "-10001", "--chi-max", "3"], "chi must be at least -10000"),
+    (["enumerate", "--chi", "1", "--chi-max", "10001"], "chi_max must be at most 10000"),
+    (["enumerate", "--chi", "1", "--chi-max", str(10**30)], "chi_max must be at most 10000"),
+]
+
+
+def _scenario_of(argv):
+    """The scenario object that replays a classify, construct or enumerate argv."""
+    scenario = {"command": argv[0]}
+    rest = argv[1:]
+    if argv[0] == "construct":
+        scenario["variant"], rest = rest[0], rest[1:]
+    for flag, value in zip(rest[::2], rest[1::2]):
+        scenario[flag[2:].replace("-", "_")] = int(value)
+    return scenario
+
+
+class TestBounds:
+    @pytest.mark.parametrize("argv, message", _OUT_OF_RANGE)
+    def test_out_of_range_from_argv(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv, message", _OUT_OF_RANGE)
+    def test_out_of_range_from_scenario(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_scenario_of(argv)), encoding="utf-8")
+        code, out, err = run(capsys, "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "--k2", "100000", "--chi", "50003"], 0),
+        (["classify", "--k2", "-100000", "--chi", "-100000"], 1),
+        (["construct", "stable", "--chi", "100000", "--epsilon", "100000"], 2),
+        (["construct", "component-II", "--k", "100000"], 0),
+        (["enumerate", "--chi", "9990", "--chi-max", "10000"], 0),
+        (["enumerate", "--chi", "-10000", "--chi-max", "-9990"], 0),
+    ])
+    def test_values_at_the_cap_are_accepted(self, capsys, argv, code):
+        got, _out, err = run(capsys, *argv)
+        assert got == code
+        assert "must be at" not in err
+
+
 class TestScenarioFiles:
     def _write(self, tmp_path, payload):
         path = tmp_path / "scenario.json"
@@ -261,6 +329,32 @@ class TestScenarioFiles:
         assert code == 2
         assert "cannot read scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe" + json.dumps({"command": "classify", "k2": 8, "chi": 7}).encode("utf-16-le"),
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"command": "classify", "k2": ' + b"9" * 5000 + b', "chi": 7}',
+    ], ids=["utf-16-bytes", "deep-nesting", "long-integer"])
+    def test_unreadable_file(self, capsys, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        code = cli.main(["--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"cannot read scenario {path}" in captured.err
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"command": "construct", "variant": "stable", "chi": 5, "k": 3}, "--k only applies"),
+        ({"command": "construct", "variant": "component-II", "k": 2, "chi": 99},
+         "--chi only applies"),
+    ])
+    def test_ignored_key_rejected(self, capsys, tmp_path, payload, message):
+        code = cli.main(["--scenario", self._write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_scenario_excludes_subcommand(self, capsys, tmp_path):
         path = self._write(tmp_path, {"command": "classify", "k2": 8, "chi": 7})
         code = cli.main(["--scenario", path, "classify", "--k2", "8", "--chi", "7"])
@@ -294,8 +388,6 @@ class TestJsonStability:
         assert Report.from_json(out).to_json() == out
 
 
-# small integers only: construct and enumerate have no upper bound on chi
-# or k yet, and cost grows with them
 _SMALL_INTS = st.integers(-2, 12)
 _PRIMITIVES = (st.none() | st.booleans() | _SMALL_INTS | st.floats(-2, 12)
                | st.text(max_size=3))
@@ -343,4 +435,59 @@ def test_scenario_property(tmp_path_factory, scenario):
         code = cli.main(["--scenario", str(path)])
     assert code in (0, 1, 2)
     if scenario.get("format") == "json" and out.getvalue():
+        Report.from_json(out.getvalue())
+
+
+# each integer flag and the cap on |value|; verify-paper's ranges are 6..1000
+# and 2..1000
+_ARGV_CAPS = {
+    "classify": {"--k2": 100_000, "--chi": 100_000},
+    "construct": {"--chi": 100_000, "--k": 100_000, "--epsilon": 100_000},
+    "enumerate": {"--chi": 10_000, "--chi-max": 10_000},
+    "verify-paper": {"--chi-max": 1000, "--k-max": 1000},
+}
+# flags of other commands, unknown flags, stray and malformed values
+_BAD_TOKENS = ("--k2", "--epsilon", "--chi-max", "--zeta", "--format", "xml", "eight",
+               "7", "--chi=", "component-III")
+
+
+@st.composite
+def _argvs(draw):
+    """Argument lists: table flags with values at and past the caps, and bad tokens."""
+    command = draw(st.sampled_from(sorted(_ARGV_CAPS)))
+    argv = [command]
+    wanted = set(_ARGV_CAPS[command])
+    if command == "construct":
+        variant = draw(st.sampled_from(["component-I", "component-II", "stable"]))
+        argv.append(variant)
+        wanted = {"component-I": {"--chi"}, "component-II": {"--k"}}.get(
+            variant, {"--chi", "--epsilon"})
+    for flag, cap in _ARGV_CAPS[command].items():
+        # the flags a command needs are mostly given, the others rarely
+        if draw(st.integers(0, 5)) < (5 if flag in wanted else 1):
+            # values at the cap itself only where that is cheap: a construct
+            # JSON report at chi = 10^5 takes about 1 s, a verify-paper run
+            # at its cap several seconds
+            edges = [cap + 1, -cap - 1, 10**30, -10**30]
+            if command in ("classify", "enumerate"):
+                edges += [cap, -cap]
+            small = st.integers(-3, 12)
+            argv += [flag, str(draw(small | small | st.sampled_from(edges)))]
+    if command == "verify-paper" and draw(st.booleans()):
+        argv += ["--inject-fault", draw(st.sampled_from(["germ-index-shift", "no-such"]))]
+    argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_BAD_TOKENS)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_argv_property(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    formats = [argv[i + 1] for i, token in enumerate(argv[:-1]) if token == "--format"]
+    if formats[-1:] == ["json"] and out.getvalue():
         Report.from_json(out.getvalue())
