@@ -1,285 +1,162 @@
-"""Named single-coefficient faults for exercising the verification suite.
+"""Named faults for exercising the verification suite: one edit each.
 
-Each fault temporarily replaces one function of the calculus with a copy
-whose formula has exactly one coefficient, sign or term changed.  The
-verification suite must flag every one of them by a failing named
-identity; this is the harness self-test demanded of the project.  Nothing
-here is used outside of verification runs and tests.
+Each fault is a mutation of the code that actually runs: ``target``
+names one function of the calculus as ``"module.function"``, and the
+fault replaces the text ``old`` in that function's source by ``new``,
+changing exactly one coefficient, sign, term or literal of its formula.
+The edited source is compiled in the target module's namespace and
+swapped in for the duration of ``injected``.  ``old`` must occur exactly
+once in the target, so a refactor that moves or rewrites the formula
+fails loudly instead of leaving a fault that no longer mutates anything.
+The verification suite must flag every fault by a failing named
+identity; nothing here is used outside of verification runs and tests.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 from contextlib import contextmanager
-from dataclasses import dataclass, replace as dc_replace
-from fractions import Fraction
-from typing import Callable
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Fault:
-    name: str
+class Fault(NamedTuple):
     summary: str
-    module: str
-    attribute: str
-    wrap: Callable[[Callable], Callable]
+    target: str
+    old: str
+    new: str
 
 
-def _registry() -> dict[str, Fault]:
-    faults: dict[str, Fault] = {}
-
-    def add(name, summary, module, attribute, wrap):
-        faults[name] = Fault(name, summary, f"horikawa.{module}", attribute, wrap)
-
+REGISTRY: dict[str, Fault] = {
     # -- lattice ------------------------------------------------------------
-    add("pairing-negative-section-sign",
+    "pairing-negative-section-sign": Fault(
         "the negative section squares to +e instead of -e",
-        "lattice", "_hirzebruch_dot",
-        lambda orig: lambda e, u, v: e * u[0] * v[0] + u[0] * v[1] + u[1] * v[0])
-    add("pairing-drops-transpose-term",
+        "lattice._hirzebruch_dot", "return -e * u[0]", "return e * u[0]"),
+    "pairing-drops-transpose-term": Fault(
         "the ruled surface pairing loses one of its two cross terms",
-        "lattice", "_hirzebruch_dot",
-        lambda orig: lambda e, u, v: -e * u[0] * v[0] + u[0] * v[1])
-    add("pairing-exceptional-sign",
+        "lattice._hirzebruch_dot", " + u[1] * v[0]", ""),
+    "pairing-exceptional-sign": Fault(
         "exceptional curves square to +1 instead of -1",
-        "lattice", "_exceptional_dot",
-        lambda orig: lambda u, v: _exceptional_dot_plus(u, v))
-    add("canonical-ruled-fiber-coefficient",
+        "lattice._exceptional_dot", "return -sum(", "return sum("),
+    "canonical-ruled-fiber-coefficient": Fault(
         "the ruled surface canonical class uses fiber coefficient e+1",
-        "lattice", "canonical_class",
-        lambda orig: lambda s: (
-            s.divisor((-2, -(s.e + 1)))
-            if type(s).__name__ == "Hirzebruch" else orig(s)))
-    add("canonical-blowup-sign",
+        "lattice.canonical_class", "-(surface.e + 2)", "-(surface.e + 1)"),
+    "canonical-blowup-sign": Fault(
         "blow-ups subtract the exceptional sum from the canonical class",
-        "lattice", "canonical_class",
-        lambda orig: lambda s: (
-            _blowup_canonical_minus(s) if type(s).__name__ == "BlowUp" else orig(s)))
-    add("pullback-pads-with-one",
+        "lattice.canonical_class",
+        "+ surface.exceptional_sum()", "- surface.exceptional_sum()"),
+    "pullback-pads-with-one": Fault(
         "pullback sets the last exceptional coefficient to 1 instead of 0",
-        "lattice", "pullback",
-        lambda orig: lambda s, d: _pullback_padded_wrong(orig, s, d))
-    add("sections-ruled-off-by-one",
+        "lattice.pullback", "runs + ((0, zeros),))",
+        "runs + ((0, zeros),)) + surface.exceptional(surface.point_count)"),
+    "sections-ruled-off-by-one": Fault(
         "ruled surface section counts drop the +1 per summand",
-        "lattice", "_hirzebruch_sections",
-        lambda orig: lambda e, a, b: (
-            sum(max(0, b - i * e) for i in range(a + 1)) if a >= 0 else 0))
-    add("blowup-drops-a-point",
+        "lattice._hirzebruch_sections", "b - i * e + 1", "b - i * e"),
+    "blowup-drops-a-point": Fault(
         "blowing up n points only adds n-1 exceptional classes",
-        "lattice", "blow_up",
-        lambda orig: lambda s, n, general_position=True: orig(
-            s, max(1, n - 1), general_position))
-
+        "lattice.blow_up", "BlowUp(surface, point_count,",
+        "BlowUp(surface, max(1, point_count - 1),"),
     # -- covers ---------------------------------------------------------
-    add("root-class-multiplier",
+    "root-class-multiplier": Fault(
         "the weighted branch sum uses weight 2 for the first divisor",
-        "covers", "derive_root",
-        lambda orig: lambda degree, branch, base=None: _derive_root_wrong(degree, branch, base))
-    add("double-cover-ksq-factor",
+        "covers.derive_root", "weighted + j * d", "weighted + (j + 1) * d"),
+    "double-cover-ksq-factor": Fault(
         "double cover K^2 uses factor 3 instead of 2",
-        "covers", "double_cover_invariants",
-        lambda orig: lambda spec: _scale_ksq(orig(spec), Fraction(3, 2)))
-    add("double-cover-chi-missing-half",
+        "covers.double_cover_invariants",
+        "k_squared = 2 * adjoint", "k_squared = 3 * adjoint"),
+    "double-cover-chi-missing-half": Fault(
         "double cover chi doubles the pairing term",
-        "covers", "double_cover_invariants",
-        lambda orig: lambda spec: _shift_chi_by_pairing(orig(spec)))
-    add("triple-cover-ksq-shift",
+        "covers.double_cover_invariants", "+ pairing // 2", "+ pairing"),
+    "triple-cover-ksq-shift": Fault(
         "triple cover K^2 gains a unit",
-        "covers", "triple_cover_invariants",
-        lambda orig: lambda spec: dc_replace(
-            orig(spec), k_squared=orig(spec).k_squared + 1))
-    add("triple-cover-chi-shift",
-        "triple cover chi gains a unit",
-        "covers", "triple_cover_invariants",
-        lambda orig: lambda spec: dc_replace(orig(spec), chi=orig(spec).chi + 1))
-    add("triple-cover-canonical-multiple-coefficient",
-        "the tri-canonical class gains one fiber",
-        "covers", "triple_cover_invariants",
-        lambda orig: lambda spec: _bump_canonical_multiple(orig(spec)))
-    add("scroll-class-weight-swap",
+        "covers.triple_cover_invariants",
+        "Fraction(square, 3)", "Fraction(square + 3, 3)"),
+    "triple-cover-chi-shift": Fault(
+        "triple cover chi counts the base four times instead of three",
+        "covers.triple_cover_invariants", "chi = 3 * BASE_CHI", "chi = 4 * BASE_CHI"),
+    "triple-cover-canonical-multiple-coefficient": Fault(
+        "the reported tri-canonical class gains one fiber",
+        "covers.triple_cover_invariants", "CanonicalMultiple(3, tri_canonical)",
+        "CanonicalMultiple(3, tri_canonical"
+        " + DivisorClass._make(spec.base, (0, 1), spec.base.zero().runs))"),
+    "scroll-class-weight-swap": Fault(
         "scroll classes weight x2 instead of x1 by e",
-        "covers", "scroll_class",
-        lambda orig: lambda curve: _scroll_class_wrong(curve))
-    add("germ-index-shift",
+        "covers._scroll_monomial_class", "e * d1 +", "e * d2 +"),
+    "germ-index-shift": Fault(
         "the germ classifier reports A_p instead of A_{p-1}",
-        "covers", "classify_germ",
-        lambda orig: lambda m, p: f"A_{p}")
-
+        "covers.classify_germ", 'f"A_{p - 1}"', 'f"A_{p}"'),
     # -- stable ---------------------------------------------------------
-    add("contraction-gain-half",
+    "contraction-gain-half": Fault(
         "each contracted curve adds 1/2 instead of 1/3 to K^2",
-        "stable", "contract_minus3",
-        lambda orig: lambda chi, k2, count: _contract_wrong_gain(orig, chi, k2, count))
-    add("rr-correction-sign",
+        "stable.contract_minus3",
+        "3 * k_squared_smooth + count, 3", "2 * k_squared_smooth + count, 2"),
+    "rr-correction-sign": Fault(
         "the local bicanonical correction is +1/3 per quotient point",
-        "stable", "rr_correction",
-        lambda orig: lambda ledger: Fraction(ledger.third11_count, 3))
-    add("bicanonical-missing-correction",
+        "stable.rr_correction", "Fraction(-ledger", "Fraction(ledger"),
+    "bicanonical-missing-correction": Fault(
         "h0 of 2K forgets the local correction term",
-        "stable", "h0_2K",
-        lambda orig: _h0_2k_without_correction)
-    add("resolution-ksq-shift",
-        "the canonical resolution loses one from K^2",
-        "stable", "resolve_node_bookkeeping",
-        lambda orig: lambda spec: _shift_resolution(orig(spec)))
-
+        "stable.h0_2K", " + correction.numerator * k_squared.denominator", ""),
+    "resolution-ksq-shift": Fault(
+        "the contraction starts from one above the resolved K^2",
+        "stable.resolve_node_bookkeeping",
+        "int(resolved.k_squared), count)", "int(resolved.k_squared) + 1, count)"),
     # -- catalog --------------------------------------------------------
-    add("parameter-table-beta",
-        "the parameter table inflates beta by 3",
-        "catalog", "pick_parameters",
-        lambda orig: lambda chi: _bump_beta(orig(chi)))
-    add("ampleness-coefficient-shift",
+    "parameter-table-beta": Fault(
+        "the parameter table inflates beta by 3 for chi divisible by 3",
+        "catalog.pick_parameters", "(1, chi, 3)", "(1, chi, 6)"),
+    "ampleness-coefficient-shift": Fault(
         "the feasibility coefficient gains a unit",
-        "catalog", "ampleness_certificate",
-        lambda orig: lambda e, alpha, beta, general_position=True: _shift_certificate(
-            orig(e, alpha, beta, general_position=general_position)))
-    add("scroll-family-exponent",
-        "the middle branch monomial loses one power of t1",
-        "catalog", "scroll_family_curve",
-        lambda orig: lambda residue, k: _tweak_family_curve(orig(residue, k)))
-    add("epsilon-family-ksq",
-        "the contracted family doubles the epsilon gain",
-        "catalog", "epsilon_family",
-        lambda orig: lambda chi, epsilon: _bump_record_ksq(orig(chi, epsilon), epsilon))
-    add("fiber-data-evened",
+        "catalog.ampleness_certificate",
+        "coefficient = alpha + beta - 3 * e - 4", "coefficient = alpha + beta - 3 * e - 3"),
+    "scroll-family-exponent": Fault(
+        "the middle branch monomial of the residue 2 family loses one power of t1",
+        "catalog.scroll_family_curve", "middle = (top, 0,", "middle = (top - 1, 0,"),
+    "epsilon-family-ksq": Fault(
+        "the contracted family contracts 6*epsilon curves, doubling the epsilon gain",
+        "catalog.epsilon_family", "2 * chi - 6, 3 * epsilon", "2 * chi - 6, 6 * epsilon"),
+    "fiber-data-evened": Fault(
         "first-line recipes record (-2, -2) fiber components",
-        "catalog", "build_component_one",
-        lambda orig: lambda chi, general_position=True, smoothness_assumed=True: dc_replace(
-            orig(chi, general_position, smoothness_assumed),
-            fiber_component_self_intersections=(-2, -2)))
-
-    return faults
-
-
-def _blowup_canonical_minus(surface):
-    from . import lattice
-
-    return lattice.pullback(surface, lattice.canonical_class(surface.base)) - \
-        surface.exceptional_sum()
-
-
-def _exceptional_dot_plus(u, v):
-    from . import lattice
-
-    return sum(x * y * length for x, y, length in lattice._aligned(u, v))
-
-
-def _pullback_padded_wrong(orig, surface, d):
-    from . import lattice
-
-    result = orig(surface, d)
-    coeffs = list(result.coeffs)
-    coeffs[-1] = coeffs[-1] + 1
-    return lattice.DivisorClass(surface, tuple(coeffs))
-
-
-def _derive_root_wrong(degree, branch, base):
-    from . import lattice
-    from .covers import BuildingDataError
-
-    branch = tuple(branch)
-    if base is None:
-        base = branch[0].surface
-    weighted = base.zero()
-    for j, d in enumerate(branch, start=1):
-        weighted = weighted + (j + 1) * d
-
-    def quotient(c):
-        q, r = divmod(c, degree)
-        if r:
-            raise BuildingDataError(f"coefficient {c} not divisible by {degree}")
-        return q
-
-    return lattice.DivisorClass._make(
-        base, tuple([quotient(c) for c in weighted.head]),
-        tuple([(quotient(c), length) for c, length in weighted.runs]))
-
-
-def _scale_ksq(report, factor):
-    return dc_replace(report, k_squared=report.k_squared * factor)
-
-
-def _shift_chi_by_pairing(report):
-    return dc_replace(report, chi=2 * report.chi - 2)
-
-
-def _bump_canonical_multiple(report):
-    from .covers import CanonicalMultiple
-
-    cls = report.canonical_multiple.cls
-    coeffs = list(cls.coeffs)
-    coeffs[1] = coeffs[1] + 1
-    bumped = type(cls)(cls.surface, tuple(coeffs))
-    return dc_replace(report, canonical_multiple=CanonicalMultiple(
-        report.canonical_multiple.multiple, bumped))
-
-
-def _scroll_class_wrong(curve):
-    from . import lattice
-
-    classes = {(d1 + d2, curve.e * d2 + c1 + c2) for (c1, c2, d1, d2) in curve.monomials}
-    if len(classes) != 1:
-        raise ValueError(f"inhomogeneous monomial set: classes {sorted(classes)}")
-    a, b = classes.pop()
-    return lattice.Hirzebruch(curve.e).divisor((a, b))
-
-
-def _contract_wrong_gain(orig, chi, k2, count):
-    return dc_replace(orig(chi, k2, count), k_squared=Fraction(k2) + Fraction(count, 2))
-
-
-def _h0_2k_without_correction(record):
-    total = record.chi + record.k_squared
-    if total.denominator != 1:
-        from .stable import LedgerError
-
-        raise LedgerError("bicanonical count is not an integer")
-    return int(total)
-
-
-def _shift_resolution(resolution):
-    from .stable import NodeResolution
-
-    shifted = dc_replace(resolution.resolved, k_squared=resolution.resolved.k_squared - 1)
-    return NodeResolution(shifted, resolution.unresolved)
-
-
-def _bump_beta(parameters):
-    e, alpha, beta = parameters
-    return (e, alpha, beta + 3)
-
-
-def _shift_certificate(certificate):
-    from . import catalog
-
-    verdict = (catalog.VERDICT_INFEASIBLE
-               if certificate.feasibility_verdict == catalog.VERDICT_EXCEPTIONAL_EXCLUDED
-               else catalog.VERDICT_EXCEPTIONAL_EXCLUDED)
-    return dc_replace(certificate, feasibility_verdict=verdict,
-                      coefficient=certificate.coefficient + 1)
-
-
-def _tweak_family_curve(curve):
-    from .covers import ScrollCurve
-
-    monomials = set()
-    for (c1, c2, d1, d2) in curve.monomials:
-        if d2 == 5 and c1 > 0 and c2 <= 2:
-            monomials.add((c1 - 1, c2, d1, d2))
-        else:
-            monomials.add((c1, c2, d1, d2))
-    return ScrollCurve(e=curve.e, monomials=frozenset(monomials))
-
-
-def _bump_record_ksq(record, epsilon):
-    return dc_replace(record, k_squared=record.k_squared + epsilon)
-
-
-REGISTRY: dict[str, Fault] = _registry()
+        "catalog.build_component_one",
+        "fiber_component_self_intersections=(-3, -3)",
+        "fiber_component_self_intersections=(-2, -2)"),
+}
 
 
 def fault_names() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
+
+
+def _module_and_attribute(fault: Fault):
+    module, attribute = fault.target.split(".")
+    return importlib.import_module(f"{__package__}.{module}"), attribute
+
+
+@functools.cache
+def mutant(name: str):
+    """The target function of the named fault, compiled with the fault's one edit.
+
+    Raises ``LookupError`` naming the fault and the target unless ``old``
+    occurs exactly once in the target's source.
+    """
+    import __future__
+    import inspect
+
+    fault = REGISTRY[name]
+    module, attribute = _module_and_attribute(fault)
+    original = inspect.unwrap(getattr(module, attribute))
+    source = inspect.getsource(original)
+    count = source.count(fault.old)
+    if count != 1:
+        raise LookupError(f"fault {name!r}: {fault.old!r} occurs {count} times in "
+                          f"{fault.target}, not exactly once")
+    # blank lines keep the mutant's line numbers those of the module file
+    padded = "\n" * (original.__code__.co_firstlineno - 1) + \
+        source.replace(fault.old, fault.new)
+    code = compile(padded, inspect.getsourcefile(original), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace: dict = {}
+    exec(code, vars(module), namespace)  # globals are the module's, the def lands here
+    return namespace[original.__name__]
 
 
 @contextmanager
@@ -287,11 +164,11 @@ def injected(name: str):
     """Temporarily install the named fault, restoring the original on exit."""
     if name not in REGISTRY:
         raise KeyError(f"unknown fault {name!r}; known faults: {', '.join(fault_names())}")
-    fault = REGISTRY[name]
-    module = importlib.import_module(fault.module)
-    original = getattr(module, fault.attribute)
-    setattr(module, fault.attribute, fault.wrap(original))
+    module, attribute = _module_and_attribute(REGISTRY[name])
+    replacement = mutant(name)
+    original = getattr(module, attribute)
+    setattr(module, attribute, replacement)
     try:
         yield
     finally:
-        setattr(module, fault.attribute, original)
+        setattr(module, attribute, original)

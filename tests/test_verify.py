@@ -1,12 +1,15 @@
 """Verification harness behaviour and fault registry coverage."""
 
+import functools
+import importlib
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from horikawa import catalog, faults, verify
+from horikawa import catalog, faults, lattice, verify
 
 
 class TestRunVerification:
@@ -126,6 +129,63 @@ class TestFaultRegistry:
         assert catalog.pick_parameters is original
         assert catalog.pick_parameters(6) == (1, 6, 3)
         assert verify.run_verification(chi_max=6, k_max=2).passed
+
+
+def _target(fault):
+    module, attribute = fault.target.split(".")
+    return importlib.import_module(f"horikawa.{module}"), attribute
+
+
+class TestMutation:
+    @pytest.mark.parametrize("name", faults.fault_names())
+    def test_edit_occurs_once_and_changes_the_code(self, name, monkeypatch):
+        fault = faults.REGISTRY[name]
+        module, attribute = _target(fault)
+        original = getattr(module, attribute)
+        assert inspect.getsource(original).count(fault.old) == 1
+        # the same target compiled through the same path, edit left out
+        monkeypatch.setitem(faults.REGISTRY, f"{name}/unedited", fault._replace(new=fault.old))
+        unedited = faults.mutant(f"{name}/unedited")
+        assert faults.mutant(name).__code__ != unedited.__code__
+        assert faults.mutant(name).__code__.co_firstlineno == original.__code__.co_firstlineno
+
+    @pytest.mark.parametrize("old", ["return -e * u[0] * v[0] * 7", "u[0]"])
+    def test_edit_not_found_exactly_once_names_the_fault(self, old, monkeypatch):
+        monkeypatch.setitem(faults.REGISTRY, f"broken {old}",
+                            faults.Fault("never applies", "lattice._hirzebruch_dot", old, ""))
+        original = lattice._hirzebruch_dot
+        with pytest.raises(LookupError, match=r"fault 'broken .*lattice\._hirzebruch_dot"):
+            with faults.injected(f"broken {old}"):
+                pass
+        assert lattice._hirzebruch_dot is original
+
+    def test_every_target_restored_when_the_body_raises(self):
+        for name in faults.fault_names():
+            module, attribute = _target(faults.REGISTRY[name])
+            original = getattr(module, attribute)
+            with pytest.raises(RuntimeError):
+                with faults.injected(name):
+                    assert getattr(module, attribute) is faults.mutant(name)
+                    raise RuntimeError(name)
+            assert getattr(module, attribute) is original
+
+    def test_wrapped_target_is_mutated(self, monkeypatch):
+        # a functools.wraps wrapper, as span tracing installs, is seen through
+        original = catalog.pick_parameters
+
+        @functools.wraps(original)
+        def wrapper(chi):
+            return original(chi)
+
+        monkeypatch.setattr(catalog, "pick_parameters", wrapper)
+        monkeypatch.setitem(faults.REGISTRY, "wrapped-beta",
+                            faults.REGISTRY["parameter-table-beta"])
+        with faults.injected("wrapped-beta"):
+            assert catalog.pick_parameters(6) == (1, 6, 6)
+        assert faults.mutant("wrapped-beta").__code__.co_firstlineno == \
+            original.__code__.co_firstlineno
+        assert catalog.pick_parameters is wrapper
+        assert catalog.pick_parameters(6) == (1, 6, 3)
 
 
 KILL_MATRIX = Path(__file__).parent / "golden" / "kill_matrix.json"
