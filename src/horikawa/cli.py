@@ -83,6 +83,8 @@ def run_construct(variant: str, chi: int | None = None, k: int | None = None,
         raise ValueError("--k only applies to the component-II variant")
     if chi is not None and variant == "component-II":
         raise ValueError("--chi only applies to the component-I and stable variants")
+    if not general_position and variant == "component-II":
+        raise ValueError("general_position only applies to the component-I and stable variants")
     assumed = {"general_position": general_position, "smoothness_assumed": smoothness_assumed}
     record = None
     if variant == "component-II":

@@ -347,6 +347,8 @@ class TestScenarioFiles:
         ({"command": "construct", "variant": "stable", "chi": 5, "k": 3}, "--k only applies"),
         ({"command": "construct", "variant": "component-II", "k": 2, "chi": 99},
          "--chi only applies"),
+        ({"command": "construct", "variant": "component-II", "k": 2,
+          "assumptions": {"general_position": False}}, "general_position only applies"),
     ])
     def test_ignored_key_rejected(self, capsys, tmp_path, payload, message):
         code = cli.main(["--scenario", self._write(tmp_path, payload)])
