@@ -215,7 +215,7 @@ class Arg(NamedTuple):
     default: object = None
     required: bool = False
     choices: tuple[str, ...] | None = None
-    bound: tuple[int, int] | None = None  # inclusive (lo, hi)
+    bound: tuple[int, int] | None = None  # inclusive (lo, hi), stated in the help
     help: str | None = None
     positional: bool = False
     metavar: str | None = None
@@ -236,14 +236,14 @@ _FORMAT = Arg("format", str, "text", choices=("text", "json"))
 
 _COMMANDS = {
     "classify": Command("run_classify", "admissibility and component structure", (
-        Arg("k2", int, required=True, bound=_CAP),
-        Arg("chi", int, required=True, bound=_CAP),
+        Arg("k2", int, required=True, bound=_CAP, help="K^2 of the pair"),
+        Arg("chi", int, required=True, bound=_CAP, help="chi of the pair"),
         _FORMAT)),
     "construct": Command("run_construct", "run a construction pipeline", (
         Arg("variant", str, required=True, positional=True,
             choices=("component-I", "component-II", "stable")),
-        Arg("chi", int, bound=_CAP),
-        Arg("k", int, bound=_CAP),
+        Arg("chi", int, bound=_CAP, help="component-I and stable: the target chi"),
+        Arg("k", int, bound=_CAP, help="component-II only: the target K^2 is 8k"),
         Arg("epsilon", int, bound=_CAP,
             help="stable only: contract 3*epsilon curves instead of "
                  "running the direct cover pipeline"),
@@ -360,8 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
             name = arg.key if arg.positional else "--" + arg.key.replace("_", "-")
             flag_only = {} if arg.positional else {"default": arg.default,
                                                    "required": arg.required}
+            help_text = arg.help
+            if arg.bound is not None:
+                cap = "from {} to {}".format(*arg.bound)
+                help_text = cap if help_text is None else f"{help_text}, {cap}"
             command_parser.add_argument(name, type=arg.type, choices=arg.choices,
-                                        metavar=arg.metavar, help=arg.help, **flag_only)
+                                        metavar=arg.metavar, help=help_text, **flag_only)
     return parser
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,18 @@ class TestBounds:
         got, _out, err = run(capsys, *argv)
         assert got == code
         assert "must be at" not in err
+
+    @pytest.mark.parametrize("command", ["classify", "construct", "enumerate"])
+    def test_help_states_every_cap(self, capsys, command):
+        code, out, _err = run(capsys, command, "--help")
+        words = " ".join(out.split())
+        assert code == 0
+        for arg in cli._COMMANDS[command].args:
+            if arg.bound is not None:
+                # the option's own help, up to the next option
+                own = re.escape(f"--{arg.key.replace('_', '-')} {arg.key.upper()} ")
+                cap = "from {} to {}".format(*arg.bound)
+                assert re.search(own + r"(?:(?! --).)*" + cap, words), (arg.key, words)
 
 
 class TestScenarioFiles:
