@@ -403,9 +403,16 @@ class TestJsonStability:
         assert Report.from_json(out).to_json() == out
 
 
-_SMALL_INTS = st.integers(-2, 12)
-_PRIMITIVES = (st.none() | st.booleans() | _SMALL_INTS | st.floats(-2, 12)
+_PRIMITIVES = (st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-2, 12)
                | st.text(max_size=3))
+# each integer key and the cap on |value|; verify-paper's ranges are 6..1000
+# and 2..1000
+_CAPS = {
+    "classify": {"k2": 100_000, "chi": 100_000},
+    "construct": {"chi": 100_000, "k": 100_000, "epsilon": 100_000},
+    "enumerate": {"chi": 10_000, "chi_max": 10_000},
+    "verify-paper": {"chi_max": 1000, "k_max": 1000},
+}
 _COMMAND_KEYS = {
     "classify": ("k2", "chi"),
     "construct": ("variant", "chi", "k", "epsilon", "assumptions"),
@@ -422,6 +429,20 @@ _WELL_TYPED = {
 }
 
 
+def _integers(command, cap):
+    """Mostly small integers, else a value at or past the cap on |value|."""
+    small = st.integers(-3, 12)
+    if cap is None:  # a key the command does not have
+        return small
+    # values at the cap itself only where that is cheap: a construct JSON
+    # report at chi = 10^5 takes about 1 s, a verify-paper run at its cap
+    # several seconds
+    edges = [cap + 1, -cap - 1, 10**30, -10**30]
+    if command in ("classify", "enumerate"):
+        edges += [cap, -cap]
+    return small | small | st.sampled_from(edges)
+
+
 @st.composite
 def _scenarios(draw):
     """Scenario objects whose values are JSON primitives, most of them well typed."""
@@ -434,9 +455,11 @@ def _scenarios(draw):
     command = value(st.sampled_from(sorted(_COMMAND_KEYS)))
     keys = [key for key in _COMMAND_KEYS.get(command, ()) if not rarely(5)]
     keys += ["format"] * draw(st.booleans()) + ["zeta"] * rarely(10)
+    caps = _CAPS.get(command, {}) if type(command) is str else {}
     scenario = {"command": command}
     for key in keys:
-        scenario[key] = value(_WELL_TYPED.get(key, _SMALL_INTS))
+        well_typed = _WELL_TYPED[key] if key in _WELL_TYPED else _integers(command, caps.get(key))
+        scenario[key] = value(well_typed)
     return scenario
 
 
@@ -453,14 +476,6 @@ def test_scenario_property(tmp_path_factory, scenario):
         Report.from_json(out.getvalue())
 
 
-# each integer flag and the cap on |value|; verify-paper's ranges are 6..1000
-# and 2..1000
-_ARGV_CAPS = {
-    "classify": {"--k2": 100_000, "--chi": 100_000},
-    "construct": {"--chi": 100_000, "--k": 100_000, "--epsilon": 100_000},
-    "enumerate": {"--chi": 10_000, "--chi-max": 10_000},
-    "verify-paper": {"--chi-max": 1000, "--k-max": 1000},
-}
 # flags of other commands, unknown flags, stray and malformed values
 _BAD_TOKENS = ("--k2", "--epsilon", "--chi-max", "--zeta", "--format", "xml", "eight",
                "7", "--chi=", "component-III")
@@ -469,25 +484,18 @@ _BAD_TOKENS = ("--k2", "--epsilon", "--chi-max", "--zeta", "--format", "xml", "e
 @st.composite
 def _argvs(draw):
     """Argument lists: table flags with values at and past the caps, and bad tokens."""
-    command = draw(st.sampled_from(sorted(_ARGV_CAPS)))
+    command = draw(st.sampled_from(sorted(_CAPS)))
     argv = [command]
-    wanted = set(_ARGV_CAPS[command])
+    wanted = set(_CAPS[command])
     if command == "construct":
         variant = draw(st.sampled_from(["component-I", "component-II", "stable"]))
         argv.append(variant)
-        wanted = {"component-I": {"--chi"}, "component-II": {"--k"}}.get(
-            variant, {"--chi", "--epsilon"})
-    for flag, cap in _ARGV_CAPS[command].items():
+        wanted = {"component-I": {"chi"}, "component-II": {"k"}}.get(
+            variant, {"chi", "epsilon"})
+    for key, cap in _CAPS[command].items():
         # the flags a command needs are mostly given, the others rarely
-        if draw(st.integers(0, 5)) < (5 if flag in wanted else 1):
-            # values at the cap itself only where that is cheap: a construct
-            # JSON report at chi = 10^5 takes about 1 s, a verify-paper run
-            # at its cap several seconds
-            edges = [cap + 1, -cap - 1, 10**30, -10**30]
-            if command in ("classify", "enumerate"):
-                edges += [cap, -cap]
-            small = st.integers(-3, 12)
-            argv += [flag, str(draw(small | small | st.sampled_from(edges)))]
+        if draw(st.integers(0, 5)) < (5 if key in wanted else 1):
+            argv += ["--" + key.replace("_", "-"), str(draw(_integers(command, cap)))]
     if command == "verify-paper" and draw(st.booleans()):
         argv += ["--inject-fault", draw(st.sampled_from(["germ-index-shift", "no-such"]))]
     argv += ["--format", draw(st.sampled_from(["text", "json"]))]
