@@ -1,15 +1,12 @@
-"""Named faults for exercising the verification suite: one edit each.
+"""Named faults for exercising the verification suite, one source edit each.
 
-Each fault is a mutation of the code that actually runs: ``target``
-names one function of the calculus as ``"module.function"``, and the
-fault replaces the text ``old`` in that function's source by ``new``,
-changing exactly one coefficient, sign, term or literal of its formula.
-The edited source is compiled in the target module's namespace and
-swapped in for the duration of ``injected``.  ``old`` must occur exactly
-once in the target, so a refactor that moves or rewrites the formula
-fails loudly instead of leaving a fault that no longer mutates anything.
-The verification suite must flag every fault by a failing named
-identity; nothing here is used outside of verification runs and tests.
+A fault replaces the text ``old`` by ``new`` in the source of its
+``target`` function (``"module.function"``), changing one coefficient,
+sign, term or literal of the formula that actually runs.  ``old`` must
+occur exactly once, so a refactor that moves the formula fails loudly
+instead of leaving a fault that mutates nothing.  The verification suite
+must flag every fault by a failing named identity; nothing here is used
+outside of verification runs and tests.
 """
 
 from __future__ import annotations
