@@ -162,9 +162,8 @@ def injected(name: str):
     if name not in REGISTRY:
         raise KeyError(f"unknown fault {name!r}; known faults: {', '.join(fault_names())}")
     module, attribute = _module_and_attribute(REGISTRY[name])
-    replacement = mutant(name)
     original = getattr(module, attribute)
-    setattr(module, attribute, replacement)
+    setattr(module, attribute, mutant(name))
     try:
         yield
     finally:

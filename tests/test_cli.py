@@ -455,7 +455,7 @@ def _scenarios(draw):
     command = value(st.sampled_from(sorted(_COMMAND_KEYS)))
     keys = [key for key in _COMMAND_KEYS.get(command, ()) if not rarely(5)]
     keys += ["format"] * draw(st.booleans()) + ["zeta"] * rarely(10)
-    caps = _CAPS.get(command, {}) if type(command) is str else {}
+    caps = _CAPS.get(command, {})
     scenario = {"command": command}
     for key in keys:
         well_typed = _WELL_TYPED[key] if key in _WELL_TYPED else _integers(command, caps.get(key))
