@@ -528,7 +528,9 @@ def build_stable(chi: int, general_position: bool = True,
     )
     resolution = stable.resolve_node_bookkeeping(spec)
     certificate = ampleness_certificate(e, alpha, beta, general_position=general_position)
-    record = replace(resolution.unresolved, ample_canonical=True)
+    unresolved = resolution.unresolved
+    record = StableSurfaceRecord.from_thirds(unresolved.k_squared_thirds, unresolved.chi,
+                                             unresolved.ledger, ample_canonical=True)
     stable.h0_2K(record)
     recipe = ConstructionRecipe(
         target=AdmissiblePair(2 * chi - 5, chi),
@@ -567,7 +569,7 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
             f"cannot contract {3 * epsilon}"
         )
     record = stable.contract_minus3(chi, 2 * chi - 6, 3 * epsilon)
-    if record.k_squared * 3 > 8 * chi - 16:
+    if record.k_squared_thirds > 8 * chi - 16:
         raise CertificateError("contracted surface violates the stable line bound")
     stable.h0_2K(record)
     return record

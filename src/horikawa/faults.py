@@ -86,13 +86,13 @@ REGISTRY: dict[str, Fault] = {
     "contraction-gain-half": Fault(
         "each contracted curve adds 1/2 instead of 1/3 to K^2",
         "stable.contract_minus3",
-        "3 * k_squared_smooth + count, 3", "2 * k_squared_smooth + count, 2"),
+        "3 * k_squared_smooth + count,", "3 * k_squared_smooth + Fraction(3 * count, 2),"),
     "rr-correction-sign": Fault(
         "the local bicanonical correction is +1/3 per quotient point",
-        "stable.rr_correction", "Fraction(-ledger", "Fraction(ledger"),
+        "stable.rr_correction_thirds", "return -ledger", "return ledger"),
     "bicanonical-missing-correction": Fault(
         "h0 of 2K forgets the local correction term",
-        "stable.h0_2K", " + correction.numerator * k_squared.denominator", ""),
+        "stable.h0_2K", " + rr_correction_thirds(record.ledger)", ""),
     "resolution-ksq-shift": Fault(
         "the contraction starts from one above the resolved K^2",
         "stable.resolve_node_bookkeeping",

@@ -118,7 +118,13 @@ _ENCODE_ONLY = {
 _NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE}
 # written as these public attributes instead of the stored fields, and
 # decoded by passing them to the constructor as keywords
-_VIEWS = {DivisorClass: (("surface", SurfaceModel), ("coeffs", tuple[int, ...]))}
+_VIEWS = {
+    DivisorClass: (("surface", SurfaceModel), ("coeffs", tuple[int, ...])),
+    # K^2 is stored in thirds but travels as a fraction string
+    StableSurfaceRecord: (("k_squared", Fraction), ("chi", int),
+                          ("ledger", stable.SingularityLedger),
+                          ("ample_canonical", bool), ("smoothable", bool)),
+}
 
 
 # ---------------------------------------------------------------------------

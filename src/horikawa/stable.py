@@ -36,27 +36,56 @@ class SingularityLedger:
 EMPTY_LEDGER = SingularityLedger()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StableSurfaceRecord:
-    """Invariants and flags of a normal stable surface."""
+    """Invariants and flags of a normal stable surface.
 
-    k_squared: Fraction
+    K^2 is kept in thirds, as the integer ``k_squared_thirds`` = 3*K^2:
+    each contracted (-3)-curve adds exactly one third, so every K^2 here
+    lies in (1/3)Z, and a value outside it is refused with LedgerError
+    when the record is built.  ``k_squared`` is the derived Fraction.
+    """
+
+    k_squared_thirds: int
     chi: int
     ledger: SingularityLedger
     ample_canonical: bool = False
     smoothable: bool = False
 
-    def __post_init__(self):
-        if type(self.k_squared) is int:
-            object.__setattr__(self, "k_squared", Fraction(self.k_squared))
-        elif type(self.k_squared) is not Fraction:
-            raise ValueError(f"K^2 must be an integer or a Fraction, got {self.k_squared!r}")
-        if type(self.chi) is not int:
-            raise ValueError(f"chi must be an integer, got {self.chi!r}")
-        if self.ledger.third11_count > 0 and self.smoothable:
+    def __init__(self, k_squared: Fraction | int, chi: int, ledger: SingularityLedger,
+                 ample_canonical: bool = False, smoothable: bool = False):
+        if type(k_squared) is not int and type(k_squared) is not Fraction:
+            raise ValueError(f"K^2 must be an integer or a Fraction, got {k_squared!r}")
+        thirds = 3 * k_squared
+        if type(thirds) is Fraction and thirds.denominator == 1:
+            thirds = thirds.numerator
+        self._fill(thirds, chi, ledger, ample_canonical, smoothable)
+
+    @classmethod
+    def from_thirds(cls, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
+                    ample_canonical: bool = False,
+                    smoothable: bool = False) -> "StableSurfaceRecord":
+        """The record with K^2 = k_squared_thirds / 3, built without Fraction work."""
+        record = object.__new__(cls)
+        record._fill(k_squared_thirds, chi, ledger, ample_canonical, smoothable)
+        return record
+
+    def _fill(self, thirds, chi, ledger, ample_canonical, smoothable):
+        if type(thirds) is not int:
+            raise LedgerError(f"k_squared {thirds / 3} is not a whole number of thirds")
+        if type(chi) is not int:
+            raise ValueError(f"chi must be an integer, got {chi!r}")
+        if ledger.third11_count > 0 and smoothable:
             raise LedgerError(
                 "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
             )
+        # one dict update instead of a frozen-field assignment per field
+        self.__dict__.update(k_squared_thirds=thirds, chi=chi, ledger=ledger,
+                             ample_canonical=ample_canonical, smoothable=smoothable)
+
+    @property
+    def k_squared(self) -> Fraction:
+        return Fraction(self.k_squared_thirds, 3)
 
     @property
     def in_component_without_canonical_models(self) -> bool:
@@ -64,7 +93,7 @@ class StableSurfaceRecord:
 
         That holds exactly when the bicanonical count differs from chi + K^2.
         """
-        return h0_2K(self) != self.k_squared + self.chi
+        return 3 * h0_2K(self) != self.k_squared_thirds + 3 * self.chi
 
 
 def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfaceRecord:
@@ -75,35 +104,35 @@ def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfac
     """
     if count < 1:
         raise ValueError("at least one curve must be contracted")
-    return StableSurfaceRecord(
-        k_squared=Fraction(3 * k_squared_smooth + count, 3),
-        chi=chi,
-        ledger=SingularityLedger(third11_count=count),
-        smoothable=False,
-    )
+    return StableSurfaceRecord.from_thirds(
+        3 * k_squared_smooth + count, chi, SingularityLedger(third11_count=count))
+
+
+def rr_correction_thirds(ledger: SingularityLedger) -> int:
+    """The local bicanonical Riemann-Roch correction, in thirds.
+
+    Each one-third quotient point contributes -1 (that is, -1/3); rational
+    double points contribute nothing.
+    """
+    return -ledger.third11_count
 
 
 def rr_correction(ledger: SingularityLedger) -> Fraction:
-    """Local Riemann-Roch correction for the bicanonical class.
-
-    Each one-third quotient point contributes -1/3; rational double
-    points contribute nothing.
-    """
-    return Fraction(-ledger.third11_count, 3)
+    """Local Riemann-Roch correction for the bicanonical class, -1/3 per quotient point."""
+    return Fraction(rr_correction_thirds(ledger), 3)
 
 
 def h0_2K(record: StableSurfaceRecord) -> int:
-    """Bicanonical section count chi + K^2 + correction, which must be integral."""
-    k_squared = record.k_squared
-    correction = rr_correction(record.ledger)
-    # the sum over the common denominator, in integers
-    denominator = k_squared.denominator * correction.denominator
-    numerator = ((record.chi * k_squared.denominator + k_squared.numerator)
-                 * correction.denominator + correction.numerator * k_squared.denominator)
-    count, remainder = divmod(numerator, denominator)
+    """Bicanonical section count chi + K^2 + correction, which must be integral.
+
+    The sum is taken in thirds, as K^2 is kept, so no Fraction is made
+    unless the count fails.
+    """
+    thirds = 3 * record.chi + record.k_squared_thirds + rr_correction_thirds(record.ledger)
+    count, remainder = divmod(thirds, 3)
     if remainder:
         raise LedgerError(
-            f"bicanonical count {Fraction(numerator, denominator)} is not an integer: "
+            f"bicanonical count {Fraction(thirds, 3)} is not an integer: "
             "ledger inconsistent with the claimed invariants"
         )
     return count

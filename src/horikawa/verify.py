@@ -373,19 +373,20 @@ def _check_resolution_bookkeeping(chi_max, k_max, builds):
 
 
 def _check_epsilon_bound(chi_max, k_max, builds):
-    # about chi_max**2 / 3 cases: each detail is formatted only on failure,
-    # and each Fraction operation keeps the Fraction on the left
+    # about chi_max**2 / 3 cases, compared in integer thirds (3*K^2); each
+    # detail is formatted only on failure
     for chi in range(4, chi_max + 1):
         bound = 8 * chi - 16
+        smooth_thirds = 3 * (2 * chi - 6)
         for epsilon in range(1, (2 * chi + 2) // 3 + 1):
             record = catalog.epsilon_family(chi, epsilon)
-            k_squared = record.k_squared
-            if k_squared != 2 * chi - 6 + epsilon:
-                raise _CheckFailure(f"K^2 = {k_squared} at chi = {chi}, epsilon = {epsilon}")
-            tripled = k_squared * 3
-            if not tripled <= bound:
+            thirds = record.k_squared_thirds
+            if thirds != smooth_thirds + 3 * epsilon:
+                raise _CheckFailure(
+                    f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
+            if not thirds <= bound:
                 raise _CheckFailure(f"bound violated at chi = {chi}, epsilon = {epsilon}")
-            if (tripled == bound) != (3 * epsilon == 2 * chi + 2):
+            if (thirds == bound) != (3 * epsilon == 2 * chi + 2):
                 raise _CheckFailure(
                     f"bound equality mischaracterised at chi = {chi}, epsilon = {epsilon}")
             if record.ledger.third11_count != 3 * epsilon:

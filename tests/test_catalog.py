@@ -1,10 +1,12 @@
 """Classification data, construction pipelines and positivity certificates."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horikawa import catalog, covers, lattice
+from horikawa import catalog, covers, lattice, stable
 from horikawa.catalog import (AdmissiblePair, CertificateError, admissible,
                               ampleness_certificate, build_component_one,
                               build_component_two, build_stable, classify,
@@ -12,6 +14,7 @@ from horikawa.catalog import (AdmissiblePair, CertificateError, admissible,
                               parity_discriminator, pick_parameters,
                               scroll_family_curve)
 from horikawa.lattice import Hirzebruch
+from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
 
 class TestAdmissibility:
@@ -313,6 +316,24 @@ class TestEpsilonFamily:
             assert record.k_squared == 2 * chi - 6 + epsilon
             assert 3 * record.k_squared <= 8 * chi - 16
             assert (3 * record.k_squared == 8 * chi - 16) == (3 * epsilon == 2 * chi + 2)
+
+    @given(st.integers(4, 1000))
+    def test_thirds_agree_with_fraction_arithmetic(self, chi):
+        # oracle: plain Fraction arithmetic, one third of K^2 per contracted
+        # curve and a -1/3 bicanonical correction per quotient point
+        top = (2 * chi + 2) // 3
+        equalities = []
+        for epsilon in range(1, top + 1):
+            record = epsilon_family(chi, epsilon)
+            k_squared = Fraction(2 * chi - 6) + 3 * epsilon * Fraction(1, 3)
+            assert type(record.k_squared) is Fraction and record.k_squared == k_squared
+            assert stable.h0_2K(record) == chi + k_squared + 3 * epsilon * Fraction(-1, 3)
+            assert 3 * k_squared <= 8 * chi - 16
+            if 3 * k_squared == 8 * chi - 16:
+                equalities.append(epsilon)
+            twin = StableSurfaceRecord(k_squared, chi, SingularityLedger(3 * epsilon))
+            assert twin == record and hash(twin) == hash(record)
+        assert equalities == ([top] if 3 * top == 2 * chi + 2 else [])
 
     def test_zero_epsilon_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Report serialisation: JSON round trips, big integers, strict decoding,
 text rendering."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import catalog, verify
+from horikawa import catalog, cli, verify
 from horikawa.lattice import DivisorClass, Hirzebruch
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 EnumerationPayload, EnumerationRow, Report,
@@ -131,6 +133,18 @@ class TestBigIntegers:
         assert encoded["k_squared"] == "1/3"
         assert _decode(encoded, shape) == record
 
+    @pytest.mark.parametrize("chi", [4, 10**4])
+    def test_construct_stable_round_trips(self, chi):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["construct", "stable", "--chi", str(chi), "--format", "json"]) == 0
+        text = stdout.getvalue()
+        record = json.loads(text)["payload"]["record"]
+        assert record["k_squared"] == str(2 * chi - 5)
+        decoded = Report.from_json(text)
+        assert decoded.payload.record.k_squared_thirds == 3 * (2 * chi - 5)
+        assert decoded.to_json() == text
+
 
 def _verification_report():
     outcome = verify.run_verification(chi_max=6, k_max=2)
@@ -200,6 +214,14 @@ class TestStrictDecoding:
         else:
             parent[path[-1]] = value
         with pytest.raises(ValueError, match=match):
+            Report.from_jsonable(data)
+
+    def test_record_k_squared_off_thirds_rejected(self):
+        # K^2 is kept in thirds, so a half is refused when the record is built
+        data = json.loads(_stable_report().to_json())
+        data["payload"]["record"]["k_squared"] = "7/2"
+        with pytest.raises(ValueError,
+                           match="record: k_squared 7/2 is not a whole number of thirds"):
             Report.from_jsonable(data)
 
     def test_decimal_string_integers_still_accepted(self):

@@ -32,6 +32,17 @@ class TestLedger:
         with pytest.raises(ValueError):
             StableSurfaceRecord(k_squared, chi, SingularityLedger(0))
 
+    def test_thirds_path_refuses_non_integers(self):
+        with pytest.raises(LedgerError, match="^k_squared 3/2 is not a whole number of thirds"):
+            StableSurfaceRecord.from_thirds(Fraction(9, 2), 3, SingularityLedger(3))
+
+    def test_fraction_and_thirds_paths_agree(self):
+        ledger = SingularityLedger(3)
+        record = StableSurfaceRecord(Fraction(1, 3), 3, ledger, ample_canonical=True)
+        twin = StableSurfaceRecord.from_thirds(1, 3, ledger, ample_canonical=True)
+        assert record == twin and hash(record) == hash(twin)
+        assert record.k_squared_thirds == 1 and type(record.k_squared_thirds) is int
+
     def test_integer_k_squared_becomes_a_fraction(self):
         record = StableSurfaceRecord(7, 5, SingularityLedger(0))
         assert type(record.k_squared) is Fraction and record.k_squared == 7
@@ -122,7 +133,14 @@ class TestBicanonicalCount:
            | st.integers(-120, 120).map(lambda n: Fraction(n, 3)),
            st.integers(0, 30), st.integers(0, 4))
     def test_count_is_the_exact_sum(self, chi, k_squared, third11, canonical):
-        record = StableSurfaceRecord(k_squared, chi, SingularityLedger(third11, canonical))
+        ledger = SingularityLedger(third11, canonical)
+        if 3 % k_squared.denominator:
+            # K^2 is kept in thirds, so the record refuses any other value
+            with pytest.raises(LedgerError,
+                               match=f"^k_squared {k_squared} is not a whole number of thirds"):
+                StableSurfaceRecord(k_squared, chi, ledger)
+            return
+        record = StableSurfaceRecord(k_squared, chi, ledger)
         total = Fraction(chi) + k_squared + rr_correction(record.ledger)
         if total.denominator == 1:
             count = h0_2K(record)
