@@ -377,11 +377,10 @@ def _check_epsilon_bound(chi_max, k_max, builds):
     # detail is formatted only on failure
     for chi in range(4, chi_max + 1):
         bound = 8 * chi - 16
-        smooth_thirds = 3 * (2 * chi - 6)
         for epsilon in range(1, (2 * chi + 2) // 3 + 1):
             record = catalog.epsilon_family(chi, epsilon)
             thirds = record.k_squared_thirds
-            if thirds != smooth_thirds + 3 * epsilon:
+            if thirds != 3 * (2 * chi - 6 + epsilon):
                 raise _CheckFailure(
                     f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
             if not thirds <= bound:
