@@ -23,7 +23,7 @@ from .lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                       SectionCount, SurfaceMismatchError, SurfaceModel, blow_up,
                       canonical_class, h0, picard_rank, pullback)
 from .stable import (SingularityLedger, StableSurfaceRecord, contract_minus3,
-                     h0_2K, resolve_node_bookkeeping, rr_correction)
+                     h0_2K, resolve_node_bookkeeping)
 from .verify import run_verification
 
 __version__ = "0.1.0"
@@ -73,7 +73,6 @@ __all__ = [
     "pick_parameters",
     "pullback",
     "resolve_node_bookkeeping",
-    "rr_correction",
     "run_verification",
     "scroll_class",
     "scroll_family_curve",

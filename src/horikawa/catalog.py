@@ -209,8 +209,7 @@ def _blown_scroll(e: int, points: int, general_position: bool):
     return blown, pull, blown.exceptional_sum()
 
 
-def build_component_one(chi: int, general_position: bool = True,
-                        smoothness_assumed: bool = True) -> ConstructionRecipe:
+def build_component_one(chi: int, general_position: bool = True) -> ConstructionRecipe:
     """Order-3 symmetric surface with K^2 = 2chi - 6 via a triple cover.
 
     Two branch curves of fiber degrees alpha and beta on a Hirzebruch
@@ -224,7 +223,7 @@ def build_component_one(chi: int, general_position: bool = True,
     blown, pull, exceptional = _blown_scroll(e, 2 * alpha + 2 * beta - 4 * e, general_position)
     d1 = pull(2, alpha) - exceptional
     d2 = pull(2, beta) - exceptional
-    spec = CoverSpec.triple(blown, d1, d2, smoothness_assumed=smoothness_assumed)
+    spec = CoverSpec.triple(blown, d1, d2)
     report = covers.triple_cover_invariants(spec)
     nef = nef_certificate(e, alpha, beta, general_position=general_position)
     report = replace(report, minimal_or_ample=nef.verdict)
@@ -301,7 +300,7 @@ def component_two_scroll_curve(k: int) -> ScrollCurve:
 P2_BRANCH_MONOMIALS = frozenset({(10, 0, 0), (0, 10, 0), (0, 0, 10)})
 
 
-def build_component_two(k: int, smoothness_assumed: bool = True) -> ConstructionRecipe:
+def build_component_two(k: int) -> ConstructionRecipe:
     """Order-3 symmetric surface in the second component at K^2 = 8k.
 
     For k = 1 this is the double cover of the plane branched over a
@@ -314,7 +313,7 @@ def build_component_two(k: int, smoothness_assumed: bool = True) -> Construction
     if k == 1:
         plane = ProjectivePlane()
         branch = plane.divisor((10,))
-        spec = CoverSpec.double(plane, branch, smoothness_assumed=smoothness_assumed)
+        spec = CoverSpec.double(plane, branch)
         report = covers.double_cover_invariants(spec)
         image = covers.canonical_image_info(spec)
         if not covers.invariance_check(P2_BRANCH_MONOMIALS, covers.PERMUTE_P2):
@@ -339,7 +338,7 @@ def build_component_two(k: int, smoothness_assumed: bool = True) -> Construction
     curve_class = covers.scroll_class(curve)
     ruled = Hirzebruch(2 * k + 2)
     branch = ruled.negative_section() + curve_class
-    spec = CoverSpec.double(ruled, branch, smoothness_assumed=smoothness_assumed)
+    spec = CoverSpec.double(ruled, branch)
     report = covers.double_cover_invariants(spec)
     if not covers.invariance_check(curve, covers.SCALE_T1):
         raise CertificateError("scroll branch curve lost its order-3 symmetry")
@@ -504,8 +503,7 @@ class StableConstruction(NamedTuple):
     recipe: ConstructionRecipe
 
 
-def build_stable(chi: int, general_position: bool = True,
-                 smoothness_assumed: bool = True) -> StableConstruction:
+def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     """Non-smoothable stable surface with K^2 = 2chi - 5.
 
     Identical branch data to the minimal construction, but three of the
@@ -521,16 +519,10 @@ def build_stable(chi: int, general_position: bool = True,
     blown, pull, exceptional = _blown_scroll(e, points, general_position)
     d1 = pull(2, alpha) - exceptional
     d2 = pull(2, beta) - exceptional
-    spec = CoverSpec.triple(
-        blown, d1, d2,
-        smoothness_assumed=smoothness_assumed,
-        transversal_node_count=3,
-    )
+    spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
     resolution = stable.resolve_node_bookkeeping(spec)
     certificate = ampleness_certificate(e, alpha, beta, general_position=general_position)
-    unresolved = resolution.unresolved
-    record = StableSurfaceRecord.from_thirds(unresolved.k_squared_thirds, unresolved.chi,
-                                             unresolved.ledger, ample_canonical=True)
+    record = replace(resolution.unresolved, ample_canonical=True)
     stable.h0_2K(record)
     recipe = ConstructionRecipe(
         target=AdmissiblePair(2 * chi - 5, chi),

@@ -85,22 +85,25 @@ def run_construct(variant: str, chi: int | None = None, k: int | None = None,
         raise ValueError("--chi only applies to the component-I and stable variants")
     if not general_position and variant == "component-II":
         raise ValueError("general_position only applies to the component-I and stable variants")
-    assumed = {"general_position": general_position, "smoothness_assumed": smoothness_assumed}
-    record = None
     if variant == "component-II":
         if k is None:
             raise ValueError("construct component-II needs --k")
-        recipe = catalog.build_component_two(k, smoothness_assumed=smoothness_assumed)
+    elif chi is None:
+        raise ValueError(f"construct {variant} needs --chi")
+    # the invariant formulas hold only for smooth, transversal branch data
+    if not smoothness_assumed:
+        raise ValueError("invariant formulas require the smoothness assumption")
+    record = None
+    if variant == "component-II":
+        recipe = catalog.build_component_two(k)
         derivations = {
             "recipe.report.k_squared": "double cover: twice the adjoint class square",
             "recipe.report.chi": "double cover structure formula",
             "recipe.report.p_g": "exact section count of the adjoint class",
             "recipe.canonical_sections": "section count of the adjoint system",
         }
-    elif chi is None:
-        raise ValueError(f"construct {variant} needs --chi")
     elif variant == "component-I":
-        recipe = catalog.build_component_one(chi, **assumed)
+        recipe = catalog.build_component_one(chi, general_position)
         derivations = {
             "recipe.parameters": "parameter table by chi mod 3",
             "recipe.blow_up_count": "2*alpha + 2*beta - 4*e branch intersection points",
@@ -110,7 +113,7 @@ def run_construct(variant: str, chi: int | None = None, k: int | None = None,
             "recipe.report.p_g": "exact section counts of the two adjoint classes",
         }
     elif epsilon is None:
-        record, recipe = catalog.build_stable(chi, **assumed)
+        record, recipe = catalog.build_stable(chi, general_position)
         derivations = {
             "recipe.blow_up_count": "2*alpha + 2*beta - 4*e - 3 points, three nodes kept",
             "recipe.report.k_squared": "canonical resolution triple cover formula",
@@ -121,7 +124,7 @@ def run_construct(variant: str, chi: int | None = None, k: int | None = None,
         # contracted family: take the minimal surface and contract
         # 3*epsilon disjoint (-3)-curves of its genus-2 fibers
         record = catalog.epsilon_family(chi, epsilon)
-        recipe = catalog.build_component_one(chi, **assumed)
+        recipe = catalog.build_component_one(chi, general_position)
         derivations = {
             "record.k_squared": "2*chi - 6 plus 1/3 per contracted curve",
             "record.ledger.third11_count": "3*epsilon contracted curves",

@@ -90,7 +90,6 @@ class CoverSpec:
     base: SurfaceModel
     branch: tuple[DivisorClass, ...]
     root: DivisorClass
-    smoothness_assumed: bool = True
     transversal_node_count: int = 0
 
     def __post_init__(self):
@@ -114,16 +113,13 @@ class CoverSpec:
             raise BuildingDataError("node bookkeeping only applies to degree 3 covers")
 
     @classmethod
-    def double(cls, base: SurfaceModel, d: DivisorClass, smoothness_assumed: bool = True
-               ) -> "CoverSpec":
-        return cls(2, base, (d,), derive_root(2, (d,), base), smoothness_assumed)
+    def double(cls, base: SurfaceModel, d: DivisorClass) -> "CoverSpec":
+        return cls(2, base, (d,), derive_root(2, (d,), base))
 
     @classmethod
     def triple(cls, base: SurfaceModel, d1: DivisorClass, d2: DivisorClass,
-               smoothness_assumed: bool = True, transversal_node_count: int = 0
-               ) -> "CoverSpec":
-        return cls(3, base, (d1, d2), derive_root(3, (d1, d2), base),
-                   smoothness_assumed, transversal_node_count)
+               transversal_node_count: int = 0) -> "CoverSpec":
+        return cls(3, base, (d1, d2), derive_root(3, (d1, d2), base), transversal_node_count)
 
     @property
     def branch_is_empty(self) -> bool:
@@ -179,8 +175,6 @@ def double_cover_invariants(spec: CoverSpec) -> InvariantReport:
     """
     if spec.degree != 2:
         raise BuildingDataError("double cover invariants need a degree 2 spec")
-    if not spec.smoothness_assumed:
-        raise BuildingDataError("invariant formulas require the smoothness assumption")
     k = lattice.canonical_class(spec.base)
     adjoint = k + spec.root
     k_squared = 2 * adjoint.dot(adjoint)
@@ -213,8 +207,6 @@ def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
         raise BuildingDataError(
             "smooth formulas need transversal_node_count = 0; resolve the nodes first"
         )
-    if not spec.smoothness_assumed:
-        raise BuildingDataError("invariant formulas require the smoothness assumption")
     k = lattice.canonical_class(spec.base)
     d1, d2 = spec.branch
     tri_canonical = 3 * k + 2 * d1 + 2 * d2
@@ -248,7 +240,6 @@ class CanonicalImageInfo:
     system: DivisorClass
     image: SurfaceModel
     very_ample: bool
-    notes: tuple[str, ...] = ()
 
 
 def canonical_image_info(spec: CoverSpec) -> CanonicalImageInfo:
@@ -275,20 +266,11 @@ def canonical_image_info(spec: CoverSpec) -> CanonicalImageInfo:
     count = lattice.h0(spec.base, system)
     if not count.exact:
         raise BuildingDataError("cannot certify the canonical image from a virtual count")
-    notes = ["canonical map factors through the base cover map"]
-    very_ample = lattice.ample(system)
-    if count.value == 0:
-        notes.append("empty adjoint system: degenerate case")
-    elif very_ample:
-        notes.append("adjoint system is very ample, image is the base surface")
-    else:
-        notes.append("adjoint system not certified very ample, image may degenerate")
     return CanonicalImageInfo(
         sections=count.value,
         system=system,
         image=spec.base,
-        very_ample=very_ample,
-        notes=tuple(notes),
+        very_ample=lattice.ample(system),
     )
 
 

@@ -98,6 +98,7 @@ _RENAMED = {
     (CanonicalMultiple, "cls"): "class",
     (ClassificationPayload, "info"): "components",
     (BlowUp, "point_count"): "points",
+    (StableSurfaceRecord, "k_squared_thirds"): "k_squared",
 }
 # a field annotated with a union, or with a base class, holds one of these
 _TAGS = {
@@ -116,15 +117,11 @@ _ENCODE_ONLY = {
 }
 # written in place of None
 _NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE}
+# an integer number of thirds, such as 3*K^2, travels as the fraction it stands for
+_IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 # written as these public attributes instead of the stored fields, and
 # decoded by passing them to the constructor as keywords
-_VIEWS = {
-    DivisorClass: (("surface", SurfaceModel), ("coeffs", tuple[int, ...])),
-    # K^2 is stored in thirds but travels as a fraction string
-    StableSurfaceRecord: (("k_squared", Fraction), ("chi", int),
-                          ("ledger", stable.SingularityLedger),
-                          ("ample_canonical", bool), ("smoothable", bool)),
-}
+_VIEWS = {DivisorClass: (("surface", SurfaceModel), ("coeffs", tuple[int, ...]))}
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +129,11 @@ _VIEWS = {
 # ("int",), ("optional", inner, none_as), ("tuple", item), ("fixed", items) or
 # ("object", tag_key, {tag: cls}); a dataclass that needs no tag has key None
 
-_INT, _STR = ("int",), ("str",)
+_INT, _STR, _THIRDS = ("int",), ("str",), ("thirds",)
 _SCALARS = {int: _INT, bool: ("bool",), str: _STR, Fraction: ("fraction",)}
 # the JSON type each kind other than "int" and "optional" decodes from
-_JSON_TYPES = {"bool": bool, "str": str, "fraction": str, "dict": dict, "object": dict,
-               "tuple": list, "fixed": list, "frozenset": list}
+_JSON_TYPES = {"bool": bool, "str": str, "fraction": str, "thirds": str, "dict": dict,
+               "object": dict, "tuple": list, "fixed": list, "frozenset": list}
 
 
 def _shape(hint, none_as=None) -> tuple:
@@ -175,7 +172,8 @@ def _plan(cls) -> tuple:
         hints = typing.get_type_hints(cls)
         view = tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
     fields = tuple(
-        (name, _RENAMED.get((cls, name), name), _shape(hint, _NONE_AS.get((cls, name))))
+        (name, _RENAMED.get((cls, name), name),
+         _THIRDS if (cls, name) in _IN_THIRDS else _shape(hint, _NONE_AS.get((cls, name))))
         for name, hint in view)
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
@@ -206,6 +204,8 @@ def _encode(value, shape: tuple):
         return [_encode(v, shape[1]) for v in sorted(value)]
     if kind == "dict":
         return {_encode(k, shape[1]): _encode(v, shape[2]) for k, v in value.items()}
+    if kind == "thirds":
+        return str(Fraction(value, 3))
     return str(value)  # fraction
 
 
@@ -249,6 +249,10 @@ def _decode(data, shape: tuple):
         return frozenset([_decode(v, shape[1]) for v in data])
     if kind == "dict":
         return {_decode(k, shape[1]): _decode(v, shape[2]) for k, v in data.items()}
+    if kind == "thirds":
+        # a value off the thirds stays a Fraction, for the constructor to refuse
+        thirds = 3 * Fraction(data)
+        return thirds.numerator if thirds.denominator == 1 else thirds
     return Fraction(data)
 
 

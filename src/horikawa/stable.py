@@ -52,27 +52,13 @@ class StableSurfaceRecord:
     ample_canonical: bool = False
     smoothable: bool = False
 
-    def __init__(self, k_squared: Fraction | int, chi: int, ledger: SingularityLedger,
+    def __init__(self, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
                  ample_canonical: bool = False, smoothable: bool = False):
-        if type(k_squared) is not int and type(k_squared) is not Fraction:
-            raise ValueError(f"K^2 must be an integer or a Fraction, got {k_squared!r}")
-        thirds = 3 * k_squared
-        if type(thirds) is Fraction and thirds.denominator == 1:
-            thirds = thirds.numerator
-        self._fill(thirds, chi, ledger, ample_canonical, smoothable)
-
-    @classmethod
-    def from_thirds(cls, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
-                    ample_canonical: bool = False,
-                    smoothable: bool = False) -> "StableSurfaceRecord":
-        """The record with K^2 = k_squared_thirds / 3, built without Fraction work."""
-        record = object.__new__(cls)
-        record._fill(k_squared_thirds, chi, ledger, ample_canonical, smoothable)
-        return record
-
-    def _fill(self, thirds, chi, ledger, ample_canonical, smoothable):
-        if type(thirds) is not int:
-            raise LedgerError(f"k_squared {thirds / 3} is not a whole number of thirds")
+        if type(k_squared_thirds) is not int:
+            if isinstance(k_squared_thirds, Fraction):
+                raise LedgerError(
+                    f"k_squared {k_squared_thirds / 3} is not a whole number of thirds")
+            raise ValueError(f"k_squared_thirds must be an integer, got {k_squared_thirds!r}")
         if type(chi) is not int:
             raise ValueError(f"chi must be an integer, got {chi!r}")
         if ledger.third11_count > 0 and smoothable:
@@ -80,7 +66,7 @@ class StableSurfaceRecord:
                 "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
             )
         # one dict update instead of a frozen-field assignment per field
-        self.__dict__.update(k_squared_thirds=thirds, chi=chi, ledger=ledger,
+        self.__dict__.update(k_squared_thirds=k_squared_thirds, chi=chi, ledger=ledger,
                              ample_canonical=ample_canonical, smoothable=smoothable)
 
     @property
@@ -104,7 +90,7 @@ def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfac
     """
     if count < 1:
         raise ValueError("at least one curve must be contracted")
-    return StableSurfaceRecord.from_thirds(
+    return StableSurfaceRecord(
         3 * k_squared_smooth + count, chi, SingularityLedger(third11_count=count))
 
 
@@ -115,11 +101,6 @@ def rr_correction_thirds(ledger: SingularityLedger) -> int:
     double points contribute nothing.
     """
     return -ledger.third11_count
-
-
-def rr_correction(ledger: SingularityLedger) -> Fraction:
-    """Local Riemann-Roch correction for the bicanonical class, -1/3 per quotient point."""
-    return Fraction(rr_correction_thirds(ledger), 3)
 
 
 def h0_2K(record: StableSurfaceRecord) -> int:
@@ -157,7 +138,7 @@ def resolve_node_bookkeeping(spec: CoverSpec) -> NodeResolution:
     if count == 0:
         resolved = covers.triple_cover_invariants(spec)
         unresolved = StableSurfaceRecord(
-            k_squared=resolved.k_squared,
+            k_squared_thirds=3 * int(resolved.k_squared),
             chi=resolved.chi,
             ledger=EMPTY_LEDGER,
             smoothable=True,
@@ -172,7 +153,6 @@ def resolve_node_bookkeeping(spec: CoverSpec) -> NodeResolution:
         resolved_base,
         lattice.pullback(resolved_base, d1) - new_exceptional,
         lattice.pullback(resolved_base, d2) - new_exceptional,
-        smoothness_assumed=spec.smoothness_assumed,
     )
     resolved = covers.triple_cover_invariants(resolved_spec)
     if resolved.k_squared.denominator != 1:

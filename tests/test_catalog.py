@@ -331,7 +331,7 @@ class TestEpsilonFamily:
             assert 3 * k_squared <= 8 * chi - 16
             if 3 * k_squared == 8 * chi - 16:
                 equalities.append(epsilon)
-            twin = StableSurfaceRecord(k_squared, chi, SingularityLedger(3 * epsilon))
+            twin = StableSurfaceRecord(int(3 * k_squared), chi, SingularityLedger(3 * epsilon))
             assert twin == record and hash(twin) == hash(record)
         assert equalities == ([top] if 3 * top == 2 * chi + 2 else [])
 

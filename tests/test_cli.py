@@ -320,6 +320,15 @@ class TestScenarioFiles:
         ({"command": "verify-paper", "inject_fault": None},
          "value 'inject_fault' must be a string"),
         ({"command": ["classify"]}, "unknown scenario command"),
+        ({"command": "construct", "variant": "component-I", "chi": 7,
+          "assumptions": {"smoothness_assumed": False}},
+         "error: invariant formulas require the smoothness assumption\n"),
+        ({"command": "construct", "variant": "stable", "chi": 5,
+          "assumptions": {"smoothness_assumed": False}},
+         "error: invariant formulas require the smoothness assumption\n"),
+        ({"command": "construct", "variant": "stable", "chi": 7, "epsilon": 1,
+          "assumptions": {"smoothness_assumed": False}},
+         "error: invariant formulas require the smoothness assumption\n"),
     ])
     def test_wrong_json_type_rejected(self, capsys, tmp_path, payload, message):
         code = cli.main(["--scenario", self._write(tmp_path, payload)])

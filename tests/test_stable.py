@@ -1,6 +1,6 @@
 """One-third quotient point bookkeeping."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +12,7 @@ from horikawa.covers import CoverSpec
 from horikawa.lattice import Hirzebruch
 from horikawa.stable import (LedgerError, SingularityLedger, StableSurfaceRecord,
                              contract_minus3, h0_2K, resolve_node_bookkeeping,
-                             rr_correction)
+                             rr_correction_thirds)
 
 
 class TestLedger:
@@ -22,30 +22,30 @@ class TestLedger:
 
     def test_record_consistency(self):
         with pytest.raises(LedgerError):
-            StableSurfaceRecord(Fraction(1), 3, SingularityLedger(3), smoothable=True)
+            StableSurfaceRecord(3, 3, SingularityLedger(3), smoothable=True)
 
-    @pytest.mark.parametrize("k_squared, chi", [
-        (1.5, 3), (True, 3), ("1", 3), (Fraction(3, 2), 3.0), (Fraction(1), True),
-        (Fraction(1), Fraction(3)),
-    ])
-    def test_record_rejects_non_exact_values(self, k_squared, chi):
+    # ids as in earlier versions of this suite, where the cases gave K^2 itself
+    @pytest.mark.parametrize("k_squared_thirds, chi", [
+        (1.5, 3), (True, 3), ("1", 3), (Fraction(9, 2), 3.0), (3, True), (3, Fraction(3)),
+    ], ids=["1.5-3", "True-3", "1-3", "k_squared3-3.0", "k_squared4-True", "k_squared5-chi5"])
+    def test_record_rejects_non_exact_values(self, k_squared_thirds, chi):
         with pytest.raises(ValueError):
-            StableSurfaceRecord(k_squared, chi, SingularityLedger(0))
+            StableSurfaceRecord(k_squared_thirds, chi, SingularityLedger(0))
 
     def test_thirds_path_refuses_non_integers(self):
         with pytest.raises(LedgerError, match="^k_squared 3/2 is not a whole number of thirds"):
-            StableSurfaceRecord.from_thirds(Fraction(9, 2), 3, SingularityLedger(3))
+            StableSurfaceRecord(Fraction(9, 2), 3, SingularityLedger(3))
 
-    def test_fraction_and_thirds_paths_agree(self):
+    def test_replace_equals_a_record_built_directly(self):
         ledger = SingularityLedger(3)
-        record = StableSurfaceRecord(Fraction(1, 3), 3, ledger, ample_canonical=True)
-        twin = StableSurfaceRecord.from_thirds(1, 3, ledger, ample_canonical=True)
+        record = replace(StableSurfaceRecord(1, 3, ledger), ample_canonical=True)
+        twin = StableSurfaceRecord(1, 3, ledger, ample_canonical=True)
         assert record == twin and hash(record) == hash(twin)
         assert record.k_squared_thirds == 1 and type(record.k_squared_thirds) is int
 
     def test_integer_k_squared_becomes_a_fraction(self):
         record = StableSurfaceRecord(7, 5, SingularityLedger(0))
-        assert type(record.k_squared) is Fraction and record.k_squared == 7
+        assert type(record.k_squared) is Fraction and record.k_squared == Fraction(7, 3)
 
 
 class TestContraction:
@@ -81,48 +81,45 @@ class TestContraction:
 
 
 class TestCorrection:
-    @pytest.mark.parametrize("count,expected", [
-        (3, Fraction(-1)),
-        (0, Fraction(0)),
-        (6, Fraction(-2)),
-        (1, Fraction(-1, 3)),
-    ])
+    # ids as in earlier versions of this suite, where the values were Fractions
+    @pytest.mark.parametrize("count,expected", [(3, -3), (0, 0), (6, -6), (1, -1)],
+                             ids=["3-expected0", "0-expected1", "6-expected2", "1-expected3"])
     def test_values(self, count, expected):
-        assert rr_correction(SingularityLedger(third11_count=count)) == expected
+        assert rr_correction_thirds(SingularityLedger(third11_count=count)) == expected
 
     def test_canonical_points_neutral(self):
-        assert rr_correction(SingularityLedger(canonical_count=5)) == 0
+        assert rr_correction_thirds(SingularityLedger(canonical_count=5)) == 0
 
 
 class TestBicanonicalCount:
     def test_stable_line_example(self):
-        record = StableSurfaceRecord(Fraction(1), 3, SingularityLedger(3))
+        record = StableSurfaceRecord(3, 3, SingularityLedger(3))
         assert h0_2K(record) == 3
         assert record.in_component_without_canonical_models
 
     def test_smooth_example(self):
-        record = StableSurfaceRecord(Fraction(8), 7, SingularityLedger(0), smoothable=True)
+        record = StableSurfaceRecord(24, 7, SingularityLedger(0), smoothable=True)
         assert h0_2K(record) == 15
         assert not record.in_component_without_canonical_models
 
     def test_derived_example(self):
-        record = StableSurfaceRecord(Fraction(3), 4, SingularityLedger(3))
+        record = StableSurfaceRecord(9, 4, SingularityLedger(3))
         assert h0_2K(record) == 6
         assert record.in_component_without_canonical_models
 
     def test_count_leaves_the_record_unchanged(self):
-        record = StableSurfaceRecord(Fraction(1), 3, SingularityLedger(3))
+        record = StableSurfaceRecord(3, 3, SingularityLedger(3))
         before = dict(vars(record))
         h0_2K(record)
         assert vars(record) == before
 
     def test_record_refuses_assignment(self):
-        record = StableSurfaceRecord(Fraction(1), 3, SingularityLedger(3))
+        record = StableSurfaceRecord(3, 3, SingularityLedger(3))
         with pytest.raises(FrozenInstanceError):
             record.k_squared = Fraction(2)
 
     def test_non_integral_total_rejected(self):
-        record = StableSurfaceRecord(Fraction(4), 5, SingularityLedger(1))
+        record = StableSurfaceRecord(12, 5, SingularityLedger(1))
         with pytest.raises(LedgerError) as raised:
             h0_2K(record)
         assert str(raised.value) == (
@@ -138,10 +135,10 @@ class TestBicanonicalCount:
             # K^2 is kept in thirds, so the record refuses any other value
             with pytest.raises(LedgerError,
                                match=f"^k_squared {k_squared} is not a whole number of thirds"):
-                StableSurfaceRecord(k_squared, chi, ledger)
+                StableSurfaceRecord(3 * k_squared, chi, ledger)
             return
-        record = StableSurfaceRecord(k_squared, chi, ledger)
-        total = Fraction(chi) + k_squared + rr_correction(record.ledger)
+        record = StableSurfaceRecord(int(3 * k_squared), chi, ledger)
+        total = Fraction(chi) + k_squared + Fraction(rr_correction_thirds(record.ledger), 3)
         if total.denominator == 1:
             count = h0_2K(record)
             assert type(count) is int and count == total
@@ -152,7 +149,7 @@ class TestBicanonicalCount:
     @given(st.integers(3, 60), st.integers(0, 12))
     def test_flag_tracks_quotient_points(self, chi, triples):
         record = StableSurfaceRecord(
-            Fraction(2 * chi - 6 + triples), chi, SingularityLedger(3 * triples),
+            3 * (2 * chi - 6 + triples), chi, SingularityLedger(3 * triples),
             smoothable=triples == 0)
         h0_2K(record)
         assert record.in_component_without_canonical_models == (triples > 0)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from horikawa import catalog, faults, lattice, verify
+from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
 
 class TestRunVerification:
@@ -38,6 +39,16 @@ class TestRunVerification:
 
     def test_cap_is_inclusive(self):
         assert verify.run_verification(chi_max=6, k_max=verify.RANGE_CAP).passed
+
+    def test_bicanonical_count_is_compared_exactly(self):
+        # h0(2K) = 3 is right for K^2 = 4/3 with four quotient points at chi = 3,
+        # and chi + K^2 - 1 = 10/3 is no integer, so the identity fails
+        record = StableSurfaceRecord(4, 3, SingularityLedger(4))
+        builds = verify._Builds(catalog.build_component_one,
+                                lambda chi: catalog.StableConstruction(record, None))
+        with pytest.raises(verify._CheckFailure,
+                           match="^bicanonical count 3 instead of 10/3 at chi = 3$"):
+            verify._check_stable_bicanonical(3, 2, builds)
 
     def test_check_names_are_stable(self):
         names = verify.check_names()
