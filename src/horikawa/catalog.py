@@ -82,12 +82,37 @@ class AdmissiblePair:
 
 
 @dataclass(frozen=True)
+class CanonicalImages:
+    """Canonical images of the two components where 8 divides K^2 on the low line.
+
+    The first component's are F_0, F_2, ..., F_{first_top_e}; ``second``
+    lists the second's.
+    """
+
+    first_top_e: int
+    second: tuple[str, ...]
+
+    def __post_init__(self):
+        if type(self.first_top_e) is not int or self.first_top_e < 0 or self.first_top_e % 2:
+            raise ValueError(f"the first component's largest e must be a nonnegative even "
+                             f"integer, got {self.first_top_e!r:.80}")
+
+
+@dataclass(frozen=True)
 class ComponentInfo:
     """Connected components of the moduli space at a point of the low line."""
 
     count: int
     labels: tuple[str, ...]
-    canonical_images: dict[str, tuple[str, ...]]
+    images: CanonicalImages | None
+
+    @property
+    def canonical_images(self) -> dict[str, tuple[str, ...]]:
+        """The canonical images of each labelled component, built on each access."""
+        if self.images is None:
+            return {}
+        first = tuple(f"F_{e}" for e in range(0, self.images.first_top_e + 1, 2))
+        return {COMPONENT_I: first, COMPONENT_II: self.images.second}
 
 
 def component_count(k_squared: int) -> int:
@@ -114,18 +139,14 @@ def classify(k_squared: int, chi: int) -> ComponentInfo:
             f"({k_squared}, {chi}) is off the line K^2 = 2*chi - 6; no classification data"
         )
     if component_count(k_squared) == 1:
-        return ComponentInfo(count=1, labels=(), canonical_images={})
+        return ComponentInfo(count=1, labels=(), images=None)
     quarter = k_squared // 4
-    first = tuple(f"F_{e}" for e in range(0, quarter + 1, 2))
     if k_squared > 8:
         second = (f"F_{quarter + 2}",)
     else:
         second = (P2_IMAGE, CONE_IMAGE)
-    return ComponentInfo(
-        count=2,
-        labels=(COMPONENT_I, COMPONENT_II),
-        canonical_images={COMPONENT_I: first, COMPONENT_II: second},
-    )
+    return ComponentInfo(count=2, labels=(COMPONENT_I, COMPONENT_II),
+                         images=CanonicalImages(quarter, second))
 
 
 def pick_parameters(chi: int) -> tuple[int, int, int]:

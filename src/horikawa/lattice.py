@@ -25,7 +25,17 @@ class SurfaceModel:
     """Shared behaviour of the supported symbolic surface descriptions."""
 
     def divisor(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, coeffs)
+        """Build a class from its dense coefficient vector over the Picard basis."""
+        coeffs = tuple(coeffs)
+        rank = picard_rank(self)
+        if len(coeffs) != rank:
+            raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
+        for c in coeffs:
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers, got {c!r}")
+        split = picard_rank(_levels(self)[0])
+        runs = tuple((v, len(list(group))) for v, group in groupby(coeffs[split:]))
+        return DivisorClass._make(self, coeffs[:split], runs)
 
     def zero(self) -> "DivisorClass":
         root, count = _levels(self)
@@ -110,18 +120,34 @@ class DivisorClass:
     head: tuple[int, ...]
     runs: tuple[tuple[int, int], ...]
 
-    def __init__(self, surface: SurfaceModel, coeffs):
-        """Build a class from its dense coefficient vector over the Picard basis."""
-        coeffs = tuple(coeffs)
-        rank = picard_rank(surface)
-        if len(coeffs) != rank:
-            raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
-        for c in coeffs:
+    def __init__(self, surface: SurfaceModel, head, runs):
+        """Build a class from its stored fields, checking that the runs are canonical.
+
+        ``surface.divisor(coeffs)`` builds one from dense coefficients instead.
+        """
+        root, count = _levels(surface)
+        head, rank = tuple(head), picard_rank(root)
+        if len(head) != rank:
+            raise ValueError(f"expected {rank} root coefficients, got {len(head)}")
+        for c in head:
             if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
-        split = picard_rank(_levels(surface)[0])
-        runs = tuple((v, len(list(group))) for v, group in groupby(coeffs[split:]))
-        _init(self, surface, coeffs[:split], runs)
+        checked, total = [], 0
+        for run in runs:
+            if type(run) not in (tuple, list) or len(run) != 2:
+                raise ValueError(f"a run is a (value, length) pair, got {run!r:.80}")
+            value, length = run
+            if type(value) is not int or type(length) is not int:
+                raise ValueError(f"run entries must be integers, got {run!r:.80}")
+            if length < 1:
+                raise ValueError(f"run lengths must be positive, got {length}")
+            if checked and checked[-1][0] == value:
+                raise ValueError(f"adjacent runs share the value {value}")
+            checked.append((value, length))
+            total += length
+        if total != count:
+            raise ValueError(f"runs cover {total} exceptional classes, expected {count}")
+        _init(self, surface, head, tuple(checked))
 
     @classmethod
     def _make(cls, surface: SurfaceModel, head: tuple[int, ...], runs: tuple) -> "DivisorClass":

@@ -9,11 +9,13 @@ consumer silently truncates them.
 One codec, driven by the dataclass fields and their annotations, covers
 every payload; the "wire format" tables list where the JSON differs.
 Decoding is strict: a missing key, a wrong JSON type or an unknown tag
-raises ValueError.
+raises ValueError.  Reports of the older schema /1 are read through one
+upgrade step on the parsed data.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import json
@@ -23,14 +25,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattice, stable
-from .catalog import (AmplenessCertificate, ComponentInfo, ConstructionRecipe,
-                      NefCertificate)
+from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
+                      ConstructionRecipe, NefCertificate)
 from .covers import CanonicalMultiple, InvariantReport
 from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
 from .stable import StableSurfaceRecord
 from .verify import CheckResult, VerificationOutcome
 
-SCHEMA = "horikawa-report/1"
+SCHEMA = "horikawa-report/2"
+_SCHEMA_V1 = "horikawa-report/1"
 P_G_UNAVAILABLE = "unavailable(virtual)"
 
 _INT64 = range(-(2**63), 2**63)
@@ -99,6 +102,9 @@ _RENAMED = {
     (ClassificationPayload, "info"): "components",
     (BlowUp, "point_count"): "points",
     (StableSurfaceRecord, "k_squared_thirds"): "k_squared",
+    (ComponentInfo, "images"): "canonical_images",
+    (CanonicalImages, "first_top_e"): "I",
+    (CanonicalImages, "second"): "II",
 }
 # a field annotated with a union, or with a base class, holds one of these
 _TAGS = {
@@ -116,12 +122,9 @@ _ENCODE_ONLY = {
                           lambda record: record.in_component_without_canonical_models),
 }
 # written in place of None
-_NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE}
+_NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE, (ComponentInfo, "images"): {}}
 # an integer number of thirds, such as 3*K^2, travels as the fraction it stands for
 _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
-# written as these public attributes instead of the stored fields, and
-# decoded by passing them to the constructor as keywords
-_VIEWS = {DivisorClass: (("surface", SurfaceModel), ("coeffs", tuple[int, ...]))}
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +169,13 @@ _PAYLOADS = {kind: _shape(cls) for kind, cls in (
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """((attribute, key, shape), ...), tag and encode-only key of a dataclass."""
-    view = _VIEWS.get(cls)
-    if view is None:
-        hints = typing.get_type_hints(cls)
-        view = tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+    """((field, key, shape), ...), tag and encode-only key of a dataclass."""
+    hints = typing.get_type_hints(cls)
     fields = tuple(
-        (name, _RENAMED.get((cls, name), name),
-         _THIRDS if (cls, name) in _IN_THIRDS else _shape(hint, _NONE_AS.get((cls, name))))
-        for name, hint in view)
+        (f.name, _RENAMED.get((cls, f.name), f.name),
+         _THIRDS if (cls, f.name) in _IN_THIRDS
+         else _shape(hints[f.name], _NONE_AS.get((cls, f.name))))
+        for f in dataclasses.fields(cls))
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
 
@@ -193,7 +194,8 @@ def _encode(value, shape: tuple):
             data[extra[0]] = extra[1](value)
         return data
     if kind == "optional":
-        return shape[2] if value is None else _encode(value, shape[1])
+        # a copy, so that no caller can change the table's value
+        return copy.copy(shape[2]) if value is None else _encode(value, shape[1])
     if kind == "tuple":
         if shape[1] is _INT:
             return [v if v in _INT64 else str(v) for v in value]
@@ -256,6 +258,39 @@ def _decode(data, shape: tuple):
     return Fraction(data)
 
 
+# ---------------------------------------------------------------------------
+# schema /1: the same payloads, except that a class carried its dense
+# coefficient vector and component I its whole list of images
+
+_CLASS, _SURFACE = _shape(DivisorClass), _shape(SurfaceModel)
+
+
+def _from_v1(data):
+    """The /2 form of a parsed /1 payload."""
+    if type(data) is list:
+        return [_from_v1(v) for v in data]
+    if type(data) is not dict:
+        return data
+    if "coeffs" in data:
+        # only a divisor class has this key in /1
+        try:
+            surface = _decode(data["surface"], _SURFACE)
+            cls = surface.divisor(_decode(data["coeffs"], ("tuple", _INT)))
+        except KeyError as missing:
+            raise ValueError(f"missing key {missing} of a /1 class") from None
+        return _encode(cls, _CLASS)
+    upgraded = {key: _from_v1(value) for key, value in data.items()}
+    images = upgraded.get("canonical_images")
+    if type(images) is dict and "I" in images:
+        first = images["I"]
+        top = 2 * len(first) - 2 if type(first) is list else -1
+        if top < 0 or first != [f"F_{e}" for e in range(0, top + 1, 2)]:
+            raise ValueError(f"canonical_images: /1 images of component I must be "
+                             f"F_0, F_2, ..., F_2m, got {first!r:.80}")
+        upgraded["canonical_images"] = dict(images, I=top)
+    return upgraded
+
+
 @dataclass(frozen=True)
 class Report:
     """One command's inputs, payload, derivation trail and assumptions."""
@@ -288,7 +323,10 @@ class Report:
     @classmethod
     def from_jsonable(cls, data: dict) -> "Report":
         schema = data.get("schema") if type(data) is dict else None
-        if schema != SCHEMA:
+        if schema == _SCHEMA_V1:
+            data = {key: _from_v1(value) if key == "payload" else value
+                    for key, value in data.items()}
+        elif schema != SCHEMA:
             raise ValueError(f"unsupported report schema {schema!r}")
         try:
             kind, inputs = data["payload_kind"], data["inputs"]

@@ -5,13 +5,14 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import catalog, cli, verify
-from horikawa.lattice import DivisorClass, Hirzebruch
+from horikawa import catalog, cli, lattice, verify
+from horikawa.lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 EnumerationPayload, EnumerationRow, Report,
                                 VerificationPayload, _decode, _encode, _shape,
@@ -109,8 +110,8 @@ class TestBigIntegers:
         cls = ruled.divisor((2**70, -(2**90)))
         shape = _shape(DivisorClass)
         encoded = _encode(cls, shape)
-        assert isinstance(encoded["coeffs"][0], str)
-        assert isinstance(encoded["coeffs"][1], str)
+        assert isinstance(encoded["head"][0], str)
+        assert isinstance(encoded["head"][1], str)
         assert _decode(encoded, shape) == cls
 
     def test_small_integers_stay_numeric(self):
@@ -184,7 +185,7 @@ class TestStrictDecoding:
         # integers: an int or a decimal string, never a boolean or a float
         ("verification", ("payload", "chi_max"), True, "expected an integer"),
         ("component-I", ("payload", "recipe", "blow_up_count"), 12.0, "expected an integer"),
-        ("component-I", ("payload", "recipe", "branch", 0, "coeffs", 0), "x",
+        ("component-I", ("payload", "recipe", "branch", 0, "head", 0), "x",
          "invalid literal"),
         ("stable", ("payload", "record", "k_squared"), 1, "expected str"),
         ("stable", ("payload", "record", "k_squared"), "1/0", "k_squared"),
@@ -235,6 +236,163 @@ class TestStrictDecoding:
         data["payload"]["recipe"]["base_display"] = "anything"
         data["payload"]["recipe"]["branch"][0]["display"] = "anything"
         assert Report.from_jsonable(data) == _construction_report()
+
+
+def _first_branch_runs(data):
+    return data["payload"]["recipe"]["branch"][0]["runs"]
+
+
+def _split_first_run(data):
+    (value, length), *rest = _first_branch_runs(data)
+    data["payload"]["recipe"]["branch"][0]["runs"] = [[value, 1], [value, length - 1], *rest]
+
+
+def _set_first_run(value=None, length=None):
+    def edit(data):
+        run = _first_branch_runs(data)[0]
+        run[:] = [run[0] if value is None else value, run[1] if length is None else length]
+    return edit
+
+
+def _append_run(run):
+    return lambda data: _first_branch_runs(data).append(run)
+
+
+def _set_first_branch(key, value):
+    def edit(data):
+        data["payload"]["recipe"]["branch"][0][key] = value
+    return edit
+
+
+class TestStrictClassDecoding:
+    """A class travels as its stored fields, and the checked constructor reads them."""
+
+    @pytest.mark.parametrize("edit,match", [
+        (_split_first_run, "recipe: branch: adjacent runs share the value -1"),
+        (_append_run([5, 0]), "recipe: branch: run lengths must be positive, got 0"),
+        (_set_first_run(length=-1), "recipe: branch: run lengths must be positive, got -1"),
+        (_set_first_run(value=True), "recipe: branch: runs: expected an integer, got True"),
+        (_set_first_run(length=10.0), "recipe: branch: runs: expected an integer, got 10.0"),
+        (_append_run([5, 1, 1]), "recipe: branch: runs: expected 2 entries, got 3"),
+        (_append_run(5), "recipe: branch: runs: expected list, got 5"),
+        (_set_first_run(length=11), "recipe: branch: runs cover 11 exceptional classes, "
+                                    "expected 10"),
+        (_set_first_branch("runs", []), "recipe: branch: runs cover 0 exceptional classes"),
+        (_set_first_branch("head", [2]), "recipe: branch: expected 2 root coefficients, got 1"),
+        (_set_first_branch("head", [2, 4, -1]),
+         "recipe: branch: expected 2 root coefficients, got 3"),
+        (_set_first_branch("head", [2, False]), "recipe: branch: head: expected an integer"),
+    ], ids=["adjacent-equal", "zero-length", "negative-length", "bool-value", "float-length",
+            "triple", "not-a-list", "long-sum", "empty-runs", "short-head", "long-head",
+            "bool-head"])
+    def test_rejects_malformed_class(self, edit, match):
+        data = json.loads(_construction_report(chi=4).to_json())
+        assert _first_branch_runs(data) == [[-1, 10]]
+        edit(data)
+        with pytest.raises(ValueError, match=match):
+            Report.from_jsonable(data)
+
+    def test_constructor_checks_without_the_codec(self):
+        f1 = Hirzebruch(1)
+        blown = lattice.blow_up(lattice.blow_up(f1, 2), 3)
+        assert DivisorClass(blown, [1, 2], [[0, 2], [-1, 3]]) == blown.divisor((1, 2, 0, 0, -1, -1, -1))
+        for head, runs in [((1, 2), ((0, 2), (0, 3))), ((1, 2), ((0, 4),)), ((1,), ((0, 5),)),
+                           ((1, True), ((0, 5),)), ((1, 2), ((0, 5.0),)), ((1, 2), ((0,),))]:
+            with pytest.raises(ValueError):
+                DivisorClass(blown, head, runs)
+
+
+@st.composite
+def _towers_and_dense(draw):
+    surface = draw(st.sampled_from([ProjectivePlane(), Hirzebruch(0), Hirzebruch(3)]))
+    for _ in range(draw(st.integers(0, 3))):
+        surface = BlowUp(surface, draw(st.integers(1, 40)), draw(st.booleans()))
+    rank, split = lattice.picard_rank(surface), lattice.picard_rank(lattice._levels(surface)[0])
+    values = st.integers(-2, 2) | st.sampled_from([2**63, -(2**70)])
+    dense = list(draw(st.lists(st.integers(-5, 5) | values, min_size=split, max_size=split)))
+    while len(dense) < rank:
+        dense += [draw(values)] * draw(st.integers(1, 30))
+    return surface, tuple(dense[:rank])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_towers_and_dense())
+def test_class_round_trip_property(tower_and_dense):
+    surface, dense = tower_and_dense
+    cls = surface.divisor(dense)
+    shape = _shape(DivisorClass)
+    decoded = _decode(json.loads(json.dumps(_encode(cls, shape))), shape)
+    assert decoded == cls and hash(decoded) == hash(cls)
+    assert decoded.coeffs == cls.coeffs == dense
+
+
+GOLDEN = Path(__file__).parent / "golden"
+V1_FIXTURES = ["construct-stable-chi6.json", "construct-component-I-chi4.json",
+               "classify-on-line-two-classes.json", "verify-paper-6-2.json"]
+
+
+class TestSchemaOne:
+    """Reports of schema /1 are upgraded on the parsed data, then decoded as /2."""
+
+    @pytest.mark.parametrize("name", V1_FIXTURES)
+    def test_fixture_decodes_to_the_regenerated_report(self, name):
+        old = (GOLDEN / "v1" / name).read_text(encoding="utf-8")
+        new = (GOLDEN / name).read_text(encoding="utf-8")
+        assert json.loads(old)["schema"] == "horikawa-report/1"
+        assert json.loads(new)["schema"] == "horikawa-report/2"
+        assert Report.from_json(old) == Report.from_json(new)
+        assert Report.from_json(old).to_json() == new
+
+    @pytest.mark.parametrize("schema", ["horikawa-report/3", "horikawa-report/0", None, 1])
+    def test_unknown_schema_rejected(self, schema):
+        data = json.loads((GOLDEN / "v1" / "verify-paper-6-2.json").read_text(encoding="utf-8"))
+        data["schema"] = schema
+        with pytest.raises(ValueError, match="unsupported report schema"):
+            Report.from_jsonable(data)
+
+    @pytest.mark.parametrize("images", [
+        ["F_0", "F_4"], ["F_2", "F_4"], ["F_0", "F_2", "F_3"], [], ["F_0", 2], "F_0", 4,
+        ["F_0", "F_2", "F_4", "F_4"], None])
+    def test_component_one_images_must_be_the_even_scrolls(self, images):
+        path = GOLDEN / "v1" / "classify-on-line-two-classes.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["payload"]["components"]["canonical_images"]["I"] = images
+        with pytest.raises(ValueError, match="images of component I must be F_0, F_2"):
+            Report.from_jsonable(data)
+
+    def test_dense_coefficients_are_checked(self):
+        path = GOLDEN / "v1" / "construct-component-I-chi4.json"
+        for coeffs, match in [([2, 4, -1], "expected 12 coefficients, got 3"),
+                              ([2, True] + [-1] * 10, "expected an integer, got True")]:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            data["payload"]["recipe"]["branch"][0]["coeffs"] = coeffs
+            with pytest.raises(ValueError, match=match):
+                Report.from_jsonable(data)
+
+
+def _json_report(*argv) -> bytes:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main([*argv, "--format", "json"]) == 0
+    return stdout.getvalue().encode("utf-8")
+
+
+class TestReportSize:
+    """Reports carry runs and an image bound, so their size does not grow with chi or K^2."""
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "component-I", "--chi", "100000"),
+        ("construct", "stable", "--chi", "100000"),
+        ("classify", "--k2", "99992", "--chi", "49999"),
+    ])
+    def test_largest_reports_stay_small(self, argv):
+        assert len(_json_report(*argv)) < 8 * 1024
+
+    @pytest.mark.parametrize("variant", ["component-I", "stable"])
+    def test_construct_size_is_flat_in_chi(self, variant):
+        small = _json_report("construct", variant, "--chi", "60")
+        large = _json_report("construct", variant, "--chi", "100000")
+        assert abs(len(large) - len(small)) <= 200
 
 
 _optional_int = st.none() | st.integers()
