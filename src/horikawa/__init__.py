@@ -9,8 +9,8 @@ integer feasibility certificates backing the ampleness and nefness
 claims of those constructions.
 """
 
-from .catalog import (AdmissiblePair, AmplenessCertificate, ComponentInfo,
-                      ConstructionRecipe, NefCertificate, StableConstruction,
+from .catalog import (AdmissiblePair, AmplenessCertificate, CanonicalImages,
+                      ComponentInfo, ConstructionRecipe, NefCertificate, StableConstruction,
                       admissible, ampleness_certificate, build_component_one,
                       build_component_two, build_stable, classify,
                       component_two_scroll_curve, epsilon_family, nef_certificate,
@@ -33,6 +33,7 @@ __all__ = [
     "AmplenessCertificate",
     "BlowUp",
     "CanonicalImageInfo",
+    "CanonicalImages",
     "CanonicalMultiple",
     "ComponentInfo",
     "ConstructionRecipe",

@@ -19,6 +19,8 @@ from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 render_text)
 from horikawa.stable import StableSurfaceRecord
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def _construction_report(variant="component-I", chi=9):
     recipe = catalog.build_component_one(chi)
@@ -295,11 +297,24 @@ class TestStrictClassDecoding:
     def test_constructor_checks_without_the_codec(self):
         f1 = Hirzebruch(1)
         blown = lattice.blow_up(lattice.blow_up(f1, 2), 3)
-        assert DivisorClass(blown, [1, 2], [[0, 2], [-1, 3]]) == blown.divisor((1, 2, 0, 0, -1, -1, -1))
+        dense = blown.divisor((1, 2, 0, 0, -1, -1, -1))
+        assert DivisorClass(blown, [1, 2], [[0, 2], [-1, 3]]) == dense
         for head, runs in [((1, 2), ((0, 2), (0, 3))), ((1, 2), ((0, 4),)), ((1,), ((0, 5),)),
                            ((1, True), ((0, 5),)), ((1, 2), ((0, 5.0),)), ((1, 2), ((0,),))]:
             with pytest.raises(ValueError):
                 DivisorClass(blown, head, runs)
+
+
+@pytest.mark.parametrize("top,match", [
+    (5, "components: canonical_images: the first component's largest e must be a nonnegative "
+        "even integer, got 5"),
+    (-2, "got -2"), (True, "I: expected an integer"), ([0, 2], "I: expected an integer")])
+def test_component_one_image_bound_is_checked(top, match):
+    data = json.loads((GOLDEN / "classify-on-line-two-classes.json").read_text(encoding="utf-8"))
+    assert data["payload"]["components"]["canonical_images"]["I"] == 4
+    data["payload"]["components"]["canonical_images"]["I"] = top
+    with pytest.raises(ValueError, match=match):
+        Report.from_jsonable(data)
 
 
 @st.composite
@@ -326,7 +341,6 @@ def test_class_round_trip_property(tower_and_dense):
     assert decoded.coeffs == cls.coeffs == dense
 
 
-GOLDEN = Path(__file__).parent / "golden"
 V1_FIXTURES = ["construct-stable-chi6.json", "construct-component-I-chi4.json",
                "classify-on-line-two-classes.json", "verify-paper-6-2.json"]
 
