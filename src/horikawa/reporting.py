@@ -399,9 +399,9 @@ def render_text(report: Report) -> str:
         lines.append(payload.explanation)
         if payload.info is not None:
             lines.append(f"components: {payload.info.count}")
+            images = payload.info.canonical_images
             for label in payload.info.labels:
-                images = ", ".join(payload.info.canonical_images[label])
-                lines.append(f"  {label}: canonical images {images}")
+                lines.append(f"  {label}: canonical images {', '.join(images[label])}")
     elif report.payload_kind == "construction":
         recipe = payload.recipe
         lines.append(f"variant: {payload.variant}")
