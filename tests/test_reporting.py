@@ -249,10 +249,9 @@ def _split_first_run(data):
     data["payload"]["recipe"]["branch"][0]["runs"] = [[value, 1], [value, length - 1], *rest]
 
 
-def _set_first_run(value=None, length=None):
+def _set_in_first_run(index, value):
     def edit(data):
-        run = _first_branch_runs(data)[0]
-        run[:] = [run[0] if value is None else value, run[1] if length is None else length]
+        _first_branch_runs(data)[0][index] = value
     return edit
 
 
@@ -272,12 +271,12 @@ class TestStrictClassDecoding:
     @pytest.mark.parametrize("edit,match", [
         (_split_first_run, "recipe: branch: adjacent runs share the value -1"),
         (_append_run([5, 0]), "recipe: branch: run lengths must be positive, got 0"),
-        (_set_first_run(length=-1), "recipe: branch: run lengths must be positive, got -1"),
-        (_set_first_run(value=True), "recipe: branch: runs: expected an integer, got True"),
-        (_set_first_run(length=10.0), "recipe: branch: runs: expected an integer, got 10.0"),
+        (_set_in_first_run(1, -1), "recipe: branch: run lengths must be positive, got -1"),
+        (_set_in_first_run(0, True), "recipe: branch: runs: expected an integer, got True"),
+        (_set_in_first_run(1, 10.0), "recipe: branch: runs: expected an integer, got 10.0"),
         (_append_run([5, 1, 1]), "recipe: branch: runs: expected 2 entries, got 3"),
         (_append_run(5), "recipe: branch: runs: expected list, got 5"),
-        (_set_first_run(length=11), "recipe: branch: runs cover 11 exceptional classes, "
+        (_set_in_first_run(1, 11), "recipe: branch: runs cover 11 exceptional classes, "
                                     "expected 10"),
         (_set_first_branch("runs", []), "recipe: branch: runs cover 0 exceptional classes"),
         (_set_first_branch("head", [2]), "recipe: branch: expected 2 root coefficients, got 1"),
