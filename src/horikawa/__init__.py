@@ -15,10 +15,10 @@ from .catalog import (AdmissiblePair, AmplenessCertificate, CanonicalImages,
                       build_component_two, build_stable, classify,
                       component_two_scroll_curve, epsilon_family, nef_certificate,
                       parity_discriminator, pick_parameters, scroll_family_curve)
-from .covers import (CanonicalImageInfo, CanonicalMultiple, CoverSpec,
-                     InvariantReport, ScrollCurve, canonical_image_info,
-                     classify_germ, derive_root, double_cover_invariants,
-                     invariance_check, scroll_class, triple_cover_invariants)
+from .covers import (CanonicalMultiple, CoverSpec, InvariantReport, ScrollCurve,
+                     canonical_sections, classify_germ, cyclic_shift_invariant,
+                     derive_root, double_cover_invariants, scroll_class,
+                     t1_scaling_invariant, triple_cover_invariants)
 from .lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                       SectionCount, SurfaceMismatchError, SurfaceModel, blow_up,
                       canonical_class, h0, picard_rank, pullback)
@@ -32,7 +32,6 @@ __all__ = [
     "AdmissiblePair",
     "AmplenessCertificate",
     "BlowUp",
-    "CanonicalImageInfo",
     "CanonicalImages",
     "CanonicalMultiple",
     "ComponentInfo",
@@ -57,17 +56,17 @@ __all__ = [
     "build_component_two",
     "build_stable",
     "canonical_class",
-    "canonical_image_info",
+    "canonical_sections",
     "classify",
     "classify_germ",
     "component_two_scroll_curve",
     "contract_minus3",
+    "cyclic_shift_invariant",
     "derive_root",
     "double_cover_invariants",
     "epsilon_family",
     "h0",
     "h0_2K",
-    "invariance_check",
     "nef_certificate",
     "parity_discriminator",
     "picard_rank",
@@ -77,5 +76,6 @@ __all__ = [
     "run_verification",
     "scroll_class",
     "scroll_family_curve",
+    "t1_scaling_invariant",
     "triple_cover_invariants",
 ]

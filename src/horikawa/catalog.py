@@ -336,8 +336,8 @@ def build_component_two(k: int) -> ConstructionRecipe:
         branch = plane.divisor((10,))
         spec = CoverSpec.double(plane, branch)
         report = covers.double_cover_invariants(spec)
-        image = covers.canonical_image_info(spec)
-        if not covers.invariance_check(P2_BRANCH_MONOMIALS, covers.PERMUTE_P2):
+        sections = covers.canonical_sections(spec)
+        if not covers.cyclic_shift_invariant(P2_BRANCH_MONOMIALS):
             raise CertificateError("plane branch curve lost its cyclic symmetry")
         if not lattice.ample(report.canonical_multiple.cls):
             raise CertificateError("adjoint class on the plane is not ample")
@@ -350,8 +350,8 @@ def build_component_two(k: int) -> ConstructionRecipe:
             blow_up_count=0,
             report=report,
             component_claim=COMPONENT_II,
-            canonical_image=lattice.surface_descriptor(image.image),
-            canonical_sections=image.sections,
+            canonical_image=lattice.surface_descriptor(plane),
+            canonical_sections=sections,
             notes=(NOTE_ORDER3_SYMMETRY,)
             + ("canonical system embeds the plane by conics",),
         )
@@ -361,9 +361,9 @@ def build_component_two(k: int) -> ConstructionRecipe:
     branch = ruled.negative_section() + curve_class
     spec = CoverSpec.double(ruled, branch)
     report = covers.double_cover_invariants(spec)
-    if not covers.invariance_check(curve, covers.SCALE_T1):
+    if not covers.t1_scaling_invariant(curve):
         raise CertificateError("scroll branch curve lost its order-3 symmetry")
-    image = covers.canonical_image_info(spec)
+    sections = covers.canonical_sections(spec)
     germ = None
     ledger = stable.EMPTY_LEDGER
     notes = [NOTE_ORDER3_SYMMETRY]
@@ -391,8 +391,8 @@ def build_component_two(k: int) -> ConstructionRecipe:
         blow_up_count=0,
         report=report,
         component_claim=COMPONENT_II,
-        canonical_image=lattice.surface_descriptor(image.image),
-        canonical_sections=image.sections,
+        canonical_image=lattice.surface_descriptor(ruled),
+        canonical_sections=sections,
         scroll_curve=curve,
         germ=germ,
         ledger=ledger,

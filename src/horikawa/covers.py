@@ -3,7 +3,7 @@
 A cover is described by its branch divisor classes together with the
 derived root class whose degree-th multiple is the weighted branch sum.
 This module computes the numerical invariants of such covers, canonical
-image data for double covers, and the scroll polynomial bookkeeping
+section counts of double covers, and the scroll polynomial bookkeeping
 (bidegrees, symmetry checks, germ classification) used to pin down the
 explicit branch curves.
 """
@@ -11,7 +11,6 @@ explicit branch curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lattice
 from .lattice import DivisorClass, SurfaceModel
@@ -142,7 +141,7 @@ class InvariantReport:
     a heuristic count is never reported as an invariant.
     """
 
-    k_squared: Fraction
+    k_squared: int
     chi: int
     p_g: int | None
     canonical_multiple: CanonicalMultiple
@@ -186,7 +185,7 @@ def double_cover_invariants(spec: CoverSpec) -> InvariantReport:
     p_g = None if sections is None else BASE_PG + sections
     warnings = (WARN_EMPTY_BRANCH,) if spec.branch_is_empty else ()
     return InvariantReport(
-        k_squared=Fraction(k_squared),
+        k_squared=k_squared,
         chi=chi,
         p_g=p_g,
         canonical_multiple=CanonicalMultiple(1, adjoint),
@@ -223,7 +222,7 @@ def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
     p_g = None if sections is None else BASE_PG + sections
     warnings = (WARN_EMPTY_BRANCH,) if spec.branch_is_empty else ()
     return InvariantReport(
-        k_squared=Fraction(square, 3),
+        k_squared=square // 3,
         chi=chi,
         p_g=p_g,
         canonical_multiple=CanonicalMultiple(3, tri_canonical),
@@ -232,22 +231,13 @@ def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalImageInfo:
-    """Where the canonical map of a double cover sends the surface."""
-
-    sections: int
-    system: DivisorClass
-    image: SurfaceModel
-    very_ample: bool
-
-
-def canonical_image_info(spec: CoverSpec) -> CanonicalImageInfo:
-    """Canonical image data of a double cover whose base has no canonical forms.
+def canonical_sections(spec: CoverSpec) -> int:
+    """h0 of the canonical class of a double cover whose base has no canonical forms.
 
     When h0 of the base canonical class vanishes, the canonical map of the
     cover factors through the base followed by the map given by the
-    adjoint system, so the canonical image is the image of the base.
+    adjoint system, so the canonical image is the image of the base and
+    the sections are those of the adjoint system.
     """
     if spec.degree != 2:
         raise BuildingDataError("canonical image data is computed for double covers")
@@ -262,16 +252,10 @@ def canonical_image_info(spec: CoverSpec) -> CanonicalImageInfo:
         raise BuildingDataError(
             "canonical image factorisation needs h0 of the base canonical class to vanish"
         )
-    system = k + spec.root
-    count = lattice.h0(spec.base, system)
+    count = lattice.h0(spec.base, k + spec.root)
     if not count.exact:
         raise BuildingDataError("cannot certify the canonical image from a virtual count")
-    return CanonicalImageInfo(
-        sections=count.value,
-        system=system,
-        image=spec.base,
-        very_ample=lattice.ample(system),
-    )
+    return count.value
 
 
 @dataclass(frozen=True)
@@ -318,32 +302,22 @@ def _scroll_monomial_class(e: int, monomial) -> tuple[int, int]:
     return (d1 + d2, e * d1 + c1 + c2)
 
 
-SCALE_T1 = "scale_t1_by_primitive_root"
-PERMUTE_P2 = "permute_P2_coordinates"
+def t1_scaling_invariant(curve: ScrollCurve) -> bool:
+    """Whether scaling t1 by a primitive cube root of unity carries the curve to itself.
 
-
-def invariance_check(obj, action: str) -> bool:
-    """Whether a monomial set is carried to itself, up to one global character.
-
-    ``scale_t1_by_primitive_root`` acts on a ScrollCurve by multiplying t1
-    with a primitive cube root of unity: invariance means all t1 exponents
-    agree modulo 3.  ``permute_P2_coordinates`` acts on a set of exponent
-    triples in three variables by cyclic shift: invariance means the set
-    is closed under the shift.
+    The monomial set is then multiplied by one global character, that is,
+    all t1 exponents agree modulo 3.
     """
-    if action == SCALE_T1:
-        if not isinstance(obj, ScrollCurve):
-            raise ValueError("the t1 scaling action applies to a ScrollCurve")
-        residues = {c1 % 3 for (c1, _c2, _d1, _d2) in obj.monomials}
-        return len(residues) <= 1
-    if action == PERMUTE_P2:
-        triples = frozenset(tuple(m) for m in obj)
-        for m in triples:
-            if len(m) != 3 or any(x < 0 for x in m):
-                raise ValueError(f"malformed exponent triple {m!r}")
-        shifted = frozenset((b, c, a) for (a, b, c) in triples)
-        return shifted == triples
-    raise ValueError(f"unknown action {action!r}")
+    return len({c1 % 3 for (c1, _c2, _d1, _d2) in curve.monomials}) <= 1
+
+
+def cyclic_shift_invariant(triples) -> bool:
+    """Whether a set of exponent triples in three variables is closed under cyclic shift."""
+    triples = frozenset(tuple(m) for m in triples)
+    for m in triples:
+        if len(m) != 3 or any(x < 0 for x in m):
+            raise ValueError(f"malformed exponent triple {m!r}")
+    return frozenset((b, c, a) for (a, b, c) in triples) == triples
 
 
 def classify_germ(m: int, p: int) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -67,7 +68,7 @@ REGISTRY: dict[str, Fault] = {
     "triple-cover-ksq-shift": Fault(
         "triple cover K^2 gains a unit",
         "covers.triple_cover_invariants",
-        "Fraction(square, 3)", "Fraction(square + 3, 3)"),
+        "square // 3,", "(square + 3) // 3,"),
     "triple-cover-chi-shift": Fault(
         "triple cover chi counts the base four times instead of three",
         "covers.triple_cover_invariants", "chi = 3 * BASE_CHI", "chi = 4 * BASE_CHI"),
@@ -96,7 +97,7 @@ REGISTRY: dict[str, Fault] = {
     "resolution-ksq-shift": Fault(
         "the contraction starts from one above the resolved K^2",
         "stable.resolve_node_bookkeeping",
-        "int(resolved.k_squared), count)", "int(resolved.k_squared) + 1, count)"),
+        "resolved.k_squared, count)", "resolved.k_squared + 1, count)"),
     # -- catalog --------------------------------------------------------
     "parameter-table-beta": Fault(
         "the parameter table inflates beta by 3 for chi divisible by 3",
@@ -123,9 +124,11 @@ def fault_names() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
 
 
-def _module_and_attribute(fault: Fault):
+def _function(fault: Fault):
+    """The target's own function object, seen through any ``functools.wraps`` wrapper."""
     module, attribute = fault.target.split(".")
-    return importlib.import_module(f"{__package__}.{module}"), attribute
+    module = importlib.import_module(f"{__package__}.{module}")
+    return inspect.unwrap(getattr(module, attribute))
 
 
 @functools.cache
@@ -136,11 +139,9 @@ def mutant(name: str):
     occurs exactly once in the target's source.
     """
     import __future__
-    import inspect
 
     fault = REGISTRY[name]
-    module, attribute = _module_and_attribute(fault)
-    original = inspect.unwrap(getattr(module, attribute))
+    original = _function(fault)
     source = inspect.getsource(original)
     count = source.count(fault.old)
     if count != 1:
@@ -152,19 +153,24 @@ def mutant(name: str):
     code = compile(padded, inspect.getsourcefile(original), "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     namespace: dict = {}
-    exec(code, vars(module), namespace)  # globals are the module's, the def lands here
+    exec(code, original.__globals__, namespace)  # globals are the module's, the def lands here
     return namespace[original.__name__]
 
 
 @contextmanager
 def injected(name: str):
-    """Temporarily install the named fault, restoring the original on exit."""
+    """Temporarily install the named fault, restoring the original code on exit.
+
+    The mutant's code replaces the target function's own code object, so
+    every reference to the function, a ``functools.wraps`` wrapper
+    included, runs the fault.
+    """
     if name not in REGISTRY:
         raise KeyError(f"unknown fault {name!r}; known faults: {', '.join(fault_names())}")
-    module, attribute = _module_and_attribute(REGISTRY[name])
-    original = getattr(module, attribute)
-    setattr(module, attribute, mutant(name))
+    function = _function(REGISTRY[name])
+    original = function.__code__
+    function.__code__ = mutant(name).__code__
     try:
         yield
     finally:
-        setattr(module, attribute, original)
+        function.__code__ = original

@@ -283,15 +283,12 @@ def picard_rank(surface: SurfaceModel) -> int:
 
 
 def basis_labels(surface: SurfaceModel) -> tuple[str, ...]:
+    """Names of the root surface's basis; the exceptional classes are E1, E2, ..."""
     if isinstance(surface, ProjectivePlane):
         return ("H",)
     if isinstance(surface, Hirzebruch):
         return ("D0", "F")
-    if isinstance(surface, BlowUp):
-        below = basis_labels(surface.base)
-        start = sum(1 for lab in below if lab.startswith("E")) + 1
-        return below + tuple(f"E{start + i}" for i in range(surface.point_count))
-    raise TypeError(f"unsupported surface {surface!r}")
+    raise TypeError(f"unsupported root surface {surface!r}")
 
 
 def surface_descriptor(surface: SurfaceModel) -> str:
@@ -366,7 +363,7 @@ def pullback(surface: BlowUp, d: DivisorClass) -> DivisorClass:
 
 @dataclass(frozen=True)
 class SectionCount:
-    """A global section count together with its reliability tag.
+    """A global section count and whether it is exact.
 
     ``exact`` counts are true dimensions.  Virtual counts are expected
     dimensions clamped at zero: lower bound heuristics that are only
@@ -375,10 +372,6 @@ class SectionCount:
 
     value: int
     exact: bool
-
-    @property
-    def tag(self) -> str:
-        return "exact" if self.exact else "virtual"
 
 
 def h0(surface: SurfaceModel, d: DivisorClass) -> SectionCount:

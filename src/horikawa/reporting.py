@@ -9,8 +9,9 @@ consumer silently truncates them.
 One codec, driven by the dataclass fields and their annotations, covers
 every payload; the "wire format" tables list where the JSON differs.
 Decoding is strict: a missing key, a wrong JSON type or an unknown tag
-raises ValueError.  Reports of the older schema /1 are read through one
-upgrade step on the parsed data.
+raises ValueError.  Reports of schema /2 decode as they are, since /3
+only writes the smooth K^2 as a number where /2 wrote a decimal string;
+reports of schema /1 are read through one upgrade step on the parsed data.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceM
 from .stable import StableSurfaceRecord
 from .verify import CheckResult, VerificationOutcome
 
-SCHEMA = "horikawa-report/2"
-_SCHEMA_V1 = "horikawa-report/1"
+SCHEMA = "horikawa-report/3"
+_SCHEMA_V2, _SCHEMA_V1 = "horikawa-report/2", "horikawa-report/1"
 P_G_UNAVAILABLE = "unavailable(virtual)"
 
 _INT64 = range(-(2**63), 2**63)
@@ -133,9 +134,9 @@ _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 # ("object", tag_key, {tag: cls}); a dataclass that needs no tag has key None
 
 _INT, _STR, _THIRDS = ("int",), ("str",), ("thirds",)
-_SCALARS = {int: _INT, bool: ("bool",), str: _STR, Fraction: ("fraction",)}
+_SCALARS = {int: _INT, bool: ("bool",), str: _STR}
 # the JSON type each kind other than "int" and "optional" decodes from
-_JSON_TYPES = {"bool": bool, "str": str, "fraction": str, "thirds": str, "dict": dict,
+_JSON_TYPES = {"bool": bool, "str": str, "thirds": str, "dict": dict,
                "object": dict, "tuple": list, "fixed": list, "frozenset": list}
 
 
@@ -206,9 +207,7 @@ def _encode(value, shape: tuple):
         return [_encode(v, shape[1]) for v in sorted(value)]
     if kind == "dict":
         return {_encode(k, shape[1]): _encode(v, shape[2]) for k, v in value.items()}
-    if kind == "thirds":
-        return str(Fraction(value, 3))
-    return str(value)  # fraction
+    return str(Fraction(value, 3))  # thirds
 
 
 def _decode(data, shape: tuple):
@@ -251,11 +250,9 @@ def _decode(data, shape: tuple):
         return frozenset([_decode(v, shape[1]) for v in data])
     if kind == "dict":
         return {_decode(k, shape[1]): _decode(v, shape[2]) for k, v in data.items()}
-    if kind == "thirds":
-        # a value off the thirds stays a Fraction, for the constructor to refuse
-        thirds = 3 * Fraction(data)
-        return thirds.numerator if thirds.denominator == 1 else thirds
-    return Fraction(data)
+    # thirds: a value off the thirds stays a Fraction, for the constructor to refuse
+    thirds = 3 * Fraction(data)
+    return thirds.numerator if thirds.denominator == 1 else thirds
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +263,7 @@ _CLASS, _SURFACE = _shape(DivisorClass), _shape(SurfaceModel)
 
 
 def _from_v1(data):
-    """The /2 form of a parsed /1 payload."""
+    """The current form of a parsed /1 payload."""
     if type(data) is list:
         return [_from_v1(v) for v in data]
     if type(data) is not dict:
@@ -326,7 +323,7 @@ class Report:
         if schema == _SCHEMA_V1:
             data = {key: _from_v1(value) if key == "payload" else value
                     for key, value in data.items()}
-        elif schema != SCHEMA:
+        elif schema not in (SCHEMA, _SCHEMA_V2):
             raise ValueError(f"unsupported report schema {schema!r}")
         try:
             kind, inputs = data["payload_kind"], data["inputs"]

@@ -138,7 +138,7 @@ def resolve_node_bookkeeping(spec: CoverSpec) -> NodeResolution:
     if count == 0:
         resolved = covers.triple_cover_invariants(spec)
         unresolved = StableSurfaceRecord(
-            k_squared_thirds=3 * int(resolved.k_squared),
+            k_squared_thirds=3 * resolved.k_squared,
             chi=resolved.chi,
             ledger=EMPTY_LEDGER,
             smoothable=True,
@@ -155,7 +155,5 @@ def resolve_node_bookkeeping(spec: CoverSpec) -> NodeResolution:
         lattice.pullback(resolved_base, d2) - new_exceptional,
     )
     resolved = covers.triple_cover_invariants(resolved_spec)
-    if resolved.k_squared.denominator != 1:
-        raise LedgerError("resolved cover has non-integral K^2")
-    unresolved = contract_minus3(resolved.chi, int(resolved.k_squared), count)
+    unresolved = contract_minus3(resolved.chi, resolved.k_squared, count)
     return NodeResolution(resolved, unresolved)

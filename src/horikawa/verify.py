@@ -224,7 +224,7 @@ def _check_component_two_invariants(chi_max, k_max, builds):
                 f"bicanonical class wrong at k = {k}")
         _expect(covers.scroll_class(recipe.scroll_curve) == ruled.divisor((5, 10 * k + 10)),
                 f"branch curve class wrong at k = {k}")
-        _expect(covers.invariance_check(recipe.scroll_curve, covers.SCALE_T1),
+        _expect(covers.t1_scaling_invariant(recipe.scroll_curve),
                 f"branch curve not symmetric at k = {k}")
         if k % 3 == 1:
             _expect(recipe.germ == "A_4", f"germ {recipe.germ} at k = {k}")
@@ -237,7 +237,7 @@ def _check_scroll_symmetry_residues(chi_max, k_max, builds):
         for residue in (0, 1, 2):
             curve = catalog.scroll_family_curve(residue, k)
             expected = residue == k % 3
-            got = covers.invariance_check(curve, covers.SCALE_T1)
+            got = covers.t1_scaling_invariant(curve)
             _expect(got == expected,
                     f"symmetry check gave {got} for the residue {residue} family at k = {k}")
 
@@ -252,15 +252,15 @@ def _check_classification(chi_max, k_max, builds):
         if expected == 2:
             quarter = k_squared // 4
             if k_squared > 8:
-                _expect(info.canonical_images["II"] == (f"F_{quarter + 2}",),
+                _expect(info.images.second == (f"F_{quarter + 2}",),
                         f"second component image wrong at chi = {chi}")
             else:
-                _expect(info.canonical_images["II"] == (catalog.P2_IMAGE, catalog.CONE_IMAGE),
+                _expect(info.images.second == (catalog.P2_IMAGE, catalog.CONE_IMAGE),
                         "second component images wrong at K^2 = 8")
     for k in range(1, k_max + 1):
         recipe = catalog.build_component_two(k)
         info = catalog.classify(8 * k, 4 * k + 3)
-        _expect(recipe.canonical_image in info.canonical_images["II"],
+        _expect(recipe.canonical_image in info.images.second,
                 f"constructed canonical image not among the classified ones at k = {k}")
 
 

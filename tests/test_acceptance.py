@@ -58,7 +58,7 @@ def test_criterion_2_component_two_suite():
             assert bicanonical == ruled.divisor((2, 6 * k + 2))
             assert covers.scroll_class(recipe.scroll_curve) == ruled.divisor(
                 (5, 10 * k + 10))
-            assert covers.invariance_check(recipe.scroll_curve, covers.SCALE_T1)
+            assert covers.t1_scaling_invariant(recipe.scroll_curve)
             if k % 3 == 1:
                 assert recipe.germ == "A_4"
 

@@ -166,7 +166,7 @@ class TestComponentTwo:
         ruled = Hirzebruch(2 * k + 2)
         assert 2 * recipe.report.canonical_multiple.cls == ruled.divisor((2, 6 * k + 2))
         assert covers.scroll_class(recipe.scroll_curve) == ruled.divisor((5, 10 * k + 10))
-        assert covers.invariance_check(recipe.scroll_curve, covers.SCALE_T1)
+        assert covers.t1_scaling_invariant(recipe.scroll_curve)
         assert recipe.canonical_image == f"F_{2 * k + 2}"
         assert recipe.canonical_image in classify(8 * k, 4 * k + 3).canonical_images["II"]
         if k % 3 == 1:
@@ -198,13 +198,22 @@ class TestScrollFamilies:
     @pytest.mark.parametrize("k", range(2, 51))
     def test_matched_residue_is_invariant(self, k):
         curve = scroll_family_curve(k % 3, k)
-        assert covers.invariance_check(curve, covers.SCALE_T1)
+        assert covers.t1_scaling_invariant(curve)
 
     @pytest.mark.parametrize("k", range(2, 20))
     def test_mismatched_residues_are_not(self, k):
         for residue in range(3):
             curve = scroll_family_curve(residue, k)
-            assert covers.invariance_check(curve, covers.SCALE_T1) == (residue == k % 3)
+            assert covers.t1_scaling_invariant(curve) == (residue == k % 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_component_one(9), lambda: build_component_two(1),
+    lambda: build_component_two(2), lambda: build_stable(6).recipe,
+], ids=["component-I", "component-II-k1", "component-II-k2", "stable-recipe"])
+def test_smooth_k_squared_is_an_int(build):
+    # smooth covers have integral K^2; only a stable record's K^2 lies in thirds
+    assert type(build().report.k_squared) is int
 
 
 class TestStableConstruction:

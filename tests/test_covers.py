@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from horikawa import covers, lattice
 from horikawa.covers import (BuildingDataError, CoverSpec, ScrollCurve,
-                             canonical_image_info, classify_germ, derive_root,
-                             double_cover_invariants, invariance_check,
-                             scroll_class, triple_cover_invariants)
+                             canonical_sections, classify_germ,
+                             cyclic_shift_invariant, derive_root,
+                             double_cover_invariants, scroll_class,
+                             t1_scaling_invariant, triple_cover_invariants)
 from horikawa.lattice import Hirzebruch, ProjectivePlane
 
 P2 = ProjectivePlane()
@@ -143,7 +144,7 @@ class TestTripleCoverInvariants:
         cls = report.canonical_multiple.cls
         assert report.canonical_multiple.multiple == 3
         assert 3 * report.k_squared == cls.dot(cls)
-        assert report.k_squared.denominator == 1
+        assert type(report.k_squared) is int
 
     def test_non_integral_k_squared_rejected(self):
         # divisible branch data whose tri-canonical square is not 0 mod 3
@@ -153,38 +154,49 @@ class TestTripleCoverInvariants:
             triple_cover_invariants(spec)
 
 
+def _adjoint(spec):
+    return lattice.canonical_class(spec.base) + spec.root
+
+
 class TestCanonicalImage:
     def test_plane_image(self):
-        info = canonical_image_info(CoverSpec.double(P2, P2.divisor((10,))))
-        assert info.sections == 6
-        assert info.system == P2.divisor((2,))
-        assert info.image == P2
-        assert info.very_ample
+        spec = CoverSpec.double(P2, P2.divisor((10,)))
+        assert canonical_sections(spec) == 6
+        assert _adjoint(spec) == P2.divisor((2,))
+        assert lattice.ample(_adjoint(spec))
 
     def test_scroll_image_very_ample(self):
         f6 = Hirzebruch(6)
-        info = canonical_image_info(CoverSpec.double(f6, f6.divisor((6, 30))))
-        assert info.system == f6.divisor((1, 7))
-        assert info.very_ample
-        assert info.sections == 10
+        spec = CoverSpec.double(f6, f6.divisor((6, 30)))
+        assert _adjoint(spec) == f6.divisor((1, 7))
+        assert lattice.ample(_adjoint(spec))
+        assert canonical_sections(spec) == 10
 
     def test_scroll_image_at_the_ample_boundary(self):
         # the adjoint class D0 + 6F on F_6 has b == a*e: nef, not ample
         f6 = Hirzebruch(6)
-        info = canonical_image_info(CoverSpec.double(f6, f6.divisor((6, 28))))
-        assert info.system == f6.divisor((1, 6))
-        assert not info.very_ample
+        spec = CoverSpec.double(f6, f6.divisor((6, 28)))
+        assert _adjoint(spec) == f6.divisor((1, 6))
+        assert not lattice.ample(_adjoint(spec))
+        assert canonical_sections(spec) == 8
 
     def test_degenerate_empty_system(self):
         f0 = Hirzebruch(0)
-        info = canonical_image_info(CoverSpec.double(f0, f0.zero()))
-        assert info.sections == 0
-        assert not info.very_ample
+        spec = CoverSpec.double(f0, f0.zero())
+        assert canonical_sections(spec) == 0
+        assert not lattice.ample(_adjoint(spec))
 
     def test_requires_double_cover(self):
         f0 = Hirzebruch(0)
         with pytest.raises(BuildingDataError):
-            canonical_image_info(CoverSpec.triple(f0, f0.zero(), f0.zero()))
+            canonical_sections(CoverSpec.triple(f0, f0.zero(), f0.zero()))
+
+    def test_blown_up_base_rejected(self):
+        # K of a blow-up has exceptional coefficients +1, outside the section counting
+        blown = lattice.blow_up(P2, 2)
+        branch = lattice.pullback(blown, P2.divisor((10,))) - 2 * blown.exceptional_sum()
+        with pytest.raises(BuildingDataError, match="h0 of the base canonical class"):
+            canonical_sections(CoverSpec.double(blown, branch))
 
 
 class TestScrollCurves:
@@ -219,7 +231,7 @@ class TestInvariance:
             monomials=frozenset({(0, 0, 5, 0), (10 * k + 9, 1, 0, 5),
                                  (0, 10 * k + 10, 0, 5)}),
         )
-        assert invariance_check(curve, covers.SCALE_T1)
+        assert t1_scaling_invariant(curve)
 
     def test_mismatched_residue_scaling(self):
         k = 4  # k = 1 mod 3, but the middle monomial belongs to the 0 family
@@ -228,20 +240,20 @@ class TestInvariance:
             monomials=frozenset({(0, 0, 5, 0), (10 * k + 9, 1, 0, 5),
                                  (0, 10 * k + 10, 0, 5)}),
         )
-        assert not invariance_check(curve, covers.SCALE_T1)
+        assert not t1_scaling_invariant(curve)
 
     def test_plane_cyclic_shift(self):
-        assert invariance_check({(10, 0, 0), (0, 10, 0), (0, 0, 10)}, covers.PERMUTE_P2)
-        assert not invariance_check({(10, 0, 0), (0, 10, 0)}, covers.PERMUTE_P2)
+        assert cyclic_shift_invariant({(10, 0, 0), (0, 10, 0), (0, 0, 10)})
+        assert not cyclic_shift_invariant({(10, 0, 0), (0, 10, 0)})
+
+    @pytest.mark.parametrize("triples", [{(1, 2)}, {(1, 2, 3, 4)}, {(1, -1, 0)}])
+    def test_malformed_triple_rejected(self, triples):
+        with pytest.raises(ValueError, match="malformed exponent triple"):
+            cyclic_shift_invariant(triples)
 
     def test_single_monomial_without_t1(self):
         curve = ScrollCurve(e=4, monomials=frozenset({(0, 0, 1, 0)}))
-        assert invariance_check(curve, covers.SCALE_T1)
-
-    def test_unknown_action(self):
-        curve = ScrollCurve(e=1, monomials=frozenset({(0, 0, 1, 0)}))
-        with pytest.raises(ValueError, match="unknown action"):
-            invariance_check(curve, "reflect")
+        assert t1_scaling_invariant(curve)
 
 
 class TestGermClassifier:

@@ -206,6 +206,11 @@ class TestStrictDecoding:
         ("component-I", ("payload", "recipe", "branch"), {}, "expected list"),
         ("verification", ("payload",), [], "expected dict"),
         ("verification", ("payload_kind",), "mystery", "unknown payload kind"),
+        # the smooth K^2 is an integer, as a number or a decimal string
+        ("component-I", ("payload", "recipe", "report", "k_squared"), "12/1",
+         "report: k_squared: invalid literal"),
+        ("component-I", ("payload", "recipe", "report", "k_squared"), 12.0,
+         "expected an integer"),
     ])
     def test_rejects_malformed_field(self, report, path, value, match):
         data = json.loads(_REPORTS[report]().to_json())
@@ -345,18 +350,18 @@ V1_FIXTURES = ["construct-stable-chi6.json", "construct-component-I-chi4.json",
 
 
 class TestSchemaOne:
-    """Reports of schema /1 are upgraded on the parsed data, then decoded as /2."""
+    """Reports of schema /1 are upgraded on the parsed data, then decoded as /3."""
 
     @pytest.mark.parametrize("name", V1_FIXTURES)
     def test_fixture_decodes_to_the_regenerated_report(self, name):
         old = (GOLDEN / "v1" / name).read_text(encoding="utf-8")
         new = (GOLDEN / name).read_text(encoding="utf-8")
         assert json.loads(old)["schema"] == "horikawa-report/1"
-        assert json.loads(new)["schema"] == "horikawa-report/2"
+        assert json.loads(new)["schema"] == "horikawa-report/3"
         assert Report.from_json(old) == Report.from_json(new)
         assert Report.from_json(old).to_json() == new
 
-    @pytest.mark.parametrize("schema", ["horikawa-report/3", "horikawa-report/0", None, 1])
+    @pytest.mark.parametrize("schema", ["horikawa-report/4", "horikawa-report/0", None, 1])
     def test_unknown_schema_rejected(self, schema):
         data = json.loads((GOLDEN / "v1" / "verify-paper-6-2.json").read_text(encoding="utf-8"))
         data["schema"] = schema
@@ -381,6 +386,23 @@ class TestSchemaOne:
             data["payload"]["recipe"]["branch"][0]["coeffs"] = coeffs
             with pytest.raises(ValueError, match=match):
                 Report.from_jsonable(data)
+
+
+V2_FIXTURES = ["construct-stable-chi6.json", "construct-component-II-k2.json",
+               "verify-paper-6-2.json"]
+
+
+class TestSchemaTwo:
+    """Reports of schema /2 decode as they are: only the smooth K^2 was a decimal string."""
+
+    @pytest.mark.parametrize("name", V2_FIXTURES)
+    def test_fixture_decodes_to_the_regenerated_report(self, name):
+        old = (GOLDEN / "v2" / name).read_text(encoding="utf-8")
+        new = (GOLDEN / name).read_text(encoding="utf-8")
+        assert json.loads(old)["schema"] == "horikawa-report/2"
+        assert json.loads(new)["schema"] == "horikawa-report/3"
+        assert Report.from_json(old) == Report.from_json(new)
+        assert Report.from_json(old).to_json() == new
 
 
 def _json_report(*argv) -> bytes:

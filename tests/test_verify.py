@@ -173,19 +173,26 @@ class TestMutation:
     def test_every_target_restored_when_the_body_raises(self):
         for name in faults.fault_names():
             module, attribute = _target(faults.REGISTRY[name])
-            original = getattr(module, attribute)
+            function = getattr(module, attribute)
+            original = function.__code__
             with pytest.raises(RuntimeError):
                 with faults.injected(name):
-                    assert getattr(module, attribute) is faults.mutant(name)
+                    # the fault edits the function in place, the binding stays
+                    assert getattr(module, attribute) is function
+                    assert function.__code__ is faults.mutant(name).__code__
                     raise RuntimeError(name)
-            assert getattr(module, attribute) is original
+            assert getattr(module, attribute) is function
+            assert function.__code__ is original
 
     def test_wrapped_target_is_mutated(self, monkeypatch):
         # a functools.wraps wrapper, as span tracing installs, is seen through
+        # and keeps running: the calls made under the fault pass through it
         original = catalog.pick_parameters
+        calls = []
 
         @functools.wraps(original)
         def wrapper(chi):
+            calls.append(chi)
             return original(chi)
 
         monkeypatch.setattr(catalog, "pick_parameters", wrapper)
@@ -193,6 +200,8 @@ class TestMutation:
                             faults.REGISTRY["parameter-table-beta"])
         with faults.injected("wrapped-beta"):
             assert catalog.pick_parameters(6) == (1, 6, 6)
+            assert catalog.build_component_one(9).parameters == (1, 9, 6)
+        assert calls == [6, 9]
         assert faults.mutant("wrapped-beta").__code__.co_firstlineno == \
             original.__code__.co_firstlineno
         assert catalog.pick_parameters is wrapper
