@@ -193,6 +193,17 @@ class TestComponentTwo:
         with pytest.raises(ValueError):
             build_component_two(0)
 
+    @pytest.mark.parametrize("k,module,check,message", [
+        (1, covers, "cyclic_shift_invariant", "plane branch curve lost its cyclic symmetry"),
+        (2, covers, "t1_scaling_invariant", "scroll branch curve lost its order-3 symmetry"),
+        (1, lattice, "ample", "adjoint class on the plane is not ample"),
+        (2, lattice, "ample", "adjoint class on the scroll is not ample"),
+    ], ids=["plane-symmetry", "scroll-symmetry", "plane-ample", "scroll-ample"])
+    def test_refusals(self, k, module, check, message, monkeypatch):
+        monkeypatch.setattr(module, check, lambda *_args: False)
+        with pytest.raises(CertificateError, match=f"^{message}$"):
+            build_component_two(k)
+
 
 class TestScrollFamilies:
     @pytest.mark.parametrize("k", range(2, 51))
@@ -280,6 +291,11 @@ class TestAmplenessCertificate:
         assert certificate.witness_virtual_count == e + 1
         assert certificate.witness_tight == (e == 0)
 
+    def test_empty_blow_up_refused(self):
+        # 2*1 - 3 leaves no point to blow up
+        with pytest.raises(CertificateError):
+            ampleness_certificate(0, 1, 0)
+
 
 class TestNefCertificate:
     @pytest.mark.parametrize("chi", range(4, 40))
@@ -301,6 +317,10 @@ class TestNefCertificate:
         certificate = nef_certificate(1, 2, 2)
         assert certificate.verdict == covers.MINIMALITY_ASSERTED
         assert certificate.gap
+
+    def test_empty_blow_up_refused(self):
+        with pytest.raises(CertificateError):
+            nef_certificate(0, 0, 0)
 
 
 class TestEpsilonFamily:
