@@ -215,19 +215,25 @@ class ConstructionRecipe:
     notes: tuple[str, ...] = ()
 
 
-def _blown_scroll(e: int, points: int, general_position: bool):
-    """Blow up F_e at ``points`` points.
+def _blown_scroll(e: int, alpha: int, beta: int, retained: int, general_position: bool):
+    """Blow up F_e at the branch intersection points, all but ``retained`` of them.
 
-    Returns the blow-up, the pullback of a*D0 + b*F as a function of (a, b)
-    and the exceptional sum; each branch curve is pull(2, x) - exceptional.
+    Branch curves of fiber degrees alpha and beta meet in
+    2alpha + 2beta - 4e points.  Returns the blow-up, the pullback of
+    a*D0 + b*F as a function of (a, b), the exceptional sum and the two
+    branch transforms pull(2, alpha) - exceptional and pull(2, beta) - exceptional.
     """
+    points = 2 * alpha + 2 * beta - 4 * e - retained
+    if points < 1:
+        raise CertificateError("parameter triple leaves no points to blow up")
     ruled = Hirzebruch(e)
     blown = lattice.blow_up(ruled, points, general_position)
 
     def pull(a: int, b: int) -> DivisorClass:
         return lattice.pullback(blown, ruled.divisor((a, b)))
 
-    return blown, pull, blown.exceptional_sum()
+    exceptional = blown.exceptional_sum()
+    return blown, pull, exceptional, pull(2, alpha) - exceptional, pull(2, beta) - exceptional
 
 
 def build_component_one(chi: int, general_position: bool = True) -> ConstructionRecipe:
@@ -241,9 +247,7 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     if chi < 4:
         raise ValueError("the general type line K^2 = 2*chi - 6 needs chi >= 4")
     e, alpha, beta = pick_parameters(chi)
-    blown, pull, exceptional = _blown_scroll(e, 2 * alpha + 2 * beta - 4 * e, general_position)
-    d1 = pull(2, alpha) - exceptional
-    d2 = pull(2, beta) - exceptional
+    blown, _pull, _exceptional, d1, d2 = _blown_scroll(e, alpha, beta, 0, general_position)
     spec = CoverSpec.triple(blown, d1, d2)
     report = covers.triple_cover_invariants(spec)
     nef = nef_certificate(e, alpha, beta, general_position=general_position)
@@ -332,71 +336,47 @@ def build_component_two(k: int) -> ConstructionRecipe:
     if k < 1:
         raise ValueError("the second component exists for k >= 1")
     if k == 1:
-        plane = ProjectivePlane()
-        branch = plane.divisor((10,))
-        spec = CoverSpec.double(plane, branch)
-        report = covers.double_cover_invariants(spec)
-        sections = covers.canonical_sections(spec)
-        if not covers.cyclic_shift_invariant(P2_BRANCH_MONOMIALS):
-            raise CertificateError("plane branch curve lost its cyclic symmetry")
-        if not lattice.ample(report.canonical_multiple.cls):
-            raise CertificateError("adjoint class on the plane is not ample")
-        report = replace(report, minimal_or_ample=covers.AMPLE_CERTIFIED)
-        return ConstructionRecipe(
-            target=AdmissiblePair(8, 7),
-            k=1,
-            base=plane,
-            branch=(branch,),
-            blow_up_count=0,
-            report=report,
-            component_claim=COMPONENT_II,
-            canonical_image=lattice.surface_descriptor(plane),
-            canonical_sections=sections,
-            notes=(NOTE_ORDER3_SYMMETRY,)
-            + ("canonical system embeds the plane by conics",),
-        )
-    curve = component_two_scroll_curve(k)
-    curve_class = covers.scroll_class(curve)
-    ruled = Hirzebruch(2 * k + 2)
-    branch = ruled.negative_section() + curve_class
-    spec = CoverSpec.double(ruled, branch)
+        base, curve, place = ProjectivePlane(), None, "plane"
+        branch = base.divisor((10,))
+        symmetric, symmetry = covers.cyclic_shift_invariant(P2_BRANCH_MONOMIALS), "cyclic"
+        note = "canonical system embeds the plane by conics"
+    else:
+        base, curve, place = Hirzebruch(2 * k + 2), component_two_scroll_curve(k), "scroll"
+        branch = base.negative_section() + covers.scroll_class(curve)
+        symmetric, symmetry = covers.t1_scaling_invariant(curve), "order-3"
+        note = "branch curve smooth in this residue class (declared input)"
+    spec = CoverSpec.double(base, branch)
     report = covers.double_cover_invariants(spec)
-    if not covers.t1_scaling_invariant(curve):
-        raise CertificateError("scroll branch curve lost its order-3 symmetry")
+    if not symmetric:
+        raise CertificateError(f"{place} branch curve lost its {symmetry} symmetry")
     sections = covers.canonical_sections(spec)
     germ = None
     ledger = stable.EMPTY_LEDGER
-    notes = [NOTE_ORDER3_SYMMETRY]
-    if k % 3 == 1:
+    if k > 1 and k % 3 == 1:
         # Local form of the unique branch curve singularity on the chart
         # where the curve reads x1^5 + t2^2 + t2^(10k+10).
         germ = covers.classify_germ(10 * k + 10, 5)
         ledger = SingularityLedger(canonical_count=1)
-        notes.append(
-            f"branch curve carries one {germ} double point; the cover has at worst "
-            "one rational double point and all reported invariants are unchanged"
-        )
-    else:
-        notes.append("branch curve smooth in this residue class (declared input)")
+        note = (f"branch curve carries one {germ} double point; the cover has at worst "
+                "one rational double point and all reported invariants are unchanged")
     # K is the pullback of the adjoint class under a finite cover, so its
-    # ampleness follows from ampleness of the adjoint class on the scroll.
+    # ampleness follows from ampleness of the adjoint class on the base.
     if not lattice.ample(report.canonical_multiple.cls):
-        raise CertificateError("adjoint class on the scroll is not ample")
-    report = replace(report, minimal_or_ample=covers.AMPLE_CERTIFIED)
+        raise CertificateError(f"adjoint class on the {place} is not ample")
     return ConstructionRecipe(
         target=AdmissiblePair(8 * k, 4 * k + 3),
         k=k,
-        base=ruled,
+        base=base,
         branch=(branch,),
         blow_up_count=0,
-        report=report,
+        report=replace(report, minimal_or_ample=covers.AMPLE_CERTIFIED),
         component_claim=COMPONENT_II,
-        canonical_image=lattice.surface_descriptor(ruled),
+        canonical_image=lattice.surface_descriptor(base),
         canonical_sections=sections,
         scroll_curve=curve,
         germ=germ,
         ledger=ledger,
-        notes=tuple(notes),
+        notes=(NOTE_ORDER3_SYMMETRY, note),
     )
 
 
@@ -412,10 +392,7 @@ def ampleness_certificate(e: int, alpha: int, beta: int,
     except possibly the negative section (a, b) = (1, 0), which general
     position excludes.
     """
-    points = 2 * alpha + 2 * beta - 4 * e - 3
-    if points < 1:
-        raise CertificateError("parameter triple leaves no points to blow up")
-    blown, pull, exceptional = _blown_scroll(e, points, general_position)
+    blown, pull, exceptional, _d1, _d2 = _blown_scroll(e, alpha, beta, 3, general_position)
     divisor = pull(2, 2 * alpha + 2 * beta - 3 * e - 6) - exceptional
     square = divisor.dot(divisor)
     if square <= 0:
@@ -478,13 +455,8 @@ def nef_certificate(e: int, alpha: int, beta: int,
     whenever alpha + 2beta - 3e - 6 >= 0.  Any failing step downgrades the
     verdict to "asserted" with the gap recorded.
     """
-    points = 2 * alpha + 2 * beta - 4 * e
-    if points < 1:
-        raise CertificateError("parameter triple admits no blown-up points")
-    blown, pull, exceptional = _blown_scroll(e, points, general_position)
+    blown, pull, exceptional, d1, d2 = _blown_scroll(e, alpha, beta, 0, general_position)
     divisor = pull(2, 2 * alpha + 2 * beta - 3 * e - 6) - exceptional
-    d1 = pull(2, alpha) - exceptional
-    d2 = pull(2, beta) - exceptional
     first_exceptional = blown.exceptional(1)
     pairings = [
         ("exceptional curve", divisor.dot(first_exceptional)),
@@ -536,10 +508,7 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     if chi < 3:
         raise ValueError("the stable line K^2 = 2*chi - 5 needs chi >= 3")
     e, alpha, beta = pick_parameters(chi)
-    points = 2 * alpha + 2 * beta - 4 * e - 3
-    blown, pull, exceptional = _blown_scroll(e, points, general_position)
-    d1 = pull(2, alpha) - exceptional
-    d2 = pull(2, beta) - exceptional
+    blown, _pull, _exceptional, d1, d2 = _blown_scroll(e, alpha, beta, 3, general_position)
     spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
     resolution = stable.resolve_node_bookkeeping(spec)
     certificate = ampleness_certificate(e, alpha, beta, general_position=general_position)
@@ -550,7 +519,7 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
         parameters=(e, alpha, beta),
         base=blown,
         branch=(d1, d2),
-        blow_up_count=points,
+        blow_up_count=blown.point_count,
         report=resolution.resolved,
         component_claim=UNLABELED,
         certificates=(certificate,),

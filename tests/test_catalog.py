@@ -293,7 +293,7 @@ class TestAmplenessCertificate:
 
     def test_empty_blow_up_refused(self):
         # 2*1 - 3 leaves no point to blow up
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError, match="leaves no points to blow up"):
             ampleness_certificate(0, 1, 0)
 
 
@@ -319,7 +319,7 @@ class TestNefCertificate:
         assert certificate.gap
 
     def test_empty_blow_up_refused(self):
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError, match="leaves no points to blow up"):
             nef_certificate(0, 0, 0)
 
 
