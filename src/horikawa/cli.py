@@ -68,7 +68,6 @@ def run_classify(k2: int, chi: int) -> tuple[Report, int]:
     return Report(
         command="classify",
         inputs={},
-        payload_kind="classification",
         payload=payload,
         derivations=derivations,
     ), EXIT_OK if not failures else EXIT_VERIFICATION_FAILURE
@@ -140,7 +139,6 @@ def run_construct(variant: str, chi: int | None = None, k: int | None = None,
     return Report(
         command="construct",
         inputs={},
-        payload_kind="construction",
         payload=ConstructionPayload(variant=variant, recipe=recipe, record=record),
         derivations=derivations,
         assumptions=_BASE_ASSUMPTIONS,
@@ -178,7 +176,6 @@ def run_enumerate(chi: int, chi_max: int) -> tuple[Report, int]:
     return Report(
         command="enumerate",
         inputs={},
-        payload_kind="enumeration",
         payload=EnumerationPayload(rows=rows),
         derivations={
             "rows[].general_type_k_squared": "2*chi - 6 where admissible",
@@ -199,7 +196,6 @@ def run_verify(chi_max: int, k_max: int,
     return Report(
         command="verify-paper",
         inputs={},
-        payload_kind="verification",
         payload=VerificationPayload.from_outcome(outcome),
         derivations={
             "checks[]": "each check recomputes its expected values independently",

@@ -163,9 +163,9 @@ def _shape(hint, none_as=None) -> tuple:
     return ("object", _TAGS[tagged[0]][0], {_TAGS[cls][1]: cls for cls in tagged})
 
 
-_PAYLOADS = {kind: _shape(cls) for kind, cls in (
-    ("classification", ClassificationPayload), ("construction", ConstructionPayload),
-    ("enumeration", EnumerationPayload), ("verification", VerificationPayload))}
+_KINDS = {ClassificationPayload: "classification", ConstructionPayload: "construction",
+          EnumerationPayload: "enumeration", VerificationPayload: "verification"}
+_PAYLOADS = {kind: _shape(cls) for cls, kind in _KINDS.items()}
 
 
 @functools.cache
@@ -294,21 +294,27 @@ class Report:
 
     command: str
     inputs: dict
-    payload_kind: str
     payload: object
     derivations: dict = field(default_factory=dict)
     assumptions: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
+    @property
+    def payload_kind(self) -> str:
+        """The kind that names the payload's schema, read from the payload's type."""
+        if type(self.payload) not in _KINDS:
+            raise ValueError(f"unknown payload kind for payload type "
+                             f"{type(self.payload).__name__!r}")
+        return _KINDS[type(self.payload)]
+
     def to_jsonable(self) -> dict:
-        if self.payload_kind not in _PAYLOADS:
-            raise ValueError(f"unknown payload kind {self.payload_kind!r}")
+        kind = self.payload_kind
         return {
             "schema": SCHEMA,
             "command": self.command,
             "inputs": dict(self.inputs),
-            "payload_kind": self.payload_kind,
-            "payload": _encode(self.payload, _PAYLOADS[self.payload_kind]),
+            "payload_kind": kind,
+            "payload": _encode(self.payload, _PAYLOADS[kind]),
             "derivations": dict(self.derivations),
             "assumptions": list(self.assumptions),
             "notes": list(self.notes),
@@ -331,7 +337,7 @@ class Report:
                 raise ValueError(f"unknown payload kind {kind!r:.80}")
             if type(inputs) is not dict:
                 raise ValueError(f"inputs: expected an object, got {inputs!r:.80}")
-            return cls(inputs=dict(inputs), payload_kind=kind, **{
+            return cls(inputs=dict(inputs), **{
                 key: _decode(data[key], shape) for key, shape in (
                     ("command", _STR), ("payload", _PAYLOADS[kind]),
                     ("derivations", ("dict", _STR, _STR)), ("assumptions", ("tuple", _STR)),
@@ -347,39 +353,39 @@ class Report:
 # ---------------------------------------------------------------------------
 # text rendering
 
-def _render_invariants(report: InvariantReport, lines: list[str], indent: str = "  "):
-    lines.append(f"{indent}K^2 = {report.k_squared}")
-    lines.append(f"{indent}chi = {report.chi}")
+def _render_invariants(report: InvariantReport, lines: list[str]):
+    lines.append(f"  K^2 = {report.k_squared}")
+    lines.append(f"  chi = {report.chi}")
     p_g = P_G_UNAVAILABLE if report.p_g is None else report.p_g
-    lines.append(f"{indent}p_g = {p_g}")
+    lines.append(f"  p_g = {p_g}")
     cm = report.canonical_multiple
-    lines.append(f"{indent}{cm.multiple}K = pullback of {cm.cls}")
-    lines.append(f"{indent}minimality/ampleness: {report.minimal_or_ample}")
+    lines.append(f"  {cm.multiple}K = pullback of {cm.cls}")
+    lines.append(f"  minimality/ampleness: {report.minimal_or_ample}")
     for warning in report.warnings:
-        lines.append(f"{indent}warning: {warning}")
+        lines.append(f"  warning: {warning}")
 
 
-def _render_certificate(cert, lines: list[str], indent: str = "  "):
+def _render_certificate(cert, lines: list[str]):
     if isinstance(cert, AmplenessCertificate):
-        lines.append(f"{indent}ampleness certificate:")
-        lines.append(f"{indent}  divisor {cert.divisor}")
-        lines.append(f"{indent}  self-intersection {cert.self_intersection}")
-        lines.append(f"{indent}  feasibility: {cert.feasibility_verdict} "
+        lines.append("  ampleness certificate:")
+        lines.append(f"    divisor {cert.divisor}")
+        lines.append(f"    self-intersection {cert.self_intersection}")
+        lines.append(f"    feasibility: {cert.feasibility_verdict} "
                      f"(coefficient {cert.coefficient})")
-        lines.append(f"{indent}  witness {cert.witness_class} "
+        lines.append(f"    witness {cert.witness_class} "
                      f"(virtual count {cert.witness_virtual_count}"
                      f"{', tight' if cert.witness_tight else ''})")
         if cert.exceptional_witness is not None:
             a, b = cert.exceptional_witness
-            lines.append(f"{indent}  exceptional witness (a, b) = ({a}, {b}): "
+            lines.append(f"    exceptional witness (a, b) = ({a}, {b}): "
                          f"{cert.exceptional_reason}")
     elif isinstance(cert, NefCertificate):
-        lines.append(f"{indent}nefness certificate: {cert.verdict}")
+        lines.append(f"  nefness certificate: {cert.verdict}")
         for name, value in cert.pairings:
-            lines.append(f"{indent}  D . ({name}) = {value}")
-        lines.append(f"{indent}  closure coefficient {cert.closure_coefficient}")
+            lines.append(f"    D . ({name}) = {value}")
+        lines.append(f"    closure coefficient {cert.closure_coefficient}")
         if cert.gap:
-            lines.append(f"{indent}  gap: {cert.gap}")
+            lines.append(f"    gap: {cert.gap}")
 
 
 def render_text(report: Report) -> str:
@@ -388,8 +394,8 @@ def render_text(report: Report) -> str:
         rendered = ", ".join(f"{k} = {v}" for k, v in sorted(report.inputs.items()))
         lines.append(f"inputs: {rendered}")
     lines.append("-" * 60)
-    payload = report.payload
-    if report.payload_kind == "classification":
+    payload, kind = report.payload, report.payload_kind
+    if kind == "classification":
         lines.append(f"pair: K^2 = {payload.k_squared}, chi = {payload.chi}")
         lines.append(f"admissible: {'yes' if payload.admissible else 'no'}")
         lines.append(f"on the line K^2 = 2*chi - 6: {'yes' if payload.on_line else 'no'}")
@@ -399,7 +405,7 @@ def render_text(report: Report) -> str:
             images = payload.info.canonical_images
             for label in payload.info.labels:
                 lines.append(f"  {label}: canonical images {', '.join(images[label])}")
-    elif report.payload_kind == "construction":
+    elif kind == "construction":
         recipe = payload.recipe
         lines.append(f"variant: {payload.variant}")
         lines.append(f"target: K^2 = {recipe.target.k_squared}, chi = {recipe.target.chi}")
@@ -443,7 +449,7 @@ def render_text(report: Report) -> str:
                          f"{record.in_component_without_canonical_models}")
         for note in recipe.notes:
             lines.append(f"note: {note}")
-    elif report.payload_kind == "enumeration":
+    elif kind == "enumeration":
         lines.append(f"{'chi':>4} {'K^2':>5} {'comps':>5} {'K^2*':>5} {'sing*':>5}  "
                      "constructions")
         lines.append("(K^2, comps: line K^2 = 2chi-6; K^2*, sing*: line K^2 = 2chi-5)")
@@ -457,7 +463,7 @@ def render_text(report: Report) -> str:
             for note in row.notes:
                 lines.append(f"      note: {note}")
         lines.append(f"rows: {len(payload.rows)}")
-    elif report.payload_kind == "verification":
+    else:
         for check in payload.checks:
             status = "PASS" if check.passed else "FAIL"
             lines.append(f"check {check.name}: {status}")
@@ -473,8 +479,6 @@ def render_text(report: Report) -> str:
         if good != total:
             first = next(c for c in payload.checks if not c.passed)
             lines.append(f"first violated identity: {first.name} ({first.identity})")
-    else:
-        raise ValueError(f"unknown payload kind {report.payload_kind!r}")
     if report.assumptions:
         lines.append("assumptions:")
         for assumption in report.assumptions:

@@ -27,7 +27,6 @@ def _construction_report(variant="component-I", chi=9):
     return Report(
         command="construct",
         inputs={"variant": variant, "chi": chi, "format": "json"},
-        payload_kind="construction",
         payload=ConstructionPayload(variant=variant, recipe=recipe),
         derivations={"recipe.report.k_squared": "triple cover formula"},
         assumptions=("blown-up points in general position",),
@@ -44,7 +43,6 @@ class TestRoundTrip:
         report = Report(
             command="construct",
             inputs={"variant": "stable", "chi": 6, "format": "json"},
-            payload_kind="construction",
             payload=ConstructionPayload(variant="stable", recipe=recipe, record=record),
         )
         assert Report.from_json(report.to_json()) == report
@@ -54,7 +52,6 @@ class TestRoundTrip:
         report = Report(
             command="construct",
             inputs={"variant": "component-II", "k": 4, "format": "json"},
-            payload_kind="construction",
             payload=ConstructionPayload(variant="component-II", recipe=recipe),
         )
         assert Report.from_json(report.to_json()) == report
@@ -64,7 +61,6 @@ class TestRoundTrip:
         report = Report(
             command="classify",
             inputs={"k2": 16, "chi": 11, "format": "json"},
-            payload_kind="classification",
             payload=ClassificationPayload(16, 11, True, True, info, "two classes"),
         )
         assert Report.from_json(report.to_json()) == report
@@ -78,7 +74,6 @@ class TestRoundTrip:
         report = Report(
             command="enumerate",
             inputs={"chi": 3, "chi_max": 7, "format": "json"},
-            payload_kind="enumeration",
             payload=EnumerationPayload(rows=rows),
         )
         assert Report.from_json(report.to_json()) == report
@@ -88,7 +83,6 @@ class TestRoundTrip:
         report = Report(
             command="verify-paper",
             inputs={"chi_max": 6, "k_max": 2, "format": "json"},
-            payload_kind="verification",
             payload=VerificationPayload.from_outcome(outcome),
         )
         assert Report.from_json(report.to_json()) == report
@@ -100,7 +94,6 @@ class TestBigIntegers:
         report = Report(
             command="classify",
             inputs={"k2": 1, "chi": 1, "format": "json"},
-            payload_kind="classification",
             payload=ClassificationPayload(huge, 1, False, False, None, "test"),
         )
         data = json.loads(report.to_json())
@@ -152,7 +145,6 @@ class TestBigIntegers:
 def _verification_report():
     outcome = verify.run_verification(chi_max=6, k_max=2)
     return Report(command="verify-paper", inputs={"chi_max": 6, "k_max": 2},
-                  payload_kind="verification",
                   payload=VerificationPayload.from_outcome(outcome))
 
 
@@ -163,7 +155,7 @@ def _stable_payload(chi):
 
 def _stable_report():
     return Report(command="construct", inputs={"variant": "stable", "chi": 6},
-                  payload_kind="construction", payload=_stable_payload(6))
+                  payload=_stable_payload(6))
 
 
 _REPORTS = {"verification": _verification_report, "stable": _stable_report,
@@ -445,8 +437,6 @@ _PAYLOADS = st.one_of(
                        _strings, _optional_int, _optional_int, _strings),
              max_size=4).map(lambda rows: EnumerationPayload(tuple(rows))),
 )
-_KINDS = {ConstructionPayload: "construction", ClassificationPayload: "classification",
-          EnumerationPayload: "enumeration"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -456,8 +446,8 @@ _KINDS = {ConstructionPayload: "construction", ClassificationPayload: "classific
        derivations=st.dictionaries(st.text(max_size=8), st.text(max_size=8)),
        assumptions=_strings)
 def test_report_round_trip_property(payload, inputs, derivations, assumptions):
-    report = Report(command="construct", inputs=inputs, payload_kind=_KINDS[type(payload)],
-                    payload=payload, derivations=derivations, assumptions=assumptions)
+    report = Report(command="construct", inputs=inputs, payload=payload,
+                    derivations=derivations, assumptions=assumptions)
     text = report.to_json()
     assert Report.from_json(text) == report
     assert Report.from_json(text).to_json() == text
@@ -475,7 +465,6 @@ class TestTextRendering:
         report = Report(
             command="verify-paper",
             inputs={"chi_max": 6, "k_max": 2, "format": "text"},
-            payload_kind="verification",
             payload=VerificationPayload.from_outcome(outcome),
         )
         text = render_text(report)
@@ -484,7 +473,16 @@ class TestTextRendering:
         assert "summary:" in text
 
     def test_unknown_payload_kind_rejected(self):
-        report = Report(
-            command="x", inputs={}, payload_kind="mystery", payload=None)
+        report = Report(command="x", inputs={}, payload=None)
         with pytest.raises(ValueError, match="unknown payload kind"):
             report.to_jsonable()
+
+    def test_unknown_payload_type_named(self):
+        report = Report(command="x", inputs={}, payload=object())
+        for use in (Report.to_jsonable, render_text):
+            with pytest.raises(ValueError, match="payload type 'object'"):
+                use(report)
+
+
+def test_payload_kind_follows_the_payload_type():
+    assert _verification_report().payload_kind == "verification"
