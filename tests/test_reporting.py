@@ -474,13 +474,8 @@ class TestTextRendering:
 
     def test_unknown_payload_kind_rejected(self):
         report = Report(command="x", inputs={}, payload=None)
-        with pytest.raises(ValueError, match="unknown payload kind"):
-            report.to_jsonable()
-
-    def test_unknown_payload_type_named(self):
-        report = Report(command="x", inputs={}, payload=object())
         for use in (Report.to_jsonable, render_text):
-            with pytest.raises(ValueError, match="payload type 'object'"):
+            with pytest.raises(ValueError, match="unknown payload kind .* type 'NoneType'"):
                 use(report)
 
 
