@@ -12,9 +12,9 @@ claims of those constructions.
 from .catalog import (AdmissiblePair, AmplenessCertificate, CanonicalImages,
                       ComponentInfo, ConstructionRecipe, NefCertificate, StableConstruction,
                       admissible, ampleness_certificate, build_component_one,
-                      build_component_two, build_stable, classify,
-                      component_two_scroll_curve, epsilon_family, nef_certificate,
-                      parity_discriminator, pick_parameters, scroll_family_curve)
+                      build_component_two, build_stable, classify, epsilon_family,
+                      nef_certificate, parity_discriminator, pick_parameters,
+                      scroll_family_curve)
 from .covers import (CanonicalMultiple, CoverSpec, InvariantReport, ScrollCurve,
                      canonical_sections, classify_germ, cyclic_shift_invariant,
                      derive_root, double_cover_invariants, scroll_class,
@@ -59,7 +59,6 @@ __all__ = [
     "canonical_sections",
     "classify",
     "classify_germ",
-    "component_two_scroll_curve",
     "contract_minus3",
     "cyclic_shift_invariant",
     "derive_root",

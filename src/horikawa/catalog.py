@@ -311,17 +311,6 @@ def scroll_family_curve(residue: int, k: int) -> ScrollCurve:
     )
 
 
-def component_two_scroll_curve(k: int) -> ScrollCurve:
-    """The branch curve matching k's own residue class.
-
-    Its middle monomial keeps every t1 exponent divisible by 3, so the
-    curve is invariant under scaling t1 by a cube root of unity.  For
-    k = 1 mod 3 the curve acquires one double point germ of type A_4; in
-    the other residue classes it is smooth.
-    """
-    return scroll_family_curve(k % 3, k)
-
-
 P2_BRANCH_MONOMIALS = frozenset({(10, 0, 0), (0, 10, 0), (0, 0, 10)})
 
 
@@ -341,7 +330,8 @@ def build_component_two(k: int) -> ConstructionRecipe:
         symmetric, symmetry = covers.cyclic_shift_invariant(P2_BRANCH_MONOMIALS), "cyclic"
         note = "canonical system embeds the plane by conics"
     else:
-        base, curve, place = Hirzebruch(2 * k + 2), component_two_scroll_curve(k), "scroll"
+        # the family of k's own residue keeps every t1 exponent divisible by 3
+        base, curve, place = Hirzebruch(2 * k + 2), scroll_family_curve(k % 3, k), "scroll"
         branch = base.negative_section() + covers.scroll_class(curve)
         symmetric, symmetry = covers.t1_scaling_invariant(curve), "order-3"
         note = "branch curve smooth in this residue class (declared input)"
@@ -392,53 +382,45 @@ def ampleness_certificate(e: int, alpha: int, beta: int,
     except possibly the negative section (a, b) = (1, 0), which general
     position excludes.
     """
-    blown, pull, exceptional, _d1, _d2 = _blown_scroll(e, alpha, beta, 3, general_position)
+    _blown, pull, exceptional, _d1, _d2 = _blown_scroll(e, alpha, beta, 3, general_position)
     divisor = pull(2, 2 * alpha + 2 * beta - 3 * e - 6) - exceptional
     square = divisor.dot(divisor)
     if square <= 0:
         raise CertificateError(f"divisor self-intersection {square} is not positive")
     witness = pull(1, alpha + beta - e - 2) - exceptional
-    witness_count = lattice.h0(blown, witness)
+    witness_count = lattice.h0(witness)
     if witness_count.value < 1:
         raise CertificateError(
             "witness section class through the blown-up points is unavailable"
         )
     coefficient = alpha + beta - 3 * e - 4
-    if coefficient >= 0:
-        return AmplenessCertificate(
-            divisor=divisor,
-            self_intersection=square,
-            feasibility_verdict=VERDICT_INFEASIBLE,
-            coefficient=coefficient,
-            witness_class=witness,
-            witness_virtual_count=witness_count.value,
-            witness_tight=witness_count.value == 1,
-        )
-    # Feasible case: irreducible classes a*D0 + b*F with a, b >= 0 satisfy
-    # b >= a*e unless they are the fiber or the negative section.  The
-    # fiber never violates, and when coefficient + e >= 0 neither does any
-    # section class, leaving the negative section as the only candidate.
-    if coefficient + e < 0:
-        raise CertificateError(
-            "cannot reduce the feasible region to the negative section alone"
-        )
-    if not general_position:
-        raise CertificateError(
-            "excluding the negative section requires the general position assumption"
-        )
+    verdict, exceptional_witness, reason = VERDICT_INFEASIBLE, None, None
+    if coefficient < 0:
+        # Feasible case: irreducible classes a*D0 + b*F with a, b >= 0 satisfy
+        # b >= a*e unless they are the fiber or the negative section.  The
+        # fiber never violates, and when coefficient + e >= 0 neither does any
+        # section class, leaving the negative section as the only candidate.
+        if coefficient + e < 0:
+            raise CertificateError(
+                "cannot reduce the feasible region to the negative section alone"
+            )
+        if not general_position:
+            raise CertificateError(
+                "excluding the negative section requires the general position assumption"
+            )
+        verdict, exceptional_witness = VERDICT_EXCEPTIONAL_EXCLUDED, (1, 0)
+        reason = ("the negative section is a fixed irreducible curve and cannot pass "
+                  "through blown-up points in general position")
     return AmplenessCertificate(
         divisor=divisor,
         self_intersection=square,
-        feasibility_verdict=VERDICT_EXCEPTIONAL_EXCLUDED,
+        feasibility_verdict=verdict,
         coefficient=coefficient,
         witness_class=witness,
         witness_virtual_count=witness_count.value,
         witness_tight=witness_count.value == 1,
-        exceptional_witness=(1, 0),
-        exceptional_reason=(
-            "the negative section is a fixed irreducible curve and cannot pass "
-            "through blown-up points in general position"
-        ),
+        exceptional_witness=exceptional_witness,
+        exceptional_reason=reason,
     )
 
 

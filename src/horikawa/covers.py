@@ -10,7 +10,7 @@ explicit branch curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lattice
 from .lattice import DivisorClass, SurfaceModel
@@ -80,45 +80,36 @@ def _exact_quotient(c: int, degree: int) -> int:
 class CoverSpec:
     """Reduced building data of a degree 2 or degree 3 cyclic cover.
 
-    ``root`` satisfies degree * root = sum of j * branch[j-1].  The node
-    count records transversal intersections of the two degree-3 branch
-    divisors that are deliberately kept unresolved.
+    ``root`` is derived from the branch once, by ``derive_root``, so that
+    degree * root = sum of j * branch[j-1].  The node count records
+    transversal intersections of the two degree-3 branch divisors that
+    are deliberately kept unresolved.
     """
 
     degree: int
     base: SurfaceModel
     branch: tuple[DivisorClass, ...]
-    root: DivisorClass
+    root: DivisorClass = field(init=False)
     transversal_node_count: int = 0
 
     def __post_init__(self):
-        if self.degree not in (2, 3):
-            raise BuildingDataError(f"unsupported cover degree {self.degree}")
-        if len(self.branch) != self.degree - 1:
-            raise BuildingDataError("wrong number of branch classes for the degree")
-        for d in self.branch:
-            if d.surface != self.base:
-                raise BuildingDataError("branch classes must live on the base surface")
-        if self.root.surface != self.base:
-            raise BuildingDataError("root class must live on the base surface")
-        weighted = self.base.zero()
-        for j, d in enumerate(self.branch, start=1):
-            weighted = weighted + j * d
-        if self.degree * self.root != weighted:
-            raise BuildingDataError("root class inconsistent with the branch classes")
+        if type(self.transversal_node_count) is not int:
+            raise BuildingDataError(
+                f"node count must be an integer, got {self.transversal_node_count!r:.80}")
         if self.transversal_node_count < 0:
             raise BuildingDataError("node count must be nonnegative")
         if self.degree == 2 and self.transversal_node_count:
             raise BuildingDataError("node bookkeeping only applies to degree 3 covers")
+        object.__setattr__(self, "root", derive_root(self.degree, self.branch, self.base))
 
     @classmethod
     def double(cls, base: SurfaceModel, d: DivisorClass) -> "CoverSpec":
-        return cls(2, base, (d,), derive_root(2, (d,), base))
+        return cls(2, base, (d,))
 
     @classmethod
     def triple(cls, base: SurfaceModel, d1: DivisorClass, d2: DivisorClass,
                transversal_node_count: int = 0) -> "CoverSpec":
-        return cls(3, base, (d1, d2), derive_root(3, (d1, d2), base), transversal_node_count)
+        return cls(3, base, (d1, d2), transversal_node_count)
 
     @property
     def branch_is_empty(self) -> bool:
@@ -150,14 +141,14 @@ class InvariantReport:
     assumptions: tuple[str, ...] = ()
 
 
-def _optional_sections(base: SurfaceModel, classes) -> int | None:
+def _optional_sections(classes) -> int | None:
     # None whenever any term is virtual or falls outside the supported
     # section counting (for example positive exceptional coefficients);
     # the geometric genus is then reported as unavailable, never guessed.
     total = 0
     for cls in classes:
         try:
-            count = lattice.h0(base, cls)
+            count = lattice.h0(cls)
         except ValueError:
             return None
         if not count.exact:
@@ -181,7 +172,7 @@ def double_cover_invariants(spec: CoverSpec) -> InvariantReport:
     if pairing % 2:
         raise BuildingDataError("non-integer chi: inconsistent building data")
     chi = 2 * BASE_CHI + pairing // 2
-    sections = _optional_sections(spec.base, (adjoint,))
+    sections = _optional_sections((adjoint,))
     p_g = None if sections is None else BASE_PG + sections
     warnings = (WARN_EMPTY_BRANCH,) if spec.branch_is_empty else ()
     return InvariantReport(
@@ -218,7 +209,7 @@ def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
     if pairing % 2:
         raise BuildingDataError("non-integer chi: inconsistent building data")
     chi = 3 * BASE_CHI + pairing // 2
-    sections = _optional_sections(spec.base, (k + first, k + second))
+    sections = _optional_sections((k + first, k + second))
     p_g = None if sections is None else BASE_PG + sections
     warnings = (WARN_EMPTY_BRANCH,) if spec.branch_is_empty else ()
     return InvariantReport(
@@ -243,7 +234,7 @@ def canonical_sections(spec: CoverSpec) -> int:
         raise BuildingDataError("canonical image data is computed for double covers")
     k = lattice.canonical_class(spec.base)
     try:
-        k_count = lattice.h0(spec.base, k)
+        k_count = lattice.h0(k)
     except ValueError as error:
         raise BuildingDataError(
             f"cannot evaluate h0 of the base canonical class: {error}"
@@ -252,10 +243,8 @@ def canonical_sections(spec: CoverSpec) -> int:
         raise BuildingDataError(
             "canonical image factorisation needs h0 of the base canonical class to vanish"
         )
-    count = lattice.h0(spec.base, k + spec.root)
-    if not count.exact:
-        raise BuildingDataError("cannot certify the canonical image from a virtual count")
-    return count.value
+    # counts on P^2 and F_e, the only bases that get this far, are exact
+    return lattice.h0(k + spec.root).value
 
 
 @dataclass(frozen=True)

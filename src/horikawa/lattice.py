@@ -374,8 +374,8 @@ class SectionCount:
     exact: bool
 
 
-def h0(surface: SurfaceModel, d: DivisorClass) -> SectionCount:
-    """Number of global sections of the class ``d``.
+def h0(d: DivisorClass) -> SectionCount:
+    """Number of global sections of the class ``d`` on its own surface.
 
     On the plane and on Hirzebruch surfaces the count is exact.  On a
     blow-up the exceptional coefficients must all be 0 or -1; each -1
@@ -384,8 +384,7 @@ def h0(surface: SurfaceModel, d: DivisorClass) -> SectionCount:
     class pulled back from the base (all exceptional coefficients zero)
     keeps the exact count of its base class.
     """
-    if d.surface != surface:
-        raise SurfaceMismatchError("class does not live on the given surface")
+    surface = d.surface
     if isinstance(surface, ProjectivePlane):
         return SectionCount(_plane_sections(d.head[0]), True)
     if isinstance(surface, Hirzebruch):
@@ -398,7 +397,7 @@ def h0(surface: SurfaceModel, d: DivisorClass) -> SectionCount:
                 f"exceptional coefficients {bad} not supported: only simple "
                 "(multiplicity one) point conditions are modelled"
             )
-        base_count = h0(surface.base, DivisorClass._make(surface.base, d.head, below))
+        base_count = h0(DivisorClass._make(surface.base, d.head, below))
         imposed = sum(length for c, length in level if c == -1)
         if imposed == 0:
             return base_count

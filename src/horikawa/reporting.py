@@ -155,8 +155,6 @@ def _shape(hint, none_as=None) -> tuple:
         return ("fixed", tuple(_shape(a) for a in args))
     elif origin is frozenset:
         return ("frozenset", _shape(args[0]))
-    elif origin is dict:
-        return ("dict", _shape(args[0]), _shape(args[1]))
     elif dataclasses.is_dataclass(hint) and hint not in _TAGS:
         return ("object", None, {None: hint})
     tagged = [cls for cls in _TAGS if issubclass(cls, members)]
@@ -205,8 +203,6 @@ def _encode(value, shape: tuple):
         return [_encode(v, sub) for v, sub in zip(value, shape[1])]
     if kind == "frozenset":
         return [_encode(v, shape[1]) for v in sorted(value)]
-    if kind == "dict":
-        return {_encode(k, shape[1]): _encode(v, shape[2]) for k, v in value.items()}
     return str(Fraction(value, 3))  # thirds
 
 

@@ -101,6 +101,16 @@ def _random_class(rng: random.Random, surface) -> DivisorClass:
     return surface.divisor(tuple(rng.randint(-10, 10) for _ in range(rank)))
 
 
+def _branch_pair(e: int, alpha: int, beta: int, points: int):
+    """F_e blown up at ``points`` points, and the transforms through all of them
+    of the branch curves of classes 2*D0 + alpha*F and 2*D0 + beta*F."""
+    ruled = Hirzebruch(e)
+    blown = lattice.blow_up(ruled, points)
+    exc = blown.exceptional_sum()
+    return (blown, lattice.pullback(blown, ruled.divisor((2, alpha))) - exc,
+            lattice.pullback(blown, ruled.divisor((2, beta))) - exc)
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -160,13 +170,13 @@ def _check_section_count_oracle(chi_max, k_max, builds):
         ruled = Hirzebruch(e)
         for a in range(0, 5):
             for b in range(0, 13):
-                got = lattice.h0(ruled, ruled.divisor((a, b)))
+                got = lattice.h0(ruled.divisor((a, b)))
                 want = _enumerate_scroll_sections(e, a, b)
                 _expect(got.exact and got.value == want,
                         f"h0 on F_{e} of ({a},{b}) gave {got.value}, enumeration gives {want}")
     plane = ProjectivePlane()
     for d in range(0, 9):
-        got = lattice.h0(plane, plane.divisor((d,)))
+        got = lattice.h0(plane.divisor((d,)))
         want = _enumerate_plane_sections(d)
         _expect(got.value == want, f"h0 on the plane of degree {d} disagrees with enumeration")
 
@@ -176,11 +186,7 @@ def _check_parameter_table(chi_max, k_max, builds):
         e, alpha, beta = catalog.pick_parameters(chi)
         _expect((alpha + 2 * beta) % 3 == 0,
                 f"weighted branch degree not divisible by 3 at chi = {chi}")
-        ruled = Hirzebruch(e)
-        blown = lattice.blow_up(ruled, 2 * alpha + 2 * beta - 4 * e)
-        exc = blown.exceptional_sum()
-        d1 = lattice.pullback(blown, ruled.divisor((2, alpha))) - exc
-        d2 = lattice.pullback(blown, ruled.divisor((2, beta))) - exc
+        _blown, d1, d2 = _branch_pair(e, alpha, beta, 2 * alpha + 2 * beta - 4 * e)
         root = covers.derive_root(3, (d1, d2))
         _expect(3 * root == d1 + 2 * d2, f"root class round trip failed at chi = {chi}")
 
@@ -343,12 +349,7 @@ def _check_stable_bicanonical(chi_max, k_max, builds):
 def _check_resolution_bookkeeping(chi_max, k_max, builds):
     for chi in range(3, min(chi_max, 20) + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
-        ruled = Hirzebruch(e)
-        points = 2 * alpha + 2 * beta - 4 * e - 3
-        blown = lattice.blow_up(ruled, points)
-        exc = blown.exceptional_sum()
-        d1 = lattice.pullback(blown, ruled.divisor((2, alpha))) - exc
-        d2 = lattice.pullback(blown, ruled.divisor((2, beta))) - exc
+        blown, d1, d2 = _branch_pair(e, alpha, beta, 2 * alpha + 2 * beta - 4 * e - 3)
         spec = covers.CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
         resolution = stable.resolve_node_bookkeeping(spec)
         _expect(resolution.resolved.chi == resolution.unresolved.chi,
@@ -358,14 +359,7 @@ def _check_resolution_bookkeeping(chi_max, k_max, builds):
         _expect(resolution.resolved.k_squared == 2 * chi - 6,
                 f"resolved K^2 is not 2*chi - 6 at chi = {chi}")
     # degenerate case: no nodes means nothing changes
-    ruled = Hirzebruch(0)
-    blown = lattice.blow_up(ruled, 16)
-    exc = blown.exceptional_sum()
-    spec = covers.CoverSpec.triple(
-        blown,
-        lattice.pullback(blown, ruled.divisor((2, 7))) - exc,
-        lattice.pullback(blown, ruled.divisor((2, 1))) - exc,
-    )
+    spec = covers.CoverSpec.triple(*_branch_pair(0, 7, 1, 16))
     resolution = stable.resolve_node_bookkeeping(spec)
     _expect(resolution.unresolved.k_squared == resolution.resolved.k_squared
             and resolution.unresolved.ledger == stable.EMPTY_LEDGER,

@@ -140,7 +140,7 @@ def test_criterion_5_lattice_property_suite():
             ruled = Hirzebruch(e)
             for a_deg in range(0, 7):
                 for b_deg in range(0, 31):
-                    got = lattice.h0(ruled, ruled.divisor((a_deg, b_deg)))
+                    got = lattice.h0(ruled.divisor((a_deg, b_deg)))
                     assert got.exact
                     assert got.value == count_scroll_monomials(e, a_deg, b_deg)
 

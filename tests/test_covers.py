@@ -52,9 +52,11 @@ class TestDeriveRoot:
         assert derived == root
         assert 3 * derived == d1 + 2 * d2
 
-    def test_spec_validates_root(self):
-        with pytest.raises(BuildingDataError, match="inconsistent"):
-            CoverSpec(2, P2, (P2.divisor((10,)),), P2.divisor((4,)))
+    def test_spec_derives_its_root(self):
+        assert CoverSpec(2, P2, (P2.divisor((10,)),)).root == P2.divisor((5,))
+        # the root is no input: a fourth argument is the node count, and a class is refused
+        with pytest.raises(BuildingDataError, match="node count must be an integer"):
+            CoverSpec(2, P2, (P2.divisor((10,)),), P2.divisor((5,)))
 
 
 class TestDoubleCoverInvariants:
