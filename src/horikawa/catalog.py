@@ -247,10 +247,11 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     if chi < 4:
         raise ValueError("the general type line K^2 = 2*chi - 6 needs chi >= 4")
     e, alpha, beta = pick_parameters(chi)
-    blown, _pull, _exceptional, d1, d2 = _blown_scroll(e, alpha, beta, 0, general_position)
+    scroll = _blown_scroll(e, alpha, beta, 0, general_position)
+    blown, _pull, _exceptional, d1, d2 = scroll
     spec = CoverSpec.triple(blown, d1, d2)
     report = covers.triple_cover_invariants(spec)
-    nef = nef_certificate(e, alpha, beta, general_position=general_position)
+    nef = _nef_certificate(e, alpha, beta, general_position, scroll)
     report = replace(report, minimal_or_ample=nef.verdict)
     k_squared = 2 * chi - 6
     notes = [NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY]
@@ -382,7 +383,14 @@ def ampleness_certificate(e: int, alpha: int, beta: int,
     except possibly the negative section (a, b) = (1, 0), which general
     position excludes.
     """
-    _blown, pull, exceptional, _d1, _d2 = _blown_scroll(e, alpha, beta, 3, general_position)
+    return _ampleness_certificate(e, alpha, beta, general_position,
+                                  _blown_scroll(e, alpha, beta, 3, general_position))
+
+
+def _ampleness_certificate(e: int, alpha: int, beta: int, general_position: bool,
+                           scroll: tuple) -> AmplenessCertificate:
+    """The body of ``ampleness_certificate`` on an already blown-up scroll."""
+    _blown, pull, exceptional, _d1, _d2 = scroll
     divisor = pull(2, 2 * alpha + 2 * beta - 3 * e - 6) - exceptional
     square = divisor.dot(divisor)
     if square <= 0:
@@ -437,7 +445,14 @@ def nef_certificate(e: int, alpha: int, beta: int,
     whenever alpha + 2beta - 3e - 6 >= 0.  Any failing step downgrades the
     verdict to "asserted" with the gap recorded.
     """
-    blown, pull, exceptional, d1, d2 = _blown_scroll(e, alpha, beta, 0, general_position)
+    return _nef_certificate(e, alpha, beta, general_position,
+                            _blown_scroll(e, alpha, beta, 0, general_position))
+
+
+def _nef_certificate(e: int, alpha: int, beta: int, general_position: bool,
+                     scroll: tuple) -> NefCertificate:
+    """The body of ``nef_certificate`` on an already blown-up scroll."""
+    blown, pull, exceptional, d1, d2 = scroll
     divisor = pull(2, 2 * alpha + 2 * beta - 3 * e - 6) - exceptional
     first_exceptional = blown.exceptional(1)
     pairings = [
@@ -490,10 +505,11 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     if chi < 3:
         raise ValueError("the stable line K^2 = 2*chi - 5 needs chi >= 3")
     e, alpha, beta = pick_parameters(chi)
-    blown, _pull, _exceptional, d1, d2 = _blown_scroll(e, alpha, beta, 3, general_position)
+    scroll = _blown_scroll(e, alpha, beta, 3, general_position)
+    blown, _pull, _exceptional, d1, d2 = scroll
     spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
     resolution = stable.resolve_node_bookkeeping(spec)
-    certificate = ampleness_certificate(e, alpha, beta, general_position=general_position)
+    certificate = _ampleness_certificate(e, alpha, beta, general_position, scroll)
     record = replace(resolution.unresolved, ample_canonical=True)
     stable.h0_2K(record)
     recipe = ConstructionRecipe(

@@ -104,7 +104,7 @@ REGISTRY: dict[str, Fault] = {
         "catalog.pick_parameters", "(1, chi, 3)", "(1, chi, 6)"),
     "ampleness-coefficient-shift": Fault(
         "the feasibility coefficient gains a unit",
-        "catalog.ampleness_certificate",
+        "catalog._ampleness_certificate",
         "coefficient = alpha + beta - 3 * e - 4", "coefficient = alpha + beta - 3 * e - 3"),
     "scroll-family-exponent": Fault(
         "the middle branch monomial of the residue 2 family loses one power of t1",

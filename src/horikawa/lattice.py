@@ -27,13 +27,15 @@ class SurfaceModel:
     def divisor(self, coeffs) -> "DivisorClass":
         """Build a class from its dense coefficient vector over the Picard basis."""
         coeffs = tuple(coeffs)
-        rank = picard_rank(self)
-        if len(coeffs) != rank:
-            raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
+        root, count = _levels(self)
+        split = picard_rank(root)
+        if len(coeffs) != split + count:
+            raise ValueError(f"expected {split + count} coefficients, got {len(coeffs)}")
         for c in coeffs:
             if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
-        split = picard_rank(_levels(self)[0])
+        if not count:  # a root surface: the head is the whole vector
+            return DivisorClass._make(self, coeffs, ())
         runs = tuple((v, len(list(group))) for v, group in groupby(coeffs[split:]))
         return DivisorClass._make(self, coeffs[:split], runs)
 
@@ -75,7 +77,8 @@ class BlowUp(SurfaceModel):
     The points have no coordinates; ``general_position`` is a declared
     assumption about them and only gates the virtual section counts.
     The Picard basis extends the base basis by one exceptional class per
-    point.
+    point.  The root surface and the number of exceptional classes of the
+    whole tower are recorded once, outside the compared fields.
     """
 
     base: SurfaceModel
@@ -87,6 +90,10 @@ class BlowUp(SurfaceModel):
             raise ValueError("blow-up base must be a SurfaceModel")
         if type(self.point_count) is not int or self.point_count < 1:
             raise ValueError("blow-up point count must be a positive integer")
+        if type(self.general_position) is not bool:
+            raise ValueError(f"general_position must be a bool, got {self.general_position!r}")
+        root, below = _levels(self.base)
+        object.__setattr__(self, "_levels", (root, below + self.point_count))
 
     def exceptional(self, i: int) -> "DivisorClass":
         """Class of the i-th exceptional curve of this blow-up level, 1-based."""
@@ -147,13 +154,17 @@ class DivisorClass:
             total += length
         if total != count:
             raise ValueError(f"runs cover {total} exceptional classes, expected {count}")
-        _init(self, surface, head, tuple(checked))
+        _set_surface(self, surface)
+        _set_head(self, head)
+        _set_runs(self, tuple(checked))
 
-    @classmethod
-    def _make(cls, surface: SurfaceModel, head: tuple[int, ...], runs: tuple) -> "DivisorClass":
+    @staticmethod
+    def _make(surface: SurfaceModel, head: tuple[int, ...], runs: tuple) -> "DivisorClass":
         """Unchecked constructor for canonical runs computed by this package."""
-        d = object.__new__(cls)
-        _init(d, surface, head, runs)
+        d = _new(DivisorClass)
+        _set_surface(d, surface)
+        _set_head(d, head)
+        _set_runs(d, runs)
         return d
 
     @property
@@ -165,6 +176,8 @@ class DivisorClass:
         return tuple(dense)
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
+        if type(other) is DivisorClass and other.surface is self.surface:
+            return
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a DivisorClass, got {other!r}")
         if other.surface is not self.surface and other.surface != self.surface:
@@ -219,19 +232,16 @@ class DivisorClass:
         return format_class(self)
 
 
-def _init(d: DivisorClass, surface, head, runs) -> None:
-    object.__setattr__(d, "surface", surface)
-    object.__setattr__(d, "head", head)
-    object.__setattr__(d, "runs", runs)
+# the frozen class's slots, written once by its two constructors
+_new = object.__new__
+_set_surface = DivisorClass.surface.__set__
+_set_head = DivisorClass.head.__set__
+_set_runs = DivisorClass.runs.__set__
 
 
 def _levels(surface: SurfaceModel) -> tuple[SurfaceModel, int]:
     """The root surface under all blow-ups and the number of exceptional classes."""
-    count = 0
-    while isinstance(surface, BlowUp):
-        count += surface.point_count
-        surface = surface.base
-    return surface, count
+    return surface._levels if isinstance(surface, BlowUp) else (surface, 0)
 
 
 def _aligned(u: tuple, v: tuple):
@@ -252,6 +262,8 @@ def _aligned(u: tuple, v: tuple):
 
 def _merge_runs(u: tuple, v: tuple, op) -> tuple:
     """Canonical runs of ``op`` applied position by position."""
+    if len(u) == 1 == len(v):
+        return ((op(u[0][0], v[0][0]), u[0][1]),)
     merged: list[tuple[int, int]] = []
     for x, y, length in _aligned(u, v):
         z = op(x, y)
@@ -278,7 +290,8 @@ def picard_rank(surface: SurfaceModel) -> int:
     if isinstance(surface, Hirzebruch):
         return 2
     if isinstance(surface, BlowUp):
-        return picard_rank(surface.base) + surface.point_count
+        root, count = surface._levels
+        return picard_rank(root) + count
     raise TypeError(f"unsupported surface {surface!r}")
 
 
@@ -314,7 +327,8 @@ def _hirzebruch_dot(e: int, u, v) -> int:
 def _exceptional_dot(u, v) -> int:
     # E_i.E_i = -1, distinct exceptionals and pullbacks are orthogonal;
     # u and v are the runs of the two classes
-    return -sum(x * y * length for x, y, length in _aligned(u, v))
+    pairs = ((u[0][0], v[0][0], u[0][1]),) if len(u) == 1 == len(v) else _aligned(u, v)
+    return -sum([x * y * length for x, y, length in pairs])
 
 
 def canonical_class(surface: SurfaceModel) -> DivisorClass:
@@ -350,7 +364,7 @@ def pullback(surface: BlowUp, d: DivisorClass) -> DivisorClass:
     """Total transform of a base class: coefficients extended by zeros."""
     if not isinstance(surface, BlowUp):
         raise ValueError("pullback target must be a blow-up")
-    if d.surface != surface.base:
+    if d.surface is not surface.base and d.surface != surface.base:
         raise SurfaceMismatchError(
             f"class lives on {surface_descriptor(d.surface)}, "
             f"not on the blow-up base {surface_descriptor(surface.base)}"

@@ -21,16 +21,21 @@ class LedgerError(ValueError):
     """A singularity ledger is inconsistent with the claimed invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SingularityLedger:
     """Counts of the singular points carried by a surface."""
 
     third11_count: int = 0
     canonical_count: int = 0
 
-    def __post_init__(self):
-        if self.third11_count < 0 or self.canonical_count < 0:
+    def __init__(self, third11_count: int = 0, canonical_count: int = 0):
+        if type(third11_count) is not int or type(canonical_count) is not int:
+            bad = canonical_count if type(third11_count) is int else third11_count
+            raise ValueError(f"singularity counts must be integers, got {bad!r}")
+        if third11_count < 0 or canonical_count < 0:
             raise ValueError("singularity counts must be nonnegative")
+        # one dict update instead of a frozen-field assignment per field
+        self.__dict__.update(third11_count=third11_count, canonical_count=canonical_count)
 
 
 EMPTY_LEDGER = SingularityLedger()

@@ -297,6 +297,30 @@ class TestAmplenessCertificate:
             ampleness_certificate(0, 1, 0)
 
 
+class TestSharedScroll:
+    """The builders blow up the scroll once and still issue the public certificates."""
+
+    @pytest.mark.parametrize("chi", range(3, 61))
+    def test_builders_match_the_public_certificates(self, chi):
+        parameters = pick_parameters(chi)
+        if chi >= 4:
+            assert build_component_one(chi).certificates[0] == nef_certificate(*parameters)
+        assert build_stable(chi).recipe.certificates[0] == ampleness_certificate(*parameters)
+
+    @pytest.mark.parametrize("chi", [5, 7])
+    def test_component_one_without_general_position(self, chi):
+        parameters = pick_parameters(chi)
+        certificate = build_component_one(chi, general_position=False).certificates[0]
+        assert certificate == nef_certificate(*parameters, general_position=False)
+
+    def test_stable_without_general_position(self):
+        with pytest.raises(ValueError) as built:
+            build_stable(5, general_position=False)
+        with pytest.raises(ValueError) as issued:
+            ampleness_certificate(*pick_parameters(5), general_position=False)
+        assert str(built.value) == str(issued.value)
+
+
 class TestNefCertificate:
     @pytest.mark.parametrize("chi", range(4, 40))
     def test_certified_across_residues(self, chi):

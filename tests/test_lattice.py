@@ -1,13 +1,15 @@
 """Picard lattice arithmetic against independent oracles."""
 
-from operator import add, sub
+from itertools import groupby
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horikawa import lattice
-from horikawa.lattice import BlowUp, Hirzebruch, ProjectivePlane, SurfaceMismatchError
+from horikawa.lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
+                              SurfaceMismatchError)
 
 from oracles import count_plane_monomials, count_scroll_monomials, gram_dot
 
@@ -117,6 +119,11 @@ class TestBlowUpAndPullback:
     def test_bool_is_not_an_integer(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
+    def test_general_position_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="general_position must be a bool"):
+            lattice.blow_up(Hirzebruch(1), 3, flag)
 
     def test_pullback_of_zero(self):
         blown = lattice.blow_up(Hirzebruch(0), 2)
@@ -366,3 +373,88 @@ class TestRunsAgainstDenseReference:
         imposed = v[split:].count(-1)
         count = lattice.h0(surface.divisor(v))
         assert (count.value, count.exact) == (max(0, base_count - imposed), imposed == 0)
+
+
+def runs_of(dense):
+    return tuple((value, len(list(group))) for value, group in groupby(dense))
+
+
+@st.composite
+def dense_pairs(draw):
+    """Two dense exceptional vectors of one length, each constant (one run) or not."""
+    n = draw(st.integers(1, 60))
+
+    def dense():
+        if draw(st.booleans()):
+            return [draw(st.integers(-5, 5))] * n
+        return [draw(st.integers(-2, 2)) for _ in range(n)]
+    return dense(), dense()
+
+
+def walk(surface):
+    """The root and exceptional count found by walking the blow-up chain."""
+    count = 0
+    while isinstance(surface, BlowUp):
+        count += surface.point_count
+        surface = surface.base
+    return surface, count
+
+
+class TestFastPaths:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(dense_pairs())
+    def test_run_arithmetic_matches_dense_oracle(self, pair):
+        u, v = pair
+        for op in (add, sub, mul):
+            merged = lattice._merge_runs(runs_of(u), runs_of(v), op)
+            assert merged == runs_of(list(map(op, u, v)))
+        expected = -sum(x * y for x, y in zip(u, v))
+        assert lattice._exceptional_dot(runs_of(u), runs_of(v)) == expected
+
+    def test_single_runs_take_the_short_path(self):
+        assert lattice._merge_runs(((3, 7),), ((-3, 7),), add) == ((0, 7),)
+        assert lattice._exceptional_dot(((3, 7),), ((-2, 7),)) == 42
+        assert lattice._exceptional_dot((), ()) == 0
+
+    @pytest.mark.parametrize("root", [P2, Hirzebruch(2)])
+    def test_levels_of_a_three_level_tower(self, root):
+        tower = lattice.blow_up(lattice.blow_up(lattice.blow_up(root, 3), 5, False), 7)
+        for surface in (tower, tower.base, tower.base.base, root):
+            found_root, count = walk(surface)
+            assert lattice._levels(surface) == (found_root, count)
+            assert lattice.picard_rank(surface) == lattice.picard_rank(found_root) + count
+        assert lattice._levels(tower) == (root, 15)
+        assert lattice.picard_rank(tower) == lattice.picard_rank(root) + 15
+
+    def test_stored_levels_stay_out_of_equality(self):
+        a, b = lattice.blow_up(P2, 2), lattice.blow_up(P2, 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == "BlowUp(base=ProjectivePlane(), point_count=2, general_position=True)"
+
+
+OPERATIONS = [add, sub, DivisorClass.dot]
+
+
+class TestSurfaceChecks:
+    @pytest.mark.parametrize("op", OPERATIONS, ids=["add", "sub", "dot"])
+    def test_equal_but_distinct_surfaces_agree(self, op):
+        first, second = lattice.blow_up(Hirzebruch(1), 3), lattice.blow_up(Hirzebruch(1), 3)
+        a, b = first.divisor((1, 2, 0, -1, -1)), second.divisor((2, 3, 1, 1, 0))
+        assert first is not second
+        assert op(a, b) == op(a, first.divisor(b.coeffs))
+
+    @pytest.mark.parametrize("op", OPERATIONS, ids=["add", "sub", "dot"])
+    @pytest.mark.parametrize("other", [
+        Hirzebruch(2).divisor((1, 2)),
+        lattice.blow_up(Hirzebruch(1), 3, False).divisor((1, 2, 0, 0, 0)),
+    ], ids=["other-root", "other-flag"])
+    def test_different_surfaces_rejected(self, op, other):
+        a = lattice.blow_up(Hirzebruch(1), 3).divisor((1, 2, 0, 0, 0))
+        with pytest.raises(SurfaceMismatchError):
+            op(a, other)
+
+    @pytest.mark.parametrize("op", OPERATIONS, ids=["add", "sub", "dot"])
+    @pytest.mark.parametrize("other", [3, None, (1, 2)], ids=["int", "none", "tuple"])
+    def test_non_classes_rejected(self, op, other):
+        with pytest.raises(TypeError, match="expected a DivisorClass"):
+            op(Hirzebruch(1).divisor((1, 2)), other)

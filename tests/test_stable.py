@@ -20,6 +20,17 @@ class TestLedger:
         with pytest.raises(ValueError):
             SingularityLedger(third11_count=-1)
 
+    @pytest.mark.parametrize("counts", [
+        (1.5, 0), (True, 0), ("1", 0), (0, 2.0), (0, False),
+    ], ids=["float", "bool", "str", "canonical-float", "canonical-bool"])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="singularity counts must be integers"):
+            SingularityLedger(*counts)
+
+    def test_record_never_sees_a_float_count(self):
+        with pytest.raises(ValueError, match="must be integers, got 1.5"):
+            StableSurfaceRecord(4, 3, SingularityLedger(1.5))
+
     def test_record_consistency(self):
         with pytest.raises(LedgerError):
             StableSurfaceRecord(3, 3, SingularityLedger(3), smoothable=True)
