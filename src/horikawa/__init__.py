@@ -24,9 +24,17 @@ from .lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                       canonical_class, h0, picard_rank, pullback)
 from .stable import (SingularityLedger, StableSurfaceRecord, contract_minus3,
                      h0_2K, resolve_node_bookkeeping)
-from .verify import run_verification
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # verify loads on first use, so that importing the package does not load it
+    if name == "run_verification":
+        from .verify import run_verification
+        return run_verification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdmissiblePair",

@@ -77,6 +77,9 @@ class AdmissiblePair:
     chi: int
 
     def __post_init__(self):
+        if type(self.k_squared) is not int or type(self.chi) is not int:
+            raise ValueError(f"K^2 and chi must be integers, got {self.k_squared!r:.40}, "
+                             f"{self.chi!r:.40}")
         if not admissible(self.k_squared, self.chi):
             raise ValueError(f"pair (K^2, chi) = ({self.k_squared}, {self.chi}) is not admissible")
 
@@ -98,8 +101,7 @@ class CanonicalImages:
                              f"integer, got {self.first_top_e!r:.80}")
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     """Connected components of the moduli space at a point of the low line."""
 
     count: int
@@ -161,8 +163,7 @@ def pick_parameters(chi: int) -> tuple[int, int, int]:
     return (2, chi, 5)
 
 
-@dataclass(frozen=True)
-class AmplenessCertificate:
+class AmplenessCertificate(NamedTuple):
     """Integer feasibility certificate that a divisor on a blow-up is ample.
 
     A violating irreducible curve would pull back from a class a*D0 + b*F
@@ -182,8 +183,7 @@ class AmplenessCertificate:
     exceptional_reason: str | None = None
 
 
-@dataclass(frozen=True)
-class NefCertificate:
+class NefCertificate(NamedTuple):
     """Witness pairings and closure data for a nefness claim."""
 
     verdict: str
@@ -193,8 +193,7 @@ class NefCertificate:
     gap: str | None = None
 
 
-@dataclass(frozen=True)
-class ConstructionRecipe:
+class ConstructionRecipe(NamedTuple):
     """A fully specified cover construction together with its outputs."""
 
     target: AdmissiblePair
@@ -252,7 +251,7 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     spec = CoverSpec.triple(blown, d1, d2)
     report = covers.triple_cover_invariants(spec)
     nef = _nef_certificate(e, alpha, beta, general_position, scroll)
-    report = replace(report, minimal_or_ample=nef.verdict)
+    report = report._replace(minimal_or_ample=nef.verdict)
     k_squared = 2 * chi - 6
     notes = [NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY]
     if k_squared % 8 == 0:
@@ -360,7 +359,7 @@ def build_component_two(k: int) -> ConstructionRecipe:
         base=base,
         branch=(branch,),
         blow_up_count=0,
-        report=replace(report, minimal_or_ample=covers.AMPLE_CERTIFIED),
+        report=report._replace(minimal_or_ample=covers.AMPLE_CERTIFIED),
         component_claim=COMPONENT_II,
         canonical_image=lattice.surface_descriptor(base),
         canonical_sections=sections,

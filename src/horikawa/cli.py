@@ -17,7 +17,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from . import catalog, faults, verify
+from . import catalog
 from .reporting import (ClassificationPayload, ConstructionPayload,
                         EnumerationPayload, EnumerationRow, Report,
                         VerificationPayload, render_text)
@@ -54,14 +54,8 @@ def run_classify(k2: int, chi: int) -> tuple[Report, int]:
         else:
             explanation = ("two deformation classes: K^2 is a multiple of 8, "
                            "distinguished by the canonical image")
-    payload = ClassificationPayload(
-        k_squared=k2,
-        chi=chi,
-        admissible=not failures,
-        on_line=on_line,
-        info=info,
-        explanation=explanation,
-    )
+    payload = ClassificationPayload(k_squared=k2, chi=chi, admissible=not failures,
+                                    on_line=on_line, info=info, explanation=explanation)
     derivations = {"k_squared": "echoed input", "chi": "echoed input"}
     if info is not None:
         derivations["components.count"] = "classify: 8 divides K^2 test on the low line"
@@ -189,6 +183,8 @@ def run_enumerate(chi: int, chi_max: int) -> tuple[Report, int]:
 
 def run_verify(chi_max: int, k_max: int,
                inject_fault: str | None = None) -> tuple[Report, int]:
+    # loaded here, so that the other commands start without them
+    from . import faults, verify
     if inject_fault is not None and inject_fault not in faults.REGISTRY:
         raise ValueError(f"unknown fault {inject_fault!r}; known faults: "
                          f"{', '.join(faults.fault_names())}")
@@ -231,6 +227,7 @@ class Command(NamedTuple):
 # ranges are checked by verify.run_verification, with their reasons
 _CAP = (-100_000, 100_000)
 _ENUMERATE_CAP = (-10_000, 10_000)
+_VERIFY_CAP = 1000  # verify.RANGE_CAP, stated in the help without loading verify
 _FORMAT = Arg("format", str, "text", choices=("text", "json"))
 
 _COMMANDS = {
@@ -256,9 +253,9 @@ _COMMANDS = {
     "verify-paper": Command(
         "run_verify", "run the full identity suite over chi and k ranges", (
             Arg("chi_max", int, 30,
-                help=f"largest chi checked, from 6 to {verify.RANGE_CAP} (default 30)"),
+                help=f"largest chi checked, from 6 to {_VERIFY_CAP} (default 30)"),
             Arg("k_max", int, 6, help="largest k checked on the second component, "
-                                     f"from 2 to {verify.RANGE_CAP} (default 6)"),
+                                     f"from 2 to {_VERIFY_CAP} (default 6)"),
             _FORMAT,
             Arg("inject_fault", str, metavar="NAME",
                 help="test-only: run with one named fault installed"))),

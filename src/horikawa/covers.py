@@ -11,6 +11,7 @@ explicit branch curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import lattice
 from .lattice import DivisorClass, SurfaceModel
@@ -116,16 +117,14 @@ class CoverSpec:
         return all(d.is_zero for d in self.branch)
 
 
-@dataclass(frozen=True)
-class CanonicalMultiple:
+class CanonicalMultiple(NamedTuple):
     """A relation multiple * K = pullback of ``cls`` from the base."""
 
     multiple: int
     cls: DivisorClass
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Numerical invariants of a constructed surface.
 
     ``p_g`` is None when some section count entering it is only virtual;
@@ -261,13 +260,13 @@ class ScrollCurve:
     monomials: frozenset[tuple[int, int, int, int]]
 
     def __post_init__(self):
-        if self.e < 0:
-            raise ValueError("scroll parameter e must be nonnegative")
+        if type(self.e) is not int or self.e < 0:
+            raise ValueError(f"scroll parameter e must be a nonnegative integer, got {self.e!r}")
         monomials = frozenset(tuple(m) for m in self.monomials)
         if not monomials:
             raise ValueError("a scroll curve needs at least one monomial")
         for m in monomials:
-            if len(m) != 4 or any(x < 0 for x in m):
+            if len(m) != 4 or any(type(x) is not int or x < 0 for x in m):
                 raise ValueError(f"malformed exponent quadruple {m!r}")
         object.__setattr__(self, "monomials", monomials)
 

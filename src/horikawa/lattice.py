@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, sub
+from typing import NamedTuple
 
 
 class SurfaceMismatchError(ValueError):
@@ -375,8 +376,7 @@ def pullback(surface: BlowUp, d: DivisorClass) -> DivisorClass:
     return DivisorClass._make(surface, d.head, runs + ((0, zeros),))
 
 
-@dataclass(frozen=True)
-class SectionCount:
+class SectionCount(NamedTuple):
     """A global section count and whether it is exact.
 
     ``exact`` counts are true dimensions.  Virtual counts are expected

@@ -6,7 +6,7 @@ Reports serialise to JSON and parse back to equal values; integers whose
 magnitude exceeds 64 bits are carried as decimal strings so that no
 consumer silently truncates them.
 
-One codec, driven by the dataclass fields and their annotations, covers
+One codec, driven by the record fields and their annotations, covers
 every payload; the "wire format" tables list where the JSON differs.
 Decoding is strict: a missing key, a wrong JSON type or an unknown tag
 raises ValueError.  Reports of schema /2 decode as they are, since /3
@@ -24,6 +24,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lattice, stable
 from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
@@ -31,7 +32,9 @@ from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
 from .covers import CanonicalMultiple, InvariantReport
 from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
 from .stable import StableSurfaceRecord
-from .verify import CheckResult, VerificationOutcome
+
+if typing.TYPE_CHECKING:  # _plan resolves CheckResult when it is first needed
+    from .verify import CheckResult, VerificationOutcome
 
 SCHEMA = "horikawa-report/3"
 _SCHEMA_V2, _SCHEMA_V1 = "horikawa-report/2", "horikawa-report/1"
@@ -43,8 +46,7 @@ _INT64 = range(-(2**63), 2**63)
 # ---------------------------------------------------------------------------
 # payloads
 
-@dataclass(frozen=True)
-class ClassificationPayload:
+class ClassificationPayload(NamedTuple):
     k_squared: int
     chi: int
     admissible: bool
@@ -53,15 +55,13 @@ class ClassificationPayload:
     explanation: str
 
 
-@dataclass(frozen=True)
-class ConstructionPayload:
+class ConstructionPayload(NamedTuple):
     variant: str
     recipe: ConstructionRecipe
     record: StableSurfaceRecord | None = None
 
 
-@dataclass(frozen=True)
-class EnumerationRow:
+class EnumerationRow(NamedTuple):
     chi: int
     general_type_k_squared: int | None
     component_count: int | None
@@ -71,13 +71,11 @@ class EnumerationRow:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class EnumerationPayload:
+class EnumerationPayload(NamedTuple):
     rows: tuple[EnumerationRow, ...]
 
 
-@dataclass(frozen=True)
-class VerificationPayload:
+class VerificationPayload(NamedTuple):
     chi_max: int
     k_max: int
     fault: str | None
@@ -86,13 +84,8 @@ class VerificationPayload:
 
     @classmethod
     def from_outcome(cls, outcome: VerificationOutcome) -> "VerificationPayload":
-        return cls(
-            chi_max=outcome.chi_max,
-            k_max=outcome.k_max,
-            fault=outcome.fault,
-            passed=outcome.passed,
-            checks=outcome.checks,
-        )
+        return cls(outcome.chi_max, outcome.k_max, outcome.fault, outcome.passed,
+                   outcome.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,7 @@ _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 # ---------------------------------------------------------------------------
 # codec: each annotation becomes a shape, a tuple headed by its kind, such as
 # ("int",), ("optional", inner, none_as), ("tuple", item), ("fixed", items) or
-# ("object", tag_key, {tag: cls}); a dataclass that needs no tag has key None
+# ("object", tag_key, {tag: cls}); a record class that needs no tag has key None
 
 _INT, _STR, _THIRDS = ("int",), ("str",), ("thirds",)
 _SCALARS = {int: _INT, bool: ("bool",), str: _STR}
@@ -155,7 +148,7 @@ def _shape(hint, none_as=None) -> tuple:
         return ("fixed", tuple(_shape(a) for a in args))
     elif origin is frozenset:
         return ("frozenset", _shape(args[0]))
-    elif dataclasses.is_dataclass(hint) and hint not in _TAGS:
+    elif (dataclasses.is_dataclass(hint) or hasattr(hint, "_fields")) and hint not in _TAGS:
         return ("object", None, {None: hint})
     tagged = [cls for cls in _TAGS if issubclass(cls, members)]
     return ("object", _TAGS[tagged[0]][0], {_TAGS[cls][1]: cls for cls in tagged})
@@ -168,13 +161,18 @@ _PAYLOADS = {kind: _shape(cls) for cls, kind in _KINDS.items()}
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """((field, key, shape), ...), tag and encode-only key of a dataclass."""
-    hints = typing.get_type_hints(cls)
+    """((field, key, shape), ...), tag and encode-only key of a record class."""
+    late = None
+    if cls is VerificationPayload:  # the first verification report loads verify
+        from .verify import CheckResult
+        late = {"CheckResult": CheckResult}
+    hints = typing.get_type_hints(cls, localns=late)
+    names = cls._fields if hasattr(cls, "_fields") else [f.name for f in dataclasses.fields(cls)]
     fields = tuple(
-        (f.name, _RENAMED.get((cls, f.name), f.name),
-         _THIRDS if (cls, f.name) in _IN_THIRDS
-         else _shape(hints[f.name], _NONE_AS.get((cls, f.name))))
-        for f in dataclasses.fields(cls))
+        (name, _RENAMED.get((cls, name), name),
+         _THIRDS if (cls, name) in _IN_THIRDS
+         else _shape(hints[name], _NONE_AS.get((cls, name))))
+        for name in names)
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
 

@@ -39,6 +39,12 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             AdmissiblePair(0, 1)
 
+    @pytest.mark.parametrize("pair", [(8.0, 7), (8, 7.0), (Fraction(8), 7), (8, True),
+                                      (True, 1), ("8", 7)])
+    def test_pair_refuses_values_that_are_not_int(self, pair):
+        with pytest.raises(ValueError, match="K\\^2 and chi must be integers"):
+            AdmissiblePair(*pair)
+
 
 class TestClassification:
     def test_single_component_off_eight(self):

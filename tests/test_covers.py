@@ -224,6 +224,17 @@ class TestScrollCurves:
         with pytest.raises(ValueError, match="inhomogeneous"):
             scroll_class(curve)
 
+    @pytest.mark.parametrize("e", [1.5, 2.0, True, "2", -1])
+    def test_parameter_must_be_a_nonnegative_int(self, e):
+        with pytest.raises(ValueError, match="scroll parameter e must be a nonnegative integer"):
+            ScrollCurve(e, frozenset({(0, 0, 1, 0)}))
+
+    @pytest.mark.parametrize("monomial", [(0, 0, 1.0, 0), (0, 0, True, 0), (0.5, 0, 1, 0),
+                                          (0, 0, -1, 0), (0, 0, 1)])
+    def test_monomial_entries_must_be_nonnegative_ints(self, monomial):
+        with pytest.raises(ValueError, match="malformed exponent quadruple"):
+            ScrollCurve(2, frozenset({monomial}))
+
 
 class TestInvariance:
     def test_matched_residue_scaling(self):

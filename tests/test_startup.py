@@ -1,0 +1,186 @@
+"""Cold start and plain records: what each command loads, and the records'
+immutability and wire plan.
+
+``verify`` and ``faults`` serve only ``verify-paper``, so importing the
+command line front end and running the other commands must not load
+them.  Plain records are ``typing.NamedTuple`` classes; their codec plan
+is pinned in ``tests/golden/codec_plans.json``, written when they were
+still dataclasses.
+"""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import horikawa
+from horikawa import catalog, cli, covers, lattice, reporting, verify
+from horikawa.lattice import Hirzebruch
+
+GOLDEN = Path(__file__).parent / "golden"
+# a fresh interpreter that imports this package's source
+_ENV = {**os.environ, "PYTHONPATH": str(Path(horikawa.__file__).resolve().parent.parent)}
+
+_COMMANDS = [
+    ["classify", "--k2", "8", "--chi", "7"],
+    ["construct", "stable", "--chi", "7", "--format", "json"],
+    ["enumerate", "--chi", "3", "--chi-max", "12"],
+]
+_PROBE = """
+import contextlib, io, json, sys
+import horikawa.cli
+loaded = lambda: sorted(m for m in ("horikawa.verify", "horikawa.faults") if m in sys.modules)
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = horikawa.cli.main(argv)
+    seen[argv[0]] = [code, loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = horikawa.cli.main(["verify-paper", "--chi-max", "6", "--k-max", "2"])
+seen["verify-paper"] = [code, loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_only_verify_paper_loads_verify_and_faults():
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(_COMMANDS)],
+                          env=_ENV, capture_output=True, text=True, timeout=120,
+                          check=True)
+    seen = json.loads(done.stdout)
+    assert seen == {
+        "import": [],
+        "classify": [0, []],
+        "construct": [0, []],
+        "enumerate": [0, []],
+        "verify-paper": [0, ["horikawa.faults", "horikawa.verify"]],
+    }
+
+
+def test_first_verification_report_decoded_loads_verify():
+    probe = ("import sys\n"
+             "from horikawa.reporting import Report\n"
+             "before = 'horikawa.verify' in sys.modules\n"
+             "report = Report.from_json(open(sys.argv[1], encoding='utf-8').read())\n"
+             "print(before, type(report.payload.checks[0]).__name__)")
+    done = subprocess.run([sys.executable, "-c", probe, str(GOLDEN / "verify-paper-6-2.json")],
+                          env=_ENV, capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.split() == ["False", "CheckResult"]
+
+
+def test_run_verification_is_served_by_the_package():
+    from horikawa import run_verification
+
+    assert run_verification is verify.run_verification
+    assert "run_verification" in horikawa.__all__
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        horikawa.not_a_name  # noqa: B018
+
+
+def test_help_states_the_verify_range_cap():
+    assert cli._VERIFY_CAP == verify.RANGE_CAP
+
+
+# ---------------------------------------------------------------------------
+# plain records
+
+@functools.cache
+def _records():
+    component_two = catalog.build_component_two(2)
+    stable = catalog.build_stable(4)
+    outcome = verify.run_verification(6, 2)
+    row = cli._enumeration_row(7)
+    return [
+        lattice.h0(Hirzebruch(1).divisor((1, 2))),
+        component_two.report.canonical_multiple,
+        component_two.report,
+        catalog.classify(8, 7),
+        stable.recipe.certificates[0],
+        catalog.build_component_one(4).certificates[0],
+        component_two,
+        outcome.checks[0],
+        outcome,
+        reporting.ClassificationPayload(8, 7, True, True, catalog.classify(8, 7), "two"),
+        reporting.ConstructionPayload("stable", stable.recipe, stable.record),
+        row,
+        reporting.EnumerationPayload((row,)),
+        reporting.VerificationPayload.from_outcome(outcome),
+    ]
+
+
+_CONVERTED = [
+    lattice.SectionCount, covers.CanonicalMultiple, covers.InvariantReport,
+    catalog.ComponentInfo, catalog.AmplenessCertificate, catalog.NefCertificate,
+    catalog.ConstructionRecipe, verify.CheckResult, verify.VerificationOutcome,
+    reporting.ClassificationPayload, reporting.ConstructionPayload, reporting.EnumerationRow,
+    reporting.EnumerationPayload, reporting.VerificationPayload,
+]
+
+
+def test_every_plain_record_is_sampled():
+    assert [type(record) for record in _records()] == _CONVERTED
+
+
+@pytest.mark.parametrize("index", range(len(_CONVERTED)),
+                         ids=[cls.__name__ for cls in _CONVERTED])
+def test_plain_record_refuses_assignment(index):
+    record = _records()[index]
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+def test_known_costs_of_named_tuples():
+    # a record equals the plain tuple of its values
+    assert lattice.SectionCount(3, True) == (3, True)
+    # the field named count shadows tuple.count
+    assert catalog.classify(8, 7).count == 2
+
+
+# ---------------------------------------------------------------------------
+# the codec's plan of every record class a payload reaches
+
+def _render_shape(shape):
+    if isinstance(shape, type):
+        return shape.__name__
+    if isinstance(shape, tuple):
+        return [_render_shape(part) for part in shape]
+    if isinstance(shape, dict):
+        return [[_render_shape(tag), _render_shape(cls)] for tag, cls in shape.items()]
+    return shape
+
+
+def codec_plans() -> dict:
+    """Class name -> [[field, key, shape], ...], tag and encode-only key, JSON ready."""
+    plans, pending = {}, [reporting._PAYLOADS[kind] for kind in sorted(reporting._PAYLOADS)]
+    while pending:
+        shape = pending.pop()
+        kind = shape[0]
+        if kind in ("optional", "tuple", "frozenset"):
+            pending.append(shape[1])
+        elif kind == "fixed":
+            pending.extend(shape[1])
+        elif kind == "dict":
+            pending.extend(shape[1:])
+        elif kind == "object":
+            for cls in shape[2].values():
+                if cls.__name__ not in plans:
+                    fields, tag, extra = reporting._plan(cls)
+                    plans[cls.__name__] = {
+                        "fields": [[name, key, _render_shape(sub)] for name, key, sub in fields],
+                        "tag": None if tag is None else list(tag),
+                        "encode_only": None if extra is None else extra[0],
+                    }
+                    pending.extend(sub for _name, _key, sub in fields)
+    return dict(sorted(plans.items()))
+
+
+def test_codec_plans_match_golden():
+    golden = json.loads((GOLDEN / "codec_plans.json").read_text(encoding="utf-8"))
+    assert codec_plans() == golden

@@ -112,6 +112,39 @@ class TestSharedBuilds:
         assert calls["build_stable", 5] == 3
         assert calls["build_stable", 4] == 1
 
+    @pytest.fixture
+    def k_calls(self, monkeypatch):
+        """Count component-two builds by k."""
+        calls, build = Counter(), catalog.build_component_two
+
+        def counting(k):
+            calls[k] += 1
+            return build(k)
+
+        monkeypatch.setattr(catalog, "build_component_two", counting)
+        return calls
+
+    def test_one_component_two_build_per_k(self, k_calls):
+        verify.run_verification(chi_max=30, k_max=6)
+        assert k_calls == dict.fromkeys(range(1, 7), 1)
+
+    def test_failed_component_two_build_is_not_cached(self, k_calls, monkeypatch):
+        counting = catalog.build_component_two
+
+        def broken(k):
+            result = counting(k)
+            if k == 3:
+                raise ValueError("no cover at k = 3")
+            return result
+
+        monkeypatch.setattr(catalog, "build_component_two", broken)
+        outcome = verify.run_verification(chi_max=30, k_max=6)
+        failed = {c.name: c.detail for c in outcome.checks if not c.passed}
+        assert failed == dict.fromkeys(
+            ("component-two-invariants", "classification-components"),
+            "pipeline error: ValueError: no cover at k = 3")
+        assert k_calls == {1: 1, 2: 1, 3: 2}
+
 
 class TestFaultRegistry:
     def test_at_least_twenty_faults(self):
