@@ -11,12 +11,11 @@ the mechanical argument closes, and downgraded to "asserted" otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import covers, lattice, stable
 from .covers import CoverSpec, InvariantReport, ScrollCurve
-from .lattice import DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
+from .lattice import CheckedRecord, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
 from .stable import SingularityLedger, StableSurfaceRecord
 
 
@@ -69,36 +68,32 @@ def admissible(k_squared: int, chi: int) -> bool:
     return not admissibility_failures(k_squared, chi)
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
+        ("k_squared", int), ("chi", int)])):
     """An admissible (K^2, chi) pair."""
 
-    k_squared: int
-    chi: int
-
-    def __post_init__(self):
-        if type(self.k_squared) is not int or type(self.chi) is not int:
-            raise ValueError(f"K^2 and chi must be integers, got {self.k_squared!r:.40}, "
-                             f"{self.chi!r:.40}")
-        if not admissible(self.k_squared, self.chi):
-            raise ValueError(f"pair (K^2, chi) = ({self.k_squared}, {self.chi}) is not admissible")
+    def __new__(cls, k_squared: int, chi: int):
+        if type(k_squared) is not int or type(chi) is not int:
+            raise ValueError(f"K^2 and chi must be integers, got {k_squared!r:.40}, "
+                             f"{chi!r:.40}")
+        if not admissible(k_squared, chi):
+            raise ValueError(f"pair (K^2, chi) = ({k_squared}, {chi}) is not admissible")
+        return tuple.__new__(cls, (k_squared, chi))
 
 
-@dataclass(frozen=True)
-class CanonicalImages:
+class CanonicalImages(CheckedRecord, NamedTuple("CanonicalImages", [
+        ("first_top_e", int), ("second", tuple[str, ...])])):
     """Canonical images of the two components where 8 divides K^2 on the low line.
 
     The first component's are F_0, F_2, ..., F_{first_top_e}; ``second``
     lists the second's.
     """
 
-    first_top_e: int
-    second: tuple[str, ...]
-
-    def __post_init__(self):
-        if type(self.first_top_e) is not int or self.first_top_e < 0 or self.first_top_e % 2:
+    def __new__(cls, first_top_e: int, second: tuple[str, ...]):
+        if type(first_top_e) is not int or first_top_e < 0 or first_top_e % 2:
             raise ValueError(f"the first component's largest e must be a nonnegative even "
-                             f"integer, got {self.first_top_e!r:.80}")
+                             f"integer, got {first_top_e!r:.80}")
+        return tuple.__new__(cls, (first_top_e, second))
 
 
 class ComponentInfo(NamedTuple):
@@ -509,7 +504,7 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
     resolution = stable.resolve_node_bookkeeping(spec)
     certificate = _ampleness_certificate(e, alpha, beta, general_position, scroll)
-    record = replace(resolution.unresolved, ample_canonical=True)
+    record = resolution.unresolved._replace(ample_canonical=True)
     stable.h0_2K(record)
     recipe = ConstructionRecipe(
         target=AdmissiblePair(2 * chi - 5, chi),

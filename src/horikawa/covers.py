@@ -10,11 +10,10 @@ explicit branch curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import lattice
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import CheckedRecord, DivisorClass, SurfaceModel
 
 
 class BuildingDataError(ValueError):
@@ -77,31 +76,29 @@ def _exact_quotient(c: int, degree: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
+        ("degree", int), ("base", SurfaceModel), ("branch", tuple[DivisorClass, ...]),
+        ("transversal_node_count", int)])):
     """Reduced building data of a degree 2 or degree 3 cyclic cover.
 
     ``root`` is derived from the branch once, by ``derive_root``, so that
-    degree * root = sum of j * branch[j-1].  The node count records
-    transversal intersections of the two degree-3 branch divisors that
-    are deliberately kept unresolved.
+    degree * root = sum of j * branch[j-1]; it is kept outside the fields.
+    The node count records transversal intersections of the two degree-3
+    branch divisors that are deliberately kept unresolved.
     """
 
-    degree: int
-    base: SurfaceModel
-    branch: tuple[DivisorClass, ...]
-    root: DivisorClass = field(init=False)
-    transversal_node_count: int = 0
-
-    def __post_init__(self):
-        if type(self.transversal_node_count) is not int:
+    def __new__(cls, degree: int, base: SurfaceModel, branch: tuple[DivisorClass, ...],
+                transversal_node_count: int = 0):
+        if type(transversal_node_count) is not int:
             raise BuildingDataError(
-                f"node count must be an integer, got {self.transversal_node_count!r:.80}")
-        if self.transversal_node_count < 0:
+                f"node count must be an integer, got {transversal_node_count!r:.80}")
+        if transversal_node_count < 0:
             raise BuildingDataError("node count must be nonnegative")
-        if self.degree == 2 and self.transversal_node_count:
+        if degree == 2 and transversal_node_count:
             raise BuildingDataError("node bookkeeping only applies to degree 3 covers")
-        object.__setattr__(self, "root", derive_root(self.degree, self.branch, self.base))
+        self = tuple.__new__(cls, (degree, base, branch, transversal_node_count))
+        object.__setattr__(self, "root", derive_root(degree, branch, base))
+        return self
 
     @classmethod
     def double(cls, base: SurfaceModel, d: DivisorClass) -> "CoverSpec":
@@ -246,8 +243,8 @@ def canonical_sections(spec: CoverSpec) -> int:
     return lattice.h0(k + spec.root).value
 
 
-@dataclass(frozen=True)
-class ScrollCurve:
+class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [
+        ("e", int), ("monomials", frozenset[tuple[int, int, int, int]])])):
     """A curve on a Hirzebruch surface cut out by scroll monomials.
 
     Monomials are exponent quadruples (c1, c2, d1, d2) for the scroll
@@ -256,19 +253,16 @@ class ScrollCurve:
     monomial set is homogeneous for the scroll weights.
     """
 
-    e: int
-    monomials: frozenset[tuple[int, int, int, int]]
-
-    def __post_init__(self):
-        if type(self.e) is not int or self.e < 0:
-            raise ValueError(f"scroll parameter e must be a nonnegative integer, got {self.e!r}")
-        monomials = frozenset(tuple(m) for m in self.monomials)
+    def __new__(cls, e: int, monomials):
+        if type(e) is not int or e < 0:
+            raise ValueError(f"scroll parameter e must be a nonnegative integer, got {e!r}")
+        monomials = frozenset(tuple(m) for m in monomials)
         if not monomials:
             raise ValueError("a scroll curve needs at least one monomial")
         for m in monomials:
             if len(m) != 4 or any(type(x) is not int or x < 0 for x in m):
                 raise ValueError(f"malformed exponent quadruple {m!r}")
-        object.__setattr__(self, "monomials", monomials)
+        return tuple.__new__(cls, (e, monomials))
 
 
 def scroll_class(curve: ScrollCurve) -> DivisorClass:

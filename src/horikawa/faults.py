@@ -166,7 +166,7 @@ def injected(name: str):
     included, runs the fault.
     """
     if name not in REGISTRY:
-        raise KeyError(f"unknown fault {name!r}; known faults: {', '.join(fault_names())}")
+        raise ValueError(f"unknown fault {name!r}; known faults: {', '.join(fault_names())}")
     function = _function(REGISTRY[name])
     original = function.__code__
     function.__code__ = mutant(name).__code__

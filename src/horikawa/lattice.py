@@ -12,7 +12,6 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from operator import add, sub
 from typing import NamedTuple
@@ -22,7 +21,29 @@ class SurfaceMismatchError(ValueError):
     """An operation mixed divisor classes living on different surfaces."""
 
 
-class SurfaceModel:
+def _immutable(self, name: str, *_value) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+class CheckedRecord:
+    """Mixin of the records that check or derive in ``__new__``.
+
+    Each such record is ``class X(CheckedRecord, NamedTuple("X", [...]))``.
+    ``_make``, and so ``_replace``, goes through the constructor and its
+    checks.  Derived state lives in the instance ``__dict__``, outside the
+    tuple, so equality, hashing, ``repr`` and the codec see only the
+    fields; it is written once with ``object.__setattr__``, and every
+    other assignment is refused.
+    """
+
+    __setattr__ = __delattr__ = _immutable
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class SurfaceModel(CheckedRecord):
     """Shared behaviour of the supported symbolic surface descriptions."""
 
     def divisor(self, coeffs) -> "DivisorClass":
@@ -45,24 +66,21 @@ class SurfaceModel:
         return DivisorClass._make(self, (0,) * picard_rank(root), ((0, count),) if count else ())
 
 
-@dataclass(frozen=True)
-class ProjectivePlane(SurfaceModel):
+class ProjectivePlane(SurfaceModel, NamedTuple("ProjectivePlane", [])):
     """The projective plane with Picard basis (H)."""
 
 
-@dataclass(frozen=True)
-class Hirzebruch(SurfaceModel):
+class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
     """The ruled surface with a section of self-intersection -e.
 
     Picard basis (D0, F) where D0 is the negative section and F a fiber,
     so D0.D0 = -e, D0.F = 1 and F.F = 0.
     """
 
-    e: int
-
-    def __post_init__(self):
-        if type(self.e) is not int or self.e < 0:
+    def __new__(cls, e: int):
+        if type(e) is not int or e < 0:
             raise ValueError("Hirzebruch parameter e must be a nonnegative integer")
+        return tuple.__new__(cls, (e,))
 
     def negative_section(self) -> "DivisorClass":
         return self.divisor((1, 0))
@@ -71,8 +89,8 @@ class Hirzebruch(SurfaceModel):
         return self.divisor((0, 1))
 
 
-@dataclass(frozen=True)
-class BlowUp(SurfaceModel):
+class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
+        ("base", SurfaceModel), ("point_count", int), ("general_position", bool)])):
     """Blow-up of a base surface at anonymous points.
 
     The points have no coordinates; ``general_position`` is a declared
@@ -82,19 +100,17 @@ class BlowUp(SurfaceModel):
     whole tower are recorded once, outside the compared fields.
     """
 
-    base: SurfaceModel
-    point_count: int
-    general_position: bool = True
-
-    def __post_init__(self):
-        if not isinstance(self.base, SurfaceModel):
+    def __new__(cls, base: SurfaceModel, point_count: int, general_position: bool = True):
+        if not isinstance(base, SurfaceModel):
             raise ValueError("blow-up base must be a SurfaceModel")
-        if type(self.point_count) is not int or self.point_count < 1:
+        if type(point_count) is not int or point_count < 1:
             raise ValueError("blow-up point count must be a positive integer")
-        if type(self.general_position) is not bool:
-            raise ValueError(f"general_position must be a bool, got {self.general_position!r}")
-        root, below = _levels(self.base)
-        object.__setattr__(self, "_levels", (root, below + self.point_count))
+        if type(general_position) is not bool:
+            raise ValueError(f"general_position must be a bool, got {general_position!r}")
+        self = tuple.__new__(cls, (base, point_count, general_position))
+        root, below = _levels(base)
+        object.__setattr__(self, "_levels", (root, below + point_count))
+        return self
 
     def exceptional(self, i: int) -> "DivisorClass":
         """Class of the i-th exceptional curve of this blow-up level, 1-based."""
@@ -113,7 +129,6 @@ class BlowUp(SurfaceModel):
                                   tuple(run for run in runs if run[1]))
 
 
-@dataclass(frozen=True, init=False, slots=True)
 class DivisorClass:
     """A divisor class: root coefficients plus runs over the exceptional classes.
 
@@ -122,8 +137,10 @@ class DivisorClass:
     classes E1, E2, ... of every blow-up level in order, with adjacent
     values distinct and no empty run, so equal classes have equal fields.
     One list serves all levels because E_i.E_j = -delta_ij throughout.
+    A class is immutable and, unlike the records, equals no tuple.
     """
 
+    __slots__ = _fields = ("surface", "head", "runs")
     surface: SurfaceModel
     head: tuple[int, ...]
     runs: tuple[tuple[int, int], ...]
@@ -167,6 +184,23 @@ class DivisorClass:
         _set_head(d, head)
         _set_runs(d, runs)
         return d
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not DivisorClass:
+            return NotImplemented
+        return (self.surface, self.head, self.runs) == (other.surface, other.head, other.runs)
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.head, self.runs))
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(surface={self.surface!r}, head={self.head!r}, runs={self.runs!r})"
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        # copies and unpickled classes go through the checked constructor
+        return DivisorClass, (self.surface, self.head, self.runs)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -233,7 +267,7 @@ class DivisorClass:
         return format_class(self)
 
 
-# the frozen class's slots, written once by its two constructors
+# the immutable class's slots, written once by its two constructors
 _new = object.__new__
 _set_surface = DivisorClass.surface.__set__
 _set_head = DivisorClass.head.__set__

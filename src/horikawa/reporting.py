@@ -11,18 +11,16 @@ every payload; the "wire format" tables list where the JSON differs.
 Decoding is strict: a missing key, a wrong JSON type or an unknown tag
 raises ValueError.  Reports of schema /2 decode as they are, since /3
 only writes the smooth K^2 as a number where /2 wrote a decimal string;
-reports of schema /1 are read through one upgrade step on the parsed data.
+any other schema is refused.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import json
 import types
 import typing
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,14 +28,14 @@ from . import lattice, stable
 from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
                       ConstructionRecipe, NefCertificate)
 from .covers import CanonicalMultiple, InvariantReport
-from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
+from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
 from .stable import StableSurfaceRecord
 
 if typing.TYPE_CHECKING:  # _plan resolves CheckResult when it is first needed
     from .verify import CheckResult, VerificationOutcome
 
 SCHEMA = "horikawa-report/3"
-_SCHEMA_V2, _SCHEMA_V1 = "horikawa-report/2", "horikawa-report/1"
+_SCHEMA_V2 = "horikawa-report/2"
 P_G_UNAVAILABLE = "unavailable(virtual)"
 
 _INT64 = range(-(2**63), 2**63)
@@ -148,7 +146,7 @@ def _shape(hint, none_as=None) -> tuple:
         return ("fixed", tuple(_shape(a) for a in args))
     elif origin is frozenset:
         return ("frozenset", _shape(args[0]))
-    elif (dataclasses.is_dataclass(hint) or hasattr(hint, "_fields")) and hint not in _TAGS:
+    elif hasattr(hint, "_fields") and hint not in _TAGS:
         return ("object", None, {None: hint})
     tagged = [cls for cls in _TAGS if issubclass(cls, members)]
     return ("object", _TAGS[tagged[0]][0], {_TAGS[cls][1]: cls for cls in tagged})
@@ -167,12 +165,11 @@ def _plan(cls) -> tuple:
         from .verify import CheckResult
         late = {"CheckResult": CheckResult}
     hints = typing.get_type_hints(cls, localns=late)
-    names = cls._fields if hasattr(cls, "_fields") else [f.name for f in dataclasses.fields(cls)]
     fields = tuple(
         (name, _RENAMED.get((cls, name), name),
          _THIRDS if (cls, name) in _IN_THIRDS
          else _shape(hints[name], _NONE_AS.get((cls, name))))
-        for name in names)
+        for name in cls._fields)
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
 
@@ -249,47 +246,13 @@ def _decode(data, shape: tuple):
     return thirds.numerator if thirds.denominator == 1 else thirds
 
 
-# ---------------------------------------------------------------------------
-# schema /1: the same payloads, except that a class carried its dense
-# coefficient vector and component I its whole list of images
-
-_CLASS, _SURFACE = _shape(DivisorClass), _shape(SurfaceModel)
-
-
-def _from_v1(data):
-    """The current form of a parsed /1 payload."""
-    if type(data) is list:
-        return [_from_v1(v) for v in data]
-    if type(data) is not dict:
-        return data
-    if "coeffs" in data:
-        # only a divisor class has this key in /1
-        try:
-            surface = _decode(data["surface"], _SURFACE)
-            cls = surface.divisor(_decode(data["coeffs"], ("tuple", _INT)))
-        except KeyError as missing:
-            raise ValueError(f"missing key {missing} of a /1 class") from None
-        return _encode(cls, _CLASS)
-    upgraded = {key: _from_v1(value) for key, value in data.items()}
-    images = upgraded.get("canonical_images")
-    if type(images) is dict and "I" in images:
-        first = images["I"]
-        top = 2 * len(first) - 2 if type(first) is list else -1
-        if top < 0 or first != [f"F_{e}" for e in range(0, top + 1, 2)]:
-            raise ValueError(f"canonical_images: /1 images of component I must be "
-                             f"F_0, F_2, ..., F_2m, got {first!r:.80}")
-        upgraded["canonical_images"] = dict(images, I=top)
-    return upgraded
-
-
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One command's inputs, payload, derivation trail and assumptions."""
 
     command: str
     inputs: dict
     payload: object
-    derivations: dict = field(default_factory=dict)
+    derivations: dict = {}  # shared by every report that omits it, so never mutated
     assumptions: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -320,10 +283,7 @@ class Report:
     @classmethod
     def from_jsonable(cls, data: dict) -> "Report":
         schema = data.get("schema") if type(data) is dict else None
-        if schema == _SCHEMA_V1:
-            data = {key: _from_v1(value) if key == "payload" else value
-                    for key, value in data.items()}
-        elif schema not in (SCHEMA, _SCHEMA_V2):
+        if schema not in (SCHEMA, _SCHEMA_V2):
             raise ValueError(f"unsupported report schema {schema!r}")
         try:
             kind, inputs = data["payload_kind"], data["inputs"]

@@ -9,40 +9,37 @@ quantity computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import covers, lattice
 from .covers import CoverSpec, InvariantReport
+from .lattice import CheckedRecord
 
 
 class LedgerError(ValueError):
     """A singularity ledger is inconsistent with the claimed invariants."""
 
 
-@dataclass(frozen=True, init=False)
-class SingularityLedger:
+class SingularityLedger(CheckedRecord, NamedTuple("SingularityLedger", [
+        ("third11_count", int), ("canonical_count", int)])):
     """Counts of the singular points carried by a surface."""
 
-    third11_count: int = 0
-    canonical_count: int = 0
-
-    def __init__(self, third11_count: int = 0, canonical_count: int = 0):
+    def __new__(cls, third11_count: int = 0, canonical_count: int = 0):
         if type(third11_count) is not int or type(canonical_count) is not int:
             bad = canonical_count if type(third11_count) is int else third11_count
             raise ValueError(f"singularity counts must be integers, got {bad!r}")
         if third11_count < 0 or canonical_count < 0:
             raise ValueError("singularity counts must be nonnegative")
-        # one dict update instead of a frozen-field assignment per field
-        self.__dict__.update(third11_count=third11_count, canonical_count=canonical_count)
+        return tuple.__new__(cls, (third11_count, canonical_count))
 
 
 EMPTY_LEDGER = SingularityLedger()
 
 
-@dataclass(frozen=True, init=False)
-class StableSurfaceRecord:
+class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
+        ("k_squared_thirds", int), ("chi", int), ("ledger", SingularityLedger),
+        ("ample_canonical", bool), ("smoothable", bool)])):
     """Invariants and flags of a normal stable surface.
 
     K^2 is kept in thirds, as the integer ``k_squared_thirds`` = 3*K^2:
@@ -51,14 +48,8 @@ class StableSurfaceRecord:
     when the record is built.  ``k_squared`` is the derived Fraction.
     """
 
-    k_squared_thirds: int
-    chi: int
-    ledger: SingularityLedger
-    ample_canonical: bool = False
-    smoothable: bool = False
-
-    def __init__(self, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
-                 ample_canonical: bool = False, smoothable: bool = False):
+    def __new__(cls, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
+                ample_canonical: bool = False, smoothable: bool = False):
         if type(k_squared_thirds) is not int:
             if isinstance(k_squared_thirds, Fraction):
                 raise LedgerError(
@@ -70,9 +61,7 @@ class StableSurfaceRecord:
             raise LedgerError(
                 "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
             )
-        # one dict update instead of a frozen-field assignment per field
-        self.__dict__.update(k_squared_thirds=k_squared_thirds, chi=chi, ledger=ledger,
-                             ample_canonical=ample_canonical, smoothable=smoothable)
+        return tuple.__new__(cls, (k_squared_thirds, chi, ledger, ample_canonical, smoothable))
 
     @property
     def k_squared(self) -> Fraction:

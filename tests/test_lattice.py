@@ -1,5 +1,7 @@
 """Picard lattice arithmetic against independent oracles."""
 
+import copy
+import pickle
 from itertools import groupby
 from operator import add, mul, sub
 
@@ -430,6 +432,35 @@ class TestFastPaths:
         a, b = lattice.blow_up(P2, 2), lattice.blow_up(P2, 2)
         assert a is not b and a == b and hash(a) == hash(b)
         assert repr(a) == "BlowUp(base=ProjectivePlane(), point_count=2, general_position=True)"
+
+    def test_replace_keeps_the_levels(self):
+        tower = lattice.blow_up(lattice.blow_up(P2, 3), 5)
+        grown = tower._replace(point_count=6)
+        assert lattice._levels(grown) == (P2, 9) and lattice.picard_rank(grown) == 10
+        assert grown.exceptional_sum().coeffs == (0,) + (0,) * 3 + (1,) * 6
+        with pytest.raises(ValueError, match="positive integer"):
+            tower._replace(point_count=0)
+
+    def test_class_is_not_the_tuple_of_its_fields(self):
+        d = lattice.blow_up(P2, 2).divisor((3, -1, 0))
+        assert d != (d.surface, d.head, d.runs) and (d.surface, d.head, d.runs) != d
+        assert repr(d) == ("DivisorClass(surface=BlowUp(base=ProjectivePlane(), point_count=2, "
+                           "general_position=True), head=(3,), runs=((-1, 1), (0, 1)))")
+
+    def test_copies_and_pickles_are_equal(self):
+        d = lattice.blow_up(lattice.blow_up(Hirzebruch(1), 2), 3).divisor((1, 2, -1, 0, 0, 5, 5))
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d and hash(twin) == hash(d)
+            assert lattice._levels(twin.surface) == (Hirzebruch(1), 5)
+
+    def test_class_refuses_assignment(self):
+        d = P2.divisor((2,))
+        for name in DivisorClass._fields + ("not_a_field",):
+            with pytest.raises(AttributeError, match="DivisorClass is immutable"):
+                setattr(d, name, getattr(d, name, None))
+            with pytest.raises(AttributeError, match="DivisorClass is immutable"):
+                delattr(d, name)
+        assert d == P2.divisor((2,))
 
 
 OPERATIONS = [add, sub, DivisorClass.dot]

@@ -337,47 +337,16 @@ def test_class_round_trip_property(tower_and_dense):
     assert decoded.coeffs == cls.coeffs == dense
 
 
-V1_FIXTURES = ["construct-stable-chi6.json", "construct-component-I-chi4.json",
-               "classify-on-line-two-classes.json", "verify-paper-6-2.json"]
-
-
 class TestSchemaOne:
-    """Reports of schema /1 are upgraded on the parsed data, then decoded as /3."""
+    """Schema /1 is no longer read: it is refused like any unknown schema."""
 
-    @pytest.mark.parametrize("name", V1_FIXTURES)
-    def test_fixture_decodes_to_the_regenerated_report(self, name):
-        old = (GOLDEN / "v1" / name).read_text(encoding="utf-8")
-        new = (GOLDEN / name).read_text(encoding="utf-8")
-        assert json.loads(old)["schema"] == "horikawa-report/1"
-        assert json.loads(new)["schema"] == "horikawa-report/3"
-        assert Report.from_json(old) == Report.from_json(new)
-        assert Report.from_json(old).to_json() == new
-
-    @pytest.mark.parametrize("schema", ["horikawa-report/4", "horikawa-report/0", None, 1])
+    @pytest.mark.parametrize("schema", ["horikawa-report/4", "horikawa-report/0", None, 1,
+                                        "horikawa-report/1"])
     def test_unknown_schema_rejected(self, schema):
-        data = json.loads((GOLDEN / "v1" / "verify-paper-6-2.json").read_text(encoding="utf-8"))
+        data = json.loads((GOLDEN / "verify-paper-6-2.json").read_text(encoding="utf-8"))
         data["schema"] = schema
         with pytest.raises(ValueError, match="unsupported report schema"):
             Report.from_jsonable(data)
-
-    @pytest.mark.parametrize("images", [
-        ["F_0", "F_4"], ["F_2", "F_4"], ["F_0", "F_2", "F_3"], [], ["F_0", 2], "F_0", 4,
-        ["F_0", "F_2", "F_4", "F_4"], None])
-    def test_component_one_images_must_be_the_even_scrolls(self, images):
-        path = GOLDEN / "v1" / "classify-on-line-two-classes.json"
-        data = json.loads(path.read_text(encoding="utf-8"))
-        data["payload"]["components"]["canonical_images"]["I"] = images
-        with pytest.raises(ValueError, match="images of component I must be F_0, F_2"):
-            Report.from_jsonable(data)
-
-    def test_dense_coefficients_are_checked(self):
-        path = GOLDEN / "v1" / "construct-component-I-chi4.json"
-        for coeffs, match in [([2, 4, -1], "expected 12 coefficients, got 3"),
-                              ([2, True] + [-1] * 10, "expected an integer, got True")]:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            data["payload"]["recipe"]["branch"][0]["coeffs"] = coeffs
-            with pytest.raises(ValueError, match=match):
-                Report.from_jsonable(data)
 
 
 V2_FIXTURES = ["construct-stable-chi6.json", "construct-component-II-k2.json",

@@ -1,6 +1,5 @@
 """One-third quotient point bookkeeping."""
 
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -49,7 +48,7 @@ class TestLedger:
 
     def test_replace_equals_a_record_built_directly(self):
         ledger = SingularityLedger(3)
-        record = replace(StableSurfaceRecord(1, 3, ledger), ample_canonical=True)
+        record = StableSurfaceRecord(1, 3, ledger)._replace(ample_canonical=True)
         twin = StableSurfaceRecord(1, 3, ledger, ample_canonical=True)
         assert record == twin and hash(record) == hash(twin)
         assert record.k_squared_thirds == 1 and type(record.k_squared_thirds) is int
@@ -120,13 +119,13 @@ class TestBicanonicalCount:
 
     def test_count_leaves_the_record_unchanged(self):
         record = StableSurfaceRecord(3, 3, SingularityLedger(3))
-        before = dict(vars(record))
+        before = record._asdict()
         h0_2K(record)
-        assert vars(record) == before
+        assert record._asdict() == before
 
     def test_record_refuses_assignment(self):
         record = StableSurfaceRecord(3, 3, SingularityLedger(3))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             record.k_squared = Fraction(2)
 
     def test_non_integral_total_rejected(self):

@@ -1,11 +1,13 @@
-"""Cold start and plain records: what each command loads, and the records'
-immutability and wire plan.
+"""Cold start and records: what each command loads, and the records'
+immutability, copies and wire plan.
 
-``verify`` and ``faults`` serve only ``verify-paper``, so importing the
-command line front end and running the other commands must not load
-them.  Plain records are ``typing.NamedTuple`` classes; their codec plan
-is pinned in ``tests/golden/codec_plans.json``, written when they were
-still dataclasses.
+``verify`` and ``faults`` serve only ``verify-paper``, and ``faults`` only
+with an injected fault, so importing the command line front end and
+running the other commands must load neither, nor ``dataclasses`` or
+``inspect``.  Every record is a ``typing.NamedTuple``, except the divisor
+class, a slotted class that equals no tuple; their codec plan is pinned
+in ``tests/golden/codec_plans.json``, written when the records were still
+dataclasses.
 """
 
 import functools
@@ -19,7 +21,7 @@ import pytest
 
 import horikawa
 from horikawa import catalog, cli, covers, lattice, reporting, verify
-from horikawa.lattice import Hirzebruch
+from horikawa.lattice import Hirzebruch, ProjectivePlane
 
 GOLDEN = Path(__file__).parent / "golden"
 # a fresh interpreter that imports this package's source
@@ -29,19 +31,19 @@ _COMMANDS = [
     ["classify", "--k2", "8", "--chi", "7"],
     ["construct", "stable", "--chi", "7", "--format", "json"],
     ["enumerate", "--chi", "3", "--chi-max", "12"],
+    ["verify-paper", "--chi-max", "6", "--k-max", "2"],
+    ["verify-paper", "--inject-fault", "germ-index-shift", "--chi-max", "6", "--k-max", "2"],
 ]
 _PROBE = """
 import contextlib, io, json, sys
 import horikawa.cli
-loaded = lambda: sorted(m for m in ("horikawa.verify", "horikawa.faults") if m in sys.modules)
+watched = ("dataclasses", "horikawa.faults", "horikawa.verify", "inspect")
+loaded = lambda: [m for m in watched if m in sys.modules]
 seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = horikawa.cli.main(argv)
-    seen[argv[0]] = [code, loaded()]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = horikawa.cli.main(["verify-paper", "--chi-max", "6", "--k-max", "2"])
-seen["verify-paper"] = [code, loaded()]
+    seen[" ".join(argv[:2] if argv[0] == "verify-paper" else argv[:1])] = [code, loaded()]
 print(json.dumps(seen))
 """
 
@@ -56,7 +58,8 @@ def test_only_verify_paper_loads_verify_and_faults():
         "classify": [0, []],
         "construct": [0, []],
         "enumerate": [0, []],
-        "verify-paper": [0, ["horikawa.faults", "horikawa.verify"]],
+        "verify-paper --chi-max": [0, ["horikawa.verify"]],
+        "verify-paper --inject-fault": [1, ["horikawa.faults", "horikawa.verify", "inspect"]],
     }
 
 
@@ -137,10 +140,66 @@ def test_plain_record_refuses_assignment(index):
 
 
 def test_known_costs_of_named_tuples():
-    # a record equals the plain tuple of its values
+    # a record equals the plain tuple of its values, and so does a surface
     assert lattice.SectionCount(3, True) == (3, True)
+    assert Hirzebruch(2) == (2,) and lattice.blow_up(_P2, 3) == (_P2, 3, True)
+    # the plane has no fields, so it is false
+    assert bool(ProjectivePlane()) is False
     # the field named count shadows tuple.count
     assert catalog.classify(8, 7).count == 2
+
+
+# ---------------------------------------------------------------------------
+# every record: immutable, and ``_replace`` runs the constructor's checks
+
+_P2 = ProjectivePlane()
+_CODEC_RECORDS = sorted(json.loads((GOLDEN / "codec_plans.json").read_text(encoding="utf-8")))
+
+
+def _collect(value, found: dict) -> dict:
+    """The first instance of each record class reachable from ``value``, by class name."""
+    if hasattr(type(value), "_fields"):
+        found.setdefault(type(value).__name__, value)
+        value = [getattr(value, name) for name in value._fields]
+    if isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            _collect(item, found)
+    return found
+
+
+@functools.cache
+def _every_record() -> dict:
+    spec = covers.CoverSpec.double(_P2, _P2.divisor((4,)))
+    return _collect([_records(), spec, cli.run_classify(8, 7)[0]], {})
+
+
+@pytest.mark.parametrize("name", _CODEC_RECORDS + ["CoverSpec", "Report"])
+def test_record_refuses_assignment(name):
+    record = _every_record()[name]
+    for field in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+def test_replace_runs_the_checks():
+    with pytest.raises(ValueError, match="must be integers"):
+        catalog.AdmissiblePair(8, 7)._replace(chi=1.5)
+    with pytest.raises(ValueError, match="not admissible"):
+        catalog.AdmissiblePair(8, 7)._replace(k_squared=0)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        catalog.AdmissiblePair(8, 7)._replace(not_a_field=1)
+
+
+def test_replace_derives_the_root_again():
+    spec = covers.CoverSpec.double(_P2, _P2.divisor((4,)))
+    assert spec.root == _P2.divisor((2,))
+    changed = spec._replace(branch=(_P2.divisor((6,)),))
+    assert changed.root == _P2.divisor((3,)) and changed == covers.CoverSpec.double(
+        _P2, _P2.divisor((6,)))
+    with pytest.raises(covers.BuildingDataError, match="not divisible by 2"):
+        spec._replace(branch=(_P2.divisor((5,)),))
 
 
 # ---------------------------------------------------------------------------

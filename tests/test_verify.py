@@ -162,7 +162,7 @@ class TestFaultRegistry:
             assert first.identity
 
     def test_unknown_fault_raises(self):
-        with pytest.raises(KeyError, match="unknown fault"):
+        with pytest.raises(ValueError, match="unknown fault"):
             with faults.injected("nonsense"):
                 pass
 
