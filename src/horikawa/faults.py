@@ -163,7 +163,8 @@ def injected(name: str):
 
     The mutant's code replaces the target function's own code object, so
     every reference to the function, a ``functools.wraps`` wrapper
-    included, runs the fault.
+    included, runs the fault.  An unknown name raises ValueError, which
+    ``verify-paper`` reports as a usage error.
     """
     if name not in REGISTRY:
         raise ValueError(f"unknown fault {name!r}; known faults: {', '.join(fault_names())}")
