@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 from . import catalog
 from .reporting import (ClassificationPayload, ConstructionPayload,
-                        EnumerationPayload, EnumerationRow, Report,
-                        VerificationPayload, render_text)
+                        EnumerationPayload, EnumerationRow, Report, render_text)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -145,7 +144,7 @@ def _enumeration_row(chi: int) -> EnumerationRow:
     stable = chi >= 3
     constructions = []
     notes = []
-    if on_line and chi >= 4:
+    if on_line:
         constructions.append("component-I")
     if on_line and k2 % 8 == 0:
         constructions.append(f"component-II (k = {k2 // 8})")
@@ -188,7 +187,7 @@ def run_verify(chi_max: int, k_max: int,
     return Report(
         command="verify-paper",
         inputs={},
-        payload=VerificationPayload.from_outcome(outcome),
+        payload=outcome,
         derivations={
             "checks[]": "each check recomputes its expected values independently",
         },

@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import re
 import types
 import typing
 from fractions import Fraction
@@ -28,11 +29,8 @@ from . import lattice, stable
 from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
                       ConstructionRecipe, NefCertificate)
 from .covers import CanonicalMultiple, InvariantReport
-from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
+from .lattice import BlowUp, CheckedRecord, DivisorClass, Hirzebruch, ProjectivePlane
 from .stable import StableSurfaceRecord
-
-if typing.TYPE_CHECKING:  # _plan resolves CheckResult when it is first needed
-    from .verify import CheckResult, VerificationOutcome
 
 SCHEMA = "horikawa-report/3"
 _SCHEMA_V2 = "horikawa-report/2"
@@ -73,17 +71,29 @@ class EnumerationPayload(NamedTuple):
     rows: tuple[EnumerationRow, ...]
 
 
-class VerificationPayload(NamedTuple):
-    chi_max: int
-    k_max: int
-    fault: str | None
+class CheckResult(NamedTuple):
+    name: str
+    identity: str
     passed: bool
-    checks: tuple[CheckResult, ...]
+    detail: str = ""
 
-    @classmethod
-    def from_outcome(cls, outcome: VerificationOutcome) -> "VerificationPayload":
-        return cls(outcome.chi_max, outcome.k_max, outcome.fault, outcome.passed,
-                   outcome.checks)
+
+class VerificationOutcome(CheckedRecord, NamedTuple("VerificationOutcome", [
+        ("chi_max", int), ("k_max", int), ("fault", str | None),
+        ("checks", tuple[CheckResult, ...]), ("passed", bool)])):
+    """One run of the identity suite; ``passed`` is derived from the checks
+    when left out, and refused when it disagrees with them."""
+
+    def __new__(cls, chi_max: int, k_max: int, fault: str | None,
+                checks: tuple[CheckResult, ...], passed: bool | None = None):
+        derived = all(c.passed for c in checks)
+        if passed is not None and passed != derived:
+            raise ValueError(f"passed is {passed} but the checks give {derived}")
+        return tuple.__new__(cls, (chi_max, k_max, fault, checks, derived))
+
+    @property
+    def first_failure(self) -> CheckResult | None:
+        return next((c for c in self.checks if not c.passed), None)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +135,8 @@ _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 # ("object", tag_key, {tag: cls}); a record class that needs no tag has key None
 
 _INT, _STR, _THIRDS = ("int",), ("str",), ("thirds",)
+# the only forms of a rational that the thirds kind writes, and so reads
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _SCALARS = {int: _INT, bool: ("bool",), str: _STR}
 # the JSON type each kind other than "int" and "optional" decodes from
 _JSON_TYPES = {"bool": bool, "str": str, "thirds": str, "dict": dict,
@@ -153,18 +165,14 @@ def _shape(hint, none_as=None) -> tuple:
 
 
 _KINDS = {ClassificationPayload: "classification", ConstructionPayload: "construction",
-          EnumerationPayload: "enumeration", VerificationPayload: "verification"}
+          EnumerationPayload: "enumeration", VerificationOutcome: "verification"}
 _PAYLOADS = {kind: _shape(cls) for cls, kind in _KINDS.items()}
 
 
 @functools.cache
 def _plan(cls) -> tuple:
     """((field, key, shape), ...), tag and encode-only key of a record class."""
-    late = None
-    if cls is VerificationPayload:  # the first verification report loads verify
-        from .verify import CheckResult
-        late = {"CheckResult": CheckResult}
-    hints = typing.get_type_hints(cls, localns=late)
+    hints = typing.get_type_hints(cls)
     fields = tuple(
         (name, _RENAMED.get((cls, name), name),
          _THIRDS if (cls, name) in _IN_THIRDS
@@ -242,6 +250,8 @@ def _decode(data, shape: tuple):
     if kind == "dict":
         return {_decode(k, shape[1]): _decode(v, shape[2]) for k, v in data.items()}
     # thirds: a value off the thirds stays a Fraction, for the constructor to refuse
+    if not _RATIONAL.fullmatch(data):
+        raise ValueError(f"expected a rational n or n/d, got {data!r:.80}")
     thirds = 3 * Fraction(data)
     return thirds.numerator if thirds.denominator == 1 else thirds
 
@@ -424,14 +434,13 @@ def render_text(report: Report) -> str:
             lines.append(f"  identity: {check.identity}")
             if not check.passed:
                 lines.append(f"  detail: {check.detail}")
-        total = len(payload.checks)
         good = sum(1 for c in payload.checks if c.passed)
         if payload.fault is not None:
             lines.append(f"injected fault: {payload.fault}")
-        lines.append(f"summary: {good}/{total} checks passed "
+        lines.append(f"summary: {good}/{len(payload.checks)} checks passed "
                      f"(chi <= {payload.chi_max}, k <= {payload.k_max})")
-        if good != total:
-            first = next(c for c in payload.checks if not c.passed)
+        if not payload.passed:
+            first = payload.first_failure
             lines.append(f"first violated identity: {first.name} ({first.identity})")
     if report.assumptions:
         lines.append("assumptions:")

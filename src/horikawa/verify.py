@@ -15,31 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import catalog, covers, lattice, stable
 from .lattice import DivisorClass, Hirzebruch, ProjectivePlane
-
-
-class CheckResult(NamedTuple):
-    name: str
-    identity: str
-    passed: bool
-    detail: str = ""
-
-
-class VerificationOutcome(NamedTuple):
-    chi_max: int
-    k_max: int
-    fault: str | None
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def first_failure(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+from .reporting import CheckResult, VerificationOutcome
 
 
 class _CheckFailure(Exception):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from horikawa import catalog, cli, lattice, verify
 from horikawa.lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
-                                EnumerationPayload, EnumerationRow, Report,
-                                VerificationPayload, _decode, _encode, _shape,
-                                render_text)
+                                CheckResult, EnumerationPayload, EnumerationRow,
+                                Report, VerificationOutcome, _decode, _encode,
+                                _shape, render_text)
 from horikawa.stable import StableSurfaceRecord
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,7 +83,7 @@ class TestRoundTrip:
         report = Report(
             command="verify-paper",
             inputs={"chi_max": 6, "k_max": 2, "format": "json"},
-            payload=VerificationPayload.from_outcome(outcome),
+            payload=outcome,
         )
         assert Report.from_json(report.to_json()) == report
 
@@ -145,7 +145,7 @@ class TestBigIntegers:
 def _verification_report():
     outcome = verify.run_verification(chi_max=6, k_max=2)
     return Report(command="verify-paper", inputs={"chi_max": 6, "k_max": 2},
-                  payload=VerificationPayload.from_outcome(outcome))
+                  payload=outcome)
 
 
 def _stable_payload(chi):
@@ -203,6 +203,15 @@ class TestStrictDecoding:
          "report: k_squared: invalid literal"),
         ("component-I", ("payload", "recipe", "report", "k_squared"), 12.0,
          "expected an integer"),
+        # the stable K^2 takes only the digit forms it is written in, where
+        # Fraction would also read 10**7, 7, 7 and 70
+        ("stable", ("payload", "record", "k_squared"), "1e7", "expected a rational n or n/d"),
+        ("stable", ("payload", "record", "k_squared"), "7.0", "expected a rational n or n/d"),
+        ("stable", ("payload", "record", "k_squared"), " 7", "expected a rational n or n/d"),
+        ("stable", ("payload", "record", "k_squared"), "7_0", "expected a rational n or n/d"),
+        # the verdict must agree with the checks
+        ("verification", ("payload", "passed"), False,
+         "passed is False but the checks give True"),
     ])
     def test_rejects_malformed_field(self, report, path, value, match):
         data = json.loads(_REPORTS[report]().to_json())
@@ -260,6 +269,20 @@ def _set_first_branch(key, value):
     def edit(data):
         data["payload"]["recipe"]["branch"][0][key] = value
     return edit
+
+
+class TestVerificationOutcome:
+    def test_passed_is_derived_from_the_checks(self):
+        # verify serves the records as reporting defines them
+        assert verify.CheckResult is CheckResult
+        assert verify.VerificationOutcome is VerificationOutcome
+        checks = tuple(CheckResult(name, "", True) for name in verify.check_names())
+        assert VerificationOutcome(6, 2, None, checks).passed is True
+        failing = checks[:1] + (checks[1]._replace(passed=False),) + checks[2:]
+        outcome = VerificationOutcome(6, 2, None, failing)
+        assert outcome.passed is False and outcome.first_failure == failing[1]
+        with pytest.raises(ValueError, match="passed is True but the checks give False"):
+            VerificationOutcome(6, 2, None, failing, True)
 
 
 class TestStrictClassDecoding:
@@ -434,7 +457,7 @@ class TestTextRendering:
         report = Report(
             command="verify-paper",
             inputs={"chi_max": 6, "k_max": 2, "format": "text"},
-            payload=VerificationPayload.from_outcome(outcome),
+            payload=outcome,
         )
         text = render_text(report)
         for name in verify.check_names():
