@@ -135,7 +135,9 @@ _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 # ("object", tag_key, {tag: cls}); a record class that needs no tag has key None
 
 _INT, _STR, _THIRDS = ("int",), ("str",), ("thirds",)
-# the only forms of a rational that the thirds kind writes, and so reads
+# the only forms of an integer and of a rational that the codec writes, and so
+# reads; int() and Fraction() would also take " 6", "+6", "6_0" and "\u0666"
+_INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _SCALARS = {int: _INT, bool: ("bool",), str: _STR}
 # the JSON type each kind other than "int" and "optional" decodes from
@@ -215,6 +217,8 @@ def _decode(data, shape: tuple):
         if type(data) is int:
             return data
         if type(data) is str:
+            if not _INTEGER.fullmatch(data):
+                raise ValueError(f"invalid literal for an integer: {data!r:.80}")
             return int(data)
         raise ValueError(f"expected an integer, got {data!r:.80}")
     if kind == "optional":

@@ -14,7 +14,7 @@ import random
 from typing import Callable, NamedTuple
 
 from . import catalog, covers, lattice, stable
-from .lattice import DivisorClass, Hirzebruch, ProjectivePlane
+from .lattice import Hirzebruch, ProjectivePlane
 from .reporting import CheckResult, VerificationOutcome
 
 
@@ -38,6 +38,7 @@ def _expect(condition: bool, detail: str):
 # ---------------------------------------------------------------------------
 # independent oracles
 
+@functools.cache
 def _enumerate_scroll_sections(e: int, a: int, b: int) -> int:
     """Count monomials t1^c1 t2^c2 x1^d1 x2^d2 of class a*D0 + b*F directly."""
     count = 0
@@ -49,6 +50,7 @@ def _enumerate_scroll_sections(e: int, a: int, b: int) -> int:
     return count
 
 
+@functools.cache
 def _enumerate_plane_sections(d: int) -> int:
     count = 0
     for i in range(0, d + 1):
@@ -70,9 +72,39 @@ def _sample_surfaces():
     )
 
 
-def _random_class(rng: random.Random, surface) -> DivisorClass:
-    rank = lattice.picard_rank(surface)
-    return surface.divisor(tuple(rng.randint(-10, 10) for _ in range(rank)))
+# Seeded samples, drawn once per process.  Each draw is keyed on the ranks
+# that a run reads from the surfaces it builds, so a fault that changes a rank
+# gets the stream its ranks call for.  Only these tuples of integers are
+# shared: every divisor, pullback, sum and pairing still runs in the run.
+
+def _draw_vector(rng: random.Random, rank: int) -> tuple[int, ...]:
+    return tuple([rng.randint(-10, 10) for _ in range(rank)])
+
+
+@functools.cache
+def _bilinearity_draws(ranks: tuple[int, ...]) -> tuple:
+    """400 cases (u, v, w, m): three coefficient vectors on sample surface
+    n % len(ranks), then a scalar, in the order they are drawn."""
+    rng = random.Random(20260808)
+    cases = []
+    for n in range(400):
+        rank = ranks[n % len(ranks)]
+        cases.append((_draw_vector(rng, rank), _draw_vector(rng, rank),
+                      _draw_vector(rng, rank), rng.randint(-6, 6)))
+    return tuple(cases)
+
+
+_ISOMETRY_POINT_COUNTS = (1, 5, 17)
+
+
+@functools.cache
+def _isometry_draws(ranks: tuple[int, ...]) -> tuple:
+    """Per ruled surface, per point count, 30 pairs of coefficient vectors."""
+    rng = random.Random(1729)
+    return tuple(tuple(tuple((_draw_vector(rng, rank), _draw_vector(rng, rank))
+                             for _ in range(30))
+                       for _n in _ISOMETRY_POINT_COUNTS)
+                 for rank in ranks)
 
 
 def _branch_pair(e: int, alpha: int, beta: int, points: int):
@@ -89,14 +121,11 @@ def _branch_pair(e: int, alpha: int, beta: int, points: int):
 # checks
 
 def _check_symmetry_bilinearity(chi_max, k_max, builds):
-    rng = random.Random(20260808)
     surfaces = _sample_surfaces()
-    for n in range(400):
+    draws = _bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
+    for n, (u, v, w, m) in enumerate(draws):
         surface = surfaces[n % len(surfaces)]
-        a = _random_class(rng, surface)
-        b = _random_class(rng, surface)
-        c = _random_class(rng, surface)
-        m = rng.randint(-6, 6)
+        a, b, c = surface.divisor(u), surface.divisor(v), surface.divisor(w)
         # the detail is formatted only on failure
         if a.dot(b) != b.dot(a):
             what = "symmetric"
@@ -110,17 +139,18 @@ def _check_symmetry_bilinearity(chi_max, k_max, builds):
 
 
 def _check_pullback_isometry(chi_max, k_max, builds):
-    rng = random.Random(1729)
-    for e in (0, 1, 2, 4):
-        ruled = Hirzebruch(e)
-        for n in (1, 5, 17):
+    ruled_surfaces = [Hirzebruch(e) for e in (0, 1, 2, 4)]
+    draws = _isometry_draws(tuple(map(lattice.picard_rank, ruled_surfaces)))
+    for ruled, per_count in zip(ruled_surfaces, draws):
+        for n, pairs in zip(_ISOMETRY_POINT_COUNTS, per_count):
             blown = lattice.blow_up(ruled, n)
-            for _ in range(30):
-                d1 = _random_class(rng, ruled)
-                d2 = _random_class(rng, ruled)
+            for v1, v2 in pairs:
+                d1 = ruled.divisor(v1)
+                d2 = ruled.divisor(v2)
                 p1 = lattice.pullback(blown, d1)
                 p2 = lattice.pullback(blown, d2)
-                _expect(p1.dot(p2) == d1.dot(d2), f"pullback not isometric on F_{e} + {n}")
+                _expect(p1.dot(p2) == d1.dot(d2),
+                        f"pullback not isometric on F_{ruled.e} + {n}")
                 _expect(
                     p1.dot(blown.exceptional(1)) == 0,
                     "pullback not orthogonal to exceptional classes",

@@ -212,6 +212,12 @@ class TestStrictDecoding:
         # the verdict must agree with the checks
         ("verification", ("payload", "passed"), False,
          "passed is False but the checks give True"),
+        # a decimal string is digits with an optional minus, where int() would
+        # also read 6, 6, 60 and the Arabic-Indic 6
+        ("verification", ("payload", "chi_max"), " 6", "invalid literal"),
+        ("verification", ("payload", "chi_max"), "+6", "invalid literal"),
+        ("verification", ("payload", "chi_max"), "6_0", "invalid literal"),
+        ("verification", ("payload", "chi_max"), "\u0666", "invalid literal"),
     ])
     def test_rejects_malformed_field(self, report, path, value, match):
         data = json.loads(_REPORTS[report]().to_json())

@@ -4,6 +4,7 @@ import functools
 import importlib
 import inspect
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -144,6 +145,89 @@ class TestSharedBuilds:
             ("component-two-invariants", "classification-components"),
             "pipeline error: ValueError: no cover at k = 3")
         assert k_calls == {1: 1, 2: 1, 3: 2}
+
+
+def _tuples_of_ints(value) -> bool:
+    if type(value) is tuple:
+        return all(_tuples_of_ints(item) for item in value)
+    return type(value) is int
+
+
+class TestSharedSamples:
+    """The seeded draws are made once per process; the lattice work is not."""
+
+    @staticmethod
+    def old_bilinearity_stream(ranks):
+        # the per-sample loop before the draws were cached: three classes of
+        # randint(-10, 10) per coordinate, then the scalar randint(-6, 6)
+        rng = random.Random(20260808)
+        cases = []
+        for n in range(400):
+            rank = ranks[n % len(ranks)]
+            a, b, c = (tuple(rng.randint(-10, 10) for _ in range(rank)) for _ in range(3))
+            cases.append((a, b, c, rng.randint(-6, 6)))
+        return cases
+
+    @staticmethod
+    def old_isometry_stream(ranks):
+        rng = random.Random(1729)
+        pairs = []
+        for rank in ranks:
+            for _n in (1, 5, 17):
+                for _ in range(30):
+                    d1 = tuple(rng.randint(-10, 10) for _ in range(rank))
+                    d2 = tuple(rng.randint(-10, 10) for _ in range(rank))
+                    pairs.append((d1, d2))
+        return pairs
+
+    @staticmethod
+    def sample_ranks():
+        return tuple(map(lattice.picard_rank, verify._sample_surfaces()))
+
+    def test_bilinearity_draws_are_the_old_stream(self):
+        clean = self.sample_ranks()
+        with faults.injected("blowup-drops-a-point"):
+            faulted = self.sample_ranks()
+        assert faulted != clean
+        for ranks in (clean, faulted):
+            draws = verify._bilinearity_draws(ranks)
+            assert list(draws) == self.old_bilinearity_stream(ranks)
+            assert _tuples_of_ints(draws)
+
+    def test_isometry_draws_are_the_old_stream(self):
+        ranks = tuple(lattice.picard_rank(lattice.Hirzebruch(e)) for e in (0, 1, 2, 4))
+        draws = verify._isometry_draws(ranks)
+        flat = [pair for per_count in draws for pairs in per_count for pair in pairs]
+        assert flat == self.old_isometry_stream(ranks)
+        assert _tuples_of_ints(draws)
+
+    def test_only_data_is_shared_between_runs(self, monkeypatch):
+        # counts, not timings: the second run makes every lattice call the
+        # first one makes, and draws nothing
+        counts = Counter()
+        for cls, name in ((lattice.SurfaceModel, "divisor"), (lattice.DivisorClass, "dot")):
+            def counting(*args, _name=name, _method=getattr(cls, name)):
+                counts[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+        seeded = random.Random
+
+        def counting_random(*args):
+            counts["Random"] += 1
+            return seeded(*args)
+
+        monkeypatch.setattr(random, "Random", counting_random)
+        verify._bilinearity_draws.cache_clear()
+        verify._isometry_draws.cache_clear()
+        verify.run_verification(6, 2)
+        first = counts.copy()
+        counts.clear()
+        verify.run_verification(6, 2)
+        assert first["Random"] == 2
+        assert counts["Random"] == 0
+        assert counts["divisor"] == first["divisor"] > 0
+        assert counts["dot"] == first["dot"] > 0
 
 
 class TestFaultRegistry:
