@@ -36,53 +36,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AdmissiblePair",
-    "AmplenessCertificate",
-    "BlowUp",
-    "CanonicalImages",
-    "CanonicalMultiple",
-    "ComponentInfo",
-    "ConstructionRecipe",
-    "CoverSpec",
-    "DivisorClass",
-    "Hirzebruch",
-    "InvariantReport",
-    "NefCertificate",
-    "ProjectivePlane",
-    "ScrollCurve",
-    "SectionCount",
-    "SingularityLedger",
-    "StableConstruction",
-    "StableSurfaceRecord",
-    "SurfaceMismatchError",
-    "SurfaceModel",
-    "admissible",
-    "ampleness_certificate",
-    "blow_up",
-    "build_component_one",
-    "build_component_two",
-    "build_stable",
-    "canonical_class",
-    "canonical_sections",
-    "classify",
-    "classify_germ",
-    "contract_minus3",
-    "cyclic_shift_invariant",
-    "derive_root",
-    "double_cover_invariants",
-    "epsilon_family",
-    "h0",
-    "h0_2K",
-    "nef_certificate",
-    "parity_discriminator",
-    "picard_rank",
-    "pick_parameters",
-    "pullback",
-    "resolve_node_bookkeeping",
-    "run_verification",
-    "scroll_class",
-    "scroll_family_curve",
-    "t1_scaling_invariant",
-    "triple_cover_invariants",
-]
+# the public names bound above, less the submodules the imports bind, and
+# run_verification, which __getattr__ serves
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, type(lattice))]
+                 + ["run_verification"])

@@ -63,6 +63,11 @@ def admissibility_failures(k_squared: int, chi: int) -> list[str]:
     return failures
 
 
+def _require_integers(k_squared, chi):
+    if type(k_squared) is not int or type(chi) is not int:
+        raise ValueError(f"K^2 and chi must be integers, got {k_squared!r:.40}, {chi!r:.40}")
+
+
 def admissible(k_squared: int, chi: int) -> bool:
     """Whether the pair can occur for a minimal surface of general type."""
     return not admissibility_failures(k_squared, chi)
@@ -73,9 +78,7 @@ class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
     """An admissible (K^2, chi) pair."""
 
     def __new__(cls, k_squared: int, chi: int):
-        if type(k_squared) is not int or type(chi) is not int:
-            raise ValueError(f"K^2 and chi must be integers, got {k_squared!r:.40}, "
-                             f"{chi!r:.40}")
+        _require_integers(k_squared, chi)
         if not admissible(k_squared, chi):
             raise ValueError(f"pair (K^2, chi) = ({k_squared}, {chi}) is not admissible")
         return tuple.__new__(cls, (k_squared, chi))
@@ -129,6 +132,7 @@ def classify(k_squared: int, chi: int) -> ComponentInfo:
     second F_{K^2/4 + 2} for K^2 > 8 and the plane or a quartic cone for
     K^2 = 8.
     """
+    _require_integers(k_squared, chi)
     if not admissible(k_squared, chi):
         raise ValueError(f"({k_squared}, {chi}) is not an admissible pair")
     if k_squared != 2 * chi - 6:

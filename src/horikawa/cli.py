@@ -17,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from . import catalog
-from .reporting import (ClassificationPayload, ConstructionPayload,
+from .reporting import (RANGE_CAP, ClassificationPayload, ConstructionPayload,
                         EnumerationPayload, EnumerationRow, Report, render_text)
 
 EXIT_OK = 0
@@ -222,7 +222,6 @@ class Command(NamedTuple):
 # ranges are checked by verify.run_verification, with their reasons
 _CAP = (-100_000, 100_000)
 _ENUMERATE_CAP = (-10_000, 10_000)
-_VERIFY_CAP = 1000  # verify.RANGE_CAP, stated in the help without loading verify
 _FORMAT = Arg("format", str, "text", choices=("text", "json"))
 
 _COMMANDS = {
@@ -248,9 +247,9 @@ _COMMANDS = {
     "verify-paper": Command(
         "run_verify", "run the full identity suite over chi and k ranges", (
             Arg("chi_max", int, 30,
-                help=f"largest chi checked, from 6 to {_VERIFY_CAP} (default 30)"),
+                help=f"largest chi checked, from 6 to {RANGE_CAP} (default 30)"),
             Arg("k_max", int, 6, help="largest k checked on the second component, "
-                                     f"from 2 to {_VERIFY_CAP} (default 6)"),
+                                     f"from 2 to {RANGE_CAP} (default 6)"),
             _FORMAT,
             Arg("inject_fault", str, metavar="NAME",
                 help="test-only: run with one named fault installed"))),

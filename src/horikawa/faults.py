@@ -87,7 +87,8 @@ REGISTRY: dict[str, Fault] = {
     "contraction-gain-half": Fault(
         "each contracted curve adds 1/2 instead of 1/3 to K^2",
         "stable.contract_minus3",
-        "3 * k_squared_smooth + count,", "3 * k_squared_smooth + Fraction(3 * count, 2),"),
+        "3 * k_squared_smooth + count,",
+        '3 * k_squared_smooth + __import__("fractions").Fraction(3 * count, 2),'),
     "rr-correction-sign": Fault(
         "the local bicanonical correction is +1/3 per quotient point",
         "stable.rr_correction_thirds", "return -ledger", "return ledger"),

@@ -114,6 +114,8 @@ class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
 
     def exceptional(self, i: int) -> "DivisorClass":
         """Class of the i-th exceptional curve of this blow-up level, 1-based."""
+        if type(i) is not int:
+            raise ValueError(f"exceptional index must be an integer, got {i!r:.80}")
         if not 1 <= i <= self.point_count:
             raise ValueError(f"exceptional index {i} out of range 1..{self.point_count}")
         root, below = _levels(self.base)

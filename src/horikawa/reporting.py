@@ -22,7 +22,6 @@ import json
 import re
 import types
 import typing
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import lattice, stable
@@ -76,6 +75,11 @@ class CheckResult(NamedTuple):
     identity: str
     passed: bool
     detail: str = ""
+
+
+# the largest chi_max and k_max a verification run accepts; the acceptance
+# tests cover chi up to the same value
+RANGE_CAP = 1000
 
 
 class VerificationOutcome(CheckedRecord, NamedTuple("VerificationOutcome", [
@@ -208,7 +212,8 @@ def _encode(value, shape: tuple):
         return [_encode(v, sub) for v, sub in zip(value, shape[1])]
     if kind == "frozenset":
         return [_encode(v, shape[1]) for v in sorted(value)]
-    return str(Fraction(value, 3))  # thirds
+    import fractions  # thirds; loaded only for the records that hold them
+    return str(fractions.Fraction(value, 3))
 
 
 def _decode(data, shape: tuple):
@@ -256,7 +261,8 @@ def _decode(data, shape: tuple):
     # thirds: a value off the thirds stays a Fraction, for the constructor to refuse
     if not _RATIONAL.fullmatch(data):
         raise ValueError(f"expected a rational n or n/d, got {data!r:.80}")
-    thirds = 3 * Fraction(data)
+    import fractions
+    thirds = 3 * fractions.Fraction(data)
     return thirds.numerator if thirds.denominator == 1 else thirds
 
 

@@ -9,7 +9,6 @@ quantity computed here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import covers, lattice
@@ -45,13 +44,15 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
     K^2 is kept in thirds, as the integer ``k_squared_thirds`` = 3*K^2:
     each contracted (-3)-curve adds exactly one third, so every K^2 here
     lies in (1/3)Z, and a value outside it is refused with LedgerError
-    when the record is built.  ``k_squared`` is the derived Fraction.
+    when the record is built.  ``k_squared`` is the derived Fraction;
+    ``fractions`` is imported only where one is made.
     """
 
     def __new__(cls, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
                 ample_canonical: bool = False, smoothable: bool = False):
         if type(k_squared_thirds) is not int:
-            if isinstance(k_squared_thirds, Fraction):
+            import fractions
+            if isinstance(k_squared_thirds, fractions.Fraction):
                 raise LedgerError(
                     f"k_squared {k_squared_thirds / 3} is not a whole number of thirds")
             raise ValueError(f"k_squared_thirds must be an integer, got {k_squared_thirds!r}")
@@ -64,8 +65,9 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
         return tuple.__new__(cls, (k_squared_thirds, chi, ledger, ample_canonical, smoothable))
 
     @property
-    def k_squared(self) -> Fraction:
-        return Fraction(self.k_squared_thirds, 3)
+    def k_squared(self):
+        import fractions
+        return fractions.Fraction(self.k_squared_thirds, 3)
 
     @property
     def in_component_without_canonical_models(self) -> bool:
@@ -106,8 +108,9 @@ def h0_2K(record: StableSurfaceRecord) -> int:
     thirds = 3 * record.chi + record.k_squared_thirds + rr_correction_thirds(record.ledger)
     count, remainder = divmod(thirds, 3)
     if remainder:
+        import fractions
         raise LedgerError(
-            f"bicanonical count {Fraction(thirds, 3)} is not an integer: "
+            f"bicanonical count {fractions.Fraction(thirds, 3)} is not an integer: "
             "ledger inconsistent with the claimed invariants"
         )
     return count

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import catalog, covers, lattice, stable
 from .lattice import Hirzebruch, ProjectivePlane
-from .reporting import CheckResult, VerificationOutcome
+from .reporting import RANGE_CAP, CheckResult, VerificationOutcome
 
 
 class _CheckFailure(Exception):
@@ -118,8 +118,20 @@ def _branch_pair(e: int, alpha: int, beta: int, points: int):
 
 
 # ---------------------------------------------------------------------------
-# checks
+# checks, registered in the order the report lists them
 
+_CHECKS: list[tuple[str, str, Callable]] = []
+
+
+def _check(name: str, identity: str):
+    def register(fn):
+        _CHECKS.append((name, identity, fn))
+        return fn
+    return register
+
+
+@_check("lattice-symmetry-bilinearity",
+        "intersection pairing is symmetric and bilinear on random classes")
 def _check_symmetry_bilinearity(chi_max, k_max, builds):
     surfaces = _sample_surfaces()
     draws = _bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
@@ -138,6 +150,8 @@ def _check_symmetry_bilinearity(chi_max, k_max, builds):
         raise _CheckFailure(f"pairing not {what} on {lattice.surface_descriptor(surface)}")
 
 
+@_check("lattice-pullback-isometry",
+        "pullback embeds the base lattice isometrically and orthogonally to exceptionals")
 def _check_pullback_isometry(chi_max, k_max, builds):
     ruled_surfaces = [Hirzebruch(e) for e in (0, 1, 2, 4)]
     draws = _isometry_draws(tuple(map(lattice.picard_rank, ruled_surfaces)))
@@ -157,6 +171,8 @@ def _check_pullback_isometry(chi_max, k_max, builds):
                 )
 
 
+@_check("lattice-canonical-squares",
+        "K^2 is 9 on the plane, 8 on every ruled surface, and drops by 1 per blown-up point")
 def _check_canonical_squares(chi_max, k_max, builds):
     _expect(lattice.canonical_class(ProjectivePlane()).square() == 9,
             "plane canonical square is not 9")
@@ -169,6 +185,8 @@ def _check_canonical_squares(chi_max, k_max, builds):
                 f"canonical square does not drop by {n} under {n} blow-ups")
 
 
+@_check("lattice-section-count-oracle",
+        "closed-form section counts match the monomial enumeration oracle")
 def _check_section_count_oracle(chi_max, k_max, builds):
     for e in range(0, 5):
         ruled = Hirzebruch(e)
@@ -185,6 +203,8 @@ def _check_section_count_oracle(chi_max, k_max, builds):
         _expect(got.value == want, f"h0 on the plane of degree {d} disagrees with enumeration")
 
 
+@_check("cover-parameter-table",
+        "the parameter table keeps the weighted branch sum divisible by 3")
 def _check_parameter_table(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
@@ -195,6 +215,9 @@ def _check_parameter_table(chi_max, k_max, builds):
         _expect(3 * root == d1 + 2 * d2, f"root class round trip failed at chi = {chi}")
 
 
+@_check("component-one-invariants",
+        "first-line construction reports K^2 = 2*chi - 6, chi, p_g = chi - 1 "
+        "and 3*K^2 equal to the tri-canonical square")
 def _check_component_one_invariants(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         recipe = builds.component_one(chi)
@@ -209,6 +232,8 @@ def _check_component_one_invariants(chi_max, k_max, builds):
                 f"3*K^2 differs from the tri-canonical square at chi = {chi}")
 
 
+@_check("component-one-tricanonical-identity",
+        "the tri-canonical class equals its fiber-plus-branch form coefficientwise")
 def _check_tricanonical_identity(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         recipe = builds.component_one(chi)
@@ -219,6 +244,9 @@ def _check_tricanonical_identity(chi_max, k_max, builds):
                 f"tri-canonical class disagrees with its fiber form at chi = {chi}")
 
 
+@_check("component-two-invariants",
+        "second-component covers report (8k, 4k+3), the stated bicanonical class, "
+        "branch curve class 5*D0 + (10k+10)*F and the residue germ")
 def _check_component_two_invariants(chi_max, k_max, builds):
     for k in range(1, k_max + 1):
         recipe = builds.component_two(k)
@@ -242,6 +270,8 @@ def _check_component_two_invariants(chi_max, k_max, builds):
             _expect(recipe.germ is None, f"unexpected germ at k = {k}")
 
 
+@_check("component-two-symmetry-residues",
+        "each branch curve family is symmetric exactly in its own residue class")
 def _check_scroll_symmetry_residues(chi_max, k_max, builds):
     for k in range(2, max(k_max, 5) + 1):
         for residue in (0, 1, 2):
@@ -252,6 +282,8 @@ def _check_scroll_symmetry_residues(chi_max, k_max, builds):
                     f"symmetry check gave {got} for the residue {residue} family at k = {k}")
 
 
+@_check("classification-components",
+        "component count is 2 exactly when K^2 is a multiple of 8, with the stated images")
 def _check_classification(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         k_squared = 2 * chi - 6
@@ -274,6 +306,8 @@ def _check_classification(chi_max, k_max, builds):
                 f"constructed canonical image not among the classified ones at k = {k}")
 
 
+@_check("classification-parity-discriminator",
+        "two (-3)-curve fibers certify the first component")
 def _check_parity_discriminator(chi_max, k_max, builds):
     _expect(catalog.parity_discriminator([-3, -3]) == catalog.COMPONENT_I,
             "odd self-intersections must certify the first component")
@@ -290,6 +324,9 @@ def _check_parity_discriminator(chi_max, k_max, builds):
                 f"fiber parity does not certify the first component at chi = {chi}")
 
 
+@_check("stable-invariants",
+        "stable construction reports K^2 = 2*chi - 5 with three one-third quotient "
+        "points and divisor square 3*K^2")
 def _check_stable_invariants(chi_max, k_max, builds):
     for chi in range(3, chi_max + 1):
         construction = builds.stable(chi)
@@ -309,19 +346,9 @@ def _check_stable_invariants(chi_max, k_max, builds):
                 f"contraction gain is not 1 at chi = {chi}")
 
 
-def _check_stable_tricanonical_lift(chi_max, k_max, builds):
-    for chi in range(3, chi_max + 1):
-        construction = builds.stable(chi)
-        certificate = construction.recipe.certificates[0]
-        resolved_cls = construction.recipe.report.canonical_multiple.cls
-        resolved_surface = resolved_cls.surface
-        lifted = (lattice.pullback(resolved_surface, certificate.divisor)
-                  - resolved_surface.exceptional_sum())
-        _expect(resolved_cls == lifted,
-                f"resolved tri-canonical class is not the node pullback of the "
-                f"certified divisor at chi = {chi}")
-
-
+@_check("stable-ampleness-certificate",
+        "feasibility is impossible except at chi = 3, where only the negative "
+        "section survives and general position excludes it")
 def _check_stable_certificates(chi_max, k_max, builds):
     for chi in range(3, chi_max + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
@@ -339,6 +366,7 @@ def _check_stable_certificates(chi_max, k_max, builds):
                 f"{e + 1} at chi = {chi}")
 
 
+@_check("stable-bicanonical-count", "h0 of 2K equals chi + K^2 - 1 and differs from chi + K^2")
 def _check_stable_bicanonical(chi_max, k_max, builds):
     for chi in range(3, chi_max + 1):
         record = builds.stable(chi).record
@@ -350,6 +378,8 @@ def _check_stable_bicanonical(chi_max, k_max, builds):
                 f"no-canonical-models flag not set at chi = {chi}")
 
 
+@_check("stable-resolution-bookkeeping",
+        "resolving the three branch nodes keeps chi and lowers K^2 by exactly 1")
 def _check_resolution_bookkeeping(chi_max, k_max, builds):
     for chi in range(3, min(chi_max, 20) + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
@@ -370,26 +400,49 @@ def _check_resolution_bookkeeping(chi_max, k_max, builds):
             "node-free bookkeeping must leave the surface unchanged")
 
 
+@_check("stable-tricanonical-lift",
+        "the resolved tri-canonical class is the node pullback of the certified "
+        "ample divisor minus the new exceptional classes")
+def _check_stable_tricanonical_lift(chi_max, k_max, builds):
+    for chi in range(3, chi_max + 1):
+        construction = builds.stable(chi)
+        certificate = construction.recipe.certificates[0]
+        resolved_cls = construction.recipe.report.canonical_multiple.cls
+        resolved_surface = resolved_cls.surface
+        lifted = (lattice.pullback(resolved_surface, certificate.divisor)
+                  - resolved_surface.exceptional_sum())
+        _expect(resolved_cls == lifted,
+                f"resolved tri-canonical class is not the node pullback of the "
+                f"certified divisor at chi = {chi}")
+
+
+@_check("stable-epsilon-bound",
+        "contracting 3*epsilon curves gives K^2 = 2*chi - 6 + epsilon within "
+        "3*K^2 <= 8*chi - 16, with equality only at the top")
 def _check_epsilon_bound(chi_max, k_max, builds):
-    # about chi_max**2 / 3 cases, compared in integer thirds (3*K^2); each
-    # detail is formatted only on failure
+    # about chi_max**2 / 3 cases, compared in integer thirds (3*K^2); the bound
+    # comes first, so a record above it is named as such, and each detail is
+    # formatted only on failure
     for chi in range(4, chi_max + 1):
         bound = 8 * chi - 16
         for epsilon in range(1, (2 * chi + 2) // 3 + 1):
             record = catalog.epsilon_family(chi, epsilon)
             thirds = record.k_squared_thirds
-            if thirds != 3 * (2 * chi - 6 + epsilon):
-                raise _CheckFailure(
-                    f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
             if not thirds <= bound:
                 raise _CheckFailure(f"bound violated at chi = {chi}, epsilon = {epsilon}")
             if (thirds == bound) != (3 * epsilon == 2 * chi + 2):
                 raise _CheckFailure(
                     f"bound equality mischaracterised at chi = {chi}, epsilon = {epsilon}")
+            if thirds != 3 * (2 * chi - 6 + epsilon):
+                raise _CheckFailure(
+                    f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
             if record.ledger.third11_count != 3 * epsilon:
                 raise _CheckFailure(f"ledger count wrong at chi = {chi}, epsilon = {epsilon}")
 
 
+@_check("minimality-nef-witnesses",
+        "the tri-canonical divisor pairs nonnegatively with every witness curve "
+        "and the feasibility analysis closes")
 def _check_nef_witnesses(chi_max, k_max, builds):
     for chi in range(4, chi_max + 1):
         e, alpha, beta = catalog.pick_parameters(chi)
@@ -405,84 +458,12 @@ def _check_nef_witnesses(chi_max, k_max, builds):
                 f"nef verdict is {certificate.verdict} at chi = {chi}")
 
 
+@_check("germ-classifier", "double point germs classify to the expected A types")
 def _check_germ_classifier(chi_max, k_max, builds):
     table = {(20, 5): "A_4", (2, 2): "A_1", (7, 3): "A_2", (80, 5): "A_4"}
     for (m, p), label in sorted(table.items()):
         got = covers.classify_germ(m, p)
         _expect(got == label, f"germ x^2 + x^{m} + y^{p} classified {got}, expected {label}")
-
-
-_CHECKS = (
-    ("lattice-symmetry-bilinearity",
-     "intersection pairing is symmetric and bilinear on random classes",
-     _check_symmetry_bilinearity),
-    ("lattice-pullback-isometry",
-     "pullback embeds the base lattice isometrically and orthogonally to exceptionals",
-     _check_pullback_isometry),
-    ("lattice-canonical-squares",
-     "K^2 is 9 on the plane, 8 on every ruled surface, and drops by 1 per blown-up point",
-     _check_canonical_squares),
-    ("lattice-section-count-oracle",
-     "closed-form section counts match the monomial enumeration oracle",
-     _check_section_count_oracle),
-    ("cover-parameter-table",
-     "the parameter table keeps the weighted branch sum divisible by 3",
-     _check_parameter_table),
-    ("component-one-invariants",
-     "first-line construction reports K^2 = 2*chi - 6, chi, p_g = chi - 1 "
-     "and 3*K^2 equal to the tri-canonical square",
-     _check_component_one_invariants),
-    ("component-one-tricanonical-identity",
-     "the tri-canonical class equals its fiber-plus-branch form coefficientwise",
-     _check_tricanonical_identity),
-    ("component-two-invariants",
-     "second-component covers report (8k, 4k+3), the stated bicanonical class, "
-     "branch curve class 5*D0 + (10k+10)*F and the residue germ",
-     _check_component_two_invariants),
-    ("component-two-symmetry-residues",
-     "each branch curve family is symmetric exactly in its own residue class",
-     _check_scroll_symmetry_residues),
-    ("classification-components",
-     "component count is 2 exactly when K^2 is a multiple of 8, with the stated images",
-     _check_classification),
-    ("classification-parity-discriminator",
-     "two (-3)-curve fibers certify the first component",
-     _check_parity_discriminator),
-    ("stable-invariants",
-     "stable construction reports K^2 = 2*chi - 5 with three one-third quotient "
-     "points and divisor square 3*K^2",
-     _check_stable_invariants),
-    ("stable-ampleness-certificate",
-     "feasibility is impossible except at chi = 3, where only the negative "
-     "section survives and general position excludes it",
-     _check_stable_certificates),
-    ("stable-bicanonical-count",
-     "h0 of 2K equals chi + K^2 - 1 and differs from chi + K^2",
-     _check_stable_bicanonical),
-    ("stable-resolution-bookkeeping",
-     "resolving the three branch nodes keeps chi and lowers K^2 by exactly 1",
-     _check_resolution_bookkeeping),
-    ("stable-tricanonical-lift",
-     "the resolved tri-canonical class is the node pullback of the certified "
-     "ample divisor minus the new exceptional classes",
-     _check_stable_tricanonical_lift),
-    ("stable-epsilon-bound",
-     "contracting 3*epsilon curves gives K^2 = 2*chi - 6 + epsilon within "
-     "3*K^2 <= 8*chi - 16, with equality only at the top",
-     _check_epsilon_bound),
-    ("minimality-nef-witnesses",
-     "the tri-canonical divisor pairs nonnegatively with every witness curve "
-     "and the feasibility analysis closes",
-     _check_nef_witnesses),
-    ("germ-classifier",
-     "double point germs classify to the expected A types",
-     _check_germ_classifier),
-)
-
-
-# the largest chi_max and k_max a run accepts; the acceptance tests cover
-# chi up to the same value
-RANGE_CAP = 1000
 
 
 def check_names() -> tuple[str, ...]:

@@ -40,10 +40,12 @@ class TestAdmissibility:
             AdmissiblePair(0, 1)
 
     @pytest.mark.parametrize("pair", [(8.0, 7), (8, 7.0), (Fraction(8), 7), (8, True),
-                                      (True, 1), ("8", 7)])
+                                      (True, 1), ("8", 7), (10.0, 8), (10, 8.0), (9.0, 7.5)])
     def test_pair_refuses_values_that_are_not_int(self, pair):
-        with pytest.raises(ValueError, match="K\\^2 and chi must be integers"):
-            AdmissiblePair(*pair)
+        # classify refuses them as the pair does
+        for build in (AdmissiblePair, classify):
+            with pytest.raises(ValueError, match="K\\^2 and chi must be integers"):
+                build(*pair)
 
 
 class TestClassification:
@@ -216,6 +218,14 @@ class TestScrollFamilies:
     def test_matched_residue_is_invariant(self, k):
         curve = scroll_family_curve(k % 3, k)
         assert covers.t1_scaling_invariant(curve)
+
+    @pytest.mark.parametrize("residue, k, message", [
+        (3, 4, "family residue must be 0, 1 or 2"),
+        (1, 1, "the scroll branch curves are defined for k >= 2"),
+    ], ids=["residue-3", "k-1"])
+    def test_refusals(self, residue, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scroll_family_curve(residue, k)
 
     @pytest.mark.parametrize("k", range(2, 20))
     def test_mismatched_residues_are_not(self, k):

@@ -329,6 +329,9 @@ class TestScenarioFiles:
         ({"command": "construct", "variant": "stable", "chi": 7, "epsilon": 1,
           "assumptions": {"smoothness_assumed": False}},
          "error: invariant formulas require the smoothness assumption\n"),
+        (["classify", "--k2", "8"],
+         "error: a scenario must be a JSON object with a 'command' key\n"),
+        ({"k2": 8, "chi": 7}, "error: a scenario must be a JSON object with a 'command' key\n"),
     ])
     def test_wrong_json_type_rejected(self, capsys, tmp_path, payload, message):
         code = cli.main(["--scenario", self._write(tmp_path, payload)])

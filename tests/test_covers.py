@@ -1,5 +1,7 @@
 """Cover building data, invariant formulas and scroll bookkeeping."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +41,28 @@ class TestDeriveRoot:
         f0 = Hirzebruch(0)
         with pytest.raises(BuildingDataError, match="divisible"):
             derive_root(3, (f0.divisor((2, 1)), f0.divisor((2, 2))))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: derive_root(4, (P2.divisor((4,)),) * 3),
+         "only degree 2 and 3 covers are supported, got 4"),
+        (lambda: derive_root(3, (P2.divisor((3,)),)), "degree 3 needs 2 branch classes, got 1"),
+        (lambda: derive_root(2, (P2.divisor((2,)),) * 2),
+         "degree 2 needs 1 branch classes, got 2"),
+        (lambda: derive_root(3, (P2.divisor((3,)), Hirzebruch(0).divisor((0, 3)))),
+         "branch classes must live on the base surface"),
+        (lambda: CoverSpec.triple(Hirzebruch(0), Hirzebruch(0).zero(), Hirzebruch(0).zero(),
+                                  transversal_node_count=-1),
+         "node count must be nonnegative"),
+        (lambda: CoverSpec(2, P2, (P2.divisor((4,)),), 1),
+         "node bookkeeping only applies to degree 3 covers"),
+        (lambda: triple_cover_invariants(CoverSpec.double(P2, P2.divisor((4,)))),
+         "triple cover invariants need a degree 3 spec"),
+    ], ids=["degree-4", "one-class-for-degree-3", "two-classes-for-degree-2",
+            "class-on-another-surface", "negative-node-count", "nodes-on-a-double-cover",
+            "triple-invariants-of-a-double-cover"])
+    def test_malformed_building_data_refused(self, build, message):
+        with pytest.raises(BuildingDataError, match=f"^{re.escape(message)}$"):
+            build()
 
     @given(st.integers(0, 3), st.integers(-6, 6), st.integers(-6, 6),
            st.integers(-6, 6), st.integers(-6, 6))
@@ -223,6 +247,10 @@ class TestScrollCurves:
         curve = ScrollCurve(e=1, monomials=frozenset({(0, 0, 1, 0), (1, 0, 0, 0)}))
         with pytest.raises(ValueError, match="inhomogeneous"):
             scroll_class(curve)
+
+    def test_empty_monomial_set_rejected(self):
+        with pytest.raises(ValueError, match="^a scroll curve needs at least one monomial$"):
+            ScrollCurve(2, frozenset())
 
     @pytest.mark.parametrize("e", [1.5, 2.0, True, "2", -1])
     def test_parameter_must_be_a_nonnegative_int(self, e):

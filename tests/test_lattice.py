@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from itertools import groupby
 from operator import add, mul, sub
 
@@ -120,6 +121,26 @@ class TestBlowUpAndPullback:
     ], ids=["hirzebruch", "blow-up", "coefficient", "left-scalar", "right-scalar"])
     def test_bool_is_not_an_integer(self, build):
         with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Hirzebruch(1).divisor((1, 2, 3)), "expected 2 coefficients, got 3"),
+        (lambda: BlowUp(Hirzebruch(1).fiber(), 2), "blow-up base must be a SurfaceModel"),
+        (lambda: lattice.pullback(Hirzebruch(1), P2.divisor((1,))),
+         "pullback target must be a blow-up"),
+        # unchecked, a float index would give run lengths of 1.5
+        (lambda: lattice.blow_up(Hirzebruch(1), 4).exceptional(2.5),
+         "exceptional index must be an integer, got 2.5"),
+        (lambda: lattice.blow_up(Hirzebruch(1), 4).exceptional(True),
+         "exceptional index must be an integer, got True"),
+        (lambda: lattice.blow_up(Hirzebruch(1), 4).exceptional(0),
+         "exceptional index 0 out of range 1..4"),
+        (lambda: lattice.blow_up(Hirzebruch(1), 4).exceptional(5),
+         "exceptional index 5 out of range 1..4"),
+    ], ids=["coefficient-count", "blow-up-of-a-class", "pullback-onto-a-root",
+            "exceptional-float", "exceptional-bool", "exceptional-0", "exceptional-5"])
+    def test_malformed_input_refused(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
     @pytest.mark.parametrize("flag", ["no", 1, 0, None])

@@ -218,6 +218,8 @@ class TestStrictDecoding:
         ("verification", ("payload", "chi_max"), "+6", "invalid literal"),
         ("verification", ("payload", "chi_max"), "6_0", "invalid literal"),
         ("verification", ("payload", "chi_max"), "\u0666", "invalid literal"),
+        ("verification", ("inputs",), ["chi_max"],
+         "^inputs: expected an object, got \\['chi_max'\\]$"),
     ])
     def test_rejects_malformed_field(self, report, path, value, match):
         data = json.loads(_REPORTS[report]().to_json())

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from horikawa import lattice, stable
-from horikawa.covers import CoverSpec
+from horikawa.covers import BuildingDataError, CoverSpec
 from horikawa.lattice import Hirzebruch
 from horikawa.stable import (LedgerError, SingularityLedger, StableSurfaceRecord,
                              contract_minus3, h0_2K, resolve_node_bookkeeping,
@@ -186,6 +186,11 @@ class TestNodeResolution:
         assert resolution.resolved.k_squared == 2 * chi - 6
         assert resolution.resolved.chi == resolution.unresolved.chi == chi
         assert resolution.unresolved.ledger.third11_count == 3
+
+    def test_double_cover_refused(self):
+        with pytest.raises(BuildingDataError,
+                           match="^node bookkeeping applies to degree 3 covers$"):
+            resolve_node_bookkeeping(CoverSpec.double(Hirzebruch(0), Hirzebruch(0).zero()))
 
     def test_no_nodes_is_the_identity(self):
         resolution = resolve_node_bookkeeping(_triple_spec(8, 0))

@@ -4,7 +4,9 @@ immutability, copies and wire plan.
 ``verify`` and ``faults`` serve only ``verify-paper``, and ``faults`` only
 with an injected fault, so importing the command line front end and
 running the other commands must load neither, nor ``dataclasses`` or
-``inspect``; decoding a verification report loads neither.  Every record
+``inspect``; decoding a verification report loads neither.  ``fractions``
+loads only where a stable record's K^2 is made, so ``classify`` and
+``enumerate`` do not load it.  Every record
 is a ``typing.NamedTuple``, except the divisor class, a slotted class that
 equals no tuple; the codec plan of every record class a payload reaches
 is pinned in ``tests/golden/codec_plans.json``.
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -29,15 +32,15 @@ _ENV = {**os.environ, "PYTHONPATH": str(Path(horikawa.__file__).resolve().parent
 
 _COMMANDS = [
     ["classify", "--k2", "8", "--chi", "7"],
-    ["construct", "stable", "--chi", "7", "--format", "json"],
     ["enumerate", "--chi", "3", "--chi-max", "12"],
+    ["construct", "stable", "--chi", "7", "--format", "json"],
     ["verify-paper", "--chi-max", "6", "--k-max", "2"],
     ["verify-paper", "--inject-fault", "germ-index-shift", "--chi-max", "6", "--k-max", "2"],
 ]
 _PROBE = """
 import contextlib, io, json, sys
 import horikawa.cli
-watched = ("dataclasses", "horikawa.faults", "horikawa.verify", "inspect")
+watched = ("dataclasses", "fractions", "horikawa.faults", "horikawa.verify", "inspect")
 loaded = lambda: [m for m in watched if m in sys.modules]
 seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -56,10 +59,12 @@ def test_only_verify_paper_loads_verify_and_faults():
     assert seen == {
         "import": [],
         "classify": [0, []],
-        "construct": [0, []],
         "enumerate": [0, []],
-        "verify-paper --chi-max": [0, ["horikawa.verify"]],
-        "verify-paper --inject-fault": [1, ["horikawa.faults", "horikawa.verify", "inspect"]],
+        # a stable record's K^2 is the first Fraction made
+        "construct": [0, ["fractions"]],
+        "verify-paper --chi-max": [0, ["fractions", "horikawa.verify"]],
+        "verify-paper --inject-fault": [
+            1, ["fractions", "horikawa.faults", "horikawa.verify", "inspect"]],
     }
 
 
@@ -85,7 +90,17 @@ def test_run_verification_is_served_by_the_package():
 
 
 def test_help_states_the_verify_range_cap():
-    assert cli._VERIFY_CAP == verify.RANGE_CAP
+    # one cap, defined in reporting: the help states the value the run checks
+    assert cli.RANGE_CAP is verify.RANGE_CAP is reporting.RANGE_CAP
+
+
+def test_all_is_every_public_name_of_the_package():
+    public = {name for name, value in vars(horikawa).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert horikawa.__all__ == sorted(public | {"run_verification"})
+    namespace = {}
+    exec("from horikawa import *", namespace)  # every name resolves
+    assert sorted(set(namespace) - {"__builtins__"}) == horikawa.__all__
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -50,6 +51,36 @@ class TestRunVerification:
         with pytest.raises(verify._CheckFailure,
                            match="^bicanonical count 3 instead of 10/3 at chi = 3$"):
             verify._check_stable_bicanonical(3, 2, builds)
+
+    @pytest.mark.parametrize("offset, detail", [
+        # one too many on blow-ups only: symmetric, but not additive
+        (lambda x, y: isinstance(x.surface, lattice.BlowUp),
+         "pairing not additive on blow-up of F_2 at 4 points"),
+        # one too many once a coefficient passes 20, as in a narrow integer
+        # type: every sum a + b of the draws stays below, some multiples m * a do not
+        (lambda x, y: max(map(abs, x.coeffs + y.coeffs)) > 20,
+         "pairing not homogeneous on P^2"),
+    ], ids=["additive", "homogeneous"])
+    def test_bilinearity_details(self, offset, detail, monkeypatch):
+        dot = lattice.DivisorClass.dot
+        monkeypatch.setattr(lattice.DivisorClass, "dot",
+                            lambda x, y: dot(x, y) + offset(x, y))
+        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+            verify._check_symmetry_bilinearity(6, 2, None)
+
+    @pytest.mark.parametrize("thirds, count, detail", [
+        # at chi = 4 the bound is 3*K^2 <= 16, which no epsilon reaches, and
+        # epsilon = 1 calls for 3*K^2 = 9 and three points
+        (17, 3, "bound violated at chi = 4, epsilon = 1"),
+        (16, 3, "bound equality mischaracterised at chi = 4, epsilon = 1"),
+        (10, 3, "K^2 = 10/3 at chi = 4, epsilon = 1"),
+        (9, 4, "ledger count wrong at chi = 4, epsilon = 1"),
+    ], ids=["above-the-bound", "at-the-bound", "off-the-line", "ledger"])
+    def test_epsilon_bound_details(self, thirds, count, detail, monkeypatch):
+        record = StableSurfaceRecord(thirds, 4, SingularityLedger(count))
+        monkeypatch.setattr(catalog, "epsilon_family", lambda chi, epsilon: record)
+        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+            verify._check_epsilon_bound(6, 2, None)
 
     def test_check_names_are_stable(self):
         names = verify.check_names()
