@@ -50,7 +50,13 @@ NOTE_ORDER3_SYMMETRY = "an order-3 symmetry of the branch data lifts to the cove
 
 
 def admissibility_failures(k_squared: int, chi: int) -> list[str]:
-    """The inequalities for minimal surfaces of general type that the pair violates."""
+    """The inequalities for minimal surfaces of general type that the pair violates.
+
+    Every admissibility test in this module comes here, so a K^2 or chi that
+    is not an ``int`` (a ``bool`` included) is refused here, once.
+    """
+    if type(k_squared) is not int or type(chi) is not int:
+        raise ValueError(f"K^2 and chi must be integers, got {k_squared!r:.40}, {chi!r:.40}")
     failures = []
     if chi < 1:
         failures.append(f"chi = {chi} < 1")
@@ -63,11 +69,6 @@ def admissibility_failures(k_squared: int, chi: int) -> list[str]:
     return failures
 
 
-def _require_integers(k_squared, chi):
-    if type(k_squared) is not int or type(chi) is not int:
-        raise ValueError(f"K^2 and chi must be integers, got {k_squared!r:.40}, {chi!r:.40}")
-
-
 def admissible(k_squared: int, chi: int) -> bool:
     """Whether the pair can occur for a minimal surface of general type."""
     return not admissibility_failures(k_squared, chi)
@@ -78,7 +79,6 @@ class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
     """An admissible (K^2, chi) pair."""
 
     def __new__(cls, k_squared: int, chi: int):
-        _require_integers(k_squared, chi)
         if not admissible(k_squared, chi):
             raise ValueError(f"pair (K^2, chi) = ({k_squared}, {chi}) is not admissible")
         return tuple.__new__(cls, (k_squared, chi))
@@ -132,7 +132,6 @@ def classify(k_squared: int, chi: int) -> ComponentInfo:
     second F_{K^2/4 + 2} for K^2 > 8 and the plane or a quartic cone for
     K^2 = 8.
     """
-    _require_integers(k_squared, chi)
     if not admissible(k_squared, chi):
         raise ValueError(f"({k_squared}, {chi}) is not an admissible pair")
     if k_squared != 2 * chi - 6:

@@ -35,7 +35,7 @@ REGISTRY: dict[str, Fault] = {
         "lattice._hirzebruch_dot", " + u[1] * v[0]", ""),
     "pairing-exceptional-sign": Fault(
         "exceptional curves square to +1 instead of -1",
-        "lattice._exceptional_dot", "return -sum(", "return sum("),
+        "lattice._exceptional_dot", "return -total", "return total"),
     "canonical-ruled-fiber-coefficient": Fault(
         "the ruled surface canonical class uses fiber coefficient e+1",
         "lattice.canonical_class", "-(surface.e + 2)", "-(surface.e + 1)"),

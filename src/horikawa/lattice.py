@@ -12,7 +12,6 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from operator import add, sub
 from typing import NamedTuple
 
@@ -53,13 +52,22 @@ class SurfaceModel(CheckedRecord):
         split = picard_rank(root)
         if len(coeffs) != split + count:
             raise ValueError(f"expected {split + count} coefficients, got {len(coeffs)}")
-        for c in coeffs:
+        for c in coeffs[:split]:
             if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         if not count:  # a root surface: the head is the whole vector
             return DivisorClass._make(self, coeffs, ())
-        runs = tuple((v, len(list(group))) for v, group in groupby(coeffs[split:]))
-        return DivisorClass._make(self, coeffs[:split], runs)
+        runs, last, length = [], coeffs[split], 0
+        for c in coeffs[split:]:  # one pass: check, then extend the last run or start one
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers, got {c!r}")
+            if c == last:
+                length += 1
+            else:
+                runs.append((last, length))
+                last, length = c, 1
+        runs.append((last, length))
+        return DivisorClass._make(self, coeffs[:split], tuple(runs))
 
     def zero(self) -> "DivisorClass":
         root, count = _levels(self)
@@ -281,33 +289,25 @@ def _levels(surface: SurfaceModel) -> tuple[SurfaceModel, int]:
     return surface._levels if isinstance(surface, BlowUp) else (surface, 0)
 
 
-def _aligned(u: tuple, v: tuple):
-    """(x, y, length) for each stretch where two run lists of one rank are both constant."""
-    u, v = iter(u), iter(v)
-    x, m = next(u, (0, 0))
-    y, n = next(v, (0, 0))
-    while m:
-        step = m if m < n else n
-        yield x, y, step
-        m -= step
-        n -= step
-        if not m:
-            x, m = next(u, (0, 0))
-        if not n:
-            y, n = next(v, (0, 0))
-
-
 def _merge_runs(u: tuple, v: tuple, op) -> tuple:
-    """Canonical runs of ``op`` applied position by position."""
+    """Canonical runs of ``op`` applied position by position, in one walk of both lists."""
     if len(u) == 1 == len(v):
         return ((op(u[0][0], v[0][0]), u[0][1]),)
-    merged: list[tuple[int, int]] = []
-    for x, y, length in _aligned(u, v):
-        z = op(x, y)
-        if merged and merged[-1][0] == z:
-            merged[-1] = (z, merged[-1][1] + length)
-        else:
-            merged.append((z, length))
+    merged, last, j, n = [], None, -1, 0
+    for x, m in u:
+        while m:
+            if not n:  # the run of v is used up: take the next one
+                j += 1
+                y, n = v[j]
+            step = m if m < n else n
+            z = op(x, y)
+            if z == last:
+                merged[-1] = (z, merged[-1][1] + step)
+            else:
+                merged.append((z, step))
+                last = z
+            m -= step
+            n -= step
     return tuple(merged)
 
 
@@ -363,9 +363,20 @@ def _hirzebruch_dot(e: int, u, v) -> int:
 
 def _exceptional_dot(u, v) -> int:
     # E_i.E_i = -1, distinct exceptionals and pullbacks are orthogonal;
-    # u and v are the runs of the two classes
-    pairs = ((u[0][0], v[0][0], u[0][1]),) if len(u) == 1 == len(v) else _aligned(u, v)
-    return -sum([x * y * length for x, y, length in pairs])
+    # u and v are the runs of the two classes, walked side by side once
+    if len(u) == 1 == len(v):
+        total = u[0][0] * v[0][0] * u[0][1]
+    else:
+        total, j, y, n = 0, -1, 0, 0
+        for x, m in u:
+            while n < m:  # the run of v ends first: take the next one
+                total += x * y * n
+                m -= n
+                j += 1
+                y, n = v[j]
+            total += x * y * m
+            n -= m
+    return -total
 
 
 def canonical_class(surface: SurfaceModel) -> DivisorClass:

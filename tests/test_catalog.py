@@ -42,8 +42,8 @@ class TestAdmissibility:
     @pytest.mark.parametrize("pair", [(8.0, 7), (8, 7.0), (Fraction(8), 7), (8, True),
                                       (True, 1), ("8", 7), (10.0, 8), (10, 8.0), (9.0, 7.5)])
     def test_pair_refuses_values_that_are_not_int(self, pair):
-        # classify refuses them as the pair does
-        for build in (AdmissiblePair, classify):
+        # every admissibility test refuses them as the pair does
+        for build in (AdmissiblePair, classify, admissible, catalog.admissibility_failures):
             with pytest.raises(ValueError, match="K\\^2 and chi must be integers"):
                 build(*pair)
 

@@ -3,7 +3,8 @@
 import copy
 import pickle
 import re
-from itertools import groupby
+from bisect import bisect_right
+from itertools import accumulate, groupby
 from operator import add, mul, sub
 
 import pytest
@@ -137,8 +138,15 @@ class TestBlowUpAndPullback:
          "exceptional index 0 out of range 1..4"),
         (lambda: lattice.blow_up(Hirzebruch(1), 4).exceptional(5),
          "exceptional index 5 out of range 1..4"),
+        (lambda: lattice.blow_up(Hirzebruch(1), 4).divisor((1, 2, 0, 0, 2.0, 0)),
+         "coefficients must be integers, got 2.0"),
+        (lambda: lattice.blow_up(Hirzebruch(1), 4).divisor((1, 2, 1, True, 1, 1)),
+         "coefficients must be integers, got True"),
+        (lambda: lattice.blow_up(P2, 2).divisor((2.0, 0, 0)),
+         "coefficients must be integers, got 2.0"),
     ], ids=["coefficient-count", "blow-up-of-a-class", "pullback-onto-a-root",
-            "exceptional-float", "exceptional-bool", "exceptional-0", "exceptional-5"])
+            "exceptional-float", "exceptional-bool", "exceptional-0", "exceptional-5",
+            "tail-coefficient-float", "tail-coefficient-bool", "head-coefficient-float"])
     def test_malformed_input_refused(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -278,10 +286,10 @@ def _root(surface):
 
 
 @st.composite
-def nested_blow_ups(draw):
+def nested_blow_ups(draw, largest=700):
     surface = draw(st.sampled_from(ROOTS))
     for _ in range(draw(st.integers(1, 3))):
-        surface = lattice.blow_up(surface, draw(st.integers(1, 700)))
+        surface = lattice.blow_up(surface, draw(st.integers(1, largest)))
     return surface
 
 
@@ -414,6 +422,62 @@ def dense_pairs(draw):
     return dense(), dense()
 
 
+@st.composite
+def run_list_pairs(draw):
+    """Two canonical run lists over one exceptional count, given directly.
+
+    Run lengths go up to 10^5.  Either list may be a single run, and the
+    second list's run ends are drawn partly from the first's, so the two
+    lists end runs both apart and together.
+    """
+    def canonical(lengths):
+        values = []
+        for _ in lengths:
+            value = draw(st.integers(-3, 3))
+            values.append(value + 7 if values and value == values[-1] else value)
+        return tuple(zip(values, lengths))
+
+    u_lengths = draw(st.lists(st.integers(1, 10**5), min_size=1, max_size=12))
+    ends = list(accumulate(u_lengths))
+    total = ends[-1]
+    cuts = set()
+    if total > 1 and draw(st.booleans()):
+        inner = st.integers(1, total - 1)
+        if len(ends) > 1:
+            inner = inner | st.sampled_from(ends[:-1])
+        cuts = draw(st.sets(inner, min_size=1, max_size=12))
+    bounds = [0, *sorted(cuts), total]
+    v_lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+    u, v = canonical(u_lengths), canonical(v_lengths)
+    return (u, v) if draw(st.booleans()) else (v, u)
+
+
+def run_pieces(u, v):
+    """(x, y, length) on each stretch between consecutive run ends of either list.
+
+    The values are found by bisecting the run ends; nothing is expanded.
+    """
+    ends_u, ends_v = list(accumulate(n for _x, n in u)), list(accumulate(n for _y, n in v))
+    start, pieces = 0, []
+    for end in sorted(set(ends_u) | set(ends_v)):
+        x = u[bisect_right(ends_u, start)][0]
+        y = v[bisect_right(ends_v, start)][0]
+        pieces.append((x, y, end - start))
+        start = end
+    return pieces
+
+
+def coalesced(pieces):
+    """Canonical runs of (value, length) pieces: equal neighbours joined."""
+    runs = []
+    for value, length in pieces:
+        if runs and runs[-1][0] == value:
+            runs[-1] = (value, runs[-1][1] + length)
+        else:
+            runs.append((value, length))
+    return tuple(runs)
+
+
 def walk(surface):
     """The root and exceptional count found by walking the blow-up chain."""
     count = 0
@@ -438,6 +502,47 @@ class TestFastPaths:
         assert lattice._merge_runs(((3, 7),), ((-3, 7),), add) == ((0, 7),)
         assert lattice._exceptional_dot(((3, 7),), ((-2, 7),)) == 42
         assert lattice._exceptional_dot((), ()) == 0
+
+    @pytest.mark.parametrize("u, v, expected", [
+        (((2, 10),), ((1, 4), (-1, 6)), 4),
+        (((1, 4), (-1, 6)), ((2, 10),), 4),
+        (((1, 4), (-1, 6)), ((3, 4), (5, 6)), 18),
+        (((1, 3), (0, 4), (2, 3)), ((1, 5), (-2, 5)), 9),
+    ], ids=["one-against-two", "two-against-one", "ends-together", "ends-apart"])
+    def test_mixed_run_counts(self, u, v, expected):
+        assert lattice._exceptional_dot(u, v) == expected
+        assert lattice._merge_runs(u, v, add) == coalesced(
+            (x + y, n) for x, y, n in run_pieces(u, v))
+
+    @pytest.mark.parametrize("root", [P2, Hirzebruch(0), Hirzebruch(3)])
+    def test_root_classes_have_empty_runs(self, root):
+        a, b = root.divisor((1,) * lattice.picard_rank(root)), root.zero()
+        assert a.runs == b.runs == () and lattice._merge_runs((), (), sub) == ()
+        assert (a + b).runs == (a - a).runs == (3 * a).runs == ()
+        assert a.dot(b) == 0 and a.square() == gram_dot(root, a.coeffs, a.coeffs)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(run_list_pairs())
+    def test_long_runs_match_a_run_oracle(self, pair):
+        u, v = pair
+        pieces = run_pieces(u, v)
+        assert lattice._exceptional_dot(u, v) == -sum(x * y * n for x, y, n in pieces)
+        for op in (add, sub, mul):
+            assert lattice._merge_runs(u, v, op) == coalesced((op(x, y), n) for x, y, n in pieces)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_dense_round_trip_gives_canonical_runs(self, data):
+        surface = data.draw(nested_blow_ups(largest=25))
+        rank, count = lattice.picard_rank(surface), lattice._levels(surface)[1]
+        values = st.integers(-1, 1) if data.draw(st.booleans()) else st.integers(-9, 9)
+        coeffs = data.draw(st.lists(values, min_size=rank, max_size=rank))
+        d = surface.divisor(coeffs)
+        assert d.coeffs == tuple(coeffs)
+        assert all(length >= 1 for _value, length in d.runs)
+        assert all(a[0] != b[0] for a, b in zip(d.runs, d.runs[1:]))
+        assert sum(length for _value, length in d.runs) == count
+        assert DivisorClass(surface, d.head, d.runs) == d
 
     @pytest.mark.parametrize("root", [P2, Hirzebruch(2)])
     def test_levels_of_a_three_level_tower(self, root):

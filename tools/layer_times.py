@@ -1,0 +1,153 @@
+"""Per-check and lattice-kernel timings of horikawa, printed as one JSON object.
+
+    PYTHONPATH=src python3 tools/layer_times.py [--repeat N]
+
+Standard library only; run from the repository root, or with any
+``horikawa`` on the path, so two checkouts can be timed side by side.
+Every figure is the best of ``--repeat`` timed passes with
+``time.perf_counter``, after one untimed pass that fills the per-process
+sample caches of ``verify``.
+
+``per_check`` times each check of ``run_verification`` as the real run
+calls it (the registered check functions are wrapped for the duration of
+the call), together with the whole run, at each range of ``RANGES``.
+
+``kernels_us`` times the lattice kernels in microseconds per call:
+``divisor``, ``dot`` and ``+`` over the 400 classes of the
+``lattice-symmetry-bilinearity`` sample, and ``dot``, ``+`` and a dense
+``divisor`` at Picard rank 10^5 (the plane blown up at 99,999 points)
+on classes of 1 and of 1,000 exceptional runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import random
+import sys
+import time
+
+from horikawa import lattice, verify
+
+RANGES = ((6, 2), (16, 4), (36, 7), (150, 50), (300, 100))
+BIG_RANK = 10**5
+BIG_RUN_COUNTS = (1, 1000)
+
+
+def best(fn, repeat: int, number: int = 1) -> float:
+    """Best time of one call of ``fn`` in seconds, over ``repeat`` passes of ``number`` calls."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        times.append((time.perf_counter() - start) / number)
+    return min(times)
+
+
+def per_check(chi_max: int, k_max: int, repeat: int) -> dict:
+    registered = list(verify._CHECKS)
+    spent = {name: [] for name, _identity, _fn in registered}
+    runs = []
+
+    def timed(name, fn):
+        def run(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[name].append(time.perf_counter() - start)
+        return run
+
+    verify._CHECKS[:] = [(name, identity, timed(name, fn)) for name, identity, fn in registered]
+    try:
+        verify.run_verification(chi_max, k_max)  # fills the sample caches
+        for times in spent.values():
+            times.clear()
+        for _ in range(repeat):
+            start = time.perf_counter()
+            outcome = verify.run_verification(chi_max, k_max)
+            runs.append(time.perf_counter() - start)
+            if not all(check.passed for check in outcome.checks):
+                raise SystemExit(f"a check failed at ({chi_max},{k_max})")
+    finally:
+        verify._CHECKS[:] = registered
+    return {"run_ms": round(min(runs) * 1e3, 3),
+            "checks_ms": {name: round(min(times) * 1e3, 3) for name, times in spent.items()}}
+
+
+def sample_kernels(repeat: int) -> dict:
+    """``divisor``, ``dot`` and ``+`` over the bilinearity sample, per call."""
+    surfaces = verify._sample_surfaces()
+    draws = verify._bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
+    vectors = [(surfaces[n % len(surfaces)], u, v) for n, (u, v, _w, _m) in enumerate(draws)]
+    pairs = [(s.divisor(u), s.divisor(v)) for s, u, v in vectors]
+    count = len(pairs)
+    return {
+        "divisor": best(lambda: [s.divisor(u) for s, u, _v in vectors], repeat, 5) / count,
+        "dot": best(lambda: [a.dot(b) for a, b in pairs], repeat, 5) / count,
+        "add": best(lambda: [a + b for a, b in pairs], repeat, 5) / count,
+    }
+
+
+def random_runs(rng: random.Random, run_count: int, total: int) -> tuple:
+    """``run_count`` canonical runs of seeded values covering ``total`` positions."""
+    cuts = sorted(rng.sample(range(1, total), run_count - 1))
+    runs, start = [], 0
+    for end in cuts + [total]:
+        value = rng.randint(-5, 5)
+        while runs and value == runs[-1][0]:
+            value = rng.randint(-5, 5)
+        runs.append((value, end - start))
+        start = end
+    return tuple(runs)
+
+
+def big_kernels(repeat: int) -> dict:
+    """``dot``, ``+`` and dense ``divisor`` at rank 10^5, per call."""
+    surface = lattice.blow_up(lattice.ProjectivePlane(), BIG_RANK - 1)
+    rng = random.Random(20261018)
+    timings = {}
+    for run_count in BIG_RUN_COUNTS:
+        a, b = (lattice.DivisorClass(surface, (rng.randint(-5, 5),),
+                                     random_runs(rng, run_count, BIG_RANK - 1))
+                for _ in range(2))
+        if (a + b) - b != a or a.dot(b) != b.dot(a) or surface.divisor(a.coeffs) != a:
+            raise SystemExit("rank 10^5 arithmetic is inconsistent")
+        dense = a.coeffs
+        timings[f"{run_count}_runs"] = {
+            "dot": best(lambda: a.dot(b), repeat, 5),
+            "add": best(lambda: a + b, repeat, 5),
+            "divisor_dense": best(lambda: surface.divisor(dense), repeat),
+        }
+    return timings
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeat", type=int, default=7, help="timed passes per figure")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+
+    def us(seconds):
+        return round(seconds * 1e6, 3)
+
+    report = {
+        "python": platform.python_version(),
+        "repeat": args.repeat,
+        "per_check": {f"{chi},{k}": per_check(chi, k, args.repeat) for chi, k in RANGES},
+        "kernels_us": {
+            "bilinearity_sample": {name: us(t) for name, t in sample_kernels(args.repeat).items()},
+            "rank_1e5": {runs: {name: us(t) for name, t in timings.items()}
+                         for runs, timings in big_kernels(args.repeat).items()},
+        },
+    }
+    json.dump(report, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
