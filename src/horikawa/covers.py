@@ -201,11 +201,12 @@ def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
         raise BuildingDataError("K^2 is not an integer: inconsistent building data")
     first = spec.root
     second = d1 + d2 - spec.root
-    pairing = first.dot(k + first) + second.dot(k + second)
+    adjoints = (k + first, k + second)
+    pairing = first.dot(adjoints[0]) + second.dot(adjoints[1])
     if pairing % 2:
         raise BuildingDataError("non-integer chi: inconsistent building data")
     chi = 3 * BASE_CHI + pairing // 2
-    sections = _optional_sections((k + first, k + second))
+    sections = _optional_sections(adjoints)
     p_g = None if sections is None else BASE_PG + sections
     warnings = (WARN_EMPTY_BRANCH,) if spec.branch_is_empty else ()
     return InvariantReport(

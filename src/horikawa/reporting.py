@@ -266,6 +266,33 @@ def _decode(data, shape: tuple):
     return thirds.numerator if thirds.denominator == 1 else thirds
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _dump(value, indent: str = "\n") -> str:
+    """A str-keyed JSON tree as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it, in one pass; with ``indent`` set, the stdlib leaves its C
+    encoder for a generator per container, at about twice the cost."""
+    kind = type(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            items = [_ESCAPE(key) + ": " + _dump(value[key], inner) for key in sorted(value)]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + indent + "]"
+    if kind is str:
+        return _ESCAPE(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return json.dumps(value)  # any other scalar, such as a float
+
+
 class Report(NamedTuple):
     """One command's inputs, payload, derivation trail and assumptions."""
 
@@ -298,7 +325,7 @@ class Report(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
+        return _dump(self.to_jsonable()) + "\n"
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Report":

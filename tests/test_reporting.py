@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import catalog, cli, lattice, verify
+from horikawa import catalog, cli, covers, lattice, verify
 from horikawa.lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 CheckResult, EnumerationPayload, EnumerationRow,
-                                Report, VerificationOutcome, _decode, _encode,
-                                _shape, render_text)
+                                Report, VerificationOutcome, _decode, _dump,
+                                _encode, _shape, render_text)
 from horikawa.stable import StableSurfaceRecord
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -453,6 +453,47 @@ def test_report_round_trip_property(payload, inputs, derivations, assumptions):
     assert Report.from_json(text).to_json() == text
 
 
+def _stdlib_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+class TestWriter:
+    """``to_json`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    # the goldens of commands that print nothing are empty, not JSON
+    @pytest.mark.parametrize("path", sorted(p for p in GOLDEN.rglob("*.json")
+                                            if p.stat().st_size),
+                             ids=lambda path: str(path.relative_to(GOLDEN)))
+    def test_every_golden_document(self, path):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert _dump(data) == _stdlib_json(data)
+
+    @pytest.mark.parametrize("variant,chi", [("component-I", 20000), ("stable", 15700)])
+    def test_large_constructs(self, variant, chi):
+        report = Report.from_json(_json_report("construct", variant, "--chi", str(chi)).decode())
+        assert report.to_json() == _stdlib_json(report.to_jsonable()) + "\n"
+
+    def test_scalars_and_empty_containers(self):
+        for value in ({}, [], [{}], {"a": []}, "", "\u00e9\"\\\x00", -2**64, True, False,
+                      None, 0.5, float("inf"), float("nan"), -0.0):
+            assert _dump(value) == _stdlib_json(value)
+
+
+_STRINGS = (st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2603\U0001d11e"])
+            | st.integers(1, 30999).map(lambda n: f"E[1..{n}]"))
+_JSON_TREES = st.recursive(
+    _STRINGS | st.integers() | st.integers(-2**100, 2**100) | st.booleans() | st.none(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_STRINGS, children, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_JSON_TREES)
+def test_writer_matches_stdlib_property(tree):
+    assert _dump(tree) == _stdlib_json(tree)
+
+
 class TestTextRendering:
     def test_construction_text_mentions_invariants(self):
         text = render_text(_construction_report())
@@ -471,6 +512,18 @@ class TestTextRendering:
         for name in verify.check_names():
             assert f"check {name}:" in text
         assert "summary:" in text
+
+    def test_invariant_warning_is_rendered_and_round_trips(self):
+        report = _construction_report()
+        recipe = report.payload.recipe
+        warned = recipe.report._replace(warnings=(covers.WARN_EMPTY_BRANCH,))
+        report = report._replace(payload=report.payload._replace(
+            recipe=recipe._replace(report=warned)))
+        assert f"\n  warning: {covers.WARN_EMPTY_BRANCH}\n" in render_text(report)
+        text = report.to_json()
+        assert f'"warnings": [\n          "{covers.WARN_EMPTY_BRANCH}"\n        ]' in text
+        assert Report.from_json(text) == report
+        assert Report.from_json(text).to_json() == text
 
     def test_unknown_payload_kind_rejected(self):
         report = Report(command="x", inputs={}, payload=None)

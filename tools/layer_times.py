@@ -17,20 +17,34 @@ the call), together with the whole run, at each range of ``RANGES``.
 ``lattice-symmetry-bilinearity`` sample, and ``dot``, ``+`` and a dense
 ``divisor`` at Picard rank 10^5 (the plane blown up at 99,999 points)
 on classes of 1 and of 1,000 exceptional runs.
+
+``report_us`` times the report layer in microseconds per call:
+``to_jsonable``, ``to_json``, ``from_json`` and ``render_text`` on the
+reports of the ``REPORTS`` commands (the two large constructs of the
+``cli-reports`` benchmark workload and a default ``verify-paper``), each
+read back from the JSON that ``cli.main`` prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import random
 import sys
 import time
 
-from horikawa import lattice, verify
+from horikawa import cli, lattice, verify
+from horikawa.reporting import Report, render_text
 
 RANGES = ((6, 2), (16, 4), (36, 7), (150, 50), (300, 100))
+REPORTS = {
+    "construct_component_I_chi20000": ("construct", "component-I", "--chi", "20000"),
+    "construct_stable_chi15700": ("construct", "stable", "--chi", "15700"),
+    "verify_paper_30_6": ("verify-paper", "--chi-max", "30", "--k-max", "6"),
+}
 BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
 
@@ -124,6 +138,28 @@ def big_kernels(repeat: int) -> dict:
     return timings
 
 
+def report_layer(repeat: int) -> dict:
+    """Encode, decode and render of each ``REPORTS`` report, per call."""
+    timings = {}
+    for name, argv in REPORTS.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            if cli.main([*argv, "--format", "json"]) != 0:
+                raise SystemExit(f"{' '.join(argv)} failed")
+        text = stdout.getvalue()
+        report = Report.from_json(text)
+        if report.to_json() != text:
+            raise SystemExit(f"{' '.join(argv)}: the report does not re-encode to itself")
+        timings[name] = {
+            "json_bytes": len(text),
+            "to_jsonable": best(report.to_jsonable, repeat, 50),
+            "to_json": best(report.to_json, repeat, 50),
+            "from_json": best(lambda: Report.from_json(text), repeat, 50),
+            "render_text": best(lambda: render_text(report), repeat, 50),
+        }
+    return timings
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=7, help="timed passes per figure")
@@ -143,6 +179,9 @@ def main(argv=None) -> int:
             "rank_1e5": {runs: {name: us(t) for name, t in timings.items()}
                          for runs, timings in big_kernels(args.repeat).items()},
         },
+        "report_us": {name: {key: value if key == "json_bytes" else us(value)
+                             for key, value in timings.items()}
+                      for name, timings in report_layer(args.repeat).items()},
     }
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")
