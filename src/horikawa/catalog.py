@@ -151,6 +151,8 @@ def classify(k_squared: int, chi: int) -> ComponentInfo:
 
 def pick_parameters(chi: int) -> tuple[int, int, int]:
     """Scroll parameter and branch degrees (e, alpha, beta) for a target chi."""
+    if type(chi) is not int:
+        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
     if chi < 3:
         raise ValueError("parameter table starts at chi = 3")
     residue = chi % 3
@@ -248,7 +250,7 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     blown, _pull, _exceptional, d1, d2 = scroll
     spec = CoverSpec.triple(blown, d1, d2)
     report = covers.triple_cover_invariants(spec)
-    nef = _nef_certificate(e, alpha, beta, general_position, scroll)
+    nef = _nef_certificate(e, alpha, beta, scroll)
     report = report._replace(minimal_or_ample=nef.verdict)
     k_squared = 2 * chi - 6
     notes = [NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY]
@@ -292,7 +294,7 @@ def scroll_family_curve(residue: int, k: int) -> ScrollCurve:
     exponent is divisible by 3 exactly when k is congruent to the family
     residue modulo 3.
     """
-    if residue not in (0, 1, 2):
+    if type(residue) is not int or residue not in (0, 1, 2):
         raise ValueError("family residue must be 0, 1 or 2")
     if k < 2:
         raise ValueError("the scroll branch curves are defined for k >= 2")
@@ -337,7 +339,6 @@ def build_component_two(k: int) -> ConstructionRecipe:
     report = covers.double_cover_invariants(spec)
     if not symmetric:
         raise CertificateError(f"{place} branch curve lost its {symmetry} symmetry")
-    sections = covers.canonical_sections(spec)
     germ = None
     ledger = stable.EMPTY_LEDGER
     if k > 1 and k % 3 == 1:
@@ -360,7 +361,7 @@ def build_component_two(k: int) -> ConstructionRecipe:
         report=report._replace(minimal_or_ample=covers.AMPLE_CERTIFIED),
         component_claim=COMPONENT_II,
         canonical_image=lattice.surface_descriptor(base),
-        canonical_sections=sections,
+        canonical_sections=report.p_g,
         scroll_curve=curve,
         germ=germ,
         ledger=ledger,
@@ -380,11 +381,11 @@ def ampleness_certificate(e: int, alpha: int, beta: int,
     except possibly the negative section (a, b) = (1, 0), which general
     position excludes.
     """
-    return _ampleness_certificate(e, alpha, beta, general_position,
+    return _ampleness_certificate(e, alpha, beta,
                                   _blown_scroll(e, alpha, beta, 3, general_position))
 
 
-def _ampleness_certificate(e: int, alpha: int, beta: int, general_position: bool,
+def _ampleness_certificate(e: int, alpha: int, beta: int,
                            scroll: tuple) -> AmplenessCertificate:
     """The body of ``ampleness_certificate`` on an already blown-up scroll."""
     _blown, pull, exceptional, _d1, _d2 = scroll
@@ -405,14 +406,10 @@ def _ampleness_certificate(e: int, alpha: int, beta: int, general_position: bool
         # b >= a*e unless they are the fiber or the negative section.  The
         # fiber never violates, and when coefficient + e >= 0 neither does any
         # section class, leaving the negative section as the only candidate.
-        if coefficient + e < 0:
-            raise CertificateError(
-                "cannot reduce the feasible region to the negative section alone"
-            )
-        if not general_position:
-            raise CertificateError(
-                "excluding the negative section requires the general position assumption"
-            )
+        # The square is 6(alpha + beta) - 12e - 21, positive exactly when
+        # coefficient + e >= 0, so the refusal above has settled that case; and
+        # the witness imposes every blown-up point, so ``h0`` has refused a
+        # blow-up that is not in general position.
         verdict, exceptional_witness = VERDICT_EXCEPTIONAL_EXCLUDED, (1, 0)
         reason = ("the negative section is a fixed irreducible curve and cannot pass "
                   "through blown-up points in general position")
@@ -442,11 +439,11 @@ def nef_certificate(e: int, alpha: int, beta: int,
     whenever alpha + 2beta - 3e - 6 >= 0.  Any failing step downgrades the
     verdict to "asserted" with the gap recorded.
     """
-    return _nef_certificate(e, alpha, beta, general_position,
+    return _nef_certificate(e, alpha, beta,
                             _blown_scroll(e, alpha, beta, 0, general_position))
 
 
-def _nef_certificate(e: int, alpha: int, beta: int, general_position: bool,
+def _nef_certificate(e: int, alpha: int, beta: int,
                      scroll: tuple) -> NefCertificate:
     """The body of ``nef_certificate`` on an already blown-up scroll."""
     blown, pull, exceptional, d1, d2 = scroll
@@ -462,16 +459,13 @@ def _nef_certificate(e: int, alpha: int, beta: int, general_position: bool,
         # In general position no blown-up point lies on the negative
         # section, so its strict transform is the plain pullback.
         pairings.append(("negative section", divisor.dot(pull(1, 0))))
+    # the second branch curve pairs to 2 * closure, so a negative closure
+    # is always reported as a negative witness pairing
     closure = alpha + 2 * beta - 3 * e - 6
     gap = None
     if any(value < 0 for _name, value in pairings):
         gap = "a witness pairing is negative"
-    elif closure < 0:
-        gap = (
-            f"multiplicity bound through the first branch curve leaves the "
-            f"coefficient {closure} negative; no mechanical closure"
-        )
-    elif e > 0 and not general_position:
+    elif e > 0 and not blown.general_position:
         gap = "negative section witness needs the general position assumption"
     verdict = covers.NEF_CERTIFIED if gap is None else covers.MINIMALITY_ASSERTED
     return NefCertificate(
@@ -506,7 +500,7 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     blown, _pull, _exceptional, d1, d2 = scroll
     spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
     resolution = stable.resolve_node_bookkeeping(spec)
-    certificate = _ampleness_certificate(e, alpha, beta, general_position, scroll)
+    certificate = _ampleness_certificate(e, alpha, beta, scroll)
     record = resolution.unresolved._replace(ample_canonical=True)
     stable.h0_2K(record)
     recipe = ConstructionRecipe(

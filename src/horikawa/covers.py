@@ -21,7 +21,8 @@ class BuildingDataError(ValueError):
 
 
 # All supported ambient surfaces are rational, so the structure constants
-# of the base are fixed once and for all.
+# of the base are fixed once and for all; as h0(K) = 0 on the base, the
+# p_g of a double cover is the section count of its adjoint class.
 BASE_CHI = 1
 BASE_PG = 0
 
@@ -47,7 +48,7 @@ def derive_root(degree: int, branch, base: SurfaceModel | None = None) -> Diviso
     Picard group.  Raises BuildingDataError when some coefficient is not
     divisible, which signals invalid building data.
     """
-    if degree not in (2, 3):
+    if type(degree) is not int or degree not in (2, 3):
         raise BuildingDataError(f"only degree 2 and 3 covers are supported, got {degree}")
     branch = tuple(branch)
     if len(branch) != degree - 1:
@@ -217,31 +218,6 @@ def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
         warnings=warnings,
         assumptions=(ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO),
     )
-
-
-def canonical_sections(spec: CoverSpec) -> int:
-    """h0 of the canonical class of a double cover whose base has no canonical forms.
-
-    When h0 of the base canonical class vanishes, the canonical map of the
-    cover factors through the base followed by the map given by the
-    adjoint system, so the canonical image is the image of the base and
-    the sections are those of the adjoint system.
-    """
-    if spec.degree != 2:
-        raise BuildingDataError("canonical image data is computed for double covers")
-    k = lattice.canonical_class(spec.base)
-    try:
-        k_count = lattice.h0(k)
-    except ValueError as error:
-        raise BuildingDataError(
-            f"cannot evaluate h0 of the base canonical class: {error}"
-        ) from error
-    if not k_count.exact or k_count.value != 0:
-        raise BuildingDataError(
-            "canonical image factorisation needs h0 of the base canonical class to vanish"
-        )
-    # counts on P^2 and F_e, the only bases that get this far, are exact
-    return lattice.h0(k + spec.root).value
 
 
 class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [

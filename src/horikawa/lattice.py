@@ -312,13 +312,12 @@ def _merge_runs(u: tuple, v: tuple, op) -> tuple:
 
 
 def _split_runs(runs: tuple, k: int) -> tuple[tuple, tuple]:
-    """The runs of the first ``k`` positions and the runs of the rest."""
+    """The runs of the first ``k`` positions and of the rest, for ``k`` below the total."""
     for i, (value, length) in enumerate(runs):
         if k < length:
             lower = runs[:i] + (((value, k),) if k else ())
             return lower, ((value, length - k),) + runs[i + 1:]
         k -= length
-    return runs, ()
 
 
 def picard_rank(surface: SurfaceModel) -> int:

@@ -103,6 +103,12 @@ class TestParameterTable:
         with pytest.raises(ValueError):
             pick_parameters(2)
 
+    # unchecked, 3.5 gave (2, 3.5, 5) and 4.0 gave (0, 4.0, 1)
+    @pytest.mark.parametrize("chi", [3.5, 4.0, True], ids=["float", "whole-float", "bool"])
+    def test_non_integer_refused(self, chi):
+        with pytest.raises(ValueError, match="^chi must be an integer, got "):
+            pick_parameters(chi)
+
 
 class TestComponentOne:
     @pytest.mark.parametrize("chi", [4, 5, 6, 7, 9, 11, 30])
@@ -222,7 +228,10 @@ class TestScrollFamilies:
     @pytest.mark.parametrize("residue, k, message", [
         (3, 4, "family residue must be 0, 1 or 2"),
         (1, 1, "the scroll branch curves are defined for k >= 2"),
-    ], ids=["residue-3", "k-1"])
+        # unchecked, True passed as the residue 1 and 1.0 built a float exponent
+        (True, 2, "family residue must be 0, 1 or 2"),
+        (1.0, 2, "family residue must be 0, 1 or 2"),
+    ], ids=["residue-3", "k-1", "residue-bool", "residue-float"])
     def test_refusals(self, residue, k, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             scroll_family_curve(residue, k)
@@ -363,6 +372,50 @@ class TestNefCertificate:
             nef_certificate(0, 0, 0)
 
 
+class TestCertificateIdentities:
+    """The identities that leave the certificates no branch for a refusal they do not have.
+
+    Over e <= 7 and alpha, beta < 40, every triple with a point to blow up.
+    """
+
+    GRID = [(e, alpha, beta) for e in range(8) for alpha in range(40) for beta in range(40)]
+
+    def test_ampleness_square_decides_the_negative_section_case(self):
+        for e, alpha, beta in self.GRID:
+            if 2 * alpha + 2 * beta - 4 * e - 3 < 1:
+                continue
+            square = 6 * (alpha + beta) - 12 * e - 21
+            if square <= 0:
+                with pytest.raises(CertificateError,
+                                   match=f"^divisor self-intersection {square} is not positive$"):
+                    ampleness_certificate(e, alpha, beta)
+                continue
+            certificate = ampleness_certificate(e, alpha, beta)
+            assert certificate.self_intersection == square
+            assert certificate.coefficient + e >= 0
+
+    def test_ampleness_without_general_position_stops_at_h0(self):
+        for e, alpha, beta in self.GRID:
+            if 2 * alpha + 2 * beta - 4 * e - 3 < 1 or 6 * (alpha + beta) - 12 * e - 21 <= 0:
+                continue
+            with pytest.raises(ValueError, match="require the general position assumption"):
+                ampleness_certificate(e, alpha, beta, general_position=False)
+
+    def test_nef_second_branch_pairing_is_twice_the_closure(self):
+        checked = 0
+        for e, alpha, beta in self.GRID:
+            if 2 * alpha + 2 * beta - 4 * e < 1:
+                continue
+            certificate = nef_certificate(e, alpha, beta)
+            closure = certificate.closure_coefficient
+            assert closure == alpha + 2 * beta - 3 * e - 6
+            assert dict(certificate.pairings)["second branch curve"] == 2 * closure
+            if closure < 0:
+                assert certificate.gap == "a witness pairing is negative"
+            checked += 1
+        assert checked == 12428
+
+
 class TestEpsilonFamily:
     @pytest.mark.parametrize("chi,epsilon,expected", [
         (7, 1, 9),
@@ -377,6 +430,13 @@ class TestEpsilonFamily:
     def test_bound(self):
         record = epsilon_family(7, 5)
         assert 3 * record.k_squared == 39 <= 8 * 7 - 16
+
+    def test_bound_cross_checks_the_contraction(self, monkeypatch):
+        # the curve count implies the bound, so only a wrong contraction reaches it
+        monkeypatch.setattr(stable, "contract_minus3", lambda chi, _k2, count: StableSurfaceRecord(
+            8 * chi - 15, chi, SingularityLedger(third11_count=count)))
+        with pytest.raises(CertificateError, match="violates the stable line bound"):
+            epsilon_family(7, 1)
 
     @given(st.integers(4, 60))
     def test_equality_characterisation(self, chi):

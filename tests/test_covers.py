@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from horikawa import covers, lattice
 from horikawa.covers import (BuildingDataError, CoverSpec, ScrollCurve,
-                             canonical_sections, classify_germ,
-                             cyclic_shift_invariant, derive_root,
+                             classify_germ, cyclic_shift_invariant, derive_root,
                              double_cover_invariants, scroll_class,
                              t1_scaling_invariant, triple_cover_invariants)
 from horikawa.lattice import Hirzebruch, ProjectivePlane
@@ -45,6 +44,11 @@ class TestDeriveRoot:
     @pytest.mark.parametrize("build, message", [
         (lambda: derive_root(4, (P2.divisor((4,)),) * 3),
          "only degree 2 and 3 covers are supported, got 4"),
+        # unchecked, a float degree would divide the weighted sum into float coefficients
+        (lambda: derive_root(3.0, (P2.divisor((5,)),) * 2),
+         "only degree 2 and 3 covers are supported, got 3.0"),
+        (lambda: derive_root(True, (P2.divisor((5,)),)),
+         "only degree 2 and 3 covers are supported, got True"),
         (lambda: derive_root(3, (P2.divisor((3,)),)), "degree 3 needs 2 branch classes, got 1"),
         (lambda: derive_root(2, (P2.divisor((2,)),) * 2),
          "degree 2 needs 1 branch classes, got 2"),
@@ -57,8 +61,8 @@ class TestDeriveRoot:
          "node bookkeeping only applies to degree 3 covers"),
         (lambda: triple_cover_invariants(CoverSpec.double(P2, P2.divisor((4,)))),
          "triple cover invariants need a degree 3 spec"),
-    ], ids=["degree-4", "one-class-for-degree-3", "two-classes-for-degree-2",
-            "class-on-another-surface", "negative-node-count", "nodes-on-a-double-cover",
+    ], ids=["degree-4", "degree-float", "degree-bool", "one-class-for-degree-3",
+            "two-classes-for-degree-2", "class-on-another-surface", "negative-node-count", "nodes-on-a-double-cover",
             "triple-invariants-of-a-double-cover"])
     def test_malformed_building_data_refused(self, build, message):
         with pytest.raises(BuildingDataError, match=f"^{re.escape(message)}$"):
@@ -127,6 +131,16 @@ class TestDoubleCoverInvariants:
         assert report.k_squared == 0
         assert report.chi == 1
 
+    def test_virtual_adjoint_count_reports_unavailable_p_g(self):
+        # the adjoint 2H - E1 imposes its blown-up point: a virtual count, never a p_g
+        blown = lattice.blow_up(P2, 1)
+        branch = lattice.pullback(blown, P2.divisor((10,))) - 4 * blown.exceptional_sum()
+        report = double_cover_invariants(CoverSpec.double(blown, branch))
+        assert report.canonical_multiple.cls == blown.divisor((2, -1))
+        assert not lattice.h0(report.canonical_multiple.cls).exact
+        assert report.p_g is None
+        assert (report.k_squared, report.chi) == (6, 6)
+
     def test_chi_is_always_integral_for_lattice_data(self):
         # D.(D + K) is even for every class on these surfaces, so the
         # defensive parity error cannot fire on honest inputs
@@ -150,6 +164,16 @@ class TestTripleCoverInvariants:
         f0 = Hirzebruch(0)
         spec = CoverSpec.triple(f0, f0.zero(), f0.zero(), transversal_node_count=2)
         with pytest.raises(BuildingDataError, match="node"):
+            triple_cover_invariants(spec)
+
+    def test_odd_pairing_refused(self, monkeypatch):
+        # D.(D + K) is even for every honest K; a K off by one line keeps
+        # K^2 integral on this spec but makes the chi pairing odd
+        honest = lattice.canonical_class
+        monkeypatch.setattr(lattice, "canonical_class",
+                            lambda surface: honest(surface) + P2.divisor((1,)))
+        spec = CoverSpec.triple(P2, P2.divisor((3,)), P2.zero())
+        with pytest.raises(BuildingDataError, match="^non-integer chi"):
             triple_cover_invariants(spec)
 
     def test_ordered_branch_pair_matters(self):
@@ -187,7 +211,7 @@ def _adjoint(spec):
 class TestCanonicalImage:
     def test_plane_image(self):
         spec = CoverSpec.double(P2, P2.divisor((10,)))
-        assert canonical_sections(spec) == 6
+        assert double_cover_invariants(spec).p_g == 6
         assert _adjoint(spec) == P2.divisor((2,))
         assert lattice.ample(_adjoint(spec))
 
@@ -196,7 +220,7 @@ class TestCanonicalImage:
         spec = CoverSpec.double(f6, f6.divisor((6, 30)))
         assert _adjoint(spec) == f6.divisor((1, 7))
         assert lattice.ample(_adjoint(spec))
-        assert canonical_sections(spec) == 10
+        assert double_cover_invariants(spec).p_g == 10
 
     def test_scroll_image_at_the_ample_boundary(self):
         # the adjoint class D0 + 6F on F_6 has b == a*e: nef, not ample
@@ -204,25 +228,13 @@ class TestCanonicalImage:
         spec = CoverSpec.double(f6, f6.divisor((6, 28)))
         assert _adjoint(spec) == f6.divisor((1, 6))
         assert not lattice.ample(_adjoint(spec))
-        assert canonical_sections(spec) == 8
+        assert double_cover_invariants(spec).p_g == 8
 
     def test_degenerate_empty_system(self):
         f0 = Hirzebruch(0)
         spec = CoverSpec.double(f0, f0.zero())
-        assert canonical_sections(spec) == 0
+        assert double_cover_invariants(spec).p_g == 0
         assert not lattice.ample(_adjoint(spec))
-
-    def test_requires_double_cover(self):
-        f0 = Hirzebruch(0)
-        with pytest.raises(BuildingDataError):
-            canonical_sections(CoverSpec.triple(f0, f0.zero(), f0.zero()))
-
-    def test_blown_up_base_rejected(self):
-        # K of a blow-up has exceptional coefficients +1, outside the section counting
-        blown = lattice.blow_up(P2, 2)
-        branch = lattice.pullback(blown, P2.divisor((10,))) - 2 * blown.exceptional_sum()
-        with pytest.raises(BuildingDataError, match="h0 of the base canonical class"):
-            canonical_sections(CoverSpec.double(blown, branch))
 
 
 class TestScrollCurves:
@@ -311,3 +323,7 @@ class TestGermClassifier:
     def test_out_of_family(self, m, p):
         with pytest.raises(ValueError):
             classify_germ(m, p)
+
+    def test_non_integer_exponent_refused(self):
+        with pytest.raises(ValueError, match="^germ exponents must be integers$"):
+            classify_germ(2.5, 5)

@@ -615,3 +615,23 @@ class TestSurfaceChecks:
     def test_non_classes_rejected(self, op, other):
         with pytest.raises(TypeError, match="expected a DivisorClass"):
             op(Hirzebruch(1).divisor((1, 2)), other)
+
+    @pytest.mark.parametrize("use", [
+        lattice.picard_rank, lattice.surface_descriptor, lattice.canonical_class,
+        lambda surface: lattice.h0(DivisorClass._make(surface, (1,), ())),
+    ], ids=["picard_rank", "surface_descriptor", "canonical_class", "h0"])
+    def test_non_surface_refused(self, use):
+        # a bare SurfaceModel is none of the plane, a Hirzebruch surface or a blow-up
+        with pytest.raises(TypeError, match="^unsupported surface"):
+            use(lattice.SurfaceModel())
+
+    def test_float_scalar_is_not_implemented(self):
+        # __rmul__ hands a float back to Python, which raises the TypeError
+        with pytest.raises(TypeError, match="unsupported operand"):
+            2.5 * Hirzebruch(1).divisor((1, 2))
+
+
+def test_ample_leaves_blow_ups_undecided():
+    blown = lattice.blow_up(P2, 1)
+    assert lattice.ample(P2.divisor((3,)))
+    assert not lattice.ample(blown.divisor((3, -1)))
