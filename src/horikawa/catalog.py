@@ -48,6 +48,8 @@ NOTE_K1_INVOLUTION = (
 )
 NOTE_ORDER3_SYMMETRY = "an order-3 symmetry of the branch data lifts to the cover"
 
+RETAINED_NODES = 3  # branch nodes the stable surface keeps, one 1/3(1,1) point over each
+
 
 def admissibility_failures(k_squared: int, chi: int) -> list[str]:
     """The inequalities for minimal surfaces of general type that the pair violates.
@@ -155,12 +157,9 @@ def pick_parameters(chi: int) -> tuple[int, int, int]:
         raise ValueError(f"chi must be an integer, got {chi!r:.80}")
     if chi < 3:
         raise ValueError("parameter table starts at chi = 3")
-    residue = chi % 3
-    if residue == 0:
-        return (1, chi, 3)
-    if residue == 1:
-        return (0, chi, 1)
-    return (2, chi, 5)
+    # alpha + 2*beta = chi + 4e + 2 is then divisible by 3, as derive_root needs
+    e = (1 - chi) % 3
+    return (e, chi, 2 * e + 1)
 
 
 class AmplenessCertificate(NamedTuple):
@@ -243,6 +242,8 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     taking the cyclic triple cover branched over the strict transforms
     produces a minimal surface with the requested invariants.
     """
+    if type(chi) is not int:
+        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
     if chi < 4:
         raise ValueError("the general type line K^2 = 2*chi - 6 needs chi >= 4")
     e, alpha, beta = pick_parameters(chi)
@@ -254,7 +255,7 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     report = report._replace(minimal_or_ample=nef.verdict)
     k_squared = 2 * chi - 6
     notes = [NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY]
-    if k_squared % 8 == 0:
+    if component_count(k_squared) == 2:
         claim = COMPONENT_I
         if chi == 7:
             notes.append(NOTE_K1_INVOLUTION)
@@ -290,28 +291,31 @@ def scroll_family_curve(residue: int, k: int) -> ScrollCurve:
     """Branch curve of the family indexed by ``residue`` at parameter k.
 
     All three families have class 5*D0 + (10k + 10)*F on the scroll with
-    parameter 2k + 2; they differ in the middle monomial, whose t1
-    exponent is divisible by 3 exactly when k is congruent to the family
-    residue modulo 3.
+    parameter 2k + 2; they differ in the middle monomial t1^(10k+10-j) t2^j x2^5,
+    j = (residue + 1) mod 3, whose t1 exponent is then congruent to k - residue,
+    so divisible by 3 exactly when k is congruent to the residue modulo 3.
     """
     if type(residue) is not int or residue not in (0, 1, 2):
         raise ValueError("family residue must be 0, 1 or 2")
     if k < 2:
         raise ValueError("the scroll branch curves are defined for k >= 2")
     top = 10 * k + 10
-    if residue == 2:
-        middle = (top, 0, 0, 5)
-    elif residue == 0:
-        middle = (top - 1, 1, 0, 5)
-    else:
-        middle = (top - 2, 2, 0, 5)
+    j = (residue + 1) % 3
     return ScrollCurve(
         e=2 * k + 2,
-        monomials=frozenset({(0, 0, 5, 0), middle, (0, top, 0, 5)}),
+        monomials=frozenset({(0, 0, 5, 0), (top - j, j, 0, 5), (0, top, 0, 5)}),
     )
 
 
 P2_BRANCH_MONOMIALS = frozenset({(10, 0, 0), (0, 10, 0), (0, 0, 10)})
+
+
+def component_two_germ(k: int) -> str | None:
+    """The double point of the component-II branch curve at K^2 = 8k, or None if smooth.
+
+    Only k = 1 (mod 3), k > 1, has one, where a chart reads x1^5 + t2^2 + t2^(10k+10).
+    """
+    return covers.classify_germ(10 * k + 10, 5) if k > 1 and k % 3 == 1 else None
 
 
 def build_component_two(k: int) -> ConstructionRecipe:
@@ -322,6 +326,8 @@ def build_component_two(k: int) -> ConstructionRecipe:
     cover of the scroll with parameter 2k + 2 branched over the negative
     section plus the residue-selected curve of class 5*D0 + (10k + 10)*F.
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r:.80}")
     if k < 1:
         raise ValueError("the second component exists for k >= 1")
     if k == 1:
@@ -339,12 +345,9 @@ def build_component_two(k: int) -> ConstructionRecipe:
     report = covers.double_cover_invariants(spec)
     if not symmetric:
         raise CertificateError(f"{place} branch curve lost its {symmetry} symmetry")
-    germ = None
+    germ = component_two_germ(k)
     ledger = stable.EMPTY_LEDGER
-    if k > 1 and k % 3 == 1:
-        # Local form of the unique branch curve singularity on the chart
-        # where the curve reads x1^5 + t2^2 + t2^(10k+10).
-        germ = covers.classify_germ(10 * k + 10, 5)
+    if germ is not None:
         ledger = SingularityLedger(canonical_count=1)
         note = (f"branch curve carries one {germ} double point; the cover has at worst "
                 "one rational double point and all reported invariants are unchanged")
@@ -381,8 +384,8 @@ def ampleness_certificate(e: int, alpha: int, beta: int,
     except possibly the negative section (a, b) = (1, 0), which general
     position excludes.
     """
-    return _ampleness_certificate(e, alpha, beta,
-                                  _blown_scroll(e, alpha, beta, 3, general_position))
+    scroll = _blown_scroll(e, alpha, beta, RETAINED_NODES, general_position)
+    return _ampleness_certificate(e, alpha, beta, scroll)
 
 
 def _ampleness_certificate(e: int, alpha: int, beta: int,
@@ -493,12 +496,14 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     by certificate, and its bicanonical count shows that its moduli
     component contains no canonical models.
     """
+    if type(chi) is not int:
+        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
     if chi < 3:
         raise ValueError("the stable line K^2 = 2*chi - 5 needs chi >= 3")
     e, alpha, beta = pick_parameters(chi)
-    scroll = _blown_scroll(e, alpha, beta, 3, general_position)
+    scroll = _blown_scroll(e, alpha, beta, RETAINED_NODES, general_position)
     blown, _pull, _exceptional, d1, d2 = scroll
-    spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
+    spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=RETAINED_NODES)
     resolution = stable.resolve_node_bookkeeping(spec)
     certificate = _ampleness_certificate(e, alpha, beta, scroll)
     record = resolution.unresolved._replace(ample_canonical=True)
@@ -530,6 +535,10 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
     The result has K^2 = 2chi - 6 + epsilon, which satisfies
     3K^2 <= 8chi - 16 with equality exactly at the top of the range.
     """
+    if type(chi) is not int:
+        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
+    if type(epsilon) is not int:
+        raise ValueError(f"epsilon must be an integer, got {epsilon!r:.80}")
     if chi < 4:
         raise ValueError("the contracted family starts from a surface with chi >= 4")
     if epsilon < 1:

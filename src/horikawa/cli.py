@@ -141,15 +141,16 @@ def run_construct(variant: str, chi: int | None = None, k: int | None = None,
 def _enumeration_row(chi: int) -> EnumerationRow:
     k2 = 2 * chi - 6
     on_line = catalog.admissible(k2, chi)
-    stable = chi >= 3
+    stable = catalog.admissible(2 * chi - 5, chi)
     constructions = []
     notes = []
     if on_line:
         constructions.append("component-I")
-    if on_line and k2 % 8 == 0:
+    if on_line and catalog.component_count(k2) == 2:
         constructions.append(f"component-II (k = {k2 // 8})")
-        if k2 >= 16 and k2 // 8 % 3 == 1:
-            notes.append("second-component branch curve carries one A_4 double point")
+        germ = catalog.component_two_germ(k2 // 8)
+        if germ is not None:
+            notes.append(f"second-component branch curve carries one {germ} double point")
     if stable:
         constructions.append("stable")
     return EnumerationRow(
@@ -158,7 +159,7 @@ def _enumeration_row(chi: int) -> EnumerationRow:
         component_count=catalog.component_count(k2) if on_line else None,
         constructions=tuple(constructions),
         stable_k_squared=2 * chi - 5 if stable else None,
-        stable_third11_count=3 if stable else None,
+        stable_third11_count=catalog.RETAINED_NODES if stable else None,
         notes=tuple(notes),
     )
 
@@ -378,9 +379,5 @@ def main(argv=None) -> int:
     return _dispatch(command, values)
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())

@@ -55,6 +55,8 @@ def derive_root(degree: int, branch, base: SurfaceModel | None = None) -> Diviso
         raise BuildingDataError(
             f"degree {degree} needs {degree - 1} branch classes, got {len(branch)}"
         )
+    if not all(isinstance(d, DivisorClass) for d in branch):
+        raise BuildingDataError(f"branch entries must be divisor classes, got {branch!r:.80}")
     if base is None:
         base = branch[0].surface
     weighted = base.zero()

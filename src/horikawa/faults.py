@@ -102,14 +102,14 @@ REGISTRY: dict[str, Fault] = {
     # -- catalog --------------------------------------------------------
     "parameter-table-beta": Fault(
         "the parameter table inflates beta by 3 for chi divisible by 3",
-        "catalog.pick_parameters", "(1, chi, 3)", "(1, chi, 6)"),
+        "catalog.pick_parameters", "2 * e + 1)", "2 * e + 1 + 3 * (e == 1))"),
     "ampleness-coefficient-shift": Fault(
         "the feasibility coefficient gains a unit",
         "catalog._ampleness_certificate",
         "coefficient = alpha + beta - 3 * e - 4", "coefficient = alpha + beta - 3 * e - 3"),
     "scroll-family-exponent": Fault(
         "the middle branch monomial of the residue 2 family loses one power of t1",
-        "catalog.scroll_family_curve", "middle = (top, 0,", "middle = (top - 1, 0,"),
+        "catalog.scroll_family_curve", "(top - j, j,", "(top - j - (j == 0), j,"),
     "epsilon-family-ksq": Fault(
         "the contracted family contracts 6*epsilon curves, doubling the epsilon gain",
         "catalog.epsilon_family", "2 * chi - 6, 3 * epsilon", "2 * chi - 6, 6 * epsilon"),

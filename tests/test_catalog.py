@@ -99,6 +99,13 @@ class TestParameterTable:
         assert (alpha + 2 * beta) % 3 == 0
         assert 2 * alpha + 2 * beta - 4 * e == 2 * chi + 2
 
+    def test_formula_matches_the_residue_table(self):
+        # (e, beta) by chi mod 3, written out as a table
+        table = {0: (1, 3), 1: (0, 1), 2: (2, 5)}
+        for chi in range(3, 3001):
+            e, beta = table[chi % 3]
+            assert pick_parameters(chi) == (e, chi, beta)
+
     def test_below_range(self):
         with pytest.raises(ValueError):
             pick_parameters(2)
@@ -236,11 +243,35 @@ class TestScrollFamilies:
         with pytest.raises(ValueError, match=f"^{message}$"):
             scroll_family_curve(residue, k)
 
+    def test_formula_matches_the_residue_table(self):
+        # the middle monomial by family residue, written out as a table
+        for k in range(2, 3001):
+            top = 10 * k + 10
+            table = {0: (top - 1, 1, 0, 5), 1: (top - 2, 2, 0, 5), 2: (top, 0, 0, 5)}
+            for residue, middle in table.items():
+                curve = scroll_family_curve(residue, k)
+                assert curve.monomials == {(0, 0, 5, 0), middle, (0, top, 0, 5)}
+
     @pytest.mark.parametrize("k", range(2, 20))
     def test_mismatched_residues_are_not(self, k):
         for residue in range(3):
             curve = scroll_family_curve(residue, k)
             assert covers.t1_scaling_invariant(curve) == (residue == k % 3)
+
+
+# unchecked, k = True built the k = 1 recipe, epsilon = True the epsilon = 1 record,
+# chi = "5" raised TypeError and the others stopped at a range or later refusal
+@pytest.mark.parametrize("build, args, name", [
+    (build_component_one, (True,), "chi"), (build_component_one, ("5",), "chi"),
+    (build_component_one, (2.0,), "chi"), (build_component_two, (True,), "k"),
+    (build_component_two, (2.0,), "k"), (build_stable, (True,), "chi"),
+    (build_stable, (2.0,), "chi"), (epsilon_family, (7.0, 1), "chi"),
+    (epsilon_family, (7, True), "epsilon"), (epsilon_family, (7, 1.0), "epsilon"),
+], ids=["one-bool", "one-str", "one-float", "two-bool", "two-float", "stable-bool",
+        "stable-float", "epsilon-chi-float", "epsilon-bool", "epsilon-float"])
+def test_builders_refuse_values_that_are_not_int(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build(*args)
 
 
 @pytest.mark.parametrize("build", [

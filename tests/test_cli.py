@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import cli, faults
+from horikawa import catalog, cli, faults
 from horikawa.reporting import Report
 
 
@@ -142,6 +142,28 @@ class TestEnumerateCommand:
         assert row.constructions == ("stable",)
         assert row.stable_k_squared == 1
         assert row.stable_third11_count == 3
+
+    def test_rows_agree_with_the_builders(self, capsys):
+        code, out, _err = run(capsys, "enumerate", "--chi", "-2", "--chi-max", "250",
+                              "--format", "json")
+        assert code == 0
+        second = {recipe.target: recipe for recipe in map(catalog.build_component_two,
+                                                           range(1, 63))}
+        rows = Report.from_json(out).payload.rows
+        for row in rows:
+            recipe = second.get((2 * row.chi - 6, row.chi))
+            named = [c for c in row.constructions if c.startswith("component-II")]
+            assert named == ([] if recipe is None else [f"component-II (k = {recipe.k})"])
+            germ = None if recipe is None else recipe.germ
+            assert row.notes == (() if germ is None else (
+                f"second-component branch curve carries one {germ} double point",))
+            if row.chi < 3:
+                assert row.stable_third11_count is None and "stable" not in row.constructions
+            else:
+                assert row.stable_third11_count == \
+                    catalog.build_stable(row.chi).record.ledger.third11_count
+        # the A_4 rows: k = 4, 7, ..., 61
+        assert [row.chi for row in rows if row.notes] == [4 * k + 3 for k in range(4, 62, 3)]
 
 
 class TestVerifyCommand:

@@ -54,6 +54,9 @@ class TestDeriveRoot:
          "degree 2 needs 1 branch classes, got 2"),
         (lambda: derive_root(3, (P2.divisor((3,)), Hirzebruch(0).divisor((0, 3)))),
          "branch classes must live on the base surface"),
+        # unchecked, an entry that is no class raised AttributeError on its .surface
+        (lambda: derive_root(2, (5,)), "branch entries must be divisor classes, got (5,)"),
+        (lambda: CoverSpec.double(P2, 5), "branch entries must be divisor classes, got (5,)"),
         (lambda: CoverSpec.triple(Hirzebruch(0), Hirzebruch(0).zero(), Hirzebruch(0).zero(),
                                   transversal_node_count=-1),
          "node count must be nonnegative"),
@@ -62,7 +65,8 @@ class TestDeriveRoot:
         (lambda: triple_cover_invariants(CoverSpec.double(P2, P2.divisor((4,)))),
          "triple cover invariants need a degree 3 spec"),
     ], ids=["degree-4", "degree-float", "degree-bool", "one-class-for-degree-3",
-            "two-classes-for-degree-2", "class-on-another-surface", "negative-node-count", "nodes-on-a-double-cover",
+            "two-classes-for-degree-2", "class-on-another-surface", "int-branch-entry",
+            "int-branch-entry-of-a-spec", "negative-node-count", "nodes-on-a-double-cover",
             "triple-invariants-of-a-double-cover"])
     def test_malformed_building_data_refused(self, build, message):
         with pytest.raises(BuildingDataError, match=f"^{re.escape(message)}$"):

@@ -30,7 +30,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "horikawa"
 # module -> source text of the lines that run only in a subprocess (``python -m horikawa.cli``)
-ALLOWED = {"cli.py": {"raise SystemExit(main())", "entrypoint()"}}
+ALLOWED = {"cli.py": {"raise SystemExit(main())"}}
 
 
 def _is_docstring(node: ast.stmt) -> bool:
