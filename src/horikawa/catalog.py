@@ -297,6 +297,8 @@ def scroll_family_curve(residue: int, k: int) -> ScrollCurve:
     """
     if type(residue) is not int or residue not in (0, 1, 2):
         raise ValueError("family residue must be 0, 1 or 2")
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r:.80}")
     if k < 2:
         raise ValueError("the scroll branch curves are defined for k >= 2")
     top = 10 * k + 10
@@ -315,6 +317,8 @@ def component_two_germ(k: int) -> str | None:
 
     Only k = 1 (mod 3), k > 1, has one, where a chart reads x1^5 + t2^2 + t2^(10k+10).
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r:.80}")
     return covers.classify_germ(10 * k + 10, 5) if k > 1 and k % 3 == 1 else None
 
 

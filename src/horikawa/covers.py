@@ -50,6 +50,8 @@ def derive_root(degree: int, branch, base: SurfaceModel | None = None) -> Diviso
     """
     if type(degree) is not int or degree not in (2, 3):
         raise BuildingDataError(f"only degree 2 and 3 covers are supported, got {degree}")
+    if not isinstance(branch, (tuple, list)):
+        raise BuildingDataError(f"branch must be a tuple or list of classes, got {branch!r:.80}")
     branch = tuple(branch)
     if len(branch) != degree - 1:
         raise BuildingDataError(

@@ -133,14 +133,8 @@ def resolve_node_bookkeeping(spec: CoverSpec) -> NodeResolution:
         raise covers.BuildingDataError("node bookkeeping applies to degree 3 covers")
     count = spec.transversal_node_count
     if count == 0:
-        resolved = covers.triple_cover_invariants(spec)
-        unresolved = StableSurfaceRecord(
-            k_squared_thirds=3 * resolved.k_squared,
-            chi=resolved.chi,
-            ledger=EMPTY_LEDGER,
-            smoothable=True,
-        )
-        return NodeResolution(resolved, unresolved)
+        raise covers.BuildingDataError(
+            "no retained nodes to resolve; use triple_cover_invariants for a node-free spec")
     # The node locations are determined by the branch curves, so no
     # generality is assumed for the resolving blow-up.
     resolved_base = lattice.blow_up(spec.base, count, general_position=False)

@@ -392,12 +392,6 @@ def _check_resolution_bookkeeping(chi_max, k_max, builds):
                 f"K^2 gain from the three retained nodes is not 1 at chi = {chi}")
         _expect(resolution.resolved.k_squared == 2 * chi - 6,
                 f"resolved K^2 is not 2*chi - 6 at chi = {chi}")
-    # degenerate case: no nodes means nothing changes
-    spec = covers.CoverSpec.triple(*_branch_pair(0, 7, 1, 16))
-    resolution = stable.resolve_node_bookkeeping(spec)
-    _expect(resolution.unresolved.k_squared == resolution.resolved.k_squared
-            and resolution.unresolved.ledger == stable.EMPTY_LEDGER,
-            "node-free bookkeeping must leave the surface unchanged")
 
 
 @_check("stable-tricanonical-lift",

@@ -11,8 +11,8 @@ from horikawa.catalog import (AdmissiblePair, CertificateError, admissible,
                               ampleness_certificate, build_component_one,
                               build_component_two, build_stable, classify,
                               epsilon_family, nef_certificate,
-                              parity_discriminator, pick_parameters,
-                              scroll_family_curve)
+                              component_two_germ, parity_discriminator,
+                              pick_parameters, scroll_family_curve)
 from horikawa.lattice import Hirzebruch
 from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
@@ -260,18 +260,35 @@ class TestScrollFamilies:
 
 
 # unchecked, k = True built the k = 1 recipe, epsilon = True the epsilon = 1 record,
-# chi = "5" raised TypeError and the others stopped at a range or later refusal
+# chi = "5" raised TypeError and the others stopped at a range or later refusal;
+# in the family rules k = True stopped at the k >= 2 message or gave no germ, k = "3"
+# raised TypeError from <, 2.0 stopped at the scroll parameter and 4.0 at the germ exponents
 @pytest.mark.parametrize("build, args, name", [
     (build_component_one, (True,), "chi"), (build_component_one, ("5",), "chi"),
     (build_component_one, (2.0,), "chi"), (build_component_two, (True,), "k"),
     (build_component_two, (2.0,), "k"), (build_stable, (True,), "chi"),
     (build_stable, (2.0,), "chi"), (epsilon_family, (7.0, 1), "chi"),
     (epsilon_family, (7, True), "epsilon"), (epsilon_family, (7, 1.0), "epsilon"),
+    (scroll_family_curve, (1, True), "k"), (scroll_family_curve, (1, 2.0), "k"),
+    (scroll_family_curve, (1, "3"), "k"), (component_two_germ, (True,), "k"),
+    (component_two_germ, (4.0,), "k"), (component_two_germ, ("4",), "k"),
 ], ids=["one-bool", "one-str", "one-float", "two-bool", "two-float", "stable-bool",
-        "stable-float", "epsilon-chi-float", "epsilon-bool", "epsilon-float"])
+        "stable-float", "epsilon-chi-float", "epsilon-bool", "epsilon-float",
+        "scroll-bool", "scroll-float", "scroll-str", "germ-bool", "germ-float", "germ-str"])
 def test_builders_refuse_values_that_are_not_int(build, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         build(*args)
+
+
+@pytest.mark.parametrize("chi", range(3, 201))
+def test_branch_pairs_meet_in_the_retained_nodes(chi):
+    # the two branch classes meet exactly in the nodes: three kept on the stable line,
+    # none on the first line (which starts at chi = 4)
+    d1, d2 = build_stable(chi).recipe.branch
+    assert d1.dot(d2) == catalog.RETAINED_NODES
+    if chi >= 4:
+        d1, d2 = build_component_one(chi).branch
+        assert d1.dot(d2) == 0
 
 
 @pytest.mark.parametrize("build", [

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import re
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -419,6 +421,17 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+    def test_module_entry_exits_with_main(self, capsys, monkeypatch):
+        # what ``python -m horikawa.cli`` runs, in this process so a line tracer sees it
+        argv = ["classify", "--k2", "8", "--chi", "7"]
+        expected = run(capsys, *argv)[1]
+        monkeypatch.setattr(sys, "argv", ["horikawa.cli", *argv])
+        with (pytest.warns(RuntimeWarning, match="found in sys.modules"),
+              pytest.raises(SystemExit) as exit_request):
+            runpy.run_module("horikawa.cli", run_name="__main__")
+        assert exit_request.value.code == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestJsonStability:

@@ -57,6 +57,11 @@ class TestDeriveRoot:
         # unchecked, an entry that is no class raised AttributeError on its .surface
         (lambda: derive_root(2, (5,)), "branch entries must be divisor classes, got (5,)"),
         (lambda: CoverSpec.double(P2, 5), "branch entries must be divisor classes, got (5,)"),
+        # unchecked, a branch that is no sequence raised TypeError from tuple(branch)
+        (lambda: derive_root(2, 5), "branch must be a tuple or list of classes, got 5"),
+        (lambda: CoverSpec(2, P2, P2.divisor((10,))),
+         "branch must be a tuple or list of classes, got "
+         "DivisorClass(surface=ProjectivePlane(), head=(10,), runs=())"),
         (lambda: CoverSpec.triple(Hirzebruch(0), Hirzebruch(0).zero(), Hirzebruch(0).zero(),
                                   transversal_node_count=-1),
          "node count must be nonnegative"),
@@ -66,7 +71,8 @@ class TestDeriveRoot:
          "triple cover invariants need a degree 3 spec"),
     ], ids=["degree-4", "degree-float", "degree-bool", "one-class-for-degree-3",
             "two-classes-for-degree-2", "class-on-another-surface", "int-branch-entry",
-            "int-branch-entry-of-a-spec", "negative-node-count", "nodes-on-a-double-cover",
+            "int-branch-entry-of-a-spec", "int-branch", "bare-class-branch-of-a-spec",
+            "negative-node-count", "nodes-on-a-double-cover",
             "triple-invariants-of-a-double-cover"])
     def test_malformed_building_data_refused(self, build, message):
         with pytest.raises(BuildingDataError, match=f"^{re.escape(message)}$"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horikawa import lattice, stable
+from horikawa import covers, lattice
 from horikawa.covers import BuildingDataError, CoverSpec
 from horikawa.lattice import Hirzebruch
 from horikawa.stable import (LedgerError, SingularityLedger, StableSurfaceRecord,
@@ -192,11 +192,10 @@ class TestNodeResolution:
                            match="^node bookkeeping applies to degree 3 covers$"):
             resolve_node_bookkeeping(CoverSpec.double(Hirzebruch(0), Hirzebruch(0).zero()))
 
-    def test_no_nodes_is_the_identity(self):
-        resolution = resolve_node_bookkeeping(_triple_spec(8, 0))
-        assert resolution.unresolved.k_squared == resolution.resolved.k_squared
-        assert resolution.unresolved.ledger == stable.EMPTY_LEDGER
-        assert resolution.unresolved.smoothable
+    def test_node_free_spec_refused(self):
+        # a node-free spec has nothing to resolve; its invariants come from the cover alone
+        with pytest.raises(BuildingDataError, match="use triple_cover_invariants"):
+            resolve_node_bookkeeping(_triple_spec(8, 0))
 
     def test_gain_is_nodes_over_three(self):
         for nodes in (1, 2, 3):
@@ -206,6 +205,6 @@ class TestNodeResolution:
 
     def test_fully_resolved_vs_stable_difference(self):
         chi = 12
-        full = resolve_node_bookkeeping(_triple_spec(chi, 0))
+        full = covers.triple_cover_invariants(_triple_spec(chi, 0))
         partial = resolve_node_bookkeeping(_triple_spec(chi, 3))
-        assert partial.unresolved.k_squared - full.resolved.k_squared == 1
+        assert partial.unresolved.k_squared - full.k_squared == 1

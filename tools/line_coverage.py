@@ -13,9 +13,9 @@ except docstrings, imports and ``def``/``class`` headers.  A statement
 counts as run when any line of its own span ran: the whole of a simple
 statement, or the header of a compound one (``if`` up to its ``:``).
 
-The exit code is 0 when every such line ran, apart from ``ALLOWED``, and
-1 otherwise, or when the suite itself fails.  ``ALLOWED`` holds the lines
-that tier-1 runs only in subprocesses, which this tracer does not see.
+The exit code is 0 when every such line ran, and 1 otherwise, or when
+the suite itself fails.  Lines run only in subprocesses count as never
+run, since this tracer does not see them.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "horikawa"
-# module -> source text of the lines that run only in a subprocess (``python -m horikawa.cli``)
-ALLOWED = {"cli.py": {"raise SystemExit(main())"}}
 
 
 def _is_docstring(node: ast.stmt) -> bool:
@@ -104,12 +102,10 @@ def main(argv=None) -> int:
         executed = ran.get(path.name, set())
         missing = sorted(first for first, span in statement_spans(source).items()
                          if executed.isdisjoint(span))
-        allowed = ALLOWED.get(path.name, set())
+        unexpected += len(missing)
         for line in missing:
-            tag = "allowed" if text[line - 1].strip() in allowed else "never ran"
-            unexpected += tag == "never ran"
-            print(f"{path.name}:{line}: {tag}: {text[line - 1].strip()}")
-    print(f"{unexpected} statement line(s) of src/horikawa never ran outside the allowlist")
+            print(f"{path.name}:{line}: never ran: {text[line - 1].strip()}")
+    print(f"{unexpected} statement line(s) of src/horikawa never ran")
     return 1 if status or unexpected else 0
 
 
