@@ -101,8 +101,9 @@ class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
             raise BuildingDataError("node count must be nonnegative")
         if degree == 2 and transversal_node_count:
             raise BuildingDataError("node bookkeeping only applies to degree 3 covers")
-        self = tuple.__new__(cls, (degree, base, branch, transversal_node_count))
-        object.__setattr__(self, "root", derive_root(degree, branch, base))
+        root = derive_root(degree, branch, base)  # refuses a branch that is not a tuple or list
+        self = tuple.__new__(cls, (degree, base, tuple(branch), transversal_node_count))
+        object.__setattr__(self, "root", root)
         return self
 
     @classmethod

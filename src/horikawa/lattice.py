@@ -49,7 +49,7 @@ class SurfaceModel(CheckedRecord):
         """Build a class from its dense coefficient vector over the Picard basis."""
         coeffs = tuple(coeffs)
         root, count = _levels(self)
-        split = picard_rank(root)
+        split = root._rank
         if len(coeffs) != split + count:
             raise ValueError(f"expected {split + count} coefficients, got {len(coeffs)}")
         for c in coeffs[:split]:
@@ -71,11 +71,13 @@ class SurfaceModel(CheckedRecord):
 
     def zero(self) -> "DivisorClass":
         root, count = _levels(self)
-        return DivisorClass._make(self, (0,) * picard_rank(root), ((0, count),) if count else ())
+        return DivisorClass._make(self, (0,) * root._rank, ((0, count),) if count else ())
 
 
 class ProjectivePlane(SurfaceModel, NamedTuple("ProjectivePlane", [])):
     """The projective plane with Picard basis (H)."""
+
+    _rank = 1  # the Picard rank, read in place of a type test
 
 
 class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
@@ -84,6 +86,8 @@ class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
     Picard basis (D0, F) where D0 is the negative section and F a fiber,
     so D0.D0 = -e, D0.F = 1 and F.F = 0.
     """
+
+    _rank = 2
 
     def __new__(cls, e: int):
         if type(e) is not int or e < 0:
@@ -128,14 +132,14 @@ class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
             raise ValueError(f"exceptional index {i} out of range 1..{self.point_count}")
         root, below = _levels(self.base)
         runs = ((0, below + i - 1), (1, 1), (0, self.point_count - i))
-        return DivisorClass._make(self, (0,) * picard_rank(root),
+        return DivisorClass._make(self, (0,) * root._rank,
                                   tuple(run for run in runs if run[1]))
 
     def exceptional_sum(self) -> "DivisorClass":
         """Sum of all exceptional classes of this blow-up level."""
         root, below = _levels(self.base)
         runs = ((0, below), (1, self.point_count))
-        return DivisorClass._make(self, (0,) * picard_rank(root),
+        return DivisorClass._make(self, (0,) * root._rank,
                                   tuple(run for run in runs if run[1]))
 
 
@@ -221,8 +225,7 @@ class DivisorClass:
         return tuple(dense)
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
-        if type(other) is DivisorClass and other.surface is self.surface:
-            return
+        # the slow side of the identical-surface test that each operation makes first
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a DivisorClass, got {other!r}")
         if other.surface is not self.surface and other.surface != self.surface:
@@ -232,12 +235,14 @@ class DivisorClass:
             )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_same_surface(other)
+        if type(other) is not DivisorClass or other.surface is not self.surface:
+            self._require_same_surface(other)
         return DivisorClass._make(self.surface, tuple(map(add, self.head, other.head)),
                                   _merge_runs(self.runs, other.runs, add))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_same_surface(other)
+        if type(other) is not DivisorClass or other.surface is not self.surface:
+            self._require_same_surface(other)
         return DivisorClass._make(self.surface, tuple(map(sub, self.head, other.head)),
                                   _merge_runs(self.runs, other.runs, sub))
 
@@ -262,13 +267,13 @@ class DivisorClass:
 
     def dot(self, other: "DivisorClass") -> int:
         """Intersection number of the two classes."""
-        self._require_same_surface(other)
-        root = _levels(self.surface)[0]
-        if isinstance(root, Hirzebruch):
-            head = _hirzebruch_dot(root.e, self.head, other.head)
-        else:
-            head = self.head[0] * other.head[0]
-        return head + _exceptional_dot(self.runs, other.runs)
+        if type(other) is not DivisorClass or other.surface is not self.surface:
+            self._require_same_surface(other)
+        # only a root surface's classes have no runs: they pair by the head alone
+        surface, u, v, runs = self.surface, self.head, other.head, self.runs
+        root = surface._levels[0] if runs else surface
+        head = u[0] * v[0] if root._rank == 1 else _hirzebruch_dot(root.e, u, v)
+        return head + _exceptional_dot(runs, other.runs) if runs else head
 
     def square(self) -> int:
         return self.dot(self)
@@ -286,7 +291,7 @@ _set_runs = DivisorClass.runs.__set__
 
 def _levels(surface: SurfaceModel) -> tuple[SurfaceModel, int]:
     """The root surface under all blow-ups and the number of exceptional classes."""
-    return surface._levels if isinstance(surface, BlowUp) else (surface, 0)
+    return surface._levels if type(surface) is BlowUp else (surface, 0)
 
 
 def _merge_runs(u: tuple, v: tuple, op) -> tuple:
@@ -321,13 +326,9 @@ def _split_runs(runs: tuple, k: int) -> tuple[tuple, tuple]:
 
 
 def picard_rank(surface: SurfaceModel) -> int:
-    if isinstance(surface, ProjectivePlane):
-        return 1
-    if isinstance(surface, Hirzebruch):
-        return 2
-    if isinstance(surface, BlowUp):
-        root, count = surface._levels
-        return picard_rank(root) + count
+    root, count = _levels(surface)
+    if isinstance(root, (ProjectivePlane, Hirzebruch)):
+        return root._rank + count
     raise TypeError(f"unsupported surface {surface!r}")
 
 

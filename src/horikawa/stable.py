@@ -58,6 +58,10 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
             raise ValueError(f"k_squared_thirds must be an integer, got {k_squared_thirds!r}")
         if type(chi) is not int:
             raise ValueError(f"chi must be an integer, got {chi!r}")
+        if type(ample_canonical) is not bool or type(smoothable) is not bool:
+            name, flag = (("smoothable", smoothable) if type(ample_canonical) is bool
+                          else ("ample_canonical", ample_canonical))
+            raise ValueError(f"{name} must be a bool, got {flag!r:.80}")
         if ledger.third11_count > 0 and smoothable:
             raise LedgerError(
                 "a surface with one-third quotient points admits no Q-Gorenstein smoothing"

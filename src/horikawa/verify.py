@@ -139,11 +139,12 @@ def _check_symmetry_bilinearity(chi_max, k_max, builds):
         surface = surfaces[n % len(surfaces)]
         a, b, c = surface.divisor(u), surface.divisor(v), surface.divisor(w)
         # the detail is formatted only on failure
-        if a.dot(b) != b.dot(a):
+        ab = a.dot(b)
+        if ab != b.dot(a):
             what = "symmetric"
         elif (a + b).dot(c) != a.dot(c) + b.dot(c):
             what = "additive"
-        elif (m * a).dot(b) != m * a.dot(b):
+        elif (m * a).dot(b) != m * ab:
             what = "homogeneous"
         else:
             continue
@@ -158,6 +159,7 @@ def _check_pullback_isometry(chi_max, k_max, builds):
     for ruled, per_count in zip(ruled_surfaces, draws):
         for n, pairs in zip(_ISOMETRY_POINT_COUNTS, per_count):
             blown = lattice.blow_up(ruled, n)
+            first = blown.exceptional(1)
             for v1, v2 in pairs:
                 d1 = ruled.divisor(v1)
                 d2 = ruled.divisor(v2)
@@ -166,7 +168,7 @@ def _check_pullback_isometry(chi_max, k_max, builds):
                 _expect(p1.dot(p2) == d1.dot(d2),
                         f"pullback not isometric on F_{ruled.e} + {n}")
                 _expect(
-                    p1.dot(blown.exceptional(1)) == 0,
+                    p1.dot(first) == 0,
                     "pullback not orthogonal to exceptional classes",
                 )
 

@@ -96,6 +96,13 @@ class TestDeriveRoot:
         with pytest.raises(BuildingDataError, match="node count must be an integer"):
             CoverSpec(2, P2, (P2.divisor((10,)),), P2.divisor((5,)))
 
+    def test_list_branch_is_stored_as_a_tuple(self):
+        d = P2.divisor((10,))
+        listed, tupled = CoverSpec(2, P2, [d]), CoverSpec(2, P2, (d,))
+        assert type(listed.branch) is tuple and listed.branch == (d,)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed._replace(branch=[d]) == tupled
+
 
 class TestDoubleCoverInvariants:
     def test_plane_degree_ten(self):

@@ -521,6 +521,16 @@ class TestFastPaths:
         assert (a + b).runs == (a - a).runs == (3 * a).runs == ()
         assert a.dot(b) == 0 and a.square() == gram_dot(root, a.coeffs, a.coeffs)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(ROOTS + (Hirzebruch(2), Hirzebruch(7))), st.data())
+    def test_root_pairing_is_the_gram_form(self, root, data):
+        rank = lattice.picard_rank(root)
+        vectors = st.lists(st.integers(-9, 9), min_size=rank, max_size=rank)
+        u, v = data.draw(vectors), data.draw(vectors)
+        a, b = root.divisor(u), root.divisor(v)
+        assert a.runs == b.runs == ()
+        assert a.dot(b) == b.dot(a) == gram_dot(root, u, v)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(run_list_pairs())
     def test_long_runs_match_a_run_oracle(self, pair):
@@ -615,6 +625,38 @@ class TestSurfaceChecks:
     def test_non_classes_rejected(self, op, other):
         with pytest.raises(TypeError, match="expected a DivisorClass"):
             op(Hirzebruch(1).divisor((1, 2)), other)
+
+    @pytest.mark.parametrize("op", OPERATIONS, ids=["add", "sub", "dot"])
+    @pytest.mark.parametrize("make, coeffs", [
+        (ProjectivePlane, ((3,), (-2,))),
+        (lambda: Hirzebruch(3), ((1, 4), (2, -1))),
+    ], ids=["plane", "ruled"])
+    def test_equal_but_distinct_root_surfaces_agree(self, op, make, coeffs):
+        first, second = make(), make()
+        a, b = first.divisor(coeffs[0]), second.divisor(coeffs[1])
+        assert first is not second and first == second
+        assert op(a, b) == op(a, first.divisor(b.coeffs))
+
+    @pytest.mark.parametrize("op", OPERATIONS, ids=["add", "sub", "dot"])
+    @pytest.mark.parametrize("other, message", [
+        (Hirzebruch(2).divisor((1, 2)),
+         "classes live on different surfaces: blow-up of F_1 at 3 points vs F_2"),
+        (lattice.blow_up(Hirzebruch(1), 3, False).divisor((1, 2, 0, 0, 0)),
+         "classes live on different surfaces: blow-up of F_1 at 3 points vs "
+         "blow-up of F_1 at 3 points (no generality assumed)"),
+    ], ids=["other-root", "other-flag"])
+    def test_mismatch_message(self, op, other, message):
+        a = lattice.blow_up(Hirzebruch(1), 3).divisor((1, 2, 0, 0, 0))
+        with pytest.raises(SurfaceMismatchError, match=f"^{re.escape(message)}$"):
+            op(a, other)
+
+    @pytest.mark.parametrize("op", OPERATIONS, ids=["add", "sub", "dot"])
+    @pytest.mark.parametrize("root", [P2, Hirzebruch(1)], ids=["plane", "ruled"])
+    def test_non_class_message(self, op, root):
+        a = root.divisor((1,) * lattice.picard_rank(root))
+        for other in (3, None):
+            with pytest.raises(TypeError, match=f"^expected a DivisorClass, got {other}$"):
+                op(a, other)
 
     @pytest.mark.parametrize("use", [
         lattice.picard_rank, lattice.surface_descriptor, lattice.canonical_class,

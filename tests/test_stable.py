@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horikawa import covers, lattice
+from horikawa import catalog, covers, lattice
 from horikawa.covers import BuildingDataError, CoverSpec
 from horikawa.lattice import Hirzebruch
 from horikawa.stable import (LedgerError, SingularityLedger, StableSurfaceRecord,
@@ -52,6 +52,21 @@ class TestLedger:
         twin = StableSurfaceRecord(1, 3, ledger, ample_canonical=True)
         assert record == twin and hash(record) == hash(twin)
         assert record.k_squared_thirds == 1 and type(record.k_squared_thirds) is int
+
+    @pytest.mark.parametrize("field", ["ample_canonical", "smoothable"])
+    @pytest.mark.parametrize("flag", [1, 0, None, "yes", 1.0], ids=repr)
+    def test_flags_must_be_bools(self, field, flag):
+        message = f"^{field} must be a bool, got {flag!r}$"
+        with pytest.raises(ValueError, match=message):
+            StableSurfaceRecord(3, 3, SingularityLedger(0), **{field: flag})
+        with pytest.raises(ValueError, match=message):
+            StableSurfaceRecord(3, 3, SingularityLedger(0))._replace(**{field: flag})
+
+    def test_built_record_refuses_an_int_flag(self):
+        record = catalog.build_stable(5)[0]
+        with pytest.raises(ValueError, match="^ample_canonical must be a bool, got 1$"):
+            record._replace(ample_canonical=1)
+        assert record._replace(ample_canonical=True) == record
 
     def test_integer_k_squared_becomes_a_fraction(self):
         record = StableSurfaceRecord(7, 5, SingularityLedger(0))

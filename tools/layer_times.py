@@ -39,7 +39,7 @@ import time
 from horikawa import cli, lattice, verify
 from horikawa.reporting import Report, render_text
 
-RANGES = ((6, 2), (16, 4), (36, 7), (150, 50), (300, 100))
+RANGES = ((6, 2), (16, 4), (36, 7), (150, 50), (300, 100), (600, 200))
 REPORTS = {
     "construct_component_I_chi20000": ("construct", "component-I", "--chi", "20000"),
     "construct_stable_chi15700": ("construct", "stable", "--chi", "15700"),
