@@ -153,8 +153,7 @@ def classify(k_squared: int, chi: int) -> ComponentInfo:
 
 def pick_parameters(chi: int) -> tuple[int, int, int]:
     """Scroll parameter and branch degrees (e, alpha, beta) for a target chi."""
-    if type(chi) is not int:
-        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
+    lattice.require_int("chi", chi)
     if chi < 3:
         raise ValueError("parameter table starts at chi = 3")
     # alpha + 2*beta = chi + 4e + 2 is then divisible by 3, as derive_root needs
@@ -242,8 +241,7 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     taking the cyclic triple cover branched over the strict transforms
     produces a minimal surface with the requested invariants.
     """
-    if type(chi) is not int:
-        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
+    lattice.require_int("chi", chi)
     if chi < 4:
         raise ValueError("the general type line K^2 = 2*chi - 6 needs chi >= 4")
     e, alpha, beta = pick_parameters(chi)
@@ -297,8 +295,7 @@ def scroll_family_curve(residue: int, k: int) -> ScrollCurve:
     """
     if type(residue) is not int or residue not in (0, 1, 2):
         raise ValueError("family residue must be 0, 1 or 2")
-    if type(k) is not int:
-        raise ValueError(f"k must be an integer, got {k!r:.80}")
+    lattice.require_int("k", k)
     if k < 2:
         raise ValueError("the scroll branch curves are defined for k >= 2")
     top = 10 * k + 10
@@ -317,8 +314,7 @@ def component_two_germ(k: int) -> str | None:
 
     Only k = 1 (mod 3), k > 1, has one, where a chart reads x1^5 + t2^2 + t2^(10k+10).
     """
-    if type(k) is not int:
-        raise ValueError(f"k must be an integer, got {k!r:.80}")
+    lattice.require_int("k", k)
     return covers.classify_germ(10 * k + 10, 5) if k > 1 and k % 3 == 1 else None
 
 
@@ -330,8 +326,7 @@ def build_component_two(k: int) -> ConstructionRecipe:
     cover of the scroll with parameter 2k + 2 branched over the negative
     section plus the residue-selected curve of class 5*D0 + (10k + 10)*F.
     """
-    if type(k) is not int:
-        raise ValueError(f"k must be an integer, got {k!r:.80}")
+    lattice.require_int("k", k)
     if k < 1:
         raise ValueError("the second component exists for k >= 1")
     if k == 1:
@@ -500,8 +495,7 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     by certificate, and its bicanonical count shows that its moduli
     component contains no canonical models.
     """
-    if type(chi) is not int:
-        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
+    lattice.require_int("chi", chi)
     if chi < 3:
         raise ValueError("the stable line K^2 = 2*chi - 5 needs chi >= 3")
     e, alpha, beta = pick_parameters(chi)
@@ -539,10 +533,8 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
     The result has K^2 = 2chi - 6 + epsilon, which satisfies
     3K^2 <= 8chi - 16 with equality exactly at the top of the range.
     """
-    if type(chi) is not int:
-        raise ValueError(f"chi must be an integer, got {chi!r:.80}")
-    if type(epsilon) is not int:
-        raise ValueError(f"epsilon must be an integer, got {epsilon!r:.80}")
+    lattice.require_int("chi", chi)
+    lattice.require_int("epsilon", epsilon)
     if chi < 4:
         raise ValueError("the contracted family starts from a surface with chi >= 4")
     if epsilon < 1:

@@ -291,7 +291,7 @@ def classify_germ(m: int, p: int) -> str:
     coordinates, so the germ is the double point x^2 + y^p of type
     A_{p-1}.
     """
-    if not (isinstance(m, int) and isinstance(p, int)):
+    if type(m) is not int or type(p) is not int:
         raise ValueError("germ exponents must be integers")
     if m < 2 or p < 2:
         raise ValueError(f"germ x^2 + x^{m} + y^{p} is outside the supported family")

@@ -20,6 +20,12 @@ class SurfaceMismatchError(ValueError):
     """An operation mixed divisor classes living on different surfaces."""
 
 
+def require_int(name: str, value) -> None:
+    """Refuse ``value`` unless it is an ``int``, which also refuses a ``bool``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r:.80}")
+
+
 def _immutable(self, name: str, *_value) -> None:
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
@@ -126,8 +132,7 @@ class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
 
     def exceptional(self, i: int) -> "DivisorClass":
         """Class of the i-th exceptional curve of this blow-up level, 1-based."""
-        if type(i) is not int:
-            raise ValueError(f"exceptional index must be an integer, got {i!r:.80}")
+        require_int("exceptional index", i)
         if not 1 <= i <= self.point_count:
             raise ValueError(f"exceptional index {i} out of range 1..{self.point_count}")
         root, below = _levels(self.base)

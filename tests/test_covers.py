@@ -342,5 +342,7 @@ class TestGermClassifier:
             classify_germ(m, p)
 
     def test_non_integer_exponent_refused(self):
-        with pytest.raises(ValueError, match="^germ exponents must be integers$"):
-            classify_germ(2.5, 5)
+        # a bool is refused as a non-integer, not as an exponent below 2
+        for m, p in ((2.5, 5), (True, 5), (20, False)):
+            with pytest.raises(ValueError, match="^germ exponents must be integers$"):
+                classify_germ(m, p)

@@ -194,7 +194,7 @@ def _triple_spec(chi, retained_nodes):
 
 
 class TestNodeResolution:
-    @pytest.mark.parametrize("chi", [3, 4, 5, 6, 7, 11, 20])
+    @pytest.mark.parametrize("chi", range(3, 21))
     def test_three_retained_nodes(self, chi):
         resolution = resolve_node_bookkeeping(_triple_spec(chi, 3))
         assert resolution.unresolved.k_squared == 2 * chi - 5

@@ -32,6 +32,15 @@ class TestRunVerification:
         with pytest.raises(ValueError):
             verify.run_verification(chi_max=chi_max, k_max=k_max)
 
+    @pytest.mark.parametrize("chi_max,k_max,name,shown", [
+        (8.0, 2, "chi_max", "8.0"), ("8", 2, "chi_max", "'8'"), (True, 2, "chi_max", "True"),
+        (8, 2.0, "k_max", "2.0"), (8, None, "k_max", "None"),
+    ])
+    def test_non_integer_ranges_rejected(self, chi_max, k_max, name, shown):
+        # refused as a usage error, not reported as a failed verification
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+            verify.run_verification(chi_max=chi_max, k_max=k_max)
+
     @pytest.mark.parametrize("chi_max,k_max,name", [
         (verify.RANGE_CAP + 1, 2, "chi_max"), (6, verify.RANGE_CAP + 1, "k_max"),
     ])
