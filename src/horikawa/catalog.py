@@ -280,6 +280,9 @@ def parity_discriminator(self_intersections) -> str:
     odd value excludes it and certifies the first component; all-even data
     is inconclusive.
     """
+    self_intersections = tuple(self_intersections)
+    for value in self_intersections:
+        lattice.require_int("a self-intersection", value)
     if any(value % 2 != 0 for value in self_intersections):
         return COMPONENT_I
     return PARITY_INCONCLUSIVE
@@ -501,8 +504,7 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     e, alpha, beta = pick_parameters(chi)
     scroll = _blown_scroll(e, alpha, beta, RETAINED_NODES, general_position)
     blown, _pull, _exceptional, d1, d2 = scroll
-    spec = CoverSpec.triple(blown, d1, d2, transversal_node_count=RETAINED_NODES)
-    resolution = stable.resolve_node_bookkeeping(spec)
+    resolution = stable.resolve_node_bookkeeping(CoverSpec.triple(blown, d1, d2), RETAINED_NODES)
     certificate = _ampleness_certificate(e, alpha, beta, scroll)
     record = resolution.unresolved._replace(ample_canonical=True)
     stable.h0_2K(record)

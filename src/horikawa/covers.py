@@ -61,6 +61,8 @@ def derive_root(degree: int, branch, base: SurfaceModel | None = None) -> Diviso
         raise BuildingDataError(f"branch entries must be divisor classes, got {branch!r:.80}")
     if base is None:
         base = branch[0].surface
+    elif not isinstance(base, SurfaceModel):
+        raise BuildingDataError(f"base must be a SurfaceModel, got {base!r:.80}")
     weighted = base.zero()
     for j, d in enumerate(branch, start=1):
         if d.surface != base:
@@ -82,27 +84,18 @@ def _exact_quotient(c: int, degree: int) -> int:
 
 
 class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
-        ("degree", int), ("base", SurfaceModel), ("branch", tuple[DivisorClass, ...]),
-        ("transversal_node_count", int)])):
+        ("degree", int), ("base", SurfaceModel), ("branch", tuple[DivisorClass, ...])])):
     """Reduced building data of a degree 2 or degree 3 cyclic cover.
 
     ``root`` is derived from the branch once, by ``derive_root``, so that
     degree * root = sum of j * branch[j-1]; it is kept outside the fields.
-    The node count records transversal intersections of the two degree-3
-    branch divisors that are deliberately kept unresolved.
     """
 
-    def __new__(cls, degree: int, base: SurfaceModel, branch: tuple[DivisorClass, ...],
-                transversal_node_count: int = 0):
-        if type(transversal_node_count) is not int:
-            raise BuildingDataError(
-                f"node count must be an integer, got {transversal_node_count!r:.80}")
-        if transversal_node_count < 0:
-            raise BuildingDataError("node count must be nonnegative")
-        if degree == 2 and transversal_node_count:
-            raise BuildingDataError("node bookkeeping only applies to degree 3 covers")
+    def __new__(cls, degree: int, base: SurfaceModel, branch: tuple[DivisorClass, ...]):
+        if base is None:  # derive_root reads None as the branch's surface
+            raise BuildingDataError("base must be a SurfaceModel, got None")
         root = derive_root(degree, branch, base)  # refuses a branch that is not a tuple or list
-        self = tuple.__new__(cls, (degree, base, tuple(branch), transversal_node_count))
+        self = tuple.__new__(cls, (degree, base, tuple(branch)))
         object.__setattr__(self, "root", root)
         return self
 
@@ -111,9 +104,8 @@ class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
         return cls(2, base, (d,))
 
     @classmethod
-    def triple(cls, base: SurfaceModel, d1: DivisorClass, d2: DivisorClass,
-               transversal_node_count: int = 0) -> "CoverSpec":
-        return cls(3, base, (d1, d2), transversal_node_count)
+    def triple(cls, base: SurfaceModel, d1: DivisorClass, d2: DivisorClass) -> "CoverSpec":
+        return cls(3, base, (d1, d2))
 
     @property
     def branch_is_empty(self) -> bool:
@@ -188,17 +180,9 @@ def double_cover_invariants(spec: CoverSpec) -> InvariantReport:
 
 
 def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
-    """Invariants of a smooth degree 3 cyclic cover from its building data.
-
-    Requires a node-free spec; covers with retained branch nodes are
-    handled by the stable surface bookkeeping.
-    """
+    """Invariants of a smooth degree 3 cyclic cover from its building data."""
     if spec.degree != 3:
         raise BuildingDataError("triple cover invariants need a degree 3 spec")
-    if spec.transversal_node_count:
-        raise BuildingDataError(
-            "smooth formulas need transversal_node_count = 0; resolve the nodes first"
-        )
     k = lattice.canonical_class(spec.base)
     d1, d2 = spec.branch
     tri_canonical = 3 * k + 2 * d1 + 2 * d2
@@ -279,7 +263,7 @@ def cyclic_shift_invariant(triples) -> bool:
     """Whether a set of exponent triples in three variables is closed under cyclic shift."""
     triples = frozenset(tuple(m) for m in triples)
     for m in triples:
-        if len(m) != 3 or any(x < 0 for x in m):
+        if len(m) != 3 or any(type(x) is not int or x < 0 for x in m):
             raise ValueError(f"malformed exponent triple {m!r}")
     return frozenset((b, c, a) for (a, b, c) in triples) == triples
 

@@ -417,11 +417,15 @@ def pullback(surface: BlowUp, d: DivisorClass) -> DivisorClass:
     """Total transform of a base class: coefficients extended by zeros."""
     if not isinstance(surface, BlowUp):
         raise ValueError("pullback target must be a blow-up")
-    if d.surface is not surface.base and d.surface != surface.base:
-        raise SurfaceMismatchError(
-            f"class lives on {surface_descriptor(d.surface)}, "
-            f"not on the blow-up base {surface_descriptor(surface.base)}"
-        )
+    if type(d) is not DivisorClass or d.surface is not surface.base:
+        # the slow side of the identical-surface test, as in DivisorClass arithmetic
+        if not isinstance(d, DivisorClass):
+            raise TypeError(f"expected a DivisorClass, got {d!r}")
+        if d.surface != surface.base:
+            raise SurfaceMismatchError(
+                f"class lives on {surface_descriptor(d.surface)}, "
+                f"not on the blow-up base {surface_descriptor(surface.base)}"
+            )
     runs, zeros = d.runs, surface.point_count
     if runs and runs[-1][0] == 0:
         runs, zeros = runs[:-1], runs[-1][1] + zeros

@@ -125,22 +125,18 @@ class NodeResolution(NamedTuple):
     unresolved: StableSurfaceRecord
 
 
-def resolve_node_bookkeeping(spec: CoverSpec) -> NodeResolution:
-    """Invariants of a degree 3 cover with retained branch nodes.
+def resolve_node_bookkeeping(spec: CoverSpec, count: int) -> NodeResolution:
+    """Invariants of a degree 3 cover whose branch keeps ``count`` transversal nodes.
 
-    Each transversal node of the branch produces a one-third quotient
+    Each retained node of the branch produces a one-third quotient
     point on the cover.  The canonical resolution blows up every node and
     subtracts the new exceptional class from each branch divisor; the
     unresolved surface keeps chi and gains one third of K^2 per node.
     """
     if spec.degree != 3:
         raise covers.BuildingDataError("node bookkeeping applies to degree 3 covers")
-    count = spec.transversal_node_count
-    if count == 0:
-        raise covers.BuildingDataError(
-            "no retained nodes to resolve; use triple_cover_invariants for a node-free spec")
-    # The node locations are determined by the branch curves, so no
-    # generality is assumed for the resolving blow-up.
+    # The node locations are fixed by the branch curves, so the resolving
+    # blow-up assumes no generality; it refuses a count that is not a positive int.
     resolved_base = lattice.blow_up(spec.base, count, general_position=False)
     new_exceptional = resolved_base.exceptional_sum()
     d1, d2 = spec.branch

@@ -1,5 +1,6 @@
 """Classification data, construction pipelines and positivity certificates."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,15 @@ class TestParityDiscriminator:
 
     def test_vacuous_inconclusive(self):
         assert parity_discriminator([]) == "inconclusive"
+
+    @pytest.mark.parametrize("values, bad", [([1.5], "1.5"), ([True, -2], "True"),
+                                             (["a"], "'a'"), ([-3, 2.0], "2.0")],
+                             ids=["float", "bool", "str", "float-after-odd"])
+    def test_non_integer_refused(self, values, bad):
+        # unchecked, a float or bool certified component I and a str raised a format TypeError
+        message = f"a self-intersection must be an integer, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parity_discriminator(values)
 
     @pytest.mark.parametrize("k", range(1, 25))
     def test_composed_with_construction(self, k):

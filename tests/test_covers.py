@@ -62,18 +62,18 @@ class TestDeriveRoot:
         (lambda: CoverSpec(2, P2, P2.divisor((10,))),
          "branch must be a tuple or list of classes, got "
          "DivisorClass(surface=ProjectivePlane(), head=(10,), runs=())"),
-        (lambda: CoverSpec.triple(Hirzebruch(0), Hirzebruch(0).zero(), Hirzebruch(0).zero(),
-                                  transversal_node_count=-1),
-         "node count must be nonnegative"),
-        (lambda: CoverSpec(2, P2, (P2.divisor((4,)),), 1),
-         "node bookkeeping only applies to degree 3 covers"),
         (lambda: triple_cover_invariants(CoverSpec.double(P2, P2.divisor((4,)))),
          "triple cover invariants need a degree 3 spec"),
+        # unchecked, a None base was stored and failed later as an unsupported surface
+        (lambda: CoverSpec(2, None, (P2.divisor((4,)),)), "base must be a SurfaceModel, got None"),
+        # unchecked, an int base raised AttributeError on its .zero()
+        (lambda: CoverSpec(2, 5, (P2.divisor((4,)),)), "base must be a SurfaceModel, got 5"),
+        (lambda: derive_root(2, (P2.divisor((4,)),), 5), "base must be a SurfaceModel, got 5"),
     ], ids=["degree-4", "degree-float", "degree-bool", "one-class-for-degree-3",
             "two-classes-for-degree-2", "class-on-another-surface", "int-branch-entry",
             "int-branch-entry-of-a-spec", "int-branch", "bare-class-branch-of-a-spec",
-            "negative-node-count", "nodes-on-a-double-cover",
-            "triple-invariants-of-a-double-cover"])
+            "triple-invariants-of-a-double-cover", "none-base-of-a-spec", "int-base-of-a-spec",
+            "int-base"])
     def test_malformed_building_data_refused(self, build, message):
         with pytest.raises(BuildingDataError, match=f"^{re.escape(message)}$"):
             build()
@@ -92,8 +92,9 @@ class TestDeriveRoot:
 
     def test_spec_derives_its_root(self):
         assert CoverSpec(2, P2, (P2.divisor((10,)),)).root == P2.divisor((5,))
-        # the root is no input: a fourth argument is the node count, and a class is refused
-        with pytest.raises(BuildingDataError, match="node count must be an integer"):
+        # the root is no input: a spec takes exactly three arguments
+        assert CoverSpec._fields == ("degree", "base", "branch")
+        with pytest.raises(TypeError):
             CoverSpec(2, P2, (P2.divisor((10,)),), P2.divisor((5,)))
 
     def test_list_branch_is_stored_as_a_tuple(self):
@@ -176,12 +177,6 @@ class TestTripleCoverInvariants:
         assert report.k_squared == 24
         assert report.chi == 3
         assert covers.WARN_EMPTY_BRANCH in report.warnings
-
-    def test_nodes_must_be_resolved_first(self):
-        f0 = Hirzebruch(0)
-        spec = CoverSpec.triple(f0, f0.zero(), f0.zero(), transversal_node_count=2)
-        with pytest.raises(BuildingDataError, match="node"):
-            triple_cover_invariants(spec)
 
     def test_odd_pairing_refused(self, monkeypatch):
         # D.(D + K) is even for every honest K; a K off by one line keeps
@@ -316,7 +311,11 @@ class TestInvariance:
         assert cyclic_shift_invariant({(10, 0, 0), (0, 10, 0), (0, 0, 10)})
         assert not cyclic_shift_invariant({(10, 0, 0), (0, 10, 0)})
 
-    @pytest.mark.parametrize("triples", [{(1, 2)}, {(1, 2, 3, 4)}, {(1, -1, 0)}])
+    # unchecked, a float or bool triple passed as shift-closed and a str one raised
+    # TypeError from <
+    @pytest.mark.parametrize("triples", [{(1, 2)}, {(1, 2, 3, 4)}, {(1, -1, 0)},
+                                         {(1.0, 1.0, 1.0)}, {(True, True, True)},
+                                         {("a", "b", "c")}])
     def test_malformed_triple_rejected(self, triples):
         with pytest.raises(ValueError, match="malformed exponent triple"):
             cyclic_shift_invariant(triples)

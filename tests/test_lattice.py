@@ -165,6 +165,13 @@ class TestBlowUpAndPullback:
         with pytest.raises(SurfaceMismatchError):
             lattice.pullback(blown, Hirzebruch(1).fiber())
 
+    @pytest.mark.parametrize("other", [5, None], ids=["int", "none"])
+    def test_pullback_of_a_non_class(self, other):
+        # unchecked, a non-class raised AttributeError on its .surface
+        blown = lattice.blow_up(Hirzebruch(0), 2)
+        with pytest.raises(TypeError, match=f"^expected a DivisorClass, got {other}$"):
+            lattice.pullback(blown, other)
+
     @given(st.integers(0, 4), st.integers(-9, 9), st.integers(-9, 9),
            st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))
     def test_isometry(self, e, a1, b1, a2, b2, n):

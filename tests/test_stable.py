@@ -190,13 +190,13 @@ def _triple_spec(chi, retained_nodes):
     exc = blown.exceptional_sum()
     d1 = lattice.pullback(blown, ruled.divisor((2, alpha))) - exc
     d2 = lattice.pullback(blown, ruled.divisor((2, beta))) - exc
-    return CoverSpec.triple(blown, d1, d2, transversal_node_count=retained_nodes)
+    return CoverSpec.triple(blown, d1, d2)
 
 
 class TestNodeResolution:
     @pytest.mark.parametrize("chi", range(3, 21))
     def test_three_retained_nodes(self, chi):
-        resolution = resolve_node_bookkeeping(_triple_spec(chi, 3))
+        resolution = resolve_node_bookkeeping(_triple_spec(chi, 3), 3)
         assert resolution.unresolved.k_squared == 2 * chi - 5
         assert resolution.resolved.k_squared == 2 * chi - 6
         assert resolution.resolved.chi == resolution.unresolved.chi == chi
@@ -205,21 +205,26 @@ class TestNodeResolution:
     def test_double_cover_refused(self):
         with pytest.raises(BuildingDataError,
                            match="^node bookkeeping applies to degree 3 covers$"):
-            resolve_node_bookkeeping(CoverSpec.double(Hirzebruch(0), Hirzebruch(0).zero()))
+            resolve_node_bookkeeping(CoverSpec.double(Hirzebruch(0), Hirzebruch(0).zero()), 3)
 
     def test_node_free_spec_refused(self):
-        # a node-free spec has nothing to resolve; its invariants come from the cover alone
-        with pytest.raises(BuildingDataError, match="use triple_cover_invariants"):
-            resolve_node_bookkeeping(_triple_spec(8, 0))
+        # with no node there is nothing to resolve: the resolving blow-up refuses the count
+        with pytest.raises(ValueError, match="^blow-up point count must be a positive integer$"):
+            resolve_node_bookkeeping(_triple_spec(8, 0), 0)
+
+    @pytest.mark.parametrize("count", [-1, True, 1.0], ids=["negative", "bool", "float"])
+    def test_count_must_be_a_positive_int(self, count):
+        with pytest.raises(ValueError, match="^blow-up point count must be a positive integer$"):
+            resolve_node_bookkeeping(_triple_spec(8, 1), count)
 
     def test_gain_is_nodes_over_three(self):
         for nodes in (1, 2, 3):
-            resolution = resolve_node_bookkeeping(_triple_spec(9, nodes))
+            resolution = resolve_node_bookkeeping(_triple_spec(9, nodes), nodes)
             gain = resolution.unresolved.k_squared - resolution.resolved.k_squared
             assert gain == Fraction(nodes, 3)
 
     def test_fully_resolved_vs_stable_difference(self):
         chi = 12
         full = covers.triple_cover_invariants(_triple_spec(chi, 0))
-        partial = resolve_node_bookkeeping(_triple_spec(chi, 3))
+        partial = resolve_node_bookkeeping(_triple_spec(chi, 3), 3)
         assert partial.unresolved.k_squared - full.k_squared == 1
