@@ -238,6 +238,8 @@ def scroll_class(curve: ScrollCurve) -> DivisorClass:
     (e*d1 + c1 + c2) * F; the set is homogeneous when all monomials give
     the same class.
     """
+    if not isinstance(curve, ScrollCurve):
+        raise TypeError(f"expected a ScrollCurve, got {curve!r}")
     classes = {_scroll_monomial_class(curve.e, m) for m in curve.monomials}
     if len(classes) != 1:
         raise ValueError(f"inhomogeneous monomial set: classes {sorted(classes)}")
@@ -256,6 +258,8 @@ def t1_scaling_invariant(curve: ScrollCurve) -> bool:
     The monomial set is then multiplied by one global character, that is,
     all t1 exponents agree modulo 3.
     """
+    if not isinstance(curve, ScrollCurve):
+        raise TypeError(f"expected a ScrollCurve, got {curve!r}")
     return len({c1 % 3 for (c1, _c2, _d1, _d2) in curve.monomials}) <= 1
 
 

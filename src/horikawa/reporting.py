@@ -8,6 +8,8 @@ consumer silently truncates them.
 
 One codec, driven by the record fields and their annotations, covers
 every payload; the "wire format" tables list where the JSON differs.
+``to_json`` writes the document straight from the records, with each
+record class's keys sorted once, and ``to_jsonable`` is its parse.
 Decoding is strict: a missing key, a wrong JSON type or an unknown tag
 raises ValueError.  Reports of schema /2 decode as they are, since /3
 only writes the smooth K^2 as a number where /2 wrote a decimal string;
@@ -16,9 +18,9 @@ any other schema is refused.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
+import operator
 import re
 import types
 import typing
@@ -120,12 +122,14 @@ _TAGS = {
     AmplenessCertificate: ("certificate", "ampleness"),
     NefCertificate: ("certificate", "nefness"),
 }
-# derived or written for human readers, and ignored when decoding
+# derived or written for human readers, and ignored when decoding: key, value, shape
 _ENCODE_ONLY = {
-    DivisorClass: ("display", str),
-    ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base)),
+    DivisorClass: ("display", str, ("str",)),
+    ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base),
+                         ("str",)),
     StableSurfaceRecord: ("in_component_without_canonical_models",
-                          lambda record: record.in_component_without_canonical_models),
+                          lambda record: record.in_component_without_canonical_models,
+                          ("bool",)),
 }
 # written in place of None
 _NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE, (ComponentInfo, "images"): {}}
@@ -187,33 +191,6 @@ def _plan(cls) -> tuple:
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
 
-def _encode(value, shape: tuple):
-    kind = shape[0]
-    if kind == "int":
-        return value if value in _INT64 else str(value)
-    if kind == "str" or kind == "bool":
-        return value
-    if kind == "object":
-        fields, tag, extra = _plan(type(value))
-        data = {key: _encode(getattr(value, name), sub) for name, key, sub in fields}
-        if tag is not None:
-            data[tag[0]] = tag[1]
-        if extra is not None:
-            data[extra[0]] = extra[1](value)
-        return data
-    if kind == "optional":
-        # a copy, so that no caller can change the table's value
-        return copy.copy(shape[2]) if value is None else _encode(value, shape[1])
-    if kind == "tuple":
-        return [_encode(v, shape[1]) for v in value]
-    if kind == "fixed":
-        return [_encode(v, sub) for v, sub in zip(value, shape[1])]
-    if kind == "frozenset":
-        return [_encode(v, shape[1]) for v in sorted(value)]
-    import fractions  # thirds; loaded only for the records that hold them
-    return str(fractions.Fraction(value, 3))
-
-
 def _decode(data, shape: tuple):
     kind = shape[0]
     if kind == "int":
@@ -265,6 +242,51 @@ def _decode(data, shape: tuple):
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
+@functools.cache
+def _write_plan(cls) -> tuple:
+    """``_plan(cls)`` in JSON key order: (escaped ``"key": ``, read, shape), where
+    read takes the record; the tag and the encode-only key are entries too."""
+    fields, tag, extra = _plan(cls)
+    entries = [(key, operator.attrgetter(name), sub) for name, key, sub in fields]
+    if tag is not None:
+        entries.append((tag[0], lambda _record, value=tag[1]: value, _STR))
+    if extra is not None:
+        entries.append(extra)
+    return tuple((_ESCAPE(key) + ": ", read, sub) for key, read, sub in sorted(entries))
+
+
+def _write(value, shape: tuple, indent: str = "\n") -> str:
+    """The JSON text of ``value`` as ``_dump`` writes its tree, read straight
+    from the records; an integer outside 64 bits is a decimal string.  A
+    scalar off its annotation, such as a bool where an int belongs, is
+    written as ``_dump`` writes it, so the decoder refuses it."""
+    kind = shape[0]
+    if kind == "int":
+        if type(value) is int and value in _INT64:
+            return int.__repr__(value)
+        return _dump(value if value in _INT64 else str(value))
+    if kind == "str":
+        return _ESCAPE(value) if type(value) is str else _dump(value)
+    if kind == "optional":
+        return _dump(shape[2]) if value is None else _write(value, shape[1], indent)
+    if kind == "bool":
+        return _dump(value)
+    inner = indent + "  "
+    if kind == "object":
+        items = [prefix + _write(read(value), sub, inner)
+                 for prefix, read, sub in _write_plan(type(value))]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind == "fixed":
+        items = [_write(v, sub, inner) for v, sub in zip(value, shape[1])]
+    elif kind == "thirds":
+        import fractions  # loaded only for the records that hold thirds
+        return _ESCAPE(str(fractions.Fraction(value, 3)))
+    else:  # a tuple, or a frozenset in sorted order
+        items = [_write(v, shape[1], inner)
+                 for v in (sorted(value) if kind == "frozenset" else value)]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
 def _dump(value, indent: str = "\n") -> str:
     """A str-keyed JSON tree as ``json.dumps(value, sort_keys=True, indent=2)``
     writes it, in one pass; with ``indent`` set, the stdlib leaves its C
@@ -308,20 +330,19 @@ class Report(NamedTuple):
         return _KINDS[type(self.payload)]
 
     def to_jsonable(self) -> dict:
-        kind = self.payload_kind
-        return {
-            "schema": SCHEMA,
-            "command": self.command,
-            "inputs": dict(self.inputs),
-            "payload_kind": kind,
-            "payload": _encode(self.payload, _PAYLOADS[kind]),
-            "derivations": dict(self.derivations),
-            "assumptions": list(self.assumptions),
-            "notes": list(self.notes),
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return _dump(self.to_jsonable()) + "\n"
+        """The report's eight keys in sorted order, each value written in one pass."""
+        kind, top = self.payload_kind, "\n  "
+        return (f'{{{top}"assumptions": {_dump(list(self.assumptions), top)},'
+                f'{top}"command": {_dump(self.command)},'
+                f'{top}"derivations": {_dump(dict(self.derivations), top)},'
+                f'{top}"inputs": {_dump(dict(self.inputs), top)},'
+                f'{top}"notes": {_dump(list(self.notes), top)},'
+                f'{top}"payload": {_write(self.payload, _PAYLOADS[kind], top)},'
+                f'{top}"payload_kind": {_ESCAPE(kind)},'
+                f'{top}"schema": {_ESCAPE(SCHEMA)}\n}}\n')
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Report":

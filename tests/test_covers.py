@@ -267,6 +267,12 @@ class TestScrollCurves:
         curve = ScrollCurve(e=1, monomials=frozenset({(1, 0, 0, 0), (0, 1, 0, 0)}))
         assert scroll_class(curve) == Hirzebruch(1).fiber()
 
+    @pytest.mark.parametrize("function", [scroll_class, t1_scaling_invariant])
+    @pytest.mark.parametrize("curve", [5, None, (1, frozenset({(0, 1, 0, 0)}))])
+    def test_non_curve_refused(self, function, curve):
+        with pytest.raises(TypeError, match="expected a ScrollCurve, got "):
+            function(curve)
+
     def test_inhomogeneous_rejected(self):
         curve = ScrollCurve(e=1, monomials=frozenset({(0, 0, 1, 0), (1, 0, 0, 0)}))
         with pytest.raises(ValueError, match="inhomogeneous"):

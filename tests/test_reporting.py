@@ -16,7 +16,7 @@ from horikawa.lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 CheckResult, EnumerationPayload, EnumerationRow,
                                 Report, VerificationOutcome, _decode, _dump,
-                                _encode, _shape, render_text)
+                                _shape, _write, render_text)
 from horikawa.stable import StableSurfaceRecord
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,19 +104,19 @@ class TestBigIntegers:
         ruled = Hirzebruch(2)
         cls = ruled.divisor((2**70, -(2**90)))
         shape = _shape(DivisorClass)
-        encoded = _encode(cls, shape)
+        encoded = json.loads(_write(cls, shape))
         assert isinstance(encoded["head"][0], str)
         assert isinstance(encoded["head"][1], str)
         assert _decode(encoded, shape) == cls
 
     def test_small_integers_stay_numeric(self):
         shape = _shape(int)
-        assert _encode(42, shape) == 42
-        assert _encode(-(2**62), shape) == -(2**62)
-        assert _encode(2**63, shape) == str(2**63)
-        assert _encode(2**63 - 1, shape) == 2**63 - 1
-        assert _encode(-(2**63), shape) == -(2**63)
-        assert _encode(-(2**63) - 1, shape) == str(-(2**63) - 1)
+        assert _write(42, shape) == "42"
+        assert _write(-(2**62), shape) == str(-(2**62))
+        assert _write(2**63, shape) == f'"{2**63}"'
+        assert _write(2**63 - 1, shape) == str(2**63 - 1)
+        assert _write(-(2**63), shape) == str(-(2**63))
+        assert _write(-(2**63) - 1, shape) == f'"{-(2**63) - 1}"'
         assert _decode(str(2**63), shape) == 2**63
 
     def test_fractional_record_round_trips(self):
@@ -125,7 +125,7 @@ class TestBigIntegers:
         record = contract_minus3(5, 0, 1)
         assert record.k_squared == Fraction(1, 3)
         shape = _shape(StableSurfaceRecord)
-        encoded = _encode(record, shape)
+        encoded = json.loads(_write(record, shape))
         assert encoded["k_squared"] == "1/3"
         assert _decode(encoded, shape) == record
 
@@ -363,7 +363,7 @@ def test_class_round_trip_property(tower_and_dense):
     surface, dense = tower_and_dense
     cls = surface.divisor(dense)
     shape = _shape(DivisorClass)
-    decoded = _decode(json.loads(json.dumps(_encode(cls, shape))), shape)
+    decoded = _decode(json.loads(_write(cls, shape)), shape)
     assert decoded == cls and hash(decoded) == hash(cls)
     assert decoded.coeffs == cls.coeffs == dense
 
@@ -457,6 +457,42 @@ def _stdlib_json(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2)
 
 
+def _huge_head_report():
+    report = _construction_report()
+    recipe = report.payload.recipe
+    huge = covers.CanonicalMultiple(3, Hirzebruch(2).divisor((2**70, -(2**90))))
+    invariants = recipe.report._replace(canonical_multiple=huge)
+    return report._replace(payload=report.payload._replace(
+        recipe=recipe._replace(report=invariants)))
+
+
+def _virtual_p_g_report():
+    blown = lattice.blow_up(ProjectivePlane(), 1)
+    branch = lattice.pullback(blown, blown.base.divisor((10,))) - 4 * blown.exceptional_sum()
+    virtual = covers.double_cover_invariants(covers.CoverSpec.double(blown, branch))
+    report = _construction_report()
+    return report._replace(payload=report.payload._replace(
+        recipe=report.payload.recipe._replace(report=virtual)))
+
+
+def _classification_report(chi):
+    info = catalog.classify(2 * chi - 6, chi)
+    return Report(command="classify", inputs={"k2": 2 * chi - 6, "chi": chi},
+                  payload=ClassificationPayload(2 * chi - 6, chi, True, True, info, "x"))
+
+
+def _component_two_report(k):
+    return Report(command="construct", inputs={"variant": "component-II", "k": k},
+                  payload=ConstructionPayload("component-II", catalog.build_component_two(k)))
+
+
+def _thirds_report():
+    from horikawa.stable import contract_minus3
+
+    report = _stable_report()
+    return report._replace(payload=report.payload._replace(record=contract_minus3(5, 0, 1)))
+
+
 class TestWriter:
     """``to_json`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
 
@@ -477,6 +513,42 @@ class TestWriter:
         for value in ({}, [], [{}], {"a": []}, "", "\u00e9\"\\\x00", -2**64, True, False,
                       None, 0.5, float("inf"), float("nan"), -0.0):
             assert _dump(value) == _stdlib_json(value)
+
+    def test_values_off_their_annotation_are_written_as_they_are(self):
+        # payloads check no types, so a library caller can pass these; the
+        # writer keeps them as they are, and the decoder refuses them
+        report = Report(command="classify", inputs={},
+                        payload=ClassificationPayload(True, 1, 0, False, None, None))
+        out = report.to_json()
+        assert out == _stdlib_json(json.loads(out)) + "\n"
+        for fragment in ('"k_squared": true', '"admissible": 0', '"explanation": null'):
+            assert fragment in out
+        with pytest.raises(ValueError, match="expected an integer, got True"):
+            Report.from_json(out)
+
+    @pytest.mark.parametrize("build,fragments", [
+        (_huge_head_report, [f'"{2**70}"', f'"{-(2**90)}"']),
+        (_virtual_p_g_report, ['"p_g": "unavailable(virtual)"']),
+        (lambda: _classification_report(6), ['"canonical_images": {}']),
+        (lambda: _component_two_report(4), ['"monomials": [', '"kind": "ruled"']),
+        (lambda: _component_two_report(1), ['"kind": "plane"']),
+        (_thirds_report, ['"k_squared": "1/3"', '"certificate": "ampleness"']),
+        (_construction_report, ['"kind": "blow-up"', '"certificate": "nefness"',
+                                '"display": "', '"base_display": "blow-up of F_1']),
+        (_stable_report, ['"in_component_without_canonical_models": true']),
+    ], ids=["huge-head", "virtual-p_g", "images-none", "frozenset", "plane", "thirds",
+            "tags-and-displays", "stable-encode-only"])
+    def test_each_shape(self, build, fragments):
+        report = build()
+        out = report.to_json()
+        assert out == _stdlib_json(json.loads(out)) + "\n"
+        assert Report.from_json(out) == report
+        for fragment in fragments:
+            assert fragment in out
+        recipe = getattr(report.payload, "recipe", None)
+        if recipe is not None and recipe.scroll_curve is not None:
+            written = json.loads(out)["payload"]["recipe"]["scroll_curve"]["monomials"]
+            assert written == sorted(map(list, recipe.scroll_curve.monomials))
 
 
 _STRINGS = (st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2603\U0001d11e"])

@@ -91,6 +91,25 @@ class TestRunVerification:
         with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
             verify._check_epsilon_bound(6, 2, None)
 
+    @pytest.mark.parametrize("oracle, wrong, detail", [
+        ("_enumerate_scroll_sections", lambda e, a, b: -1,
+         "h0 on F_0 of (0,0) gave 1, enumeration gives -1"),
+        ("_enumerate_plane_sections", lambda d: -1,
+         "h0 on the plane of degree 0 disagrees with enumeration"),
+    ], ids=["ruled", "plane"])
+    def test_section_count_details(self, oracle, wrong, detail, monkeypatch):
+        monkeypatch.setattr(verify, oracle, wrong)
+        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+            verify._check_section_count_oracle(6, 2, None)
+
+    def test_isometry_detail(self, monkeypatch):
+        dot = lattice.DivisorClass.dot
+        monkeypatch.setattr(lattice.DivisorClass, "dot",
+                            lambda x, y: dot(x, y) + isinstance(x.surface, lattice.BlowUp))
+        detail = f"pullback not isometric on F_0 + {verify._ISOMETRY_POINT_COUNTS[0]}"
+        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+            verify._check_pullback_isometry(6, 2, None)
+
     def test_check_names_are_stable(self):
         names = verify.check_names()
         assert len(names) == len(set(names))

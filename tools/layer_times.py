@@ -1,12 +1,17 @@
 """Per-check and lattice-kernel timings of horikawa, printed as one JSON object.
 
-    PYTHONPATH=src python3 tools/layer_times.py [--repeat N]
+    PYTHONPATH=src python3 tools/layer_times.py [--repeat N] [--against PATH]
 
 Standard library only; run from the repository root, or with any
-``horikawa`` on the path, so two checkouts can be timed side by side.
-Every figure is the best of ``--repeat`` timed passes with
-``time.perf_counter``, after one untimed pass that fills the per-process
-sample caches of ``verify``.
+``horikawa`` on the path.  Every figure is the best of ``--repeat`` timed
+passes with ``time.perf_counter``, after one untimed pass that fills the
+per-process sample caches of ``verify``.
+
+``--against PATH`` imports the checkout at ``PATH`` (its ``src/horikawa``)
+as the package ``horikawa_base`` and times both packages in this process,
+alternating one pass of every figure of each ``--repeat`` times.  Each
+figure then reads ``{"change": ..., "base": ..., "ratio": change/base}``,
+where the change is the ``horikawa`` on the path.
 
 ``per_check`` times each check of ``run_verification`` as the real run
 calls it (the registered check functions are wrapped for the duration of
@@ -29,15 +34,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import platform
 import random
 import sys
 import time
-
-from horikawa import cli, lattice, verify
-from horikawa.reporting import Report, render_text
+import types
+from pathlib import Path
 
 RANGES = ((6, 2), (16, 4), (36, 7), (150, 50), (300, 100), (600, 200))
 REPORTS = {
@@ -60,7 +66,27 @@ def best(fn, repeat: int, number: int = 1) -> float:
     return min(times)
 
 
-def per_check(chi_max: int, k_max: int, repeat: int) -> dict:
+def load(name: str) -> types.SimpleNamespace:
+    """The modules of the imported package ``name`` that the figures use."""
+    return types.SimpleNamespace(**{module: importlib.import_module(f"{name}.{module}")
+                                    for module in ("cli", "lattice", "reporting", "verify")})
+
+
+def load_checkout(root: str, name: str = "horikawa_base") -> types.SimpleNamespace:
+    """The package in ``root``/src/horikawa, imported under the name ``name``."""
+    init = Path(root, "src", "horikawa", "__init__.py").resolve()
+    if not init.is_file():
+        raise SystemExit(f"--against: no package at {init}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return load(name)
+
+
+def per_check(pkg, chi_max: int, k_max: int, repeat: int) -> dict:
+    verify = pkg.verify
     registered = list(verify._CHECKS)
     spent = {name: [] for name, _identity, _fn in registered}
     runs = []
@@ -91,8 +117,9 @@ def per_check(chi_max: int, k_max: int, repeat: int) -> dict:
             "checks_ms": {name: round(min(times) * 1e3, 3) for name, times in spent.items()}}
 
 
-def sample_kernels(repeat: int) -> dict:
+def sample_kernels(pkg, repeat: int) -> dict:
     """``divisor``, ``dot`` and ``+`` over the bilinearity sample, per call."""
+    lattice, verify = pkg.lattice, pkg.verify
     surfaces = verify._sample_surfaces()
     draws = verify._bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
     vectors = [(surfaces[n % len(surfaces)], u, v) for n, (u, v, _w, _m) in enumerate(draws)]
@@ -118,8 +145,9 @@ def random_runs(rng: random.Random, run_count: int, total: int) -> tuple:
     return tuple(runs)
 
 
-def big_kernels(repeat: int) -> dict:
+def big_kernels(pkg, repeat: int) -> dict:
     """``dot``, ``+`` and dense ``divisor`` at rank 10^5, per call."""
+    lattice = pkg.lattice
     surface = lattice.blow_up(lattice.ProjectivePlane(), BIG_RANK - 1)
     rng = random.Random(20261018)
     timings = {}
@@ -138,13 +166,14 @@ def big_kernels(repeat: int) -> dict:
     return timings
 
 
-def report_layer(repeat: int) -> dict:
+def report_layer(pkg, repeat: int) -> dict:
     """Encode, decode and render of each ``REPORTS`` report, per call."""
+    Report, render_text = pkg.reporting.Report, pkg.reporting.render_text
     timings = {}
     for name, argv in REPORTS.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            if cli.main([*argv, "--format", "json"]) != 0:
+            if pkg.cli.main([*argv, "--format", "json"]) != 0:
                 raise SystemExit(f"{' '.join(argv)} failed")
         text = stdout.getvalue()
         report = Report.from_json(text)
@@ -160,29 +189,63 @@ def report_layer(repeat: int) -> dict:
     return timings
 
 
+def us(seconds: float) -> float:
+    return round(seconds * 1e6, 3)
+
+
+def figures(pkg, repeat: int) -> dict:
+    """Every figure of one package, each the best of ``repeat`` passes."""
+    return {
+        "per_check": {f"{chi},{k}": per_check(pkg, chi, k, repeat) for chi, k in RANGES},
+        "kernels_us": {
+            "bilinearity_sample": {name: us(t)
+                                   for name, t in sample_kernels(pkg, repeat).items()},
+            "rank_1e5": {runs: {name: us(t) for name, t in timings.items()}
+                         for runs, timings in big_kernels(pkg, repeat).items()},
+        },
+        "report_us": {name: {key: value if key == "json_bytes" else us(value)
+                             for key, value in timings.items()}
+                      for name, timings in report_layer(pkg, repeat).items()},
+    }
+
+
+def lowest(passes: list):
+    """The figures of several passes, each figure the lowest of its passes."""
+    if isinstance(passes[0], dict):
+        return {key: lowest([one[key] for one in passes]) for key in passes[0]}
+    return min(passes)
+
+
+def compare(change, base):
+    """Each figure of ``change`` next to that of ``base`` and their ratio."""
+    if isinstance(change, dict):
+        return {key: compare(value, base.get(key) if isinstance(base, dict) else None)
+                for key, value in change.items()}
+    return {"change": change, "base": base,
+            "ratio": round(change / base, 3) if base else None}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=7, help="timed passes per figure")
+    parser.add_argument("--against", metavar="PATH",
+                        help="a second checkout, timed alternately in this process")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    def us(seconds):
-        return round(seconds * 1e6, 3)
-
-    report = {
-        "python": platform.python_version(),
-        "repeat": args.repeat,
-        "per_check": {f"{chi},{k}": per_check(chi, k, args.repeat) for chi, k in RANGES},
-        "kernels_us": {
-            "bilinearity_sample": {name: us(t) for name, t in sample_kernels(args.repeat).items()},
-            "rank_1e5": {runs: {name: us(t) for name, t in timings.items()}
-                         for runs, timings in big_kernels(args.repeat).items()},
-        },
-        "report_us": {name: {key: value if key == "json_bytes" else us(value)
-                             for key, value in timings.items()}
-                      for name, timings in report_layer(args.repeat).items()},
-    }
+    change = load("horikawa")
+    report = {"python": platform.python_version(), "repeat": args.repeat}
+    if args.against is None:
+        report.update(figures(change, args.repeat))
+    else:
+        base = load_checkout(args.against)
+        passes = {"change": [], "base": []}
+        for _ in range(args.repeat):
+            passes["change"].append(figures(change, 1))
+            passes["base"].append(figures(base, 1))
+        report["against"] = args.against
+        report.update(compare(lowest(passes["change"]), lowest(passes["base"])))
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
