@@ -598,13 +598,7 @@ class TestTextRendering:
         assert Report.from_json(text).to_json() == text
 
     def test_virtual_p_g_is_rendered_unavailable_and_round_trips(self):
-        blown = lattice.blow_up(ProjectivePlane(), 1)
-        branch = lattice.pullback(blown, blown.base.divisor((10,))) - 4 * blown.exceptional_sum()
-        virtual = covers.double_cover_invariants(covers.CoverSpec.double(blown, branch))
-        report = _construction_report()
-        recipe = report.payload.recipe
-        report = report._replace(payload=report.payload._replace(
-            recipe=recipe._replace(report=virtual)))
+        report = _virtual_p_g_report()
         assert "\n  p_g = unavailable(virtual)\n" in render_text(report)
         text = report.to_json()
         assert '"p_g": "unavailable(virtual)"' in text
