@@ -107,16 +107,6 @@ def _isometry_draws(ranks: tuple[int, ...]) -> tuple:
                  for rank in ranks)
 
 
-def _branch_pair(e: int, alpha: int, beta: int):
-    """The strict transforms of the branch curves 2*D0 + alpha*F and 2*D0 + beta*F
-    on F_e blown up at all 2*alpha + 2*beta - 4*e points where they meet."""
-    ruled = Hirzebruch(e)
-    blown = lattice.blow_up(ruled, 2 * alpha + 2 * beta - 4 * e)
-    exc = blown.exceptional_sum()
-    return (lattice.pullback(blown, ruled.divisor((2, alpha))) - exc,
-            lattice.pullback(blown, ruled.divisor((2, beta))) - exc)
-
-
 # ---------------------------------------------------------------------------
 # checks, registered in the order the report lists them
 
@@ -207,18 +197,6 @@ def _check_section_count_oracle(chi_max, k_max, builds):
         want = _enumerate_plane_sections(d)
         if got.value != want:
             raise _CheckFailure(f"h0 on the plane of degree {d} disagrees with enumeration")
-
-
-@_check("cover-parameter-table",
-        "the parameter table keeps the weighted branch sum divisible by 3")
-def _check_parameter_table(chi_max, k_max, builds):
-    for chi in range(4, chi_max + 1):
-        e, alpha, beta = catalog.pick_parameters(chi)
-        _expect((alpha + 2 * beta) % 3 == 0,
-                f"weighted branch degree not divisible by 3 at chi = {chi}")
-        d1, d2 = _branch_pair(e, alpha, beta)
-        root = covers.derive_root(3, (d1, d2))
-        _expect(3 * root == d1 + 2 * d2, f"root class round trip failed at chi = {chi}")
 
 
 @_check("component-one-invariants",

@@ -295,8 +295,9 @@ class TestFaultRegistry:
 
     @pytest.mark.parametrize("name", faults.fault_names())
     def test_each_fault_fails_some_named_check(self, name):
-        # (6, 2) is the smallest accepted range
-        for chi_max, k_max in ((6, 2), (12, 4)):
+        # (6, 2) is the smallest accepted range; the last four are the corners
+        # of the fault-matrix benchmark strata
+        for chi_max, k_max in ((6, 2), (12, 4), (12, 3), (20, 5), (32, 6), (40, 8)):
             outcome = verify.run_verification(chi_max=chi_max, k_max=k_max, fault=name)
             assert not outcome.passed, (name, chi_max, k_max)
             first = outcome.first_failure

@@ -8,10 +8,13 @@ passes with ``time.perf_counter``, after one untimed pass that fills the
 per-process sample caches of ``verify``.
 
 ``--against PATH`` imports the checkout at ``PATH`` (its ``src/horikawa``)
-as the package ``horikawa_base`` and times both packages in this process,
-alternating one pass of every figure of each ``--repeat`` times.  Each
-figure then reads ``{"change": ..., "base": ..., "ratio": change/base}``,
-where the change is the ``horikawa`` on the path.
+as the package ``horikawa_base`` and times both packages in this process.
+Each pass of a figure times the two packages back to back, the change
+first on even passes and the base first on odd ones.  Each figure then
+reads ``{"change": ..., "base": ..., "ratio": ..., "median_ratio": ...}``:
+the best pass of each package, the ratio change/base of those, and the
+median of the per-pass ratios, where the change is the ``horikawa`` on
+the path.
 
 ``per_check`` times each check of ``run_verification`` as the real run
 calls it (the registered check functions are wrapped for the duration of
@@ -40,6 +43,7 @@ import io
 import json
 import platform
 import random
+import statistics
 import sys
 import time
 import types
@@ -55,15 +59,21 @@ BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
 
 
-def best(fn, repeat: int, number: int = 1) -> float:
-    """Best time of one call of ``fn`` in seconds, over ``repeat`` passes of ``number`` calls."""
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        times.append((time.perf_counter() - start) / number)
-    return min(times)
+def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
+    """Per-pass times of one call of each of ``fns``, in seconds times ``scale``.
+
+    Each of the ``repeat`` passes makes ``number`` calls of every function,
+    back to back: in order on even passes and in reverse on odd ones, so
+    that no function always runs first.
+    """
+    times = [[] for _ in fns]
+    for n in range(repeat):
+        for i in (range(len(fns)) if n % 2 == 0 else reversed(range(len(fns)))):
+            start = time.perf_counter()
+            for _ in range(number):
+                fns[i]()
+            times[i].append((time.perf_counter() - start) / number * scale)
+    return times
 
 
 def load(name: str) -> types.SimpleNamespace:
@@ -85,50 +95,61 @@ def load_checkout(root: str, name: str = "horikawa_base") -> types.SimpleNamespa
     return load(name)
 
 
-def per_check(pkg, chi_max: int, k_max: int, repeat: int) -> dict:
-    verify = pkg.verify
-    registered = list(verify._CHECKS)
-    spent = {name: [] for name, _identity, _fn in registered}
-    runs = []
+def per_check(pkgs, chi_max: int, k_max: int, repeat: int) -> dict:
+    """The whole run and each check as the run calls it, in ms, for each package."""
+    registered = [list(pkg.verify._CHECKS) for pkg in pkgs]
+    names = dict.fromkeys(name for checks in registered for name, _identity, _fn in checks)
+    spent = {name: [[] for _ in pkgs] for name in names}
 
-    def timed(name, fn):
+    def timed(times, fn):
         def run(*args):
             start = time.perf_counter()
             try:
                 return fn(*args)
             finally:
-                spent[name].append(time.perf_counter() - start)
+                times.append((time.perf_counter() - start) * 1e3)
         return run
 
-    verify._CHECKS[:] = [(name, identity, timed(name, fn)) for name, identity, fn in registered]
-    try:
-        verify.run_verification(chi_max, k_max)  # fills the sample caches
-        for times in spent.values():
-            times.clear()
-        for _ in range(repeat):
-            start = time.perf_counter()
+    def run(verify):
+        def call():
             outcome = verify.run_verification(chi_max, k_max)
-            runs.append(time.perf_counter() - start)
             if not all(check.passed for check in outcome.checks):
                 raise SystemExit(f"a check failed at ({chi_max},{k_max})")
+        return call
+
+    for i, (pkg, checks) in enumerate(zip(pkgs, registered)):
+        pkg.verify._CHECKS[:] = [(name, identity, timed(spent[name][i], fn))
+                                 for name, identity, fn in checks]
+    try:
+        for pkg in pkgs:
+            pkg.verify.run_verification(chi_max, k_max)  # fills the sample caches
+        for per_package in spent.values():
+            for times in per_package:
+                times.clear()
+        runs = passes([run(pkg.verify) for pkg in pkgs], repeat, scale=1e3)
     finally:
-        verify._CHECKS[:] = registered
-    return {"run_ms": round(min(runs) * 1e3, 3),
-            "checks_ms": {name: round(min(times) * 1e3, 3) for name, times in spent.items()}}
+        for pkg, checks in zip(pkgs, registered):
+            pkg.verify._CHECKS[:] = checks
+    return {"run_ms": runs, "checks_ms": spent}
 
 
-def sample_kernels(pkg, repeat: int) -> dict:
-    """``divisor``, ``dot`` and ``+`` over the bilinearity sample, per call."""
-    lattice, verify = pkg.lattice, pkg.verify
-    surfaces = verify._sample_surfaces()
-    draws = verify._bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
-    vectors = [(surfaces[n % len(surfaces)], u, v) for n, (u, v, _w, _m) in enumerate(draws)]
-    pairs = [(s.divisor(u), s.divisor(v)) for s, u, v in vectors]
-    count = len(pairs)
+def sample_kernels(pkgs, repeat: int) -> dict:
+    """``divisor``, ``dot`` and ``+`` over the bilinearity sample, in us per call."""
+    samples = []
+    for pkg in pkgs:
+        lattice, verify = pkg.lattice, pkg.verify
+        surfaces = verify._sample_surfaces()
+        draws = verify._bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
+        vectors = [(surfaces[n % len(surfaces)], u, v) for n, (u, v, _w, _m) in enumerate(draws)]
+        samples.append((vectors, [(s.divisor(u), s.divisor(v)) for s, u, v in vectors]))
+    scale = 1e6 / len(draws)
     return {
-        "divisor": best(lambda: [s.divisor(u) for s, u, _v in vectors], repeat, 5) / count,
-        "dot": best(lambda: [a.dot(b) for a, b in pairs], repeat, 5) / count,
-        "add": best(lambda: [a + b for a, b in pairs], repeat, 5) / count,
+        "divisor": passes([lambda vs=vs: [s.divisor(u) for s, u, _v in vs] for vs, _p in samples],
+                          repeat, 5, scale),
+        "dot": passes([lambda ps=ps: [a.dot(b) for a, b in ps] for _v, ps in samples],
+                      repeat, 5, scale),
+        "add": passes([lambda ps=ps: [a + b for a, b in ps] for _v, ps in samples],
+                      repeat, 5, scale),
     }
 
 
@@ -145,84 +166,97 @@ def random_runs(rng: random.Random, run_count: int, total: int) -> tuple:
     return tuple(runs)
 
 
-def big_kernels(pkg, repeat: int) -> dict:
-    """``dot``, ``+`` and dense ``divisor`` at rank 10^5, per call."""
+def big_operands(pkg) -> dict:
+    """Per run count, the rank 10^5 surface and two seeded classes on it."""
     lattice = pkg.lattice
     surface = lattice.blow_up(lattice.ProjectivePlane(), BIG_RANK - 1)
     rng = random.Random(20261018)
-    timings = {}
+    operands = {}
     for run_count in BIG_RUN_COUNTS:
         a, b = (lattice.DivisorClass(surface, (rng.randint(-5, 5),),
                                      random_runs(rng, run_count, BIG_RANK - 1))
                 for _ in range(2))
         if (a + b) - b != a or a.dot(b) != b.dot(a) or surface.divisor(a.coeffs) != a:
             raise SystemExit("rank 10^5 arithmetic is inconsistent")
-        dense = a.coeffs
+        operands[run_count] = (surface, a, b)
+    return operands
+
+
+def big_kernels(pkgs, repeat: int) -> dict:
+    """``dot``, ``+`` and dense ``divisor`` at rank 10^5, in us per call."""
+    operands = [big_operands(pkg) for pkg in pkgs]
+    timings = {}
+    for run_count in BIG_RUN_COUNTS:
+        triples = [per_package[run_count] for per_package in operands]
         timings[f"{run_count}_runs"] = {
-            "dot": best(lambda: a.dot(b), repeat, 5),
-            "add": best(lambda: a + b, repeat, 5),
-            "divisor_dense": best(lambda: surface.divisor(dense), repeat),
+            "dot": passes([lambda a=a, b=b: a.dot(b) for _s, a, b in triples], repeat, 5, 1e6),
+            "add": passes([lambda a=a, b=b: a + b for _s, a, b in triples], repeat, 5, 1e6),
+            "divisor_dense": passes([lambda s=s, dense=a.coeffs: s.divisor(dense)
+                                     for s, a, _b in triples], repeat, scale=1e6),
         }
     return timings
 
 
-def report_layer(pkg, repeat: int) -> dict:
-    """Encode, decode and render of each ``REPORTS`` report, per call."""
-    Report, render_text = pkg.reporting.Report, pkg.reporting.render_text
+def cli_report(pkg, argv) -> tuple:
+    """The JSON text ``cli.main`` prints for ``argv`` and the report read back from it."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        if pkg.cli.main([*argv, "--format", "json"]) != 0:
+            raise SystemExit(f"{' '.join(argv)} failed")
+    text = stdout.getvalue()
+    report = pkg.reporting.Report.from_json(text)
+    if report.to_json() != text:
+        raise SystemExit(f"{' '.join(argv)}: the report does not re-encode to itself")
+    return text, report
+
+
+def report_layer(pkgs, repeat: int) -> dict:
+    """Encode, decode and render of each ``REPORTS`` report, in us per call."""
     timings = {}
     for name, argv in REPORTS.items():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            if pkg.cli.main([*argv, "--format", "json"]) != 0:
-                raise SystemExit(f"{' '.join(argv)} failed")
-        text = stdout.getvalue()
-        report = Report.from_json(text)
-        if report.to_json() != text:
-            raise SystemExit(f"{' '.join(argv)}: the report does not re-encode to itself")
+        cases = [(pkg.reporting, *cli_report(pkg, argv)) for pkg in pkgs]
         timings[name] = {
-            "json_bytes": len(text),
-            "to_jsonable": best(report.to_jsonable, repeat, 50),
-            "to_json": best(report.to_json, repeat, 50),
-            "from_json": best(lambda: Report.from_json(text), repeat, 50),
-            "render_text": best(lambda: render_text(report), repeat, 50),
+            "json_bytes": [[len(text)] for _m, text, _r in cases],
+            "to_jsonable": passes([r.to_jsonable for _m, _t, r in cases], repeat, 50, 1e6),
+            "to_json": passes([r.to_json for _m, _t, r in cases], repeat, 50, 1e6),
+            "from_json": passes([lambda decode=m.Report.from_json, text=text: decode(text)
+                                 for m, text, _r in cases], repeat, 50, 1e6),
+            "render_text": passes([lambda render=m.render_text, r=r: render(r)
+                                   for m, _t, r in cases], repeat, 50, 1e6),
         }
     return timings
 
 
-def us(seconds: float) -> float:
-    return round(seconds * 1e6, 3)
-
-
-def figures(pkg, repeat: int) -> dict:
-    """Every figure of one package, each the best of ``repeat`` passes."""
+def figures(pkgs, repeat: int) -> dict:
+    """Every figure; each leaf lists, per package, the figure's value in every pass."""
     return {
-        "per_check": {f"{chi},{k}": per_check(pkg, chi, k, repeat) for chi, k in RANGES},
-        "kernels_us": {
-            "bilinearity_sample": {name: us(t)
-                                   for name, t in sample_kernels(pkg, repeat).items()},
-            "rank_1e5": {runs: {name: us(t) for name, t in timings.items()}
-                         for runs, timings in big_kernels(pkg, repeat).items()},
-        },
-        "report_us": {name: {key: value if key == "json_bytes" else us(value)
-                             for key, value in timings.items()}
-                      for name, timings in report_layer(pkg, repeat).items()},
+        "per_check": {f"{chi},{k}": per_check(pkgs, chi, k, repeat) for chi, k in RANGES},
+        "kernels_us": {"bilinearity_sample": sample_kernels(pkgs, repeat),
+                       "rank_1e5": big_kernels(pkgs, repeat)},
+        "report_us": report_layer(pkgs, repeat),
     }
 
 
-def lowest(passes: list):
-    """The figures of several passes, each figure the lowest of its passes."""
-    if isinstance(passes[0], dict):
-        return {key: lowest([one[key] for one in passes]) for key in passes[0]}
-    return min(passes)
+def each_leaf(tree, reduce):
+    """``tree`` with each leaf, a list of per-package values, replaced by ``reduce(*leaf)``."""
+    if isinstance(tree, dict):
+        return {key: each_leaf(value, reduce) for key, value in tree.items()}
+    return reduce(*tree)
 
 
-def compare(change, base):
-    """Each figure of ``change`` next to that of ``base`` and their ratio."""
-    if isinstance(change, dict):
-        return {key: compare(value, base.get(key) if isinstance(base, dict) else None)
-                for key, value in change.items()}
-    return {"change": change, "base": base,
-            "ratio": round(change / base, 3) if base else None}
+def lowest(values: list):
+    return round(min(values), 3) if values else None
+
+
+def compare(change: list, base: list) -> dict:
+    """The lowest value of each package, their ratio, and the median per-pass ratio."""
+    figure = {"change": lowest(change), "base": lowest(base),
+              "ratio": None, "median_ratio": None}
+    if change and base:
+        figure["ratio"] = round(min(change) / min(base), 3)
+        figure["median_ratio"] = round(statistics.median(
+            [c / b for c, b in zip(change, base)]), 3)
+    return figure
 
 
 def main(argv=None) -> int:
@@ -234,18 +268,13 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    change = load("horikawa")
     report = {"python": platform.python_version(), "repeat": args.repeat}
     if args.against is None:
-        report.update(figures(change, args.repeat))
+        report.update(each_leaf(figures([load("horikawa")], args.repeat), lowest))
     else:
-        base = load_checkout(args.against)
-        passes = {"change": [], "base": []}
-        for _ in range(args.repeat):
-            passes["change"].append(figures(change, 1))
-            passes["base"].append(figures(base, 1))
+        pkgs = [load("horikawa"), load_checkout(args.against)]
         report["against"] = args.against
-        report.update(compare(lowest(passes["change"]), lowest(passes["base"])))
+        report.update(each_leaf(figures(pkgs, args.repeat), compare))
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
