@@ -139,17 +139,19 @@ _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 
 # ---------------------------------------------------------------------------
 # codec: each annotation becomes a shape, a tuple headed by its kind, such as
-# ("int",), ("optional", inner, none_as), ("tuple", item), ("fixed", items) or
+# ("int",), ("optional", inner, none_as), ("tuple", item), ("fixed", items),
+# ("dict", key, value), ("json",) for any JSON value, or
 # ("object", tag_key, {tag: cls}); a record class that needs no tag has key None
 
-_INT, _STR, _THIRDS = ("int",), ("str",), ("thirds",)
+_INT, _STR, _THIRDS, _JSON = ("int",), ("str",), ("thirds",), ("json",)
 # the only forms of an integer and of a rational that the codec writes, and so
 # reads; int() and Fraction() would also take " 6", "+6", "6_0" and "\u0666"
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _SCALARS = {int: _INT, bool: ("bool",), str: _STR}
-# the JSON type each kind other than "int" and "optional" decodes from
-_JSON_TYPES = {"bool": bool, "str": str, "thirds": str, "dict": dict,
+# the JSON type each kind other than "int" and "optional" decodes from; "json"
+# takes any value, so no type passes its test and the refusal's branch returns it
+_JSON_TYPES = {"bool": bool, "str": str, "thirds": str, "dict": dict, "json": None,
                "object": dict, "tuple": list, "fixed": list, "frozenset": list}
 
 
@@ -204,6 +206,8 @@ def _decode(data, shape: tuple):
     if kind == "optional":
         return None if data == shape[2] else _decode(data, shape[1])
     if type(data) is not _JSON_TYPES[kind]:
+        if kind == "json":
+            return data
         raise ValueError(f"expected {_JSON_TYPES[kind].__name__}, got {data!r:.80}")
     if kind == "str" or kind == "bool":
         return data
@@ -256,59 +260,56 @@ def _write_plan(cls) -> tuple:
 
 
 def _write(value, shape: tuple, indent: str = "\n") -> str:
-    """The JSON text of ``value`` as ``_dump`` writes its tree, read straight
-    from the records; an integer outside 64 bits is a decimal string.  A
-    scalar off its annotation, such as a bool where an int belongs, is
-    written as ``_dump`` writes it, so the decoder refuses it."""
-    kind = shape[0]
-    if kind == "int":
-        if type(value) is int and value in _INT64:
-            return int.__repr__(value)
-        return _dump(value if value in _INT64 else str(value))
-    if kind == "str":
-        return _ESCAPE(value) if type(value) is str else _dump(value)
-    if kind == "optional":
-        return _dump(shape[2]) if value is None else _write(value, shape[1], indent)
-    if kind == "bool":
-        return _dump(value)
-    inner = indent + "  "
-    if kind == "object":
-        items = [prefix + _write(read(value), sub, inner)
-                 for prefix, read, sub in _write_plan(type(value))]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind == "fixed":
-        items = [_write(v, sub, inner) for v, sub in zip(value, shape[1])]
-    elif kind == "thirds":
-        import fractions  # loaded only for the records that hold thirds
-        return _ESCAPE(str(fractions.Fraction(value, 3)))
-    else:  # a tuple, or a frozenset in sorted order
-        items = [_write(v, shape[1], inner)
-                 for v in (sorted(value) if kind == "frozenset" else value)]
-    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-
-
-def _dump(value, indent: str = "\n") -> str:
-    """A str-keyed JSON tree as ``json.dumps(value, sort_keys=True, indent=2)``
-    writes it, in one pass; with ``indent`` set, the stdlib leaves its C
-    encoder for a generator per container, at about twice the cost."""
-    kind = type(value)
-    if kind is dict or kind is list:
-        if not value:
-            return "{}" if kind is dict else "[]"
-        inner = indent + "  "
-        if kind is dict:
-            items = [_ESCAPE(key) + ": " + _dump(value[key], inner) for key in sorted(value)]
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + indent + "]"
-    if kind is str:
+    """The JSON text of ``value`` as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it at the depth of ``indent``, read straight from the
+    records.  Strs, ints, bools and None are written by their type, with an
+    int in an int field beyond 64 bits as a decimal string, and a record by
+    its fields; any other value off its annotation goes to ``json.dumps``.
+    The decoder refuses what it cannot read as the annotation."""
+    kind, of = shape[0], type(value)
+    if of is str:
         return _ESCAPE(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
+    if kind == "optional":
+        if value is None:  # written as what stands in its place
+            return _write(shape[2], _JSON, indent)
+        return _write(value, shape[1], indent)
+    if of is int:
+        if kind == "thirds":
+            import fractions  # loaded only for the records that hold thirds
+            return _ESCAPE(str(fractions.Fraction(value, 3)))
+        return int.__repr__(value) if value in _INT64 or kind != "int" else f'"{value}"'
+    if of is bool:
         return "true" if value else "false"
     if value is None:
         return "null"
-    return json.dumps(value)  # any other scalar, such as a float
+    inner = indent + "  "
+    if kind == "object" and hasattr(of, "_fields"):
+        items, ends = [prefix + _write(read(value), sub, inner)
+                       for prefix, read, sub in _write_plan(of)], "{}"
+    elif kind == "dict" and of is dict:
+        items, ends = [_ESCAPE(key) + ": " + _write(value[key], shape[2], inner)
+                       for key in sorted(value)], "{}"
+    elif kind == "fixed" and isinstance(value, tuple):
+        items, ends = [_write(v, sub, inner) for v, sub in zip(value, shape[1])], "[]"
+    elif kind == "tuple" and isinstance(value, tuple) or kind == "frozenset" and of is frozenset:
+        items, ends = [_write(v, shape[1], inner)
+                       for v in (sorted(value) if kind == "frozenset" else value)], "[]"
+    else:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
+# the report's keys and their shapes, in the order ``from_jsonable`` reads them;
+# the payload's shape is the one its payload_kind names, and the inputs echo
+# whatever JSON values were given
+_ENVELOPE = (("inputs", ("dict", _STR, _JSON)), ("command", _STR), ("payload", None),
+             ("derivations", ("dict", _STR, _STR)), ("assumptions", ("tuple", _STR)),
+             ("notes", ("tuple", _STR)))
+# the same with payload_kind and schema, as ``_write_plan`` lists a record's keys
+_ENVELOPE_WRITE = tuple((_ESCAPE(key) + ": ", read, shape) for key, read, shape in sorted(
+    [(key, operator.attrgetter(key), shape) for key, shape in _ENVELOPE]
+    + [("payload_kind", operator.attrgetter("payload_kind"), _STR),
+       ("schema", lambda _report: SCHEMA, _STR)]))
 
 
 class Report(NamedTuple):
@@ -334,15 +335,10 @@ class Report(NamedTuple):
 
     def to_json(self) -> str:
         """The report's eight keys in sorted order, each value written in one pass."""
-        kind, top = self.payload_kind, "\n  "
-        return (f'{{{top}"assumptions": {_dump(list(self.assumptions), top)},'
-                f'{top}"command": {_dump(self.command)},'
-                f'{top}"derivations": {_dump(dict(self.derivations), top)},'
-                f'{top}"inputs": {_dump(dict(self.inputs), top)},'
-                f'{top}"notes": {_dump(list(self.notes), top)},'
-                f'{top}"payload": {_write(self.payload, _PAYLOADS[kind], top)},'
-                f'{top}"payload_kind": {_ESCAPE(kind)},'
-                f'{top}"schema": {_ESCAPE(SCHEMA)}\n}}\n')
+        payload, top = _PAYLOADS[self.payload_kind], "\n  "
+        items = [prefix + _write(read(self), shape or payload, top)
+                 for prefix, read, shape in _ENVELOPE_WRITE]
+        return "{" + top + ("," + top).join(items) + "\n}\n"
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Report":
@@ -355,11 +351,8 @@ class Report(NamedTuple):
                 raise ValueError(f"unknown payload kind {kind!r:.80}")
             if type(inputs) is not dict:
                 raise ValueError(f"inputs: expected an object, got {inputs!r:.80}")
-            return cls(inputs=dict(inputs), **{
-                key: _decode(data[key], shape) for key, shape in (
-                    ("command", _STR), ("payload", _PAYLOADS[kind]),
-                    ("derivations", ("dict", _STR, _STR)), ("assumptions", ("tuple", _STR)),
-                    ("notes", ("tuple", _STR)))})
+            return cls(**{key: _decode(data[key], shape or _PAYLOADS[kind])
+                          for key, shape in _ENVELOPE})
         except KeyError as missing:
             raise ValueError(f"missing key {missing} of Report") from None
 

@@ -19,6 +19,8 @@ the path.
 ``per_check`` times each check of ``run_verification`` as the real run
 calls it (the registered check functions are wrapped for the duration of
 the call), together with the whole run, at each range of ``RANGES``.
+Each pass makes ``RUNS_PER_PASS`` back-to-back runs of each package, and
+its figures are the means per run.
 
 ``kernels_us`` times the lattice kernels in microseconds per call:
 ``divisor``, ``dot`` and ``+`` over the 400 classes of the
@@ -50,6 +52,7 @@ import types
 from pathlib import Path
 
 RANGES = ((6, 2), (16, 4), (36, 7), (150, 50), (300, 100), (600, 200))
+RUNS_PER_PASS = 5
 REPORTS = {
     "construct_component_I_chi20000": ("construct", "component-I", "--chi", "20000"),
     "construct_stable_chi15700": ("construct", "stable", "--chi", "15700"),
@@ -96,7 +99,7 @@ def load_checkout(root: str, name: str = "horikawa_base") -> types.SimpleNamespa
 
 
 def per_check(pkgs, chi_max: int, k_max: int, repeat: int) -> dict:
-    """The whole run and each check as the run calls it, in ms, for each package."""
+    """The whole run and each check as the run calls it, in ms per run, for each package."""
     registered = [list(pkg.verify._CHECKS) for pkg in pkgs]
     names = dict.fromkeys(name for checks in registered for name, _identity, _fn in checks)
     spent = {name: [[] for _ in pkgs] for name in names}
@@ -126,11 +129,15 @@ def per_check(pkgs, chi_max: int, k_max: int, repeat: int) -> dict:
         for per_package in spent.values():
             for times in per_package:
                 times.clear()
-        runs = passes([run(pkg.verify) for pkg in pkgs], repeat, scale=1e3)
+        runs = passes([run(pkg.verify) for pkg in pkgs], repeat, RUNS_PER_PASS, 1e3)
     finally:
         for pkg, checks in zip(pkgs, registered):
             pkg.verify._CHECKS[:] = checks
-    return {"run_ms": runs, "checks_ms": spent}
+    # a run calls each check once, and a pass's runs of one package are back to back
+    return {"run_ms": runs, "checks_ms": {
+        name: [[sum(times[n:n + RUNS_PER_PASS]) / RUNS_PER_PASS
+                for n in range(0, len(times), RUNS_PER_PASS)] for times in per_package]
+        for name, per_package in spent.items()}}
 
 
 def sample_kernels(pkgs, repeat: int) -> dict:
