@@ -535,8 +535,9 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
     The result has K^2 = 2chi - 6 + epsilon, which satisfies
     3K^2 <= 8chi - 16 with equality exactly at the top of the range.
     """
-    lattice.require_int("chi", chi)
-    lattice.require_int("epsilon", epsilon)
+    if type(chi) is not int or type(epsilon) is not int:  # one test on the hot path
+        lattice.require_int("chi", chi)
+        lattice.require_int("epsilon", epsilon)
     if chi < 4:
         raise ValueError("the contracted family starts from a surface with chi >= 4")
     if epsilon < 1:

@@ -454,30 +454,36 @@ def h0(d: DivisorClass) -> SectionCount:
     class pulled back from the base (all exceptional coefficients zero)
     keeps the exact count of its base class.
     """
-    surface = d.surface
-    if isinstance(surface, ProjectivePlane):
-        return SectionCount(_plane_sections(d.head[0]), True)
-    if isinstance(surface, Hirzebruch):
-        return SectionCount(_hirzebruch_sections(surface.e, d.head[0], d.head[1]), True)
-    if isinstance(surface, BlowUp):
-        below, level = _split_runs(d.runs, _levels(surface.base)[1])
+    # one walk down the tower, refusing each level's coefficients from the
+    # top; one clamp at the end equals one per level, as each count is >= 0
+    surface, runs, imposed, refused = d.surface, d.runs, 0, False
+    while type(surface) is BlowUp:
+        runs, level = _split_runs(runs, surface._levels[1] - surface.point_count)
         bad = sorted({c for c, _length in level if c not in (0, -1)})
         if bad:
             raise ValueError(
                 f"exceptional coefficients {bad} not supported: only simple "
                 "(multiplicity one) point conditions are modelled"
             )
-        base_count = h0(DivisorClass._make(surface.base, d.head, below))
-        imposed = sum(length for c, length in level if c == -1)
-        if imposed == 0:
-            return base_count
-        if not surface.general_position:
-            raise ValueError(
-                "virtual section counts through blown-up points require the "
-                "general position assumption"
-            )
-        return SectionCount(max(0, base_count.value - imposed), False)
-    raise TypeError(f"unsupported surface {surface!r}")
+        points = sum([length for c, length in level if c == -1])
+        if points and not surface.general_position:
+            refused = True
+        imposed += points
+        surface = surface.base
+    if isinstance(surface, Hirzebruch):
+        value = _hirzebruch_sections(surface.e, d.head[0], d.head[1])
+    elif isinstance(surface, ProjectivePlane):
+        value = _plane_sections(d.head[0])
+    else:
+        raise TypeError(f"unsupported surface {surface!r}")
+    if not imposed:
+        return SectionCount(value, True)
+    if refused:
+        raise ValueError(
+            "virtual section counts through blown-up points require the "
+            "general position assumption"
+        )
+    return SectionCount(max(0, value - imposed), False)
 
 
 def _plane_sections(d: int) -> int:
@@ -487,7 +493,7 @@ def _plane_sections(d: int) -> int:
 def _hirzebruch_sections(e: int, a: int, b: int) -> int:
     if a < 0:
         return 0
-    return sum(max(0, b - i * e + 1) for i in range(a + 1))
+    return sum([max(0, b - i * e + 1) for i in range(a + 1)])
 
 
 def format_class(d: DivisorClass) -> str:

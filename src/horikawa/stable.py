@@ -91,7 +91,7 @@ def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfac
     if count < 1:
         raise ValueError("at least one curve must be contracted")
     return StableSurfaceRecord(
-        3 * k_squared_smooth + count, chi, SingularityLedger(third11_count=count))
+        3 * k_squared_smooth + count, chi, SingularityLedger(count))
 
 
 def rr_correction_thirds(ledger: SingularityLedger) -> int:

@@ -57,3 +57,32 @@ def count_plane_monomials(d: int) -> int:
         for j in range(d - i + 1):
             count += 1
     return count
+
+
+def tower_section_count(surface, coeffs) -> tuple[int, bool]:
+    """``(value, exact)`` of ``lattice.h0`` by recursion down a blow-up tower.
+
+    ``coeffs`` is the dense vector over the Picard basis.  Each level is
+    checked before the levels below it, so the top level's bad coefficients
+    are the ones named; each level's -1 entries are simple points, taken off
+    the count of the level below and clamped at zero, and they need the
+    level's general position assumption.
+    """
+    if isinstance(surface, ProjectivePlane):
+        return count_plane_monomials(coeffs[0]), True
+    if isinstance(surface, Hirzebruch):
+        return count_scroll_monomials(surface.e, *coeffs), True
+    split = len(coeffs) - surface.point_count
+    level = coeffs[split:]
+    bad = sorted({c for c in level if c not in (0, -1)})
+    if bad:
+        raise ValueError(f"exceptional coefficients {bad} not supported: only simple "
+                         "(multiplicity one) point conditions are modelled")
+    value, exact = tower_section_count(surface.base, coeffs[:split])
+    imposed = level.count(-1)
+    if not imposed:
+        return value, exact
+    if not surface.general_position:
+        raise ValueError("virtual section counts through blown-up points require the "
+                         "general position assumption")
+    return max(0, value - imposed), False

@@ -15,7 +15,8 @@ from horikawa import lattice
 from horikawa.lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                               SurfaceMismatchError)
 
-from oracles import count_plane_monomials, count_scroll_monomials, gram_dot
+from oracles import (count_plane_monomials, count_scroll_monomials, gram_dot,
+                     tower_section_count)
 
 P2 = ProjectivePlane()
 
@@ -259,6 +260,68 @@ class TestSectionCounts:
         cls = lattice.pullback(blown, P2.divisor((4,))) - blown.exceptional_sum()
         with pytest.raises(ValueError, match="general position"):
             lattice.h0(cls)
+
+
+@st.composite
+def towers(draw):
+    """A class on a tower of two or three blow-up levels over P^2 or F_e."""
+    surface = draw(st.sampled_from([P2, Hirzebruch(0), Hirzebruch(1), Hirzebruch(3)]))
+    for _ in range(draw(st.integers(2, 3))):
+        surface = lattice.blow_up(surface, draw(st.integers(1, 4)), draw(st.booleans()))
+    root_rank = lattice.picard_rank(_root(surface))
+    head = [draw(st.integers(-1, 8)) for _ in range(root_rank)]
+    exceptional = [draw(st.sampled_from((0, 0, -1, -1, -1, 1, -2)))
+                   for _ in range(lattice.picard_rank(surface) - root_rank)]
+    return surface.divisor(head + exceptional)
+
+
+def _root(surface):
+    while isinstance(surface, BlowUp):
+        surface = surface.base
+    return surface
+
+
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except ValueError as error:
+        return str(error)
+
+
+class TestTowerSectionCounts:
+    """``h0`` on towers against the recursive oracle, refusals and their order included."""
+
+    @settings(max_examples=300)
+    @given(towers())
+    def test_matches_recursive_oracle(self, d):
+        got = _outcome(lambda: tuple(lattice.h0(d)))
+        assert got == _outcome(tower_section_count, d.surface, list(d.coeffs))
+
+    # F_1 blown up at 2, then 3, then 1 points: the classes list (D0, F, E1..E6)
+    @pytest.mark.parametrize("positions, coeffs, outcome", [
+        ((True, True, True), (1, 6, -1, -1, -1, 0, -1, -1), (8, False)),
+        ((True, True, True), (1, 6, -1, 0, 0, 0, 0, 0), (12, False)),
+        ((True, True, True), (1, 6, 0, 0, 0, 0, 0, 0), (13, True)),
+        ((True, True, True), (1, 2, -1, -1, -1, -1, -1, -1), (0, False)),
+        # bad coefficients on two levels: the upper level is named
+        ((True, True, True), (1, 6, 2, 0, -2, 3, 0, 0), "[-2, 3]"),
+        ((True, True, True), (1, 6, 2, 0, -2, 3, 0, 5), "[5]"),
+        # general position off below: refused only where that level imposes
+        ((False, True, True), (1, 6, -1, 0, -1, 0, 0, -1), "general position"),
+        ((False, True, True), (1, 6, 0, 0, -1, 0, 0, -1), (11, False)),
+        ((True, False, True), (1, 6, 0, 0, -1, 0, 0, 0), "general position"),
+        # a bad coefficient anywhere is refused before general position
+        ((False, True, True), (1, 6, -1, 0, 0, 0, 0, 2), "[2]"),
+        ((True, True, False), (1, 6, 0, 0, 0, 0, 0, -1), "general position"),
+    ])
+    def test_three_level_tower(self, positions, coeffs, outcome):
+        surface = Hirzebruch(1)
+        for count, general in zip((2, 3, 1), positions):
+            surface = lattice.blow_up(surface, count, general)
+        d = surface.divisor(coeffs)
+        want = _outcome(tower_section_count, surface, list(coeffs))
+        assert _outcome(lambda: tuple(lattice.h0(d))) == want
+        assert (want == outcome if type(outcome) is tuple else outcome in want)
 
 
 class TestLabelsAndFormatting:

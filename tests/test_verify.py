@@ -206,6 +206,63 @@ class TestSharedBuilds:
         assert k_calls == {1: 1, 2: 1, 3: 2}
 
 
+class TestSharedCertificates:
+    @pytest.fixture
+    def issued(self, monkeypatch):
+        """The alpha (= chi) of each call of the two public certificate wrappers."""
+        issued = {"ampleness_certificate": [], "nef_certificate": []}
+        for name, alphas in issued.items():
+            def spying(e, alpha, beta, *args, _alphas=alphas, _issue=getattr(catalog, name)):
+                _alphas.append(alpha)
+                return _issue(e, alpha, beta, *args)
+
+            monkeypatch.setattr(catalog, name, spying)
+        return issued
+
+    def test_clean_run_issues_no_certificate_of_its_own(self, issued):
+        assert verify.run_verification(chi_max=30, k_max=6).passed
+        assert issued == {"ampleness_certificate": [], "nef_certificate": []}
+
+    @pytest.mark.parametrize("builder, tamper, check, detail", [
+        ("build_stable",
+         lambda c: c._replace(recipe=c.recipe._replace(certificates=(
+             c.recipe.certificates[0]._replace(witness_virtual_count=-1),))),
+         "stable-ampleness-certificate", "witness count -1 instead of 2 at chi = 3"),
+        ("build_component_one",
+         lambda r: r._replace(certificates=(r.certificates[0]._replace(verdict="asserted"),)),
+         "minimality-nef-witnesses", "nef verdict is asserted at chi = 4"),
+    ], ids=["ampleness", "nef"])
+    def test_check_reads_the_certificate_of_the_build(self, builder, tamper, check, detail,
+                                                      monkeypatch):
+        build = getattr(catalog, builder)
+        monkeypatch.setattr(catalog, builder, lambda chi: tamper(build(chi)))
+        outcome = verify.run_verification(chi_max=30, k_max=6)
+        assert {c.name: c.detail for c in outcome.checks if not c.passed} == {check: detail}
+
+    def test_ampleness_issued_where_no_stable_build_holds(self, issued):
+        # every stable build raises under this fault, so the check issues
+        # each certificate itself and passes, free of the pipeline error
+        outcome = verify.run_verification(chi_max=30, k_max=6, fault="contraction-gain-half")
+        result = outcome.checks[verify.check_names().index("stable-ampleness-certificate")]
+        assert (result.passed, result.detail) == (True, "")
+        assert issued["ampleness_certificate"] == list(range(3, 31))
+
+    def test_nef_issued_only_for_the_chi_the_run_has_not_built(self, issued, monkeypatch):
+        build = catalog.build_component_one
+
+        def broken(chi):
+            if chi == 5:
+                raise ValueError("no surface at chi = 5")
+            return build(chi)
+
+        monkeypatch.setattr(catalog, "build_component_one", broken)
+        outcome = verify.run_verification(chi_max=30, k_max=6)
+        assert "minimality-nef-witnesses" not in {c.name for c in outcome.checks if not c.passed}
+        # the invariant checks stop at chi = 5; the parity check built 7, 11, ..., 27
+        built = {4, 7, 11, 15, 19, 23, 27}
+        assert issued["nef_certificate"] == [chi for chi in range(4, 31) if chi not in built]
+
+
 def _tuples_of_ints(value) -> bool:
     if type(value) is tuple:
         return all(_tuples_of_ints(item) for item in value)
