@@ -185,12 +185,13 @@ def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
         raise BuildingDataError("triple cover invariants need a degree 3 spec")
     k = lattice.canonical_class(spec.base)
     d1, d2 = spec.branch
-    tri_canonical = 3 * k + 2 * d1 + 2 * d2
+    branch_sum = d1 + d2
+    tri_canonical = 3 * k + 2 * branch_sum
     square = tri_canonical.dot(tri_canonical)
     if square % 3:
         raise BuildingDataError("K^2 is not an integer: inconsistent building data")
     first = spec.root
-    second = d1 + d2 - spec.root
+    second = branch_sum - spec.root
     adjoints = (k + first, k + second)
     pairing = first.dot(adjoints[0]) + second.dot(adjoints[1])
     if pairing % 2:

@@ -143,9 +143,9 @@ class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
     def exceptional_sum(self) -> "DivisorClass":
         """Sum of all exceptional classes of this blow-up level."""
         root, below = _levels(self.base)
-        runs = ((0, below), (1, self.point_count))
+        n = self.point_count
         return DivisorClass._make(self, (0,) * root._rank,
-                                  tuple(run for run in runs if run[1]))
+                                  ((0, below), (1, n)) if below else ((1, n),))
 
 
 class DivisorClass:
@@ -239,17 +239,30 @@ class DivisorClass:
                 f"{surface_descriptor(self.surface)} vs {surface_descriptor(other.surface)}"
             )
 
+    # Sums, differences and multiples are built in place, as ``_make`` builds:
+    # the head by root rank (1 or 2), one run without a walk, and no runs at
+    # all on a root surface.
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if type(other) is not DivisorClass or other.surface is not self.surface:
             self._require_same_surface(other)
-        return DivisorClass._make(self.surface, tuple(map(add, self.head, other.head)),
-                                  _merge_runs(self.runs, other.runs, add))
+        u, v, r, s = self.head, other.head, self.runs, other.runs
+        d = _new(DivisorClass)
+        _set_surface(d, self.surface)
+        _set_head(d, (u[0] + v[0], u[1] + v[1]) if len(u) == 2 else (u[0] + v[0],))
+        _set_runs(d, ((r[0][0] + s[0][0], r[0][1]),) if len(r) == 1 == len(s)
+                  else _merge_runs(r, s, add) if r else ())
+        return d
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if type(other) is not DivisorClass or other.surface is not self.surface:
             self._require_same_surface(other)
-        return DivisorClass._make(self.surface, tuple(map(sub, self.head, other.head)),
-                                  _merge_runs(self.runs, other.runs, sub))
+        u, v, r, s = self.head, other.head, self.runs, other.runs
+        d = _new(DivisorClass)
+        _set_surface(d, self.surface)
+        _set_head(d, (u[0] - v[0], u[1] - v[1]) if len(u) == 2 else (u[0] - v[0],))
+        _set_runs(d, ((r[0][0] - s[0][0], r[0][1]),) if len(r) == 1 == len(s)
+                  else _merge_runs(r, s, sub) if r else ())
+        return d
 
     def __neg__(self) -> "DivisorClass":
         return -1 * self
@@ -261,8 +274,13 @@ class DivisorClass:
             return NotImplemented
         if n == 0:
             return self.surface.zero()
-        return DivisorClass._make(self.surface, tuple([n * a for a in self.head]),
-                                  tuple([(n * v, length) for v, length in self.runs]))
+        u, r = self.head, self.runs
+        d = _new(DivisorClass)
+        _set_surface(d, self.surface)
+        _set_head(d, (n * u[0], n * u[1]) if len(u) == 2 else (n * u[0],))
+        _set_runs(d, ((n * r[0][0], r[0][1]),) if len(r) == 1
+                  else tuple([(n * v, length) for v, length in r]) if r else ())
+        return d
 
     __mul__ = __rmul__
 
@@ -301,8 +319,6 @@ def _levels(surface: SurfaceModel) -> tuple[SurfaceModel, int]:
 
 def _merge_runs(u: tuple, v: tuple, op) -> tuple:
     """Canonical runs of ``op`` applied position by position, in one walk of both lists."""
-    if len(u) == 1 == len(v):
-        return ((op(u[0][0], v[0][0]), u[0][1]),)
     merged, last, j, n = [], None, -1, 0
     for x, m in u:
         while m:
@@ -385,12 +401,12 @@ def _exceptional_dot(u, v) -> int:
 
 
 def canonical_class(surface: SurfaceModel) -> DivisorClass:
+    if type(surface) is BlowUp:  # the case every build recurses through
+        return pullback(surface, canonical_class(surface.base)) + surface.exceptional_sum()
     if isinstance(surface, ProjectivePlane):
         return surface.divisor((-3,))
     if isinstance(surface, Hirzebruch):
         return surface.divisor((-2, -(surface.e + 2)))
-    if isinstance(surface, BlowUp):
-        return pullback(surface, canonical_class(surface.base)) + surface.exceptional_sum()
     raise TypeError(f"unsupported surface {surface!r}")
 
 
@@ -459,13 +475,16 @@ def h0(d: DivisorClass) -> SectionCount:
     surface, runs, imposed, refused = d.surface, d.runs, 0, False
     while type(surface) is BlowUp:
         runs, level = _split_runs(runs, surface._levels[1] - surface.point_count)
-        bad = sorted({c for c, _length in level if c not in (0, -1)})
-        if bad:
-            raise ValueError(
-                f"exceptional coefficients {bad} not supported: only simple "
-                "(multiplicity one) point conditions are modelled"
-            )
-        points = sum([length for c, length in level if c == -1])
+        points = 0
+        for c, length in level:  # sum the -1 runs; any value but 0 and -1 is refused
+            if c == -1:
+                points += length
+            elif c:
+                bad = sorted({c for c, _length in level if c not in (0, -1)})
+                raise ValueError(
+                    f"exceptional coefficients {bad} not supported: only simple "
+                    "(multiplicity one) point conditions are modelled"
+                )
         if points and not surface.general_position:
             refused = True
         imposed += points

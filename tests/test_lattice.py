@@ -669,6 +669,67 @@ class TestFastPaths:
         assert d == P2.divisor((2,))
 
 
+@st.composite
+def kernel_operands(draw):
+    """A plane, an F_e or a one- or two-level tower, and two classes on it.
+
+    Each class has one exceptional run or many short ones, drawn apart,
+    so that sums and differences meet both fast paths and the merge.
+    """
+    surface = draw(st.sampled_from((P2,) + tuple(Hirzebruch(e) for e in range(6))))
+    for _ in range(draw(st.integers(0, 2))):
+        surface = lattice.blow_up(surface, draw(st.integers(1, 30)))
+    split = lattice.picard_rank(_root(surface))
+    count = lattice.picard_rank(surface) - split
+    classes = []
+    for _ in range(2):
+        head = tuple(draw(st.integers(-9, 9)) for _ in range(split))
+        if draw(st.booleans()):
+            tail = (draw(st.integers(-4, 4)),) * count
+        else:
+            tail = tuple(draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count)))
+        classes.append(surface.divisor(head + tail))
+    return surface, *classes
+
+
+class TestKernelsAgainstDenseArithmetic:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(kernel_operands(), st.integers(-6, 6))
+    def test_sum_difference_and_multiple(self, operands, n):
+        surface, a, b = operands
+        ua, ub = a.coeffs, b.coeffs
+        results = [(a + b, tuple(map(add, ua, ub))), (a - b, tuple(map(sub, ua, ub)))]
+        results += [(m * a, tuple(m * x for x in ua)) for m in (n, 0, -1)]
+        for result, dense in results:
+            # equal fields to the class read from the dense vector: canonical runs
+            assert result == surface.divisor(dense) and result.surface is surface
+            assert DivisorClass(surface, result.head, result.runs) == result
+
+    @pytest.mark.parametrize("root", [P2, Hirzebruch(2)], ids=["plane", "ruled"])
+    @pytest.mark.parametrize("below", [0, 3])
+    def test_exceptional_sum_is_the_dense_sum(self, root, below):
+        surface = lattice.blow_up(lattice.blow_up(root, below) if below else root, 5)
+        total = surface.zero()
+        for i in range(1, 6):
+            total = total + surface.exceptional(i)
+        split = lattice.picard_rank(root)
+        assert surface.exceptional_sum() == total == surface.divisor(
+            (0,) * (split + below) + (1,) * 5)
+        assert surface.exceptional_sum().runs == (((0, below),) if below else ()) + ((1, 5),)
+
+    @pytest.mark.parametrize("coeffs", [
+        (6, 0, 0, -1, 2, -1, -2, 2),
+        (6, 2, -2, -1, 0, 0, 0, -1),
+    ], ids=["top-level", "lower-level"])
+    def test_h0_names_every_bad_value_of_the_level(self, coeffs):
+        # the walk stops at the level's first 2 but names its -2 as well
+        surface = lattice.blow_up(lattice.blow_up(P2, 2), 5)
+        message = ("exceptional coefficients [-2, 2] not supported: only simple "
+                   "(multiplicity one) point conditions are modelled")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lattice.h0(surface.divisor(coeffs))
+
+
 OPERATIONS = [add, sub, DivisorClass.dot]
 
 
