@@ -132,14 +132,19 @@ def resolve_node_bookkeeping(spec: CoverSpec, count: int) -> NodeResolution:
     point on the cover.  The canonical resolution blows up every node and
     subtracts the new exceptional class from each branch divisor; the
     unresolved surface keeps chi and gains one third of K^2 per node.
+    The branch divisors must meet in exactly ``count`` points, or
+    LedgerError names both numbers.
     """
     if spec.degree != 3:
         raise covers.BuildingDataError("node bookkeeping applies to degree 3 covers")
     # The node locations are fixed by the branch curves, so the resolving
     # blow-up assumes no generality; it refuses a count that is not a positive int.
     resolved_base = lattice.blow_up(spec.base, count, general_position=False)
-    new_exceptional = resolved_base.exceptional_sum()
     d1, d2 = spec.branch
+    meet = d1.dot(d2)
+    if meet != count:
+        raise LedgerError(f"{count} retained nodes, but the branch intersection number is {meet}")
+    new_exceptional = resolved_base.exceptional_sum()
     resolved_spec = CoverSpec.triple(
         resolved_base,
         lattice.pullback(resolved_base, d1) - new_exceptional,

@@ -217,6 +217,16 @@ class TestNodeResolution:
         with pytest.raises(ValueError, match="^blow-up point count must be a positive integer$"):
             resolve_node_bookkeeping(_triple_spec(8, 1), count)
 
+    @pytest.mark.parametrize("nodes, count", [(3, 6), (0, 3)],
+                             ids=["three-nodes-count-six", "node-free-count-three"])
+    def test_count_must_be_the_branch_intersection(self, nodes, count):
+        spec = _triple_spec(9, nodes)
+        d1, d2 = spec.branch
+        assert d1.dot(d2) == nodes
+        message = f"{count} retained nodes, but the branch intersection number is {nodes}"
+        with pytest.raises(LedgerError, match=f"^{message}$"):
+            resolve_node_bookkeeping(spec, count)
+
     def test_gain_is_nodes_over_three(self):
         for nodes in (1, 2, 3):
             resolution = resolve_node_bookkeeping(_triple_spec(9, nodes), nodes)
