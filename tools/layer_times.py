@@ -1,4 +1,4 @@
-"""Per-check and lattice-kernel timings of horikawa, printed as one JSON object.
+"""Per-check, kernel, builder, report and cold-start timings of horikawa, as one JSON object.
 
     PYTHONPATH=src python3 tools/layer_times.py [--repeat N] [--against PATH]
 
@@ -24,10 +24,24 @@ Each pass makes ``RUNS_PER_PASS`` back-to-back runs of each package, and
 its figures are the means per run.
 
 ``kernels_us`` times the lattice kernels in microseconds per call:
-``divisor``, ``dot`` and ``+`` over the 400 classes of the
-``lattice-symmetry-bilinearity`` sample, and ``dot``, ``+`` and a dense
-``divisor`` at Picard rank 10^5 (the plane blown up at 99,999 points)
-on classes of 1 and of 1,000 exceptional runs.
+``divisor``, ``dot``, ``+``, ``-`` and ``3 * a`` (``scale``) over the
+400 classes of the ``lattice-symmetry-bilinearity`` sample, and ``dot``,
+``+`` and a dense ``divisor`` at Picard rank 10^5 (the plane blown up at
+99,999 points) on classes of 1 and of 1,000 exceptional runs.
+
+``builds_us`` times ``catalog.build_component_one`` and
+``catalog.build_stable`` in microseconds per call at each chi of
+``BUILD_CHIS``.
+
+``startup_ms`` is the cold start: the self time in milliseconds of each
+package module (and their ``total``) that ``python -X importtime -c
+'import horikawa.cli'`` reports, in a new subprocess for each package
+and pass.  ``pyc`` reads compiled files written by an untimed start;
+``no_pyc`` runs with ``PYTHONDONTWRITEBYTECODE=1`` and an empty
+``PYTHONPYCACHEPREFIX``, so every module is compiled from source, as in
+a fresh checkout.  Both keep their ``.pyc`` files under a temporary
+prefix, outside the checkouts, and each package is imported from its
+own ``src``.
 
 ``report_us`` times the report layer in microseconds per call:
 ``to_jsonable``, ``to_json``, ``from_json`` and ``render_text`` on the
@@ -44,10 +58,13 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import types
 from pathlib import Path
@@ -61,6 +78,7 @@ REPORTS = {
 }
 BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
+BUILD_CHIS = (150, 15700)
 
 
 def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
@@ -81,9 +99,10 @@ def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
 
 
 def load(name: str) -> types.SimpleNamespace:
-    """The modules of the imported package ``name`` that the figures use."""
-    return types.SimpleNamespace(**{module: importlib.import_module(f"{name}.{module}")
-                                    for module in ("cli", "lattice", "reporting", "verify")})
+    """The modules of the imported package ``name`` that the figures use, and its ``src``."""
+    modules = {module: importlib.import_module(f"{name}.{module}")
+               for module in ("catalog", "cli", "lattice", "reporting", "verify")}
+    return types.SimpleNamespace(**modules, src=Path(modules["cli"].__file__).parents[1])
 
 
 def load_checkout(root: str, name: str = "horikawa_base") -> types.SimpleNamespace:
@@ -142,7 +161,7 @@ def per_check(pkgs, chi_max: int, k_max: int, repeat: int) -> dict:
 
 
 def sample_kernels(pkgs, repeat: int) -> dict:
-    """``divisor``, ``dot`` and ``+`` over the bilinearity sample, in us per call."""
+    """``divisor``, ``dot``, ``+``, ``-`` and ``3 * a`` over the bilinearity sample, in us."""
     samples = []
     for pkg in pkgs:
         lattice, verify = pkg.lattice, pkg.verify
@@ -158,6 +177,10 @@ def sample_kernels(pkgs, repeat: int) -> dict:
                       repeat, 5, scale),
         "add": passes([lambda ps=ps: [a + b for a, b in ps] for _v, ps in samples],
                       repeat, 5, scale),
+        "sub": passes([lambda ps=ps: [a - b for a, b in ps] for _v, ps in samples],
+                      repeat, 5, scale),
+        "scale": passes([lambda ps=ps: [3 * a for a, _b in ps] for _v, ps in samples],
+                        repeat, 5, scale),
     }
 
 
@@ -205,6 +228,51 @@ def big_kernels(pkgs, repeat: int) -> dict:
     return timings
 
 
+def builds(pkgs, repeat: int) -> dict:
+    """``build_component_one`` and ``build_stable`` at each ``BUILD_CHIS``, in us per call."""
+    return {name: {str(chi): passes([lambda build=getattr(pkg.catalog, name), chi=chi: build(chi)
+                                     for pkg in pkgs], repeat, 20, 1e6)
+                   for chi in BUILD_CHIS}
+            for name in ("build_component_one", "build_stable")}
+
+
+def import_times(src: Path, env: dict) -> dict:
+    """Self time in ms of each package module, and their total, in one cold start."""
+    result = subprocess.run([sys.executable, "-X", "importtime", "-c", "import horikawa.cli"],
+                            env={**env, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                            check=True)
+    times = {}
+    for line in result.stderr.splitlines():
+        self_us, _cumulative, module = line.removeprefix("import time:").split("|")
+        module = module.strip()
+        if module.split(".")[0] == "horikawa":
+            times[module] = int(self_us) / 1e3
+    times["total"] = sum(times.values())
+    return times
+
+
+def startup(pkgs, repeat: int) -> dict:
+    """Per-module import self times with and without ``.pyc`` files, in ms per start."""
+    figures = {}
+    for mode in ("pyc", "no_pyc"):
+        with tempfile.TemporaryDirectory() as prefix:
+            env = {**os.environ, "PYTHONPYCACHEPREFIX": prefix}
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            if mode == "pyc":
+                for pkg in pkgs:
+                    import_times(pkg.src, env)  # writes the .pyc files under the prefix
+            else:
+                env["PYTHONDONTWRITEBYTECODE"] = "1"
+            starts = [[] for _ in pkgs]
+            for n in range(repeat):
+                for i in (range(len(pkgs)) if n % 2 == 0 else reversed(range(len(pkgs)))):
+                    starts[i].append(import_times(pkgs[i].src, env))
+        modules = dict.fromkeys(name for runs in starts for run in runs for name in run)
+        figures[mode] = {name: [[run[name] for run in runs if name in run] for runs in starts]
+                         for name in modules}
+    return figures
+
+
 def cli_report(pkg, argv) -> tuple:
     """The JSON text ``cli.main`` prints for ``argv`` and the report read back from it."""
     stdout = io.StringIO()
@@ -241,7 +309,9 @@ def figures(pkgs, repeat: int) -> dict:
         "per_check": {f"{chi},{k}": per_check(pkgs, chi, k, repeat) for chi, k in RANGES},
         "kernels_us": {"bilinearity_sample": sample_kernels(pkgs, repeat),
                        "rank_1e5": big_kernels(pkgs, repeat)},
+        "builds_us": builds(pkgs, repeat),
         "report_us": report_layer(pkgs, repeat),
+        "startup_ms": startup(pkgs, repeat),
     }
 
 
