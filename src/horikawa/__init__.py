@@ -16,9 +16,8 @@ from .catalog import (AdmissiblePair, AmplenessCertificate, CanonicalImages,
                       nef_certificate, parity_discriminator, pick_parameters,
                       scroll_family_curve)
 from .covers import (CanonicalMultiple, CoverSpec, InvariantReport, ScrollCurve,
-                     classify_germ, cyclic_shift_invariant, derive_root,
-                     double_cover_invariants, scroll_class, t1_scaling_invariant,
-                     triple_cover_invariants)
+                     classify_germ, cover_invariants, cyclic_shift_invariant,
+                     derive_root, eigensheaves, scroll_class, t1_scaling_invariant)
 from .lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                       SectionCount, SurfaceMismatchError, SurfaceModel, blow_up,
                       canonical_class, h0, picard_rank, pullback)

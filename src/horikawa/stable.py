@@ -130,11 +130,14 @@ def resolve_node_bookkeeping(spec: CoverSpec, count: int) -> NodeResolution:
 
     Each retained node of the branch produces a one-third quotient
     point on the cover.  The canonical resolution blows up every node and
-    subtracts the new exceptional class from each branch divisor; the
-    unresolved surface keeps chi and gains one third of K^2 per node.
-    The branch divisors must meet in exactly ``count`` points, or
-    LedgerError names both numbers.
+    subtracts the new exceptional class from each branch divisor; its
+    invariants come from ``covers.cover_invariants``, and the unresolved
+    surface keeps chi and gains one third of K^2 per node.  A ``spec``
+    that is no CoverSpec raises TypeError; the branch divisors must meet
+    in exactly ``count`` points, or LedgerError names both numbers.
     """
+    if not isinstance(spec, CoverSpec):
+        raise TypeError(f"expected a CoverSpec, got {spec!r}")
     if spec.degree != 3:
         raise covers.BuildingDataError("node bookkeeping applies to degree 3 covers")
     # The node locations are fixed by the branch curves, so the resolving
@@ -150,6 +153,6 @@ def resolve_node_bookkeeping(spec: CoverSpec, count: int) -> NodeResolution:
         lattice.pullback(resolved_base, d1) - new_exceptional,
         lattice.pullback(resolved_base, d2) - new_exceptional,
     )
-    resolved = covers.triple_cover_invariants(resolved_spec)
+    resolved = covers.cover_invariants(resolved_spec)
     unresolved = contract_minus3(resolved.chi, resolved.k_squared, count)
     return NodeResolution(resolved, unresolved)

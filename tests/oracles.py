@@ -35,6 +35,17 @@ def gram_dot(surface, u, v) -> int:
     return sum(u[i] * matrix[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
 
 
+def canonical_vector(surface) -> list[int]:
+    """K over the Picard basis: -3H, -2D0 - (e + 2)F, and +E_i for each blown-up point."""
+    if isinstance(surface, ProjectivePlane):
+        return [-3]
+    if isinstance(surface, Hirzebruch):
+        return [-2, -(surface.e + 2)]
+    if isinstance(surface, BlowUp):
+        return canonical_vector(surface.base) + [1] * surface.point_count
+    raise TypeError(f"unsupported surface {surface!r}")
+
+
 def count_scroll_monomials(e: int, a: int, b: int) -> int:
     """Monomials t1^c1 t2^c2 x1^d1 x2^d2 with d1 + d2 = a and e*d1 + c1 + c2 = b."""
     if a < 0 or b < 0:

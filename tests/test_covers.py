@@ -3,15 +3,17 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import covers, lattice
+from horikawa import catalog, covers, faults, lattice
 from horikawa.covers import (BuildingDataError, CoverSpec, ScrollCurve,
-                             classify_germ, cyclic_shift_invariant, derive_root,
-                             double_cover_invariants, scroll_class,
-                             t1_scaling_invariant, triple_cover_invariants)
+                             classify_germ, cover_invariants, cyclic_shift_invariant,
+                             derive_root, eigensheaves, scroll_class,
+                             t1_scaling_invariant)
 from horikawa.lattice import Hirzebruch, ProjectivePlane
+
+from oracles import canonical_vector, gram_dot, tower_section_count
 
 P2 = ProjectivePlane()
 
@@ -62,8 +64,6 @@ class TestDeriveRoot:
         (lambda: CoverSpec(2, P2, P2.divisor((10,))),
          "branch must be a tuple or list of classes, got "
          "DivisorClass(surface=ProjectivePlane(), head=(10,), runs=())"),
-        (lambda: triple_cover_invariants(CoverSpec.double(P2, P2.divisor((4,)))),
-         "triple cover invariants need a degree 3 spec"),
         # unchecked, a None base was stored and failed later as an unsupported surface
         (lambda: CoverSpec(2, None, (P2.divisor((4,)),)), "base must be a SurfaceModel, got None"),
         # unchecked, an int base raised AttributeError on its .zero()
@@ -72,8 +72,7 @@ class TestDeriveRoot:
     ], ids=["degree-4", "degree-float", "degree-bool", "one-class-for-degree-3",
             "two-classes-for-degree-2", "class-on-another-surface", "int-branch-entry",
             "int-branch-entry-of-a-spec", "int-branch", "bare-class-branch-of-a-spec",
-            "triple-invariants-of-a-double-cover", "none-base-of-a-spec", "int-base-of-a-spec",
-            "int-base"])
+            "none-base-of-a-spec", "int-base-of-a-spec", "int-base"])
     def test_malformed_building_data_refused(self, build, message):
         with pytest.raises(BuildingDataError, match=f"^{re.escape(message)}$"):
             build()
@@ -107,7 +106,7 @@ class TestDeriveRoot:
 
 class TestDoubleCoverInvariants:
     def test_plane_degree_ten(self):
-        report = double_cover_invariants(CoverSpec.double(P2, P2.divisor((10,))))
+        report = cover_invariants(CoverSpec.double(P2, P2.divisor((10,))))
         assert report.k_squared == 8
         assert report.chi == 7
         assert report.p_g == 6
@@ -118,7 +117,7 @@ class TestDoubleCoverInvariants:
     def test_scroll_branch_with_section(self):
         # branch = negative section plus a five-section, k = 2
         f6 = Hirzebruch(6)
-        report = double_cover_invariants(CoverSpec.double(f6, f6.divisor((6, 30))))
+        report = cover_invariants(CoverSpec.double(f6, f6.divisor((6, 30))))
         assert report.k_squared == 16
         assert report.chi == 11
         assert report.canonical_multiple.cls == f6.divisor((1, 7))
@@ -126,16 +125,10 @@ class TestDoubleCoverInvariants:
 
     def test_empty_branch_degenerate(self):
         f0 = Hirzebruch(0)
-        report = double_cover_invariants(CoverSpec.double(f0, f0.zero()))
+        report = cover_invariants(CoverSpec.double(f0, f0.zero()))
         assert report.k_squared == 16
         assert report.chi == 2
         assert covers.WARN_EMPTY_BRANCH in report.warnings
-
-    def test_degree_mismatch(self):
-        f0 = Hirzebruch(0)
-        spec = CoverSpec.triple(f0, f0.zero(), f0.zero())
-        with pytest.raises(BuildingDataError, match="degree 2"):
-            double_cover_invariants(spec)
 
     def test_pulled_back_branch_reports_unavailable_p_g(self):
         # adjoint class keeps the positive exceptional part of the
@@ -144,7 +137,7 @@ class TestDoubleCoverInvariants:
         f0 = Hirzebruch(0)
         blown = lattice.blow_up(f0, 2)
         branch = lattice.pullback(blown, f0.divisor((2, 2)))
-        report = double_cover_invariants(CoverSpec.double(blown, branch))
+        report = cover_invariants(CoverSpec.double(blown, branch))
         assert report.p_g is None
         assert report.k_squared == 0
         assert report.chi == 1
@@ -153,7 +146,7 @@ class TestDoubleCoverInvariants:
         # the adjoint 2H - E1 imposes its blown-up point: a virtual count, never a p_g
         blown = lattice.blow_up(P2, 1)
         branch = lattice.pullback(blown, P2.divisor((10,))) - 4 * blown.exceptional_sum()
-        report = double_cover_invariants(CoverSpec.double(blown, branch))
+        report = cover_invariants(CoverSpec.double(blown, branch))
         assert report.canonical_multiple.cls == blown.divisor((2, -1))
         assert not lattice.h0(report.canonical_multiple.cls).exact
         assert report.p_g is None
@@ -166,14 +159,14 @@ class TestDoubleCoverInvariants:
         for coeffs in [(0, 2), (1, 0), (3, 5), (2, 7)]:
             d = f1.divisor(coeffs)
             assert d.dot(d + lattice.canonical_class(f1)) % 2 == 0
-        report = double_cover_invariants(CoverSpec.double(f1, f1.divisor((2, 4))))
+        report = cover_invariants(CoverSpec.double(f1, f1.divisor((2, 4))))
         assert isinstance(report.chi, int)
 
 
 class TestTripleCoverInvariants:
     def test_empty_branch_degenerate(self):
         f0 = Hirzebruch(0)
-        report = triple_cover_invariants(CoverSpec.triple(f0, f0.zero(), f0.zero()))
+        report = cover_invariants(CoverSpec.triple(f0, f0.zero(), f0.zero()))
         assert report.k_squared == 24
         assert report.chi == 3
         assert covers.WARN_EMPTY_BRANCH in report.warnings
@@ -186,7 +179,7 @@ class TestTripleCoverInvariants:
                             lambda surface: honest(surface) + P2.divisor((1,)))
         spec = CoverSpec.triple(P2, P2.divisor((3,)), P2.zero())
         with pytest.raises(BuildingDataError, match="^non-integer chi"):
-            triple_cover_invariants(spec)
+            cover_invariants(spec)
 
     def test_ordered_branch_pair_matters(self):
         ruled = Hirzebruch(0)
@@ -202,18 +195,179 @@ class TestTripleCoverInvariants:
         exc = blown.exceptional_sum()
         d1 = lattice.pullback(blown, ruled.divisor((2, 6))) - exc
         d2 = lattice.pullback(blown, ruled.divisor((2, 3))) - exc
-        report = triple_cover_invariants(CoverSpec.triple(blown, d1, d2))
+        report = cover_invariants(CoverSpec.triple(blown, d1, d2))
         cls = report.canonical_multiple.cls
         assert report.canonical_multiple.multiple == 3
         assert 3 * report.k_squared == cls.dot(cls)
         assert type(report.k_squared) is int
+
+    def test_opposite_branch_classes_are_no_empty_branch(self):
+        # d1 + d2 = 0 with both classes nonzero: the sheaves sum to zero but are not zero
+        f0 = Hirzebruch(0)
+        spec = CoverSpec.triple(f0, f0.divisor((0, -3)), f0.divisor((0, 3)))
+        assert eigensheaves(spec) == (f0.divisor((0, 1)), f0.divisor((0, -1)))
+        assert cover_invariants(spec).warnings == ()
 
     def test_non_integral_k_squared_rejected(self):
         # divisible branch data whose tri-canonical square is not 0 mod 3
         f0 = Hirzebruch(0)
         spec = CoverSpec.triple(f0, f0.divisor((2, 4)), f0.divisor((2, 1)))
         with pytest.raises(BuildingDataError, match="not an integer"):
-            triple_cover_invariants(spec)
+            cover_invariants(spec)
+
+
+class TestEigensheaves:
+    def test_double_cover_has_the_root(self):
+        spec = CoverSpec.double(P2, P2.divisor((10,)))
+        assert eigensheaves(spec) == (P2.divisor((5,)),)
+
+    def test_triple_cover_sheaves_sum_to_the_branch_sum(self):
+        ruled = Hirzebruch(0)
+        blown = lattice.blow_up(ruled, 16)
+        exc = blown.exceptional_sum()
+        d1 = lattice.pullback(blown, ruled.divisor((2, 7))) - exc
+        d2 = lattice.pullback(blown, ruled.divisor((2, 1))) - exc
+        first, second = eigensheaves(CoverSpec.triple(blown, d1, d2))
+        assert first == derive_root(3, (d1, d2))
+        assert first + second == d1 + d2
+        # the second sheaf is the root of the pair with its weights swapped
+        assert second == derive_root(3, (d2, d1))
+
+    def test_zero_branch(self):
+        f0 = Hirzebruch(0)
+        assert eigensheaves(CoverSpec.triple(f0, f0.zero(), f0.zero())) == (f0.zero(),) * 2
+
+
+class TestCoverInvariantsRefusals:
+    # unchecked, an int raised AttributeError on its .degree
+    @pytest.mark.parametrize("function", [cover_invariants, eigensheaves])
+    @pytest.mark.parametrize("spec", [5, None, (2, P2, (P2.divisor((10,)),))],
+                             ids=["int", "none", "plain-tuple"])
+    def test_non_spec_refused(self, function, spec):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'expected a CoverSpec, got {spec!r}')}$"):
+            function(spec)
+
+
+ORACLE_ROOTS = (P2,) + tuple(Hirzebruch(e) for e in range(5))
+
+
+@st.composite
+def oracle_surfaces(draw):
+    """The plane, F_0 to F_4, or one of them blown up at one to four points."""
+    root = draw(st.sampled_from(ORACLE_ROOTS))
+    if draw(st.booleans()):
+        return root
+    return lattice.blow_up(root, draw(st.integers(1, 4)), draw(st.booleans()))
+
+
+def _dense_sections(surface, vectors):
+    # the p_g that the oracle expects: None once a count is virtual or unsupported
+    total = 0
+    for vector in vectors:
+        try:
+            value, exact = tower_section_count(surface, vector)
+        except ValueError:
+            return None
+        if not exact:
+            return None
+        total += value
+    return total
+
+
+def combine(*terms):
+    """The dense vector sum of c * v over the (c, v) terms."""
+    return [sum(c * v[i] for c, v in terms) for i in range(len(terms[0][1]))]
+
+
+def assert_matches_dense_oracle(surface, root, d2=None):
+    """Compare ``cover_invariants`` with the classical formulas on dense vectors.
+
+    The cover has root class ``root``, and in degree 3 second branch class
+    ``d2``.  Double cover branched on 2L: K^2 = 2(K + L)^2 and chi = 2 +
+    L.(K + L)/2.  Triple cover with branch (D1, D2): K^2 = (3K + 2(D1 +
+    D2))^2/3 and chi = 3 + sum_j L_j.(K + L_j)/2 over L_1 = root and
+    L_2 = D1 + D2 - root.
+    """
+    k = canonical_vector(surface)
+    if d2 is None:
+        spec = CoverSpec.double(surface, surface.divisor(combine((2, root))))
+        sheaves = [root]
+        multiple, cls = 1, combine((1, k), (1, root))
+        square, fraction = 2 * gram_dot(surface, cls, cls), 0
+    else:
+        d1 = combine((3, root), (-2, d2))
+        spec = CoverSpec.triple(surface, surface.divisor(d1), surface.divisor(d2))
+        sheaves = [root, combine((1, d1), (1, d2), (-1, root))]
+        multiple, cls = 3, combine((3, k), (2, d1), (2, d2))
+        square, fraction = divmod(gram_dot(surface, cls, cls), 3)
+    assert [sheaf.coeffs for sheaf in eigensheaves(spec)] == [tuple(v) for v in sheaves]
+    if fraction:
+        with pytest.raises(BuildingDataError, match=r"^K\^2 is not an integer"):
+            cover_invariants(spec)
+        return
+    adjoints = [combine((1, k), (1, sheaf)) for sheaf in sheaves]
+    pairing = sum(gram_dot(surface, sheaf, adjoint) for sheaf, adjoint in zip(sheaves, adjoints))
+    assert pairing % 2 == 0
+    report = cover_invariants(spec)
+    assert report.k_squared == square
+    assert report.chi == spec.degree + pairing // 2
+    assert report.canonical_multiple.multiple == multiple
+    assert report.canonical_multiple.cls.coeffs == tuple(cls)
+    assert report.p_g == _dense_sections(surface, adjoints)
+    empty = not any(c for d in spec.branch for c in d.coeffs)
+    assert report.warnings == ((covers.WARN_EMPTY_BRANCH,) if empty else ())
+
+
+class TestCoverInvariantsAgainstDenseOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(oracle_surfaces(), st.sampled_from((2, 3)), st.data())
+    def test_random_building_data(self, surface, degree, data):
+        rank = lattice.picard_rank(surface)
+        vectors = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)
+        root = data.draw(vectors)
+        assert_matches_dense_oracle(surface, root, data.draw(vectors) if degree == 3 else None)
+
+    def test_zero_branch_triple_cover_keeps_multiple_three(self):
+        # 3K is divisible by 3, but the multiple is fixed by the degree alone
+        f0 = Hirzebruch(0)
+        assert_matches_dense_oracle(f0, [0, 0], [0, 0])
+        report = cover_invariants(CoverSpec.triple(f0, f0.zero(), f0.zero()))
+        assert report.canonical_multiple == covers.CanonicalMultiple(
+            3, 3 * lattice.canonical_class(f0))
+
+    @pytest.mark.parametrize("surface, root, d2", [
+        (Hirzebruch(0), [3, 3], [3, 3]),
+        (lattice.blow_up(lattice.blow_up(Hirzebruch(1), 2), 1), [2, 2, -1, -1, -1],
+         [2, 1, -1, -1, -1]),
+    ], ids=["both-adjoints-with-sections", "two-level-tower"])
+    def test_fixed_building_data(self, surface, root, d2):
+        assert_matches_dense_oracle(surface, root, d2)
+
+
+def double_reports():
+    return catalog.build_component_two(1).report, catalog.build_component_two(2).report
+
+
+def triple_reports():
+    return catalog.build_component_one(7).report, catalog.build_stable(7).recipe.report
+
+
+class TestCoverFaultsStayInTheirDegree:
+    # the five cover faults edit the one shared formula: each changes the
+    # reports of its own degree and leaves the other degree's as they are
+    @pytest.mark.parametrize("name, own, other", [
+        ("double-cover-ksq-factor", double_reports, triple_reports),
+        ("double-cover-chi-missing-half", double_reports, triple_reports),
+        ("triple-cover-ksq-shift", triple_reports, double_reports),
+        ("triple-cover-chi-shift", triple_reports, double_reports),
+        ("triple-cover-canonical-multiple-coefficient", triple_reports, double_reports),
+    ])
+    def test_other_degree_unchanged(self, name, own, other):
+        clean_own, clean_other = own(), other()
+        with faults.injected(name):
+            assert other() == clean_other
+            faulty_own = own()
+        assert all(a != b for a, b in zip(faulty_own, clean_own))
 
 
 def _adjoint(spec):
@@ -223,7 +377,7 @@ def _adjoint(spec):
 class TestCanonicalImage:
     def test_plane_image(self):
         spec = CoverSpec.double(P2, P2.divisor((10,)))
-        assert double_cover_invariants(spec).p_g == 6
+        assert cover_invariants(spec).p_g == 6
         assert _adjoint(spec) == P2.divisor((2,))
         assert lattice.ample(_adjoint(spec))
 
@@ -232,7 +386,7 @@ class TestCanonicalImage:
         spec = CoverSpec.double(f6, f6.divisor((6, 30)))
         assert _adjoint(spec) == f6.divisor((1, 7))
         assert lattice.ample(_adjoint(spec))
-        assert double_cover_invariants(spec).p_g == 10
+        assert cover_invariants(spec).p_g == 10
 
     def test_scroll_image_at_the_ample_boundary(self):
         # the adjoint class D0 + 6F on F_6 has b == a*e: nef, not ample
@@ -240,12 +394,12 @@ class TestCanonicalImage:
         spec = CoverSpec.double(f6, f6.divisor((6, 28)))
         assert _adjoint(spec) == f6.divisor((1, 6))
         assert not lattice.ample(_adjoint(spec))
-        assert double_cover_invariants(spec).p_g == 8
+        assert cover_invariants(spec).p_g == 8
 
     def test_degenerate_empty_system(self):
         f0 = Hirzebruch(0)
         spec = CoverSpec.double(f0, f0.zero())
-        assert double_cover_invariants(spec).p_g == 0
+        assert cover_invariants(spec).p_g == 0
         assert not lattice.ample(_adjoint(spec))
 
 

@@ -475,7 +475,7 @@ def _huge_head_report():
 def _virtual_p_g_report():
     blown = lattice.blow_up(ProjectivePlane(), 1)
     branch = lattice.pullback(blown, blown.base.divisor((10,))) - 4 * blown.exceptional_sum()
-    virtual = covers.double_cover_invariants(covers.CoverSpec.double(blown, branch))
+    virtual = covers.cover_invariants(covers.CoverSpec.double(blown, branch))
     report = _construction_report()
     return report._replace(payload=report.payload._replace(
         recipe=report.payload.recipe._replace(report=virtual)))

@@ -207,6 +207,11 @@ class TestNodeResolution:
                            match="^node bookkeeping applies to degree 3 covers$"):
             resolve_node_bookkeeping(CoverSpec.double(Hirzebruch(0), Hirzebruch(0).zero()), 3)
 
+    def test_non_spec_refused(self):
+        # unchecked, an int raised AttributeError on its .degree
+        with pytest.raises(TypeError, match="^expected a CoverSpec, got 5$"):
+            resolve_node_bookkeeping(5, 3)
+
     def test_node_free_spec_refused(self):
         # with no node there is nothing to resolve: the resolving blow-up refuses the count
         with pytest.raises(ValueError, match="^blow-up point count must be a positive integer$"):
@@ -235,6 +240,6 @@ class TestNodeResolution:
 
     def test_fully_resolved_vs_stable_difference(self):
         chi = 12
-        full = covers.triple_cover_invariants(_triple_spec(chi, 0))
+        full = covers.cover_invariants(_triple_spec(chi, 0))
         partial = resolve_node_bookkeeping(_triple_spec(chi, 3), 3)
         assert partial.unresolved.k_squared - full.k_squared == 1

@@ -11,11 +11,12 @@ per-process sample caches of ``verify``.
 as the package ``horikawa_base`` and times both packages in this process.
 Each pass of a figure times the two packages back to back, the change
 first on even passes and the base first on odd ones.  Each figure then
-reads ``{"change": ..., "base": ..., "median_ratio": ...}``: the best
-pass of each package and the median of the per-pass ratios change/base,
-where the change is the ``horikawa`` on the path.  The median ratio is
-the figure to compare: the ratio of the two best passes can read far
-from 1 for identical code.
+reads ``{"change": ..., "base": ..., "median_ratio": ...,
+"ratio_quartiles": [...]}``: the best pass of each package, and the
+median and the lower and upper quartiles of the per-pass ratios
+change/base, where the change is the ``horikawa`` on the path.  The
+median ratio is the figure to compare, and the quartiles size its noise:
+the ratio of the two best passes can read far from 1 for identical code.
 
 ``per_check`` times each check of ``run_verification`` as the real run
 calls it (the registered check functions are wrapped for the duration of
@@ -29,9 +30,10 @@ its figures are the means per run.
 ``+`` and a dense ``divisor`` at Picard rank 10^5 (the plane blown up at
 99,999 points) on classes of 1 and of 1,000 exceptional runs.
 
-``builds_us`` times ``catalog.build_component_one`` and
-``catalog.build_stable`` in microseconds per call at each chi of
-``BUILD_CHIS``.
+``builds_us`` times ``catalog.build_component_one``,
+``catalog.build_stable`` and ``catalog.build_component_two`` in
+microseconds per call at each argument of ``BUILDS``: chi 150 and 15,700,
+and for component-II the k whose chi = 4k + 3 is nearest to them.
 
 ``startup_ms`` is the cold start: the self time in milliseconds of each
 package module (and their ``total``) that ``python -X importtime -c
@@ -78,7 +80,8 @@ REPORTS = {
 }
 BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
-BUILD_CHIS = (150, 15700)
+BUILDS = {"build_component_one": (150, 15700), "build_stable": (150, 15700),
+          "build_component_two": (37, 3924)}
 
 
 def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
@@ -229,11 +232,11 @@ def big_kernels(pkgs, repeat: int) -> dict:
 
 
 def builds(pkgs, repeat: int) -> dict:
-    """``build_component_one`` and ``build_stable`` at each ``BUILD_CHIS``, in us per call."""
-    return {name: {str(chi): passes([lambda build=getattr(pkg.catalog, name), chi=chi: build(chi)
+    """Each builder of ``BUILDS`` at each of its arguments, in us per call."""
+    return {name: {str(arg): passes([lambda build=getattr(pkg.catalog, name), arg=arg: build(arg)
                                      for pkg in pkgs], repeat, 20, 1e6)
-                   for chi in BUILD_CHIS}
-            for name in ("build_component_one", "build_stable")}
+                   for arg in args}
+            for name, args in BUILDS.items()}
 
 
 def import_times(src: Path, env: dict) -> dict:
@@ -327,10 +330,16 @@ def lowest(values: list):
 
 
 def compare(change: list, base: list) -> dict:
-    """The lowest value of each package and the median per-pass ratio change/base."""
-    ratio = (round(statistics.median([c / b for c, b in zip(change, base)]), 3)
-             if change and base else None)
-    return {"change": lowest(change), "base": lowest(base), "median_ratio": ratio}
+    """The lowest value of each package and the median and quartiles of the ratios change/base."""
+    ratios = [c / b for c, b in zip(change, base)]
+    if not ratios:
+        return {"change": lowest(change), "base": lowest(base), "median_ratio": None,
+                "ratio_quartiles": None}
+    # one pass has one ratio, which is then each of its quartiles
+    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                      if len(ratios) > 1 else ratios * 3)
+    return {"change": lowest(change), "base": lowest(base), "median_ratio": round(median, 3),
+            "ratio_quartiles": [round(q1, 3), round(q3, 3)]}
 
 
 def main(argv=None) -> int:
