@@ -8,8 +8,10 @@ consumer silently truncates them.
 
 One codec, driven by the record fields and their annotations, covers
 every payload; the "wire format" tables list where the JSON differs.
-``to_json`` writes the document straight from the records, with each
-record class's keys sorted once, and ``to_jsonable`` is its parse.
+Each record class gets a writer and a reader, generated from its fields'
+shapes on first use, as ``namedtuple`` generates its methods: the writer
+reads each field once and writes it in place, in sorted key order, and
+``to_jsonable`` is the parse of ``to_json``.
 Decoding is strict: a missing key, a wrong JSON type or an unknown tag
 raises ValueError.  Reports of schema /2 decode as they are, since /3
 only writes the smooth K^2 as a number where /2 wrote a decimal string;
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import re
 import types
 import typing
@@ -141,7 +142,8 @@ _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 # codec: each annotation becomes a shape, a tuple headed by its kind, such as
 # ("int",), ("optional", inner, none_as), ("tuple", item), ("fixed", items),
 # ("dict", key, value), ("json",) for any JSON value, or
-# ("object", tag_key, {tag: cls}); a record class that needs no tag has key None
+# ("object", tag_key, {tag: cls}); a record class that needs no tag has key None.
+# A shape compiles to a writer and a reader, generated from _SOURCES
 
 _INT, _STR, _THIRDS, _JSON = ("int",), ("str",), ("thirds",), ("json",)
 # the only forms of an integer and of a rational that the codec writes, and so
@@ -149,10 +151,6 @@ _INT, _STR, _THIRDS, _JSON = ("int",), ("str",), ("thirds",), ("json",)
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _SCALARS = {int: _INT, bool: ("bool",), str: _STR}
-# the JSON type each kind other than "int" and "optional" decodes from; "json"
-# takes any value, so no type passes its test and the refusal's branch returns it
-_JSON_TYPES = {"bool": bool, "str": str, "thirds": str, "dict": dict, "json": None,
-               "object": dict, "tuple": list, "fixed": list, "frozenset": list}
 
 
 def _shape(hint, none_as=None) -> tuple:
@@ -193,123 +191,168 @@ def _plan(cls) -> tuple:
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
 
-def _decode(data, shape: tuple):
-    kind = shape[0]
-    if kind == "int":
-        if type(data) is int:
-            return data
-        if type(data) is str:
-            if not _INTEGER.fullmatch(data):
-                raise ValueError(f"invalid literal for an integer: {data!r:.80}")
-            return int(data)
-        raise ValueError(f"expected an integer, got {data!r:.80}")
-    if kind == "optional":
-        return None if data == shape[2] else _decode(data, shape[1])
-    if type(data) is not _JSON_TYPES[kind]:
-        if kind == "json":
-            return data
-        raise ValueError(f"expected {_JSON_TYPES[kind].__name__}, got {data!r:.80}")
-    if kind == "str" or kind == "bool":
-        return data
-    if kind == "object":
-        tag = data.get(shape[1])
-        cls = shape[2].get(tag if type(tag) is str else None)
-        if cls is None:
-            raise ValueError(f"unknown {shape[1]} {tag!r:.80}")
-        values = {}
-        try:
-            for name, key, sub in _plan(cls)[0]:
-                values[name] = _decode(data[key], sub)
-        except KeyError:
-            raise ValueError(f"missing key {key!r} of {cls.__name__}") from None
-        except (ValueError, ZeroDivisionError) as error:
-            raise ValueError(f"{key}: {error}") from None
-        return cls(**values)
-    if kind == "tuple":
-        return tuple([_decode(v, shape[1]) for v in data])
-    if kind == "fixed":
-        if len(data) != len(shape[1]):
-            raise ValueError(f"expected {len(shape[1])} entries, got {len(data)}")
-        return tuple([_decode(v, sub) for v, sub in zip(data, shape[1])])
-    if kind == "frozenset":
-        return frozenset([_decode(v, shape[1]) for v in data])
-    if kind == "dict":
-        return {_decode(k, shape[1]): _decode(v, shape[2]) for k, v in data.items()}
-    # thirds: a value off the thirds stays a Fraction, for the constructor to refuse
-    if not _RATIONAL.fullmatch(data):
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _off(value, indent):
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at ``indent``."""
+    return _ESCAPE(value) if type(value) is str else int.__repr__(value) if type(
+        value) is int else json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
+
+
+def _write_thirds(value, indent):
+    import fractions  # loaded only for the records that hold thirds
+    return _ESCAPE(str(fractions.Fraction(value, 3))) if type(
+        value) is int else _off(value, indent)
+
+
+def _expect(want, data, count=None):
+    if type(data) is not want:
+        raise ValueError(f"expected {want.__name__}, got {data!r:.80}")
+    if count is not None and len(data) != count:
+        raise ValueError(f"expected {count} entries, got {len(data)}")
+    return data
+
+
+def _read_int(data):  # data that is no JSON integer
+    if type(data) is str and _INTEGER.fullmatch(data):
+        return int(data)
+    raise ValueError(f"invalid literal for an integer: {data!r:.80}" if type(data) is str
+                     else f"expected an integer, got {data!r:.80}")
+
+
+def _read_thirds(data):
+    # a value off the thirds stays a Fraction, for the constructor to refuse
+    if not _RATIONAL.fullmatch(_expect(str, data)):
         raise ValueError(f"expected a rational n or n/d, got {data!r:.80}")
     import fractions
     thirds = 3 * fractions.Fraction(data)
     return thirds.numerator if thirds.denominator == 1 else thirds
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
+def _read_object(tag_key, classes, data):
+    tag = _expect(dict, data).get(tag_key)
+    cls = classes.get(tag if type(tag) is str else None)
+    if cls is None:
+        raise ValueError(f"unknown {tag_key} {tag!r:.80}")
+    return _record(cls)[1](data)
+
+
+# the source of each kind's writer, an expression that writes the value {w} at
+# the depth {i} (a value off its shape goes to _off or its kind's fallback), and
+# of its reader, one that reads the data {r}.  {item} is the entries' source, an
+# entry is {x} (a dict's value {y}) at the depth {j}, and {c} names an optional's
+# none_as, which {none} writes, and an object's tag key and classes
+_SOURCES = {
+    "int": ("""((int.__repr__({w}) if {w} in _INT64 else '"' + str({w}) + '"')"""
+            " if type({w}) is int else _off({w}, {i}))",
+            "({r} if type({r}) is int else _read_int({r}))"),
+    "str": ("(_ESCAPE({w}) if type({w}) is str else _off({w}, {i}))",
+            "({r} if type({r}) is str else _expect(str, {r}))"),
+    "bool": ('(("true" if {w} else "false") if type({w}) is bool else _off({w}, {i}))',
+             "({r} if type({r}) is bool else _expect(bool, {r}))"),
+    "json": ("_off({w}, {i})", "{r}"),
+    "thirds": ("_write_thirds({w}, {i})", "_read_thirds({r})"),
+    "object": ('(_record(type({w}))[0] if hasattr(type({w}), "_fields") else _off)({w}, {i})',
+               "_read_object(*{c}, {r})"),
+    "optional": ("({none} if {w} is None else {item})", "(None if {r} == {c} else {item})"),
+    "tuple": ('(("[" + ({j} := {i} + "  ") + ("," + {j}).join([{item} for {x} in {w}])'
+              ' + {i} + "]" if {w} else "[]") if isinstance({w}, tuple) else _off({w}, {i}))',
+              "tuple([{item} for {x} in _expect(list, {r})])"),
+    "frozenset": ('(("[" + ({j} := {i} + "  ") + ("," + {j}).join([{item} for {x} in sorted('
+                  '{w})]) + {i} + "]" if {w} else "[]") if type({w}) is frozenset'
+                  ' else _off({w}, {i}))', "frozenset([{item} for {x} in _expect(list, {r})])"),
+    "fixed": ('("[" + ({j} := {i} + "  ") + {item} + {i} + "]"'
+              ' if isinstance({w}, tuple) and len({w}) == {count} else _off({w}, {i}))',
+              "(_expect(list, {r}, {count}) and ({item},))"),
+    "dict": ('(("{{" + ({j} := {i} + "  ") + ("," + {j}).join([_ESCAPE({x}) + ": " + {item}'
+             ' for {x} in sorted({w})]) + {i} + "}}" if {w} else "{{}}") if type({w}) is dict'
+             ' else _off({w}, {i}))',
+             "{{{x}: {item} for {x}, {y} in _expect(dict, {r}).items()}}"),
+}
+
+
+def _source(shape, w, r, i, scope):
+    """The source of the writer of ``shape`` for the value ``w`` at the depth ``i``
+    and of its reader for the data ``r``; the names they need go into ``scope``."""
+    kind, n = shape[0], len(scope)
+    names = dict(w=w, r=r, i=i, x=f"x{n}", y=f"y{n}", j=f"i{n}", c=f"c{n}", none="",
+                 count=len(shape[1]) if kind == "fixed" else 0)
+    scope[f"c{n}"] = shape[2] if kind == "optional" else shape[1:]
+    item = ("", "")
+    if kind == "fixed":
+        entries = [_source(sub, f"{w}[{k}]", f"{r}[{k}]", f"i{n}", scope)
+                   for k, sub in enumerate(shape[1])]
+        item = f' + "," + i{n} + '.join(e[0] for e in entries), ", ".join(e[1] for e in entries)
+    elif kind == "optional":
+        item, names["none"] = _source(shape[1], w, r, i, scope), repr(_off(shape[2], "\n"))
+    elif kind == "dict":  # its keys are strs, as JSON's are
+        item = _source(shape[2], f"{w}[x{n}]", f"y{n}", f"i{n}", scope)
+    elif kind in ("tuple", "frozenset"):
+        item = _source(shape[1], f"x{n}", f"x{n}", f"i{n}", scope)
+    write, read = _SOURCES[kind]
+    return write.format(item=item[0], **names), read.format(item=item[1], **names)
+
+
+def _compile(shape):
+    """The writer ``(value, indent) -> str`` and the reader ``(data) -> value`` of ``shape``."""
+    scope = dict(globals())
+    write, read = _source(shape, "v", "v", "indent", scope)
+    exec(f"def write(v, indent):\n    return {write}\ndef read(v):\n    return {read}", scope)
+    return scope["write"], scope["read"]
+
+
+# a record's writer reads field n once, as f{n}, and its reader as a{n}; they are
+# called only with an instance of the class and with a JSON object
+_RECORD_SOURCE = """
+def write(r, indent):
+    i = indent + "  "
+    {fields}
+    return {text}
+def read(d):
+    try:
+        k = None{reads}
+    except KeyError:
+        raise ValueError(f"missing key {{k!r}} of {{cls.__name__}}") from None
+    except (ValueError, ZeroDivisionError) as error:
+        raise ValueError(f"{{k}}: {{error}}") from None
+    return cls({args})
+"""
 
 
 @functools.cache
-def _write_plan(cls) -> tuple:
-    """``_plan(cls)`` in JSON key order: (escaped ``"key": ``, read, shape), where
-    read takes the record; the tag and the encode-only key are entries too."""
+def _record(cls):
+    """The writer and the reader of a record class, generated from ``_plan(cls)`` on first
+    use as ``namedtuple`` generates its methods: the writer writes the fields, the tag and
+    the encode-only value in key order; the reader passes the fields to the constructor."""
     fields, tag, extra = _plan(cls)
-    entries = [(key, operator.attrgetter(name), sub) for name, key, sub in fields]
-    if tag is not None:
-        entries.append((tag[0], lambda _record, value=tag[1]: value, _STR))
-    if extra is not None:
-        entries.append(extra)
-    return tuple((_ESCAPE(key) + ": ", read, sub) for key, read, sub in sorted(entries))
+    scope = dict(globals(), cls=cls, encode_only=extra and extra[1])
+    values, parts, reads = [], [(tag[0], repr(_ESCAPE(tag[1])))] if tag else [], ""
+    encoded = ((None, extra[0], extra[2]),) if extra else ()  # read by encode_only, not by name
+    for n, (name, key, sub) in enumerate(fields + encoded):
+        write, read = _source(sub, f"f{n}", f"a{n}", "i", scope)
+        values.append(f"f{n} = r.{name}" if name else f"f{n} = encode_only(r)")
+        parts.append((key, write))
+        reads += f"\n        k = {key!r}; a{n} = d[k]; a{n} = {read}" if name else ""
+    text = ' + "," + i + '.join(f"{_ESCAPE(key) + ': '!r} + {part}" for key, part in sorted(parts))
+    exec(_RECORD_SOURCE.format(fields="; ".join(values) or "pass", reads=reads,
+         text=f'"{{" + i + {text} + indent + "}}"' if parts else '"{}"',
+         args=", ".join(f"a{n}" for n in range(len(fields)))), scope)
+    return scope["write"], scope["read"]
 
 
-def _write(value, shape: tuple, indent: str = "\n") -> str:
-    """The JSON text of ``value`` as ``json.dumps(value, sort_keys=True,
-    indent=2)`` writes it at the depth of ``indent``, read straight from the
-    records.  Strs, ints, bools and None are written by their type, with an
-    int in an int field beyond 64 bits as a decimal string, and a record by
-    its fields; any other value off its annotation goes to ``json.dumps``.
-    The decoder refuses what it cannot read as the annotation."""
-    kind, of = shape[0], type(value)
-    if of is str:
-        return _ESCAPE(value)
-    if kind == "optional":
-        if value is None:  # written as what stands in its place
-            return _write(shape[2], _JSON, indent)
-        return _write(value, shape[1], indent)
-    if of is int:
-        if kind == "thirds":
-            import fractions  # loaded only for the records that hold thirds
-            return _ESCAPE(str(fractions.Fraction(value, 3)))
-        return int.__repr__(value) if value in _INT64 or kind != "int" else f'"{value}"'
-    if of is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    inner = indent + "  "
-    if kind == "object" and hasattr(of, "_fields"):
-        items, ends = [prefix + _write(read(value), sub, inner)
-                       for prefix, read, sub in _write_plan(of)], "{}"
-    elif kind == "dict" and of is dict:
-        items, ends = [_ESCAPE(key) + ": " + _write(value[key], shape[2], inner)
-                       for key in sorted(value)], "{}"
-    elif kind == "fixed" and isinstance(value, tuple):
-        items, ends = [_write(v, sub, inner) for v, sub in zip(value, shape[1])], "[]"
-    elif kind == "tuple" and isinstance(value, tuple) or kind == "frozenset" and of is frozenset:
-        items, ends = [_write(v, shape[1], inner)
-                       for v in (sorted(value) if kind == "frozenset" else value)], "[]"
-    else:
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+# the report's keys and shapes, in the order ``from_jsonable`` reads the fields; the payload
+# is read as its payload_kind names, the inputs echo any JSON, and the last two are derived
+_ENVELOPE = (("inputs", ("dict", _STR, _JSON)), ("command", _STR),
+             ("payload", ("object", None, {})), ("derivations", ("dict", _STR, _STR)),
+             ("assumptions", ("tuple", _STR)), ("notes", ("tuple", _STR)),
+             ("payload_kind", _STR), ("schema", _STR))
 
 
-# the report's keys and their shapes, in the order ``from_jsonable`` reads them;
-# the payload's shape is the one its payload_kind names, and the inputs echo
-# whatever JSON values were given
-_ENVELOPE = (("inputs", ("dict", _STR, _JSON)), ("command", _STR), ("payload", None),
-             ("derivations", ("dict", _STR, _STR)), ("assumptions", ("tuple", _STR)),
-             ("notes", ("tuple", _STR)))
-# the same with payload_kind and schema, as ``_write_plan`` lists a record's keys
-_ENVELOPE_WRITE = tuple((_ESCAPE(key) + ": ", read, shape) for key, read, shape in sorted(
-    [(key, operator.attrgetter(key), shape) for key, shape in _ENVELOPE]
-    + [("payload_kind", operator.attrgetter("payload_kind"), _STR),
-       ("schema", lambda _report: SCHEMA, _STR)]))
+@functools.cache
+def _envelope() -> dict:
+    """The writer and the reader of each key, in JSON key order, compiled on first use."""
+    return dict(sorted((key, _compile(shape)) for key, shape in _ENVELOPE))
 
 
 class Report(NamedTuple):
@@ -335,10 +378,9 @@ class Report(NamedTuple):
 
     def to_json(self) -> str:
         """The report's eight keys in sorted order, each value written in one pass."""
-        payload, top = _PAYLOADS[self.payload_kind], "\n  "
-        items = [prefix + _write(read(self), shape or payload, top)
-                 for prefix, read, shape in _ENVELOPE_WRITE]
-        return "{" + top + ("," + top).join(items) + "\n}\n"
+        values = {**self._asdict(), "payload_kind": self.payload_kind, "schema": SCHEMA}
+        return "{\n  " + ",\n  ".join([_ESCAPE(key) + ": " + write(values[key], "\n  ")
+                                      for key, (write, _read) in _envelope().items()]) + "\n}\n"
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Report":
@@ -351,14 +393,18 @@ class Report(NamedTuple):
                 raise ValueError(f"unknown payload kind {kind!r:.80}")
             if type(inputs) is not dict:
                 raise ValueError(f"inputs: expected an object, got {inputs!r:.80}")
-            return cls(**{key: _decode(data[key], shape or _PAYLOADS[kind])
-                          for key, shape in _ENVELOPE})
+            return cls(**{key: _read_object(*_PAYLOADS[kind][1:], data[key]) if key == "payload"
+                          else _envelope()[key][1](data[key]) for key, _shape in _ENVELOPE
+                          if key in cls._fields})
         except KeyError as missing:
             raise ValueError(f"missing key {missing} of Report") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        return cls.from_jsonable(json.loads(text))
+        try:
+            return cls.from_jsonable(json.loads(text))
+        except RecursionError:  # nested too deeply to parse, or to read
+            raise ValueError("the JSON is nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------

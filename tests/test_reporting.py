@@ -2,9 +2,13 @@
 text rendering."""
 
 import contextlib
+import functools
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +20,8 @@ from horikawa import catalog, cli, covers, lattice, verify
 from horikawa.lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 CheckResult, EnumerationPayload, EnumerationRow,
-                                Report, VerificationOutcome, _decode,
-                                _shape, _write, render_text)
+                                Report, VerificationOutcome, _compile,
+                                _shape, render_text)
 from horikawa.stable import StableSurfaceRecord
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,31 +108,31 @@ class TestBigIntegers:
     def test_divisor_class_with_huge_coefficient(self):
         ruled = Hirzebruch(2)
         cls = ruled.divisor((2**70, -(2**90)))
-        shape = _shape(DivisorClass)
-        encoded = json.loads(_write(cls, shape))
+        write, read = _compile(_shape(DivisorClass))
+        encoded = json.loads(write(cls, "\n"))
         assert isinstance(encoded["head"][0], str)
         assert isinstance(encoded["head"][1], str)
-        assert _decode(encoded, shape) == cls
+        assert read(encoded) == cls
 
     def test_small_integers_stay_numeric(self):
-        shape = _shape(int)
-        assert _write(42, shape) == "42"
-        assert _write(-(2**62), shape) == str(-(2**62))
-        assert _write(2**63, shape) == f'"{2**63}"'
-        assert _write(2**63 - 1, shape) == str(2**63 - 1)
-        assert _write(-(2**63), shape) == str(-(2**63))
-        assert _write(-(2**63) - 1, shape) == f'"{-(2**63) - 1}"'
-        assert _decode(str(2**63), shape) == 2**63
+        write, read = _compile(_shape(int))
+        assert write(42, "\n") == "42"
+        assert write(-(2**62), "\n") == str(-(2**62))
+        assert write(2**63, "\n") == f'"{2**63}"'
+        assert write(2**63 - 1, "\n") == str(2**63 - 1)
+        assert write(-(2**63), "\n") == str(-(2**63))
+        assert write(-(2**63) - 1, "\n") == f'"{-(2**63) - 1}"'
+        assert read(str(2**63)) == 2**63
 
     def test_fractional_record_round_trips(self):
         from horikawa.stable import contract_minus3
 
         record = contract_minus3(5, 0, 1)
         assert record.k_squared == Fraction(1, 3)
-        shape = _shape(StableSurfaceRecord)
-        encoded = json.loads(_write(record, shape))
+        write, read = _compile(_shape(StableSurfaceRecord))
+        encoded = json.loads(write(record, "\n"))
         assert encoded["k_squared"] == "1/3"
-        assert _decode(encoded, shape) == record
+        assert read(encoded) == record
 
     @pytest.mark.parametrize("chi", [4, 10**4])
     def test_construct_stable_round_trips(self, chi):
@@ -363,8 +367,8 @@ def _towers_and_dense(draw):
 def test_class_round_trip_property(tower_and_dense):
     surface, dense = tower_and_dense
     cls = surface.divisor(dense)
-    shape = _shape(DivisorClass)
-    decoded = _decode(json.loads(_write(cls, shape)), shape)
+    write, read = _compile(_shape(DivisorClass))
+    decoded = read(json.loads(write(cls, "\n")))
     assert decoded == cls and hash(decoded) == hash(cls)
     assert decoded.coeffs == cls.coeffs == dense
 
@@ -576,6 +580,127 @@ class TestWriter:
         if recipe is not None and recipe.scroll_curve is not None:
             written = json.loads(out)["payload"]["recipe"]["scroll_curve"]["monomials"]
             assert written == sorted(map(list, recipe.scroll_curve.monomials))
+
+
+# ---------------------------------------------------------------------------
+# a field of any record class that a payload reaches, off its annotation
+
+@functools.cache
+def _record_sites() -> tuple:
+    """(report, path) of one instance of each record class a payload reaches,
+    by class name; a path indexes the payload's fields and entries."""
+    reports = [cli.run_classify(8, 7)[0], cli.run_classify(6, 4)[0], _stable_report(),
+               _construction_report(), _component_two_report(1), _component_two_report(4),
+               cli.run_enumerate(3, 12)[0], _verification_report()]
+    sites = {}
+
+    def visit(report, value, path):
+        if hasattr(type(value), "_fields"):
+            sites.setdefault(type(value).__name__, (report, path))
+        elif not isinstance(value, tuple):
+            return
+        for index, entry in enumerate(_entries(value)):
+            visit(report, entry, path + (index,))
+
+    for report in reports:
+        visit(report, report.payload, ())
+    return tuple(sorted(sites.items()))
+
+
+def _entries(value) -> list:
+    fields = getattr(type(value), "_fields", None)
+    return list(value) if fields is None else [getattr(value, name) for name in fields]
+
+
+def _with_entry(value, path, entry):
+    """``value`` with the entry at ``path`` replaced, built past the records' checks."""
+    if not path:
+        return entry
+    entries = _entries(value)
+    entries[path[0]] = _with_entry(entries[path[0]], path[1:], entry)
+    if type(value) is DivisorClass:
+        return DivisorClass._make(*entries)
+    return tuple.__new__(type(value), entries)
+
+
+def test_every_record_class_a_payload_reaches_is_sampled():
+    names = {name for name, _site in _record_sites()}
+    assert names == set(json.loads((GOLDEN / "codec_plans.json").read_text(encoding="utf-8")))
+
+
+_OFF_VALUES = (st.booleans() | st.floats() | st.none() | st.text(max_size=4)
+               | st.lists(st.integers() | st.text(max_size=3), max_size=3)
+               | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+# the fields that encode-only values are computed from: the records' own code
+# reads them and raises on a value off their annotation before any is written
+_FEED_ENCODE_ONLY = {("DivisorClass", "surface"), ("DivisorClass", "head"),
+                     ("DivisorClass", "runs"), ("ConstructionRecipe", "base"),
+                     ("BlowUp", "base"), ("StableSurfaceRecord", "k_squared_thirds"),
+                     ("StableSurfaceRecord", "chi"), ("StableSurfaceRecord", "ledger")}
+
+
+def _field_sites() -> list:
+    """(report, path) of each field of a sampled record, but those of _FEED_ENCODE_ONLY."""
+    sites = []
+    for name, (report, path) in _record_sites():
+        record = functools.reduce(lambda node, index: _entries(node)[index], path, report.payload)
+        sites += [(report, path + (index,)) for index, field in enumerate(type(record)._fields)
+                  if (name, field) not in _FEED_ENCODE_ONLY]
+    return sites
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(site=st.sampled_from(_field_sites()), value=_OFF_VALUES)
+def test_any_field_off_its_annotation_is_written_as_it_is(site, value):
+    # the payload records check no types, and the others can be built past
+    # their checks; the writer writes such a value as json.dumps does, and
+    # the decoder reads it back or refuses it with ValueError
+    report, path = site
+    out = report._replace(payload=_with_entry(report.payload, path, value)).to_json()
+    assert out == _stdlib_json(json.loads(out)) + "\n"
+    try:
+        Report.from_json(out)
+    except ValueError:
+        pass
+
+
+
+def test_a_fixed_tuple_of_another_length_is_written_whole_and_refused():
+    # a fixed tuple is written entry by entry only at its length; any other
+    # tuple is written as it is, so no entry is lost, and the decoder refuses it
+    report = _stable_report()
+    parameters = (*report.payload.recipe.parameters, 9)
+    field = type(report.payload.recipe)._fields.index("parameters")
+    out = report._replace(payload=_with_entry(report.payload, (1, field), parameters)).to_json()
+    assert out == _stdlib_json(json.loads(out)) + "\n"
+    assert json.loads(out)["payload"]["recipe"]["parameters"] == list(parameters)
+    with pytest.raises(ValueError, match="recipe: parameters: expected 3 entries, got 4"):
+        Report.from_json(out)
+
+class TestDeepNesting:
+    def test_json_too_deep_to_parse_is_refused(self):
+        with pytest.raises(ValueError, match="nested too deeply to read"):
+            Report.from_json("[" * 100000)
+
+    def test_report_too_deep_to_read_is_refused(self):
+        # a tower of blow-ups that parses, but is deeper than the reader can
+        # recurse; run apart, as a recursion this deep turns off any trace
+        # function, such as a line coverage tool's
+        data = json.loads(_json_report("construct", "component-I", "--chi", "9"))
+        surface, data["payload"]["recipe"]["base"] = data["payload"]["recipe"]["base"], "tower"
+        depth = sys.getrecursionlimit() * 3 // 4
+        tower = ('{"kind": "blow-up", "base": ' * depth + json.dumps(surface)
+                 + ', "points": 1, "general_position": true}' * depth)
+        probe = ("import json, sys\nfrom horikawa.reporting import Report\n"
+                 "text = sys.stdin.read()\njson.loads(text)\n"
+                 "try:\n    Report.from_json(text)\n"
+                 "except ValueError as error:\n    print(error)")
+        source = str(Path(lattice.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", probe], text=True,
+                              input=json.dumps(data).replace('"tower"', tower),
+                              env={**os.environ, "PYTHONPATH": source},
+                              capture_output=True, timeout=120, check=True)
+        assert done.stdout == "the JSON is nested too deeply to read\n"
 
 
 class TestTextRendering:

@@ -6,7 +6,8 @@ with an injected fault, so importing the command line front end and
 running the other commands must load neither, nor ``dataclasses`` or
 ``inspect``; decoding a verification report loads neither.  ``fractions``
 loads only where a stable record's K^2 is made, so ``classify`` and
-``enumerate`` do not load it.  Every record
+``enumerate`` do not load it, and they build no codec: the writers and
+readers are generated when a JSON report is first written.  Every record
 is a ``typing.NamedTuple``, except the divisor class, a slotted class that
 equals no tuple; the codec plan of every record class a payload reaches
 is pinned in ``tests/golden/codec_plans.json``.
@@ -66,6 +67,34 @@ def test_only_verify_paper_loads_verify_and_faults():
         "verify-paper --inject-fault": [
             1, ["fractions", "horikawa.faults", "horikawa.verify", "inspect"]],
     }
+
+
+_CODEC_PROBE = """
+import contextlib, io, json, sys
+import horikawa.cli
+from horikawa import reporting
+built = lambda: [codec.cache_info().currsize for codec in (reporting._record, reporting._envelope)]
+seen = {"import": built()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        horikawa.cli.main(argv)
+    seen[" ".join(argv)] = built()
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_json_report_builds_the_codec():
+    text = [["classify", "--k2", "8", "--chi", "7"],
+            ["enumerate", "--chi", "3", "--chi-max", "12"]]
+    as_json = ["classify", "--k2", "8", "--chi", "7", "--format", "json"]
+    done = subprocess.run([sys.executable, "-c", _CODEC_PROBE, json.dumps([*text, as_json])],
+                          env=_ENV, capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(done.stdout)
+    # record writers and readers, and the report's own codec
+    assert [seen["import"], *(seen[" ".join(argv)] for argv in text)] == [[0, 0]] * 3
+    records, envelope = seen[" ".join(as_json)]
+    # the payload, and the component data and canonical images it holds
+    assert (records, envelope) == (3, 1)
 
 
 def test_verification_report_decodes_without_verify_or_faults():

@@ -47,9 +47,11 @@ own ``src``.
 
 ``report_us`` times the report layer in microseconds per call:
 ``to_jsonable``, ``to_json``, ``from_json`` and ``render_text`` on the
-reports of the ``REPORTS`` commands (the two large constructs of the
-``cli-reports`` benchmark workload and a default ``verify-paper``), each
-read back from the JSON that ``cli.main`` prints.
+reports of the ``REPORTS`` commands, each read back from the JSON that
+``cli.main`` prints: the two large constructs of the ``cli-reports``
+benchmark workload, a ``classify`` on the line K^2 = 2chi - 6 with two
+components (an optional record), a 300-row ``enumerate`` (a tuple of
+records) and a small ``verify-paper``, so every payload kind is timed.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ RUNS_PER_PASS = 5
 REPORTS = {
     "construct_component_I_chi20000": ("construct", "component-I", "--chi", "20000"),
     "construct_stable_chi15700": ("construct", "stable", "--chi", "15700"),
+    "classify_on_line_chi203": ("classify", "--k2", "400", "--chi", "203"),
+    "enumerate_chi_1_300": ("enumerate", "--chi", "1", "--chi-max", "300"),
     "verify_paper_30_6": ("verify-paper", "--chi-max", "30", "--k-max", "6"),
 }
 BIG_RANK = 10**5
