@@ -247,10 +247,8 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     e, alpha, beta = pick_parameters(chi)
     scroll = _blown_scroll(e, alpha, beta, 0, general_position)
     blown, _pull, _exceptional, d1, d2 = scroll
-    spec = CoverSpec.triple(blown, d1, d2)
-    report = covers.cover_invariants(spec)
     nef = _nef_certificate(e, alpha, beta, scroll)
-    report = report._replace(minimal_or_ample=nef.verdict)
+    report = covers.cover_invariants(CoverSpec.triple(blown, d1, d2), nef.verdict)
     k_squared = 2 * chi - 6
     notes = [NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY]
     if component_count(k_squared) == 2:
@@ -343,8 +341,7 @@ def build_component_two(k: int) -> ConstructionRecipe:
         branch = base.negative_section() + covers.scroll_class(curve)
         symmetric, symmetry = covers.t1_scaling_invariant(curve), "order-3"
         note = "branch curve smooth in this residue class (declared input)"
-    spec = CoverSpec.double(base, branch)
-    report = covers.cover_invariants(spec)
+    report = covers.cover_invariants(CoverSpec.double(base, branch), covers.AMPLE_CERTIFIED)
     if not symmetric:
         raise CertificateError(f"{place} branch curve lost its {symmetry} symmetry")
     germ = component_two_germ(k)
@@ -363,7 +360,7 @@ def build_component_two(k: int) -> ConstructionRecipe:
         base=base,
         branch=(branch,),
         blow_up_count=0,
-        report=report._replace(minimal_or_ample=covers.AMPLE_CERTIFIED),
+        report=report,
         component_claim=COMPONENT_II,
         canonical_image=lattice.surface_descriptor(base),
         canonical_sections=report.p_g,
@@ -504,9 +501,10 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     e, alpha, beta = pick_parameters(chi)
     scroll = _blown_scroll(e, alpha, beta, RETAINED_NODES, general_position)
     blown, _pull, _exceptional, d1, d2 = scroll
-    resolution = stable.resolve_node_bookkeeping(CoverSpec.triple(blown, d1, d2), RETAINED_NODES)
+    resolved = stable.resolve_node_bookkeeping(CoverSpec.triple(blown, d1, d2), RETAINED_NODES)
     certificate = _ampleness_certificate(e, alpha, beta, scroll)
-    record = resolution.unresolved._replace(ample_canonical=True)
+    record = stable.contract_minus3(resolved.chi, resolved.k_squared, RETAINED_NODES,
+                                    ample_canonical=True)
     stable.h0_2K(record)
     recipe = ConstructionRecipe(
         target=AdmissiblePair(2 * chi - 5, chi),
@@ -514,7 +512,7 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
         base=blown,
         branch=(d1, d2),
         blow_up_count=blown.point_count,
-        report=resolution.resolved,
+        report=resolved,
         component_claim=UNLABELED,
         certificates=(certificate,),
         ledger=record.ledger,

@@ -168,7 +168,8 @@ def _eigensheaves(spec: CoverSpec) -> tuple[tuple[DivisorClass, ...], DivisorCla
     return (root, branch_sum - root), branch_sum
 
 
-def cover_invariants(spec: CoverSpec) -> InvariantReport:
+def cover_invariants(spec: CoverSpec,
+                     minimal_or_ample: str = MINIMALITY_UNKNOWN) -> InvariantReport:
     """Invariants of a smooth cyclic cover of degree n = 2 or 3 from its building data.
 
     Over the eigen-sheaves L_j: chi = n * chi(O_Y) + sum_j L_j.(L_j + K_Y)/2,
@@ -178,6 +179,7 @@ def cover_invariants(spec: CoverSpec) -> InvariantReport:
     m depends on n alone, so 3K_Y for an empty branch on F_0 keeps multiple 3.
     Canonical singularities on the branch are permitted; they leave every
     reported value unchanged and are recorded through the assumptions.
+    ``minimal_or_ample`` is the report's verdict: "unknown" unless a builder certified one.
     """
     sheaves, total = _eigensheaves(spec)
     n = spec.degree
@@ -200,7 +202,7 @@ def cover_invariants(spec: CoverSpec) -> InvariantReport:
     # every field in order: a keyword call would cost a build about 1 %
     return InvariantReport(square // (m * m), n * BASE_CHI + pairing // 2,
                            _optional_sections(adjoints), CanonicalMultiple(m, canonical),
-                           MINIMALITY_UNKNOWN, warnings, (ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO))
+                           minimal_or_ample, warnings, (ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO))
 
 
 class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [

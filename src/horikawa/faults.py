@@ -95,8 +95,8 @@ REGISTRY: dict[str, Fault] = {
         "stable.h0_2K", " + rr_correction_thirds(record.ledger)", ""),
     "resolution-ksq-shift": Fault(
         "the contraction starts from one above the resolved K^2",
-        "stable.resolve_node_bookkeeping",
-        "resolved.k_squared, count)", "resolved.k_squared + 1, count)"),
+        "catalog.build_stable",
+        "resolved.k_squared, RETAINED_NODES", "resolved.k_squared + 1, RETAINED_NODES"),
     # -- catalog --------------------------------------------------------
     "parameter-table-beta": Fault(
         "the parameter table inflates beta by 3 for chi divisible by 3",

@@ -126,8 +126,8 @@ _TAGS = {
 # derived or written for human readers, and ignored when decoding: key, value, shape
 _ENCODE_ONLY = {
     DivisorClass: ("display", str, ("str",)),
-    ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base),
-                         ("str",)),
+    ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base)
+                         if isinstance(recipe.base, lattice.SurfaceModel) else None, ("str",)),
     StableSurfaceRecord: ("in_component_without_canonical_models",
                           lambda record: record.in_component_without_canonical_models,
                           ("bool",)),

@@ -62,10 +62,13 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
             name, flag = (("smoothable", smoothable) if type(ample_canonical) is bool
                           else ("ample_canonical", ample_canonical))
             raise ValueError(f"{name} must be a bool, got {flag!r:.80}")
-        if ledger.third11_count > 0 and smoothable:
-            raise LedgerError(
-                "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
-            )
+        try:
+            if ledger.third11_count > 0 and smoothable:
+                raise LedgerError(
+                    "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
+                )
+        except AttributeError:
+            raise ValueError(f"ledger must be a SingularityLedger, got {ledger!r:.80}") from None
         return tuple.__new__(cls, (k_squared_thirds, chi, ledger, ample_canonical, smoothable))
 
     @property
@@ -82,16 +85,17 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
         return 3 * h0_2K(self) != self.k_squared_thirds + 3 * self.chi
 
 
-def contract_minus3(chi: int, k_squared_smooth: int, count: int) -> StableSurfaceRecord:
+def contract_minus3(chi: int, k_squared_smooth: int, count: int,
+                    ample_canonical: bool = False) -> StableSurfaceRecord:
     """Contract ``count`` disjoint (-3)-curves of a smooth surface.
 
     chi is unchanged, the canonical self-intersection gains one third per
-    contracted curve, and the result is never smoothable.
+    contracted curve, and the result is never smoothable; ``ample_canonical`` must be a bool.
     """
     if count < 1:
         raise ValueError("at least one curve must be contracted")
     return StableSurfaceRecord(
-        3 * k_squared_smooth + count, chi, SingularityLedger(count))
+        3 * k_squared_smooth + count, chi, SingularityLedger(count), ample_canonical)
 
 
 def rr_correction_thirds(ledger: SingularityLedger) -> int:
@@ -120,19 +124,15 @@ def h0_2K(record: StableSurfaceRecord) -> int:
     return count
 
 
-class NodeResolution(NamedTuple):
-    resolved: InvariantReport
-    unresolved: StableSurfaceRecord
-
-
-def resolve_node_bookkeeping(spec: CoverSpec, count: int) -> NodeResolution:
-    """Invariants of a degree 3 cover whose branch keeps ``count`` transversal nodes.
+def resolve_node_bookkeeping(spec: CoverSpec, count: int) -> InvariantReport:
+    """Invariants of the canonical resolution of a degree 3 cover with ``count`` branch nodes.
 
     Each retained node of the branch produces a one-third quotient
     point on the cover.  The canonical resolution blows up every node and
     subtracts the new exceptional class from each branch divisor; its
-    invariants come from ``covers.cover_invariants``, and the unresolved
-    surface keeps chi and gains one third of K^2 per node.  A ``spec``
+    invariants come from ``covers.cover_invariants``.  The unresolved
+    surface keeps chi and gains one third of K^2 per node: it is
+    ``contract_minus3(report.chi, report.k_squared, count)``.  A ``spec``
     that is no CoverSpec raises TypeError; the branch divisors must meet
     in exactly ``count`` points, or LedgerError names both numbers.
     """
@@ -148,11 +148,8 @@ def resolve_node_bookkeeping(spec: CoverSpec, count: int) -> NodeResolution:
     if meet != count:
         raise LedgerError(f"{count} retained nodes, but the branch intersection number is {meet}")
     new_exceptional = resolved_base.exceptional_sum()
-    resolved_spec = CoverSpec.triple(
+    return covers.cover_invariants(CoverSpec.triple(
         resolved_base,
         lattice.pullback(resolved_base, d1) - new_exceptional,
         lattice.pullback(resolved_base, d2) - new_exceptional,
-    )
-    resolved = covers.cover_invariants(resolved_spec)
-    unresolved = contract_minus3(resolved.chi, resolved.k_squared, count)
-    return NodeResolution(resolved, unresolved)
+    ))

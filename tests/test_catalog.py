@@ -310,6 +310,21 @@ def test_smooth_k_squared_is_an_int(build):
     assert type(build().report.k_squared) is int
 
 
+@pytest.mark.parametrize("build, arg", [
+    (build_component_one, 7), (build_component_two, 4), (build_stable, 7),
+], ids=["component-I", "component-II", "stable"])
+def test_builders_make_each_record_once(monkeypatch, build, arg):
+    # each builder passes the verdict or the ampleness flag where it makes the
+    # record, so no record is copied to set one field
+    def copied(*_args, **_kwargs):
+        raise AssertionError("a builder copied a record")
+
+    for record in (covers.InvariantReport, StableSurfaceRecord):
+        monkeypatch.setattr(record, "_replace", copied)
+        monkeypatch.setattr(record, "_make", classmethod(copied))
+    build(arg)
+
+
 class TestStableConstruction:
     @pytest.mark.parametrize("chi", [3, 4, 5, 6, 7, 10, 23])
     def test_invariants(self, chi):

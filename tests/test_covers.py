@@ -163,6 +163,17 @@ class TestDoubleCoverInvariants:
         assert isinstance(report.chi, int)
 
 
+@pytest.mark.parametrize("spec", [
+    CoverSpec.double(P2, P2.divisor((10,))),
+    CoverSpec.triple(Hirzebruch(0), Hirzebruch(0).zero(), Hirzebruch(0).zero()),
+], ids=["double", "triple"])
+def test_the_verdict_is_the_one_passed(spec):
+    # a spec alone reports no verdict; a builder passes the one it certified
+    assert cover_invariants(spec).minimal_or_ample == covers.MINIMALITY_UNKNOWN == "unknown"
+    certified = cover_invariants(spec, covers.NEF_CERTIFIED)
+    assert certified == cover_invariants(spec)._replace(minimal_or_ample=covers.NEF_CERTIFIED)
+
+
 class TestTripleCoverInvariants:
     def test_empty_branch_degenerate(self):
         f0 = Hirzebruch(0)

@@ -634,7 +634,7 @@ _OFF_VALUES = (st.booleans() | st.floats() | st.none() | st.text(max_size=4)
 # the fields that encode-only values are computed from: the records' own code
 # reads them and raises on a value off their annotation before any is written
 _FEED_ENCODE_ONLY = {("DivisorClass", "surface"), ("DivisorClass", "head"),
-                     ("DivisorClass", "runs"), ("ConstructionRecipe", "base"),
+                     ("DivisorClass", "runs"),
                      ("BlowUp", "base"), ("StableSurfaceRecord", "k_squared_thirds"),
                      ("StableSurfaceRecord", "chi"), ("StableSurfaceRecord", "ledger")}
 
@@ -676,6 +676,19 @@ def test_a_fixed_tuple_of_another_length_is_written_whole_and_refused():
     assert json.loads(out)["payload"]["recipe"]["parameters"] == list(parameters)
     with pytest.raises(ValueError, match="recipe: parameters: expected 3 entries, got 4"):
         Report.from_json(out)
+
+def test_a_base_that_is_no_surface_is_written_and_refused():
+    # base_display describes only a surface; for any other base it is null,
+    # where it raised TypeError from the surface descriptor
+    report = _stable_report()
+    field = type(report.payload.recipe)._fields.index("base")
+    out = report._replace(payload=_with_entry(report.payload, (1, field), 5)).to_json()
+    assert out == _stdlib_json(json.loads(out)) + "\n"
+    recipe = json.loads(out)["payload"]["recipe"]
+    assert recipe["base"] == 5 and recipe["base_display"] is None
+    with pytest.raises(ValueError, match="^recipe: base: expected dict, got 5$"):
+        Report.from_json(out)
+
 
 class TestDeepNesting:
     def test_json_too_deep_to_parse_is_refused(self):

@@ -1,5 +1,6 @@
 """One-third quotient point bookkeeping."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,15 @@ class TestLedger:
             record._replace(ample_canonical=1)
         assert record._replace(ample_canonical=True) == record
 
+    @pytest.mark.parametrize("ledger", [None, (3, 0)], ids=repr)
+    def test_ledger_must_be_a_ledger(self, ledger):
+        # the ledger's count was read before its type, so None raised AttributeError
+        message = f"^ledger must be a SingularityLedger, got {re.escape(repr(ledger))}$"
+        with pytest.raises(ValueError, match=message):
+            StableSurfaceRecord(3, 3, ledger)
+        with pytest.raises(ValueError, match=message):
+            catalog.build_stable(6).record._replace(ledger=ledger)
+
     def test_integer_k_squared_becomes_a_fraction(self):
         record = StableSurfaceRecord(7, 5, SingularityLedger(0))
         assert type(record.k_squared) is Fraction and record.k_squared == Fraction(7, 3)
@@ -103,6 +113,13 @@ class TestContraction:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             contract_minus3(5, 4, 0)
+
+    def test_ampleness_flag(self):
+        assert not contract_minus3(5, 4, 3).ample_canonical
+        assert contract_minus3(5, 4, 3, ample_canonical=True).ample_canonical
+        # the record's own check refuses a flag that is not a bool
+        with pytest.raises(ValueError, match="^ample_canonical must be a bool, got 1$"):
+            contract_minus3(5, 4, 3, ample_canonical=1)
 
 
 class TestCorrection:
@@ -193,14 +210,25 @@ def _triple_spec(chi, retained_nodes):
     return CoverSpec.triple(blown, d1, d2)
 
 
+def _resolve_and_contract(spec, count):
+    # the resolution's report, and the stable record made from it as build_stable makes it
+    resolved = resolve_node_bookkeeping(spec, count)
+    return resolved, contract_minus3(resolved.chi, resolved.k_squared, count)
+
+
 class TestNodeResolution:
+    def test_returns_the_resolution_report(self):
+        resolved = resolve_node_bookkeeping(_triple_spec(9, 3), 3)
+        assert type(resolved) is covers.InvariantReport
+        assert resolved.minimal_or_ample == covers.MINIMALITY_UNKNOWN
+
     @pytest.mark.parametrize("chi", range(3, 21))
     def test_three_retained_nodes(self, chi):
-        resolution = resolve_node_bookkeeping(_triple_spec(chi, 3), 3)
-        assert resolution.unresolved.k_squared == 2 * chi - 5
-        assert resolution.resolved.k_squared == 2 * chi - 6
-        assert resolution.resolved.chi == resolution.unresolved.chi == chi
-        assert resolution.unresolved.ledger.third11_count == 3
+        resolved, unresolved = _resolve_and_contract(_triple_spec(chi, 3), 3)
+        assert unresolved.k_squared == 2 * chi - 5
+        assert resolved.k_squared == 2 * chi - 6
+        assert resolved.chi == unresolved.chi == chi
+        assert unresolved.ledger.third11_count == 3
 
     def test_double_cover_refused(self):
         with pytest.raises(BuildingDataError,
@@ -234,12 +262,12 @@ class TestNodeResolution:
 
     def test_gain_is_nodes_over_three(self):
         for nodes in (1, 2, 3):
-            resolution = resolve_node_bookkeeping(_triple_spec(9, nodes), nodes)
-            gain = resolution.unresolved.k_squared - resolution.resolved.k_squared
+            resolved, unresolved = _resolve_and_contract(_triple_spec(9, nodes), nodes)
+            gain = unresolved.k_squared - resolved.k_squared
             assert gain == Fraction(nodes, 3)
 
     def test_fully_resolved_vs_stable_difference(self):
         chi = 12
         full = covers.cover_invariants(_triple_spec(chi, 0))
-        partial = resolve_node_bookkeeping(_triple_spec(chi, 3), 3)
-        assert partial.unresolved.k_squared - full.k_squared == 1
+        _resolved, unresolved = _resolve_and_contract(_triple_spec(chi, 3), 3)
+        assert unresolved.k_squared - full.k_squared == 1

@@ -31,9 +31,13 @@ its figures are the means per run.
 99,999 points) on classes of 1 and of 1,000 exceptional runs.
 
 ``builds_us`` times ``catalog.build_component_one``,
-``catalog.build_stable`` and ``catalog.build_component_two`` in
-microseconds per call at each argument of ``BUILDS``: chi 150 and 15,700,
-and for component-II the k whose chi = 4k + 3 is nearest to them.
+``catalog.build_stable``, ``catalog.build_component_two`` and
+``catalog.epsilon_family`` in microseconds per call at each argument of
+``BUILDS``: chi 150 and 15,700, for component-II the k whose
+chi = 4k + 3 is nearest to them, and for the epsilon family (chi,
+epsilon) = (150, 1) and (150, 100), the bottom and the top of its range
+at chi 150, as the ``stable-epsilon-bound`` check calls it.  A figure's
+key is its arguments joined by commas.
 
 ``startup_ms`` is the cold start: the self time in milliseconds of each
 package module (and their ``total``) that ``python -X importtime -c
@@ -84,8 +88,8 @@ REPORTS = {
 }
 BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
-BUILDS = {"build_component_one": (150, 15700), "build_stable": (150, 15700),
-          "build_component_two": (37, 3924)}
+BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (15700,)),
+          "build_component_two": ((37,), (3924,)), "epsilon_family": ((150, 1), (150, 100))}
 
 
 def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
@@ -237,10 +241,11 @@ def big_kernels(pkgs, repeat: int) -> dict:
 
 def builds(pkgs, repeat: int) -> dict:
     """Each builder of ``BUILDS`` at each of its arguments, in us per call."""
-    return {name: {str(arg): passes([lambda build=getattr(pkg.catalog, name), arg=arg: build(arg)
-                                     for pkg in pkgs], repeat, 20, 1e6)
-                   for arg in args}
-            for name, args in BUILDS.items()}
+    return {name: {",".join(map(str, args)): passes(
+                       [lambda build=getattr(pkg.catalog, name), args=args: build(*args)
+                        for pkg in pkgs], repeat, 20, 1e6)
+                   for args in calls}
+            for name, calls in BUILDS.items()}
 
 
 def import_times(src: Path, env: dict) -> dict:
