@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from . import covers, lattice, stable
 from .covers import CoverSpec, InvariantReport, ScrollCurve
-from .lattice import CheckedRecord, DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
+from .lattice import DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
+from .records import CheckedRecord, checked
 from .stable import SingularityLedger, StableSurfaceRecord
 
 
@@ -76,6 +77,7 @@ def admissible(k_squared: int, chi: int) -> bool:
     return not admissibility_failures(k_squared, chi)
 
 
+@checked
 class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
         ("k_squared", int), ("chi", int)])):
     """An admissible (K^2, chi) pair."""
@@ -83,9 +85,10 @@ class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
     def __new__(cls, k_squared: int, chi: int):
         if not admissible(k_squared, chi):
             raise ValueError(f"pair (K^2, chi) = ({k_squared}, {chi}) is not admissible")
-        return tuple.__new__(cls, (k_squared, chi))
+        return cls._tested(cls, k_squared, chi)
 
 
+@checked
 class CanonicalImages(CheckedRecord, NamedTuple("CanonicalImages", [
         ("first_top_e", int), ("second", tuple[str, ...])])):
     """Canonical images of the two components where 8 divides K^2 on the low line.
@@ -95,12 +98,14 @@ class CanonicalImages(CheckedRecord, NamedTuple("CanonicalImages", [
     """
 
     def __new__(cls, first_top_e: int, second: tuple[str, ...]):
-        if type(first_top_e) is not int or first_top_e < 0 or first_top_e % 2:
+        self = cls._tested(cls, first_top_e, second)
+        if first_top_e < 0 or first_top_e % 2:
             raise ValueError(f"the first component's largest e must be a nonnegative even "
                              f"integer, got {first_top_e!r:.80}")
-        return tuple.__new__(cls, (first_top_e, second))
+        return self
 
 
+@checked
 class ComponentInfo(NamedTuple):
     """Connected components of the moduli space at a point of the low line."""
 
@@ -161,6 +166,7 @@ def pick_parameters(chi: int) -> tuple[int, int, int]:
     return (e, chi, 2 * e + 1)
 
 
+@checked
 class AmplenessCertificate(NamedTuple):
     """Integer feasibility certificate that a divisor on a blow-up is ample.
 
@@ -181,6 +187,7 @@ class AmplenessCertificate(NamedTuple):
     exceptional_reason: str | None = None
 
 
+@checked
 class NefCertificate(NamedTuple):
     """Witness pairings and closure data for a nefness claim."""
 
@@ -191,6 +198,7 @@ class NefCertificate(NamedTuple):
     gap: str | None = None
 
 
+@checked
 class ConstructionRecipe(NamedTuple):
     """A fully specified cover construction together with its outputs."""
 
@@ -479,6 +487,7 @@ def _nef_certificate(e: int, alpha: int, beta: int,
     )
 
 
+@checked
 class StableConstruction(NamedTuple):
     """Result of the stable pipeline: the surface record plus its recipe."""
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import lattice
-from .lattice import CheckedRecord, DivisorClass, SurfaceModel
+from .lattice import DivisorClass, SurfaceModel
+from .records import CheckedRecord, checked
 
 
 class BuildingDataError(ValueError):
@@ -83,6 +84,7 @@ def _exact_quotient(c: int, degree: int) -> int:
     return q
 
 
+@checked
 class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
         ("degree", int), ("base", SurfaceModel), ("branch", tuple[DivisorClass, ...])])):
     """Reduced building data of a degree 2 or degree 3 cyclic cover.
@@ -91,11 +93,11 @@ class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
     degree * root = sum of j * branch[j-1]; it is kept outside the fields.
     """
 
+    refusal = BuildingDataError  # of a field off its annotation, as of other bad data
+
     def __new__(cls, degree: int, base: SurfaceModel, branch: tuple[DivisorClass, ...]):
-        if base is None:  # derive_root reads None as the branch's surface
-            raise BuildingDataError("base must be a SurfaceModel, got None")
         root = derive_root(degree, branch, base)  # refuses a branch that is not a tuple or list
-        self = tuple.__new__(cls, (degree, base, tuple(branch)))
+        self = cls._tested(cls, degree, base, tuple(branch))
         object.__setattr__(self, "root", root)
         return self
 
@@ -108,6 +110,7 @@ class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
         return cls(3, base, (d1, d2))
 
 
+@checked
 class CanonicalMultiple(NamedTuple):
     """A relation multiple * K = pullback of ``cls`` from the base."""
 
@@ -115,6 +118,7 @@ class CanonicalMultiple(NamedTuple):
     cls: DivisorClass
 
 
+@checked
 class InvariantReport(NamedTuple):
     """Numerical invariants of a constructed surface.
 
@@ -205,6 +209,7 @@ def cover_invariants(spec: CoverSpec,
                            minimal_or_ample, warnings, (ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO))
 
 
+@checked
 class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [
         ("e", int), ("monomials", frozenset[tuple[int, int, int, int]])])):
     """A curve on a Hirzebruch surface cut out by scroll monomials.
@@ -215,16 +220,16 @@ class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [
     monomial set is homogeneous for the scroll weights.
     """
 
-    def __new__(cls, e: int, monomials):
-        if type(e) is not int or e < 0:
+    def __new__(cls, e: int, monomials: frozenset[tuple[int, int, int, int]]):
+        self = cls._tested(cls, e, monomials)
+        if e < 0:
             raise ValueError(f"scroll parameter e must be a nonnegative integer, got {e!r}")
-        monomials = frozenset(tuple(m) for m in monomials)
         if not monomials:
             raise ValueError("a scroll curve needs at least one monomial")
         for m in monomials:
-            if len(m) != 4 or any(type(x) is not int or x < 0 for x in m):
+            if min(m) < 0:
                 raise ValueError(f"malformed exponent quadruple {m!r}")
-        return tuple.__new__(cls, (e, monomials))
+        return self
 
 
 def scroll_class(curve: ScrollCurve) -> DivisorClass:

@@ -15,6 +15,8 @@ import math
 from operator import add, sub
 from typing import NamedTuple
 
+from .records import CheckedRecord, _immutable, checked
+
 
 class SurfaceMismatchError(ValueError):
     """An operation mixed divisor classes living on different surfaces."""
@@ -24,28 +26,6 @@ def require_int(name: str, value) -> None:
     """Refuse ``value`` unless it is an ``int``, which also refuses a ``bool``."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r:.80}")
-
-
-def _immutable(self, name: str, *_value) -> None:
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-
-class CheckedRecord:
-    """Mixin of the records that check or derive in ``__new__``.
-
-    Each such record is ``class X(CheckedRecord, NamedTuple("X", [...]))``.
-    ``_make``, and so ``_replace``, goes through the constructor and its
-    checks.  Derived state lives in the instance ``__dict__``, outside the
-    tuple, so equality, hashing, ``repr`` and the codec see only the
-    fields; it is written once with ``object.__setattr__``, and every
-    other assignment is refused.
-    """
-
-    __setattr__ = __delattr__ = _immutable
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
 
 
 class SurfaceModel(CheckedRecord):
@@ -80,12 +60,14 @@ class SurfaceModel(CheckedRecord):
         return DivisorClass._make(self, (0,) * root._rank, ((0, count),) if count else ())
 
 
+@checked
 class ProjectivePlane(SurfaceModel, NamedTuple("ProjectivePlane", [])):
     """The projective plane with Picard basis (H)."""
 
     _rank = 1  # the Picard rank, read in place of a type test
 
 
+@checked
 class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
     """The ruled surface with a section of self-intersection -e.
 
@@ -96,9 +78,10 @@ class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
     _rank = 2
 
     def __new__(cls, e: int):
-        if type(e) is not int or e < 0:
+        self = cls._tested(cls, e)
+        if e < 0:
             raise ValueError("Hirzebruch parameter e must be a nonnegative integer")
-        return tuple.__new__(cls, (e,))
+        return self
 
     def negative_section(self) -> "DivisorClass":
         return self.divisor((1, 0))
@@ -107,6 +90,7 @@ class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
         return self.divisor((0, 1))
 
 
+@checked
 class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
         ("base", SurfaceModel), ("point_count", int), ("general_position", bool)])):
     """Blow-up of a base surface at anonymous points.
@@ -119,13 +103,9 @@ class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
     """
 
     def __new__(cls, base: SurfaceModel, point_count: int, general_position: bool = True):
-        if not isinstance(base, SurfaceModel):
-            raise ValueError("blow-up base must be a SurfaceModel")
-        if type(point_count) is not int or point_count < 1:
+        self = cls._tested(cls, base, point_count, general_position)
+        if point_count < 1:
             raise ValueError("blow-up point count must be a positive integer")
-        if type(general_position) is not bool:
-            raise ValueError(f"general_position must be a bool, got {general_position!r}")
-        self = tuple.__new__(cls, (base, point_count, general_position))
         root, below = _levels(base)
         object.__setattr__(self, "_levels", (root, below + point_count))
         return self
@@ -169,6 +149,10 @@ class DivisorClass:
 
         ``surface.divisor(coeffs)`` builds one from dense coefficients instead.
         """
+        if not isinstance(surface, SurfaceModel):
+            raise ValueError(f"surface must be SurfaceModel, got {surface!r:.80}")
+        if type(head) not in (tuple, list) or type(runs) not in (tuple, list):
+            raise ValueError(f"head and runs must be tuples, got {head!r:.40}, {runs!r:.40}")
         root, count = _levels(surface)
         head, rank = tuple(head), picard_rank(root)
         if len(head) != rank:
@@ -448,6 +432,7 @@ def pullback(surface: BlowUp, d: DivisorClass) -> DivisorClass:
     return DivisorClass._make(surface, d.head, runs + ((0, zeros),))
 
 
+@checked
 class SectionCount(NamedTuple):
     """A global section count and whether it is exact.
 

@@ -1,0 +1,113 @@
+"""Records: named tuples that test their fields against their annotations.
+
+``checked`` gives a record class's named tuple a ``__new__`` generated on
+first use from the field annotations, as source with one test per field, as
+``namedtuple`` generates its methods: construction, ``_make`` and
+``_replace`` refuse a value off its annotation with ValueError, a ``bool``
+in an ``int`` field included.  The entries of a tuple, a frozenset or a
+dict are tested by exact type.  The codec reads the same ``hints``.
+"""
+
+from __future__ import annotations
+
+import functools
+import types
+import typing
+
+hints = functools.cache(typing.get_type_hints)  # a record class's evaluated annotations
+_UNIONS = (typing.Union, types.UnionType)
+
+
+def _immutable(self, name: str, *_value) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+@classmethod
+def _make(cls, values):
+    return cls(*values)
+
+
+class CheckedRecord:
+    """Mixin of the records with a constructor of their own.
+
+    Each is ``class X(CheckedRecord, NamedTuple("X", [...]))``, whose
+    ``__new__`` checks values and derives state around
+    ``cls._tested(cls, ...)``, its fields' test; the singularity ledger and
+    the stable record, built tens of thousands of times in one verification
+    run, test their fields inline instead.  Derived state lives in the
+    instance ``__dict__``, outside the tuple, so equality, hashing, ``repr``
+    and the codec see only the fields; it is written once with
+    ``object.__setattr__``, and every other assignment is refused.
+    """
+
+    __setattr__ = __delattr__ = _immutable
+    _make = _make
+
+
+def _refuse(cls, name: str, value, text: str):
+    # a record whose refusals all share a ValueError subclass names it ``refusal``
+    raise getattr(cls, "refusal", ValueError)(f"{name} must be {text}, got {value!r:.80}")
+
+
+def _text(hint) -> str:
+    """``hint`` as it is written, such as ``tuple[str, ...] | None``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:
+        return " | ".join(map(_text, args))
+    if hint is Ellipsis or hint is type(None):
+        return "..." if hint is Ellipsis else "None"
+    return f"{origin.__name__}[{', '.join(map(_text, args))}]" if args else hint.__name__
+
+
+def _test(hint, v: str, scope: dict) -> str:
+    """The source of a test that the value ``v`` matches ``hint``; ``scope`` gets its names."""
+    origin, args, name = typing.get_origin(hint), typing.get_args(hint), f"c{len(scope)}"
+    if origin in _UNIONS:
+        return f"({' or '.join(_test(member, v, scope) for member in args)})"
+    if hint is type(None) or hint in (int, bool, str):
+        return f"{v} is None" if hint is type(None) else f"type({v}) is {hint.__name__}"
+    if origin is None:  # a record class, or a base class of records
+        scope[name] = hint
+        return f"isinstance({v}, {name})"
+    test = f"(type({v}) is {origin.__name__}"
+    if origin is tuple and args[-1] is not Ellipsis:  # a tuple of fixed length
+        return test + f" and len({v}) == {len(args)}" + "".join(
+            f" and {_test(arg, f'{v}[{k}]', scope)}" for k, arg in enumerate(args)) + ")"
+    for items, entry in zip((v, f"{v}.values()"), args[:1 + (origin is dict)]):
+        # the entries, and a dict's values
+        if entry is object:
+            continue
+        members = typing.get_args(entry) if typing.get_origin(entry) in _UNIONS else (entry,)
+        name = f"c{len(scope)}"
+        if all(type(member) is type for member in members):  # tested in one C call
+            scope[name] = frozenset(members)
+            test += f" and (not {items} or set(map(type, {items})) <= {name})"
+        else:
+            scope[name] = None  # an entry, in the comprehension's own scope
+            test += f" and all([{_test(entry, name, scope)} for {name} in {items}])"
+    return test + ")"
+
+
+def checked(cls):
+    """Give the record class ``cls`` the ``__new__`` that tests its fields, generated on first use.
+
+    It goes on the named tuple that holds the fields, the class itself or the
+    base of a ``CheckedRecord``, as ``__new__`` and as ``_tested``.
+    """
+    base = next(c for c in cls.__mro__ if "_fields" in vars(c))
+    defaults, fields = base.__new__.__defaults__, base._fields
+
+    def first_use(_cls, *args, **kwargs):
+        scope = {"_new": tuple.__new__, "_refuse": _refuse}
+        tests = "".join(f"\n    if not {_test(hints(cls)[name], name, scope)}: _refuse("
+                        f"_cls, {name!r}, {name}, {_text(hints(cls)[name])!r})" for name in fields)
+        values = "".join(f"{name}, " for name in fields)
+        source = f"def new(_cls, {', '.join(fields)}):{tests}\n    return _new(_cls, ({values}))"
+        exec(compile(source, f"<fields' test of {cls.__name__}>", "exec"), scope)
+        scope["new"].__defaults__ = defaults
+        base.__new__ = base._tested = staticmethod(scope["new"])
+        return scope["new"](_cls, *args, **kwargs)
+
+    base.__new__ = base._tested = staticmethod(first_use)
+    base._make = _make
+    return cls

@@ -11,7 +11,9 @@ every payload; the "wire format" tables list where the JSON differs.
 Each record class gets a writer and a reader, generated from its fields'
 shapes on first use, as ``namedtuple`` generates its methods: the writer
 reads each field once and writes it in place, in sorted key order, and
-``to_jsonable`` is the parse of ``to_json``.
+``to_jsonable`` is the parse of ``to_json``.  Every record refuses a value
+off its field's annotation where it is built (``records``), so the writer
+writes only what the annotations allow and tests no type.
 Decoding is strict: a missing key, a wrong JSON type or an unknown tag
 raises ValueError.  Reports of schema /2 decode as they are, since /3
 only writes the smooth K^2 as a number where /2 wrote a decimal string;
@@ -31,7 +33,8 @@ from . import lattice, stable
 from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
                       ConstructionRecipe, NefCertificate)
 from .covers import CanonicalMultiple, InvariantReport
-from .lattice import BlowUp, CheckedRecord, DivisorClass, Hirzebruch, ProjectivePlane
+from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
+from .records import CheckedRecord, checked, hints
 from .stable import StableSurfaceRecord
 
 SCHEMA = "horikawa-report/3"
@@ -44,6 +47,7 @@ _INT64 = range(-(2**63), 2**63)
 # ---------------------------------------------------------------------------
 # payloads
 
+@checked
 class ClassificationPayload(NamedTuple):
     k_squared: int
     chi: int
@@ -53,12 +57,14 @@ class ClassificationPayload(NamedTuple):
     explanation: str
 
 
+@checked
 class ConstructionPayload(NamedTuple):
     variant: str
     recipe: ConstructionRecipe
     record: StableSurfaceRecord | None = None
 
 
+@checked
 class EnumerationRow(NamedTuple):
     chi: int
     general_type_k_squared: int | None
@@ -69,10 +75,12 @@ class EnumerationRow(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
+@checked
 class EnumerationPayload(NamedTuple):
     rows: tuple[EnumerationRow, ...]
 
 
+@checked
 class CheckResult(NamedTuple):
     name: str
     identity: str
@@ -85,6 +93,7 @@ class CheckResult(NamedTuple):
 RANGE_CAP = 1000
 
 
+@checked
 class VerificationOutcome(CheckedRecord, NamedTuple("VerificationOutcome", [
         ("chi_max", int), ("k_max", int), ("fault", str | None),
         ("checks", tuple[CheckResult, ...]), ("passed", bool)])):
@@ -93,10 +102,13 @@ class VerificationOutcome(CheckedRecord, NamedTuple("VerificationOutcome", [
 
     def __new__(cls, chi_max: int, k_max: int, fault: str | None,
                 checks: tuple[CheckResult, ...], passed: bool | None = None):
-        derived = all(c.passed for c in checks)
+        # an entry that is no CheckResult gives False here, and the fields' test refuses it
+        derived = type(checks) is tuple and all([getattr(c, "passed", False) for c in checks])
+        self = cls._tested(cls, chi_max, k_max, fault, checks,
+                           derived if passed is None else passed)
         if passed is not None and passed != derived:
             raise ValueError(f"passed is {passed} but the checks give {derived}")
-        return tuple.__new__(cls, (chi_max, k_max, fault, checks, derived))
+        return self
 
     @property
     def first_failure(self) -> CheckResult | None:
@@ -126,8 +138,8 @@ _TAGS = {
 # derived or written for human readers, and ignored when decoding: key, value, shape
 _ENCODE_ONLY = {
     DivisorClass: ("display", str, ("str",)),
-    ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base)
-                         if isinstance(recipe.base, lattice.SurfaceModel) else None, ("str",)),
+    ConstructionRecipe: ("base_display", lambda recipe: lattice.surface_descriptor(recipe.base),
+                         ("str",)),
     StableSurfaceRecord: ("in_component_without_canonical_models",
                           lambda record: record.in_component_without_canonical_models,
                           ("bool",)),
@@ -182,11 +194,11 @@ _PAYLOADS = {kind: _shape(cls) for cls, kind in _KINDS.items()}
 @functools.cache
 def _plan(cls) -> tuple:
     """((field, key, shape), ...), tag and encode-only key of a record class."""
-    hints = typing.get_type_hints(cls)
+    annotations = hints(cls)
     fields = tuple(
         (name, _RENAMED.get((cls, name), name),
          _THIRDS if (cls, name) in _IN_THIRDS
-         else _shape(hints[name], _NONE_AS.get((cls, name))))
+         else _shape(annotations[name], _NONE_AS.get((cls, name))))
         for name in cls._fields)
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
@@ -195,15 +207,15 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 
 
 def _off(value, indent):
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at ``indent``."""
+    """Any JSON ``value``, the inputs' or a none_as, as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it at ``indent``."""
     return _ESCAPE(value) if type(value) is str else int.__repr__(value) if type(
         value) is int else json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
 
 
-def _write_thirds(value, indent):
+def _write_thirds(value):
     import fractions  # loaded only for the records that hold thirds
-    return _ESCAPE(str(fractions.Fraction(value, 3))) if type(
-        value) is int else _off(value, indent)
+    return _ESCAPE(str(fractions.Fraction(value, 3)))
 
 
 def _expect(want, data, count=None):
@@ -239,35 +251,29 @@ def _read_object(tag_key, classes, data):
 
 
 # the source of each kind's writer, an expression that writes the value {w} at
-# the depth {i} (a value off its shape goes to _off or its kind's fallback), and
-# of its reader, one that reads the data {r}.  {item} is the entries' source, an
-# entry is {x} (a dict's value {y}) at the depth {j}, and {c} names an optional's
-# none_as, which {none} writes, and an object's tag key and classes
+# the depth {i}, and of its reader, one that reads the data {r}.  {item} is the
+# entries' source, an entry is {x} (a dict's value {y}) at the depth {j}, and {c}
+# names an optional's none_as, which {none} writes, and an object's tag key and classes
 _SOURCES = {
-    "int": ("""((int.__repr__({w}) if {w} in _INT64 else '"' + str({w}) + '"')"""
-            " if type({w}) is int else _off({w}, {i}))",
+    "int": ("""(int.__repr__({w}) if {w} in _INT64 else '"' + str({w}) + '"')""",
             "({r} if type({r}) is int else _read_int({r}))"),
-    "str": ("(_ESCAPE({w}) if type({w}) is str else _off({w}, {i}))",
-            "({r} if type({r}) is str else _expect(str, {r}))"),
-    "bool": ('(("true" if {w} else "false") if type({w}) is bool else _off({w}, {i}))',
+    "str": ("_ESCAPE({w})", "({r} if type({r}) is str else _expect(str, {r}))"),
+    "bool": ('("true" if {w} else "false")',
              "({r} if type({r}) is bool else _expect(bool, {r}))"),
     "json": ("_off({w}, {i})", "{r}"),
-    "thirds": ("_write_thirds({w}, {i})", "_read_thirds({r})"),
-    "object": ('(_record(type({w}))[0] if hasattr(type({w}), "_fields") else _off)({w}, {i})',
-               "_read_object(*{c}, {r})"),
+    "thirds": ("_write_thirds({w})", "_read_thirds({r})"),
+    "object": ("_record(type({w}))[0]({w}, {i})", "_read_object(*{c}, {r})"),
     "optional": ("({none} if {w} is None else {item})", "(None if {r} == {c} else {item})"),
-    "tuple": ('(("[" + ({j} := {i} + "  ") + ("," + {j}).join([{item} for {x} in {w}])'
-              ' + {i} + "]" if {w} else "[]") if isinstance({w}, tuple) else _off({w}, {i}))',
+    "tuple": ('("[" + ({j} := {i} + "  ") + ("," + {j}).join([{item} for {x} in {w}])'
+              ' + {i} + "]" if {w} else "[]")',
               "tuple([{item} for {x} in _expect(list, {r})])"),
-    "frozenset": ('(("[" + ({j} := {i} + "  ") + ("," + {j}).join([{item} for {x} in sorted('
-                  '{w})]) + {i} + "]" if {w} else "[]") if type({w}) is frozenset'
-                  ' else _off({w}, {i}))', "frozenset([{item} for {x} in _expect(list, {r})])"),
-    "fixed": ('("[" + ({j} := {i} + "  ") + {item} + {i} + "]"'
-              ' if isinstance({w}, tuple) and len({w}) == {count} else _off({w}, {i}))',
+    "frozenset": ('("[" + ({j} := {i} + "  ") + ("," + {j}).join([{item} for {x} in sorted('
+                  '{w})]) + {i} + "]" if {w} else "[]")',
+                  "frozenset([{item} for {x} in _expect(list, {r})])"),
+    "fixed": ('("[" + ({j} := {i} + "  ") + {item} + {i} + "]")',
               "(_expect(list, {r}, {count}) and ({item},))"),
-    "dict": ('(("{{" + ({j} := {i} + "  ") + ("," + {j}).join([_ESCAPE({x}) + ": " + {item}'
-             ' for {x} in sorted({w})]) + {i} + "}}" if {w} else "{{}}") if type({w}) is dict'
-             ' else _off({w}, {i}))',
+    "dict": ('("{{" + ({j} := {i} + "  ") + ("," + {j}).join([_ESCAPE({x}) + ": " + {item}'
+             ' for {x} in sorted({w})]) + {i} + "}}" if {w} else "{{}}")',
              "{{{x}: {item} for {x}, {y} in _expect(dict, {r}).items()}}"),
 }
 
@@ -355,22 +361,20 @@ def _envelope() -> dict:
     return dict(sorted((key, _compile(shape)) for key, shape in _ENVELOPE))
 
 
+@checked
 class Report(NamedTuple):
     """One command's inputs, payload, derivation trail and assumptions."""
 
     command: str
-    inputs: dict
-    payload: object
-    derivations: dict = {}  # shared by every report that omits it, so never mutated
+    inputs: dict[str, object]
+    payload: ClassificationPayload | ConstructionPayload | EnumerationPayload | VerificationOutcome
+    derivations: dict[str, str] = {}  # shared by every report that omits it, so never mutated
     assumptions: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
     @property
     def payload_kind(self) -> str:
         """The kind that names the payload's schema, read from the payload's type."""
-        if type(self.payload) not in _KINDS:
-            raise ValueError(f"unknown payload kind for payload type "
-                             f"{type(self.payload).__name__!r}")
         return _KINDS[type(self.payload)]
 
     def to_jsonable(self) -> dict:

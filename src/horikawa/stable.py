@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import covers, lattice
 from .covers import CoverSpec, InvariantReport
-from .lattice import CheckedRecord
+from .records import CheckedRecord
 
 
 class LedgerError(ValueError):

@@ -64,8 +64,9 @@ class TestDeriveRoot:
         (lambda: CoverSpec(2, P2, P2.divisor((10,))),
          "branch must be a tuple or list of classes, got "
          "DivisorClass(surface=ProjectivePlane(), head=(10,), runs=())"),
-        # unchecked, a None base was stored and failed later as an unsupported surface
-        (lambda: CoverSpec(2, None, (P2.divisor((4,)),)), "base must be a SurfaceModel, got None"),
+        # unchecked, a None base was stored and failed later as an unsupported surface;
+        # the fields' test refuses it as bad building data
+        (lambda: CoverSpec(2, None, (P2.divisor((4,)),)), "base must be SurfaceModel, got None"),
         # unchecked, an int base raised AttributeError on its .zero()
         (lambda: CoverSpec(2, 5, (P2.divisor((4,)),)), "base must be a SurfaceModel, got 5"),
         (lambda: derive_root(2, (P2.divisor((4,)),), 5), "base must be a SurfaceModel, got 5"),
@@ -449,14 +450,27 @@ class TestScrollCurves:
 
     @pytest.mark.parametrize("e", [1.5, 2.0, True, "2", -1])
     def test_parameter_must_be_a_nonnegative_int(self, e):
-        with pytest.raises(ValueError, match="scroll parameter e must be a nonnegative integer"):
+        # the fields' test refuses a value that is no int, the constructor a negative one
+        message = (f"^e must be int, got {e!r}$" if type(e) is not int
+                   else "^scroll parameter e must be a nonnegative integer, got -1$")
+        with pytest.raises(ValueError, match=message):
             ScrollCurve(e, frozenset({(0, 0, 1, 0)}))
 
     @pytest.mark.parametrize("monomial", [(0, 0, 1.0, 0), (0, 0, True, 0), (0.5, 0, 1, 0),
                                           (0, 0, -1, 0), (0, 0, 1)])
     def test_monomial_entries_must_be_nonnegative_ints(self, monomial):
-        with pytest.raises(ValueError, match="malformed exponent quadruple"):
+        message = (r"^malformed exponent quadruple \(0, 0, -1, 0\)$" if monomial == (0, 0, -1, 0)
+                   else re.escape("monomials must be frozenset[tuple[int, int, int, int]], got "
+                                  f"frozenset({{{monomial!r}}})"))
+        with pytest.raises(ValueError, match=message):
             ScrollCurve(2, frozenset({monomial}))
+
+    @pytest.mark.parametrize("monomials", [[(0, 0, 1, 0)], {(0, 0, 1, 0)},
+                                           frozenset({(0, 0, 1, 0), ()})],
+                             ids=["list", "set", "empty-tuple"])
+    def test_monomials_must_be_a_frozenset_of_quadruples(self, monomials):
+        with pytest.raises(ValueError, match="^monomials must be frozenset"):
+            ScrollCurve(2, monomials)
 
 
 class TestInvariance:

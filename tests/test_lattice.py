@@ -127,9 +127,12 @@ class TestBlowUpAndPullback:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Hirzebruch(1).divisor((1, 2, 3)), "expected 2 coefficients, got 3"),
-        (lambda: BlowUp(Hirzebruch(1).fiber(), 2), "blow-up base must be a SurfaceModel"),
+        (lambda: BlowUp(Hirzebruch(1).fiber(), 2),
+         "base must be SurfaceModel, got DivisorClass(surface=Hirzebruch(e=1), head=(0, 1), "
+         "runs=())"),
         (lambda: lattice.pullback(Hirzebruch(1), P2.divisor((1,))),
          "pullback target must be a blow-up"),
+        (lambda: Hirzebruch(-1), "Hirzebruch parameter e must be a nonnegative integer"),
         # unchecked, a float index would give run lengths of 1.5
         (lambda: lattice.blow_up(Hirzebruch(1), 4).exceptional(2.5),
          "exceptional index must be an integer, got 2.5"),
@@ -145,7 +148,7 @@ class TestBlowUpAndPullback:
          "coefficients must be integers, got True"),
         (lambda: lattice.blow_up(P2, 2).divisor((2.0, 0, 0)),
          "coefficients must be integers, got 2.0"),
-    ], ids=["coefficient-count", "blow-up-of-a-class", "pullback-onto-a-root",
+    ], ids=["coefficient-count", "blow-up-of-a-class", "pullback-onto-a-root", "negative-e",
             "exceptional-float", "exceptional-bool", "exceptional-0", "exceptional-5",
             "tail-coefficient-float", "tail-coefficient-bool", "head-coefficient-float"])
     def test_malformed_input_refused(self, build, message):
@@ -154,7 +157,7 @@ class TestBlowUpAndPullback:
 
     @pytest.mark.parametrize("flag", ["no", 1, 0, None])
     def test_general_position_must_be_a_bool(self, flag):
-        with pytest.raises(ValueError, match="general_position must be a bool"):
+        with pytest.raises(ValueError, match=f"^general_position must be bool, got {flag!r}$"):
             lattice.blow_up(Hirzebruch(1), 3, flag)
 
     def test_pullback_of_zero(self):

@@ -6,7 +6,7 @@ import functools
 import io
 import json
 import os
-import signal
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,7 +22,7 @@ from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 CheckResult, EnumerationPayload, EnumerationRow,
                                 Report, VerificationOutcome, _compile,
                                 _shape, render_text)
-from horikawa.stable import StableSurfaceRecord
+from horikawa.stable import LedgerError, StableSurfaceRecord
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -520,42 +520,24 @@ class TestWriter:
         report = Report.from_json(_json_report("construct", variant, "--chi", str(chi)).decode())
         assert report.to_json() == _stdlib_json(report.to_jsonable()) + "\n"
 
-    @pytest.mark.parametrize("payload,fragments,refusal", [
-        (ClassificationPayload(True, 1, 0, False, None, None),
-         ['"k_squared": true', '"admissible": 0', '"explanation": null'],
-         "expected an integer, got True"),
-        (ClassificationPayload(7.0, 1, True, True, None, "x"), ['"k_squared": 7.0'],
-         "expected an integer, got 7.0"),
-        (ClassificationPayload(None, 1, True, True, None, "x"), ['"k_squared": null'],
-         "expected an integer, got None"),
-        # a decimal string is how an integer beyond 64 bits travels, so it reads back
-        (ClassificationPayload("7", 1, True, True, None, "x"), ['"k_squared": "7"'], None),
-        (ClassificationPayload(7, 1, True, True, None, ["a", {"b": 1}]),
-         ['"explanation": [\n      "a",\n      {\n        "b": 1\n      }\n    ]'],
-         "explanation: expected str"),
+    @pytest.mark.parametrize("values,refusal", [
+        ((True, 1, 0, False, None, None), "k_squared must be int, got True"),
+        ((7.0, 1, True, True, None, "x"), "k_squared must be int, got 7.0"),
+        ((None, 1, True, True, None, "x"), "k_squared must be int, got None"),
+        # a decimal string is how an integer beyond 64 bits travels, not a value
+        (("7", 1, True, True, None, "x"), "k_squared must be int, got '7'"),
+        ((7, 1, True, True, None, ["a", {"b": 1}]),
+         "explanation must be str, got ['a', {'b': 1}]"),
     ], ids=["bool", "float", "none", "str", "list"])
-    def test_values_off_their_annotation_are_written_as_they_are(self, payload, fragments,
-                                                                refusal):
-        # payloads check no types, so a library caller can pass these; the
-        # writer keeps them as they are, and the decoder refuses them
-        def expire(_signum, _frame):
-            raise TimeoutError("to_json did not return within 5 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
-            out = Report(command="classify", inputs={}, payload=payload).to_json()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert out == _stdlib_json(json.loads(out)) + "\n"
-        for fragment in fragments:
-            assert fragment in out
-        if refusal is None:
-            assert Report.from_json(out).payload == payload._replace(k_squared=7)
-        else:
-            with pytest.raises(ValueError, match=refusal):
-                Report.from_json(out)
+    def test_values_off_their_annotation_are_refused(self, values, refusal):
+        # the payload refuses them where it is built, by _make and by _replace,
+        # so no report holds them and the writer never meets them
+        on_line = ClassificationPayload(7, 1, True, True, None, "x")
+        for build in (lambda: ClassificationPayload(*values),
+                      lambda: ClassificationPayload._make(values),
+                      lambda: on_line._replace(**dict(zip(on_line._fields, values)))):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                build()
 
     @pytest.mark.parametrize("build,fragments", [
         (_huge_head_report, [f'"{2**70}"', f'"{-(2**90)}"']),
@@ -612,15 +594,9 @@ def _entries(value) -> list:
     return list(value) if fields is None else [getattr(value, name) for name in fields]
 
 
-def _with_entry(value, path, entry):
-    """``value`` with the entry at ``path`` replaced, built past the records' checks."""
-    if not path:
-        return entry
-    entries = _entries(value)
-    entries[path[0]] = _with_entry(entries[path[0]], path[1:], entry)
-    if type(value) is DivisorClass:
-        return DivisorClass._make(*entries)
-    return tuple.__new__(type(value), entries)
+def _at(report, path):
+    """The value at ``path`` in the report's payload."""
+    return functools.reduce(lambda node, index: _entries(node)[index], path, report.payload)
 
 
 def test_every_record_class_a_payload_reaches_is_sampled():
@@ -631,63 +607,170 @@ def test_every_record_class_a_payload_reaches_is_sampled():
 _OFF_VALUES = (st.booleans() | st.floats() | st.none() | st.text(max_size=4)
                | st.lists(st.integers() | st.text(max_size=3), max_size=3)
                | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
-# the fields that encode-only values are computed from: the records' own code
-# reads them and raises on a value off their annotation before any is written
-_FEED_ENCODE_ONLY = {("DivisorClass", "surface"), ("DivisorClass", "head"),
-                     ("DivisorClass", "runs"),
-                     ("BlowUp", "base"), ("StableSurfaceRecord", "k_squared_thirds"),
-                     ("StableSurfaceRecord", "chi"), ("StableSurfaceRecord", "ledger")}
+_PLANS = json.loads((GOLDEN / "codec_plans.json").read_text(encoding="utf-8"))
+_TYPES = {"int": int, "thirds": int, "bool": bool, "str": str}
 
 
 def _field_sites() -> list:
-    """(report, path) of each field of a sampled record, but those of _FEED_ENCODE_ONLY."""
+    """(report, path) of each field of a sampled record."""
     sites = []
-    for name, (report, path) in _record_sites():
-        record = functools.reduce(lambda node, index: _entries(node)[index], path, report.payload)
-        sites += [(report, path + (index,)) for index, field in enumerate(type(record)._fields)
-                  if (name, field) not in _FEED_ENCODE_ONLY]
+    for _name, (report, path) in _record_sites():
+        sites += [(report, path + (index,)) for index in range(len(_at(report, path)._fields))]
     return sites
+
+
+def _fits(shape, value) -> bool:
+    """Whether ``value``, drawn from _OFF_VALUES, matches the pinned ``shape``."""
+    if shape[0] == "optional":
+        return value is None or _fits(shape[1], value)
+    if shape[0] == "dict":  # a str key, and a value of any JSON or a str
+        return type(value) is dict and all(
+            type(key) is str and (shape[1] == "json" or type(entry) is str)
+            for key, entry in value.items())
+    return type(value) is _TYPES.get(shape[0])
+
+
+def _rebuilt(record, field: str, value):
+    """``record`` with ``field`` set to ``value``, through its checked constructor."""
+    if type(record) is DivisorClass:  # a slotted class: its constructor takes its slots
+        return DivisorClass(**{**{name: getattr(record, name) for name in record._fields},
+                               field: value})
+    return record._replace(**{field: value})
+
+
+def _refused_unless_it_fits(record, field: str, shape, value):
+    # a value off its annotation is refused with ValueError, or turned into one on
+    # it: the divisor class stores a list head or runs as a tuple, and an outcome
+    # derives passed for None.  A value on it may be refused by a value check, and
+    # any other exception is a fault
+    try:
+        kept = getattr(_rebuilt(record, field, value), field)
+    except ValueError:
+        return
+    assert _fits(shape, value) or type(kept) is not type(value)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(site=st.sampled_from(_field_sites()), value=_OFF_VALUES)
-def test_any_field_off_its_annotation_is_written_as_it_is(site, value):
-    # the payload records check no types, and the others can be built past
-    # their checks; the writer writes such a value as json.dumps does, and
-    # the decoder reads it back or refuses it with ValueError
+def test_any_field_off_its_annotation_is_refused(site, value):
+    # every record class a payload reaches tests its fields where it is built,
+    # so a value off its annotation never reaches the writer
     report, path = site
-    out = report._replace(payload=_with_entry(report.payload, path, value)).to_json()
-    assert out == _stdlib_json(json.loads(out)) + "\n"
+    record = _at(report, path[:-1])
+    field = type(record)._fields[path[-1]]
+    plan = dict((name, shape) for name, _key, shape in _PLANS[type(record).__name__]["fields"])
+    _refused_unless_it_fits(record, field, plan[field], value)
+
+
+# the shapes of a spec's and a report's fields, as the codec plans write them
+_SPEC_AND_REPORT = {
+    "CoverSpec": {"degree": ["int"], "base": ["object"], "branch": ["tuple"]},
+    "Report": {"command": ["str"], "inputs": ["dict", "json"], "payload": ["object"],
+               "derivations": ["dict", "str"], "assumptions": ["tuple"], "notes": ["tuple"]},
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_SPEC_AND_REPORT)), data=st.data(), value=_OFF_VALUES)
+def test_any_field_of_a_spec_or_report_off_its_annotation_is_refused(name, data, value):
+    plane = ProjectivePlane()
+    record = {"CoverSpec": covers.CoverSpec.double(plane, plane.divisor((4,))),
+              "Report": _classification_report(6)}[name]
+    field = data.draw(st.sampled_from(sorted(_SPEC_AND_REPORT[name])))
+    _refused_unless_it_fits(record, field, _SPEC_AND_REPORT[name][field], value)
+
+
+@pytest.mark.parametrize("name,field", sorted(
+    (name, field) for name, plan in _PLANS.items() for field, _key, shape in plan["fields"]
+    if "int" in (shape[0], shape[1][0] if shape[0] == "optional" else None)))
+def test_true_in_any_int_field_is_refused(name, field):
+    # a bool is an int to isinstance, but no count, degree or coefficient
+    with pytest.raises(ValueError):
+        _rebuilt(_at(*dict(_record_sites())[name]), field, True)
+
+
+def test_a_fixed_tuple_of_another_length_is_refused():
+    recipe = _stable_report().payload.recipe
+    parameters = (*recipe.parameters, 9)
+    with pytest.raises(ValueError, match=re.escape(
+            f"parameters must be tuple[int, int, int] | None, got {parameters}")):
+        recipe._replace(parameters=parameters)
+
+
+def test_a_base_that_is_no_surface_is_refused():
+    # base_display describes the base, which is always a surface
+    with pytest.raises(ValueError, match="^base must be SurfaceModel, got 5$"):
+        _stable_report().payload.recipe._replace(base=5)
+
+
+# ---------------------------------------------------------------------------
+# the round trip law: a record built from any values either is refused or
+# comes back from its JSON
+
+@functools.cache
+def _instances() -> dict:
+    """Every instance of each record class in the sampled reports, by class name."""
+    found = {}
+
+    def visit(value):
+        if hasattr(type(value), "_fields"):
+            found.setdefault(type(value).__name__, []).append(value)
+        if isinstance(value, tuple) or type(value) is DivisorClass:
+            for entry in _entries(value):
+                visit(entry)
+
+    for _name, (report, _path) in _record_sites():
+        visit(report.payload)
+    return found
+
+
+def _values(shape):
+    """A strategy for the values of a pinned ``shape``; a record is a real one."""
+    kind = shape[0]
+    if kind in ("int", "thirds"):
+        return st.integers(0, 9) | st.integers(-9, 9) | st.integers(-2**70, 2**70)
+    if kind in ("optional", "tuple", "frozenset"):
+        inner = _values(shape[1])
+        return {"optional": st.none() | inner, "frozenset": st.frozensets(inner, max_size=3),
+                "tuple": st.lists(inner, max_size=3).map(tuple)}[kind]
+    if kind == "fixed":
+        return st.tuples(*map(_values, shape[1]))
+    if kind == "object":
+        return st.sampled_from([record for _tag, name in shape[2]
+                                for record in _instances()[name]])
+    return st.booleans() if kind == "bool" else st.text(max_size=6)
+
+
+def _rebuilt_at(value, path, entry):
+    """``value`` with the entry at ``path`` replaced, through the checked constructors."""
+    if not path:
+        return entry
+    entries = _entries(value)
+    entries[path[0]] = _rebuilt_at(entries[path[0]], path[1:], entry)
+    return tuple(entries) if type(value) is tuple else type(value)(*entries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_PLANS)), data=st.data())
+def test_round_trip_law(name, data):
+    # no draw raises TypeError or AttributeError: it is refused with ValueError
+    # where it is built, or its report reads back equal
+    report, path = dict(_record_sites())[name]
+    values = [data.draw(_values(shape), label=field) for field, _key, shape in
+              _PLANS[name]["fields"]]
     try:
-        Report.from_json(out)
+        record = type(_at(report, path))(*values)
+        report = report._replace(payload=_rebuilt_at(report.payload, path, record))
     except ValueError:
-        pass
-
-
-
-def test_a_fixed_tuple_of_another_length_is_written_whole_and_refused():
-    # a fixed tuple is written entry by entry only at its length; any other
-    # tuple is written as it is, so no entry is lost, and the decoder refuses it
-    report = _stable_report()
-    parameters = (*report.payload.recipe.parameters, 9)
-    field = type(report.payload.recipe)._fields.index("parameters")
-    out = report._replace(payload=_with_entry(report.payload, (1, field), parameters)).to_json()
-    assert out == _stdlib_json(json.loads(out)) + "\n"
-    assert json.loads(out)["payload"]["recipe"]["parameters"] == list(parameters)
-    with pytest.raises(ValueError, match="recipe: parameters: expected 3 entries, got 4"):
-        Report.from_json(out)
-
-def test_a_base_that_is_no_surface_is_written_and_refused():
-    # base_display describes only a surface; for any other base it is null,
-    # where it raised TypeError from the surface descriptor
-    report = _stable_report()
-    field = type(report.payload.recipe)._fields.index("base")
-    out = report._replace(payload=_with_entry(report.payload, (1, field), 5)).to_json()
-    assert out == _stdlib_json(json.loads(out)) + "\n"
-    recipe = json.loads(out)["payload"]["recipe"]
-    assert recipe["base"] == 5 and recipe["base_display"] is None
-    with pytest.raises(ValueError, match="^recipe: base: expected dict, got 5$"):
-        Report.from_json(out)
+        return
+    try:
+        text = report.to_json()
+    except LedgerError:
+        # a stable record is built whatever its bicanonical count, but its
+        # encode-only flag needs that count to be whole
+        assert type(record) is StableSurfaceRecord
+        return
+    assert Report.from_json(text) == report
 
 
 class TestDeepNesting:
@@ -755,10 +838,12 @@ class TestTextRendering:
         assert Report.from_json(text) == report
 
     def test_unknown_payload_kind_rejected(self):
-        report = Report(command="x", inputs={}, payload=None)
-        for use in (Report.to_jsonable, render_text):
-            with pytest.raises(ValueError, match="unknown payload kind .* type 'NoneType'"):
-                use(report)
+        # a payload of no known kind is refused where the report is built, so no
+        # writer or renderer meets it
+        with pytest.raises(ValueError, match=re.escape(
+                "payload must be ClassificationPayload | ConstructionPayload | "
+                "EnumerationPayload | VerificationOutcome, got None")):
+            Report(command="x", inputs={}, payload=None)
 
 
 def test_payload_kind_follows_the_payload_type():

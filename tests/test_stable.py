@@ -245,9 +245,13 @@ class TestNodeResolution:
         with pytest.raises(ValueError, match="^blow-up point count must be a positive integer$"):
             resolve_node_bookkeeping(_triple_spec(8, 0), 0)
 
-    @pytest.mark.parametrize("count", [-1, True, 1.0], ids=["negative", "bool", "float"])
-    def test_count_must_be_a_positive_int(self, count):
-        with pytest.raises(ValueError, match="^blow-up point count must be a positive integer$"):
+    @pytest.mark.parametrize("count, message", [
+        (-1, "blow-up point count must be a positive integer"),
+        (True, "point_count must be int, got True"), (1.0, "point_count must be int, got 1.0"),
+    ], ids=["negative", "bool", "float"])
+    def test_count_must_be_a_positive_int(self, count, message):
+        # the blow-up's fields' test refuses a count that is no int, its constructor the rest
+        with pytest.raises(ValueError, match=f"^{message}$"):
             resolve_node_bookkeeping(_triple_spec(8, 1), count)
 
     @pytest.mark.parametrize("nodes, count", [(3, 6), (0, 3)],

@@ -9,7 +9,8 @@ loads only where a stable record's K^2 is made, so ``classify`` and
 ``enumerate`` do not load it, and they build no codec: the writers and
 readers are generated when a JSON report is first written.  Every record
 is a ``typing.NamedTuple``, except the divisor class, a slotted class that
-equals no tuple; the codec plan of every record class a payload reaches
+equals no tuple, and every record refuses a value off its annotation
+where it is built; the codec plan of every record class a payload reaches
 is pinned in ``tests/golden/codec_plans.json``.
 """
 
@@ -133,7 +134,11 @@ def test_all_is_every_public_name_of_the_package():
 
 
 # ---------------------------------------------------------------------------
-# plain records
+# plain records: those with no constructor of their own, and the verification
+# outcome, sampled from real builds
+
+_OFF = type("Off", (), {})()  # a value off every annotation
+
 
 @functools.cache
 def _records():
@@ -158,7 +163,7 @@ def _records():
     ]
 
 
-_CONVERTED = [
+_PLAIN = [
     lattice.SectionCount, covers.CanonicalMultiple, covers.InvariantReport,
     catalog.ComponentInfo, catalog.AmplenessCertificate, catalog.NefCertificate,
     catalog.ConstructionRecipe, verify.CheckResult, verify.VerificationOutcome,
@@ -168,16 +173,19 @@ _CONVERTED = [
 
 
 def test_every_plain_record_is_sampled():
-    assert [type(record) for record in _records()] == _CONVERTED
+    assert [type(record) for record in _records()] == _PLAIN
 
 
-@pytest.mark.parametrize("index", range(len(_CONVERTED)),
-                         ids=[cls.__name__ for cls in _CONVERTED])
+@pytest.mark.parametrize("index", range(len(_PLAIN)),
+                         ids=[cls.__name__ for cls in _PLAIN])
 def test_plain_record_refuses_assignment(index):
+    # and, as every record, a value off its annotation in any field
     record = _records()[index]
     for name in type(record)._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            record._replace(**{name: _OFF})
     with pytest.raises(AttributeError):
         record.not_a_field = 1
 
@@ -224,6 +232,23 @@ def test_record_refuses_assignment(name):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.not_a_field = 1
+
+
+@pytest.mark.parametrize("name", _CODEC_RECORDS + ["CoverSpec", "Report"])
+def test_record_refuses_a_value_off_its_annotation(name):
+    # where it is built, by _make and by _replace; the divisor class, whose
+    # _make builds the package's own values unchecked, where it is built
+    record = _every_record()[name]
+    cls, values = type(record), [getattr(record, field) for field in type(record)._fields]
+    for index in range(len(values)):
+        off = values[:index] + [_OFF] + values[index + 1:]
+        builds = [lambda: cls(*off)]
+        if cls is not lattice.DivisorClass:
+            builds += [lambda: cls._make(off),
+                       lambda: record._replace(**{cls._fields[index]: _OFF})]
+        for build in builds:
+            with pytest.raises(ValueError):
+                build()
 
 
 def test_replace_runs_the_checks():

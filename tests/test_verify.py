@@ -55,8 +55,9 @@ class TestRunVerification:
         # h0(2K) = 3 is right for K^2 = 4/3 with four quotient points at chi = 3,
         # and chi + K^2 - 1 = 10/3 is no integer, so the identity fails
         record = StableSurfaceRecord(4, 3, SingularityLedger(4))
+        recipe = catalog.build_stable(3).recipe
         builds = verify._Builds(catalog.build_component_one,
-                                lambda chi: catalog.StableConstruction(record, None))
+                                lambda chi: catalog.StableConstruction(record, recipe))
         with pytest.raises(verify._CheckFailure,
                            match="^bicanonical count 3 instead of 10/3 at chi = 3$"):
             verify._check_stable_bicanonical(3, 2, builds)

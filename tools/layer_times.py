@@ -37,7 +37,9 @@ its figures are the means per run.
 chi = 4k + 3 is nearest to them, and for the epsilon family (chi,
 epsilon) = (150, 1) and (150, 100), the bottom and the top of its range
 at chi 150, as the ``stable-epsilon-bound`` check calls it.  A figure's
-key is its arguments joined by commas.
+key is its arguments joined by commas.  Each pass makes as many calls as
+fill about ``BUILD_WINDOW_S`` (5 ms), so a 3 us figure times as long a
+window as a 100 us one.
 
 ``startup_ms`` is the cold start: the self time in milliseconds of each
 package module (and their ``total``) that ``python -X importtime -c
@@ -90,6 +92,7 @@ BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
 BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (15700,)),
           "build_component_two": ((37,), (3924,)), "epsilon_family": ((150, 1), (150, 100))}
+BUILD_WINDOW_S = 0.005
 
 
 def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
@@ -240,12 +243,20 @@ def big_kernels(pkgs, repeat: int) -> dict:
 
 
 def builds(pkgs, repeat: int) -> dict:
-    """Each builder of ``BUILDS`` at each of its arguments, in us per call."""
-    return {name: {",".join(map(str, args)): passes(
-                       [lambda build=getattr(pkg.catalog, name), args=args: build(*args)
-                        for pkg in pkgs], repeat, 20, 1e6)
-                   for args in calls}
-            for name, calls in BUILDS.items()}
+    """Each builder of ``BUILDS`` at each of its arguments, in us per call.
+
+    A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
+    at least 20, counted from the first package's best of three 20-call passes.
+    """
+    figures = {}
+    for name, calls in BUILDS.items():
+        for args in calls:
+            fns = [lambda build=getattr(pkg.catalog, name), args=args: build(*args)
+                   for pkg in pkgs]
+            number = max(20, round(BUILD_WINDOW_S / min(passes(fns[:1], 3, 20)[0])))
+            figures.setdefault(name, {})[",".join(map(str, args))] = passes(
+                fns, repeat, number, 1e6)
+    return figures
 
 
 def import_times(src: Path, env: dict) -> dict:
