@@ -11,7 +11,7 @@ errors.  Output is human readable text by default and JSON behind
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import sys
 from typing import NamedTuple
@@ -197,11 +197,11 @@ def run_verify(chi_max: int, k_max: int,
 
 
 # ---------------------------------------------------------------------------
-# the command table: argparse, scenario checks, bounds, the inputs echo and
-# the dispatch all read it
+# the command table: the argv reader, argparse, scenario checks, bounds, the
+# inputs echo and the dispatch all read it
 
 class Arg(NamedTuple):
-    key: str  # scenario key; the flag is --key with dashes
+    key: str  # scenario key
     type: type  # the JSON type a scenario must give; nothing is coerced
     default: object = None
     required: bool = False
@@ -210,6 +210,11 @@ class Arg(NamedTuple):
     help: str | None = None
     positional: bool = False
     metavar: str | None = None
+
+    @property
+    def flag(self) -> str:
+        """The positional's name, or the flag: --key with dashes."""
+        return self.key if self.positional else "--" + self.key.replace("_", "-")
 
 
 class Command(NamedTuple):
@@ -334,9 +339,66 @@ def run_scenario(path: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: the table reads the plain form, argparse everything else
 
-def _build_parser() -> argparse.ArgumentParser:
+def _value(arg: Arg, token: str):
+    """``token`` as argparse converts it for ``arg``, or None where the table declines it."""
+    if arg.type is int:
+        # int() also reads " 6", "+6", "6_0" and digits other than ASCII: left to argparse
+        digits = token[1:] if token[:1] == "-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            value = int(token)
+        except ValueError:  # more digits than int() converts
+            return None
+    elif token[:1] == "-":  # argparse may take it for a flag
+        return None
+    else:
+        value = token
+    return value if arg.choices is None or value in arg.choices else None
+
+
+def _parse(argv) -> dict | None:
+    """The values ``parse_args(argv)`` gives, for the plain form only, read from the table.
+
+    The plain form is the command, its positional, then each of its flags at
+    most once, spelled in full, with its value as the next token; a value
+    argparse would refuse, and any other form, reads None.
+    """
+    if type(argv) not in (list, tuple) or not all(type(token) is str for token in argv):
+        return None
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    values = {"scenario": None, "command": argv[0]}
+    flags, position = {}, 1
+    for arg in spec.args:
+        if arg.positional:
+            value = _value(arg, argv[position]) if position < len(argv) else None
+            if value is None:
+                return None
+            position += 1
+        else:
+            value, flags[arg.flag] = arg.default, arg
+        values[arg.key] = value
+    rest = argv[position:]
+    if len(rest) % 2:
+        return None
+    for flag, token in zip(rest[::2], rest[1::2]):
+        arg = flags.pop(flag, None)  # so a repeated flag is unknown
+        value = None if arg is None else _value(arg, token)
+        if value is None:
+            return None
+        values[arg.key] = value
+    return None if any(arg.required for arg in flags.values()) else values
+
+
+@functools.cache
+def _parser():
+    """The argparse parser of the table, built on first need: help, usage errors, other forms."""
+    import argparse  # loaded here, so that a plain command line starts without it
+
     parser = argparse.ArgumentParser(
         prog="horikawa",
         description=("Exact divisor calculus on the invariant lines "
@@ -348,33 +410,32 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, spec in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=spec.summary)
         for arg in spec.args:
-            name = arg.key if arg.positional else "--" + arg.key.replace("_", "-")
             flag_only = {} if arg.positional else {"default": arg.default,
                                                    "required": arg.required}
             help_text = arg.help
             if arg.bound is not None:
                 cap = "from {} to {}".format(*arg.bound)
                 help_text = cap if help_text is None else f"{help_text}, {cap}"
-            command_parser.add_argument(name, type=arg.type, choices=arg.choices,
+            command_parser.add_argument(arg.flag, type=arg.type, choices=arg.choices,
                                         metavar=arg.metavar, help=help_text, **flag_only)
     return parser
 
 
-_PARSER = _build_parser()
-
-
 def main(argv=None) -> int:
-    try:
-        values = vars(_PARSER.parse_args(argv))
-    except SystemExit as exit_request:
-        return EXIT_OK if exit_request.code in (0, None) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else argv
+    values = _parse(argv)
+    if values is None:
+        try:
+            values = vars(_parser().parse_args(argv))
+        except SystemExit as exit_request:
+            return EXIT_OK if exit_request.code in (0, None) else EXIT_USAGE
     command, scenario = values.pop("command"), values.pop("scenario")
     if scenario is not None:
         if command is not None:
             return _usage_error("--scenario replaces the command line; drop the subcommand")
         return run_scenario(scenario)
     if command is None:
-        _PARSER.print_help()
+        _parser().print_help()
         return EXIT_USAGE
     return _dispatch(command, values)
 

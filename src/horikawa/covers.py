@@ -64,6 +64,11 @@ def derive_root(degree: int, branch, base: SurfaceModel | None = None) -> Diviso
         base = branch[0].surface
     elif not isinstance(base, SurfaceModel):
         raise BuildingDataError(f"base must be a SurfaceModel, got {base!r:.80}")
+    return _root(degree, branch, base)
+
+
+def _root(degree: int, branch: tuple[DivisorClass, ...], base: SurfaceModel) -> DivisorClass:
+    """``derive_root`` on a degree, branch and base whose types and lengths are tested."""
     weighted = base.zero()
     for j, d in enumerate(branch, start=1):
         if d.surface != base:
@@ -89,16 +94,25 @@ class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
         ("degree", int), ("base", SurfaceModel), ("branch", tuple[DivisorClass, ...])])):
     """Reduced building data of a degree 2 or degree 3 cyclic cover.
 
-    ``root`` is derived from the branch once, by ``derive_root``, so that
+    ``root`` is derived from the branch once, as ``derive_root`` does, so that
     degree * root = sum of j * branch[j-1]; it is kept outside the fields.
     """
 
     refusal = BuildingDataError  # of a field off its annotation, as of other bad data
 
     def __new__(cls, degree: int, base: SurfaceModel, branch: tuple[DivisorClass, ...]):
-        root = derive_root(degree, branch, base)  # refuses a branch that is not a tuple or list
-        self = cls._tested(cls, degree, base, tuple(branch))
-        object.__setattr__(self, "root", root)
+        # the fields' test tests each branch entry once; where it refuses, or the
+        # degree or the branch length is wrong, derive_root refuses first with
+        # the message it gives a direct caller
+        try:
+            self = cls._tested(cls, degree, base,
+                               tuple(branch) if isinstance(branch, (tuple, list)) else branch)
+        except BuildingDataError:
+            derive_root(degree, branch, base)
+            raise
+        if degree not in (2, 3) or len(self.branch) != degree - 1:
+            derive_root(degree, branch, base)
+        object.__setattr__(self, "root", _root(degree, self.branch, base))
         return self
 
     @classmethod

@@ -57,7 +57,7 @@ REGISTRY: dict[str, Fault] = {
     # -- covers ---------------------------------------------------------
     "root-class-multiplier": Fault(
         "the weighted branch sum uses weight 2 for the first divisor",
-        "covers.derive_root", "weighted + j * d", "weighted + (j + 1) * d"),
+        "covers._root", "weighted + j * d", "weighted + (j + 1) * d"),
     "double-cover-ksq-factor": Fault(
         "double cover K^2 uses factor 3 instead of 2",
         "covers.cover_invariants", "square = n *", "square = (3 if n == 2 else n) *"),

@@ -1,4 +1,5 @@
-"""Command line behaviour: exit codes, formats, scenarios, determinism."""
+"""Command line behaviour: exit codes, formats, scenarios, determinism, and the
+two routes of argv: the command table reads the plain form, argparse the rest."""
 
 import contextlib
 import io
@@ -6,6 +7,7 @@ import json
 import re
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -561,3 +563,176 @@ def test_argv_property(argv):
     formats = [argv[i + 1] for i, token in enumerate(argv[:-1]) if token == "--format"]
     if formats[-1:] == ["json"] and out.getvalue():
         Report.from_json(out.getvalue())
+
+
+
+# ---------------------------------------------------------------------------
+# the two routes of argv: the table reads the plain form, argparse the rest
+
+GOLDEN = Path(__file__).parent / "golden"
+_PLAIN_ARGVS = [case["argv"] for case in json.loads(
+    (GOLDEN / "cases.json").read_text(encoding="utf-8"))]
+
+
+def _argparse_items(argv) -> list:
+    """The items of ``vars(parse_args(argv))``, in order; a usage error fails the test."""
+    try:
+        return list(vars(cli._parser().parse_args(argv)).items())
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv!r}, which the table read")
+
+
+def _outcome(argv, monkeypatch) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, at argparse's width of 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGVS + [
+    ["verify-paper"],  # every flag at its default
+    ["construct", "stable", "--chi", "-007", "--k", "-0"],
+    ("verify-paper", "--inject-fault", "", "--format", "json"),  # a tuple, an empty value
+], ids=" ".join)
+def test_table_reads_the_plain_form_as_argparse_does(argv):
+    values = cli._parse(argv)
+    assert values is not None and list(values.items()) == _argparse_items(argv)
+
+
+_PLAIN = ["construct", "stable", "--chi", "5", "--format", "json"]
+
+
+def _help_cases() -> list:
+    """Empty argv, and -h and --help at every position of ``_PLAIN``.
+
+    Before the command argparse prints the top help page, after it the
+    command's; in place of a flag's value it refuses the line.
+    """
+    cases = [pytest.param([], 2, "help.txt", id="empty")]
+    for flag in ("-h", "--help"):
+        for i in range(len(_PLAIN) + 1):
+            argv = _PLAIN[:i] + [flag] + _PLAIN[i:]
+            if _PLAIN[i - 1:i] in (["--chi"], ["--format"]):
+                outcome = (2, "horikawa construct: error: argument "
+                              f"{_PLAIN[i - 1]}: expected one argument")
+            else:
+                outcome = (0, "help-construct.txt" if i else "help.txt")
+            cases.append(pytest.param(argv, *outcome, id=" ".join(argv)))
+    return cases
+
+
+@pytest.mark.parametrize("argv, code, expected", _help_cases())
+def test_help_in_any_position_is_left_to_argparse(monkeypatch, argv, code, expected):
+    assert cli._parse(argv) is None
+    got, out, err = _outcome(argv, monkeypatch)
+    if expected.endswith(".txt"):
+        assert (got, out, err) == (code, (GOLDEN / expected).read_text(encoding="utf-8"), "")
+    else:
+        assert (got, out, err.splitlines()[-1]) == (code, "", expected)
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["classify", "--k2", "8", "--chi=5"], ["classify", "--k2", "8", "--chi", "5"]),
+    (["verify-paper", "--chi-m", "12"], ["verify-paper", "--chi-max", "12"]),
+    # --k abbreviates --k2
+    (["classify", "--k", "8", "--chi", "7"], ["classify", "--k2", "8", "--chi", "7"]),
+    (["classify", "--k2", "8", "--k2", "10", "--chi", "7"],
+     ["classify", "--k2", "10", "--chi", "7"]),
+    (["construct", "--chi", "5", "stable"], ["construct", "stable", "--chi", "5"]),
+    *((["construct", "stable", "--chi", odd], ["construct", "stable", "--chi", plain])
+      for odd, plain in ((" 6", "6"), ("+6", "6"), ("6_0", "60"), ("\u0666", "6"))),
+    (["classify", "--k2", 0, "--chi", "7"], ["classify", "--k2", "0", "--chi", "7"]),
+], ids=lambda argv: " ".join(map(str, argv)))
+def test_other_spellings_are_left_to_argparse(monkeypatch, argv, plain):
+    assert cli._parse(argv) is None and cli._parse(plain) is not None
+    assert _outcome(argv, monkeypatch) == _outcome(plain, monkeypatch)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["classify", "--k2", "8", "--chi", "7", "--format", "xml"],
+     "horikawa classify: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'text', 'json')"),
+    # more digits than int() converts
+    (["construct", "stable", "--chi", "9" * 5000],
+     f"horikawa construct: error: argument --chi: invalid int value: '{'9' * 5000}'"),
+    (["verify-paper", "--inject-fault", "-x"],
+     "horikawa verify-paper: error: argument --inject-fault: expected one argument"),
+    (["classify", "--", "--k2", "8", "--chi", "7"],
+     "horikawa classify: error: the following arguments are required: --k2, --chi"),
+    (["classify", "--k2", "8", "--chi", "7", "--"], "horikawa: error: unrecognized arguments: --"),
+    (["enumerate", "--chi", "1"],
+     "horikawa enumerate: error: the following arguments are required: --chi-max"),
+    (["construct", "component-III"], "horikawa construct: error: argument variant: invalid "
+     "choice: 'component-III' (choose from 'component-I', 'component-II', 'stable')"),
+    (["construct"], "horikawa construct: error: the following arguments are required: variant"),
+], ids=lambda argv: " ".join(argv)[:60])
+def test_usage_errors_are_left_to_argparse(monkeypatch, argv, error):
+    assert cli._parse(argv) is None
+    code, out, err = _outcome(argv, monkeypatch)
+    assert (code, out, err.splitlines()[-1]) == (2, "", error)
+    assert err.startswith("usage: horikawa")
+
+
+def test_scenario_is_left_to_argparse(monkeypatch, tmp_path):
+    path = str(tmp_path / "missing.json")
+    assert cli._parse(["--scenario", path]) is None
+    assert _outcome(["--scenario", path], monkeypatch)[::2] == (
+        2, f"error: cannot read scenario {path}: [Errno 2] No such file or directory: "
+           f"{path!r}\n")
+
+
+def test_a_token_that_is_not_a_str_is_left_to_argparse():
+    # argparse reads the first character of an int token, as it always has
+    for argv in (["classify", "--k2", 8, "--chi", "7"], iter(["verify-paper"])):
+        assert cli._parse(argv) is None
+    with pytest.raises(TypeError, match="not subscriptable"):
+        cli.main(["classify", "--k2", 8, "--chi", "7"])
+
+
+_COMMAND_TOKENS = sorted(cli._COMMANDS)
+_VARIANT_TOKENS = ["component-I", "component-II", "stable", "component-III"]
+_FLAG_TOKENS = sorted({arg.flag for spec in cli._COMMANDS.values() for arg in spec.args
+                       if not arg.positional}) + ["--chi-m", "--form", "--chi=5"]
+_INT_TOKENS = ["0", "7", "-3", "12", "007", "-0", "100001", " 6", "+6", "6_0", "\u0666",
+               "9" * 5000, "-"]
+_STR_TOKENS = ["text", "json", "xml", "germ-index-shift", "", "a b", "-x"]
+_ODD_TOKENS = ["-h", "--help", "--", "--scenario", 6, None]
+_ALPHABET = (_COMMAND_TOKENS + _VARIANT_TOKENS + _FLAG_TOKENS + _INT_TOKENS + _STR_TOKENS
+             + _ODD_TOKENS)
+
+
+@st.composite
+def _token_argvs(draw):
+    """A command, maybe a variant, then flags and values mostly of that command, in any
+    order, and at times a token of the alphabet put in anywhere."""
+    def pick(tokens):
+        return draw(st.sampled_from(tokens))
+
+    def rarely():
+        return draw(st.integers(0, 3)) == 0
+
+    argv = [pick(_COMMAND_TOKENS)]
+    if argv[0] == "construct" or rarely():
+        argv.append(pick(_VARIANT_TOKENS))
+    pairs = []
+    for arg in cli._COMMANDS[argv[0]].args:
+        if not arg.positional and not rarely():
+            fitting = arg.choices or (_INT_TOKENS[:7] if arg.type is int else _STR_TOKENS[3:5])
+            pairs.append([arg.flag, pick(_INT_TOKENS + _STR_TOKENS if rarely() else fitting)])
+    if rarely():
+        pairs.append([pick(_FLAG_TOKENS), pick(_INT_TOKENS + _STR_TOKENS)])
+    for pair in draw(st.permutations(pairs)):
+        argv += pair
+    if rarely():
+        argv.insert(draw(st.integers(0, len(argv))), pick(_ALPHABET))
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=_token_argvs())
+def test_table_agrees_with_argparse_on_token_argvs(argv):
+    values = cli._parse(argv)
+    if values is not None:
+        assert list(values.items()) == _argparse_items(argv)

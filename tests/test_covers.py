@@ -70,10 +70,15 @@ class TestDeriveRoot:
         # unchecked, an int base raised AttributeError on its .zero()
         (lambda: CoverSpec(2, 5, (P2.divisor((4,)),)), "base must be a SurfaceModel, got 5"),
         (lambda: derive_root(2, (P2.divisor((4,)),), 5), "base must be a SurfaceModel, got 5"),
+        # a spec's fields' test passes these, and derive_root refuses them
+        (lambda: CoverSpec(4, P2, (P2.divisor((4,)),) * 3),
+         "only degree 2 and 3 covers are supported, got 4"),
+        (lambda: CoverSpec(3, P2, [P2.divisor((3,))]), "degree 3 needs 2 branch classes, got 1"),
     ], ids=["degree-4", "degree-float", "degree-bool", "one-class-for-degree-3",
             "two-classes-for-degree-2", "class-on-another-surface", "int-branch-entry",
             "int-branch-entry-of-a-spec", "int-branch", "bare-class-branch-of-a-spec",
-            "none-base-of-a-spec", "int-base-of-a-spec", "int-base"])
+            "none-base-of-a-spec", "int-base-of-a-spec", "int-base", "degree-4-of-a-spec",
+            "one-class-for-degree-3-of-a-spec"])
     def test_malformed_building_data_refused(self, build, message):
         with pytest.raises(BuildingDataError, match=f"^{re.escape(message)}$"):
             build()

@@ -4,7 +4,9 @@ immutability, copies and wire plan.
 ``verify`` and ``faults`` serve only ``verify-paper``, and ``faults`` only
 with an injected fault, so importing the command line front end and
 running the other commands must load neither, nor ``dataclasses`` or
-``inspect``; decoding a verification report loads neither.  ``fractions``
+``inspect``; decoding a verification report loads neither.  The command
+table reads a plain command line, so no command loads ``argparse``; a help
+page does.  ``fractions``
 loads only where a stable record's K^2 is made, so ``classify`` and
 ``enumerate`` do not load it, and they build no codec: the writers and
 readers are generated when a JSON report is first written.  Every record
@@ -38,11 +40,13 @@ _COMMANDS = [
     ["construct", "stable", "--chi", "7", "--format", "json"],
     ["verify-paper", "--chi-max", "6", "--k-max", "2"],
     ["verify-paper", "--inject-fault", "germ-index-shift", "--chi-max", "6", "--k-max", "2"],
+    ["--help"],
 ]
 _PROBE = """
 import contextlib, io, json, sys
 import horikawa.cli
-watched = ("dataclasses", "fractions", "horikawa.faults", "horikawa.verify", "inspect")
+watched = ("argparse", "dataclasses", "fractions", "horikawa.faults", "horikawa.verify",
+           "inspect")
 loaded = lambda: [m for m in watched if m in sys.modules]
 seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -67,6 +71,8 @@ def test_only_verify_paper_loads_verify_and_faults():
         "verify-paper --chi-max": [0, ["fractions", "horikawa.verify"]],
         "verify-paper --inject-fault": [
             1, ["fractions", "horikawa.faults", "horikawa.verify", "inspect"]],
+        # argparse renders help and usage errors, and reads what the table does not
+        "--help": [0, ["argparse", "fractions", "horikawa.faults", "horikawa.verify", "inspect"]],
     }
 
 

@@ -1,4 +1,4 @@
-"""Per-check, kernel, builder, report and cold-start timings of horikawa, as one JSON object.
+"""Per-check, kernel, builder, report, command and cold-start timings of horikawa, as JSON.
 
     PYTHONPATH=src python3 tools/layer_times.py [--repeat N] [--against PATH]
 
@@ -41,6 +41,12 @@ key is its arguments joined by commas.  Each pass makes as many calls as
 fill about ``BUILD_WINDOW_S`` (5 ms), so a 3 us figure times as long a
 window as a 100 us one.
 
+``cli_us`` times ``cli.main`` in microseconds per call on each argv of
+``REPORTS``, once with ``--format text`` and once with ``--format json``,
+with stdout sent to a ``StringIO``: the command line read, the command
+run and its report written.  Each pass makes as many calls as fill about
+``BUILD_WINDOW_S``, at least one, after one untimed call.
+
 ``startup_ms`` is the cold start: the self time in milliseconds of each
 package module (and their ``total``) that ``python -X importtime -c
 'import horikawa.cli'`` reports, in a new subprocess for each package
@@ -64,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -246,17 +253,25 @@ def builds(pkgs, repeat: int) -> dict:
     """Each builder of ``BUILDS`` at each of its arguments, in us per call.
 
     A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
-    at least 20, counted from the first package's best of three 20-call passes.
+    at least 20.
     """
     figures = {}
     for name, calls in BUILDS.items():
         for args in calls:
             fns = [lambda build=getattr(pkg.catalog, name), args=args: build(*args)
                    for pkg in pkgs]
-            number = max(20, round(BUILD_WINDOW_S / min(passes(fns[:1], 3, 20)[0])))
-            figures.setdefault(name, {})[",".join(map(str, args))] = passes(
-                fns, repeat, number, 1e6)
+            figures.setdefault(name, {})[",".join(map(str, args))] = windowed(fns, repeat, 20)
     return figures
+
+
+def windowed(fns, repeat: int, minimum: int) -> list:
+    """``passes`` in us per call, each making as many calls as fill about ``BUILD_WINDOW_S``.
+
+    The count, at least ``minimum``, comes from the first function's best of
+    three ``minimum``-call passes.
+    """
+    number = max(minimum, round(BUILD_WINDOW_S / min(passes(fns[:1], 3, minimum)[0])))
+    return passes(fns, repeat, number, 1e6)
 
 
 def import_times(src: Path, env: dict) -> dict:
@@ -326,6 +341,25 @@ def report_layer(pkgs, repeat: int) -> dict:
     return timings
 
 
+def quiet_main(main, argv: tuple) -> int:
+    """``main(argv)`` with stdout sent to a ``StringIO``."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+
+def cli_calls(pkgs, repeat: int) -> dict:
+    """``cli.main`` on each ``REPORTS`` argv in text and in JSON, in us per call."""
+    timings = {}
+    for name, argv in REPORTS.items():
+        for fmt in ("text", "json"):
+            fns = [functools.partial(quiet_main, pkg.cli.main, (*argv, "--format", fmt))
+                   for pkg in pkgs]
+            if any(fn() != 0 for fn in fns):
+                raise SystemExit(f"{' '.join(argv)} --format {fmt} failed")
+            timings.setdefault(name, {})[fmt] = windowed(fns, repeat, 1)
+    return timings
+
+
 def figures(pkgs, repeat: int) -> dict:
     """Every figure; each leaf lists, per package, the figure's value in every pass."""
     return {
@@ -334,6 +368,7 @@ def figures(pkgs, repeat: int) -> dict:
                        "rank_1e5": big_kernels(pkgs, repeat)},
         "builds_us": builds(pkgs, repeat),
         "report_us": report_layer(pkgs, repeat),
+        "cli_us": cli_calls(pkgs, repeat),
         "startup_ms": startup(pkgs, repeat),
     }
 
