@@ -6,10 +6,9 @@ with an injected fault, so importing the command line front end and
 running the other commands must load neither, nor ``dataclasses`` or
 ``inspect``; decoding a verification report loads neither.  The command
 table reads a plain command line, so no command loads ``argparse``; a help
-page does.  ``fractions``
-loads only where a stable record's K^2 is made, so ``classify`` and
-``enumerate`` do not load it, and they build no codec: the writers and
-readers are generated when a JSON report is first written.  Every record
+page does.  ``fractions`` loads only where a stable record's K^2 is made,
+so ``classify`` and ``enumerate`` do not load it, and they build no codec:
+the writers and readers are generated when a JSON report is first written.  Every record
 is a ``typing.NamedTuple``, except the divisor class, a slotted class that
 equals no tuple, and every record refuses a value off its annotation
 where it is built; the codec plan of every record class a payload reaches
