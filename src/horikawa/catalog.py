@@ -544,7 +544,8 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
     """
     if type(chi) is not int or type(epsilon) is not int:  # one test on the hot path
         lattice.require_int("chi", chi)
-        lattice.require_int("epsilon", epsilon)
+        if type(epsilon) is not stable.Affine:  # an interval of epsilon, from verify
+            lattice.require_int("epsilon", epsilon)
     if chi < 4:
         raise ValueError("the contracted family starts from a surface with chi >= 4")
     if epsilon < 1:

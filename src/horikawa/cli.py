@@ -426,7 +426,11 @@ def main(argv=None) -> int:
     values = _parse(argv)
     if values is None:
         try:
-            values = vars(_parser().parse_args(argv))
+            parser, argv = _parser(), list(argv)
+            for token in argv:  # argparse would read an int 0 as "0" and raise on an 8
+                if not isinstance(token, str):
+                    parser.error(f"command-line token {token!r:.80} is not a str")
+            values = vars(parser.parse_args(argv))
         except SystemExit as exit_request:
             return EXIT_OK if exit_request.code in (0, None) else EXIT_USAGE
     command, scenario = values.pop("command"), values.pop("scenario")

@@ -20,13 +20,86 @@ class LedgerError(ValueError):
     """A singularity ledger is inconsistent with the claimed invariants."""
 
 
+class Affine:
+    """The integers a + b*t for every integer t in [lo, hi], as one symbolic value.
+
+    ``stable-epsilon-bound`` runs ``epsilon_family`` once on such an epsilon
+    for a whole interval, so it has only what that path uses: + and - with
+    an int or an Affine on the same interval, * by an int, divmod by a
+    positive int dividing b, and <, <=, >, == and != that answer only when
+    the answer is the same for every t.  Anything else raises TypeError:
+    truth, hashing, int(), and a branch the interval does not decide.
+    """
+
+    __slots__ = ("a", "b", "lo", "hi")
+
+    def __init__(self, a: int, b: int, lo: int, hi: int):
+        self.a, self.b, self.lo, self.hi = a, b, lo, hi
+
+    def _of(self, other) -> tuple[int, int]:
+        if type(other) is int:
+            return other, 0
+        if type(other) is Affine and (other.lo, other.hi) == (self.lo, self.hi):
+            return other.a, other.b
+        raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
+
+    def __add__(self, other, sign: int = 1):
+        a, b = self._of(other)
+        return Affine(self.a + sign * a, self.b + sign * b, self.lo, self.hi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return Affine(self.a * other, self.b * other, self.lo, self.hi)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        if type(other) is not int or other < 1 or self.b % other:
+            return NotImplemented
+        return Affine(self.a // other, self.b // other, self.lo, self.hi), self.a % other
+
+    def __bool__(self):
+        raise TypeError("an Affine has no truth value")
+
+    def _decide(self, other, test):
+        # self - other is linear in t, so a sign test that gives one answer
+        # at both ends of the interval gives it at every t between them
+        a, b = self._of(other)
+        answers = {test(self.a - a + (self.b - b) * t) for t in (self.lo, self.hi)}
+        if len(answers) > 1:
+            raise TypeError("the interval does not decide this comparison")
+        return answers.pop()
+
+    def __lt__(self, other):
+        return self._decide(other, lambda difference: difference < 0)
+
+    def __le__(self, other):
+        return self._decide(other, lambda difference: difference <= 0)
+
+    def __gt__(self, other):
+        return self._decide(other, lambda difference: difference > 0)
+
+    def __eq__(self, other):  # which makes __hash__ None; != is its negation
+        return not (self < other or self > other)
+
+
 class SingularityLedger(CheckedRecord, NamedTuple("SingularityLedger", [
         ("third11_count", int), ("canonical_count", int)])):
     """Counts of the singular points carried by a surface."""
 
     def __new__(cls, third11_count: int = 0, canonical_count: int = 0):
-        if type(third11_count) is not int or type(canonical_count) is not int:
-            bad = canonical_count if type(third11_count) is int else third11_count
+        if ((type(third11_count) is not int and type(third11_count) is not Affine)
+                or type(canonical_count) is not int):
+            bad = canonical_count if type(third11_count) in (int, Affine) else third11_count
             raise ValueError(f"singularity counts must be integers, got {bad!r}")
         if third11_count < 0 or canonical_count < 0:
             raise ValueError("singularity counts must be nonnegative")
@@ -50,7 +123,7 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
 
     def __new__(cls, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
                 ample_canonical: bool = False, smoothable: bool = False):
-        if type(k_squared_thirds) is not int:
+        if type(k_squared_thirds) is not int and type(k_squared_thirds) is not Affine:
             import fractions
             if isinstance(k_squared_thirds, fractions.Fraction):
                 raise LedgerError(

@@ -643,7 +643,6 @@ def test_help_in_any_position_is_left_to_argparse(monkeypatch, argv, code, expec
     (["construct", "--chi", "5", "stable"], ["construct", "stable", "--chi", "5"]),
     *((["construct", "stable", "--chi", odd], ["construct", "stable", "--chi", plain])
       for odd, plain in ((" 6", "6"), ("+6", "6"), ("6_0", "60"), ("\u0666", "6"))),
-    (["classify", "--k2", 0, "--chi", "7"], ["classify", "--k2", "0", "--chi", "7"]),
 ], ids=lambda argv: " ".join(map(str, argv)))
 def test_other_spellings_are_left_to_argparse(monkeypatch, argv, plain):
     assert cli._parse(argv) is None and cli._parse(plain) is not None
@@ -683,12 +682,24 @@ def test_scenario_is_left_to_argparse(monkeypatch, tmp_path):
            f"{path!r}\n")
 
 
-def test_a_token_that_is_not_a_str_is_left_to_argparse():
-    # argparse reads the first character of an int token, as it always has
-    for argv in (["classify", "--k2", 8, "--chi", "7"], iter(["verify-paper"])):
-        assert cli._parse(argv) is None
-    with pytest.raises(TypeError, match="not subscriptable"):
-        cli.main(["classify", "--k2", 8, "--chi", "7"])
+@pytest.mark.parametrize("argv, shown", [
+    (["classify", "--k2", 8, "--chi", "7"], "8"),
+    # argparse alone would read it as "0"
+    (["classify", "--k2", 0, "--chi", "7"], "0"),
+    (("verify-paper", "--inject-fault", None), "None"),
+    (["verify-paper", b"--format", "json"], "b'--format'"),
+], ids=["int", "int-zero", "none", "bytes"])
+def test_a_token_that_is_not_a_str_is_refused_before_argparse(monkeypatch, argv, shown):
+    assert cli._parse(argv) is None
+    code, out, err = _outcome(argv, monkeypatch)
+    assert (code, out) == (2, "") and err.startswith("usage: horikawa ")
+    assert err.splitlines()[-1] == f"horikawa: error: command-line token {shown} is not a str"
+
+
+def test_an_argv_that_is_no_list_or_tuple_is_left_to_argparse(monkeypatch):
+    argv = ["verify-paper", "--chi-max", "6", "--k-max", "2"]
+    assert cli._parse(iter(argv)) is None
+    assert _outcome(iter(argv), monkeypatch) == _outcome(argv, monkeypatch)
 
 
 _COMMAND_TOKENS = sorted(cli._COMMANDS)

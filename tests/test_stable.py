@@ -1,16 +1,17 @@
 """One-third quotient point bookkeeping."""
 
+import operator
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horikawa import catalog, covers, lattice
 from horikawa.covers import BuildingDataError, CoverSpec
 from horikawa.lattice import Hirzebruch
-from horikawa.stable import (LedgerError, SingularityLedger, StableSurfaceRecord,
+from horikawa.stable import (Affine, LedgerError, SingularityLedger, StableSurfaceRecord,
                              contract_minus3, h0_2K, resolve_node_bookkeeping,
                              rr_correction_thirds)
 
@@ -275,3 +276,106 @@ class TestNodeResolution:
         full = covers.cover_invariants(_triple_spec(chi, 0))
         _resolved, unresolved = _resolve_and_contract(_triple_spec(chi, 3), 3)
         assert unresolved.k_squared - full.k_squared == 1
+
+
+_COEFFICIENTS = st.integers(-40, 40)
+
+
+@st.composite
+def _affine_and_operand(draw):
+    """(a, b, lo, hi) of an interval of at most 13 points, and an int or another (a, b)."""
+    lo = draw(st.integers(-12, 12))
+    x = (draw(_COEFFICIENTS), draw(_COEFFICIENTS), lo, draw(st.integers(lo, lo + 12)))
+    return x, draw(st.one_of(_COEFFICIENTS, st.tuples(_COEFFICIENTS, _COEFFICIENTS)))
+
+
+def _built(pair):
+    """The Affine of the drawn (a, b, lo, hi), and the operand as an int or on its interval."""
+    (a, b, lo, hi), y = pair
+    return Affine(a, b, lo, hi), y if type(y) is int else Affine(*y, lo, hi)
+
+
+def _at(value, t):
+    """The value at t of an Affine, or an int itself."""
+    return value.a + value.b * t if type(value) is Affine else value
+
+
+def _sign(n):
+    return (n > 0) - (n < 0)
+
+
+class TestAffine:
+    """The symbolic epsilon of stable-epsilon-bound, against its values at every t."""
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_affine_and_operand(), st.sampled_from(["<", "<=", ">", "==", "!="]),
+           st.booleans())
+    def test_a_comparison_raises_or_agrees_at_every_t(self, pair, symbol, reflected):
+        x, y = _built(pair)
+        compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                   "==": operator.eq, "!=": operator.ne}[symbol]
+        left, right = (y, x) if reflected else (x, y)  # 5 < x asks x > 5
+        unsupported = type(left) is int and symbol == "<="  # it would ask x >= 5
+        points = range(x.lo, x.hi + 1)
+        answers = {compare(_at(left, t), _at(right, t)) for t in points}
+        # an order is decided where its answer is constant; == and != where the
+        # difference keeps one sign, as it cannot be zero at only some points
+        signs = {_sign(_at(x, t) - _at(y, t)) for t in points}
+        decided = len(signs if symbol in ("==", "!=") else answers) == 1
+        try:
+            got = compare(left, right)
+        except TypeError:
+            assert unsupported or not decided
+        else:
+            assert not unsupported and decided and {got} == answers
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_affine_and_operand(), st.integers(-6, 6))
+    def test_arithmetic_agrees_at_every_t(self, pair, n):
+        x, y = _built(pair)
+        results = [(x + y, operator.add, (x, y)), (y + x, operator.add, (y, x)),
+                   (x - y, operator.sub, (x, y)), (-x, operator.neg, (x,)),
+                   (x * n, operator.mul, (x, n)), (n * x, operator.mul, (n, x))]
+        for result, concrete, operands in results:
+            assert type(result) is Affine and (result.lo, result.hi) == (x.lo, x.hi)
+            for t in range(x.lo, x.hi + 1):
+                assert _at(result, t) == concrete(*(_at(v, t) for v in operands))
+        if n < 1 or x.b % n:
+            with pytest.raises(TypeError):
+                divmod(x, n)
+        else:
+            quotient, remainder = divmod(x, n)
+            assert type(remainder) is int
+            for t in range(x.lo, x.hi + 1):
+                assert (_at(quotient, t), remainder) == divmod(_at(x, t), n)
+
+    @pytest.mark.parametrize("use", [
+        bool, hash, int, range, operator.index, lambda x: x % 2, lambda x: x // 2,
+        lambda x: x * x, lambda x: x * 1.5, lambda x: x + 1.5, lambda x: x + True,
+        lambda x: x - True, lambda x: x + Fraction(1), lambda x: x + Affine(0, 1, 1, 3),
+        lambda x: 1 - x, lambda x: x >= 1, lambda x: x < None, lambda x: x == "1",
+        lambda x: divmod(x, 3), lambda x: divmod(x, 0), lambda x: [1, 2][x],
+        lambda x: x if x else 0,
+    ], ids=["bool", "hash", "int", "range", "index", "mod", "floordiv", "square", "by-float",
+            "plus-float", "plus-bool", "minus-bool", "plus-fraction", "other-interval",
+            "int-minus", "at-least", "against-none", "against-str", "divmod-not-dividing-b",
+            "divmod-by-zero", "subscript", "branch"])
+    def test_any_other_use_raises(self, use):
+        with pytest.raises(TypeError):
+            use(Affine(1, 2, 0, 5))
+
+    def test_admitted_where_epsilon_flows(self):
+        # epsilon_family, the ledger and the record take it after their int tests,
+        # and the record they build holds its values at every epsilon of the interval
+        chi, top = 40, 27
+        record = catalog.epsilon_family(chi, Affine(0, 1, 1, top - 1))
+        for epsilon in range(1, top):
+            concrete = catalog.epsilon_family(chi, epsilon)
+            assert _at(record.k_squared_thirds, epsilon) == concrete.k_squared_thirds
+            assert _at(record.ledger.third11_count, epsilon) == 3 * epsilon
+        # top + 1 is refused, so an interval that holds it is undecided
+        with pytest.raises(TypeError, match="does not decide"):
+            catalog.epsilon_family(chi, Affine(0, 1, 1, top + 1))
+        assert SingularityLedger(Affine(3, 0, 0, 1)).third11_count.a == 3
+        with pytest.raises(ValueError, match="must be integers, got 1.5"):
+            SingularityLedger(Affine(3, 0, 0, 1), 1.5)

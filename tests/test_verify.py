@@ -1,5 +1,6 @@
 """Verification harness behaviour and fault registry coverage."""
 
+import contextlib
 import functools
 import importlib
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from horikawa import catalog, faults, lattice, verify
-from horikawa.stable import SingularityLedger, StableSurfaceRecord
+from horikawa.stable import Affine, SingularityLedger, StableSurfaceRecord
 
 
 class TestRunVerification:
@@ -116,6 +117,102 @@ class TestRunVerification:
         assert len(names) == len(set(names))
         assert "component-one-invariants" in names
         assert "stable-ampleness-certificate" in names
+
+
+def _concrete_epsilon_bound(chi_max):
+    """stable-epsilon-bound as one concrete call per (chi, epsilon): the symbolic pass's oracle."""
+    for chi in range(4, chi_max + 1):
+        bound = 8 * chi - 16
+        for epsilon in range(1, (2 * chi + 2) // 3 + 1):
+            record = catalog.epsilon_family(chi, epsilon)
+            thirds = record.k_squared_thirds
+            if not thirds <= bound:
+                raise verify._CheckFailure(f"bound violated at chi = {chi}, epsilon = {epsilon}")
+            if (thirds == bound) != (3 * epsilon == 2 * chi + 2):
+                raise verify._CheckFailure(
+                    f"bound equality mischaracterised at chi = {chi}, epsilon = {epsilon}")
+            if thirds != 3 * (2 * chi - 6 + epsilon):
+                raise verify._CheckFailure(
+                    f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
+            if record.ledger.third11_count != 3 * epsilon:
+                raise verify._CheckFailure(
+                    f"ledger count wrong at chi = {chi}, epsilon = {epsilon}")
+
+
+def _ending(check):
+    """None if ``check()`` returns, else the type and message of what it raised."""
+    try:
+        check()
+    except Exception as error:
+        return type(error), str(error)
+    return None
+
+
+class TestSymbolicEpsilonBound:
+    CHI_MAX = 60  # past the cutoff from chi = 19 on
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each (chi, epsilon) that epsilon_family is called with, a symbolic epsilon as a tuple."""
+        made, family = [], catalog.epsilon_family
+
+        def recorded(chi, epsilon):
+            made.append((chi, epsilon if type(epsilon) is int
+                         else (epsilon.a, epsilon.b, epsilon.lo, epsilon.hi)))
+            return family(chi, epsilon)
+
+        monkeypatch.setattr(catalog, "epsilon_family", recorded)
+        return made
+
+    def test_a_long_interval_is_one_symbolic_call(self, calls):
+        verify._check_epsilon_bound(self.CHI_MAX, 2, None)
+        want = []
+        for chi in range(4, self.CHI_MAX + 1):
+            top = (2 * chi + 2) // 3
+            want += ([(chi, (0, 1, 1, top - 1)), (chi, top)] if top - 1 > verify._SYMBOLIC_CASES
+                     else [(chi, epsilon) for epsilon in range(1, top + 1)])
+        assert calls == want
+
+    @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
+    def test_same_ending_as_the_concrete_loop(self, fault):
+        with contextlib.nullcontext() if fault is None else faults.injected(fault):
+            got = _ending(lambda: verify._check_epsilon_bound(self.CHI_MAX, 2, None))
+            want = _ending(lambda: _concrete_epsilon_bound(self.CHI_MAX))
+        assert got == want
+        if fault in (None, "epsilon-family-ksq", "contraction-gain-half"):
+            assert (got is None) == (fault is None)
+
+    @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
+    def test_a_symbolic_pass_that_returns_vouches_for_every_case(self, fault):
+        # at every chi, short intervals included, not only up to the first failure
+        with contextlib.nullcontext() if fault is None else faults.injected(fault):
+            for chi in range(4, self.CHI_MAX + 1):
+                top = (2 * chi + 2) // 3
+                if _ending(lambda: verify._epsilon_case(chi, Affine(0, 1, 1, top - 1))) is None:
+                    for epsilon in range(1, top):
+                        verify._epsilon_case(chi, epsilon)
+
+    @pytest.mark.parametrize("differs, first", [
+        (lambda epsilon: epsilon == 7, 7),  # undecided on an interval that holds 7
+        (lambda epsilon: epsilon % 20 == 7, 7),  # an Affine has no %: TypeError
+        (lambda epsilon: True, 1),  # the symbolic case itself fails
+    ], ids=["undecided", "type-error", "failing"])
+    def test_a_pass_that_raises_runs_its_chi_concretely(self, differs, first, calls,
+                                                         monkeypatch):
+        family = catalog.epsilon_family
+
+        def miscounted_at_30(chi, epsilon):
+            record = family(chi, epsilon)
+            if chi == 30 and differs(epsilon):
+                return record._replace(ledger=SingularityLedger(record.ledger.third11_count + 1))
+            return record
+
+        monkeypatch.setattr(catalog, "epsilon_family", miscounted_at_30)
+        detail = f"ledger count wrong at chi = 30, epsilon = {first}"
+        with pytest.raises(verify._CheckFailure, match=f"^{detail}$"):
+            verify._check_epsilon_bound(40, 2, None)
+        assert [epsilon for chi, epsilon in calls if chi == 30] == [(0, 1, 1, 19),
+                                                                    *range(1, first + 1)]
 
 
 class TestSharedBuilds:

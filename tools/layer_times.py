@@ -45,7 +45,9 @@ window as a 100 us one.
 ``REPORTS``, once with ``--format text`` and once with ``--format json``,
 with stdout sent to a ``StringIO``: the command line read, the command
 run and its report written.  Each pass makes as many calls as fill about
-``BUILD_WINDOW_S``, at least one, after one untimed call.
+``BUILD_WINDOW_S``, at least three, after one untimed call, so that a
+command longer than the window (``verify_paper_30_6``) is still the
+mean of a few calls.
 
 ``startup_ms`` is the cold start: the self time in milliseconds of each
 package module (and their ``total``) that ``python -X importtime -c
@@ -356,7 +358,7 @@ def cli_calls(pkgs, repeat: int) -> dict:
                    for pkg in pkgs]
             if any(fn() != 0 for fn in fns):
                 raise SystemExit(f"{' '.join(argv)} --format {fmt} failed")
-            timings.setdefault(name, {})[fmt] = windowed(fns, repeat, 1)
+            timings.setdefault(name, {})[fmt] = windowed(fns, repeat, 3)
     return timings
 
 
