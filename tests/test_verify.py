@@ -149,7 +149,7 @@ def _ending(check):
 
 
 class TestSymbolicEpsilonBound:
-    CHI_MAX = 60  # past the cutoff from chi = 19 on
+    CHI_MAX = 60  # past the cutoff from chi = 20 on
 
     @pytest.fixture
     def calls(self, monkeypatch):
