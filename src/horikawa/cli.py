@@ -426,7 +426,12 @@ def main(argv=None) -> int:
     values = _parse(argv)
     if values is None:
         try:
-            parser, argv = _parser(), list(argv)
+            parser = _parser()
+            try:
+                tokens = iter(argv)
+            except TypeError:
+                parser.error(f"the command line {argv!r:.80} is not iterable")
+            argv = list(tokens)
             for token in argv:  # argparse would read an int 0 as "0" and raise on an 8
                 if not isinstance(token, str):
                     parser.error(f"command-line token {token!r:.80} is not a str")

@@ -32,9 +32,7 @@ class CheckedRecord:
 
     Each is ``class X(CheckedRecord, NamedTuple("X", [...]))``, whose
     ``__new__`` checks values and derives state around
-    ``cls._tested(cls, ...)``, its fields' test; the singularity ledger and
-    the stable record, built tens of thousands of times in one verification
-    run, test their fields inline instead.  Derived state lives in the
+    ``cls._tested(cls, ...)``, its fields' test.  Derived state lives in the
     instance ``__dict__``, outside the tuple, so equality, hashing, ``repr``
     and the codec see only the fields; it is written once with
     ``object.__setattr__``, and every other assignment is refused.

@@ -162,7 +162,7 @@ _INT, _STR, _THIRDS, _JSON = ("int",), ("str",), ("thirds",), ("json",)
 # reads; int() and Fraction() would also take " 6", "+6", "6_0" and "\u0666"
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_SCALARS = {int: _INT, bool: ("bool",), str: _STR}
+_SCALARS = {int: _INT, int | stable.Affine: _INT, bool: ("bool",), str: _STR}
 
 
 def _shape(hint, none_as=None) -> tuple:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import covers, lattice
 from .covers import CoverSpec, InvariantReport
-from .records import CheckedRecord
+from .records import CheckedRecord, checked
 
 
 class LedgerError(ValueError):
@@ -92,25 +92,24 @@ class Affine:
         return not (self < other or self > other)
 
 
+@checked
 class SingularityLedger(CheckedRecord, NamedTuple("SingularityLedger", [
-        ("third11_count", int), ("canonical_count", int)])):
+        ("third11_count", int | Affine), ("canonical_count", int)])):
     """Counts of the singular points carried by a surface."""
 
-    def __new__(cls, third11_count: int = 0, canonical_count: int = 0):
-        if ((type(third11_count) is not int and type(third11_count) is not Affine)
-                or type(canonical_count) is not int):
-            bad = canonical_count if type(third11_count) in (int, Affine) else third11_count
-            raise ValueError(f"singularity counts must be integers, got {bad!r}")
+    def __new__(cls, third11_count: int | Affine = 0, canonical_count: int = 0):
+        self = cls._tested(cls, third11_count, canonical_count)
         if third11_count < 0 or canonical_count < 0:
             raise ValueError("singularity counts must be nonnegative")
-        return tuple.__new__(cls, (third11_count, canonical_count))
+        return self
 
 
 EMPTY_LEDGER = SingularityLedger()
 
 
+@checked
 class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
-        ("k_squared_thirds", int), ("chi", int), ("ledger", SingularityLedger),
+        ("k_squared_thirds", int | Affine), ("chi", int), ("ledger", SingularityLedger),
         ("ample_canonical", bool), ("smoothable", bool)])):
     """Invariants and flags of a normal stable surface.
 
@@ -121,28 +120,19 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
     ``fractions`` is imported only where one is made.
     """
 
-    def __new__(cls, k_squared_thirds: int, chi: int, ledger: SingularityLedger,
+    def __new__(cls, k_squared_thirds: int | Affine, chi: int, ledger: SingularityLedger,
                 ample_canonical: bool = False, smoothable: bool = False):
-        if type(k_squared_thirds) is not int and type(k_squared_thirds) is not Affine:
+        if type(k_squared_thirds) is not int:
             import fractions
             if isinstance(k_squared_thirds, fractions.Fraction):
                 raise LedgerError(
                     f"k_squared {k_squared_thirds / 3} is not a whole number of thirds")
-            raise ValueError(f"k_squared_thirds must be an integer, got {k_squared_thirds!r}")
-        if type(chi) is not int:
-            raise ValueError(f"chi must be an integer, got {chi!r}")
-        if type(ample_canonical) is not bool or type(smoothable) is not bool:
-            name, flag = (("smoothable", smoothable) if type(ample_canonical) is bool
-                          else ("ample_canonical", ample_canonical))
-            raise ValueError(f"{name} must be a bool, got {flag!r:.80}")
-        try:
-            if ledger.third11_count > 0 and smoothable:
-                raise LedgerError(
-                    "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
-                )
-        except AttributeError:
-            raise ValueError(f"ledger must be a SingularityLedger, got {ledger!r:.80}") from None
-        return tuple.__new__(cls, (k_squared_thirds, chi, ledger, ample_canonical, smoothable))
+        self = cls._tested(cls, k_squared_thirds, chi, ledger, ample_canonical, smoothable)
+        if ledger.third11_count > 0 and smoothable:
+            raise LedgerError(
+                "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
+            )
+        return self
 
     @property
     def k_squared(self):

@@ -43,7 +43,7 @@ class _Builds(NamedTuple):
 
     component_one: Callable[[int], catalog.ConstructionRecipe]
     stable: Callable[[int], catalog.StableConstruction]
-    component_two: Callable[[int], catalog.ConstructionRecipe] = catalog.build_component_two
+    component_two: Callable[[int], catalog.ConstructionRecipe]
 
 
 def _expect(condition: bool, detail: str):

@@ -696,6 +696,14 @@ def test_a_token_that_is_not_a_str_is_refused_before_argparse(monkeypatch, argv,
     assert err.splitlines()[-1] == f"horikawa: error: command-line token {shown} is not a str"
 
 
+@pytest.mark.parametrize("argv, shown", [(5, "5"), (type(None), "<class 'NoneType'>")],
+                         ids=["int", "type"])
+def test_an_argv_that_is_not_iterable_is_refused_before_argparse(monkeypatch, argv, shown):
+    code, out, err = _outcome(argv, monkeypatch)
+    assert (code, out) == (2, "") and err.startswith("usage: horikawa ")
+    assert err.splitlines()[-1] == f"horikawa: error: the command line {shown} is not iterable"
+
+
 def test_an_argv_that_is_no_list_or_tuple_is_left_to_argparse(monkeypatch):
     argv = ["verify-paper", "--chi-max", "6", "--k-max", "2"]
     assert cli._parse(iter(argv)) is None

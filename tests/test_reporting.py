@@ -22,7 +22,7 @@ from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 CheckResult, EnumerationPayload, EnumerationRow,
                                 Report, VerificationOutcome, _compile,
                                 _shape, render_text)
-from horikawa.stable import LedgerError, StableSurfaceRecord
+from horikawa.stable import Affine, LedgerError, StableSurfaceRecord
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -684,9 +684,16 @@ def test_any_field_of_a_spec_or_report_off_its_annotation_is_refused(name, data,
     (name, field) for name, plan in _PLANS.items() for field, _key, shape in plan["fields"]
     if "int" in (shape[0], shape[1][0] if shape[0] == "optional" else None)))
 def test_true_in_any_int_field_is_refused(name, field):
-    # a bool is an int to isinstance, but no count, degree or coefficient
+    # a bool is an int to isinstance, but no count, degree or coefficient; an
+    # interval of ints is admitted only as a ledger's count of one-third points
+    record, interval = _at(*dict(_record_sites())[name]), Affine(0, 1, 1, 2)
     with pytest.raises(ValueError):
-        _rebuilt(_at(*dict(_record_sites())[name]), field, True)
+        _rebuilt(record, field, True)
+    if (name, field) == ("SingularityLedger", "third11_count"):
+        assert _rebuilt(record, field, interval).third11_count is interval
+    else:
+        with pytest.raises(ValueError):
+            _rebuilt(record, field, interval)
 
 
 def test_a_fixed_tuple_of_another_length_is_refused():

@@ -21,15 +21,19 @@ class TestLedger:
         with pytest.raises(ValueError):
             SingularityLedger(third11_count=-1)
 
-    @pytest.mark.parametrize("counts", [
-        (1.5, 0), (True, 0), ("1", 0), (0, 2.0), (0, False),
+    @pytest.mark.parametrize("counts, refusal", [
+        ((1.5, 0), "third11_count must be int | Affine, got 1.5"),
+        ((True, 0), "third11_count must be int | Affine, got True"),
+        (("1", 0), "third11_count must be int | Affine, got '1'"),
+        ((0, 2.0), "canonical_count must be int, got 2.0"),
+        ((0, False), "canonical_count must be int, got False"),
     ], ids=["float", "bool", "str", "canonical-float", "canonical-bool"])
-    def test_counts_must_be_integers(self, counts):
-        with pytest.raises(ValueError, match="singularity counts must be integers"):
+    def test_counts_must_be_integers(self, counts, refusal):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             SingularityLedger(*counts)
 
     def test_record_never_sees_a_float_count(self):
-        with pytest.raises(ValueError, match="must be integers, got 1.5"):
+        with pytest.raises(ValueError, match=r"^third11_count must be int \| Affine, got 1.5$"):
             StableSurfaceRecord(4, 3, SingularityLedger(1.5))
 
     def test_record_consistency(self):
@@ -58,7 +62,7 @@ class TestLedger:
     @pytest.mark.parametrize("field", ["ample_canonical", "smoothable"])
     @pytest.mark.parametrize("flag", [1, 0, None, "yes", 1.0], ids=repr)
     def test_flags_must_be_bools(self, field, flag):
-        message = f"^{field} must be a bool, got {flag!r}$"
+        message = f"^{field} must be bool, got {flag!r}$"
         with pytest.raises(ValueError, match=message):
             StableSurfaceRecord(3, 3, SingularityLedger(0), **{field: flag})
         with pytest.raises(ValueError, match=message):
@@ -66,14 +70,14 @@ class TestLedger:
 
     def test_built_record_refuses_an_int_flag(self):
         record = catalog.build_stable(5)[0]
-        with pytest.raises(ValueError, match="^ample_canonical must be a bool, got 1$"):
+        with pytest.raises(ValueError, match="^ample_canonical must be bool, got 1$"):
             record._replace(ample_canonical=1)
         assert record._replace(ample_canonical=True) == record
 
     @pytest.mark.parametrize("ledger", [None, (3, 0)], ids=repr)
     def test_ledger_must_be_a_ledger(self, ledger):
-        # the ledger's count was read before its type, so None raised AttributeError
-        message = f"^ledger must be a SingularityLedger, got {re.escape(repr(ledger))}$"
+        # the fields' test refuses a non-ledger before its count is read
+        message = f"^ledger must be SingularityLedger, got {re.escape(repr(ledger))}$"
         with pytest.raises(ValueError, match=message):
             StableSurfaceRecord(3, 3, ledger)
         with pytest.raises(ValueError, match=message):
@@ -119,7 +123,7 @@ class TestContraction:
         assert not contract_minus3(5, 4, 3).ample_canonical
         assert contract_minus3(5, 4, 3, ample_canonical=True).ample_canonical
         # the record's own check refuses a flag that is not a bool
-        with pytest.raises(ValueError, match="^ample_canonical must be a bool, got 1$"):
+        with pytest.raises(ValueError, match="^ample_canonical must be bool, got 1$"):
             contract_minus3(5, 4, 3, ample_canonical=1)
 
 
@@ -365,8 +369,8 @@ class TestAffine:
             use(Affine(1, 2, 0, 5))
 
     def test_admitted_where_epsilon_flows(self):
-        # epsilon_family, the ledger and the record take it after their int tests,
-        # and the record they build holds its values at every epsilon of the interval
+        # epsilon_family takes it after its int test, the ledger and the record by their
+        # annotations, and the record they build holds its values at every epsilon of the interval
         chi, top = 40, 27
         record = catalog.epsilon_family(chi, Affine(0, 1, 1, top - 1))
         for epsilon in range(1, top):
@@ -377,5 +381,5 @@ class TestAffine:
         with pytest.raises(TypeError, match="does not decide"):
             catalog.epsilon_family(chi, Affine(0, 1, 1, top + 1))
         assert SingularityLedger(Affine(3, 0, 0, 1)).third11_count.a == 3
-        with pytest.raises(ValueError, match="must be integers, got 1.5"):
+        with pytest.raises(ValueError, match="^canonical_count must be int, got 1.5$"):
             SingularityLedger(Affine(3, 0, 0, 1), 1.5)

@@ -58,7 +58,8 @@ class TestRunVerification:
         record = StableSurfaceRecord(4, 3, SingularityLedger(4))
         recipe = catalog.build_stable(3).recipe
         builds = verify._Builds(catalog.build_component_one,
-                                lambda chi: catalog.StableConstruction(record, recipe))
+                                lambda chi: catalog.StableConstruction(record, recipe),
+                                catalog.build_component_two)
         with pytest.raises(verify._CheckFailure,
                            match="^bicanonical count 3 instead of 10/3 at chi = 3$"):
             verify._check_stable_bicanonical(3, 2, builds)

@@ -1,4 +1,4 @@
-"""Per-check, kernel, builder, report, command and cold-start timings of horikawa, as JSON.
+"""Per-check, kernel, builder, record, report, command and cold-start timings, as JSON.
 
     PYTHONPATH=src python3 tools/layer_times.py [--repeat N] [--against PATH]
 
@@ -40,6 +40,14 @@ at chi 150, as the ``stable-epsilon-bound`` check calls it.  A figure's
 key is its arguments joined by commas.  Each pass makes as many calls as
 fill about ``BUILD_WINDOW_S`` (5 ms), so a 3 us figure times as long a
 window as a 100 us one.
+
+``records_us`` times one construction of each record class in
+microseconds per call, its checked constructor called with the field
+values of the first instance of the class found in a ``build_stable``
+and a ``build_component_one`` at chi 150 (``RECORD_BUILDS``), so the
+cost of each class's fields' test and value rules is one figure.  A
+figure's key is the class name; each pass fills about
+``BUILD_WINDOW_S``, after one untimed call of each package.
 
 ``cli_us`` times ``cli.main`` in microseconds per call on each argv of
 ``REPORTS``, once with ``--format text`` and once with ``--format json``,
@@ -102,6 +110,7 @@ BIG_RUN_COUNTS = (1, 1000)
 BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (15700,)),
           "build_component_two": ((37,), (3924,)), "epsilon_family": ((150, 1), (150, 100))}
 BUILD_WINDOW_S = 0.005
+RECORD_BUILDS = (("build_stable", 150), ("build_component_one", 150))
 
 
 def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
@@ -266,6 +275,40 @@ def builds(pkgs, repeat: int) -> dict:
     return figures
 
 
+def record_samples(pkg) -> dict:
+    """The first instance of each record class that a ``RECORD_BUILDS`` build reaches, by name."""
+    found = {}
+
+    def visit(value):
+        if hasattr(type(value), "_fields"):
+            found.setdefault(type(value).__name__, value)
+            for name in type(value)._fields:
+                visit(getattr(value, name))
+        elif isinstance(value, (tuple, frozenset)):
+            for entry in value:
+                visit(entry)
+
+    for name, arg in RECORD_BUILDS:
+        visit(getattr(pkg.catalog, name)(arg))
+    return found
+
+
+def records(pkgs, repeat: int) -> dict:
+    """One construction of each sampled record class from its fields, in us per call."""
+    samples = [record_samples(pkg) for pkg in pkgs]
+    figures = {}
+    for name in samples[0]:
+        if not all(name in sample for sample in samples):
+            continue  # a class that one of the packages does not have
+        fns = [functools.partial(type(record), *(getattr(record, field)
+                                                for field in type(record)._fields))
+               for record in (sample[name] for sample in samples)]
+        for fn in fns:
+            fn()  # untimed, so that no timed pass generates a fields' test
+        figures[name] = windowed(fns, repeat, 20)
+    return figures
+
+
 def windowed(fns, repeat: int, minimum: int) -> list:
     """``passes`` in us per call, each making as many calls as fill about ``BUILD_WINDOW_S``.
 
@@ -369,6 +412,7 @@ def figures(pkgs, repeat: int) -> dict:
         "kernels_us": {"bilinearity_sample": sample_kernels(pkgs, repeat),
                        "rank_1e5": big_kernels(pkgs, repeat)},
         "builds_us": builds(pkgs, repeat),
+        "records_us": records(pkgs, repeat),
         "report_us": report_layer(pkgs, repeat),
         "cli_us": cli_calls(pkgs, repeat),
         "startup_ms": startup(pkgs, repeat),
