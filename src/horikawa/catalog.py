@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import covers, lattice, stable
 from .covers import CoverSpec, InvariantReport, ScrollCurve
 from .lattice import DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
-from .records import CheckedRecord, checked
+from .records import Affine, CheckedRecord, checked
 from .stable import SingularityLedger, StableSurfaceRecord
 
 
@@ -56,9 +56,10 @@ def admissibility_failures(k_squared: int, chi: int) -> list[str]:
     """The inequalities for minimal surfaces of general type that the pair violates.
 
     Every admissibility test in this module comes here, so a K^2 or chi that
-    is not an ``int`` (a ``bool`` included) is refused here, once.
+    is not an ``int`` (a ``bool`` included) or ``verify``'s ``Affine`` is
+    refused here, once.
     """
-    if type(k_squared) is not int or type(chi) is not int:
+    if type(k_squared) not in (int, Affine) or type(chi) not in (int, Affine):
         raise ValueError(f"K^2 and chi must be integers, got {k_squared!r:.40}, {chi!r:.40}")
     failures = []
     if chi < 1:
@@ -79,10 +80,10 @@ def admissible(k_squared: int, chi: int) -> bool:
 
 @checked
 class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
-        ("k_squared", int), ("chi", int)])):
+        ("k_squared", int | Affine), ("chi", int | Affine)])):
     """An admissible (K^2, chi) pair."""
 
-    def __new__(cls, k_squared: int, chi: int):
+    def __new__(cls, k_squared: int | Affine, chi: int | Affine):
         if not admissible(k_squared, chi):
             raise ValueError(f"pair (K^2, chi) = ({k_squared}, {chi}) is not admissible")
         return cls._tested(cls, k_squared, chi)
@@ -177,11 +178,11 @@ class AmplenessCertificate(NamedTuple):
     """
 
     divisor: DivisorClass
-    self_intersection: int
+    self_intersection: int | Affine
     feasibility_verdict: str
-    coefficient: int
+    coefficient: int | Affine
     witness_class: DivisorClass
-    witness_virtual_count: int
+    witness_virtual_count: int | Affine
     witness_tight: bool
     exceptional_witness: tuple[int, int] | None = None
     exceptional_reason: str | None = None
@@ -193,8 +194,8 @@ class NefCertificate(NamedTuple):
 
     verdict: str
     divisor: DivisorClass
-    pairings: tuple[tuple[str, int], ...]
-    closure_coefficient: int
+    pairings: tuple[tuple[str, int | Affine], ...]
+    closure_coefficient: int | Affine
     gap: str | None = None
 
 
@@ -205,11 +206,11 @@ class ConstructionRecipe(NamedTuple):
     target: AdmissiblePair
     base: SurfaceModel
     branch: tuple[DivisorClass, ...]
-    blow_up_count: int
+    blow_up_count: int | Affine
     report: InvariantReport
     component_claim: str
     certificates: tuple[AmplenessCertificate | NefCertificate, ...] = ()
-    parameters: tuple[int, int, int] | None = None
+    parameters: tuple[int, int | Affine, int] | None = None
     k: int | None = None
     canonical_image: str | None = None
     canonical_sections: int | None = None
@@ -514,7 +515,6 @@ def build_stable(chi: int, general_position: bool = True) -> StableConstruction:
     certificate = _ampleness_certificate(e, alpha, beta, scroll)
     record = stable.contract_minus3(resolved.chi, resolved.k_squared, RETAINED_NODES,
                                     ample_canonical=True)
-    stable.h0_2K(record)
     recipe = ConstructionRecipe(
         target=AdmissiblePair(2 * chi - 5, chi),
         parameters=(e, alpha, beta),
@@ -543,8 +543,7 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
     3K^2 <= 8chi - 16 with equality exactly at the top of the range.
     """
     lattice.require_int("chi", chi)
-    if type(epsilon) is not stable.Affine:  # an interval of epsilon, from verify
-        lattice.require_int("epsilon", epsilon)
+    lattice.require_int("epsilon", epsilon)
     if chi < 4:
         raise ValueError("the contracted family starts from a surface with chi >= 4")
     if epsilon < 1:
@@ -557,5 +556,4 @@ def epsilon_family(chi: int, epsilon: int) -> StableSurfaceRecord:
     record = stable.contract_minus3(chi, 2 * chi - 6, 3 * epsilon)
     if record.k_squared_thirds > 8 * chi - 16:
         raise CertificateError("contracted surface violates the stable line bound")
-    stable.h0_2K(record)
     return record

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import lattice
 from .lattice import DivisorClass, SurfaceModel
-from .records import CheckedRecord, checked
+from .records import Affine, CheckedRecord, checked
 
 
 class BuildingDataError(ValueError):
@@ -140,9 +140,9 @@ class InvariantReport(NamedTuple):
     a heuristic count is never reported as an invariant.
     """
 
-    k_squared: int
-    chi: int
-    p_g: int | None
+    k_squared: int | Affine
+    chi: int | Affine
+    p_g: int | Affine | None
     canonical_multiple: CanonicalMultiple
     minimal_or_ample: str = MINIMALITY_UNKNOWN
     warnings: tuple[str, ...] = ()

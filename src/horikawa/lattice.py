@@ -15,7 +15,7 @@ import math
 from operator import add, sub
 from typing import NamedTuple
 
-from .records import CheckedRecord, _immutable, checked
+from .records import Affine, CheckedRecord, _immutable, checked
 
 
 class SurfaceMismatchError(ValueError):
@@ -23,8 +23,8 @@ class SurfaceMismatchError(ValueError):
 
 
 def require_int(name: str, value) -> None:
-    """Refuse ``value`` unless it is an ``int``, which also refuses a ``bool``."""
-    if type(value) is not int:
+    """Refuse ``value`` unless it is an ``int`` (not a ``bool``) or an ``Affine`` of ints."""
+    if type(value) is not int and type(value) is not Affine:
         raise ValueError(f"{name} must be an integer, got {value!r:.80}")
 
 
@@ -39,7 +39,7 @@ class SurfaceModel(CheckedRecord):
         if len(coeffs) != split + count:
             raise ValueError(f"expected {split + count} coefficients, got {len(coeffs)}")
         for c in coeffs[:split]:
-            if type(c) is not int:
+            if type(c) is not int and type(c) is not Affine:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         if not count:  # a root surface: the head is the whole vector
             return DivisorClass._make(self, coeffs, ())
@@ -92,7 +92,7 @@ class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
 
 @checked
 class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
-        ("base", SurfaceModel), ("point_count", int), ("general_position", bool)])):
+        ("base", SurfaceModel), ("point_count", int | Affine), ("general_position", bool)])):
     """Blow-up of a base surface at anonymous points.
 
     The points have no coordinates; ``general_position`` is a declared
@@ -102,7 +102,8 @@ class BlowUp(SurfaceModel, NamedTuple("BlowUp", [
     whole tower are recorded once, outside the compared fields.
     """
 
-    def __new__(cls, base: SurfaceModel, point_count: int, general_position: bool = True):
+    def __new__(cls, base: SurfaceModel, point_count: int | Affine,
+                general_position: bool = True):
         self = cls._tested(cls, base, point_count, general_position)
         if point_count < 1:
             raise ValueError("blow-up point count must be a positive integer")
@@ -255,7 +256,8 @@ class DivisorClass:
         if type(n) is not int:
             if type(n) is bool:
                 raise ValueError(f"a class is scaled by an integer, not by {n!r}")
-            return NotImplemented
+            if type(n) is not Affine:
+                return NotImplemented
         if n == 0:
             return self.surface.zero()
         u, r = self.head, self.runs
@@ -441,7 +443,7 @@ class SectionCount(NamedTuple):
     meaningful when the blown-up points are in general position.
     """
 
-    value: int
+    value: int | Affine
     exact: bool
 
 

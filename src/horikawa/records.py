@@ -109,3 +109,91 @@ def checked(cls):
     base.__new__ = base._tested = staticmethod(first_use)
     base._make = _make
     return cls
+
+
+class Affine:
+    """The integers a + b*t for every integer t in [lo, hi], as one symbolic value.
+
+    ``verify`` runs a check body once on such a value for a residue class of
+    chi, or for an interval of epsilon, so it has only what those paths use:
+    + and - with an int or an Affine on the same interval, int - Affine, *
+    by an int, divmod, % and // by a positive int dividing b, and <, <=, >,
+    >=, ==, != and a truth value that answer only when the answer is the
+    same for every t.  Anything else raises TypeError: text, hashing, int(),
+    and a branch the interval does not decide.
+    """
+
+    __slots__ = ("a", "b", "lo", "hi")
+
+    def __init__(self, a: int, b: int, lo: int, hi: int):
+        self.a, self.b, self.lo, self.hi = a, b, lo, hi
+
+    def _of(self, other) -> tuple[int, int]:
+        if type(other) is int:
+            return other, 0
+        if type(other) is Affine and (other.lo, other.hi) == (self.lo, self.hi):
+            return other.a, other.b
+        raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
+
+    def __add__(self, other, sign: int = 1):
+        a, b = self._of(other)
+        return Affine(self.a + sign * a, self.b + sign * b, self.lo, self.hi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return Affine(self.a * other, self.b * other, self.lo, self.hi)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        if type(other) is not int or other < 1 or self.b % other:
+            return NotImplemented
+        return Affine(self.a // other, self.b // other, self.lo, self.hi), self.a % other
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __bool__(self):
+        return self != 0
+
+    def __str__(self):
+        raise TypeError("an Affine has no text")
+
+    def _decide(self, other, test):
+        # self - other is linear in t, so a sign test that gives one answer
+        # at both ends of the interval gives it at every t between them
+        a, b = self._of(other)
+        answers = {test(self.a - a + (self.b - b) * t) for t in (self.lo, self.hi)}
+        if len(answers) > 1:
+            raise TypeError("the interval does not decide this comparison")
+        return answers.pop()
+
+    def __lt__(self, other):
+        return self._decide(other, lambda difference: difference < 0)
+
+    def __le__(self, other):
+        return self._decide(other, lambda difference: difference <= 0)
+
+    def __gt__(self, other):
+        return self._decide(other, lambda difference: difference > 0)
+
+    def __ge__(self, other):
+        return self._decide(other, lambda difference: difference >= 0)
+
+    def __eq__(self, other):  # which makes __hash__ None; != is its negation
+        return not (self < other or self > other)

@@ -34,7 +34,7 @@ from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
                       ConstructionRecipe, NefCertificate)
 from .covers import CanonicalMultiple, InvariantReport
 from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
-from .records import CheckedRecord, checked, hints
+from .records import Affine, CheckedRecord, checked, hints
 from .stable import StableSurfaceRecord
 
 SCHEMA = "horikawa-report/3"
@@ -162,7 +162,7 @@ _INT, _STR, _THIRDS, _JSON = ("int",), ("str",), ("thirds",), ("json",)
 # reads; int() and Fraction() would also take " 6", "+6", "6_0" and "\u0666"
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_SCALARS = {int: _INT, int | stable.Affine: _INT, bool: ("bool",), str: _STR}
+_SCALARS = {int: _INT, int | Affine: _INT, bool: ("bool",), str: _STR}
 
 
 def _shape(hint, none_as=None) -> tuple:

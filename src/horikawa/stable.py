@@ -13,83 +13,11 @@ from typing import NamedTuple
 
 from . import covers, lattice
 from .covers import CoverSpec, InvariantReport
-from .records import CheckedRecord, checked
+from .records import Affine, CheckedRecord, checked
 
 
 class LedgerError(ValueError):
     """A singularity ledger is inconsistent with the claimed invariants."""
-
-
-class Affine:
-    """The integers a + b*t for every integer t in [lo, hi], as one symbolic value.
-
-    ``stable-epsilon-bound`` runs ``epsilon_family`` once on such an epsilon
-    for a whole interval, so it has only what that path uses: + and - with
-    an int or an Affine on the same interval, * by an int, divmod by a
-    positive int dividing b, and <, <=, >, == and != that answer only when
-    the answer is the same for every t.  Anything else raises TypeError:
-    truth, hashing, int(), and a branch the interval does not decide.
-    """
-
-    __slots__ = ("a", "b", "lo", "hi")
-
-    def __init__(self, a: int, b: int, lo: int, hi: int):
-        self.a, self.b, self.lo, self.hi = a, b, lo, hi
-
-    def _of(self, other) -> tuple[int, int]:
-        if type(other) is int:
-            return other, 0
-        if type(other) is Affine and (other.lo, other.hi) == (self.lo, self.hi):
-            return other.a, other.b
-        raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
-
-    def __add__(self, other, sign: int = 1):
-        a, b = self._of(other)
-        return Affine(self.a + sign * a, self.b + sign * b, self.lo, self.hi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        if type(other) is not int:
-            return NotImplemented
-        return Affine(self.a * other, self.b * other, self.lo, self.hi)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        if type(other) is not int or other < 1 or self.b % other:
-            return NotImplemented
-        return Affine(self.a // other, self.b // other, self.lo, self.hi), self.a % other
-
-    def __bool__(self):
-        raise TypeError("an Affine has no truth value")
-
-    def _decide(self, other, test):
-        # self - other is linear in t, so a sign test that gives one answer
-        # at both ends of the interval gives it at every t between them
-        a, b = self._of(other)
-        answers = {test(self.a - a + (self.b - b) * t) for t in (self.lo, self.hi)}
-        if len(answers) > 1:
-            raise TypeError("the interval does not decide this comparison")
-        return answers.pop()
-
-    def __lt__(self, other):
-        return self._decide(other, lambda difference: difference < 0)
-
-    def __le__(self, other):
-        return self._decide(other, lambda difference: difference <= 0)
-
-    def __gt__(self, other):
-        return self._decide(other, lambda difference: difference > 0)
-
-    def __eq__(self, other):  # which makes __hash__ None; != is its negation
-        return not (self < other or self > other)
 
 
 @checked
@@ -109,18 +37,19 @@ EMPTY_LEDGER = SingularityLedger()
 
 @checked
 class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
-        ("k_squared_thirds", int | Affine), ("chi", int), ("ledger", SingularityLedger),
+        ("k_squared_thirds", int | Affine), ("chi", int | Affine), ("ledger", SingularityLedger),
         ("ample_canonical", bool), ("smoothable", bool)])):
     """Invariants and flags of a normal stable surface.
 
     K^2 is kept in thirds, as the integer ``k_squared_thirds`` = 3*K^2:
     each contracted (-3)-curve adds exactly one third, so every K^2 here
     lies in (1/3)Z, and a value outside it is refused with LedgerError
-    when the record is built.  ``k_squared`` is the derived Fraction;
-    ``fractions`` is imported only where one is made.
+    when the record is built, as is a bicanonical count that is not whole.
+    ``k_squared`` is the derived Fraction; ``fractions`` is imported only
+    where one is made.
     """
 
-    def __new__(cls, k_squared_thirds: int | Affine, chi: int, ledger: SingularityLedger,
+    def __new__(cls, k_squared_thirds: int | Affine, chi: int | Affine, ledger: SingularityLedger,
                 ample_canonical: bool = False, smoothable: bool = False):
         if type(k_squared_thirds) is not int:
             import fractions
@@ -128,6 +57,7 @@ class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
                 raise LedgerError(
                     f"k_squared {k_squared_thirds / 3} is not a whole number of thirds")
         self = cls._tested(cls, k_squared_thirds, chi, ledger, ample_canonical, smoothable)
+        _whole_thirds(3 * chi + k_squared_thirds - ledger.third11_count)
         if ledger.third11_count > 0 and smoothable:
             raise LedgerError(
                 "a surface with one-third quotient points admits no Q-Gorenstein smoothing"
@@ -177,6 +107,11 @@ def h0_2K(record: StableSurfaceRecord) -> int:
     unless the count fails.
     """
     thirds = 3 * record.chi + record.k_squared_thirds + rr_correction_thirds(record.ledger)
+    return _whole_thirds(thirds)
+
+
+def _whole_thirds(thirds: int) -> int:
+    """The bicanonical count ``thirds`` / 3, refused with LedgerError unless it is whole."""
     count, remainder = divmod(thirds, 3)
     if remainder:
         import fractions

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import catalog, covers, lattice, stable
 from .lattice import Hirzebruch, ProjectivePlane
+from .records import Affine
 from .reporting import RANGE_CAP, CheckResult, VerificationOutcome
 
 
@@ -22,9 +23,15 @@ class _CheckFailure(Exception):
     pass
 
 
+def _key(n):
+    # an Affine is unhashable: its coefficients and interval stand for it
+    return n if type(n) is int else (n.a, n.b, n.lo, n.hi)
+
+
 class _Memo(dict):
-    """One builder's builds in one run, by chi or k: ``memo(key)`` builds on
-    a miss, ``memo.get(key)`` only looks, and a build that raises is not kept."""
+    """One builder's builds in one run, by chi or k, an Affine chi by ``_key``:
+    ``memo(chi)`` builds on a miss, ``memo.get(chi)`` only looks, and a build
+    that raises is not kept."""
 
     __slots__ = ("build",)
 
@@ -32,23 +39,70 @@ class _Memo(dict):
         self.build = build
 
     def __missing__(self, key):
-        value = self[key] = self.build(key)
+        value = self[key] = self.build(key if type(key) is int else Affine(*key))
         return value
 
-    __call__ = dict.__getitem__
+    def __call__(self, chi):
+        return self[_key(chi)]
+
+    def get(self, chi):
+        return dict.get(self, _key(chi))
 
 
 class _Builds(NamedTuple):
-    """The builders the checks share within one run, each a ``_Memo`` by chi or k."""
+    """The builds the checks share within one run: of component I and of the stable
+    surfaces by chi, of component II by k."""
 
-    component_one: Callable[[int], catalog.ConstructionRecipe]
-    stable: Callable[[int], catalog.StableConstruction]
-    component_two: Callable[[int], catalog.ConstructionRecipe]
+    component_one: _Memo
+    stable: _Memo
+    component_two: _Memo
 
 
-def _expect(condition: bool, detail: str):
+def _expect(condition: bool, detail: str, *values):
+    # the detail is formatted only on failure, so never with an Affine
     if not condition:
-        raise _CheckFailure(detail)
+        raise _CheckFailure(detail.format(*values))
+
+
+# A class of cases runs as one symbolic case where it holds more cases than its
+# break-even, by modulus, measured on a shared 2-core x86_64 VM: one symbolic pass
+# over a chi's epsilon interval costs about 12 concrete cases, and one over a
+# residue class of chi mod 12, with the builds it reads, about 3.5 concrete chi.
+_BREAK_EVEN = {1: 12, 12: 3}
+
+
+def _each(body: Callable, cases: range, modulus: int = 12) -> None:
+    """Run ``body`` on every n in ``cases``, a range whose step divides ``modulus``.
+
+    First each residue class r of n mod ``modulus``, from n = ``modulus`` up,
+    that holds more cases than its break-even runs as one Affine(r, modulus,
+    lo, hi).  A symbolic pass that raises anything, a failing case or an
+    undecided branch, leaves its class to the concrete loop, which then runs
+    every n below ``modulus`` and of such a class as an int, in ascending
+    order.  So a class is skipped only where every case of it provably passes,
+    and the first failing case and its detail are a plain loop's.
+    """
+    start, stop, step = cases.start, cases.stop, cases.step
+    concrete = list(range(start, min(stop, modulus), step))
+    for r in range(start % step, modulus, step):
+        lo, hi = max(1, -((r - start) // modulus)), (stop - 1 - r) // modulus
+        if hi - lo >= _BREAK_EVEN[modulus]:
+            try:
+                body(Affine(r, modulus, lo, hi))
+                continue
+            except Exception:  # reported, if it is a failure, by the concrete loop
+                pass
+        concrete += range(r + modulus * lo, r + modulus * hi + 1, modulus)
+    for n in sorted(concrete):
+        body(n)
+
+
+def _per_chi(first: int):
+    """Make the check ``body(builds, chi)`` into one that ``_each`` runs from chi = ``first``."""
+    def check(body):
+        return lambda chi_max, k_max, builds: _each(functools.partial(body, builds),
+                                                    range(first, chi_max + 1))
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +225,9 @@ def _check_pullback_isometry(chi_max, k_max, builds):
                 d2 = ruled.divisor(v2)
                 p1 = lattice.pullback(blown, d1)
                 p2 = lattice.pullback(blown, d2)
-                # the detail is formatted only on failure
-                if p1.dot(p2) != d1.dot(d2):
-                    raise _CheckFailure(f"pullback not isometric on F_{ruled.e} + {n}")
-                _expect(
-                    p1.dot(first) == 0,
-                    "pullback not orthogonal to exceptional classes",
-                )
+                _expect(p1.dot(p2) == d1.dot(d2), "pullback not isometric on F_{} + {}",
+                        ruled.e, n)
+                _expect(p1.dot(first) == 0, "pullback not orthogonal to exceptional classes")
 
 
 @_check("lattice-canonical-squares",
@@ -187,11 +237,11 @@ def _check_canonical_squares(chi_max, k_max, builds):
             "plane canonical square is not 9")
     for e in range(0, 7):
         _expect(lattice.canonical_class(Hirzebruch(e)).square() == 8,
-                f"F_{e} canonical square is not 8")
+                "F_{} canonical square is not 8", e)
     for n in (1, 2, 7, 40):
         blown = lattice.blow_up(Hirzebruch(1), n)
         _expect(lattice.canonical_class(blown).square() == 8 - n,
-                f"canonical square does not drop by {n} under {n} blow-ups")
+                "canonical square does not drop by {} under {} blow-ups", n, n)
 
 
 @_check("lattice-section-count-oracle",
@@ -203,45 +253,41 @@ def _check_section_count_oracle(chi_max, k_max, builds):
             for b in range(0, 13):
                 got = lattice.h0(ruled.divisor((a, b)))
                 want = _enumerate_scroll_sections(e, a, b)
-                # each detail is formatted only on failure
-                if not (got.exact and got.value == want):
-                    raise _CheckFailure(f"h0 on F_{e} of ({a},{b}) gave {got.value}, "
-                                        f"enumeration gives {want}")
+                _expect(got.exact and got.value == want,
+                        "h0 on F_{} of ({},{}) gave {}, enumeration gives {}",
+                        e, a, b, got.value, want)
     plane = ProjectivePlane()
     for d in range(0, 9):
-        got = lattice.h0(plane.divisor((d,)))
-        want = _enumerate_plane_sections(d)
-        if got.value != want:
-            raise _CheckFailure(f"h0 on the plane of degree {d} disagrees with enumeration")
+        _expect(lattice.h0(plane.divisor((d,))).value == _enumerate_plane_sections(d),
+                "h0 on the plane of degree {} disagrees with enumeration", d)
 
 
 @_check("component-one-invariants",
         "first-line construction reports K^2 = 2*chi - 6, chi, p_g = chi - 1 "
         "and 3*K^2 equal to the tri-canonical square")
-def _check_component_one_invariants(chi_max, k_max, builds):
-    for chi in range(4, chi_max + 1):
-        recipe = builds.component_one(chi)
-        report = recipe.report
-        _expect(report.k_squared == 2 * chi - 6,
-                f"K^2 = {report.k_squared} instead of {2 * chi - 6} at chi = {chi}")
-        _expect(report.chi == chi, f"chi = {report.chi} instead of {chi}")
-        _expect(report.p_g == chi - 1,
-                f"p_g = {report.p_g} instead of chi - 1 = {chi - 1} at chi = {chi}")
-        cls = report.canonical_multiple.cls
-        _expect(3 * report.k_squared == cls.dot(cls),
-                f"3*K^2 differs from the tri-canonical square at chi = {chi}")
+@_per_chi(4)
+def _check_component_one_invariants(builds, chi):
+    report = builds.component_one(chi).report
+    _expect(report.k_squared == 2 * chi - 6, "K^2 = {} instead of {} at chi = {}",
+            report.k_squared, 2 * chi - 6, chi)
+    _expect(report.chi == chi, "chi = {} instead of {}", report.chi, chi)
+    _expect(report.p_g == chi - 1, "p_g = {} instead of chi - 1 = {} at chi = {}",
+            report.p_g, chi - 1, chi)
+    cls = report.canonical_multiple.cls
+    _expect(3 * report.k_squared == cls.dot(cls),
+            "3*K^2 differs from the tri-canonical square at chi = {}", chi)
 
 
 @_check("component-one-tricanonical-identity",
         "the tri-canonical class equals its fiber-plus-branch form coefficientwise")
-def _check_tricanonical_identity(chi_max, k_max, builds):
-    for chi in range(4, chi_max + 1):
-        recipe = builds.component_one(chi)
-        e, alpha, beta = recipe.parameters
-        fiber = lattice.pullback(recipe.base, Hirzebruch(e).fiber())
-        alt = (alpha + 2 * beta - 3 * e - 6) * fiber + recipe.branch[0]
-        _expect(recipe.report.canonical_multiple.cls == alt,
-                f"tri-canonical class disagrees with its fiber form at chi = {chi}")
+@_per_chi(4)
+def _check_tricanonical_identity(builds, chi):
+    recipe = builds.component_one(chi)
+    e, alpha, beta = recipe.parameters
+    fiber = lattice.pullback(recipe.base, Hirzebruch(e).fiber())
+    alt = (alpha + 2 * beta - 3 * e - 6) * fiber + recipe.branch[0]
+    _expect(recipe.report.canonical_multiple.cls == alt,
+            "tri-canonical class disagrees with its fiber form at chi = {}", chi)
 
 
 @_check("component-two-invariants",
@@ -252,22 +298,22 @@ def _check_component_two_invariants(chi_max, k_max, builds):
         recipe = builds.component_two(k)
         report = recipe.report
         _expect((report.k_squared, report.chi) == (8 * k, 4 * k + 3),
-                f"invariants {(report.k_squared, report.chi)} at k = {k}")
-        _expect(report.p_g == 4 * k + 2, f"p_g = {report.p_g} at k = {k}")
+                "invariants {} at k = {}", (report.k_squared, report.chi), k)
+        _expect(report.p_g == 4 * k + 2, "p_g = {} at k = {}", report.p_g, k)
         if k == 1:
             _expect(recipe.canonical_image == "P^2", "canonical image at k = 1 is not the plane")
             continue
         ruled = Hirzebruch(2 * k + 2)
         _expect(2 * report.canonical_multiple.cls == ruled.divisor((2, 6 * k + 2)),
-                f"bicanonical class wrong at k = {k}")
+                "bicanonical class wrong at k = {}", k)
         _expect(covers.scroll_class(recipe.scroll_curve) == ruled.divisor((5, 10 * k + 10)),
-                f"branch curve class wrong at k = {k}")
+                "branch curve class wrong at k = {}", k)
         _expect(covers.t1_scaling_invariant(recipe.scroll_curve),
-                f"branch curve not symmetric at k = {k}")
+                "branch curve not symmetric at k = {}", k)
         if k % 3 == 1:
-            _expect(recipe.germ == "A_4", f"germ {recipe.germ} at k = {k}")
+            _expect(recipe.germ == "A_4", "germ {} at k = {}", recipe.germ, k)
         else:
-            _expect(recipe.germ is None, f"unexpected germ at k = {k}")
+            _expect(recipe.germ is None, "unexpected germ at k = {}", k)
 
 
 @_check("component-two-symmetry-residues",
@@ -278,8 +324,8 @@ def _check_scroll_symmetry_residues(chi_max, k_max, builds):
             curve = catalog.scroll_family_curve(residue, k)
             expected = residue == k % 3
             got = covers.t1_scaling_invariant(curve)
-            _expect(got == expected,
-                    f"symmetry check gave {got} for the residue {residue} family at k = {k}")
+            _expect(got == expected, "symmetry check gave {} for the residue {} family at k = {}",
+                    got, residue, k)
 
 
 @_check("classification-components",
@@ -289,13 +335,13 @@ def _check_classification(chi_max, k_max, builds):
         k_squared = 2 * chi - 6
         info = catalog.classify(k_squared, chi)
         expected = 2 if k_squared % 8 == 0 else 1
-        _expect(info.count == expected,
-                f"component count {info.count} instead of {expected} at chi = {chi}")
+        _expect(info.count == expected, "component count {} instead of {} at chi = {}",
+                info.count, expected, chi)
         if expected == 2:
             quarter = k_squared // 4
             if k_squared > 8:
                 _expect(info.images.second == (f"F_{quarter + 2}",),
-                        f"second component image wrong at chi = {chi}")
+                        "second component image wrong at chi = {}", chi)
             else:
                 _expect(info.images.second == (catalog.P2_IMAGE, catalog.CONE_IMAGE),
                         "second component images wrong at K^2 = 8")
@@ -303,7 +349,7 @@ def _check_classification(chi_max, k_max, builds):
         recipe = builds.component_two(k)
         info = catalog.classify(8 * k, 4 * k + 3)
         _expect(recipe.canonical_image in info.images.second,
-                f"constructed canonical image not among the classified ones at k = {k}")
+                "constructed canonical image not among the classified ones at k = {}", k)
 
 
 @_check("classification-parity-discriminator",
@@ -316,147 +362,134 @@ def _check_parity_discriminator(chi_max, k_max, builds):
     _expect(catalog.parity_discriminator([]) == catalog.PARITY_INCONCLUSIVE,
             "vacuous data must be inconclusive")
     # chi = 7 is always tested, so the check has a case below chi_max = 7
-    for k in range(1, max(1, (chi_max - 3) // 4) + 1):
-        chi = 4 * k + 3
+    def case(chi):
         recipe = builds.component_one(chi)
         verdict = catalog.parity_discriminator(recipe.fiber_component_self_intersections)
         _expect(verdict == catalog.COMPONENT_I == recipe.component_claim,
-                f"fiber parity does not certify the first component at chi = {chi}")
+                "fiber parity does not certify the first component at chi = {}", chi)
+
+    _each(case, range(7, max(chi_max, 7) + 1, 4))
 
 
 @_check("stable-invariants",
         "stable construction reports K^2 = 2*chi - 5 with three one-third quotient "
         "points and divisor square 3*K^2")
-def _check_stable_invariants(chi_max, k_max, builds):
-    for chi in range(3, chi_max + 1):
-        construction = builds.stable(chi)
-        record = construction.record
-        _expect(record.k_squared == 2 * chi - 5,
-                f"stable K^2 = {record.k_squared} instead of {2 * chi - 5} at chi = {chi}")
-        _expect(record.chi == chi, f"stable chi = {record.chi} at chi = {chi}")
-        _expect(record.ledger.third11_count == 3,
-                f"{record.ledger.third11_count} quotient points instead of 3 at chi = {chi}")
-        _expect(not record.smoothable, "stable surface must not be smoothable")
-        certificate = construction.recipe.certificates[0]
-        _expect(certificate.self_intersection == 3 * record.k_squared,
-                f"divisor square is not 3*K^2 at chi = {chi}")
-        resolved = construction.recipe.report
-        _expect(resolved.chi == chi, f"resolution changed chi at chi = {chi}")
-        _expect(record.k_squared - resolved.k_squared == 1,
-                f"contraction gain is not 1 at chi = {chi}")
+@_per_chi(3)
+def _check_stable_invariants(builds, chi):
+    # compared in thirds (3*K^2), as the record keeps K^2, so no Fraction is made
+    # unless a comparison fails
+    construction = builds.stable(chi)
+    record = construction.record
+    if record.k_squared_thirds != 3 * (2 * chi - 5):
+        raise _CheckFailure(f"stable K^2 = {record.k_squared} instead of {2 * chi - 5} "
+                            f"at chi = {chi}")
+    _expect(record.chi == chi, "stable chi = {} at chi = {}", record.chi, chi)
+    _expect(record.ledger.third11_count == 3, "{} quotient points instead of 3 at chi = {}",
+            record.ledger.third11_count, chi)
+    _expect(not record.smoothable, "stable surface must not be smoothable")
+    certificate = construction.recipe.certificates[0]
+    _expect(certificate.self_intersection == record.k_squared_thirds,
+            "divisor square is not 3*K^2 at chi = {}", chi)
+    resolved = construction.recipe.report
+    _expect(resolved.chi == chi, "resolution changed chi at chi = {}", chi)
+    _expect(record.k_squared_thirds - 3 * resolved.k_squared == 3,
+            "contraction gain is not 1 at chi = {}", chi)
 
 
 @_check("stable-ampleness-certificate",
         "feasibility is impossible except at chi = 3, where only the negative "
         "section survives and general position excludes it")
-def _check_stable_certificates(chi_max, k_max, builds):
-    for chi in range(3, chi_max + 1):
-        e, alpha, beta = catalog.pick_parameters(chi)
-        construction = builds.stable.get(chi)
-        certificate = (catalog.ampleness_certificate(e, alpha, beta) if construction is None
-                       else construction.recipe.certificates[0])
-        if chi == 3:
-            _expect(certificate.feasibility_verdict == catalog.VERDICT_EXCEPTIONAL_EXCLUDED,
-                    "chi = 3 must take the exceptional branch")
-            _expect(certificate.exceptional_witness == (1, 0),
-                    "the exceptional witness must be the negative section")
-        else:
-            _expect(certificate.feasibility_verdict == catalog.VERDICT_INFEASIBLE,
-                    f"unexpected exceptional branch at chi = {chi}")
-        _expect(certificate.witness_virtual_count == e + 1,
-                f"witness count {certificate.witness_virtual_count} instead of "
-                f"{e + 1} at chi = {chi}")
+@_per_chi(3)
+def _check_stable_certificates(builds, chi):
+    e, alpha, beta = catalog.pick_parameters(chi)
+    construction = builds.stable.get(chi)
+    certificate = (catalog.ampleness_certificate(e, alpha, beta) if construction is None
+                   else construction.recipe.certificates[0])
+    if chi == 3:
+        _expect(certificate.feasibility_verdict == catalog.VERDICT_EXCEPTIONAL_EXCLUDED,
+                "chi = 3 must take the exceptional branch")
+        _expect(certificate.exceptional_witness == (1, 0),
+                "the exceptional witness must be the negative section")
+    else:
+        _expect(certificate.feasibility_verdict == catalog.VERDICT_INFEASIBLE,
+                "unexpected exceptional branch at chi = {}", chi)
+    _expect(certificate.witness_virtual_count == e + 1,
+            "witness count {} instead of {} at chi = {}",
+            certificate.witness_virtual_count, e + 1, chi)
 
 
 @_check("stable-bicanonical-count", "h0 of 2K equals chi + K^2 - 1 and differs from chi + K^2")
-def _check_stable_bicanonical(chi_max, k_max, builds):
-    for chi in range(3, chi_max + 1):
-        record = builds.stable(chi).record
-        value = stable.h0_2K(record)
-        if 3 * value != 3 * chi + record.k_squared_thirds - 3:
-            raise _CheckFailure(f"bicanonical count {value} instead of "
-                                f"{chi + record.k_squared - 1} at chi = {chi}")
-        _expect(record.in_component_without_canonical_models,
-                f"no-canonical-models flag not set at chi = {chi}")
+@_per_chi(3)
+def _check_stable_bicanonical(builds, chi):
+    record = builds.stable(chi).record
+    value = stable.h0_2K(record)
+    if 3 * value != 3 * chi + record.k_squared_thirds - 3:
+        raise _CheckFailure(f"bicanonical count {value} instead of "
+                            f"{chi + record.k_squared - 1} at chi = {chi}")
+    _expect(record.in_component_without_canonical_models,
+            "no-canonical-models flag not set at chi = {}", chi)
 
 
 @_check("stable-tricanonical-lift",
         "the resolved tri-canonical class is the node pullback of the certified "
         "ample divisor minus the new exceptional classes")
-def _check_stable_tricanonical_lift(chi_max, k_max, builds):
-    for chi in range(3, chi_max + 1):
-        construction = builds.stable(chi)
-        certificate = construction.recipe.certificates[0]
-        resolved_cls = construction.recipe.report.canonical_multiple.cls
-        resolved_surface = resolved_cls.surface
-        lifted = (lattice.pullback(resolved_surface, certificate.divisor)
-                  - resolved_surface.exceptional_sum())
-        _expect(resolved_cls == lifted,
-                f"resolved tri-canonical class is not the node pullback of the "
-                f"certified divisor at chi = {chi}")
+@_per_chi(3)
+def _check_stable_tricanonical_lift(builds, chi):
+    construction = builds.stable(chi)
+    certificate = construction.recipe.certificates[0]
+    resolved_cls = construction.recipe.report.canonical_multiple.cls
+    resolved_surface = resolved_cls.surface
+    lifted = (lattice.pullback(resolved_surface, certificate.divisor)
+              - resolved_surface.exceptional_sum())
+    _expect(resolved_cls == lifted, "resolved tri-canonical class is not the node pullback "
+            "of the certified divisor at chi = {}", chi)
 
 
 def _epsilon_case(chi, epsilon):
     # compared in integer thirds (3*K^2); the bound comes first, so a record above
-    # it is named as such, and each detail is formatted only on failure
+    # it is named as such
     bound = 8 * chi - 16
     record = catalog.epsilon_family(chi, epsilon)
     thirds = record.k_squared_thirds
-    if not thirds <= bound:
-        raise _CheckFailure(f"bound violated at chi = {chi}, epsilon = {epsilon}")
-    if (thirds == bound) != (3 * epsilon == 2 * chi + 2):
-        raise _CheckFailure(
-            f"bound equality mischaracterised at chi = {chi}, epsilon = {epsilon}")
-    if thirds != 3 * (2 * chi - 6 + epsilon):
+    _expect(thirds <= bound, "bound violated at chi = {}, epsilon = {}", chi, epsilon)
+    _expect((thirds == bound) == (3 * epsilon == 2 * chi + 2),
+            "bound equality mischaracterised at chi = {}, epsilon = {}", chi, epsilon)
+    if thirds != 3 * (2 * chi - 6 + epsilon):  # K^2, a Fraction, is made only on failure
         raise _CheckFailure(f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
-    if record.ledger.third11_count != 3 * epsilon:
-        raise _CheckFailure(f"ledger count wrong at chi = {chi}, epsilon = {epsilon}")
-
-
-# an epsilon interval longer than this runs as one symbolic case: on a shared
-# 2-core x86_64 VM the symbolic pass costs about as much as this many concrete cases
-_SYMBOLIC_CASES = 12
+    _expect(record.ledger.third11_count == 3 * epsilon,
+            "ledger count wrong at chi = {}, epsilon = {}", chi, epsilon)
 
 
 @_check("stable-epsilon-bound",
         "contracting 3*epsilon curves gives K^2 = 2*chi - 6 + epsilon within "
         "3*K^2 <= 8*chi - 16, with equality only at the top")
 def _check_epsilon_bound(chi_max, k_max, builds):
-    # Each chi's epsilon in [1, top - 1] runs as one stable.Affine where there are
-    # more than _SYMBOLIC_CASES of them, then top as an int.  A symbolic pass that
-    # raises anything, a failing case or an undecided branch, runs every case of
-    # its chi as an int from 1, so a chi is skipped only where every case of it
-    # provably passes, and the first failing case and its detail are the same.
+    # each chi's epsilon in [1, top - 1] runs through _each, then top as an int:
+    # the bound is an equality only at top, which an interval holding it leaves undecided
     for chi in range(4, chi_max + 1):
-        top, start = (2 * chi + 2) // 3, 1
-        if top - 1 > _SYMBOLIC_CASES:
-            try:
-                _epsilon_case(chi, stable.Affine(0, 1, 1, top - 1))
-                start = top
-            except Exception:  # reported, if it is a failure, by the concrete loop
-                pass
-        for epsilon in range(start, top + 1):
-            _epsilon_case(chi, epsilon)
+        top = (2 * chi + 2) // 3
+        _each(functools.partial(_epsilon_case, chi), range(1, top), 1)
+        _epsilon_case(chi, top)
 
 
 @_check("minimality-nef-witnesses",
         "the tri-canonical divisor pairs nonnegatively with every witness curve "
         "and the feasibility analysis closes")
-def _check_nef_witnesses(chi_max, k_max, builds):
-    for chi in range(4, chi_max + 1):
-        e, alpha, beta = catalog.pick_parameters(chi)
-        recipe = builds.component_one.get(chi)
-        certificate = (catalog.nef_certificate(e, alpha, beta) if recipe is None
-                       else recipe.certificates[0])
-        pairings = dict(certificate.pairings)
-        _expect(pairings["exceptional curve"] == 1,
-                f"exceptional pairing is not 1 at chi = {chi}")
-        _expect(pairings["fiber through a blown-up point"] == 1,
-                f"fiber pairing is not 1 at chi = {chi}")
-        _expect(all(value >= 0 for value in pairings.values()),
-                f"negative witness pairing at chi = {chi}")
-        _expect(certificate.verdict == covers.NEF_CERTIFIED,
-                f"nef verdict is {certificate.verdict} at chi = {chi}")
+@_per_chi(4)
+def _check_nef_witnesses(builds, chi):
+    e, alpha, beta = catalog.pick_parameters(chi)
+    recipe = builds.component_one.get(chi)
+    certificate = (catalog.nef_certificate(e, alpha, beta) if recipe is None
+                   else recipe.certificates[0])
+    pairings = dict(certificate.pairings)
+    _expect(pairings["exceptional curve"] == 1,
+            "exceptional pairing is not 1 at chi = {}", chi)
+    _expect(pairings["fiber through a blown-up point"] == 1,
+            "fiber pairing is not 1 at chi = {}", chi)
+    _expect(all(value >= 0 for value in pairings.values()),
+            "negative witness pairing at chi = {}", chi)
+    _expect(certificate.verdict == covers.NEF_CERTIFIED, "nef verdict is {} at chi = {}",
+            certificate.verdict, chi)
 
 
 @_check("germ-classifier", "double point germs classify to the expected A types")
@@ -464,7 +497,8 @@ def _check_germ_classifier(chi_max, k_max, builds):
     table = {(20, 5): "A_4", (2, 2): "A_1", (7, 3): "A_2", (80, 5): "A_4"}
     for (m, p), label in sorted(table.items()):
         got = covers.classify_germ(m, p)
-        _expect(got == label, f"germ x^2 + x^{m} + y^{p} classified {got}, expected {label}")
+        _expect(got == label, "germ x^2 + x^{} + y^{} classified {}, expected {}",
+                m, p, got, label)
 
 
 def check_names() -> tuple[str, ...]:
@@ -480,7 +514,10 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     both second-component cover shapes appear.  Both must be ``int``s,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
-    duration of the run.
+    duration of the run.  The checks that read component-I or stable
+    builds run each residue class of chi mod 12 that holds more than 3
+    cases once, on an ``Affine`` chi, and the rest case by case (see
+    ``_each``); the outcome is the one a run of every case would give.
     """
     lattice.require_int("chi_max", chi_max)
     lattice.require_int("k_max", k_max)
@@ -502,8 +539,8 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
 
 def _run_checks(chi_max: int, k_max: int) -> tuple[CheckResult, ...]:
-    # One build per chi per run.  The builders are read here, inside any
-    # injected fault, and the memo dies with the run.  A build that raises
+    # One build per chi, or per residue class of chi, per run.  The builders
+    # are read here, inside any injected fault, and the memo dies with the run.  A build that raises
     # is not kept, so each check that asks for it reports its own error.
     # The two certificate checks only look: where the run holds the build
     # of a chi, they read the certificate it issued from the same (e, alpha,

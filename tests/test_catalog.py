@@ -14,7 +14,8 @@ from horikawa.catalog import (AdmissiblePair, CertificateError, admissible,
                               epsilon_family, nef_certificate,
                               component_two_germ, parity_discriminator,
                               pick_parameters, scroll_family_curve)
-from horikawa.lattice import Hirzebruch
+from horikawa.lattice import DivisorClass, Hirzebruch
+from horikawa.records import Affine
 from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
 
@@ -505,9 +506,10 @@ class TestEpsilonFamily:
         assert 3 * record.k_squared == 39 <= 8 * 7 - 16
 
     def test_bound_cross_checks_the_contraction(self, monkeypatch):
-        # the curve count implies the bound, so only a wrong contraction reaches it
+        # the curve count implies the bound, so only a wrong contraction reaches it;
+        # at chi = 7, 3*K^2 = 8*chi - 14 is the least above it with a whole bicanonical count
         monkeypatch.setattr(stable, "contract_minus3", lambda chi, _k2, count: StableSurfaceRecord(
-            8 * chi - 15, chi, SingularityLedger(third11_count=count)))
+            8 * chi - 14, chi, SingularityLedger(third11_count=count)))
         with pytest.raises(CertificateError, match="violates the stable line bound"):
             epsilon_family(7, 1)
 
@@ -544,3 +546,31 @@ class TestEpsilonFamily:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             epsilon_family(4, 4)
+
+
+def _at(value, t):
+    """``value`` with each Affine in it, however deep, replaced by its value at t."""
+    if type(value) is Affine:
+        return value.a + value.b * t
+    if type(value) is DivisorClass:
+        return DivisorClass(_at(value.surface, t), _at(value.head, t), _at(value.runs, t))
+    if hasattr(type(value), "_fields"):  # a record, built again through its constructor
+        return type(value)(*(_at(field, t) for field in value))
+    return tuple(_at(entry, t) for entry in value) if type(value) is tuple else value
+
+
+class TestSymbolicBuilds:
+    """verify builds each residue class of chi mod 12 once, on an Affine chi."""
+
+    @pytest.mark.parametrize("residue", range(12))
+    @pytest.mark.parametrize("build", [build_component_one, build_stable],
+                             ids=["component-one", "stable"])
+    def test_a_class_build_is_the_concrete_build_at_every_t(self, build, residue):
+        symbolic = build(Affine(residue, 12, 1, 4))
+        for t in range(1, 5):
+            assert _at(symbolic, t) == build(residue + 12 * t)
+
+    def test_an_undecided_chi_is_refused(self):
+        # chi = 3 + 4t for t in [0, 2] crosses chi = 4, the start of the line
+        with pytest.raises(TypeError, match="does not decide"):
+            build_component_one(Affine(3, 4, 0, 2))

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from horikawa import catalog, covers, lattice
 from horikawa.covers import BuildingDataError, CoverSpec
 from horikawa.lattice import Hirzebruch
-from horikawa.stable import (Affine, LedgerError, SingularityLedger, StableSurfaceRecord,
-                             contract_minus3, h0_2K, resolve_node_bookkeeping,
-                             rr_correction_thirds)
+from horikawa.records import Affine
+from horikawa.stable import (LedgerError, SingularityLedger, StableSurfaceRecord, contract_minus3,
+                             h0_2K, resolve_node_bookkeeping, rr_correction_thirds)
 
 
 class TestLedger:
@@ -53,7 +53,7 @@ class TestLedger:
             StableSurfaceRecord(Fraction(9, 2), 3, SingularityLedger(3))
 
     def test_replace_equals_a_record_built_directly(self):
-        ledger = SingularityLedger(3)
+        ledger = SingularityLedger(1)
         record = StableSurfaceRecord(1, 3, ledger)._replace(ample_canonical=True)
         twin = StableSurfaceRecord(1, 3, ledger, ample_canonical=True)
         assert record == twin and hash(record) == hash(twin)
@@ -84,7 +84,7 @@ class TestLedger:
             catalog.build_stable(6).record._replace(ledger=ledger)
 
     def test_integer_k_squared_becomes_a_fraction(self):
-        record = StableSurfaceRecord(7, 5, SingularityLedger(0))
+        record = StableSurfaceRecord(7, 5, SingularityLedger(1))
         assert type(record.k_squared) is Fraction and record.k_squared == Fraction(7, 3)
 
 
@@ -166,9 +166,9 @@ class TestBicanonicalCount:
             record.k_squared = Fraction(2)
 
     def test_non_integral_total_rejected(self):
-        record = StableSurfaceRecord(12, 5, SingularityLedger(1))
+        # where the record is built, so no record has a count that is not whole
         with pytest.raises(LedgerError) as raised:
-            h0_2K(record)
+            StableSurfaceRecord(12, 5, SingularityLedger(1))
         assert str(raised.value) == (
             "bicanonical count 26/3 is not an integer: ledger inconsistent "
             "with the claimed invariants")
@@ -184,14 +184,13 @@ class TestBicanonicalCount:
                                match=f"^k_squared {k_squared} is not a whole number of thirds"):
                 StableSurfaceRecord(3 * k_squared, chi, ledger)
             return
-        record = StableSurfaceRecord(int(3 * k_squared), chi, ledger)
-        total = Fraction(chi) + k_squared + Fraction(rr_correction_thirds(record.ledger), 3)
+        total = Fraction(chi) + k_squared + Fraction(rr_correction_thirds(ledger), 3)
         if total.denominator == 1:
-            count = h0_2K(record)
+            count = h0_2K(StableSurfaceRecord(int(3 * k_squared), chi, ledger))
             assert type(count) is int and count == total
-        else:
+        else:  # refused where the record is built
             with pytest.raises(LedgerError, match=f"^bicanonical count {total} is not"):
-                h0_2K(record)
+                StableSurfaceRecord(int(3 * k_squared), chi, ledger)
 
     @given(st.integers(3, 60), st.integers(0, 12))
     def test_flag_tracks_quotient_points(self, chi, triples):
@@ -252,7 +251,8 @@ class TestNodeResolution:
 
     @pytest.mark.parametrize("count, message", [
         (-1, "blow-up point count must be a positive integer"),
-        (True, "point_count must be int, got True"), (1.0, "point_count must be int, got 1.0"),
+        (True, "point_count must be int | Affine, got True"),
+        (1.0, "point_count must be int | Affine, got 1.0"),
     ], ids=["negative", "bool", "float"])
     def test_count_must_be_a_positive_int(self, count, message):
         # the blow-up's fields' test refuses a count that is no int, its constructor the rest
@@ -308,18 +308,69 @@ def _sign(n):
     return (n > 0) - (n < 0)
 
 
+# each int field annotated int | Affine (and parameters[1]), by record and field
+_WIDENED = (
+    "AdmissiblePair.chi", "AdmissiblePair.k_squared", "AmplenessCertificate.coefficient",
+    "AmplenessCertificate.self_intersection", "AmplenessCertificate.witness_virtual_count",
+    "BlowUp.point_count", "ConstructionRecipe.blow_up_count", "ConstructionRecipe.parameters[1]",
+    "InvariantReport.chi", "InvariantReport.k_squared", "InvariantReport.p_g",
+    "NefCertificate.closure_coefficient", "NefCertificate.pairings[0][1]",
+    "SectionCount.value", "SingularityLedger.third11_count", "StableSurfaceRecord.chi",
+    "StableSurfaceRecord.k_squared_thirds")
+
+
+def _widened_sites() -> dict:
+    """By site, a function that builds the site's record with a value there, and its value."""
+    one, built = catalog.build_component_one(9), catalog.build_stable(9)
+    report, nef, ample, record = (one.report, one.certificates[0], built.recipe.certificates[0],
+                                  built.record)
+    (label, pairing), *pairings = nef.pairings
+    e, alpha, beta = one.parameters
+
+    def field(instance, name):
+        return lambda v: instance._replace(**{name: v}), getattr(instance, name)
+
+    return {
+        "AdmissiblePair.chi": (lambda v: catalog.AdmissiblePair(12, v), 9),
+        "AdmissiblePair.k_squared": (lambda v: catalog.AdmissiblePair(v, 9), 12),
+        **{f"AmplenessCertificate.{name}": field(ample, name)
+           for name in ("coefficient", "self_intersection", "witness_virtual_count")},
+        "BlowUp.point_count": (lambda v: lattice.BlowUp(Hirzebruch(1), v), 4),
+        "ConstructionRecipe.blow_up_count": field(one, "blow_up_count"),
+        "ConstructionRecipe.parameters[1]": (lambda v: one._replace(parameters=(e, v, beta)),
+                                             alpha),
+        **{f"InvariantReport.{name}": field(report, name) for name in ("chi", "k_squared", "p_g")},
+        "NefCertificate.closure_coefficient": field(nef, "closure_coefficient"),
+        "NefCertificate.pairings[0][1]": (
+            lambda v: nef._replace(pairings=((label, v), *pairings)), pairing),
+        "SectionCount.value": (lambda v: lattice.SectionCount(v, True), 3),
+        "SingularityLedger.third11_count": (lambda v: SingularityLedger(v), 3),
+        **{f"StableSurfaceRecord.{name}": field(record, name)
+           for name in ("chi", "k_squared_thirds")},
+    }
+
+
+def _holds(record, value) -> bool:
+    """Whether ``value`` itself is a field of ``record``, or an entry of one, two levels down."""
+    for field in record:
+        entries = field if type(field) is tuple else ()
+        nested = [inner for entry in entries if type(entry) is tuple for inner in entry]
+        if any(v is value for v in (field, *entries, *nested)):
+            return True
+    return False
+
+
 class TestAffine:
-    """The symbolic epsilon of stable-epsilon-bound, against its values at every t."""
+    """The symbolic chi and epsilon of verify, against their values at every t."""
 
     @settings(max_examples=400, derandomize=True)
-    @given(_affine_and_operand(), st.sampled_from(["<", "<=", ">", "==", "!="]),
+    @given(_affine_and_operand(), st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
            st.booleans())
     def test_a_comparison_raises_or_agrees_at_every_t(self, pair, symbol, reflected):
         x, y = _built(pair)
-        compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
                    "==": operator.eq, "!=": operator.ne}[symbol]
-        left, right = (y, x) if reflected else (x, y)  # 5 < x asks x > 5
-        unsupported = type(left) is int and symbol == "<="  # it would ask x >= 5
+        left, right = (y, x) if reflected else (x, y)  # 5 <= x asks x >= 5
         points = range(x.lo, x.hi + 1)
         answers = {compare(_at(left, t), _at(right, t)) for t in points}
         # an order is decided where its answer is constant; == and != where the
@@ -329,41 +380,61 @@ class TestAffine:
         try:
             got = compare(left, right)
         except TypeError:
-            assert unsupported or not decided
+            assert not decided
         else:
-            assert not unsupported and decided and {got} == answers
+            assert decided and {got} == answers
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_affine_and_operand())
+    def test_a_truth_value_raises_or_agrees_at_every_t(self, pair):
+        x, _y = _built(pair)
+        points = range(x.lo, x.hi + 1)
+        # decided, as ==, where the value keeps one sign
+        decided = len({_sign(_at(x, t)) for t in points}) == 1
+        try:
+            got = bool(x)
+        except TypeError:
+            assert not decided
+        else:
+            assert decided and {got} == {bool(_at(x, t)) for t in points}
 
     @settings(max_examples=400, derandomize=True)
     @given(_affine_and_operand(), st.integers(-6, 6))
     def test_arithmetic_agrees_at_every_t(self, pair, n):
         x, y = _built(pair)
         results = [(x + y, operator.add, (x, y)), (y + x, operator.add, (y, x)),
-                   (x - y, operator.sub, (x, y)), (-x, operator.neg, (x,)),
+                   (x - y, operator.sub, (x, y)), (y - x, operator.sub, (y, x)),
+                   (n - x, operator.sub, (n, x)), (-x, operator.neg, (x,)),
                    (x * n, operator.mul, (x, n)), (n * x, operator.mul, (n, x))]
         for result, concrete, operands in results:
             assert type(result) is Affine and (result.lo, result.hi) == (x.lo, x.hi)
             for t in range(x.lo, x.hi + 1):
                 assert _at(result, t) == concrete(*(_at(v, t) for v in operands))
         if n < 1 or x.b % n:
-            with pytest.raises(TypeError):
-                divmod(x, n)
-        else:
-            quotient, remainder = divmod(x, n)
-            assert type(remainder) is int
-            for t in range(x.lo, x.hi + 1):
-                assert (_at(quotient, t), remainder) == divmod(_at(x, t), n)
+            for use in (divmod, operator.mod, operator.floordiv):
+                with pytest.raises(TypeError):
+                    use(x, n)
+            return
+        quotient, remainder = divmod(x, n)
+        assert type(remainder) is int and remainder == x % n
+        assert type(x // n) is Affine and (x // n).b == quotient.b and (x // n).a == quotient.a
+        for t in range(x.lo, x.hi + 1):
+            assert (_at(quotient, t), remainder) == divmod(_at(x, t), n)
 
     @pytest.mark.parametrize("use", [
-        bool, hash, int, range, operator.index, lambda x: x % 2, lambda x: x // 2,
-        lambda x: x * x, lambda x: x * 1.5, lambda x: x + 1.5, lambda x: x + True,
-        lambda x: x - True, lambda x: x + Fraction(1), lambda x: x + Affine(0, 1, 1, 3),
-        lambda x: 1 - x, lambda x: x >= 1, lambda x: x < None, lambda x: x == "1",
-        lambda x: divmod(x, 3), lambda x: divmod(x, 0), lambda x: [1, 2][x],
-        lambda x: x if x else 0,
-    ], ids=["bool", "hash", "int", "range", "index", "mod", "floordiv", "square", "by-float",
-            "plus-float", "plus-bool", "minus-bool", "plus-fraction", "other-interval",
-            "int-minus", "at-least", "against-none", "against-str", "divmod-not-dividing-b",
-            "divmod-by-zero", "subscript", "branch"])
+        str, format, lambda x: f"{x}", lambda x: f"{x:>3}", hash, int, range, operator.index,
+        lambda x: x % 4, lambda x: x // 4, lambda x: x % -2, lambda x: x * x,
+        lambda x: x * 1.5, lambda x: x + 1.5, lambda x: x + True, lambda x: x - True,
+        lambda x: True - x, lambda x: 1.5 - x, lambda x: x + Fraction(1),
+        lambda x: x + Affine(0, 1, 1, 3), lambda x: x >= 6, lambda x: 6 <= x,
+        lambda x: x < None, lambda x: x == "1", lambda x: divmod(x, 3), lambda x: divmod(x, 0),
+        lambda x: [1, 2][x], lambda x: x - 5 if x - 5 else 0,
+    ], ids=["str", "format", "f-string", "format-spec", "hash", "int", "range", "index",
+            "mod-not-dividing-b", "floordiv-not-dividing-b", "mod-negative", "square",
+            "by-float", "plus-float", "plus-bool", "minus-bool", "bool-minus", "float-minus",
+            "plus-fraction", "other-interval", "at-least-undecided", "reflected-undecided",
+            "against-none", "against-str", "divmod-not-dividing-b", "divmod-by-zero",
+            "subscript", "undecided-branch"])
     def test_any_other_use_raises(self, use):
         with pytest.raises(TypeError):
             use(Affine(1, 2, 0, 5))
@@ -383,3 +454,14 @@ class TestAffine:
         assert SingularityLedger(Affine(3, 0, 0, 1)).third11_count.a == 3
         with pytest.raises(ValueError, match="^canonical_count must be int, got 1.5$"):
             SingularityLedger(Affine(3, 0, 0, 1), 1.5)
+
+    @pytest.mark.parametrize("site", sorted(_WIDENED))
+    def test_a_widened_field_admits_an_affine(self, site):
+        # one that is the field's value at every t passes every value rule the
+        # int passes; anything else that is no int is still refused
+        put, value = _widened_sites()[site]
+        interval = Affine(value, 0, 1, 2)
+        assert _holds(put(interval), interval)
+        for wrong in (1.5, True, "1"):
+            with pytest.raises(ValueError):
+                put(wrong)

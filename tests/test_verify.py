@@ -11,9 +11,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horikawa import catalog, faults, lattice, verify
-from horikawa.stable import Affine, SingularityLedger, StableSurfaceRecord
+from horikawa.records import Affine
+from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
 
 class TestRunVerification:
@@ -82,11 +85,12 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("thirds, count, detail", [
         # at chi = 4 the bound is 3*K^2 <= 16, which no epsilon reaches, and
-        # epsilon = 1 calls for 3*K^2 = 9 and three points
-        (17, 3, "bound violated at chi = 4, epsilon = 1"),
-        (16, 3, "bound equality mischaracterised at chi = 4, epsilon = 1"),
-        (10, 3, "K^2 = 10/3 at chi = 4, epsilon = 1"),
-        (9, 4, "ledger count wrong at chi = 4, epsilon = 1"),
+        # epsilon = 1 calls for 3*K^2 = 9 and three points; each record has a
+        # whole bicanonical count, as a record must
+        (18, 3, "bound violated at chi = 4, epsilon = 1"),
+        (16, 4, "bound equality mischaracterised at chi = 4, epsilon = 1"),
+        (10, 4, "K^2 = 10/3 at chi = 4, epsilon = 1"),
+        (9, 6, "ledger count wrong at chi = 4, epsilon = 1"),
     ], ids=["above-the-bound", "at-the-bound", "off-the-line", "ledger"])
     def test_epsilon_bound_details(self, thirds, count, detail, monkeypatch):
         record = StableSurfaceRecord(thirds, 4, SingularityLedger(count))
@@ -170,7 +174,7 @@ class TestSymbolicEpsilonBound:
         want = []
         for chi in range(4, self.CHI_MAX + 1):
             top = (2 * chi + 2) // 3
-            want += ([(chi, (0, 1, 1, top - 1)), (chi, top)] if top - 1 > verify._SYMBOLIC_CASES
+            want += ([(chi, (0, 1, 1, top - 1)), (chi, top)] if top - 1 > verify._BREAK_EVEN[1]
                      else [(chi, epsilon) for epsilon in range(1, top + 1)])
         assert calls == want
 
@@ -195,7 +199,7 @@ class TestSymbolicEpsilonBound:
 
     @pytest.mark.parametrize("differs, first", [
         (lambda epsilon: epsilon == 7, 7),  # undecided on an interval that holds 7
-        (lambda epsilon: epsilon % 20 == 7, 7),  # an Affine has no %: TypeError
+        (lambda epsilon: epsilon % 20 == 7, 7),  # 20 does not divide b = 1: TypeError
         (lambda epsilon: True, 1),  # the symbolic case itself fails
     ], ids=["undecided", "type-error", "failing"])
     def test_a_pass_that_raises_runs_its_chi_concretely(self, differs, first, calls,
@@ -205,7 +209,7 @@ class TestSymbolicEpsilonBound:
         def miscounted_at_30(chi, epsilon):
             record = family(chi, epsilon)
             if chi == 30 and differs(epsilon):
-                return record._replace(ledger=SingularityLedger(record.ledger.third11_count + 1))
+                return record._replace(ledger=SingularityLedger(record.ledger.third11_count + 3))
             return record
 
         monkeypatch.setattr(catalog, "epsilon_family", miscounted_at_30)
@@ -214,6 +218,74 @@ class TestSymbolicEpsilonBound:
             verify._check_epsilon_bound(40, 2, None)
         assert [epsilon for chi, epsilon in calls if chi == 30] == [(0, 1, 1, 19),
                                                                     *range(1, first + 1)]
+
+
+def _members(n) -> list:
+    """The ints that a case of ``verify._each`` stands for: itself, or an Affine's values."""
+    return [n] if type(n) is int else list(range(n.a + n.b * n.lo, n.a + n.b * n.hi + 1, n.b))
+
+
+class TestSymbolicClasses:
+    CHI_MAX = 100  # every residue class of chi mod 12 holds 7 or 8 cases
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.integers(1, 40), st.integers(0, 200), st.sampled_from([1, 2, 3, 4, 6, 12]),
+           st.sampled_from([1, 12]))
+    def test_every_case_runs_once(self, start, count, step, modulus):
+        # a symbolic class holds only cases from n = modulus up; the rest run as ints, in order
+        step = step if modulus == 12 else 1
+        cases, seen = range(start, start + count, step), []
+        verify._each(seen.append, cases, modulus)
+        assert sorted(n for case in seen for n in _members(case)) == list(cases)
+        symbolic = [case for case in seen if type(case) is Affine]
+        assert all(case.b == modulus and case.lo >= 1 and case.hi - case.lo >= verify._BREAK_EVEN[
+            modulus] for case in symbolic)
+        concrete = seen[len(symbolic):]
+        assert seen[:len(symbolic)] == symbolic and concrete == sorted(concrete)
+
+    def test_a_class_whose_pass_raises_runs_as_ints(self):
+        # n % 12 decides each class, and n > 40 is undecided in class 5 (17 to 89),
+        # so it alone runs as ints, after the ints below 12, up to its first failure
+        seen = []
+
+        def body(n):
+            seen.append(n if type(n) is int else verify._key(n))
+            if n % 12 == 5 and n > 40:
+                raise verify._CheckFailure(f"fails at {n}")
+
+        with pytest.raises(verify._CheckFailure, match="^fails at 41$"):
+            verify._each(body, range(4, self.CHI_MAX + 1))
+        assert seen == [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in range(12)] + [
+            *range(4, 12), 17, 29, 41]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each builder call by (builder name, chi), an Affine chi by its key."""
+        made = []
+        for name in ("build_component_one", "build_stable"):
+            def recorded(chi, _name=name, _build=getattr(catalog, name)):
+                made.append((_name, verify._key(chi)))
+                return _build(chi)
+
+            monkeypatch.setattr(catalog, name, recorded)
+        return made
+
+    def test_each_class_is_built_once_on_an_affine(self, calls):
+        assert verify.run_verification(self.CHI_MAX, 6).passed
+        classes = [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in range(12)]
+        assert sorted(calls, key=repr) == sorted(
+            [("build_component_one", key) for key in (*classes, *range(4, 12))]
+            + [("build_stable", key) for key in (*classes, *range(3, 12))], key=repr)
+
+    @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
+    def test_same_results_with_the_symbolic_path_off(self, fault, monkeypatch):
+        def results():
+            outcome = verify.run_verification(self.CHI_MAX, 6, fault)
+            return [(check.name, check.passed, check.detail) for check in outcome.checks]
+
+        symbolic = results()
+        monkeypatch.setattr(verify, "_BREAK_EVEN", dict.fromkeys((1, 12), verify.RANGE_CAP))
+        assert results() == symbolic
 
 
 class TestSharedBuilds:
@@ -542,7 +614,7 @@ class TestMutation:
 
 
 KILL_MATRIX = Path(__file__).parent / "golden" / "kill_matrix.json"
-KILL_RANGES = ((6, 2), (12, 4), (30, 6))
+KILL_RANGES = ((6, 2), (12, 4), (30, 6), (100, 6))
 
 
 def kill_matrix() -> dict:

@@ -20,7 +20,9 @@ the ratio of the two best passes can read far from 1 for identical code.
 
 ``per_check`` times each check of ``run_verification`` as the real run
 calls it (the registered check functions are wrapped for the duration of
-the call), together with the whole run, at each range of ``RANGES``.
+the call), together with the whole run, at each range of ``RANGES``; at
+(100,6) every residue class of chi mod 12 holds more cases than
+``verify``'s break-even, so each runs as one symbolic case.
 Each pass makes ``RUNS_PER_PASS`` back-to-back runs of each package, and
 its figures are the means per run.
 
@@ -39,7 +41,11 @@ epsilon) = (150, 1) and (150, 100), the bottom and the top of its range
 at chi 150, as the ``stable-epsilon-bound`` check calls it.  A figure's
 key is its arguments joined by commas.  Each pass makes as many calls as
 fill about ``BUILD_WINDOW_S`` (5 ms), so a 3 us figure times as long a
-window as a 100 us one.
+window as a 100 us one.  Its ``symbolic`` figures time the two builders
+once on the ``Affine`` of ``SYMBOLIC_CLASS``, the residue class chi = 5 +
+12t for t in [1, 40] that ``verify`` builds in place of 40 chi; a
+``--against`` base with no ``records.Affine`` has no symbolic builds, so
+those figures are left out.
 
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
@@ -96,7 +102,7 @@ import time
 import types
 from pathlib import Path
 
-RANGES = ((6, 2), (16, 4), (36, 7), (150, 50), (300, 100), (600, 200))
+RANGES = ((6, 2), (16, 4), (36, 7), (100, 6), (150, 50), (300, 100), (600, 200))
 RUNS_PER_PASS = 5
 REPORTS = {
     "construct_component_I_chi20000": ("construct", "component-I", "--chi", "20000"),
@@ -109,6 +115,7 @@ BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
 BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (15700,)),
           "build_component_two": ((37,), (3924,)), "epsilon_family": ((150, 1), (150, 100))}
+SYMBOLIC_CLASS = (5, 12, 1, 40)
 BUILD_WINDOW_S = 0.005
 RECORD_BUILDS = (("build_stable", 150), ("build_component_one", 150))
 
@@ -133,7 +140,7 @@ def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
 def load(name: str) -> types.SimpleNamespace:
     """The modules of the imported package ``name`` that the figures use, and its ``src``."""
     modules = {module: importlib.import_module(f"{name}.{module}")
-               for module in ("catalog", "cli", "lattice", "reporting", "verify")}
+               for module in ("catalog", "cli", "lattice", "records", "reporting", "verify")}
     return types.SimpleNamespace(**modules, src=Path(modules["cli"].__file__).parents[1])
 
 
@@ -261,7 +268,8 @@ def big_kernels(pkgs, repeat: int) -> dict:
 
 
 def builds(pkgs, repeat: int) -> dict:
-    """Each builder of ``BUILDS`` at each of its arguments, in us per call.
+    """Each builder of ``BUILDS`` at each of its arguments, and the two builders on
+    ``SYMBOLIC_CLASS`` where every package has an Affine, in us per call.
 
     A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
     at least 20.
@@ -272,6 +280,11 @@ def builds(pkgs, repeat: int) -> dict:
             fns = [lambda build=getattr(pkg.catalog, name), args=args: build(*args)
                    for pkg in pkgs]
             figures.setdefault(name, {})[",".join(map(str, args))] = windowed(fns, repeat, 20)
+    if all(hasattr(pkg.records, "Affine") for pkg in pkgs):
+        figures["symbolic"] = {
+            name: windowed([lambda build=getattr(pkg.catalog, name), affine=pkg.records.Affine:
+                            build(affine(*SYMBOLIC_CLASS)) for pkg in pkgs], repeat, 20)
+            for name in ("build_component_one", "build_stable")}
     return figures
 
 
