@@ -118,9 +118,11 @@ class Affine:
     chi, or for an interval of epsilon, so it has only what those paths use:
     + and - with an int or an Affine on the same interval, int - Affine, *
     by an int, divmod, % and // by a positive int dividing b, and <, <=, >,
-    >=, ==, != and a truth value that answer only when the answer is the
-    same for every t.  Anything else raises TypeError: text, hashing, int(),
-    and a branch the interval does not decide.
+    >=, ==, != and a truth value that answer exactly when the answer is the
+    same for every t: == answers True where the two are equal at every t,
+    False where they are equal at none, as the difference keeps one sign or
+    has no integer zero in the interval.  Anything else raises TypeError:
+    text, hashing, int(), and a branch the interval does not decide.
     """
 
     __slots__ = ("a", "b", "lo", "hi")
@@ -129,31 +131,37 @@ class Affine:
         self.a, self.b, self.lo, self.hi = a, b, lo, hi
 
     def _of(self, other) -> tuple[int, int]:
-        if type(other) is int:
-            return other, 0
+        # each caller has taken an int already
         if type(other) is Affine and (other.lo, other.hi) == (self.lo, self.hi):
             return other.a, other.b
         raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
 
-    def __add__(self, other, sign: int = 1):
+    def __add__(self, other):
+        if type(other) is int:
+            return Affine(self.a + other, self.b, self.lo, self.hi)
         a, b = self._of(other)
-        return Affine(self.a + sign * a, self.b + sign * b, self.lo, self.hi)
+        return Affine(self.a + a, self.b + b, self.lo, self.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(other, -1)
+        if type(other) is int:
+            return Affine(self.a - other, self.b, self.lo, self.hi)
+        a, b = self._of(other)
+        return Affine(self.a - a, self.b - b, self.lo, self.hi)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return Affine(other - self.a, -self.b, self.lo, self.hi)
         return -self + other
 
     def __neg__(self):
-        return self * -1
+        return Affine(-self.a, -self.b, self.lo, self.hi)
 
     def __mul__(self, other):
-        if type(other) is not int:
-            return NotImplemented
-        return Affine(self.a * other, self.b * other, self.lo, self.hi)
+        if type(other) is int:
+            return Affine(self.a * other, self.b * other, self.lo, self.hi)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -174,26 +182,50 @@ class Affine:
     def __str__(self):
         raise TypeError("an Affine has no text")
 
-    def _decide(self, other, test):
-        # self - other is linear in t, so a sign test that gives one answer
-        # at both ends of the interval gives it at every t between them
-        a, b = self._of(other)
-        answers = {test(self.a - a + (self.b - b) * t) for t in (self.lo, self.hi)}
-        if len(answers) > 1:
-            raise TypeError("the interval does not decide this comparison")
-        return answers.pop()
+    # A comparison takes the difference d(t) = self - other = c0 + c1*t at both
+    # ends of the interval.  d is linear in t, so a sign it has at both ends it
+    # has at every t between them; <= and >= are the negations of > and <.
 
     def __lt__(self, other):
-        return self._decide(other, lambda difference: difference < 0)
-
-    def __le__(self, other):
-        return self._decide(other, lambda difference: difference <= 0)
+        if type(other) is int:
+            c0, c1 = self.a - other, self.b
+        else:
+            a, b = self._of(other)
+            c0, c1 = self.a - a, self.b - b
+        if (answer := c0 + c1 * self.lo < 0) is (c0 + c1 * self.hi < 0):
+            return answer
+        raise TypeError(_UNDECIDED)
 
     def __gt__(self, other):
-        return self._decide(other, lambda difference: difference > 0)
+        if type(other) is int:
+            c0, c1 = self.a - other, self.b
+        else:
+            a, b = self._of(other)
+            c0, c1 = self.a - a, self.b - b
+        if (answer := c0 + c1 * self.lo > 0) is (c0 + c1 * self.hi > 0):
+            return answer
+        raise TypeError(_UNDECIDED)
+
+    def __le__(self, other):
+        return not self > other
 
     def __ge__(self, other):
-        return self._decide(other, lambda difference: difference >= 0)
+        return not self < other
 
     def __eq__(self, other):  # which makes __hash__ None; != is its negation
-        return not (self < other or self > other)
+        # equal where d is 0 at both ends, so at every t; unequal where d keeps one
+        # sign, or changes sign between two integers, as c1 does not divide c0
+        if type(other) is int:
+            c0, c1 = self.a - other, self.b
+        else:
+            a, b = self._of(other)
+            c0, c1 = self.a - a, self.b - b
+        low, high = c0 + c1 * self.lo, c0 + c1 * self.hi
+        if not (low or high):
+            return True
+        if low > 0 < high or low < 0 > high or c0 % c1:
+            return False
+        raise TypeError(_UNDECIDED)
+
+
+_UNDECIDED = "the interval does not decide this comparison"

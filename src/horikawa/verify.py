@@ -66,9 +66,10 @@ def _expect(condition: bool, detail: str, *values):
 
 # A class of cases runs as one symbolic case where it holds more cases than its
 # break-even, by modulus, measured on a shared 2-core x86_64 VM: one symbolic pass
-# over a chi's epsilon interval costs about 12 concrete cases, and one over a
-# residue class of chi mod 12, with the builds it reads, about 3.5 concrete chi.
-_BREAK_EVEN = {1: 12, 12: 3}
+# over a chi's epsilon interval costs about 4.5 concrete cases, and one over a
+# residue class of chi mod 12, with the builds it reads, about 2.2 concrete chi.
+# The latter stays at 3, so that no class of chi runs symbolically up to chi_max = 40.
+_BREAK_EVEN = {1: 5, 12: 3}
 
 
 def _each(body: Callable, cases: range, modulus: int = 12) -> None:
@@ -519,8 +520,9 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     cases once, on an ``Affine`` chi, and the rest case by case (see
     ``_each``); the outcome is the one a run of every case would give.
     """
-    lattice.require_int("chi_max", chi_max)
-    lattice.require_int("k_max", k_max)
+    for name, value in (("chi_max", chi_max), ("k_max", k_max)):
+        if type(value) is not int:  # no Affine: a range is never symbolic
+            raise ValueError(f"{name} must be an integer, got {value!r:.80}")
     if chi_max < 6:
         raise ValueError("chi_max must be at least 6 to cover all residue classes")
     if k_max < 2:

@@ -304,10 +304,6 @@ def _at(value, t):
     return value.a + value.b * t if type(value) is Affine else value
 
 
-def _sign(n):
-    return (n > 0) - (n < 0)
-
-
 # each int field annotated int | Affine (and parameters[1]), by record and field
 _WIDENED = (
     "AdmissiblePair.chi", "AdmissiblePair.k_squared", "AmplenessCertificate.coefficient",
@@ -373,10 +369,7 @@ class TestAffine:
         left, right = (y, x) if reflected else (x, y)  # 5 <= x asks x >= 5
         points = range(x.lo, x.hi + 1)
         answers = {compare(_at(left, t), _at(right, t)) for t in points}
-        # an order is decided where its answer is constant; == and != where the
-        # difference keeps one sign, as it cannot be zero at only some points
-        signs = {_sign(_at(x, t) - _at(y, t)) for t in points}
-        decided = len(signs if symbol in ("==", "!=") else answers) == 1
+        decided = len(answers) == 1  # exactly where the answer is the same at every t
         try:
             got = compare(left, right)
         except TypeError:
@@ -388,15 +381,22 @@ class TestAffine:
     @given(_affine_and_operand())
     def test_a_truth_value_raises_or_agrees_at_every_t(self, pair):
         x, _y = _built(pair)
-        points = range(x.lo, x.hi + 1)
-        # decided, as ==, where the value keeps one sign
-        decided = len({_sign(_at(x, t)) for t in points}) == 1
+        answers = {bool(_at(x, t)) for t in range(x.lo, x.hi + 1)}
+        decided = len(answers) == 1  # exactly where, as for ==, the answer is the same at every t
         try:
             got = bool(x)
         except TypeError:
             assert not decided
         else:
-            assert decided and {got} == {bool(_at(x, t)) for t in points}
+            assert decided and {got} == answers
+
+    def test_equality_with_a_value_between_the_ends_is_exact(self):
+        # 53 lies between the ends of every class r + 12t, t in [1, 7], and only
+        # the class of 5 holds it; 7 is no value of the even 2t
+        with pytest.raises(TypeError, match="does not decide"):
+            Affine(5, 12, 1, 7) == 53
+        assert not any(Affine(r, 12, 1, 7) == 53 for r in range(12) if r != 5)
+        assert Affine(1, 2, 0, 5) - 1 != 7 and Affine(3, 0, 0, 5) == Affine(-2, 0, 0, 5) + 5
 
     @settings(max_examples=400, derandomize=True)
     @given(_affine_and_operand(), st.integers(-6, 6))

@@ -38,10 +38,13 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("chi_max,k_max,name,shown", [
         (8.0, 2, "chi_max", "8.0"), ("8", 2, "chi_max", "'8'"), (True, 2, "chi_max", "True"),
-        (8, 2.0, "k_max", "2.0"), (8, None, "k_max", "None"),
+        (8, 2.0, "k_max", "2.0"), (8, None, "k_max", "None"), (8, True, "k_max", "True"),
+        (Affine(40, 0, 1, 2), 6, "chi_max", "<horikawa.records.Affine object at 0x[0-9a-f]+>"),
+        (40, Affine(6, 0, 1, 2), "k_max", "<horikawa.records.Affine object at 0x[0-9a-f]+>"),
     ])
     def test_non_integer_ranges_rejected(self, chi_max, k_max, name, shown):
-        # refused as a usage error, not reported as a failed verification
+        # refused as a usage error, before any check runs, not reported as a failed
+        # verification; the checks take an Affine chi, a range never
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
             verify.run_verification(chi_max=chi_max, k_max=k_max)
 
@@ -154,7 +157,7 @@ def _ending(check):
 
 
 class TestSymbolicEpsilonBound:
-    CHI_MAX = 60  # past the cutoff from chi = 20 on
+    CHI_MAX = 60  # past the cutoff from chi = 10 on
 
     @pytest.fixture
     def calls(self, monkeypatch):

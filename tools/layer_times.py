@@ -43,9 +43,11 @@ key is its arguments joined by commas.  Each pass makes as many calls as
 fill about ``BUILD_WINDOW_S`` (5 ms), so a 3 us figure times as long a
 window as a 100 us one.  Its ``symbolic`` figures time the two builders
 once on the ``Affine`` of ``SYMBOLIC_CLASS``, the residue class chi = 5 +
-12t for t in [1, 40] that ``verify`` builds in place of 40 chi; a
-``--against`` base with no ``records.Affine`` has no symbolic builds, so
-those figures are left out.
+12t for t in [1, 40] that ``verify`` builds in place of 40 chi, and
+``epsilon_family`` once on ``SYMBOLIC_EPSILON``, chi 150 with epsilon the
+Affine t for t in [1, 99] that the ``stable-epsilon-bound`` check passes
+in place of 99 epsilons; a ``--against`` base with no ``records.Affine``
+has no symbolic builds, so those figures are left out.
 
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
@@ -116,6 +118,7 @@ BIG_RUN_COUNTS = (1, 1000)
 BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (15700,)),
           "build_component_two": ((37,), (3924,)), "epsilon_family": ((150, 1), (150, 100))}
 SYMBOLIC_CLASS = (5, 12, 1, 40)
+SYMBOLIC_EPSILON = (150, (0, 1, 1, 99))
 BUILD_WINDOW_S = 0.005
 RECORD_BUILDS = (("build_stable", 150), ("build_component_one", 150))
 
@@ -268,8 +271,9 @@ def big_kernels(pkgs, repeat: int) -> dict:
 
 
 def builds(pkgs, repeat: int) -> dict:
-    """Each builder of ``BUILDS`` at each of its arguments, and the two builders on
-    ``SYMBOLIC_CLASS`` where every package has an Affine, in us per call.
+    """Each builder of ``BUILDS`` at each of its arguments, the two builders on
+    ``SYMBOLIC_CLASS`` and the epsilon family on ``SYMBOLIC_EPSILON`` where every
+    package has an Affine, in us per call.
 
     A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
     at least 20.
@@ -285,6 +289,10 @@ def builds(pkgs, repeat: int) -> dict:
             name: windowed([lambda build=getattr(pkg.catalog, name), affine=pkg.records.Affine:
                             build(affine(*SYMBOLIC_CLASS)) for pkg in pkgs], repeat, 20)
             for name in ("build_component_one", "build_stable")}
+        chi, epsilon = SYMBOLIC_EPSILON
+        figures["symbolic"]["epsilon_family"] = windowed(
+            [lambda family=pkg.catalog.epsilon_family, affine=pkg.records.Affine:
+             family(chi, affine(*epsilon)) for pkg in pkgs], repeat, 20)
     return figures
 
 
