@@ -617,7 +617,8 @@ class TestMutation:
 
 
 KILL_MATRIX = Path(__file__).parent / "golden" / "kill_matrix.json"
-KILL_RANGES = ((6, 2), (12, 4), (30, 6), (100, 6))
+# (100, 6) runs every class of chi mod 12 symbolically, (40, 30) every class of k mod 3
+KILL_RANGES = ((6, 2), (12, 4), (30, 6), (100, 6), (40, 30))
 
 
 def kill_matrix() -> dict:
