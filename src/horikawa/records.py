@@ -136,39 +136,59 @@ class Affine:
             return other.a, other.b
         raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
 
+    # Each result is made as DivisorClass._make makes a class, without __init__:
+    # object.__new__ and the four slots stored in place.
+
     def __add__(self, other):
         if type(other) is int:
-            return Affine(self.a + other, self.b, self.lo, self.hi)
-        a, b = self._of(other)
-        return Affine(self.a + a, self.b + b, self.lo, self.hi)
+            a, b = self.a + other, self.b
+        else:
+            a, b = self._of(other)
+            a, b = self.a + a, self.b + b
+        result = _new(Affine)
+        result.a, result.b, result.lo, result.hi = a, b, self.lo, self.hi
+        return result
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is int:
-            return Affine(self.a - other, self.b, self.lo, self.hi)
-        a, b = self._of(other)
-        return Affine(self.a - a, self.b - b, self.lo, self.hi)
+            a, b = self.a - other, self.b
+        else:
+            a, b = self._of(other)
+            a, b = self.a - a, self.b - b
+        result = _new(Affine)
+        result.a, result.b, result.lo, result.hi = a, b, self.lo, self.hi
+        return result
 
     def __rsub__(self, other):
-        if type(other) is int:
-            return Affine(other - self.a, -self.b, self.lo, self.hi)
-        return -self + other
+        if type(other) is not int:
+            return -self + other
+        result = _new(Affine)
+        result.a, result.b, result.lo, result.hi = other - self.a, -self.b, self.lo, self.hi
+        return result
 
     def __neg__(self):
-        return Affine(-self.a, -self.b, self.lo, self.hi)
+        result = _new(Affine)
+        result.a, result.b, result.lo, result.hi = -self.a, -self.b, self.lo, self.hi
+        return result
 
     def __mul__(self, other):
-        if type(other) is int:
-            return Affine(self.a * other, self.b * other, self.lo, self.hi)
-        return NotImplemented
+        if type(other) is not int:
+            return NotImplemented
+        result = _new(Affine)
+        result.a, result.b, result.lo, result.hi = self.a * other, self.b * other, self.lo, self.hi
+        return result
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         if type(other) is not int or other < 1 or self.b % other:
             return NotImplemented
-        return Affine(self.a // other, self.b // other, self.lo, self.hi), self.a % other
+        quotient = _new(Affine)
+        quotient.a, quotient.b, quotient.lo, quotient.hi = (self.a // other, self.b // other,
+                                                            self.lo, self.hi)
+        return quotient, self.a % other
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -229,3 +249,4 @@ class Affine:
 
 
 _UNDECIDED = "the interval does not decide this comparison"
+_new = object.__new__
