@@ -32,8 +32,8 @@ PARITY_INCONCLUSIVE = "inconclusive"
 VERDICT_INFEASIBLE = "infeasible"
 VERDICT_EXCEPTIONAL_EXCLUDED = "exceptional-case-excluded"
 
-P2_IMAGE = "P^2"
-CONE_IMAGE = "cone over a degree-4 rational curve in P^4"
+P2_IMAGE = ProjectivePlane()
+CONE_IMAGE = "cone over a degree-4 rational curve in P^4"  # no surface model: named by its text
 
 NOTE_FIBER_DECOMPOSITION = (
     "genus-2 fibers over the blown-up points decompose into two (-3)-curves "
@@ -89,20 +89,26 @@ class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
         return cls._tested(cls, k_squared, chi)
 
 
+_IMAGE = ProjectivePlane | Hirzebruch | str  # a surface, or CONE_IMAGE
+
+
 @checked
 class CanonicalImages(CheckedRecord, NamedTuple("CanonicalImages", [
-        ("first_top_e", int), ("second", tuple[str, ...])])):
+        ("first_top_e", int | Affine), ("second", tuple[_IMAGE, ...])])):
     """Canonical images of the two components where 8 divides K^2 on the low line.
 
     The first component's are F_0, F_2, ..., F_{first_top_e}; ``second``
-    lists the second's.
+    lists the second's, as surfaces, and the quartic cone as CONE_IMAGE.
+    The report writer gives them their text.
     """
 
-    def __new__(cls, first_top_e: int, second: tuple[str, ...]):
+    def __new__(cls, first_top_e: int | Affine, second: tuple[_IMAGE, ...]):
         self = cls._tested(cls, first_top_e, second)
         if first_top_e < 0 or first_top_e % 2:
             raise ValueError(f"the first component's largest e must be a nonnegative even "
                              f"integer, got {first_top_e!r:.80}")
+        if any(type(image) is str and image != CONE_IMAGE for image in second):
+            raise ValueError(f"an image is a surface or the cone, got {second!r:.80}")
         return self
 
 
@@ -114,16 +120,8 @@ class ComponentInfo(NamedTuple):
     labels: tuple[str, ...]
     images: CanonicalImages | None
 
-    @property
-    def canonical_images(self) -> dict[str, tuple[str, ...]]:
-        """The canonical images of each labelled component, built on each access."""
-        if self.images is None:
-            return {}
-        first = tuple(f"F_{e}" for e in range(0, self.images.first_top_e + 1, 2))
-        return {COMPONENT_I: first, COMPONENT_II: self.images.second}
 
-
-def component_count(k_squared: int) -> int:
+def component_count(k_squared: int | Affine) -> int:
     """Number of components of the moduli space at K^2 on the line K^2 = 2chi - 6.
 
     Two when K^2 is a multiple of 8, otherwise one; ``classify`` checks
@@ -132,7 +130,7 @@ def component_count(k_squared: int) -> int:
     return 2 if k_squared % 8 == 0 else 1
 
 
-def classify(k_squared: int, chi: int) -> ComponentInfo:
+def classify(k_squared: int | Affine, chi: int | Affine) -> ComponentInfo:
     """Component structure of the moduli space on the line K^2 = 2chi - 6.
 
     One component unless K^2 is a multiple of 8, in which case there are
@@ -150,7 +148,7 @@ def classify(k_squared: int, chi: int) -> ComponentInfo:
         return ComponentInfo(count=1, labels=(), images=None)
     quarter = k_squared // 4
     if k_squared > 8:
-        second = (f"F_{quarter + 2}",)
+        second = (Hirzebruch(quarter + 2),)
     else:
         second = (P2_IMAGE, CONE_IMAGE)
     return ComponentInfo(count=2, labels=(COMPONENT_I, COMPONENT_II),
@@ -211,9 +209,9 @@ class ConstructionRecipe(NamedTuple):
     component_claim: str
     certificates: tuple[AmplenessCertificate | NefCertificate, ...] = ()
     parameters: tuple[int, int | Affine, int] | None = None
-    k: int | None = None
-    canonical_image: str | None = None
-    canonical_sections: int | None = None
+    k: int | Affine | None = None
+    canonical_image: ProjectivePlane | Hirzebruch | None = None
+    canonical_sections: int | Affine | None = None
     fiber_component_self_intersections: tuple[int, ...] | None = None
     scroll_curve: ScrollCurve | None = None
     germ: str | None = None
@@ -295,7 +293,7 @@ def parity_discriminator(self_intersections) -> str:
     return PARITY_INCONCLUSIVE
 
 
-def scroll_family_curve(residue: int, k: int) -> ScrollCurve:
+def scroll_family_curve(residue: int, k: int | Affine) -> ScrollCurve:
     """Branch curve of the family indexed by ``residue`` at parameter k.
 
     All three families have class 5*D0 + (10k + 10)*F on the scroll with
@@ -310,16 +308,17 @@ def scroll_family_curve(residue: int, k: int) -> ScrollCurve:
         raise ValueError("the scroll branch curves are defined for k >= 2")
     top = 10 * k + 10
     j = (residue + 1) % 3
+    # in ascending order, as a curve keeps them: 0 < top - j at every k
     return ScrollCurve(
         e=2 * k + 2,
-        monomials=frozenset({(0, 0, 5, 0), (top - j, j, 0, 5), (0, top, 0, 5)}),
+        monomials=((0, 0, 5, 0), (0, top, 0, 5), (top - j, j, 0, 5)),
     )
 
 
 P2_BRANCH_MONOMIALS = frozenset({(10, 0, 0), (0, 10, 0), (0, 0, 10)})
 
 
-def component_two_germ(k: int) -> str | None:
+def component_two_germ(k: int | Affine) -> str | None:
     """The double point of the component-II branch curve at K^2 = 8k, or None if smooth.
 
     Only k = 1 (mod 3), k > 1, has one, where a chart reads x1^5 + t2^2 + t2^(10k+10).
@@ -328,7 +327,7 @@ def component_two_germ(k: int) -> str | None:
     return covers.classify_germ(10 * k + 10, 5) if k > 1 and k % 3 == 1 else None
 
 
-def build_component_two(k: int) -> ConstructionRecipe:
+def build_component_two(k: int | Affine) -> ConstructionRecipe:
     """Order-3 symmetric surface in the second component at K^2 = 8k.
 
     For k = 1 this is the double cover of the plane branched over a
@@ -371,7 +370,7 @@ def build_component_two(k: int) -> ConstructionRecipe:
         blow_up_count=0,
         report=report,
         component_claim=COMPONENT_II,
-        canonical_image=lattice.surface_descriptor(base),
+        canonical_image=base,
         canonical_sections=report.p_g,
         scroll_curve=curve,
         germ=germ,

@@ -223,18 +223,23 @@ def cover_invariants(spec: CoverSpec,
                            minimal_or_ample, warnings, (ASSUME_SMOOTH_BRANCH, ASSUME_Q_ZERO))
 
 
+_EXPONENTS = tuple[int | Affine, int | Affine, int | Affine, int | Affine]
+
+
 @checked
 class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [
-        ("e", int), ("monomials", frozenset[tuple[int, int, int, int]])])):
+        ("e", int | Affine), ("monomials", tuple[_EXPONENTS, ...])])):
     """A curve on a Hirzebruch surface cut out by scroll monomials.
 
     Monomials are exponent quadruples (c1, c2, d1, d2) for the scroll
-    coordinates (t1, t2, x1, x2).  The zero scheme of a sum of such
-    monomials with unit coefficients is well defined as soon as the
-    monomial set is homogeneous for the scroll weights.
+    coordinates (t1, t2, x1, x2), in ascending order without repeats, so
+    that a set of monomials has one tuple, an ``Affine`` entry included.
+    The zero scheme of a sum of such monomials with unit coefficients is
+    well defined as soon as the monomials are homogeneous for the scroll
+    weights.
     """
 
-    def __new__(cls, e: int, monomials: frozenset[tuple[int, int, int, int]]):
+    def __new__(cls, e: int | Affine, monomials: tuple[_EXPONENTS, ...]):
         self = cls._tested(cls, e, monomials)
         if e < 0:
             raise ValueError(f"scroll parameter e must be a nonnegative integer, got {e!r}")
@@ -243,6 +248,8 @@ class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [
         for m in monomials:
             if min(m) < 0:
                 raise ValueError(f"malformed exponent quadruple {m!r}")
+        if any(m >= n for m, n in zip(monomials, monomials[1:])):
+            raise ValueError(f"monomials must ascend without repeats, got {monomials!r:.80}")
         return self
 
 
@@ -250,19 +257,19 @@ def scroll_class(curve: ScrollCurve) -> DivisorClass:
     """Divisor class of a scroll curve, read off the monomial weights.
 
     Each monomial t1^c1 t2^c2 x1^d1 x2^d2 cuts the class (d1 + d2) * D0 +
-    (e*d1 + c1 + c2) * F; the set is homogeneous when all monomials give
+    (e*d1 + c1 + c2) * F; the curve is homogeneous when all monomials give
     the same class.
     """
     if not isinstance(curve, ScrollCurve):
         raise TypeError(f"expected a ScrollCurve, got {curve!r}")
-    classes = {_scroll_monomial_class(curve.e, m) for m in curve.monomials}
-    if len(classes) != 1:
-        raise ValueError(f"inhomogeneous monomial set: classes {sorted(classes)}")
-    a, b = classes.pop()
-    return lattice.Hirzebruch(curve.e).divisor((a, b))
+    # compared with ==, as an Affine class cannot go in a set
+    classes = [_scroll_monomial_class(curve.e, m) for m in curve.monomials]
+    if any(c != classes[0] for c in classes):
+        raise ValueError(f"inhomogeneous monomial set: classes {sorted(set(classes))}")
+    return lattice.Hirzebruch(curve.e).divisor(classes[0])
 
 
-def _scroll_monomial_class(e: int, monomial) -> tuple[int, int]:
+def _scroll_monomial_class(e: int | Affine, monomial) -> tuple:
     c1, c2, d1, d2 = monomial
     return (d1 + d2, e * d1 + c1 + c2)
 
@@ -270,12 +277,13 @@ def _scroll_monomial_class(e: int, monomial) -> tuple[int, int]:
 def t1_scaling_invariant(curve: ScrollCurve) -> bool:
     """Whether scaling t1 by a primitive cube root of unity carries the curve to itself.
 
-    The monomial set is then multiplied by one global character, that is,
+    The monomials are then multiplied by one global character, that is,
     all t1 exponents agree modulo 3.
     """
     if not isinstance(curve, ScrollCurve):
         raise TypeError(f"expected a ScrollCurve, got {curve!r}")
-    return len({c1 % 3 for (c1, _c2, _d1, _d2) in curve.monomials}) <= 1
+    residue = curve.monomials[0][0] % 3
+    return all(c1 % 3 == residue for (c1, _c2, _d1, _d2) in curve.monomials)
 
 
 def cyclic_shift_invariant(triples) -> bool:
@@ -287,14 +295,14 @@ def cyclic_shift_invariant(triples) -> bool:
     return frozenset((b, c, a) for (a, b, c) in triples) == triples
 
 
-def classify_germ(m: int, p: int) -> str:
+def classify_germ(m: int | Affine, p: int) -> str:
     """ADE type of the plane curve germ x^2 + x^m + y^p with m, p >= 2.
 
     For m >= 2 the x part is a unit multiple of x^2 after a change of
     coordinates, so the germ is the double point x^2 + y^p of type
     A_{p-1}.
     """
-    if type(m) is not int or type(p) is not int:
+    if type(m) not in (int, Affine) or type(p) is not int:
         raise ValueError("germ exponents must be integers")
     if m < 2 or p < 2:
         raise ValueError(f"germ x^2 + x^{m} + y^{p} is outside the supported family")

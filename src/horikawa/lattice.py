@@ -68,7 +68,7 @@ class ProjectivePlane(SurfaceModel, NamedTuple("ProjectivePlane", [])):
 
 
 @checked
-class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
+class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int | Affine)])):
     """The ruled surface with a section of self-intersection -e.
 
     Picard basis (D0, F) where D0 is the negative section and F a fiber,
@@ -77,7 +77,7 @@ class Hirzebruch(SurfaceModel, NamedTuple("Hirzebruch", [("e", int)])):
 
     _rank = 2
 
-    def __new__(cls, e: int):
+    def __new__(cls, e: int | Affine):
         self = cls._tested(cls, e)
         if e < 0:
             raise ValueError("Hirzebruch parameter e must be a nonnegative integer")

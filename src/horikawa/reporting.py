@@ -30,9 +30,9 @@ import typing
 from typing import NamedTuple
 
 from . import lattice, stable
-from .catalog import (AmplenessCertificate, CanonicalImages, ComponentInfo,
+from .catalog import (CONE_IMAGE, AmplenessCertificate, CanonicalImages, ComponentInfo,
                       ConstructionRecipe, NefCertificate)
-from .covers import CanonicalMultiple, InvariantReport
+from .covers import CanonicalMultiple, InvariantReport, ScrollCurve
 from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
 from .records import Affine, CheckedRecord, checked, hints
 from .stable import StableSurfaceRecord
@@ -150,6 +150,30 @@ _NONE_AS = {(InvariantReport, "p_g"): P_G_UNAVAILABLE, (ComponentInfo, "images")
 _IN_THIRDS = {(StableSurfaceRecord, "k_squared_thirds")}
 
 
+def _image_text(image):
+    """A canonical image as reports write it, F_e or P^2; the cone, and None, as they are."""
+    return lattice.surface_descriptor(image) if isinstance(image, lattice.SurfaceModel) else image
+
+
+def _image(text):
+    if text is None or text == CONE_IMAGE:
+        return text
+    if text == "P^2" or text[:2] == "F_" and _INTEGER.fullmatch(text[2:]):
+        return ProjectivePlane() if text == "P^2" else Hirzebruch(int(text[2:]))
+    raise ValueError(f"unknown canonical image {text!r:.80}")
+
+
+# a field that the JSON shows as another annotation: that annotation, the
+# field's value as the JSON shows it, and the value back
+_VIEWS = {
+    (ConstructionRecipe, "canonical_image"): (str | None, _image_text, _image),
+    (CanonicalImages, "second"): (tuple[str, ...], lambda images: tuple(map(_image_text, images)),
+                                  lambda texts: tuple(map(_image, texts))),
+    (ScrollCurve, "monomials"): (frozenset[tuple[int, int, int, int]], frozenset,
+                                 lambda monomials: tuple(sorted(monomials))),
+}
+
+
 # ---------------------------------------------------------------------------
 # codec: each annotation becomes a shape, a tuple headed by its kind, such as
 # ("int",), ("optional", inner, none_as), ("tuple", item), ("fixed", items),
@@ -198,7 +222,8 @@ def _plan(cls) -> tuple:
     fields = tuple(
         (name, _RENAMED.get((cls, name), name),
          _THIRDS if (cls, name) in _IN_THIRDS
-         else _shape(annotations[name], _NONE_AS.get((cls, name))))
+         else _shape(_VIEWS.get((cls, name), (annotations[name],))[0],
+                     _NONE_AS.get((cls, name))))
         for name in cls._fields)
     return fields, _TAGS.get(cls), _ENCODE_ONLY.get(cls)
 
@@ -337,7 +362,12 @@ def _record(cls):
     encoded = ((None, extra[0], extra[2]),) if extra else ()  # read by encode_only, not by name
     for n, (name, key, sub) in enumerate(fields + encoded):
         write, read = _source(sub, f"f{n}", f"a{n}", "i", scope)
-        values.append(f"f{n} = r.{name}" if name else f"f{n} = encode_only(r)")
+        view = scope[f"v{n}"] = _VIEWS.get((cls, name))
+        if view:  # read through the view's two functions
+            values.append(f"f{n} = v{n}[1](r.{name})")
+            read = f"v{n}[2]({read})"
+        else:
+            values.append(f"f{n} = r.{name}" if name else f"f{n} = encode_only(r)")
         parts.append((key, write))
         reads += f"\n        k = {key!r}; a{n} = d[k]; a{n} = {read}" if name else ""
     text = ' + "," + i + '.join(f"{_ESCAPE(key) + ': '!r} + {part}" for key, part in sorted(parts))
@@ -415,36 +445,29 @@ class Report(NamedTuple):
 # text rendering
 
 def _render_invariants(report: InvariantReport, lines: list[str]):
-    lines.append(f"  K^2 = {report.k_squared}")
-    lines.append(f"  chi = {report.chi}")
     p_g = P_G_UNAVAILABLE if report.p_g is None else report.p_g
-    lines.append(f"  p_g = {p_g}")
     cm = report.canonical_multiple
-    lines.append(f"  {cm.multiple}K = pullback of {cm.cls}")
-    lines.append(f"  minimality/ampleness: {report.minimal_or_ample}")
-    for warning in report.warnings:
-        lines.append(f"  warning: {warning}")
+    lines += [f"  K^2 = {report.k_squared}", f"  chi = {report.chi}", f"  p_g = {p_g}",
+              f"  {cm.multiple}K = pullback of {cm.cls}",
+              f"  minimality/ampleness: {report.minimal_or_ample}",
+              *(f"  warning: {warning}" for warning in report.warnings)]
 
 
 def _render_certificate(cert, lines: list[str]):
     if isinstance(cert, AmplenessCertificate):
-        lines.append("  ampleness certificate:")
-        lines.append(f"    divisor {cert.divisor}")
-        lines.append(f"    self-intersection {cert.self_intersection}")
-        lines.append(f"    feasibility: {cert.feasibility_verdict} "
-                     f"(coefficient {cert.coefficient})")
-        lines.append(f"    witness {cert.witness_class} "
-                     f"(virtual count {cert.witness_virtual_count}"
-                     f"{', tight' if cert.witness_tight else ''})")
+        lines += ["  ampleness certificate:", f"    divisor {cert.divisor}",
+                  f"    self-intersection {cert.self_intersection}",
+                  f"    feasibility: {cert.feasibility_verdict} (coefficient {cert.coefficient})",
+                  f"    witness {cert.witness_class} (virtual count "
+                  f"{cert.witness_virtual_count}{', tight' if cert.witness_tight else ''})"]
         if cert.exceptional_witness is not None:
             a, b = cert.exceptional_witness
             lines.append(f"    exceptional witness (a, b) = ({a}, {b}): "
                          f"{cert.exceptional_reason}")
     elif isinstance(cert, NefCertificate):
-        lines.append(f"  nefness certificate: {cert.verdict}")
-        for name, value in cert.pairings:
-            lines.append(f"    D . ({name}) = {value}")
-        lines.append(f"    closure coefficient {cert.closure_coefficient}")
+        lines += [f"  nefness certificate: {cert.verdict}",
+                  *(f"    D . ({name}) = {value}" for name, value in cert.pairings),
+                  f"    closure coefficient {cert.closure_coefficient}"]
         if cert.gap:
             lines.append(f"    gap: {cert.gap}")
 
@@ -457,39 +480,41 @@ def render_text(report: Report) -> str:
     lines.append("-" * 60)
     payload, kind = report.payload, report.payload_kind
     if kind == "classification":
-        lines.append(f"pair: K^2 = {payload.k_squared}, chi = {payload.chi}")
-        lines.append(f"admissible: {'yes' if payload.admissible else 'no'}")
-        lines.append(f"on the line K^2 = 2*chi - 6: {'yes' if payload.on_line else 'no'}")
-        lines.append(payload.explanation)
+        lines += [f"pair: K^2 = {payload.k_squared}, chi = {payload.chi}",
+                  f"admissible: {'yes' if payload.admissible else 'no'}",
+                  f"on the line K^2 = 2*chi - 6: {'yes' if payload.on_line else 'no'}",
+                  payload.explanation]
         if payload.info is not None:
             lines.append(f"components: {payload.info.count}")
-            images = payload.info.canonical_images
-            for label in payload.info.labels:
-                lines.append(f"  {label}: canonical images {', '.join(images[label])}")
+            images = payload.info.images
+            if images:  # the first component's F_0, F_2, ..., then the second's
+                first = ", ".join(f"F_{e}" for e in range(0, images.first_top_e + 1, 2))
+                for label, text in zip(payload.info.labels,
+                                       (first, ", ".join(map(_image_text, images.second)))):
+                    lines.append(f"  {label}: canonical images {text}")
     elif kind == "construction":
         recipe = payload.recipe
-        lines.append(f"variant: {payload.variant}")
-        lines.append(f"target: K^2 = {recipe.target.k_squared}, chi = {recipe.target.chi}")
+        lines += [f"variant: {payload.variant}",
+                  f"target: K^2 = {recipe.target.k_squared}, chi = {recipe.target.chi}"]
         if recipe.parameters is not None:
             e, alpha, beta = recipe.parameters
             lines.append(f"parameters: e = {e}, alpha = {alpha}, beta = {beta}")
         if recipe.k is not None:
             lines.append(f"parameter k = {recipe.k}")
-        lines.append(f"base: {lattice.surface_descriptor(recipe.base)}")
-        lines.append(f"blown-up points: {recipe.blow_up_count}")
-        for i, cls in enumerate(recipe.branch, start=1):
-            lines.append(f"branch {i}: {cls}")
+        lines += [f"base: {lattice.surface_descriptor(recipe.base)}",
+                  f"blown-up points: {recipe.blow_up_count}",
+                  *(f"branch {i}: {cls}" for i, cls in enumerate(recipe.branch, start=1))]
         if recipe.scroll_curve is not None:
-            monomials = ", ".join(str(m) for m in sorted(recipe.scroll_curve.monomials))
+            monomials = ", ".join(map(str, recipe.scroll_curve.monomials))
             lines.append(f"branch curve monomials (t1, t2, x1, x2 exponents): {monomials}")
         if recipe.germ is not None:
             lines.append(f"branch germ type: {recipe.germ}")
         lines.append(f"component claim: {recipe.component_claim}")
         if recipe.canonical_image is not None:
-            lines.append(f"canonical image: {recipe.canonical_image} "
+            lines.append(f"canonical image: {_image_text(recipe.canonical_image)} "
                          f"({recipe.canonical_sections} sections)")
         if recipe.fiber_component_self_intersections is not None:
-            values = ", ".join(str(v) for v in recipe.fiber_component_self_intersections)
+            values = ", ".join(map(str, recipe.fiber_component_self_intersections))
             lines.append(f"genus-2 fiber components over blown-up points: {values}")
         if recipe.ledger != stable.EMPTY_LEDGER:
             lines.append(f"singularities: {recipe.ledger.third11_count} one-third quotient "
@@ -498,22 +523,19 @@ def render_text(report: Report) -> str:
         _render_invariants(recipe.report, lines)
         for cert in recipe.certificates:
             _render_certificate(cert, lines)
-        if payload.record is not None:
-            record = payload.record
-            lines.append("stable surface record:")
-            lines.append(f"  K^2 = {record.k_squared}")
-            lines.append(f"  chi = {record.chi}")
-            lines.append(f"  one-third quotient points: {record.ledger.third11_count}")
-            lines.append(f"  ample canonical class: {record.ample_canonical}")
-            lines.append(f"  Q-Gorenstein smoothable: {record.smoothable}")
-            lines.append("  in a moduli component without canonical models: "
-                         f"{record.in_component_without_canonical_models}")
-        for note in recipe.notes:
-            lines.append(f"note: {note}")
+        record = payload.record
+        if record is not None:
+            lines += ["stable surface record:", f"  K^2 = {record.k_squared}",
+                      f"  chi = {record.chi}",
+                      f"  one-third quotient points: {record.ledger.third11_count}",
+                      f"  ample canonical class: {record.ample_canonical}",
+                      f"  Q-Gorenstein smoothable: {record.smoothable}",
+                      "  in a moduli component without canonical models: "
+                      f"{record.in_component_without_canonical_models}"]
+        lines += [f"note: {note}" for note in recipe.notes]
     elif kind == "enumeration":
-        lines.append(f"{'chi':>4} {'K^2':>5} {'comps':>5} {'K^2*':>5} {'sing*':>5}  "
-                     "constructions")
-        lines.append("(K^2, comps: line K^2 = 2chi-6; K^2*, sing*: line K^2 = 2chi-5)")
+        lines += [f"{'chi':>4} {'K^2':>5} {'comps':>5} {'K^2*':>5} {'sing*':>5}  constructions",
+                  "(K^2, comps: line K^2 = 2chi-6; K^2*, sing*: line K^2 = 2chi-5)"]
         for row in payload.rows:
             k2 = "-" if row.general_type_k_squared is None else row.general_type_k_squared
             comps = "-" if row.component_count is None else row.component_count
@@ -521,14 +543,12 @@ def render_text(report: Report) -> str:
             sing = "-" if row.stable_third11_count is None else row.stable_third11_count
             built = ", ".join(row.constructions) if row.constructions else "-"
             lines.append(f"{row.chi:>4} {k2!s:>5} {comps!s:>5} {k2s!s:>5} {sing!s:>5}  {built}")
-            for note in row.notes:
-                lines.append(f"      note: {note}")
+            lines += [f"      note: {note}" for note in row.notes]
         lines.append(f"rows: {len(payload.rows)}")
     else:
         for check in payload.checks:
-            status = "PASS" if check.passed else "FAIL"
-            lines.append(f"check {check.name}: {status}")
-            lines.append(f"  identity: {check.identity}")
+            lines += [f"check {check.name}: {'PASS' if check.passed else 'FAIL'}",
+                      f"  identity: {check.identity}"]
             if not check.passed:
                 lines.append(f"  detail: {check.detail}")
         good = sum(1 for c in payload.checks if c.passed)
@@ -540,14 +560,9 @@ def render_text(report: Report) -> str:
             first = payload.first_failure
             lines.append(f"first violated identity: {first.name} ({first.identity})")
     if report.assumptions:
-        lines.append("assumptions:")
-        for assumption in report.assumptions:
-            lines.append(f"  - {assumption}")
-    if report.notes:
-        for note in report.notes:
-            lines.append(f"note: {note}")
+        lines += ["assumptions:", *(f"  - {assumption}" for assumption in report.assumptions)]
+    lines += [f"note: {note}" for note in report.notes]
     if report.derivations:
-        lines.append("derivations:")
-        for key in sorted(report.derivations):
-            lines.append(f"  {key}: {report.derivations[key]}")
+        lines += ["derivations:", *(f"  {key}: {report.derivations[key]}"
+                                    for key in sorted(report.derivations))]
     return "\n".join(lines) + "\n"

@@ -10,10 +10,9 @@ order, no environment dependence.
 from __future__ import annotations
 
 import functools
-import random
 from typing import Callable, NamedTuple
 
-from . import catalog, covers, lattice, stable
+from . import catalog, covers, lattice, samples, stable
 from .lattice import Hirzebruch, ProjectivePlane
 from .records import Affine
 from .reporting import RANGE_CAP, CheckResult, VerificationOutcome
@@ -29,7 +28,7 @@ def _key(n):
 
 
 class _Memo(dict):
-    """One builder's builds in one run, by chi or k, an Affine chi by ``_key``:
+    """One builder's builds in one run, by chi or k, an Affine one by ``_key``:
     ``memo(chi)`` builds on a miss, ``memo.get(chi)`` only looks, and a build
     that raises is not kept."""
 
@@ -66,14 +65,17 @@ def _expect(condition: bool, detail: str, *values):
 
 # A class of cases runs as one symbolic case where it holds more cases than its
 # break-even, by modulus, measured on a shared 2-core x86_64 VM: one symbolic pass
-# over a chi's epsilon interval costs about 4.5 concrete cases, and one over a
-# residue class of chi mod 12, with the builds it reads, about 2.2 concrete chi.
-# The latter stays at 3, so that no class of chi runs symbolically up to chi_max = 40.
-_BREAK_EVEN = {1: 5, 12: 3}
+# over a chi's epsilon interval costs about 4.5 concrete cases, one over a residue
+# class of k mod 3, with its component-II build, about 2.6 concrete k, and one over
+# a residue class of chi mod 12, with the builds it reads, about 2.2 concrete chi.
+# The last two stay at 3, so that no class runs symbolically up to chi_max = 40 and
+# k_max = 11.
+_BREAK_EVEN = {1: 5, 3: 3, 12: 3}
 
 
 def _each(body: Callable, cases: range, modulus: int = 12) -> None:
-    """Run ``body`` on every n in ``cases``, a range whose step divides ``modulus``.
+    """Run ``body`` on every n in ``cases``, a range whose step divides ``modulus``:
+    12 for chi, 3 for k, 1 for the epsilon of one chi.
 
     First each residue class r of n mod ``modulus``, from n = ``modulus`` up,
     that holds more cases than its break-even runs as one Affine(r, modulus,
@@ -107,78 +109,6 @@ def _per_chi(first: int):
 
 
 # ---------------------------------------------------------------------------
-# independent oracles
-
-@functools.cache
-def _enumerate_scroll_sections(e: int, a: int, b: int) -> int:
-    """Count monomials t1^c1 t2^c2 x1^d1 x2^d2 of class a*D0 + b*F directly."""
-    count = 0
-    for d1 in range(0, a + 1):
-        for c1 in range(0, b + 1):
-            c2 = b - e * d1 - c1
-            if c2 >= 0:
-                count += 1
-    return count
-
-
-@functools.cache
-def _enumerate_plane_sections(d: int) -> int:
-    count = 0
-    for i in range(0, d + 1):
-        for j in range(0, d - i + 1):
-            count += 1
-    return count
-
-
-def _sample_surfaces():
-    plane = ProjectivePlane()
-    return (
-        plane,
-        Hirzebruch(0),
-        Hirzebruch(1),
-        Hirzebruch(3),
-        lattice.blow_up(Hirzebruch(2), 4),
-        lattice.blow_up(plane, 3),
-        lattice.blow_up(lattice.blow_up(Hirzebruch(1), 2), 3),
-    )
-
-
-# Seeded samples, drawn once per process.  Each draw is keyed on the ranks
-# that a run reads from the surfaces it builds, so a fault that changes a rank
-# gets the stream its ranks call for.  Only these tuples of integers are
-# shared: every divisor, pullback, sum and pairing still runs in the run.
-
-def _draw_vector(rng: random.Random, rank: int) -> tuple[int, ...]:
-    return tuple([rng.randint(-10, 10) for _ in range(rank)])
-
-
-@functools.cache
-def _bilinearity_draws(ranks: tuple[int, ...]) -> tuple:
-    """400 cases (u, v, w, m): three coefficient vectors on sample surface
-    n % len(ranks), then a scalar, in the order they are drawn."""
-    rng = random.Random(20260808)
-    cases = []
-    for n in range(400):
-        rank = ranks[n % len(ranks)]
-        cases.append((_draw_vector(rng, rank), _draw_vector(rng, rank),
-                      _draw_vector(rng, rank), rng.randint(-6, 6)))
-    return tuple(cases)
-
-
-_ISOMETRY_POINT_COUNTS = (1, 5, 17)
-
-
-@functools.cache
-def _isometry_draws(ranks: tuple[int, ...]) -> tuple:
-    """Per ruled surface, per point count, 30 pairs of coefficient vectors."""
-    rng = random.Random(1729)
-    return tuple(tuple(tuple((_draw_vector(rng, rank), _draw_vector(rng, rank))
-                             for _ in range(30))
-                       for _n in _ISOMETRY_POINT_COUNTS)
-                 for rank in ranks)
-
-
-# ---------------------------------------------------------------------------
 # checks, registered in the order the report lists them
 
 _CHECKS: list[tuple[str, str, Callable]] = []
@@ -194,8 +124,8 @@ def _check(name: str, identity: str):
 @_check("lattice-symmetry-bilinearity",
         "intersection pairing is symmetric and bilinear on random classes")
 def _check_symmetry_bilinearity(chi_max, k_max, builds):
-    surfaces = _sample_surfaces()
-    draws = _bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
+    surfaces = samples.sample_surfaces()
+    draws = samples.bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
     for n, (u, v, w, m) in enumerate(draws):
         surface = surfaces[n % len(surfaces)]
         a, b, c = surface.divisor(u), surface.divisor(v), surface.divisor(w)
@@ -216,9 +146,9 @@ def _check_symmetry_bilinearity(chi_max, k_max, builds):
         "pullback embeds the base lattice isometrically and orthogonally to exceptionals")
 def _check_pullback_isometry(chi_max, k_max, builds):
     ruled_surfaces = [Hirzebruch(e) for e in (0, 1, 2, 4)]
-    draws = _isometry_draws(tuple(map(lattice.picard_rank, ruled_surfaces)))
+    draws = samples.isometry_draws(tuple(map(lattice.picard_rank, ruled_surfaces)))
     for ruled, per_count in zip(ruled_surfaces, draws):
-        for n, pairs in zip(_ISOMETRY_POINT_COUNTS, per_count):
+        for n, pairs in zip(samples.ISOMETRY_POINT_COUNTS, per_count):
             blown = lattice.blow_up(ruled, n)
             first = blown.exceptional(1)
             for v1, v2 in pairs:
@@ -253,13 +183,13 @@ def _check_section_count_oracle(chi_max, k_max, builds):
         for a in range(0, 5):
             for b in range(0, 13):
                 got = lattice.h0(ruled.divisor((a, b)))
-                want = _enumerate_scroll_sections(e, a, b)
+                want = samples.enumerate_scroll_sections(e, a, b)
                 _expect(got.exact and got.value == want,
                         "h0 on F_{} of ({},{}) gave {}, enumeration gives {}",
                         e, a, b, got.value, want)
     plane = ProjectivePlane()
     for d in range(0, 9):
-        _expect(lattice.h0(plane.divisor((d,))).value == _enumerate_plane_sections(d),
+        _expect(lattice.h0(plane.divisor((d,))).value == samples.enumerate_plane_sections(d),
                 "h0 on the plane of degree {} disagrees with enumeration", d)
 
 
@@ -295,15 +225,16 @@ def _check_tricanonical_identity(builds, chi):
         "second-component covers report (8k, 4k+3), the stated bicanonical class, "
         "branch curve class 5*D0 + (10k+10)*F and the residue germ")
 def _check_component_two_invariants(chi_max, k_max, builds):
-    for k in range(1, k_max + 1):
+    def case(k):
         recipe = builds.component_two(k)
         report = recipe.report
         _expect((report.k_squared, report.chi) == (8 * k, 4 * k + 3),
                 "invariants {} at k = {}", (report.k_squared, report.chi), k)
         _expect(report.p_g == 4 * k + 2, "p_g = {} at k = {}", report.p_g, k)
         if k == 1:
-            _expect(recipe.canonical_image == "P^2", "canonical image at k = 1 is not the plane")
-            continue
+            _expect(recipe.canonical_image == catalog.P2_IMAGE,
+                    "canonical image at k = 1 is not the plane")
+            return
         ruled = Hirzebruch(2 * k + 2)
         _expect(2 * report.canonical_multiple.cls == ruled.divisor((2, 6 * k + 2)),
                 "bicanonical class wrong at k = {}", k)
@@ -316,11 +247,13 @@ def _check_component_two_invariants(chi_max, k_max, builds):
         else:
             _expect(recipe.germ is None, "unexpected germ at k = {}", k)
 
+    _each(case, range(1, k_max + 1), 3)
+
 
 @_check("component-two-symmetry-residues",
         "each branch curve family is symmetric exactly in its own residue class")
 def _check_scroll_symmetry_residues(chi_max, k_max, builds):
-    for k in range(2, max(k_max, 5) + 1):
+    def case(k):  # every family at k, so a failure is a plain loop's first
         for residue in (0, 1, 2):
             curve = catalog.scroll_family_curve(residue, k)
             expected = residue == k % 3
@@ -328,29 +261,36 @@ def _check_scroll_symmetry_residues(chi_max, k_max, builds):
             _expect(got == expected, "symmetry check gave {} for the residue {} family at k = {}",
                     got, residue, k)
 
+    _each(case, range(2, max(k_max, 5) + 1), 3)
+
 
 @_check("classification-components",
         "component count is 2 exactly when K^2 is a multiple of 8, with the stated images")
 def _check_classification(chi_max, k_max, builds):
-    for chi in range(4, chi_max + 1):
+    # chi runs by class mod 12 from chi = 12, which decides K^2 mod 8 and leaves
+    # K^2 = 8 (chi = 7) to an int; k by class mod 3, with component II's builds
+    def on_the_line(chi):
         k_squared = 2 * chi - 6
         info = catalog.classify(k_squared, chi)
         expected = 2 if k_squared % 8 == 0 else 1
         _expect(info.count == expected, "component count {} instead of {} at chi = {}",
                 info.count, expected, chi)
         if expected == 2:
-            quarter = k_squared // 4
             if k_squared > 8:
-                _expect(info.images.second == (f"F_{quarter + 2}",),
+                _expect(info.images.second == (Hirzebruch(k_squared // 4 + 2),),
                         "second component image wrong at chi = {}", chi)
             else:
                 _expect(info.images.second == (catalog.P2_IMAGE, catalog.CONE_IMAGE),
                         "second component images wrong at K^2 = 8")
-    for k in range(1, k_max + 1):
+
+    def constructed(k):
         recipe = builds.component_two(k)
         info = catalog.classify(8 * k, 4 * k + 3)
         _expect(recipe.canonical_image in info.images.second,
                 "constructed canonical image not among the classified ones at k = {}", k)
+
+    _each(on_the_line, range(4, chi_max + 1))
+    _each(constructed, range(1, k_max + 1), 3)
 
 
 @_check("classification-parity-discriminator",
@@ -516,9 +456,12 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
     duration of the run.  The checks that read component-I or stable
-    builds run each residue class of chi mod 12 that holds more than 3
-    cases once, on an ``Affine`` chi, and the rest case by case (see
-    ``_each``); the outcome is the one a run of every case would give.
+    builds, and the classification by chi, run each residue class of chi
+    mod 12 that holds more than 3 cases once, on an ``Affine`` chi; the
+    component-II checks and the classification by k do so for each class
+    of k mod 3 that holds more than 3 cases, on an ``Affine`` k.  The rest
+    run case by case (see ``_each``); the outcome is the one a run of every
+    case would give.
     """
     for name, value in (("chi_max", chi_max), ("k_max", k_max)):
         if type(value) is not int:  # no Affine: a range is never symbolic
@@ -541,7 +484,7 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
 
 def _run_checks(chi_max: int, k_max: int) -> tuple[CheckResult, ...]:
-    # One build per chi, or per residue class of chi, per run.  The builders
+    # One build per chi or k, or per residue class of either, per run.  The builders
     # are read here, inside any injected fault, and the memo dies with the run.  A build that raises
     # is not kept, so each check that asks for it reports its own error.
     # The two certificate checks only look: where the run holds the build

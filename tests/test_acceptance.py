@@ -49,7 +49,7 @@ def test_criterion_2_component_two_suite():
         first = catalog.build_component_two(1)
         assert (first.report.k_squared, first.report.chi) == (8, 7)
         assert first.report.p_g == 6
-        assert first.canonical_image == "P^2"
+        assert lattice.surface_descriptor(first.canonical_image) == "P^2"
         for k in range(2, 34):
             recipe = catalog.build_component_two(k)
             assert (recipe.report.k_squared, recipe.report.chi) == (8 * k, 4 * k + 3)
@@ -155,10 +155,9 @@ def test_criterion_6_classification_table():
             if info.count == 2:
                 quarter = k_squared // 4
                 if k_squared > 8:
-                    assert info.canonical_images["II"] == (f"F_{quarter + 2}",)
+                    assert info.images.second == (Hirzebruch(quarter + 2),)
                 else:
-                    assert info.canonical_images["II"] == (catalog.P2_IMAGE,
-                                                           catalog.CONE_IMAGE)
+                    assert info.images.second == (catalog.P2_IMAGE, catalog.CONE_IMAGE)
         assert catalog.parity_discriminator([-3, -3]) == "I"
         for k in range(1, 25):
             recipe = catalog.build_component_one(4 * k + 3)

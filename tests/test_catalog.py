@@ -14,7 +14,7 @@ from horikawa.catalog import (AdmissiblePair, CertificateError, admissible,
                               epsilon_family, nef_certificate,
                               component_two_germ, parity_discriminator,
                               pick_parameters, scroll_family_curve)
-from horikawa.lattice import DivisorClass, Hirzebruch
+from horikawa.lattice import DivisorClass, Hirzebruch, ProjectivePlane
 from horikawa.records import Affine
 from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
@@ -60,14 +60,19 @@ class TestClassification:
         info = classify(8, 7)
         assert info.count == 2
         assert info.labels == ("I", "II")
-        assert info.canonical_images["I"] == ("F_0", "F_2")
-        assert info.canonical_images["II"] == (catalog.P2_IMAGE, catalog.CONE_IMAGE)
+        assert info.images.first_top_e == 2  # F_0 and F_2
+        assert info.images.second == (catalog.P2_IMAGE, catalog.CONE_IMAGE)
+        assert type(catalog.P2_IMAGE) is ProjectivePlane
 
     def test_two_components_above_eight(self):
         info = classify(16, 11)
         assert info.count == 2
-        assert info.canonical_images["II"] == ("F_6",)
-        assert info.canonical_images["I"] == ("F_0", "F_2", "F_4")
+        assert info.images.second == (Hirzebruch(6),)
+        assert info.images.first_top_e == 4  # F_0, F_2 and F_4
+
+    def test_images_are_surfaces_or_the_cone(self):
+        with pytest.raises(ValueError, match="^an image is a surface or the cone, got "):
+            catalog.CanonicalImages(4, ("F_6",))
 
     def test_off_line_rejected(self):
         with pytest.raises(ValueError, match="off the line"):
@@ -187,7 +192,7 @@ class TestComponentTwo:
         recipe = build_component_two(1)
         assert (recipe.report.k_squared, recipe.report.chi) == (8, 7)
         assert recipe.report.p_g == 6
-        assert recipe.canonical_image == "P^2"
+        assert type(recipe.canonical_image) is ProjectivePlane
         assert recipe.component_claim == "II"
         assert recipe.germ is None
 
@@ -199,8 +204,8 @@ class TestComponentTwo:
         assert 2 * recipe.report.canonical_multiple.cls == ruled.divisor((2, 6 * k + 2))
         assert covers.scroll_class(recipe.scroll_curve) == ruled.divisor((5, 10 * k + 10))
         assert covers.t1_scaling_invariant(recipe.scroll_curve)
-        assert recipe.canonical_image == f"F_{2 * k + 2}"
-        assert recipe.canonical_image in classify(8 * k, 4 * k + 3).canonical_images["II"]
+        assert recipe.canonical_image == ruled and type(recipe.canonical_image) is Hirzebruch
+        assert recipe.canonical_image in classify(8 * k, 4 * k + 3).images.second
         if k % 3 == 1:
             assert recipe.germ == "A_4"
             assert recipe.ledger.canonical_count == 1
@@ -261,7 +266,7 @@ class TestScrollFamilies:
             table = {0: (top - 1, 1, 0, 5), 1: (top - 2, 2, 0, 5), 2: (top, 0, 0, 5)}
             for residue, middle in table.items():
                 curve = scroll_family_curve(residue, k)
-                assert curve.monomials == {(0, 0, 5, 0), middle, (0, top, 0, 5)}
+                assert curve.monomials == ((0, 0, 5, 0), (0, top, 0, 5), middle)
 
     @pytest.mark.parametrize("k", range(2, 20))
     def test_mismatched_residues_are_not(self, k):
@@ -569,6 +574,21 @@ class TestSymbolicBuilds:
         symbolic = build(Affine(residue, 12, 1, 4))
         for t in range(1, 5):
             assert _at(symbolic, t) == build(residue + 12 * t)
+
+    @pytest.mark.parametrize("residue", range(3))
+    def test_a_class_of_k_builds_component_two_at_every_t(self, residue):
+        # and by k mod 3, which picks the branch curve family and the germ
+        symbolic = build_component_two(Affine(residue, 3, 1, 4))
+        for t in range(1, 5):
+            assert _at(symbolic, t) == build_component_two(residue + 3 * t)
+
+    @pytest.mark.parametrize("residue", range(12))
+    def test_a_class_is_classified_as_at_every_t(self, residue):
+        chi = Affine(residue, 12, 1, 4)
+        symbolic = classify(2 * chi - 6, chi)
+        for t in range(1, 5):
+            chi = residue + 12 * t
+            assert _at(symbolic, t) == classify(2 * chi - 6, chi)
 
     def test_an_undecided_chi_is_refused(self):
         # chi = 3 + 4t for t in [0, 2] crosses chi = 4, the start of the line

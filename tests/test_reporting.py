@@ -686,10 +686,12 @@ _AFFINE_FIELDS = {
     ("AdmissiblePair", "chi"), ("AdmissiblePair", "k_squared"),
     ("AmplenessCertificate", "coefficient"), ("AmplenessCertificate", "self_intersection"),
     ("AmplenessCertificate", "witness_virtual_count"), ("BlowUp", "point_count"),
-    ("ConstructionRecipe", "blow_up_count"), ("InvariantReport", "chi"),
+    ("CanonicalImages", "first_top_e"), ("ConstructionRecipe", "blow_up_count"),
+    ("ConstructionRecipe", "canonical_sections"), ("ConstructionRecipe", "k"),
+    ("Hirzebruch", "e"), ("InvariantReport", "chi"),
     ("InvariantReport", "k_squared"), ("InvariantReport", "p_g"),
-    ("NefCertificate", "closure_coefficient"), ("SingularityLedger", "third11_count"),
-    ("StableSurfaceRecord", "chi")}
+    ("NefCertificate", "closure_coefficient"), ("ScrollCurve", "e"),
+    ("SingularityLedger", "third11_count"), ("StableSurfaceRecord", "chi")}
 
 
 @pytest.mark.parametrize("name,field", sorted(
@@ -787,6 +789,47 @@ def test_round_trip_law(name, data):
     except ValueError:
         return
     assert Report.from_json(report.to_json()) == report
+
+
+class TestViews:
+    """Canonical images are surfaces, and a curve's monomials a tuple, written as
+    their text and as a set, as before either was symbolic."""
+
+    @staticmethod
+    def data(*argv) -> dict:
+        return json.loads(_json_report(*argv))
+
+    def test_images_read_back_as_surfaces(self):
+        recipe = Report.from_jsonable(self.data("construct", "component-II", "--k", "2")
+                                      ).payload.recipe
+        assert recipe.canonical_image == Hirzebruch(6)
+        assert type(recipe.canonical_image) is Hirzebruch
+        info = Report.from_jsonable(self.data("classify", "--k2", "8", "--chi", "7")
+                                    ).payload.info
+        assert info.images.second == (ProjectivePlane(), catalog.CONE_IMAGE)
+
+    @pytest.mark.parametrize("text", ["F_x", "F_", "P^3", "", "f_6"])
+    def test_an_unknown_image_is_refused(self, text):
+        data = self.data("construct", "component-II", "--k", "2")
+        data["payload"]["recipe"]["canonical_image"] = text
+        with pytest.raises(ValueError, match=f"unknown canonical image {re.escape(repr(text))}"):
+            Report.from_jsonable(data)
+        data = self.data("classify", "--k2", "16", "--chi", "11")
+        data["payload"]["components"]["canonical_images"]["II"] = [text]
+        with pytest.raises(ValueError, match=f"unknown canonical image {re.escape(repr(text))}"):
+            Report.from_jsonable(data)
+
+    def test_the_cone_is_no_constructed_image(self):
+        data = self.data("construct", "component-II", "--k", "1")
+        data["payload"]["recipe"]["canonical_image"] = catalog.CONE_IMAGE
+        with pytest.raises(ValueError, match="canonical_image must be ProjectivePlane"):
+            Report.from_jsonable(data)
+
+    def test_monomials_read_back_in_ascending_order(self):
+        data = self.data("construct", "component-II", "--k", "2")
+        want = Report.from_jsonable(data)
+        data["payload"]["recipe"]["scroll_curve"]["monomials"].reverse()
+        assert Report.from_jsonable(data) == want
 
 
 class TestDeepNesting:

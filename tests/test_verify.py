@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import catalog, faults, lattice, verify
+from horikawa import catalog, faults, lattice, samples, verify
 from horikawa.records import Affine
 from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
@@ -102,13 +102,13 @@ class TestRunVerification:
             verify._check_epsilon_bound(6, 2, None)
 
     @pytest.mark.parametrize("oracle, wrong, detail", [
-        ("_enumerate_scroll_sections", lambda e, a, b: -1,
+        ("enumerate_scroll_sections", lambda e, a, b: -1,
          "h0 on F_0 of (0,0) gave 1, enumeration gives -1"),
-        ("_enumerate_plane_sections", lambda d: -1,
+        ("enumerate_plane_sections", lambda d: -1,
          "h0 on the plane of degree 0 disagrees with enumeration"),
     ], ids=["ruled", "plane"])
     def test_section_count_details(self, oracle, wrong, detail, monkeypatch):
-        monkeypatch.setattr(verify, oracle, wrong)
+        monkeypatch.setattr(samples, oracle, wrong)
         with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
             verify._check_section_count_oracle(6, 2, None)
 
@@ -116,7 +116,7 @@ class TestRunVerification:
         dot = lattice.DivisorClass.dot
         monkeypatch.setattr(lattice.DivisorClass, "dot",
                             lambda x, y: dot(x, y) + isinstance(x.surface, lattice.BlowUp))
-        detail = f"pullback not isometric on F_0 + {verify._ISOMETRY_POINT_COUNTS[0]}"
+        detail = f"pullback not isometric on F_0 + {samples.ISOMETRY_POINT_COUNTS[0]}"
         with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
             verify._check_pullback_isometry(6, 2, None)
 
@@ -233,10 +233,10 @@ class TestSymbolicClasses:
 
     @settings(max_examples=200, derandomize=True)
     @given(st.integers(1, 40), st.integers(0, 200), st.sampled_from([1, 2, 3, 4, 6, 12]),
-           st.sampled_from([1, 12]))
+           st.sampled_from([1, 3, 12]))
     def test_every_case_runs_once(self, start, count, step, modulus):
         # a symbolic class holds only cases from n = modulus up; the rest run as ints, in order
-        step = step if modulus == 12 else 1
+        step = step if modulus % step == 0 else 1
         cases, seen = range(start, start + count, step), []
         verify._each(seen.append, cases, modulus)
         assert sorted(n for case in seen for n in _members(case)) == list(cases)
@@ -263,9 +263,9 @@ class TestSymbolicClasses:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Each builder call by (builder name, chi), an Affine chi by its key."""
+        """Each builder call by (builder name, chi or k), an Affine one by its key."""
         made = []
-        for name in ("build_component_one", "build_stable"):
+        for name in ("build_component_one", "build_stable", "build_component_two"):
             def recorded(chi, _name=name, _build=getattr(catalog, name)):
                 made.append((_name, verify._key(chi)))
                 return _build(chi)
@@ -278,16 +278,26 @@ class TestSymbolicClasses:
         classes = [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in range(12)]
         assert sorted(calls, key=repr) == sorted(
             [("build_component_one", key) for key in (*classes, *range(4, 12))]
-            + [("build_stable", key) for key in (*classes, *range(3, 12))], key=repr)
+            + [("build_stable", key) for key in (*classes, *range(3, 12))]
+            + [("build_component_two", k) for k in range(1, 7)], key=repr)
 
+    def test_each_class_of_k_is_built_once_on_an_affine(self, calls):
+        # k = 1 and 2 run as ints, and every class of k mod 3 holds 12 or 13 cases
+        assert verify.run_verification(self.CHI_MAX, 40).passed
+        classes = [(r, 3, 1, (40 - r) // 3) for r in range(3)]
+        built = [key for name, key in calls if name == "build_component_two"]
+        assert sorted(built, key=repr) == sorted([*classes, 1, 2], key=repr)
+
+    @pytest.mark.parametrize("k_max", [6, 40], ids=["k-concrete", "k-symbolic"])
     @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
-    def test_same_results_with_the_symbolic_path_off(self, fault, monkeypatch):
+    def test_same_results_with_the_symbolic_path_off(self, fault, k_max, monkeypatch):
         def results():
-            outcome = verify.run_verification(self.CHI_MAX, 6, fault)
+            outcome = verify.run_verification(self.CHI_MAX, k_max, fault)
             return [(check.name, check.passed, check.detail) for check in outcome.checks]
 
         symbolic = results()
-        monkeypatch.setattr(verify, "_BREAK_EVEN", dict.fromkeys((1, 12), verify.RANGE_CAP))
+        monkeypatch.setattr(verify, "_BREAK_EVEN", dict.fromkeys(verify._BREAK_EVEN,
+                                                                  verify.RANGE_CAP))
         assert results() == symbolic
 
 
@@ -472,7 +482,7 @@ class TestSharedSamples:
 
     @staticmethod
     def sample_ranks():
-        return tuple(map(lattice.picard_rank, verify._sample_surfaces()))
+        return tuple(map(lattice.picard_rank, samples.sample_surfaces()))
 
     def test_bilinearity_draws_are_the_old_stream(self):
         clean = self.sample_ranks()
@@ -480,13 +490,13 @@ class TestSharedSamples:
             faulted = self.sample_ranks()
         assert faulted != clean
         for ranks in (clean, faulted):
-            draws = verify._bilinearity_draws(ranks)
+            draws = samples.bilinearity_draws(ranks)
             assert list(draws) == self.old_bilinearity_stream(ranks)
             assert _tuples_of_ints(draws)
 
     def test_isometry_draws_are_the_old_stream(self):
         ranks = tuple(lattice.picard_rank(lattice.Hirzebruch(e)) for e in (0, 1, 2, 4))
-        draws = verify._isometry_draws(ranks)
+        draws = samples.isometry_draws(ranks)
         flat = [pair for per_count in draws for pairs in per_count for pair in pairs]
         assert flat == self.old_isometry_stream(ranks)
         assert _tuples_of_ints(draws)
@@ -508,8 +518,8 @@ class TestSharedSamples:
             return seeded(*args)
 
         monkeypatch.setattr(random, "Random", counting_random)
-        verify._bilinearity_draws.cache_clear()
-        verify._isometry_draws.cache_clear()
+        samples.bilinearity_draws.cache_clear()
+        samples.isometry_draws.cache_clear()
         verify.run_verification(6, 2)
         first = counts.copy()
         counts.clear()

@@ -46,8 +46,12 @@ once on the ``Affine`` of ``SYMBOLIC_CLASS``, the residue class chi = 5 +
 12t for t in [1, 40] that ``verify`` builds in place of 40 chi, and
 ``epsilon_family`` once on ``SYMBOLIC_EPSILON``, chi 150 with epsilon the
 Affine t for t in [1, 99] that the ``stable-epsilon-bound`` check passes
-in place of 99 epsilons; a ``--against`` base with no ``records.Affine``
-has no symbolic builds, so those figures are left out.
+in place of 99 epsilons, and ``build_component_two`` once on the ``Affine``
+of ``SYMBOLIC_K_CLASS``, the residue class k = 1 + 3t for t in [1, 33]
+that ``verify`` builds in place of 33 k.  A ``--against`` base with no
+``records.Affine`` has no symbolic builds, and one whose component-II
+builder refuses an ``Affine`` k has no symbolic component II, so those
+figures are left out.
 
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
@@ -118,6 +122,7 @@ BIG_RUN_COUNTS = (1, 1000)
 BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (15700,)),
           "build_component_two": ((37,), (3924,)), "epsilon_family": ((150, 1), (150, 100))}
 SYMBOLIC_CLASS = (5, 12, 1, 40)
+SYMBOLIC_K_CLASS = (1, 3, 1, 33)
 SYMBOLIC_EPSILON = (150, (0, 1, 1, 99))
 BUILD_WINDOW_S = 0.005
 RECORD_BUILDS = (("build_stable", 150), ("build_component_one", 150))
@@ -206,9 +211,12 @@ def sample_kernels(pkgs, repeat: int) -> dict:
     """``divisor``, ``dot``, ``+``, ``-`` and ``3 * a`` over the bilinearity sample, in us."""
     samples = []
     for pkg in pkgs:
-        lattice, verify = pkg.lattice, pkg.verify
-        surfaces = verify._sample_surfaces()
-        draws = verify._bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
+        try:  # a checkout from before the samples left verify keeps them there
+            module = importlib.import_module(f"{pkg.verify.__package__}.samples")
+            surfaces, draw = module.sample_surfaces(), module.bilinearity_draws
+        except ModuleNotFoundError:
+            surfaces, draw = pkg.verify._sample_surfaces(), pkg.verify._bilinearity_draws
+        draws = draw(tuple(map(pkg.lattice.picard_rank, surfaces)))
         vectors = [(surfaces[n % len(surfaces)], u, v) for n, (u, v, _w, _m) in enumerate(draws)]
         samples.append((vectors, [(s.divisor(u), s.divisor(v)) for s, u, v in vectors]))
     scale = 1e6 / len(draws)
@@ -272,8 +280,8 @@ def big_kernels(pkgs, repeat: int) -> dict:
 
 def builds(pkgs, repeat: int) -> dict:
     """Each builder of ``BUILDS`` at each of its arguments, the two builders on
-    ``SYMBOLIC_CLASS`` and the epsilon family on ``SYMBOLIC_EPSILON`` where every
-    package has an Affine, in us per call.
+    ``SYMBOLIC_CLASS``, the epsilon family on ``SYMBOLIC_EPSILON`` and component II
+    on ``SYMBOLIC_K_CLASS`` where every package builds them, in us per call.
 
     A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
     at least 20.
@@ -293,6 +301,15 @@ def builds(pkgs, repeat: int) -> dict:
         figures["symbolic"]["epsilon_family"] = windowed(
             [lambda family=pkg.catalog.epsilon_family, affine=pkg.records.Affine:
              family(chi, affine(*epsilon)) for pkg in pkgs], repeat, 20)
+        fns = [lambda build=pkg.catalog.build_component_two, affine=pkg.records.Affine:
+               build(affine(*SYMBOLIC_K_CLASS)) for pkg in pkgs]
+        try:
+            for fn in fns:
+                fn()
+        except (TypeError, ValueError):  # a base whose records refuse an Affine k
+            pass
+        else:
+            figures["symbolic"]["build_component_two"] = windowed(fns, repeat, 20)
     return figures
 
 
