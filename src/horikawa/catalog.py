@@ -107,8 +107,9 @@ class CanonicalImages(CheckedRecord, NamedTuple("CanonicalImages", [
         if first_top_e < 0 or first_top_e % 2:
             raise ValueError(f"the first component's largest e must be a nonnegative even "
                              f"integer, got {first_top_e!r:.80}")
-        if any(type(image) is str and image != CONE_IMAGE for image in second):
-            raise ValueError(f"an image is a surface or the cone, got {second!r:.80}")
+        for image in second:
+            if type(image) is str and image != CONE_IMAGE:
+                raise ValueError(f"an image is a surface or the cone, got {second!r:.80}")
         return self
 
 

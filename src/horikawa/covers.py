@@ -248,7 +248,7 @@ class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [
         for m in monomials:
             if min(m) < 0:
                 raise ValueError(f"malformed exponent quadruple {m!r}")
-        if any(m >= n for m, n in zip(monomials, monomials[1:])):
+        if not all(map(tuple.__lt__, monomials, monomials[1:])):
             raise ValueError(f"monomials must ascend without repeats, got {monomials!r:.80}")
         return self
 
@@ -264,7 +264,7 @@ def scroll_class(curve: ScrollCurve) -> DivisorClass:
         raise TypeError(f"expected a ScrollCurve, got {curve!r}")
     # compared with ==, as an Affine class cannot go in a set
     classes = [_scroll_monomial_class(curve.e, m) for m in curve.monomials]
-    if any(c != classes[0] for c in classes):
+    if classes.count(classes[0]) != len(classes):
         raise ValueError(f"inhomogeneous monomial set: classes {sorted(set(classes))}")
     return lattice.Hirzebruch(curve.e).divisor(classes[0])
 
@@ -282,8 +282,8 @@ def t1_scaling_invariant(curve: ScrollCurve) -> bool:
     """
     if not isinstance(curve, ScrollCurve):
         raise TypeError(f"expected a ScrollCurve, got {curve!r}")
-    residue = curve.monomials[0][0] % 3
-    return all(c1 % 3 == residue for (c1, _c2, _d1, _d2) in curve.monomials)
+    residues = [c1 % 3 for (c1, _c2, _d1, _d2) in curve.monomials]
+    return residues.count(residues[0]) == len(residues)
 
 
 def cyclic_shift_invariant(triples) -> bool:

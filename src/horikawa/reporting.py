@@ -543,7 +543,8 @@ def render_text(report: Report) -> str:
             sing = "-" if row.stable_third11_count is None else row.stable_third11_count
             built = ", ".join(row.constructions) if row.constructions else "-"
             lines.append(f"{row.chi:>4} {k2!s:>5} {comps!s:>5} {k2s!s:>5} {sing!s:>5}  {built}")
-            lines += [f"      note: {note}" for note in row.notes]
+            for note in row.notes:
+                lines.append(f"      note: {note}")
         lines.append(f"rows: {len(payload.rows)}")
     else:
         for check in payload.checks:
