@@ -362,12 +362,10 @@ def _record(cls):
     encoded = ((None, extra[0], extra[2]),) if extra else ()  # read by encode_only, not by name
     for n, (name, key, sub) in enumerate(fields + encoded):
         write, read = _source(sub, f"f{n}", f"a{n}", "i", scope)
-        view = scope[f"v{n}"] = _VIEWS.get((cls, name))
-        if view:  # read through the view's two functions
-            values.append(f"f{n} = v{n}[1](r.{name})")
-            read = f"v{n}[2]({read})"
-        else:
-            values.append(f"f{n} = r.{name}" if name else f"f{n} = encode_only(r)")
+        view = scope[f"v{n}"] = _VIEWS.get((cls, name))  # written and read through its functions
+        values.append(f"f{n} = v{n}[1](r.{name})" if view else f"f{n} = r.{name}" if name
+                      else f"f{n} = encode_only(r)")
+        read = f"v{n}[2]({read})" if view else read
         parts.append((key, write))
         reads += f"\n        k = {key!r}; a{n} = d[k]; a{n} = {read}" if name else ""
     text = ' + "," + i + '.join(f"{_ESCAPE(key) + ': '!r} + {part}" for key, part in sorted(parts))
@@ -561,9 +559,13 @@ def render_text(report: Report) -> str:
             first = payload.first_failure
             lines.append(f"first violated identity: {first.name} ({first.identity})")
     if report.assumptions:
-        lines += ["assumptions:", *(f"  - {assumption}" for assumption in report.assumptions)]
-    lines += [f"note: {note}" for note in report.notes]
+        lines.append("assumptions:")
+        for assumption in report.assumptions:
+            lines.append(f"  - {assumption}")
+    for note in report.notes:
+        lines.append(f"note: {note}")
     if report.derivations:
-        lines += ["derivations:", *(f"  {key}: {report.derivations[key]}"
-                                    for key in sorted(report.derivations))]
+        lines.append("derivations:")
+        for key in sorted(report.derivations):
+            lines.append(f"  {key}: {report.derivations[key]}")
     return "\n".join(lines) + "\n"
