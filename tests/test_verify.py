@@ -288,6 +288,20 @@ class TestSymbolicClasses:
         built = [key for name, key in calls if name == "build_component_two"]
         assert sorted(built, key=repr) == sorted([*classes, 1, 2], key=repr)
 
+    def test_the_classification_covers_every_chi_and_k_once(self, monkeypatch):
+        # the line from chi = 4 and the constructed pairs from k = 1, a symbolic
+        # class standing for each of its members
+        seen, classify = [], catalog.classify
+
+        def recorded(k_squared, chi):
+            seen.extend(zip(_members(k_squared), _members(chi)))
+            return classify(k_squared, chi)
+
+        monkeypatch.setattr(catalog, "classify", recorded)
+        assert verify.run_verification(self.CHI_MAX, 40).passed
+        assert sorted(seen) == sorted([(2 * chi - 6, chi) for chi in range(4, self.CHI_MAX + 1)]
+                                      + [(8 * k, 4 * k + 3) for k in range(1, 41)])
+
     @pytest.mark.parametrize("k_max", [6, 40], ids=["k-concrete", "k-symbolic"])
     @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
     def test_same_results_with_the_symbolic_path_off(self, fault, k_max, monkeypatch):
