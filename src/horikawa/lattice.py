@@ -23,8 +23,9 @@ class SurfaceMismatchError(ValueError):
 
 
 def require_int(name: str, value) -> None:
-    """Refuse ``value`` unless it is an ``int`` (not a ``bool``) or an ``Affine`` of ints."""
-    if type(value) is not int and type(value) is not Affine:
+    """Refuse ``value`` unless it is an ``int`` (not a ``bool``) or an ``Affine`` of ints,
+    a ``Planar`` included."""
+    if type(value) is not int and not isinstance(value, Affine):
         raise ValueError(f"{name} must be an integer, got {value!r:.80}")
 
 

@@ -11,6 +11,7 @@ dict are tested by exact type.  The codec reads the same ``hints``.
 from __future__ import annotations
 
 import functools
+import math
 import types
 import typing
 
@@ -123,6 +124,8 @@ class Affine:
     False where they are equal at none, as the difference keeps one sign or
     has no integer zero in the interval.  Anything else raises TypeError:
     text, hashing, int(), and a branch the interval does not decide.
+    ``Planar``, the form in two parameters, is its subclass, so a field
+    annotated ``int | Affine`` admits both.
     """
 
     __slots__ = ("a", "b", "lo", "hi")
@@ -137,10 +140,13 @@ class Affine:
         raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
 
     # Each result is made as DivisorClass._make makes a class, without __init__:
-    # object.__new__ and the four slots stored in place.
+    # object.__new__ and the four slots stored in place.  Nothing writes the slots
+    # after that, so x + 0, x - 0 and x * 1 are x itself.
 
     def __add__(self, other):
         if type(other) is int:
+            if not other:
+                return self
             a, b = self.a + other, self.b
         else:
             a, b = self._of(other)
@@ -153,6 +159,8 @@ class Affine:
 
     def __sub__(self, other):
         if type(other) is int:
+            if not other:
+                return self
             a, b = self.a - other, self.b
         else:
             a, b = self._of(other)
@@ -176,6 +184,8 @@ class Affine:
     def __mul__(self, other):
         if type(other) is not int:
             return NotImplemented
+        if other == 1:
+            return self
         result = _new(Affine)
         result.a, result.b, result.lo, result.hi = self.a * other, self.b * other, self.lo, self.hi
         return result
@@ -246,6 +256,138 @@ class Affine:
         if low > 0 < high or low < 0 > high or c0 % c1:
             return False
         raise TypeError(_UNDECIDED)
+
+
+class Planar(Affine):
+    """The integers a + b*t + c*s at every integer point (t, s) of the trapezoid
+    lo <= t <= hi, 1 <= s <= cap(t), as one symbolic value in two parameters.
+
+    ``cap`` is an Affine on [lo, hi], at least 1 at both ends.  ``verify``
+    runs the epsilon bound on it once per residue class of chi: chi = r +
+    12t is an Affine, and epsilon = s runs below the top, cap = top - 1.
+    It has what an Affine has, with an Affine on [lo, hi] as the value with
+    c = 0, so the two mix; divmod needs m to divide b and c.  The corners
+    (lo, 1), (hi, 1), (lo, cap(lo)) and (hi, cap(hi)) are integer points
+    of the trapezoid, and a linear form takes its extremes at them
+    (Schrijver 1986, section 8), so its signs there decide a comparison
+    exactly when every point gives one answer; == also answers False where
+    the difference changes sign but is 0 at no integer point.
+    """
+
+    __slots__ = ("c", "cap")
+
+    def __init__(self, a: int, b: int, c: int, cap: Affine):
+        if type(cap) is not Affine or min(cap.a + cap.b * cap.lo, cap.a + cap.b * cap.hi) < 1:
+            raise ValueError("cap must be an Affine that is at least 1 at both ends")
+        self.a, self.b, self.c, self.cap, self.lo, self.hi = a, b, c, cap, cap.lo, cap.hi
+
+    def _of(self, other) -> tuple[int, int, int]:
+        # each caller has taken an int already; an Affine on [lo, hi] has c = 0
+        if type(other) is Planar and _values(other.cap) == _values(self.cap):
+            return other.a, other.b, other.c
+        return (*Affine._of(self, other), 0)
+
+    def _made(self, a: int, b: int, c: int) -> Planar:
+        # made as Affine makes its results, on the same trapezoid
+        result = _new(Planar)
+        result.a, result.b, result.c, result.cap, result.lo, result.hi = (a, b, c, self.cap,
+                                                                          self.lo, self.hi)
+        return result
+
+    def __add__(self, other):
+        if type(other) is int:
+            return self._made(self.a + other, self.b, self.c) if other else self
+        a, b, c = self._of(other)
+        return self._made(self.a + a, self.b + b, self.c + c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return self + -other
+        a, b, c = self._of(other)
+        return self._made(self.a - a, self.b - b, self.c - c)
+
+    def __rsub__(self, other):  # an int or an Affine minus self
+        return -self + other
+
+    def __neg__(self):
+        return self._made(-self.a, -self.b, -self.c)
+
+    def __mul__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return self if other == 1 else self._made(self.a * other, self.b * other, self.c * other)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        if type(other) is not int or other < 1 or self.b % other or self.c % other:
+            return NotImplemented
+        return self._made(self.a // other, self.b // other, self.c // other), self.a % other
+
+    def _corners(self, other) -> tuple:
+        """The difference d = self - other = c0 + c1*t + c2*s at the four corners, and d."""
+        if type(other) is int:
+            d = self.a - other, self.b, self.c
+        else:
+            a, b, c = self._of(other)
+            d = self.a - a, self.b - b, self.c - c
+        c0, c1, c2 = d
+        low, high, cap = c0 + c1 * self.lo, c0 + c1 * self.hi, self.cap
+        return (low + c2, high + c2, low + c2 * (cap.a + cap.b * self.lo),
+                high + c2 * (cap.a + cap.b * self.hi)), d
+
+    def __lt__(self, other):
+        corners = self._corners(other)[0]
+        if max(corners) < 0:
+            return True
+        if min(corners) >= 0:
+            return False
+        raise TypeError(_UNDECIDED)
+
+    def __gt__(self, other):
+        corners = self._corners(other)[0]
+        if min(corners) > 0:
+            return True
+        if max(corners) <= 0:
+            return False
+        raise TypeError(_UNDECIDED)
+
+    def __eq__(self, other):
+        # a corner is an integer point, so a 0 at one corner and not at all leaves == open
+        corners, d = self._corners(other)
+        if not any(corners):
+            return True
+        if min(corners) > 0 or max(corners) < 0 or 0 not in corners and not self._meets(*d):
+            return False
+        raise TypeError(_UNDECIDED)
+
+    def _meets(self, c0: int, c1: int, c2: int) -> bool:
+        """Whether c0 + c1*t + c2*s, which changes sign between two corners and
+        is 0 at none, is 0 at an integer point of the trapezoid."""
+        if not c2:  # its zero t = -c0/c1 lies strictly between lo and hi
+            return c0 % c1 == 0
+        if c2 < 0:
+            c0, c1, c2 = -c0, -c1, -c2
+        g = math.gcd(c1, c2)
+        if c0 % g:
+            return False
+        lo, hi, cap = self.lo, self.hi, self.cap
+        # the zero's s = -(c0 + c1*t)/c2 lies in [1, cap(t)]: p*t <= q for each (p, q),
+        # where p = 0 leaves t free, as the sign change between corners makes q > 0
+        for p, q in ((c1, -c0 - c2), (-c1 - c2 * cap.b, c0 + c2 * cap.a)):
+            if p > 0:
+                hi = min(hi, q // p)
+            elif p < 0:
+                lo = max(lo, -(q // -p))
+        # and is an integer, for the t of one class mod c2/g: the first such t from lo
+        step = c2 // g
+        return lo + ((-c0 // g) * pow(c1 // g, -1, step) - lo) % step <= hi
+
+
+def _values(x: Affine) -> tuple[int, int, int, int]:
+    return x.a, x.b, x.lo, x.hi
 
 
 _UNDECIDED = "the interval does not decide this comparison"

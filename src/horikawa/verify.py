@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 from . import catalog, covers, lattice, samples, stable
 from .lattice import Hirzebruch, ProjectivePlane
-from .records import Affine
+from .records import Affine, Planar
 from .reporting import RANGE_CAP, CheckResult, VerificationOutcome
 
 
@@ -67,9 +67,9 @@ def _expect(condition: bool, detail: str, *values):
 # break-even, by modulus, measured on a shared 2-core x86_64 VM: one symbolic pass
 # over a chi's epsilon interval costs about 4.5 concrete cases, one over a residue
 # class of k mod 3, with its component-II build, about 2.6 concrete k, and one over
-# a residue class of chi mod 12, with the builds it reads, about 2.2 concrete chi.
-# The last two stay at 3, so that no class runs symbolically up to chi_max = 40 and
-# k_max = 11.
+# a residue class of chi mod 12, with the builds it reads, about 2.2 concrete chi,
+# or, as the epsilon bound's trapezoid and top, about 3.3 chi.  The last two stay
+# at 3, so that no class runs symbolically up to chi_max = 40 and k_max = 11.
 _BREAK_EVEN = {1: 5, 3: 3, 12: 3}
 
 
@@ -86,7 +86,11 @@ def _each(body: Callable, cases: range, modulus: int = 12) -> None:
     and the first failing case and its detail are a plain loop's.
     """
     start, stop, step = cases.start, cases.stop, cases.step
-    concrete = list(range(start, min(stop, modulus), step))
+    if stop <= modulus * (_BREAK_EVEN[modulus] + 1):  # no class can pass its break-even
+        for n in cases:
+            body(n)
+        return
+    concrete = list(range(start, modulus, step))
     for r in range(start % step, modulus, step):
         lo, hi = max(1, -((r - start) // modulus)), (stop - 1 - r) // modulus
         if hi - lo >= _BREAK_EVEN[modulus]:
@@ -404,13 +408,17 @@ def _epsilon_case(chi, epsilon):
 @_check("stable-epsilon-bound",
         "contracting 3*epsilon curves gives K^2 = 2*chi - 6 + epsilon within "
         "3*K^2 <= 8*chi - 16, with equality only at the top")
-def _check_epsilon_bound(chi_max, k_max, builds):
-    # each chi's epsilon in [1, top - 1] runs through _each, then top as an int:
-    # the bound is an equality only at top, which an interval holding it leaves undecided
-    for chi in range(4, chi_max + 1):
-        top = (2 * chi + 2) // 3
+@_per_chi(4)
+def _check_epsilon_bound(builds, chi):
+    # epsilon in [1, top - 1], then top: the bound is an equality only at top, which
+    # a region holding it leaves undecided.  A class of chi = r + 12t runs epsilon = s
+    # on the trapezoid 1 <= s <= top - 1 as one Planar; one chi, its interval through _each
+    top = (2 * chi + 2) // 3
+    if type(chi) is int:
         _each(functools.partial(_epsilon_case, chi), range(1, top), 1)
-        _epsilon_case(chi, top)
+    else:
+        _epsilon_case(chi, Planar(0, 0, 1, top - 1))
+    _epsilon_case(chi, top)
 
 
 @_check("minimality-nef-witnesses",
@@ -456,12 +464,13 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
     duration of the run.  The checks that read component-I or stable
-    builds, and the classification by chi, run each residue class of chi
-    mod 12 that holds more than 3 cases once, on an ``Affine`` chi; the
-    component-II checks and the classification by k do so for each class
-    of k mod 3 that holds more than 3 cases, on an ``Affine`` k.  The rest
-    run case by case (see ``_each``); the outcome is the one a run of every
-    case would give.
+    builds, the classification by chi and the epsilon bound run each
+    residue class of chi mod 12 that holds more than 3 cases once, on an
+    ``Affine`` chi (the epsilon bound's epsilon below the top as one
+    ``Planar``); the component-II checks and the classification by k do
+    so for each class of k mod 3 that holds more than 3 cases, on an
+    ``Affine`` k.  The rest run case by case (see ``_each``); the outcome
+    is the one a run of every case would give.
     """
     for name, value in (("chi_max", chi_max), ("k_max", k_max)):
         if type(value) is not int:  # no Affine: a range is never symbolic

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from horikawa import catalog, covers, lattice
 from horikawa.covers import BuildingDataError, CoverSpec
 from horikawa.lattice import Hirzebruch
-from horikawa.records import Affine
+from horikawa.records import Affine, Planar
 from horikawa.stable import (LedgerError, SingularityLedger, StableSurfaceRecord, contract_minus3,
                              h0_2K, resolve_node_bookkeeping, rr_correction_thirds)
 
@@ -299,9 +299,11 @@ def _built(pair):
     return Affine(a, b, lo, hi), y if type(y) is int else Affine(*y, lo, hi)
 
 
-def _at(value, t):
-    """The value at t of an Affine, or an int itself."""
-    return value.a + value.b * t if type(value) is Affine else value
+def _at(value, t, s=0):
+    """The value at (t, s) of a Planar, at t of an Affine, or an int itself."""
+    if type(value) is int:
+        return value
+    return value.a + value.b * t + (value.c * s if type(value) is Planar else 0)
 
 
 # each int field annotated int | Affine (and parameters[1]), by record and field
@@ -465,3 +467,142 @@ class TestAffine:
         for wrong in (1.5, True, "1"):
             with pytest.raises(ValueError):
                 put(wrong)
+
+
+_SMALL = st.integers(-12, 12)
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+                "==": operator.eq, "!=": operator.ne}
+
+
+@st.composite
+def _planar_and_operand(draw):
+    """A Planar on a trapezoid of at least two t, whose cap is 2 or more at one end, and
+    an int, an Affine on its interval or another Planar on its trapezoid."""
+    lo = draw(st.integers(-6, 6))
+    hi, slope = draw(st.integers(lo + 1, lo + 6)), draw(st.integers(-3, 3))
+    ends = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(
+        lambda ends: max(ends) >= 2 and (ends[1] - ends[0]) % (hi - lo) == 0)
+        if slope else st.integers(2, 8).map(lambda cap: (cap, cap)))
+    slope = (ends[1] - ends[0]) // (hi - lo)
+    cap = Affine(ends[0] - slope * lo, slope, lo, hi)
+    x = Planar(draw(_SMALL), draw(_SMALL), draw(_SMALL), cap)
+    kind = draw(st.sampled_from(["int", "affine", "planar"]))
+    y = (draw(_SMALL) if kind == "int" else Affine(draw(_SMALL), draw(_SMALL), lo, hi)
+         if kind == "affine" else Planar(draw(_SMALL), draw(_SMALL), draw(_SMALL), Affine(
+             cap.a, cap.b, lo, hi)))  # an equal cap that is another object
+    return x, y
+
+
+def _points(x: Planar) -> list:
+    """Every integer point (t, s) of the trapezoid of ``x``."""
+    return [(t, s) for t in range(x.lo, x.hi + 1) for s in range(1, x.cap.a + x.cap.b * t + 1)]
+
+
+class TestPlanar:
+    """verify's symbolic epsilon on a class of chi, against its values at every point."""
+
+    @settings(max_examples=600, derandomize=True)
+    @given(_planar_and_operand(), st.sampled_from(sorted(_COMPARISONS)), st.booleans())
+    def test_a_comparison_raises_or_agrees_at_every_point(self, pair, symbol, reflected):
+        x, y = pair
+        compare = _COMPARISONS[symbol]
+        left, right = (y, x) if reflected else (x, y)
+        answers = {compare(_at(left, t, s), _at(right, t, s)) for t, s in _points(x)}
+        try:
+            got = compare(left, right)
+        except TypeError:
+            assert len(answers) > 1
+        else:
+            assert {got} == answers
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_planar_and_operand())
+    def test_a_truth_value_raises_or_agrees_at_every_point(self, pair):
+        x, _y = pair
+        answers = {bool(_at(x, t, s)) for t, s in _points(x)}
+        try:
+            got = bool(x)
+        except TypeError:
+            assert len(answers) > 1
+        else:
+            assert {got} == answers
+
+    def test_equality_with_a_line_that_misses_every_point_is_false(self):
+        # s = 2t + 1/2 has no integer point, and s = t crosses 1 <= s <= 3, t in [0, 2],
+        # at (1, 1) and (2, 2), but s = t + 5 only above it
+        s = Planar(0, 0, 1, Affine(3, 0, 0, 2))
+        t = Affine(0, 1, 0, 2)
+        assert not 2 * s == 4 * t + 1 and not s == t + 5 and s != t + 5
+        with pytest.raises(TypeError, match="does not decide"):
+            s == t
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_planar_and_operand(), st.integers(-6, 6))
+    def test_arithmetic_agrees_at_every_point(self, pair, n):
+        x, y = pair
+        results = [(x + y, operator.add, (x, y)), (y + x, operator.add, (y, x)),
+                   (x - y, operator.sub, (x, y)), (y - x, operator.sub, (y, x)),
+                   (n - x, operator.sub, (n, x)), (-x, operator.neg, (x,)),
+                   (x * n, operator.mul, (x, n)), (n * x, operator.mul, (n, x))]
+        for result, concrete, operands in results:
+            assert type(result) is Planar and (result.lo, result.hi) == (x.lo, x.hi)
+            assert (result.cap.a, result.cap.b) == (x.cap.a, x.cap.b)
+            for t, s in _points(x):
+                assert _at(result, t, s) == concrete(*(_at(v, t, s) for v in operands))
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_planar_and_operand(), st.integers(-6, 6))
+    def test_divmod_answers_where_every_point_has_one_remainder(self, pair, n):
+        x, _y = pair
+        remainders = {_at(x, t, s) % n for t, s in _points(x)} if n else {None, 0}
+        if n < 1 or len(remainders) > 1:
+            for use in (divmod, operator.mod, operator.floordiv):
+                with pytest.raises(TypeError):
+                    use(x, n)
+            return
+        quotient, remainder = divmod(x, n)
+        assert type(remainder) is int and {remainder} == remainders == {x % n}
+        assert type(x // n) is Planar
+        for t, s in _points(x):
+            assert (_at(quotient, t, s), remainder) == divmod(_at(x, t, s), n)
+            assert _at(x // n, t, s) == _at(quotient, t, s)
+
+    def test_zero_and_one_give_the_form_itself(self):
+        x = Planar(1, 2, 3, Affine(4, 1, 1, 5))
+        assert x + 0 is x and 0 + x is x and x - 0 is x and x * 1 is x and 1 * x is x
+        y = Affine(1, 2, 1, 5)
+        assert y + 0 is y and 0 + y is y and y - 0 is y and y * 1 is y and 1 * y is y
+
+    @pytest.mark.parametrize("use", [
+        str, hash, int, operator.index, lambda x: x * x, lambda x: x * 1.5,
+        lambda x: x + True, lambda x: True - x, lambda x: x - 1.5, lambda x: x + Fraction(1),
+        lambda x: x + Affine(0, 1, 1, 4), lambda x: x + Planar(0, 0, 1, Affine(3, 1, 1, 5)),
+        lambda x: x < Planar(0, 0, 1, Affine(3, 0, 1, 5)), lambda x: x == "1",
+        lambda x: divmod(x, 0), lambda x: x % 2, lambda x: x > 6, lambda x: 6 <= x,
+    ], ids=["str", "hash", "int", "index", "square", "by-float", "plus-bool", "bool-minus",
+            "minus-float", "plus-fraction", "other-interval", "other-cap", "against-other-cap",
+            "against-str", "divmod-by-zero", "mod-not-dividing-c", "undecided",
+            "reflected-undecided"])
+    def test_any_other_use_raises(self, use):
+        # x = 2t + 3s on 1 <= t <= 5, 1 <= s <= 2 + t takes the values 5 to 31
+        with pytest.raises(TypeError):
+            use(Planar(0, 2, 3, Affine(2, 1, 1, 5)))
+
+    @pytest.mark.parametrize("cap", [Affine(1, -1, 0, 2), Affine(0, 1, 0, 2), (1, 0, 0, 2), 3])
+    def test_the_cap_is_an_affine_at_least_1_at_both_ends(self, cap):
+        with pytest.raises(ValueError, match="^cap must be an Affine"):
+            Planar(0, 0, 1, cap)
+
+    def test_admitted_where_epsilon_flows(self):
+        # epsilon_family takes it after its int test, and the record holds its values
+        # at every (chi, epsilon) of the trapezoid: chi = 5 + 12t, epsilon = s <= 3 + 8t
+        chi = Affine(5, 12, 1, 6)
+        record = catalog.epsilon_family(chi, Planar(0, 0, 1, (2 * chi + 2) // 3 - 1))
+        for t in range(1, 7):
+            for epsilon in range(1, 4 + 8 * t):
+                concrete = catalog.epsilon_family(5 + 12 * t, epsilon)
+                assert _at(record.k_squared_thirds, t, epsilon) == concrete.k_squared_thirds
+                assert _at(record.ledger.third11_count, t, epsilon) == 3 * epsilon
+        # the top is refused, so a trapezoid that holds it is undecided
+        with pytest.raises(TypeError, match="does not decide"):
+            catalog.epsilon_family(chi, Planar(0, 0, 1, (2 * chi + 2) // 3 + 1))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horikawa import catalog, faults, lattice, samples, verify
-from horikawa.records import Affine
+from horikawa.records import Affine, Planar
 from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
 
@@ -156,30 +156,82 @@ def _ending(check):
     return None
 
 
+def _symbol(n):
+    """An int itself, an Affine by ``verify._key``, a Planar by its coefficients and cap's key."""
+    return (n.a, n.b, n.c, verify._key(n.cap)) if type(n) is Planar else verify._key(n)
+
+
+def _pairs(chi, epsilon) -> list:
+    """The (chi, epsilon) that one epsilon_family call stands for: an Affine epsilon of an
+    int chi is an interval of epsilon, and with an Affine chi it shares chi's t."""
+    if type(chi) is int:
+        return [(chi, e) for e in _members(epsilon)]
+    points = [(t, s) for t in range(chi.lo, chi.hi + 1)
+              for s in (range(1, _at(epsilon.cap, t) + 1) if type(epsilon) is Planar else (0,))]
+    return [(_at(chi, t), _at(epsilon, t, s)) for t, s in points]
+
+
+def _at(value, t, s=0):
+    """The value at (t, s) of a Planar, at t of an Affine, or an int itself."""
+    if type(value) is int:
+        return value
+    return value.a + value.b * t + (value.c * s if type(value) is Planar else 0)
+
+
 class TestSymbolicEpsilonBound:
-    CHI_MAX = 60  # past the cutoff from chi = 10 on
+    CHI_MAX = 60  # each class of chi mod 12 holds 4 or 5 chi, and the intervals of
+    # epsilon below chi = 12 are past their cutoff from chi = 10 on
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Each (chi, epsilon) that epsilon_family is called with, a symbolic epsilon as a tuple."""
+        """Each (chi, epsilon) that epsilon_family is called with, by ``_symbol``."""
         made, family = [], catalog.epsilon_family
 
         def recorded(chi, epsilon):
-            made.append((chi, epsilon if type(epsilon) is int
-                         else (epsilon.a, epsilon.b, epsilon.lo, epsilon.hi)))
+            made.append((_symbol(chi), _symbol(epsilon)))
             return family(chi, epsilon)
 
         monkeypatch.setattr(catalog, "epsilon_family", recorded)
         return made
 
     def test_a_long_interval_is_one_symbolic_call(self, calls):
-        verify._check_epsilon_bound(self.CHI_MAX, 2, None)
+        # up to chi_max = 40 no class of chi mod 12 holds more than 3 chi, so each chi
+        # runs its interval of epsilon, from chi = 10 as one symbolic call, then top
+        verify._check_epsilon_bound(40, 2, None)
         want = []
-        for chi in range(4, self.CHI_MAX + 1):
+        for chi in range(4, 41):
             top = (2 * chi + 2) // 3
             want += ([(chi, (0, 1, 1, top - 1)), (chi, top)] if top - 1 > verify._BREAK_EVEN[1]
                      else [(chi, epsilon) for epsilon in range(1, top + 1)])
         assert calls == want
+
+    def test_a_class_of_chi_is_one_trapezoid_and_its_top(self, calls):
+        # chi = r + 12t, t in [1, hi], has top = T0 + 8t with T0 = (2r + 2) // 3: epsilon
+        # runs as s on 1 <= s <= top - 1, then as top; the chi below 12 run as at chi_max = 40
+        verify._check_epsilon_bound(self.CHI_MAX, 2, None)
+        want = []
+        for r in range(12):
+            hi, t0 = (self.CHI_MAX - r) // 12, (2 * r + 2) // 3
+            want += [((r, 12, 1, hi), (0, 0, 1, (t0 - 1, 8, 1, hi))), ((r, 12, 1, hi), (t0, 8, 1, hi))]
+        for chi in range(4, 12):
+            top = (2 * chi + 2) // 3
+            want += ([(chi, (0, 1, 1, top - 1)), (chi, top)] if top - 1 > verify._BREAK_EVEN[1]
+                     else [(chi, epsilon) for epsilon in range(1, top + 1)])
+        assert calls == want
+
+    @pytest.mark.parametrize("chi_max", [CHI_MAX, 300])
+    def test_every_chi_and_epsilon_is_covered_once(self, chi_max, monkeypatch):
+        # each call of a symbolic chi or epsilon stands for each of its points
+        seen, family = [], catalog.epsilon_family
+
+        def recorded(chi, epsilon):
+            seen.extend(_pairs(chi, epsilon))
+            return family(chi, epsilon)
+
+        monkeypatch.setattr(catalog, "epsilon_family", recorded)
+        assert verify.run_verification(chi_max, 6).passed
+        assert sorted(seen) == [(chi, epsilon) for chi in range(4, chi_max + 1)
+                                for epsilon in range(1, (2 * chi + 2) // 3 + 1)]
 
     @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
     def test_same_ending_as_the_concrete_loop(self, fault):
@@ -200,13 +252,31 @@ class TestSymbolicEpsilonBound:
                     for epsilon in range(1, top):
                         verify._epsilon_case(chi, epsilon)
 
+    @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
+    def test_a_trapezoid_that_returns_vouches_for_every_case(self, fault):
+        # the faults that the check kills in the kill matrix fail every trapezoid and top
+        killed = {"epsilon-family-ksq", "contraction-gain-half"}
+        with contextlib.nullcontext() if fault is None else faults.injected(fault):
+            for r in range(12):  # from chi = 4
+                chi = Affine(r, 12, 0 if r >= 4 else 1, 4)
+                top = (2 * chi + 2) // 3
+                for epsilon in (Planar(0, 0, 1, top - 1), top):
+                    if _ending(lambda: verify._epsilon_case(chi, epsilon)) is None:
+                        assert fault not in killed
+                        for case in _pairs(chi, epsilon):
+                            verify._epsilon_case(*case)
+                    else:
+                        assert fault is not None
+
+    @pytest.mark.parametrize("chi_max", [40, CHI_MAX], ids=["chi-concrete", "chi-symbolic"])
     @pytest.mark.parametrize("differs, first", [
         (lambda epsilon: epsilon == 7, 7),  # undecided on an interval that holds 7
         (lambda epsilon: epsilon % 20 == 7, 7),  # 20 does not divide b = 1: TypeError
         (lambda epsilon: True, 1),  # the symbolic case itself fails
     ], ids=["undecided", "type-error", "failing"])
-    def test_a_pass_that_raises_runs_its_chi_concretely(self, differs, first, calls,
+    def test_a_pass_that_raises_runs_its_chi_concretely(self, differs, first, chi_max, calls,
                                                          monkeypatch):
+        # chi == 30 is undecided on the class of 30, 18 to 54, which then runs chi by chi
         family = catalog.epsilon_family
 
         def miscounted_at_30(chi, epsilon):
@@ -218,9 +288,12 @@ class TestSymbolicEpsilonBound:
         monkeypatch.setattr(catalog, "epsilon_family", miscounted_at_30)
         detail = f"ledger count wrong at chi = 30, epsilon = {first}"
         with pytest.raises(verify._CheckFailure, match=f"^{detail}$"):
-            verify._check_epsilon_bound(40, 2, None)
+            verify._check_epsilon_bound(chi_max, 2, None)
         assert [epsilon for chi, epsilon in calls if chi == 30] == [(0, 1, 1, 19),
                                                                     *range(1, first + 1)]
+        assert [chi for chi, _epsilon in calls if type(chi) is tuple] == (
+            [] if chi_max == 40 else [(r, 12, 1, (chi_max - r) // 12) for r in range(12)
+                                      for _pass in ("trapezoid",) + ("top",) * (r != 6)])
 
 
 def _members(n) -> list:
@@ -243,6 +316,10 @@ class TestSymbolicClasses:
         symbolic = [case for case in seen if type(case) is Affine]
         assert all(case.b == modulus and case.lo >= 1 and case.hi - case.lo >= verify._BREAK_EVEN[
             modulus] for case in symbolic)
+        # and each class that holds more cases than its break-even is one
+        held = Counter(n % modulus for n in cases if n >= modulus)
+        assert sorted(case.a for case in symbolic) == sorted(
+            r for r, count in held.items() if count > verify._BREAK_EVEN[modulus])
         concrete = seen[len(symbolic):]
         assert seen[:len(symbolic)] == symbolic and concrete == sorted(concrete)
 
@@ -302,11 +379,13 @@ class TestSymbolicClasses:
         assert sorted(seen) == sorted([(2 * chi - 6, chi) for chi in range(4, self.CHI_MAX + 1)]
                                       + [(8 * k, 4 * k + 3) for k in range(1, 41)])
 
-    @pytest.mark.parametrize("k_max", [6, 40], ids=["k-concrete", "k-symbolic"])
+    @pytest.mark.parametrize("chi_max, k_max", [(CHI_MAX, 6), (CHI_MAX, 40), (300, 100)],
+                             ids=["k-concrete", "k-symbolic", "300-100"])
     @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
-    def test_same_results_with_the_symbolic_path_off(self, fault, k_max, monkeypatch):
+    def test_same_results_with_the_symbolic_path_off(self, fault, chi_max, k_max, monkeypatch):
+        # off, every chi, k and epsilon runs as an int
         def results():
-            outcome = verify.run_verification(self.CHI_MAX, k_max, fault)
+            outcome = verify.run_verification(chi_max, k_max, fault)
             return [(check.name, check.passed, check.detail) for check in outcome.checks]
 
         symbolic = results()

@@ -48,10 +48,14 @@ once on the ``Affine`` of ``SYMBOLIC_CLASS``, the residue class chi = 5 +
 Affine t for t in [1, 99] that the ``stable-epsilon-bound`` check passes
 in place of 99 epsilons, and ``build_component_two`` once on the ``Affine``
 of ``SYMBOLIC_K_CLASS``, the residue class k = 1 + 3t for t in [1, 33]
-that ``verify`` builds in place of 33 k.  A ``--against`` base with no
-``records.Affine`` has no symbolic builds, and one whose component-II
-builder refuses an ``Affine`` k has no symbolic component II, so those
-figures are left out.
+that ``verify`` builds in place of 33 k.  ``epsilon_family_trapezoid``
+times ``epsilon_family`` once on the class of ``SYMBOLIC_CLASS`` with
+epsilon the ``Planar`` s for 1 <= s <= top - 1, the trapezoid that the
+``stable-epsilon-bound`` check passes in place of its 40 chi's 6,680
+epsilons below the top.  A ``--against`` base with no ``records.Affine``
+has no symbolic builds, one whose component-II builder refuses an
+``Affine`` k has no symbolic component II, and one with no
+``records.Planar`` has no trapezoid, so those figures are left out.
 
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
@@ -280,8 +284,9 @@ def big_kernels(pkgs, repeat: int) -> dict:
 
 def builds(pkgs, repeat: int) -> dict:
     """Each builder of ``BUILDS`` at each of its arguments, the two builders on
-    ``SYMBOLIC_CLASS``, the epsilon family on ``SYMBOLIC_EPSILON`` and component II
-    on ``SYMBOLIC_K_CLASS`` where every package builds them, in us per call.
+    ``SYMBOLIC_CLASS``, the epsilon family on ``SYMBOLIC_EPSILON`` and on the trapezoid
+    over ``SYMBOLIC_CLASS``, and component II on ``SYMBOLIC_K_CLASS`` where every
+    package builds them, in us per call.
 
     A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
     at least 20.
@@ -310,6 +315,13 @@ def builds(pkgs, repeat: int) -> dict:
             pass
         else:
             figures["symbolic"]["build_component_two"] = windowed(fns, repeat, 20)
+        if all(hasattr(pkg.records, "Planar") for pkg in pkgs):
+            fns = []
+            for pkg in pkgs:
+                chi = pkg.records.Affine(*SYMBOLIC_CLASS)
+                epsilon = pkg.records.Planar(0, 0, 1, (2 * chi + 2) // 3 - 1)
+                fns.append(functools.partial(pkg.catalog.epsilon_family, chi, epsilon))
+            figures["symbolic"]["epsilon_family_trapezoid"] = windowed(fns, repeat, 20)
     return figures
 
 
