@@ -63,37 +63,52 @@ def _expect(condition: bool, detail: str, *values):
         raise _CheckFailure(detail.format(*values))
 
 
-# A class of cases runs as one symbolic case where it holds more cases than its
-# break-even, by modulus, measured on a shared 2-core x86_64 VM: one symbolic pass
-# over a chi's epsilon interval costs about 4.5 concrete cases, one over a residue
-# class of k mod 3, with its component-II build, about 2.6 concrete k, and one over
-# a residue class of chi mod 12, with the builds it reads, about 2.2 concrete chi,
-# or, as the epsilon bound's trapezoid and top, about 3.3 chi.  The last two stay
-# at 3, so that no class runs symbolically up to chi_max = 40 and k_max = 11.
-_BREAK_EVEN = {1: 5, 3: 3, 12: 3}
+# Each family of cases splits by residue class of n mod its modulus, a class holding
+# only the n from its head up, and runs a class as one symbolic case where it holds
+# more cases than its break-even: (modulus, head, break-even).  The stable head keeps
+# chi = 3 an int: stable-ampleness-certificate branches on chi == 3, which no class
+# holding 3 decides, so class 0 begins at chi = 6 and all five stable checks, the
+# epsilon bound from chi = 4 included, ask the memo for the same three classes.
+# Break-evens measured on a shared 2-core x86_64 VM: one symbolic pass over a chi's
+# epsilon interval costs about 4.5 concrete cases, one over a class of k mod 3, with
+# its component-II build, about 2.6 concrete k, one over a class of chi mod 12, with
+# the builds it reads, about 2.2 concrete chi, and one over a class of chi mod 3, its
+# stable build and the five stable checks' bodies, about 1.9-2.4 concrete chi.  The
+# stable break-even is 6, not 3: a symbolic attempt that raises under a fault is pure
+# overhead, and at 6 no stable class runs symbolically up to chi_max = 21; no chi
+# class does up to chi_max = 47, no k class up to k_max = 11.
+_FAMILIES = {
+    "epsilon": (1, 1, 5),  # the epsilon of one chi
+    "k": (3, 3, 3),  # component II reads k mod 3
+    "chi": (12, 12, 3),  # component I reads K^2 = 2chi - 6 mod 8
+    "stable": (3, 4, 6),  # build_stable reads chi only through pick_parameters' (1 - chi) % 3
+}
 
 
-def _each(body: Callable, cases: range, modulus: int = 12) -> None:
-    """Run ``body`` on every n in ``cases``, a range whose step divides ``modulus``:
-    12 for chi, 3 for k, 1 for the epsilon of one chi.
+def _each(body: Callable, cases: range, family: str = "chi") -> None:
+    """Run ``body`` on every n in ``cases``, a range whose step divides the modulus
+    of ``family`` (see ``_FAMILIES``): chi, k, the stable line's chi, or the epsilon
+    of one chi.
 
-    First each residue class r of n mod ``modulus``, from n = ``modulus`` up,
-    that holds more cases than its break-even runs as one Affine(r, modulus,
+    First each residue class r of n mod the modulus, from n = max(start, head)
+    up, that holds more cases than its break-even runs as one Affine(r, modulus,
     lo, hi).  A symbolic pass that raises anything, a failing case or an
     undecided branch, leaves its class to the concrete loop, which then runs
-    every n below ``modulus`` and of such a class as an int, in ascending
-    order.  So a class is skipped only where every case of it provably passes,
-    and the first failing case and its detail are a plain loop's.
+    every n below the head and of such a class as an int, in ascending order.
+    So a class is skipped only where every case of it provably passes, and the
+    first failing case and its detail are a plain loop's.
     """
+    modulus, head, break_even = _FAMILIES[family]
     start, stop, step = cases.start, cases.stop, cases.step
-    if stop <= modulus * (_BREAK_EVEN[modulus] + 1):  # no class can pass its break-even
+    first = start if start > head else head  # a class holds only the n from first up
+    if stop - first <= modulus * break_even:  # no class can pass its break-even
         for n in cases:
             body(n)
         return
-    concrete = list(range(start, modulus, step))
+    concrete = list(range(start, head, step))
     for r in range(start % step, modulus, step):
-        lo, hi = max(1, -((r - start) // modulus)), (stop - 1 - r) // modulus
-        if hi - lo >= _BREAK_EVEN[modulus]:
+        lo, hi = -((r - first) // modulus), (stop - 1 - r) // modulus
+        if hi - lo >= break_even:
             try:
                 body(Affine(r, modulus, lo, hi))
                 continue
@@ -104,11 +119,11 @@ def _each(body: Callable, cases: range, modulus: int = 12) -> None:
         body(n)
 
 
-def _per_chi(first: int):
+def _per_chi(first: int, family: str = "chi"):
     """Make the check ``body(builds, chi)`` into one that ``_each`` runs from chi = ``first``."""
     def check(body):
         return lambda chi_max, k_max, builds: _each(functools.partial(body, builds),
-                                                    range(first, chi_max + 1))
+                                                    range(first, chi_max + 1), family)
     return check
 
 
@@ -251,7 +266,7 @@ def _check_component_two_invariants(chi_max, k_max, builds):
         else:
             _expect(recipe.germ is None, "unexpected germ at k = {}", k)
 
-    _each(case, range(1, k_max + 1), 3)
+    _each(case, range(1, k_max + 1), "k")
 
 
 @_check("component-two-symmetry-residues",
@@ -265,7 +280,7 @@ def _check_scroll_symmetry_residues(chi_max, k_max, builds):
             _expect(got == expected, "symmetry check gave {} for the residue {} family at k = {}",
                     got, residue, k)
 
-    _each(case, range(2, max(k_max, 5) + 1), 3)
+    _each(case, range(2, max(k_max, 5) + 1), "k")
 
 
 @_check("classification-components",
@@ -294,7 +309,7 @@ def _check_classification(chi_max, k_max, builds):
                 "constructed canonical image not among the classified ones at k = {}", k)
 
     _each(on_the_line, range(4, chi_max + 1))
-    _each(constructed, range(1, k_max + 1), 3)
+    _each(constructed, range(1, k_max + 1), "k")
 
 
 @_check("classification-parity-discriminator",
@@ -319,7 +334,7 @@ def _check_parity_discriminator(chi_max, k_max, builds):
 @_check("stable-invariants",
         "stable construction reports K^2 = 2*chi - 5 with three one-third quotient "
         "points and divisor square 3*K^2")
-@_per_chi(3)
+@_per_chi(3, "stable")
 def _check_stable_invariants(builds, chi):
     # compared in thirds (3*K^2), as the record keeps K^2, so no Fraction is made
     # unless a comparison fails
@@ -344,7 +359,7 @@ def _check_stable_invariants(builds, chi):
 @_check("stable-ampleness-certificate",
         "feasibility is impossible except at chi = 3, where only the negative "
         "section survives and general position excludes it")
-@_per_chi(3)
+@_per_chi(3, "stable")
 def _check_stable_certificates(builds, chi):
     e, alpha, beta = catalog.pick_parameters(chi)
     construction = builds.stable.get(chi)
@@ -364,7 +379,7 @@ def _check_stable_certificates(builds, chi):
 
 
 @_check("stable-bicanonical-count", "h0 of 2K equals chi + K^2 - 1 and differs from chi + K^2")
-@_per_chi(3)
+@_per_chi(3, "stable")
 def _check_stable_bicanonical(builds, chi):
     record = builds.stable(chi).record
     value = stable.h0_2K(record)
@@ -378,7 +393,7 @@ def _check_stable_bicanonical(builds, chi):
 @_check("stable-tricanonical-lift",
         "the resolved tri-canonical class is the node pullback of the certified "
         "ample divisor minus the new exceptional classes")
-@_per_chi(3)
+@_per_chi(3, "stable")
 def _check_stable_tricanonical_lift(builds, chi):
     construction = builds.stable(chi)
     certificate = construction.recipe.certificates[0]
@@ -408,14 +423,15 @@ def _epsilon_case(chi, epsilon):
 @_check("stable-epsilon-bound",
         "contracting 3*epsilon curves gives K^2 = 2*chi - 6 + epsilon within "
         "3*K^2 <= 8*chi - 16, with equality only at the top")
-@_per_chi(4)
+@_per_chi(4, "stable")
 def _check_epsilon_bound(builds, chi):
     # epsilon in [1, top - 1], then top: the bound is an equality only at top, which
-    # a region holding it leaves undecided.  A class of chi = r + 12t runs epsilon = s
-    # on the trapezoid 1 <= s <= top - 1 as one Planar; one chi, its interval through _each
+    # a region holding it leaves undecided.  A class of chi = r + 3t, whose top stays
+    # affine, runs epsilon = s on the trapezoid 1 <= s <= top - 1 as one Planar; one
+    # chi, its interval through _each
     top = (2 * chi + 2) // 3
     if type(chi) is int:
-        _each(functools.partial(_epsilon_case, chi), range(1, top), 1)
+        _each(functools.partial(_epsilon_case, chi), range(1, top), "epsilon")
     else:
         _epsilon_case(chi, Planar(0, 0, 1, top - 1))
     _epsilon_case(chi, top)
@@ -463,14 +479,15 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     both second-component cover shapes appear.  Both must be ``int``s,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
-    duration of the run.  The checks that read component-I or stable
-    builds, the classification by chi and the epsilon bound run each
-    residue class of chi mod 12 that holds more than 3 cases once, on an
-    ``Affine`` chi (the epsilon bound's epsilon below the top as one
-    ``Planar``); the component-II checks and the classification by k do
-    so for each class of k mod 3 that holds more than 3 cases, on an
-    ``Affine`` k.  The rest run case by case (see ``_each``); the outcome
-    is the one a run of every case would give.
+    duration of the run.  The checks that read component-I builds and the
+    classification by chi run each residue class of chi mod 12 that holds
+    more than 3 cases once, on an ``Affine`` chi; the five stable checks
+    do so for each class of chi mod 3, from chi = 4, that holds more than
+    6 (the epsilon bound's epsilon below the top as one ``Planar``); the
+    component-II checks and the classification by k for each class of k
+    mod 3 that holds more than 3, on an ``Affine`` k.  The rest run case
+    by case (see ``_each``); the outcome is the one a run of every case
+    would give.
     """
     for name, value in (("chi_max", chi_max), ("k_max", k_max)):
         if type(value) is not int:  # no Affine: a range is never symbolic

@@ -565,7 +565,8 @@ def _at(value, t):
 
 
 class TestSymbolicBuilds:
-    """verify builds each residue class of chi mod 12 once, on an Affine chi."""
+    """verify builds each residue class of chi mod 12 once, on an Affine chi, and of
+    chi mod 3 for the stable line."""
 
     @pytest.mark.parametrize("residue", range(12))
     @pytest.mark.parametrize("build", [build_component_one, build_stable],
@@ -574,6 +575,13 @@ class TestSymbolicBuilds:
         symbolic = build(Affine(residue, 12, 1, 4))
         for t in range(1, 5):
             assert _at(symbolic, t) == build(residue + 12 * t)
+
+    @pytest.mark.parametrize("residue", range(3))
+    def test_a_class_of_chi_mod_3_builds_the_stable_line_at_every_t(self, residue):
+        # build_stable reads chi only through pick_parameters' (1 - chi) % 3
+        symbolic = build_stable(Affine(residue, 3, 2, 6))
+        for t in range(2, 7):
+            assert _at(symbolic, t) == build_stable(residue + 3 * t)
 
     @pytest.mark.parametrize("residue", range(3))
     def test_a_class_of_k_builds_component_two_at_every_t(self, residue):

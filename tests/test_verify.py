@@ -179,8 +179,7 @@ def _at(value, t, s=0):
 
 
 class TestSymbolicEpsilonBound:
-    CHI_MAX = 60  # each class of chi mod 12 holds 4 or 5 chi, and the intervals of
-    # epsilon below chi = 12 are past their cutoff from chi = 10 on
+    CHI_MAX = 60  # each class of chi mod 3 holds 19 or 20 chi
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -195,28 +194,27 @@ class TestSymbolicEpsilonBound:
         return made
 
     def test_a_long_interval_is_one_symbolic_call(self, calls):
-        # up to chi_max = 40 no class of chi mod 12 holds more than 3 chi, so each chi
+        # up to chi_max = 21 no class of chi mod 3 holds more than 6 chi, so each chi
         # runs its interval of epsilon, from chi = 10 as one symbolic call, then top
-        verify._check_epsilon_bound(40, 2, None)
+        verify._check_epsilon_bound(21, 2, None)
         want = []
-        for chi in range(4, 41):
+        for chi in range(4, 22):
             top = (2 * chi + 2) // 3
-            want += ([(chi, (0, 1, 1, top - 1)), (chi, top)] if top - 1 > verify._BREAK_EVEN[1]
+            want += ([(chi, (0, 1, 1, top - 1)), (chi, top)]
+                     if top - 1 > verify._FAMILIES["epsilon"][2]
                      else [(chi, epsilon) for epsilon in range(1, top + 1)])
         assert calls == want
 
     def test_a_class_of_chi_is_one_trapezoid_and_its_top(self, calls):
-        # chi = r + 12t, t in [1, hi], has top = T0 + 8t with T0 = (2r + 2) // 3: epsilon
-        # runs as s on 1 <= s <= top - 1, then as top; the chi below 12 run as at chi_max = 40
+        # chi = r + 3t, t in [lo, hi] from chi = 4 on, has top = T0 + 2t with
+        # T0 = (2r + 2) // 3: epsilon runs as s on 1 <= s <= top - 1, then as top;
+        # no chi is left below the classes
         verify._check_epsilon_bound(self.CHI_MAX, 2, None)
         want = []
-        for r in range(12):
-            hi, t0 = (self.CHI_MAX - r) // 12, (2 * r + 2) // 3
-            want += [((r, 12, 1, hi), (0, 0, 1, (t0 - 1, 8, 1, hi))), ((r, 12, 1, hi), (t0, 8, 1, hi))]
-        for chi in range(4, 12):
-            top = (2 * chi + 2) // 3
-            want += ([(chi, (0, 1, 1, top - 1)), (chi, top)] if top - 1 > verify._BREAK_EVEN[1]
-                     else [(chi, epsilon) for epsilon in range(1, top + 1)])
+        for r in range(3):
+            lo, hi, t0 = 2 if r == 0 else 1, (self.CHI_MAX - r) // 3, (2 * r + 2) // 3
+            chi = (r, 3, lo, hi)
+            want += [(chi, (0, 0, 1, (t0 - 1, 2, lo, hi))), (chi, (t0, 2, lo, hi))]
         assert calls == want
 
     @pytest.mark.parametrize("chi_max", [CHI_MAX, 300])
@@ -268,7 +266,7 @@ class TestSymbolicEpsilonBound:
                     else:
                         assert fault is not None
 
-    @pytest.mark.parametrize("chi_max", [40, CHI_MAX], ids=["chi-concrete", "chi-symbolic"])
+    @pytest.mark.parametrize("chi_max", [21, CHI_MAX], ids=["chi-concrete", "chi-symbolic"])
     @pytest.mark.parametrize("differs, first", [
         (lambda epsilon: epsilon == 7, 7),  # undecided on an interval that holds 7
         (lambda epsilon: epsilon % 20 == 7, 7),  # 20 does not divide b = 1: TypeError
@@ -276,24 +274,25 @@ class TestSymbolicEpsilonBound:
     ], ids=["undecided", "type-error", "failing"])
     def test_a_pass_that_raises_runs_its_chi_concretely(self, differs, first, chi_max, calls,
                                                          monkeypatch):
-        # chi == 30 is undecided on the class of 30, 18 to 54, which then runs chi by chi
+        # chi == 18 is undecided on the class of 18, 6 to 60, which then runs chi by chi
         family = catalog.epsilon_family
 
-        def miscounted_at_30(chi, epsilon):
+        def miscounted_at_18(chi, epsilon):
             record = family(chi, epsilon)
-            if chi == 30 and differs(epsilon):
+            if chi == 18 and differs(epsilon):
                 return record._replace(ledger=SingularityLedger(record.ledger.third11_count + 3))
             return record
 
-        monkeypatch.setattr(catalog, "epsilon_family", miscounted_at_30)
-        detail = f"ledger count wrong at chi = 30, epsilon = {first}"
+        monkeypatch.setattr(catalog, "epsilon_family", miscounted_at_18)
+        detail = f"ledger count wrong at chi = 18, epsilon = {first}"
         with pytest.raises(verify._CheckFailure, match=f"^{detail}$"):
             verify._check_epsilon_bound(chi_max, 2, None)
-        assert [epsilon for chi, epsilon in calls if chi == 30] == [(0, 1, 1, 19),
+        assert [epsilon for chi, epsilon in calls if chi == 18] == [(0, 1, 1, 11),
                                                                     *range(1, first + 1)]
         assert [chi for chi, _epsilon in calls if type(chi) is tuple] == (
-            [] if chi_max == 40 else [(r, 12, 1, (chi_max - r) // 12) for r in range(12)
-                                      for _pass in ("trapezoid",) + ("top",) * (r != 6)])
+            [] if chi_max == 21 else [(r, 3, 2 if r == 0 else 1, (chi_max - r) // 3)
+                                      for r in range(3)
+                                      for _pass in ("trapezoid",) + ("top",) * (r != 0)])
 
 
 def _members(n) -> list:
@@ -306,20 +305,21 @@ class TestSymbolicClasses:
 
     @settings(max_examples=200, derandomize=True)
     @given(st.integers(1, 40), st.integers(0, 200), st.sampled_from([1, 2, 3, 4, 6, 12]),
-           st.sampled_from([1, 3, 12]))
-    def test_every_case_runs_once(self, start, count, step, modulus):
-        # a symbolic class holds only cases from n = modulus up; the rest run as ints, in order
+           st.sampled_from(sorted(verify._FAMILIES)))
+    def test_every_case_runs_once(self, start, count, step, family):
+        # a symbolic class holds only cases from n = head up; the rest run as ints, in order
+        modulus, head, break_even = verify._FAMILIES[family]
         step = step if modulus % step == 0 else 1
         cases, seen = range(start, start + count, step), []
-        verify._each(seen.append, cases, modulus)
+        verify._each(seen.append, cases, family)
         assert sorted(n for case in seen for n in _members(case)) == list(cases)
         symbolic = [case for case in seen if type(case) is Affine]
-        assert all(case.b == modulus and case.lo >= 1 and case.hi - case.lo >= verify._BREAK_EVEN[
-            modulus] for case in symbolic)
+        assert all(case.b == modulus and case.a + case.b * case.lo >= head
+                   and case.hi - case.lo >= break_even for case in symbolic)
         # and each class that holds more cases than its break-even is one
-        held = Counter(n % modulus for n in cases if n >= modulus)
+        held = Counter(n % modulus for n in cases if n >= head)
         assert sorted(case.a for case in symbolic) == sorted(
-            r for r, count in held.items() if count > verify._BREAK_EVEN[modulus])
+            r for r, count in held.items() if count > break_even)
         concrete = seen[len(symbolic):]
         assert seen[:len(symbolic)] == symbolic and concrete == sorted(concrete)
 
@@ -350,13 +350,37 @@ class TestSymbolicClasses:
             monkeypatch.setattr(catalog, name, recorded)
         return made
 
+    STABLE_CLASSES = [(0, 3, 2, 33), (1, 3, 1, 33), (2, 3, 1, 32)]  # chi = 6, 4, 5 to CHI_MAX
+
     def test_each_class_is_built_once_on_an_affine(self, calls):
         assert verify.run_verification(self.CHI_MAX, 6).passed
         classes = [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in range(12)]
         assert sorted(calls, key=repr) == sorted(
             [("build_component_one", key) for key in (*classes, *range(4, 12))]
-            + [("build_stable", key) for key in (*classes, *range(3, 12))]
+            + [("build_stable", key) for key in (*self.STABLE_CLASSES, 3)]
             + [("build_component_two", k) for k in range(1, 7)], key=repr)
+
+    @pytest.mark.parametrize("chi_max, classes", [
+        (21, []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
+        (24, [(0, 3, 2, 8), (1, 3, 1, 7), (2, 3, 1, 7)]),
+        (CHI_MAX, STABLE_CLASSES),
+    ])
+    def test_the_stable_line_is_built_by_class_of_chi_mod_3(self, chi_max, classes,
+                                                            monkeypatch):
+        # build_stable reads chi mod 3 only; chi = 3, where the ampleness check
+        # branches, is an int, so the class of 0 mod 3 starts at chi = 6
+        built, build = [], catalog.build_stable
+
+        def recorded(chi):
+            built.append(chi)
+            return build(chi)
+
+        monkeypatch.setattr(catalog, "build_stable", recorded)
+        assert verify.run_verification(chi_max, 6).passed
+        assert [type(chi) is Affine and chi.b == 3 for chi in built] == (
+            [True] * len(classes) + [False] * (len(built) - len(classes)))
+        assert [verify._key(chi) for chi in built] == (
+            [*classes, 3] if classes else list(range(3, chi_max + 1)))
 
     def test_each_class_of_k_is_built_once_on_an_affine(self, calls):
         # k = 1 and 2 run as ints, and every class of k mod 3 holds 12 or 13 cases
@@ -379,8 +403,9 @@ class TestSymbolicClasses:
         assert sorted(seen) == sorted([(2 * chi - 6, chi) for chi in range(4, self.CHI_MAX + 1)]
                                       + [(8 * k, 4 * k + 3) for k in range(1, 41)])
 
-    @pytest.mark.parametrize("chi_max, k_max", [(CHI_MAX, 6), (CHI_MAX, 40), (300, 100)],
-                             ids=["k-concrete", "k-symbolic", "300-100"])
+    @pytest.mark.parametrize("chi_max, k_max", [(24, 4), (40, 8), (CHI_MAX, 6), (CHI_MAX, 40),
+                                                 (300, 100)],
+                             ids=["24-4", "40-8", "k-concrete", "k-symbolic", "300-100"])
     @pytest.mark.parametrize("fault", [None, *faults.fault_names()])
     def test_same_results_with_the_symbolic_path_off(self, fault, chi_max, k_max, monkeypatch):
         # off, every chi, k and epsilon runs as an int
@@ -389,19 +414,20 @@ class TestSymbolicClasses:
             return [(check.name, check.passed, check.detail) for check in outcome.checks]
 
         symbolic = results()
-        monkeypatch.setattr(verify, "_BREAK_EVEN", dict.fromkeys(verify._BREAK_EVEN,
-                                                                  verify.RANGE_CAP))
+        monkeypatch.setattr(verify, "_FAMILIES", {
+            family: (modulus, head, verify.RANGE_CAP)
+            for family, (modulus, head, _break_even) in verify._FAMILIES.items()})
         assert results() == symbolic
 
 
 class TestSharedBuilds:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count builder calls by (builder name, chi)."""
+        """Count builder calls by (builder name, chi), an Affine chi by its key."""
         calls = Counter()
         for name in ("build_component_one", "build_stable"):
             def counting(chi, *args, _name=name, _build=getattr(catalog, name), **kwargs):
-                calls[_name, chi] += 1
+                calls[_name, verify._key(chi)] += 1
                 return _build(chi, *args, **kwargs)
 
             monkeypatch.setattr(catalog, name, counting)
@@ -415,14 +441,15 @@ class TestSharedBuilds:
         return totals
 
     def test_one_build_per_chi(self, calls):
+        # the stable line as three classes of chi mod 3 and chi = 3, component I chi by chi
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 28, "build_component_one": 27}
+        assert self.totals(calls) == {"build_stable": 4, "build_component_one": 27}
         assert set(calls.values()) == {1}
 
     def test_nothing_cached_across_runs(self, calls):
         verify.run_verification(chi_max=30, k_max=6)
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 56, "build_component_one": 54}
+        assert self.totals(calls) == {"build_stable": 8, "build_component_one": 54}
 
     def test_fault_does_not_outlive_its_run(self):
         clean = verify.run_verification(chi_max=30, k_max=6)
@@ -445,9 +472,10 @@ class TestSharedBuilds:
         assert failed == dict.fromkeys(
             ("stable-invariants", "stable-tricanonical-lift", "stable-bicanonical-count"),
             "pipeline error: ValueError: no surface at chi = 5")
-        # a build that raised is tried again by each check that needs it
-        assert calls["build_stable", 5] == 3
-        assert calls["build_stable", 4] == 1
+        # a build that raised is tried again by each check that needs it: chi == 5
+        # is undecided on the class of 5, which then runs chi by chi up to 5
+        assert calls["build_stable", 5] == calls["build_stable", (2, 3, 1, 9)] == 3
+        assert calls["build_stable", (1, 3, 1, 9)] == 1
 
     @pytest.fixture
     def k_calls(self, monkeypatch):
@@ -517,12 +545,16 @@ class TestSharedCertificates:
         assert {c.name: c.detail for c in outcome.checks if not c.passed} == {check: detail}
 
     def test_ampleness_issued_where_no_stable_build_holds(self, issued):
-        # every stable build raises under this fault, so the check issues
-        # each certificate itself and passes, free of the pipeline error
+        # every stable build raises under this fault, so the check issues each
+        # certificate itself, one per class of chi mod 3 and one at chi = 3, and
+        # passes, free of the pipeline error
         outcome = verify.run_verification(chi_max=30, k_max=6, fault="contraction-gain-half")
         result = outcome.checks[verify.check_names().index("stable-ampleness-certificate")]
         assert (result.passed, result.detail) == (True, "")
-        assert issued["ampleness_certificate"] == list(range(3, 31))
+        alphas = issued["ampleness_certificate"]
+        assert [verify._key(alpha) for alpha in alphas] == [
+            (0, 3, 2, 10), (1, 3, 1, 9), (2, 3, 1, 9), 3]
+        assert sorted(n for alpha in alphas for n in _members(alpha)) == list(range(3, 31))
 
     def test_nef_issued_only_for_the_chi_the_run_has_not_built(self, issued, monkeypatch):
         build = catalog.build_component_one

@@ -20,9 +20,11 @@ the ratio of the two best passes can read far from 1 for identical code.
 
 ``per_check`` times each check of ``run_verification`` as the real run
 calls it (the registered check functions are wrapped for the duration of
-the call), together with the whole run, at each range of ``RANGES``; at
-(100,6) every residue class of chi mod 12 holds more cases than
-``verify``'s break-even, so each runs as one symbolic case.
+the call), together with the whole run, at each range of ``RANGES``.  From
+(24,4) on, each residue class of chi mod 3 holds more cases than the
+break-even of ``verify``'s stable checks, so each runs as one symbolic
+case, while up to (40,8) component I runs chi by chi; at (100,6) every
+residue class of chi mod 12 runs symbolically too.
 Each pass makes ``RUNS_PER_PASS`` back-to-back runs of each package, and
 its figures are the means per run.
 
@@ -43,19 +45,23 @@ key is its arguments joined by commas.  Each pass makes as many calls as
 fill about ``BUILD_WINDOW_S`` (5 ms), so a 3 us figure times as long a
 window as a 100 us one.  Its ``symbolic`` figures time the two builders
 once on the ``Affine`` of ``SYMBOLIC_CLASS``, the residue class chi = 5 +
-12t for t in [1, 40] that ``verify`` builds in place of 40 chi, and
+12t for t in [1, 40] that ``verify`` builds component I on in place of 40
+chi, and
 ``epsilon_family`` once on ``SYMBOLIC_EPSILON``, chi 150 with epsilon the
 Affine t for t in [1, 99] that the ``stable-epsilon-bound`` check passes
 in place of 99 epsilons, and ``build_component_two`` once on the ``Affine``
 of ``SYMBOLIC_K_CLASS``, the residue class k = 1 + 3t for t in [1, 33]
 that ``verify`` builds in place of 33 k.  ``epsilon_family_trapezoid``
 times ``epsilon_family`` once on the class of ``SYMBOLIC_CLASS`` with
-epsilon the ``Planar`` s for 1 <= s <= top - 1, the trapezoid that the
-``stable-epsilon-bound`` check passes in place of its 40 chi's 6,680
-epsilons below the top.  A ``--against`` base with no ``records.Affine``
+epsilon the ``Planar`` s for 1 <= s <= top - 1, a trapezoid of the shape
+that the ``stable-epsilon-bound`` check passes for a class of chi, in
+place of its 40 chi's 6,680 epsilons below the top.  A ``--against`` base with no ``records.Affine``
 has no symbolic builds, one whose component-II builder refuses an
 ``Affine`` k has no symbolic component II, and one with no
 ``records.Planar`` has no trapezoid, so those figures are left out.
+``build_stable_mod3`` times ``build_stable`` once on the ``Affine`` of
+``SYMBOLIC_STABLE_CLASS``, the residue class chi = 5 + 3t for t in
+[1, 160] that ``verify``'s stable checks build in place of 160 chi.
 
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
@@ -112,7 +118,8 @@ import time
 import types
 from pathlib import Path
 
-RANGES = ((6, 2), (16, 4), (36, 7), (100, 6), (150, 50), (300, 100), (600, 200))
+RANGES = ((6, 2), (16, 4), (24, 4), (36, 7), (40, 8), (100, 6), (150, 50), (300, 100),
+          (600, 200))
 RUNS_PER_PASS = 5
 REPORTS = {
     "construct_component_I_chi20000": ("construct", "component-I", "--chi", "20000"),
@@ -127,6 +134,7 @@ BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (1
           "build_component_two": ((37,), (3924,)), "epsilon_family": ((150, 1), (150, 100))}
 SYMBOLIC_CLASS = (5, 12, 1, 40)
 SYMBOLIC_K_CLASS = (1, 3, 1, 33)
+SYMBOLIC_STABLE_CLASS = (5, 3, 1, 160)
 SYMBOLIC_EPSILON = (150, (0, 1, 1, 99))
 BUILD_WINDOW_S = 0.005
 RECORD_BUILDS = (("build_stable", 150), ("build_component_one", 150))
@@ -285,8 +293,9 @@ def big_kernels(pkgs, repeat: int) -> dict:
 def builds(pkgs, repeat: int) -> dict:
     """Each builder of ``BUILDS`` at each of its arguments, the two builders on
     ``SYMBOLIC_CLASS``, the epsilon family on ``SYMBOLIC_EPSILON`` and on the trapezoid
-    over ``SYMBOLIC_CLASS``, and component II on ``SYMBOLIC_K_CLASS`` where every
-    package builds them, in us per call.
+    over ``SYMBOLIC_CLASS``, component II on ``SYMBOLIC_K_CLASS`` where every
+    package builds them, and the stable builder on ``SYMBOLIC_STABLE_CLASS``, in us
+    per call.
 
     A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
     at least 20.
@@ -302,6 +311,9 @@ def builds(pkgs, repeat: int) -> dict:
             name: windowed([lambda build=getattr(pkg.catalog, name), affine=pkg.records.Affine:
                             build(affine(*SYMBOLIC_CLASS)) for pkg in pkgs], repeat, 20)
             for name in ("build_component_one", "build_stable")}
+        figures["symbolic"]["build_stable_mod3"] = windowed(
+            [lambda build=pkg.catalog.build_stable, affine=pkg.records.Affine:
+             build(affine(*SYMBOLIC_STABLE_CLASS)) for pkg in pkgs], repeat, 20)
         chi, epsilon = SYMBOLIC_EPSILON
         figures["symbolic"]["epsilon_family"] = windowed(
             [lambda family=pkg.catalog.epsilon_family, affine=pkg.records.Affine:
