@@ -249,6 +249,25 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     taking the cyclic triple cover branched over the strict transforms
     produces a minimal surface with the requested invariants.
     """
+    lattice.require_int("chi", chi)  # before the claim's arithmetic reads chi
+    claim, notes = UNLABELED, ()
+    if component_count(2 * chi - 6) == 2:
+        claim = COMPONENT_I
+        if chi == 7:
+            notes = (NOTE_K1_INVOLUTION,)
+    return _component_one_cover(chi, general_position, claim, notes,
+                                fiber_component_self_intersections=(-3, -3))
+
+
+def _component_one_cover(chi: int, general_position: bool = True, claim: str = UNLABELED,
+                         notes: tuple[str, ...] = (), **fields) -> ConstructionRecipe:
+    """``build_component_one``'s cover, with ``claim``, ``notes`` after the cover's own
+    and ``fields`` passed to its one recipe.
+
+    The cover reads chi only through ``pick_parameters``' (1 - chi) % 3; the claim
+    reads K^2 = 2chi - 6 mod 8.  Kept out of here, it leaves ``verify`` free to build
+    the cover once per class of chi mod 3, where the claim would need mod 12.
+    """
     lattice.require_int("chi", chi)
     if chi < 4:
         raise ValueError("the general type line K^2 = 2*chi - 6 needs chi >= 4")
@@ -257,16 +276,8 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     blown, _pull, _exceptional, d1, d2 = scroll
     nef = _nef_certificate(e, alpha, beta, scroll)
     report = covers.cover_invariants(CoverSpec.triple(blown, d1, d2), nef.verdict)
-    k_squared = 2 * chi - 6
-    notes = [NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY]
-    if component_count(k_squared) == 2:
-        claim = COMPONENT_I
-        if chi == 7:
-            notes.append(NOTE_K1_INVOLUTION)
-    else:
-        claim = UNLABELED
     return ConstructionRecipe(
-        target=AdmissiblePair(k_squared, chi),
+        target=AdmissiblePair(2 * chi - 6, chi),
         parameters=(e, alpha, beta),
         base=blown,
         branch=(d1, d2),
@@ -274,8 +285,8 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
         report=report,
         component_claim=claim,
         certificates=(nef,),
-        fiber_component_self_intersections=(-3, -3),
-        notes=tuple(notes),
+        notes=(NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY, *notes),
+        **fields,
     )
 
 

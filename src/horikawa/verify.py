@@ -49,8 +49,8 @@ class _Memo(dict):
 
 
 class _Builds(NamedTuple):
-    """The builds the checks share within one run: of component I and of the stable
-    surfaces by chi, of component II by k."""
+    """The builds the checks share within one run: of component I's cover (its claim
+    left out) and of the stable surfaces by chi, of component II by k."""
 
     component_one: _Memo
     stable: _Memo
@@ -68,27 +68,36 @@ def _expect(condition: bool, detail: str, *values):
 # more cases than its break-even: (modulus, head, break-even).  The stable head keeps
 # chi = 3 an int: stable-ampleness-certificate branches on chi == 3, which no class
 # holding 3 decides, so class 0 begins at chi = 6 and all five stable checks, the
-# epsilon bound from chi = 4 included, ask the memo for the same three classes.
+# epsilon bound from chi = 4 included, ask the memo for the same three classes.  The
+# cover head keeps chi = 4 an int: on the class of 1 mod 3 the tricanonical identity's
+# fiber multiple alpha + 2beta - 3e - 6 is chi - 4, and n * D cannot decide n == 0 on
+# a class holding 4, which would send the class back to concrete builds.
 # Break-evens measured on a shared 2-core x86_64 VM: one symbolic pass over a chi's
 # epsilon interval costs about 4.5 concrete cases, one over a class of k mod 3, with
 # its component-II build, about 2.6 concrete k, one over a class of chi mod 12, with
-# the builds it reads, about 2.2 concrete chi, and one over a class of chi mod 3, its
-# stable build and the five stable checks' bodies, about 1.9-2.4 concrete chi.  The
-# stable break-even is 6, not 3: a symbolic attempt that raises under a fault is pure
-# overhead, and at 6 no stable class runs symbolically up to chi_max = 21; no chi
-# class does up to chi_max = 47, no k class up to k_max = 11.
+# the builds it reads, about 2.2 concrete chi, one over a class of chi mod 3, its
+# stable build and the five stable checks' bodies, about 1.9-2.4 concrete chi, and one
+# over a class of chi mod 3, its cover and the three cover checks' bodies, about
+# 2.0-2.3 concrete chi.  The stable and cover break-evens are 6, not 3: a symbolic
+# attempt that raises under a fault is pure overhead, and at 6 no stable class runs
+# symbolically up to chi_max = 21 and no cover class up to chi_max = 22, which covers
+# fault-matrix's (12-20) ranges; no chi class does up to chi_max = 47, no k class up
+# to k_max = 11.
 _FAMILIES = {
     "epsilon": (1, 1, 5),  # the epsilon of one chi
     "k": (3, 3, 3),  # component II reads k mod 3
-    "chi": (12, 12, 3),  # component I reads K^2 = 2chi - 6 mod 8
-    "stable": (3, 4, 6),  # build_stable reads chi only through pick_parameters' (1 - chi) % 3
+    "chi": (12, 12, 3),  # the classification and the claim read K^2 = 2chi - 6 mod 8
+    # component I's cover and build_stable read chi only through pick_parameters'
+    # (1 - chi) % 3
+    "cover": (3, 5, 6),
+    "stable": (3, 4, 6),
 }
 
 
 def _each(body: Callable, cases: range, family: str = "chi") -> None:
     """Run ``body`` on every n in ``cases``, a range whose step divides the modulus
-    of ``family`` (see ``_FAMILIES``): chi, k, the stable line's chi, or the epsilon
-    of one chi.
+    of ``family`` (see ``_FAMILIES``): the chi of the claim, component I's cover
+    or the stable line, k, or the epsilon of one chi.
 
     First each residue class r of n mod the modulus, from n = max(start, head)
     up, that holds more cases than its break-even runs as one Affine(r, modulus,
@@ -119,7 +128,7 @@ def _each(body: Callable, cases: range, family: str = "chi") -> None:
         body(n)
 
 
-def _per_chi(first: int, family: str = "chi"):
+def _per_chi(first: int, family: str):
     """Make the check ``body(builds, chi)`` into one that ``_each`` runs from chi = ``first``."""
     def check(body):
         return lambda chi_max, k_max, builds: _each(functools.partial(body, builds),
@@ -215,7 +224,7 @@ def _check_section_count_oracle(chi_max, k_max, builds):
 @_check("component-one-invariants",
         "first-line construction reports K^2 = 2*chi - 6, chi, p_g = chi - 1 "
         "and 3*K^2 equal to the tri-canonical square")
-@_per_chi(4)
+@_per_chi(4, "cover")
 def _check_component_one_invariants(builds, chi):
     report = builds.component_one(chi).report
     _expect(report.k_squared == 2 * chi - 6, "K^2 = {} instead of {} at chi = {}",
@@ -230,7 +239,7 @@ def _check_component_one_invariants(builds, chi):
 
 @_check("component-one-tricanonical-identity",
         "the tri-canonical class equals its fiber-plus-branch form coefficientwise")
-@_per_chi(4)
+@_per_chi(4, "cover")
 def _check_tricanonical_identity(builds, chi):
     recipe = builds.component_one(chi)
     e, alpha, beta = recipe.parameters
@@ -321,9 +330,10 @@ def _check_parity_discriminator(chi_max, k_max, builds):
             "even data must be inconclusive")
     _expect(catalog.parity_discriminator([]) == catalog.PARITY_INCONCLUSIVE,
             "vacuous data must be inconclusive")
-    # chi = 7 is always tested, so the check has a case below chi_max = 7
+    # chi = 7 is always tested, so the check has a case below chi_max = 7; the claim
+    # is the public builder's, so the check reads it, not the shared cover
     def case(chi):
-        recipe = builds.component_one(chi)
+        recipe = catalog.build_component_one(chi)
         verdict = catalog.parity_discriminator(recipe.fiber_component_self_intersections)
         _expect(verdict == catalog.COMPONENT_I == recipe.component_claim,
                 "fiber parity does not certify the first component at chi = {}", chi)
@@ -440,7 +450,7 @@ def _check_epsilon_bound(builds, chi):
 @_check("minimality-nef-witnesses",
         "the tri-canonical divisor pairs nonnegatively with every witness curve "
         "and the feasibility analysis closes")
-@_per_chi(4)
+@_per_chi(4, "cover")
 def _check_nef_witnesses(builds, chi):
     e, alpha, beta = catalog.pick_parameters(chi)
     recipe = builds.component_one.get(chi)
@@ -479,15 +489,17 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     both second-component cover shapes appear.  Both must be ``int``s,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
-    duration of the run.  The checks that read component-I builds and the
-    classification by chi run each residue class of chi mod 12 that holds
-    more than 3 cases once, on an ``Affine`` chi; the five stable checks
-    do so for each class of chi mod 3, from chi = 4, that holds more than
-    6 (the epsilon bound's epsilon below the top as one ``Planar``); the
-    component-II checks and the classification by k for each class of k
-    mod 3 that holds more than 3, on an ``Affine`` k.  The rest run case
-    by case (see ``_each``); the outcome is the one a run of every case
-    would give.
+    duration of the run.  The parity check, which reads component I's
+    claim, and the classification by chi run each residue class of chi
+    mod 12 that holds more than 3 cases once, on an ``Affine`` chi; the
+    three checks that read component I's cover do so for each class of
+    chi mod 3, from chi = 5, that holds more than 6, and the five stable
+    checks for each class of chi mod 3, from chi = 4, that holds more
+    than 6 (the epsilon bound's epsilon below the top as one ``Planar``);
+    the component-II checks and the classification by k for each class
+    of k mod 3 that holds more than 3, on an ``Affine`` k.  The rest run
+    case by case (see ``_each``); the outcome is the one a run of every
+    case would give.
     """
     for name, value in (("chi_max", chi_max), ("k_max", k_max)):
         if type(value) is not int:  # no Affine: a range is never symbolic
@@ -510,14 +522,16 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
 
 def _run_checks(chi_max: int, k_max: int) -> tuple[CheckResult, ...]:
-    # One build per chi or k, or per residue class of either, per run.  The builders
-    # are read here, inside any injected fault, and the memo dies with the run.  A build that raises
-    # is not kept, so each check that asks for it reports its own error.
+    # One build of component I's cover or of the stable surface per chi, of component II
+    # per k, or per residue class of either, per run; the parity check makes its own
+    # public component-I builds.  The builders are read here, inside any injected fault,
+    # and the memo dies with the run.  A build that raises is not kept, so each check
+    # that asks for it reports its own error.
     # The two certificate checks only look: where the run holds the build
     # of a chi, they read the certificate it issued from the same (e, alpha,
     # beta); elsewhere they issue their own, so a build that raised fails
     # only the checks that need the build itself.
-    builds = _Builds(_Memo(catalog.build_component_one),
+    builds = _Builds(_Memo(catalog._component_one_cover),
                      _Memo(catalog.build_stable),
                      _Memo(catalog.build_component_two))
     results = []

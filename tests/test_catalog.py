@@ -160,6 +160,16 @@ class TestComponentOne:
         recipe = build_component_one(7)
         assert recipe.fiber_component_self_intersections == (-3, -3)
 
+    def test_the_public_build_is_the_cover_and_its_claim(self):
+        for chi in range(4, 61):
+            public, cover = build_component_one(chi), catalog._component_one_cover(chi)
+            assert (cover.component_claim, cover.fiber_component_self_intersections) == (
+                "unlabeled", None)
+            assert public._replace(component_claim=cover.component_claim, notes=cover.notes,
+                                   fiber_component_self_intersections=None) == cover
+            assert public.notes == cover.notes + (
+                (catalog.NOTE_K1_INVOLUTION,) if chi == 7 else ())
+
 
 class TestParityDiscriminator:
     def test_odd_certifies_first_component(self):
@@ -566,7 +576,7 @@ def _at(value, t):
 
 class TestSymbolicBuilds:
     """verify builds each residue class of chi mod 12 once, on an Affine chi, and of
-    chi mod 3 for the stable line."""
+    chi mod 3 for component I's cover and the stable line."""
 
     @pytest.mark.parametrize("residue", range(12))
     @pytest.mark.parametrize("build", [build_component_one, build_stable],
@@ -582,6 +592,13 @@ class TestSymbolicBuilds:
         symbolic = build_stable(Affine(residue, 3, 2, 6))
         for t in range(2, 7):
             assert _at(symbolic, t) == build_stable(residue + 3 * t)
+
+    @pytest.mark.parametrize("residue", range(3))
+    def test_a_class_of_chi_mod_3_builds_the_cover_at_every_t(self, residue):
+        # the cover, without the claim, reads chi only through pick_parameters
+        symbolic = catalog._component_one_cover(Affine(residue, 3, 2, 6))
+        for t in range(2, 7):
+            assert _at(symbolic, t) == catalog._component_one_cover(residue + 3 * t)
 
     @pytest.mark.parametrize("residue", range(3))
     def test_a_class_of_k_builds_component_two_at_every_t(self, residue):

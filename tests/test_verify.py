@@ -342,23 +342,68 @@ class TestSymbolicClasses:
     def calls(self, monkeypatch):
         """Each builder call by (builder name, chi or k), an Affine one by its key."""
         made = []
-        for name in ("build_component_one", "build_stable", "build_component_two"):
-            def recorded(chi, _name=name, _build=getattr(catalog, name)):
+        for name in ("build_component_one", "_component_one_cover", "build_stable",
+                     "build_component_two"):
+            def recorded(chi, *args, _name=name, _build=getattr(catalog, name), **kwargs):
                 made.append((_name, verify._key(chi)))
-                return _build(chi)
+                return _build(chi, *args, **kwargs)
 
             monkeypatch.setattr(catalog, name, recorded)
         return made
 
     STABLE_CLASSES = [(0, 3, 2, 33), (1, 3, 1, 33), (2, 3, 1, 32)]  # chi = 6, 4, 5 to CHI_MAX
+    COVER_CLASSES = [(0, 3, 2, 33), (1, 3, 2, 33), (2, 3, 1, 32)]  # chi = 6, 7, 5 to CHI_MAX
 
     def test_each_class_is_built_once_on_an_affine(self, calls):
+        # the parity check's chi = 7 + 4s, by class of chi mod 12 from chi = 12, are
+        # the only public component-I builds, and each makes one cover of its own
         assert verify.run_verification(self.CHI_MAX, 6).passed
-        classes = [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in range(12)]
+        parity = [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in (3, 7, 11)] + [7, 11]
         assert sorted(calls, key=repr) == sorted(
-            [("build_component_one", key) for key in (*classes, *range(4, 12))]
+            [("build_component_one", key) for key in parity]
+            + [("_component_one_cover", key) for key in (*self.COVER_CLASSES, 4, *parity)]
             + [("build_stable", key) for key in (*self.STABLE_CLASSES, 3)]
             + [("build_component_two", k) for k in range(1, 7)], key=repr)
+
+    @pytest.mark.parametrize("chi_max, classes", [
+        (22, []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
+        (23, [(2, 3, 1, 7)]),
+        (24, [(0, 3, 2, 8), (2, 3, 1, 7)]),
+        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)]),
+        (CHI_MAX, COVER_CLASSES),
+    ])
+    def test_component_one_cover_is_built_by_class_of_chi_mod_3(self, chi_max, classes,
+                                                                 monkeypatch):
+        # the cover reads chi mod 3 only; chi = 4, where the tricanonical identity's
+        # fiber multiple chi - 4 is 0 on the class of 1, is an int, so that class
+        # starts at chi = 7
+        built, build = [], catalog._component_one_cover
+
+        def recorded(chi, *args, **kwargs):
+            if not (args or kwargs):  # as the checks' memo calls it, not build_component_one
+                built.append(chi)
+            return build(chi, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "_component_one_cover", recorded)
+        assert verify.run_verification(chi_max, 6).passed
+        assert [verify._key(chi) for chi in built[:len(classes)]] == classes
+        concrete = built[len(classes):]
+        assert all(type(chi) is int for chi in concrete) and concrete == sorted(concrete)
+        assert sorted(n for chi in built for n in _members(chi)) == list(range(4, chi_max + 1))
+        if chi_max >= 25:
+            assert concrete == [4]
+
+    @pytest.mark.parametrize("chi_max", [30, CHI_MAX])
+    def test_the_public_builder_runs_only_the_parity_cases(self, chi_max, monkeypatch):
+        built, build = [], catalog.build_component_one
+
+        def recorded(chi):
+            built.append(chi)
+            return build(chi)
+
+        monkeypatch.setattr(catalog, "build_component_one", recorded)
+        assert verify.run_verification(chi_max, 6).passed
+        assert sorted(n for chi in built for n in _members(chi)) == list(range(7, chi_max + 1, 4))
 
     @pytest.mark.parametrize("chi_max, classes", [
         (21, []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
@@ -425,7 +470,7 @@ class TestSharedBuilds:
     def calls(self, monkeypatch):
         """Count builder calls by (builder name, chi), an Affine chi by its key."""
         calls = Counter()
-        for name in ("build_component_one", "build_stable"):
+        for name in ("build_component_one", "_component_one_cover", "build_stable"):
             def counting(chi, *args, _name=name, _build=getattr(catalog, name), **kwargs):
                 calls[_name, verify._key(chi)] += 1
                 return _build(chi, *args, **kwargs)
@@ -441,15 +486,19 @@ class TestSharedBuilds:
         return totals
 
     def test_one_build_per_chi(self, calls):
-        # the stable line as three classes of chi mod 3 and chi = 3, component I chi by chi
+        # the stable line as three classes of chi mod 3 and chi = 3, component I's cover
+        # as three classes of chi mod 3 and chi = 4, and the parity check's public
+        # builds chi by chi, at chi = 7, 11, ..., 27, each with a cover of its own
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 4, "build_component_one": 27}
+        assert self.totals(calls) == {"build_stable": 4, "_component_one_cover": 4 + 6,
+                                      "build_component_one": 6}
         assert set(calls.values()) == {1}
 
     def test_nothing_cached_across_runs(self, calls):
         verify.run_verification(chi_max=30, k_max=6)
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 8, "build_component_one": 54}
+        assert self.totals(calls) == {"build_stable": 8, "_component_one_cover": 20,
+                                      "build_component_one": 12}
 
     def test_fault_does_not_outlive_its_run(self):
         clean = verify.run_verification(chi_max=30, k_max=6)
@@ -533,14 +582,15 @@ class TestSharedCertificates:
          lambda c: c._replace(recipe=c.recipe._replace(certificates=(
              c.recipe.certificates[0]._replace(witness_virtual_count=-1),))),
          "stable-ampleness-certificate", "witness count -1 instead of 2 at chi = 3"),
-        ("build_component_one",
+        ("_component_one_cover",
          lambda r: r._replace(certificates=(r.certificates[0]._replace(verdict="asserted"),)),
          "minimality-nef-witnesses", "nef verdict is asserted at chi = 4"),
     ], ids=["ampleness", "nef"])
     def test_check_reads_the_certificate_of_the_build(self, builder, tamper, check, detail,
                                                       monkeypatch):
         build = getattr(catalog, builder)
-        monkeypatch.setattr(catalog, builder, lambda chi: tamper(build(chi)))
+        monkeypatch.setattr(catalog, builder,
+                            lambda chi, *args, **kwargs: tamper(build(chi, *args, **kwargs)))
         outcome = verify.run_verification(chi_max=30, k_max=6)
         assert {c.name: c.detail for c in outcome.checks if not c.passed} == {check: detail}
 
@@ -557,19 +607,21 @@ class TestSharedCertificates:
         assert sorted(n for alpha in alphas for n in _members(alpha)) == list(range(3, 31))
 
     def test_nef_issued_only_for_the_chi_the_run_has_not_built(self, issued, monkeypatch):
-        build = catalog.build_component_one
+        build = catalog._component_one_cover
 
-        def broken(chi):
-            if chi == 5:
+        def broken(chi, *args, **kwargs):
+            if chi == 5:  # undecided, so raising too, on the class of chi = 5 + 3t
                 raise ValueError("no surface at chi = 5")
-            return build(chi)
+            return build(chi, *args, **kwargs)
 
-        monkeypatch.setattr(catalog, "build_component_one", broken)
+        monkeypatch.setattr(catalog, "_component_one_cover", broken)
         outcome = verify.run_verification(chi_max=30, k_max=6)
         assert "minimality-nef-witnesses" not in {c.name for c in outcome.checks if not c.passed}
-        # the invariant checks stop at chi = 5; the parity check built 7, 11, ..., 27
-        built = {4, 7, 11, 15, 19, 23, 27}
-        assert issued["nef_certificate"] == [chi for chi in range(4, 31) if chi not in built]
+        # the run holds the covers of the classes of 0 and 1 mod 3 and of chi = 4, and
+        # the invariant checks stop at chi = 5, so the class of 2 is the one not built
+        alphas = issued["nef_certificate"]
+        assert [verify._key(alpha) for alpha in alphas] == [(2, 3, 1, 9)]
+        assert _members(alphas[0]) == list(range(5, 30, 3))
 
 
 def _tuples_of_ints(value) -> bool:

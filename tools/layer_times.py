@@ -23,8 +23,10 @@ calls it (the registered check functions are wrapped for the duration of
 the call), together with the whole run, at each range of ``RANGES``.  From
 (24,4) on, each residue class of chi mod 3 holds more cases than the
 break-even of ``verify``'s stable checks, so each runs as one symbolic
-case, while up to (40,8) component I runs chi by chi; at (100,6) every
-residue class of chi mod 12 runs symbolically too.
+case, and from (36,7) on so does each class of component I's cover (two
+of the three at (24,4)); (6,2) and (16,4) run every chi as an int.  The
+parity check and the classification by chi run by class of chi mod 12
+from (100,6) on.
 Each pass makes ``RUNS_PER_PASS`` back-to-back runs of each package, and
 its figures are the means per run.
 
@@ -61,7 +63,10 @@ has no symbolic builds, one whose component-II builder refuses an
 ``records.Planar`` has no trapezoid, so those figures are left out.
 ``build_stable_mod3`` times ``build_stable`` once on the ``Affine`` of
 ``SYMBOLIC_STABLE_CLASS``, the residue class chi = 5 + 3t for t in
-[1, 160] that ``verify``'s stable checks build in place of 160 chi.
+[1, 160] that ``verify``'s stable checks build in place of 160 chi, and
+``component_one_cover_mod3`` times ``catalog._component_one_cover``, the
+claimless cover that ``verify``'s three cover checks build, on the same
+``Affine``; a base with no ``_component_one_cover`` leaves it out.
 
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
@@ -294,8 +299,8 @@ def builds(pkgs, repeat: int) -> dict:
     """Each builder of ``BUILDS`` at each of its arguments, the two builders on
     ``SYMBOLIC_CLASS``, the epsilon family on ``SYMBOLIC_EPSILON`` and on the trapezoid
     over ``SYMBOLIC_CLASS``, component II on ``SYMBOLIC_K_CLASS`` where every
-    package builds them, and the stable builder on ``SYMBOLIC_STABLE_CLASS``, in us
-    per call.
+    package builds them, and the stable builder and component I's cover, where every
+    package has one, on ``SYMBOLIC_STABLE_CLASS``, in us per call.
 
     A pass makes as many calls of each package as fill about ``BUILD_WINDOW_S``,
     at least 20.
@@ -314,6 +319,10 @@ def builds(pkgs, repeat: int) -> dict:
         figures["symbolic"]["build_stable_mod3"] = windowed(
             [lambda build=pkg.catalog.build_stable, affine=pkg.records.Affine:
              build(affine(*SYMBOLIC_STABLE_CLASS)) for pkg in pkgs], repeat, 20)
+        if all(hasattr(pkg.catalog, "_component_one_cover") for pkg in pkgs):
+            figures["symbolic"]["component_one_cover_mod3"] = windowed(
+                [lambda build=pkg.catalog._component_one_cover, affine=pkg.records.Affine:
+                 build(affine(*SYMBOLIC_STABLE_CLASS)) for pkg in pkgs], repeat, 20)
         chi, epsilon = SYMBOLIC_EPSILON
         figures["symbolic"]["epsilon_family"] = windowed(
             [lambda family=pkg.catalog.epsilon_family, affine=pkg.records.Affine:
