@@ -35,26 +35,35 @@ class SurfaceModel(CheckedRecord):
     def divisor(self, coeffs) -> "DivisorClass":
         """Build a class from its dense coefficient vector over the Picard basis."""
         coeffs = tuple(coeffs)
-        root, count = _levels(self)
-        split = root._rank
+        if type(self) is BlowUp:
+            root, count = self._levels
+            split = root._rank
+        else:  # a root surface: the head is the whole vector, and there are no runs
+            split, count = self._rank, 0
         if len(coeffs) != split + count:
             raise ValueError(f"expected {split + count} coefficients, got {len(coeffs)}")
-        for c in coeffs[:split]:
+        head = coeffs[:split] if count else coeffs
+        for c in head:
             if type(c) is not int and type(c) is not Affine:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
-        if not count:  # a root surface: the head is the whole vector
-            return DivisorClass._make(self, coeffs, ())
-        runs, last, length = [], coeffs[split], 0
-        for c in coeffs[split:]:  # one pass: check, then extend the last run or start one
-            if type(c) is not int:
-                raise ValueError(f"coefficients must be integers, got {c!r}")
-            if c == last:
-                length += 1
-            else:
-                runs.append((last, length))
-                last, length = c, 1
-        runs.append((last, length))
-        return DivisorClass._make(self, coeffs[:split], tuple(runs))
+        runs = ()
+        if count:
+            runs, last, length = [], coeffs[split], 0
+            for c in coeffs[split:]:  # one pass: check, then extend the last run or start one
+                if type(c) is not int:
+                    raise ValueError(f"coefficients must be integers, got {c!r}")
+                if c == last:
+                    length += 1
+                else:
+                    runs.append((last, length))
+                    last, length = c, 1
+            runs.append((last, length))
+            runs = tuple(runs)
+        d = _new(DivisorClass)
+        _set_surface(d, self)
+        _set_head(d, head)
+        _set_runs(d, runs)
+        return d
 
     def zero(self) -> "DivisorClass":
         root, count = _levels(self)
@@ -159,8 +168,8 @@ class DivisorClass:
         head, rank = tuple(head), picard_rank(root)
         if len(head) != rank:
             raise ValueError(f"expected {rank} root coefficients, got {len(head)}")
-        for c in head:
-            if type(c) is not int:
+        for c in head:  # as ``divisor`` tests them: an Affine entry is admitted, a run's is not
+            if type(c) is not int and type(c) is not Affine:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         checked, total = [], 0
         for run in runs:
@@ -279,11 +288,11 @@ class DivisorClass:
         """Intersection number of the two classes."""
         if type(other) is not DivisorClass or other.surface is not self.surface:
             self._require_same_surface(other)
-        # only a root surface's classes have no runs: they pair by the head alone
-        surface, u, v, runs = self.surface, self.head, other.head, self.runs
-        root = surface._levels[0] if runs else surface
-        head = u[0] * v[0] if root._rank == 1 else _hirzebruch_dot(root.e, u, v)
-        return head + _exceptional_dot(runs, other.runs) if runs else head
+        u, v, runs = self.head, other.head, self.runs
+        if not runs:  # only a root surface's classes have no runs: they pair by the head alone
+            return u[0] * v[0] if len(u) == 1 else _hirzebruch_dot(self.surface.e, u, v)
+        head = u[0] * v[0] if len(u) == 1 else _hirzebruch_dot(self.surface._levels[0].e, u, v)
+        return head + _exceptional_dot(runs, other.runs)
 
     def square(self) -> int:
         return self.dot(self)
@@ -418,7 +427,7 @@ def blow_up(surface: SurfaceModel, point_count: int, general_position: bool = Tr
 
 def pullback(surface: BlowUp, d: DivisorClass) -> DivisorClass:
     """Total transform of a base class: coefficients extended by zeros."""
-    if not isinstance(surface, BlowUp):
+    if type(surface) is not BlowUp and not isinstance(surface, BlowUp):
         raise ValueError("pullback target must be a blow-up")
     if type(d) is not DivisorClass or d.surface is not surface.base:
         # the slow side of the identical-surface test, as in DivisorClass arithmetic
@@ -500,7 +509,7 @@ def _plane_sections(d: int) -> int:
 def _hirzebruch_sections(e: int, a: int, b: int) -> int:
     if a < 0:
         return 0
-    return sum([max(0, b - i * e + 1) for i in range(a + 1)])
+    return sum([x for i in range(a + 1) if (x := b - i * e + 1) > 0])
 
 
 def format_class(d: DivisorClass) -> str:

@@ -4,16 +4,17 @@ import copy
 import pickle
 import re
 from bisect import bisect_right
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, product
 from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import lattice
+from horikawa import lattice, samples
 from horikawa.lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                               SurfaceMismatchError)
+from horikawa.records import Affine, Planar
 
 from oracles import (count_plane_monomials, count_scroll_monomials, gram_dot,
                      tower_section_count)
@@ -662,6 +663,18 @@ class TestFastPaths:
             assert twin == d and hash(twin) == hash(d)
             assert lattice._levels(twin.surface) == (Hirzebruch(1), 5)
 
+    @pytest.mark.parametrize("d", [
+        Hirzebruch(1).divisor((Affine(1, 3, 1, 5), 2)),
+        P2.divisor((Affine(-3, 1, 0, 9),)),
+        lattice.blow_up(Hirzebruch(0), 3).divisor((Affine(2, 2, 1, 6), 1, 0, -1, -1)),
+    ], ids=["ruled", "plane", "blow-up"])
+    def test_symbolic_class_copies_and_pickles(self, d):
+        # the checked constructor admits the Affine head that divisor admits; an Affine has
+        # no hash, so equality is the test
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(twin) is DivisorClass and twin == d
+            assert twin.surface == d.surface and twin.runs == d.runs
+
     def test_class_refuses_assignment(self):
         d = P2.divisor((2,))
         for name in DivisorClass._fields + ("not_a_field",):
@@ -811,3 +824,96 @@ def test_ample_leaves_blow_ups_undecided():
     blown = lattice.blow_up(P2, 1)
     assert lattice.ample(P2.divisor((3,)))
     assert not lattice.ample(blown.divisor((3, -1)))
+
+
+# -- the data that verify's lattice sample checks build and pair --------------
+
+def bilinearity_vectors():
+    """Each draw of the bilinearity sample: its surface and its three vectors."""
+    surfaces = samples.sample_surfaces()
+    draws = samples.bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
+    return [(surfaces[n % len(surfaces)], (u, v, w)) for n, (u, v, w, _m) in enumerate(draws)]
+
+
+def isometry_vectors():
+    """Each draw of the pullback sample: its ruled surface, its blow-up and its two vectors."""
+    ruled_surfaces = [Hirzebruch(e) for e in (0, 1, 2, 4)]
+    draws = samples.isometry_draws(tuple(map(lattice.picard_rank, ruled_surfaces)))
+    return [(ruled, lattice.blow_up(ruled, n), pair)
+            for ruled, per_count in zip(ruled_surfaces, draws)
+            for n, pairs in zip(samples.ISOMETRY_POINT_COUNTS, per_count) for pair in pairs]
+
+
+def checked_class(surface, coeffs):
+    """The class that the checked constructor builds from the split of ``coeffs``."""
+    split = lattice.picard_rank(_root(surface))
+    return DivisorClass(surface, coeffs[:split], runs_of(coeffs[split:]))
+
+
+class TestSampleData:
+    def test_bilinearity_classes_are_the_checked_ones(self):
+        cases = bilinearity_vectors()
+        assert len(cases) == 400
+        assert {type(surface) for surface, _vectors in cases} == {
+            ProjectivePlane, Hirzebruch, BlowUp}
+        for surface, vectors in cases:
+            classes = [surface.divisor(vector) for vector in vectors]
+            for d, vector in zip(classes, vectors):
+                assert d == checked_class(surface, vector) and d.coeffs == vector
+                assert d.runs == () or type(surface) is BlowUp
+            for (a, u), (b, v) in product(zip(classes, vectors), repeat=2):
+                assert a.dot(b) == gram_dot(surface, u, v)
+
+    def test_isometry_classes_are_the_checked_ones(self):
+        cases = isometry_vectors()
+        assert len(cases) == 4 * 3 * 30
+        for ruled, blown, (v1, v2) in cases:
+            d1, d2 = ruled.divisor(v1), ruled.divisor(v2)
+            for d, vector in ((d1, v1), (d2, v2)):
+                assert d == checked_class(ruled, vector) and d.coeffs == vector
+                zeros = (0,) * blown.point_count
+                assert lattice.pullback(blown, d) == blown.divisor(vector + zeros)
+            assert d1.dot(d2) == gram_dot(ruled, v1, v2)
+            p1, p2 = lattice.pullback(blown, d1), lattice.pullback(blown, d2)
+            assert p1.dot(p2) == gram_dot(blown, p1.coeffs, p2.coeffs) == d1.dot(d2)
+
+    @pytest.mark.parametrize("root, coeffs, message", [
+        (P2, (), "expected 1 coefficients, got 0"),
+        (P2, (1, 2), "expected 1 coefficients, got 2"),
+        (Hirzebruch(1), (1,), "expected 2 coefficients, got 1"),
+        (Hirzebruch(1), (True, 2.0, 1), "expected 2 coefficients, got 3"),
+        (P2, (True,), "coefficients must be integers, got True"),
+        (Hirzebruch(2), (1, False), "coefficients must be integers, got False"),
+        (P2, (2.0,), "coefficients must be integers, got 2.0"),
+        (Hirzebruch(0), (1.5, 2.0), "coefficients must be integers, got 1.5"),
+        (Hirzebruch(0), (1, "2"), "coefficients must be integers, got '2'"),
+    ], ids=["plane-short", "plane-long", "ruled-short", "length-before-entries",
+            "plane-bool", "ruled-bool", "plane-float", "ruled-float", "ruled-str"])
+    def test_root_refusals(self, root, coeffs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            root.divisor(coeffs)
+
+    @pytest.mark.parametrize("root, coeffs", [
+        (P2, (Affine(1, 3, 1, 5),)),
+        (Hirzebruch(1), (Affine(1, 3, 1, 5), 2)),
+        (Hirzebruch(Affine(2, 1, 0, 4)), (1, Affine(0, 2, 0, 4))),
+    ], ids=["plane", "ruled", "symbolic-ruled"])
+    def test_root_admits_an_affine_head(self, root, coeffs):
+        d = root.divisor(iter(coeffs))
+        assert d.surface is root and d.head == coeffs and d.runs == ()
+        assert DivisorClass(root, list(coeffs), []).head == coeffs
+
+    def test_root_refuses_a_planar_head(self):
+        entry = Planar(0, 0, 1, Affine(3, 1, 1, 4))
+        for build in (lambda: Hirzebruch(1).divisor((entry, 1)),
+                      lambda: DivisorClass(Hirzebruch(1), (entry, 1), ())):
+            with pytest.raises(ValueError, match="^coefficients must be integers, got "):
+                build()
+
+    def test_runs_stay_int_only(self):
+        blown = lattice.blow_up(P2, 2)
+        for runs in (((Affine(1, 3, 1, 5), 2),), ((1, Affine(1, 0, 1, 5)),)):
+            with pytest.raises(ValueError, match="^run entries must be integers, got "):
+                DivisorClass(blown, (1,), runs)
+        with pytest.raises(ValueError, match="^coefficients must be integers, got "):
+            blown.divisor((1, Affine(1, 3, 1, 5), 0))

@@ -30,11 +30,20 @@ from (100,6) on.
 Each pass makes ``RUNS_PER_PASS`` back-to-back runs of each package, and
 its figures are the means per run.
 
-``kernels_us`` times the lattice kernels in microseconds per call:
-``divisor``, ``dot``, ``+``, ``-`` and ``3 * a`` (``scale``) over the
-400 classes of the ``lattice-symmetry-bilinearity`` sample, and ``dot``,
-``+`` and a dense ``divisor`` at Picard rank 10^5 (the plane blown up at
-99,999 points) on classes of 1 and of 1,000 exceptional runs.
+``kernels_us`` times the lattice kernels in microseconds per call, on
+the data of each lattice sample check of ``verify`` and at rank 10^5.
+``bilinearity_sample`` times ``divisor``, ``dot``, ``+``, ``-`` and
+``3 * a`` (``scale``) over the 400 draws of the
+``lattice-symmetry-bilinearity`` sample, apart on the root surfaces
+(``root``: the plane and F_0, F_1, F_3, whose classes have no runs) and
+on the blow-ups (``blow_up``).  ``isometry_sample`` times ``pullback``
+and the ``dot`` of two pullbacks over the 360 pairs of the
+``lattice-pullback-isometry`` sample (``ISOMETRY_E``).  ``oracle_grid``
+times ``divisor`` and ``h0`` over the 334 classes of the
+``lattice-section-count-oracle`` grid (``ORACLE_GRID``).  ``rank_1e5``
+times ``dot``, ``+`` and a dense ``divisor`` at Picard rank 10^5 (the
+plane blown up at 99,999 points) on classes of 1 and of 1,000
+exceptional runs.
 
 ``builds_us`` times ``catalog.build_component_one``,
 ``catalog.build_stable``, ``catalog.build_component_two`` and
@@ -133,6 +142,11 @@ REPORTS = {
     "enumerate_chi_1_300": ("enumerate", "--chi", "1", "--chi-max", "300"),
     "verify_paper_30_6": ("verify-paper", "--chi-max", "30", "--k-max", "6"),
 }
+# the ruled surfaces of the pullback sample, and the oracle's classes: (e, coefficients) on
+# F_e, with e None on the plane
+ISOMETRY_E = (0, 1, 2, 4)
+ORACLE_GRID = tuple([(e, (a, b)) for e in range(5) for a in range(5) for b in range(13)] +
+                    [(None, (d,)) for d in range(9)])
 BIG_RANK = 10**5
 BIG_RUN_COUNTS = (1, 1000)
 BUILDS = {"build_component_one": ((150,), (15700,)), "build_stable": ((150,), (15700,)),
@@ -224,30 +238,75 @@ def per_check(pkgs, chi_max: int, k_max: int, repeat: int) -> dict:
         for name, per_package in spent.items()}}
 
 
-def sample_kernels(pkgs, repeat: int) -> dict:
-    """``divisor``, ``dot``, ``+``, ``-`` and ``3 * a`` over the bilinearity sample, in us."""
-    samples = []
-    for pkg in pkgs:
-        try:  # a checkout from before the samples left verify keeps them there
-            module = importlib.import_module(f"{pkg.verify.__package__}.samples")
-            surfaces, draw = module.sample_surfaces(), module.bilinearity_draws
-        except ModuleNotFoundError:
-            surfaces, draw = pkg.verify._sample_surfaces(), pkg.verify._bilinearity_draws
-        draws = draw(tuple(map(pkg.lattice.picard_rank, surfaces)))
-        vectors = [(surfaces[n % len(surfaces)], u, v) for n, (u, v, _w, _m) in enumerate(draws)]
-        samples.append((vectors, [(s.divisor(u), s.divisor(v)) for s, u, v in vectors]))
-    scale = 1e6 / len(draws)
+def sample_source(pkg):
+    """The module with ``pkg``'s seeded samples: ``samples``, or ``verify`` in a checkout
+    from before that module, under the names ``samples`` gives them."""
+    try:
+        return importlib.import_module(f"{pkg.verify.__package__}.samples")
+    except ModuleNotFoundError:
+        verify = pkg.verify
+        return types.SimpleNamespace(
+            sample_surfaces=verify._sample_surfaces, bilinearity_draws=verify._bilinearity_draws,
+            isometry_draws=verify._isometry_draws,
+            ISOMETRY_POINT_COUNTS=verify._ISOMETRY_POINT_COUNTS)
+
+
+def class_kernels(vectors, repeat: int) -> dict:
+    """``divisor``, ``dot``, ``+``, ``-`` and ``3 * a`` over each package's (surface, u, v)
+    list, in us per class."""
+    pairs = [[(s.divisor(u), s.divisor(v)) for s, u, v in vs] for vs in vectors]
+    scale = 1e6 / len(vectors[0])
     return {
-        "divisor": passes([lambda vs=vs: [s.divisor(u) for s, u, _v in vs] for vs, _p in samples],
+        "divisor": passes([lambda vs=vs: [s.divisor(u) for s, u, _v in vs] for vs in vectors],
                           repeat, 5, scale),
-        "dot": passes([lambda ps=ps: [a.dot(b) for a, b in ps] for _v, ps in samples],
+        "dot": passes([lambda ps=ps: [a.dot(b) for a, b in ps] for ps in pairs],
                       repeat, 5, scale),
-        "add": passes([lambda ps=ps: [a + b for a, b in ps] for _v, ps in samples],
+        "add": passes([lambda ps=ps: [a + b for a, b in ps] for ps in pairs],
                       repeat, 5, scale),
-        "sub": passes([lambda ps=ps: [a - b for a, b in ps] for _v, ps in samples],
+        "sub": passes([lambda ps=ps: [a - b for a, b in ps] for ps in pairs],
                       repeat, 5, scale),
-        "scale": passes([lambda ps=ps: [3 * a for a, _b in ps] for _v, ps in samples],
+        "scale": passes([lambda ps=ps: [3 * a for a, _b in ps] for ps in pairs],
                         repeat, 5, scale),
+    }
+
+
+def sample_kernels(pkgs, repeat: int) -> dict:
+    """The kernels of the three lattice sample checks on the data each check runs, in us."""
+    root, blown, isometry, grid = [], [], [], []
+    for pkg in pkgs:
+        lattice, source = pkg.lattice, sample_source(pkg)
+        surfaces = source.sample_surfaces()
+        draws = source.bilinearity_draws(tuple(map(lattice.picard_rank, surfaces)))
+        vectors = [(surfaces[n % len(surfaces)], u, v) for n, (u, v, _w, _m) in enumerate(draws)]
+        root.append([case for case in vectors if type(case[0]) is not lattice.BlowUp])
+        blown.append([case for case in vectors if type(case[0]) is lattice.BlowUp])
+        ruled_surfaces = [lattice.Hirzebruch(e) for e in ISOMETRY_E]
+        draws = source.isometry_draws(tuple(map(lattice.picard_rank, ruled_surfaces)))
+        isometry.append([(lattice.blow_up(ruled, n), ruled.divisor(v1), ruled.divisor(v2))
+                         for ruled, per_count in zip(ruled_surfaces, draws)
+                         for n, pairs in zip(source.ISOMETRY_POINT_COUNTS, per_count)
+                         for v1, v2 in pairs])
+        grid.append([(lattice.ProjectivePlane() if e is None else lattice.Hirzebruch(e))
+                     .divisor(coeffs) for e, coeffs in ORACLE_GRID])
+    pullbacks = [[(pkg.lattice.pullback(s, d1), pkg.lattice.pullback(s, d2))
+                  for s, d1, d2 in cases] for pkg, cases in zip(pkgs, isometry)]
+    per_pair, per_class = 1e6 / len(isometry[0]), 1e6 / len(grid[0])
+    return {
+        "bilinearity_sample": {"root": class_kernels(root, repeat),
+                               "blow_up": class_kernels(blown, repeat)},
+        "isometry_sample": {
+            "pullback": passes([lambda pull=pkg.lattice.pullback, cases=cases:
+                                [pull(s, d1) for s, d1, _d2 in cases]
+                                for pkg, cases in zip(pkgs, isometry)], repeat, 5, per_pair),
+            "dot": passes([lambda ps=ps: [p1.dot(p2) for p1, p2 in ps] for ps in pullbacks],
+                          repeat, 5, per_pair),
+        },
+        "oracle_grid": {
+            "divisor": passes([lambda ds=ds: [d.surface.divisor(d.head) for d in ds]
+                               for ds in grid], repeat, 5, per_class),
+            "h0": passes([lambda h0=pkg.lattice.h0, ds=ds: [h0(d) for d in ds]
+                          for pkg, ds in zip(pkgs, grid)], repeat, 5, per_class),
+        },
     }
 
 
@@ -480,8 +539,7 @@ def figures(pkgs, repeat: int) -> dict:
     """Every figure; each leaf lists, per package, the figure's value in every pass."""
     return {
         "per_check": {f"{chi},{k}": per_check(pkgs, chi, k, repeat) for chi, k in RANGES},
-        "kernels_us": {"bilinearity_sample": sample_kernels(pkgs, repeat),
-                       "rank_1e5": big_kernels(pkgs, repeat)},
+        "kernels_us": {**sample_kernels(pkgs, repeat), "rank_1e5": big_kernels(pkgs, repeat)},
         "builds_us": builds(pkgs, repeat),
         "records_us": records(pkgs, repeat),
         "report_us": report_layer(pkgs, repeat),
