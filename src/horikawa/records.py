@@ -120,12 +120,15 @@ class Affine:
     + and - with an int or an Affine on the same interval, int - Affine, *
     by an int, divmod, % and // by a positive int dividing b, and <, <=, >,
     >=, ==, != and a truth value that answer exactly when the answer is the
-    same for every t: == answers True where the two are equal at every t,
-    False where they are equal at none, as the difference keeps one sign or
-    has no integer zero in the interval.  Anything else raises TypeError:
-    text, hashing, int(), and a branch the interval does not decide.
-    ``Planar``, the form in two parameters, is its subclass, so a field
-    annotated ``int | Affine`` admits both.
+    same for every t.  Each comparison reads ``_bounds``: the least and the
+    greatest value of the difference d = c0 + c1*t of its two sides, taken
+    at the ends of the interval, and c0 mod c1.  == answers True where both
+    bounds are 0, and False where they have one sign or c1 does not divide
+    c0, as no integer t makes d 0.  Anything else raises TypeError: text,
+    hashing, int(), and a branch the interval does not decide.  ``Planar``,
+    the form in two parameters, is its subclass, so a field annotated
+    ``int | Affine`` admits both; it overrides only its arithmetic and
+    ``_bounds``.
     """
 
     __slots__ = ("a", "b", "lo", "hi")
@@ -140,13 +143,10 @@ class Affine:
         raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
 
     # Each result is made as DivisorClass._make makes a class, without __init__:
-    # object.__new__ and the four slots stored in place.  Nothing writes the slots
-    # after that, so x + 0, x - 0 and x * 1 are x itself.
+    # object.__new__ and the four slots stored in place.
 
     def __add__(self, other):
         if type(other) is int:
-            if not other:
-                return self
             a, b = self.a + other, self.b
         else:
             a, b = self._of(other)
@@ -159,8 +159,6 @@ class Affine:
 
     def __sub__(self, other):
         if type(other) is int:
-            if not other:
-                return self
             a, b = self.a - other, self.b
         else:
             a, b = self._of(other)
@@ -184,8 +182,6 @@ class Affine:
     def __mul__(self, other):
         if type(other) is not int:
             return NotImplemented
-        if other == 1:
-            return self
         result = _new(Affine)
         result.a, result.b, result.lo, result.hi = self.a * other, self.b * other, self.lo, self.hi
         return result
@@ -212,28 +208,37 @@ class Affine:
     def __str__(self):
         raise TypeError("an Affine has no text")
 
-    # A comparison takes the difference d(t) = self - other = c0 + c1*t at both
-    # ends of the interval.  d is linear in t, so a sign it has at both ends it
-    # has at every t between them; <= and >= are the negations of > and <.
-
-    def __lt__(self, other):
+    def _bounds(self, other) -> tuple[int, int, int]:
+        """The least and the greatest value of d = self - other = c0 + c1*t, at the
+        ends of the interval as d is linear, and c0 mod c1 (0 where c1 is 0)."""
         if type(other) is int:
             c0, c1 = self.a - other, self.b
         else:
             a, b = self._of(other)
             c0, c1 = self.a - a, self.b - b
-        if (answer := c0 + c1 * self.lo < 0) is (c0 + c1 * self.hi < 0):
-            return answer
+        low, high = c0 + c1 * self.lo, c0 + c1 * self.hi
+        if c1 < 0:
+            low, high = high, low
+        return low, high, c0 % (c1 or 1)
+
+    # A sign that d has at both bounds it has at every point between them, and
+    # a d that is 0 at both is 0 at every point; <= and >= are the negations of
+    # > and <.
+
+    def __lt__(self, other):
+        low, high, _residue = self._bounds(other)
+        if high < 0:
+            return True
+        if low >= 0:
+            return False
         raise TypeError(_UNDECIDED)
 
     def __gt__(self, other):
-        if type(other) is int:
-            c0, c1 = self.a - other, self.b
-        else:
-            a, b = self._of(other)
-            c0, c1 = self.a - a, self.b - b
-        if (answer := c0 + c1 * self.lo > 0) is (c0 + c1 * self.hi > 0):
-            return answer
+        low, high, _residue = self._bounds(other)
+        if low > 0:
+            return True
+        if high <= 0:
+            return False
         raise TypeError(_UNDECIDED)
 
     def __le__(self, other):
@@ -243,17 +248,11 @@ class Affine:
         return not self < other
 
     def __eq__(self, other):  # which makes __hash__ None; != is its negation
-        # equal where d is 0 at both ends, so at every t; unequal where d keeps one
-        # sign, or changes sign between two integers, as c1 does not divide c0
-        if type(other) is int:
-            c0, c1 = self.a - other, self.b
-        else:
-            a, b = self._of(other)
-            c0, c1 = self.a - a, self.b - b
-        low, high = c0 + c1 * self.lo, c0 + c1 * self.hi
+        # unequal also where d changes sign but a residue leaves no integer point at 0
+        low, high, residue = self._bounds(other)
         if not (low or high):
             return True
-        if low > 0 < high or low < 0 > high or c0 % c1:
+        if low > 0 or high < 0 or residue:
             return False
         raise TypeError(_UNDECIDED)
 
@@ -266,12 +265,14 @@ class Planar(Affine):
     runs the epsilon bound on it once per residue class of chi: chi = r +
     12t is an Affine, and epsilon = s runs below the top, cap = top - 1.
     It has what an Affine has, with an Affine on [lo, hi] as the value with
-    c = 0, so the two mix; divmod needs m to divide b and c.  The corners
-    (lo, 1), (hi, 1), (lo, cap(lo)) and (hi, cap(hi)) are integer points
-    of the trapezoid, and a linear form takes its extremes at them
-    (Schrijver 1986, section 8), so its signs there decide a comparison
-    exactly when every point gives one answer; == also answers False where
-    the difference changes sign but is 0 at no integer point.
+    c = 0, so the two mix; divmod needs m to divide b and c.  Its comparisons
+    are Affine's, on its own ``_bounds``: the corners (lo, 1), (hi, 1),
+    (lo, cap(lo)) and (hi, cap(hi)) are integer points of the trapezoid, and
+    a linear form takes its extremes at them (Schrijver 1986, section 8), so
+    its signs there decide a comparison exactly when every point gives one
+    answer.  == answers False also where gcd(c1, c2) does not divide c0, and
+    raises wherever else the corners differ in sign, which is sound, as
+    ``verify`` then runs the class case by case.
     """
 
     __slots__ = ("c", "cap")
@@ -296,7 +297,7 @@ class Planar(Affine):
 
     def __add__(self, other):
         if type(other) is int:
-            return self._made(self.a + other, self.b, self.c) if other else self
+            return self._made(self.a + other, self.b, self.c)
         a, b, c = self._of(other)
         return self._made(self.a + a, self.b + b, self.c + c)
 
@@ -317,7 +318,7 @@ class Planar(Affine):
     def __mul__(self, other):
         if type(other) is not int:
             return NotImplemented
-        return self if other == 1 else self._made(self.a * other, self.b * other, self.c * other)
+        return self._made(self.a * other, self.b * other, self.c * other)
 
     __rmul__ = __mul__
 
@@ -326,64 +327,18 @@ class Planar(Affine):
             return NotImplemented
         return self._made(self.a // other, self.b // other, self.c // other), self.a % other
 
-    def _corners(self, other) -> tuple:
-        """The difference d = self - other = c0 + c1*t + c2*s at the four corners, and d."""
+    def _bounds(self, other) -> tuple[int, int, int]:
+        """The least and the greatest value of d = self - other = c0 + c1*t + c2*s at
+        the four corners, and c0 mod gcd(c1, c2) (0 where both are 0)."""
         if type(other) is int:
-            d = self.a - other, self.b, self.c
+            c0, c1, c2 = self.a - other, self.b, self.c
         else:
             a, b, c = self._of(other)
-            d = self.a - a, self.b - b, self.c - c
-        c0, c1, c2 = d
+            c0, c1, c2 = self.a - a, self.b - b, self.c - c
         low, high, cap = c0 + c1 * self.lo, c0 + c1 * self.hi, self.cap
-        return (low + c2, high + c2, low + c2 * (cap.a + cap.b * self.lo),
-                high + c2 * (cap.a + cap.b * self.hi)), d
-
-    def __lt__(self, other):
-        corners = self._corners(other)[0]
-        if max(corners) < 0:
-            return True
-        if min(corners) >= 0:
-            return False
-        raise TypeError(_UNDECIDED)
-
-    def __gt__(self, other):
-        corners = self._corners(other)[0]
-        if min(corners) > 0:
-            return True
-        if max(corners) <= 0:
-            return False
-        raise TypeError(_UNDECIDED)
-
-    def __eq__(self, other):
-        # a corner is an integer point, so a 0 at one corner and not at all leaves == open
-        corners, d = self._corners(other)
-        if not any(corners):
-            return True
-        if min(corners) > 0 or max(corners) < 0 or 0 not in corners and not self._meets(*d):
-            return False
-        raise TypeError(_UNDECIDED)
-
-    def _meets(self, c0: int, c1: int, c2: int) -> bool:
-        """Whether c0 + c1*t + c2*s, which changes sign between two corners and
-        is 0 at none, is 0 at an integer point of the trapezoid."""
-        if not c2:  # its zero t = -c0/c1 lies strictly between lo and hi
-            return c0 % c1 == 0
-        if c2 < 0:
-            c0, c1, c2 = -c0, -c1, -c2
-        g = math.gcd(c1, c2)
-        if c0 % g:
-            return False
-        lo, hi, cap = self.lo, self.hi, self.cap
-        # the zero's s = -(c0 + c1*t)/c2 lies in [1, cap(t)]: p*t <= q for each (p, q),
-        # where p = 0 leaves t free, as the sign change between corners makes q > 0
-        for p, q in ((c1, -c0 - c2), (-c1 - c2 * cap.b, c0 + c2 * cap.a)):
-            if p > 0:
-                hi = min(hi, q // p)
-            elif p < 0:
-                lo = max(lo, -(q // -p))
-        # and is an integer, for the t of one class mod c2/g: the first such t from lo
-        step = c2 // g
-        return lo + ((-c0 // g) * pow(c1 // g, -1, step) - lo) % step <= hi
+        corners = (low + c2, high + c2, low + c2 * (cap.a + cap.b * self.lo),
+                   high + c2 * (cap.a + cap.b * self.hi))
+        return min(corners), max(corners), c0 % (math.gcd(c1, c2) or 1)
 
 
 def _values(x: Affine) -> tuple[int, int, int, int]:

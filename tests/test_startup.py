@@ -12,7 +12,8 @@ the writers and readers are generated when a JSON report is first written.  Ever
 is a ``typing.NamedTuple``, except the divisor class, a slotted class that
 equals no tuple, and every record refuses a value off its annotation
 where it is built; the codec plan of every record class a payload reaches
-is pinned in ``tests/golden/codec_plans.json``.
+is pinned in ``tests/golden/codec_plans.json``.  Each package module stays
+below 4,096 tokens, the step past which its import-time compile peak rises.
 """
 
 import functools
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -122,6 +124,16 @@ def test_run_verification_is_served_by_the_package():
     assert "run_verification" in horikawa.__all__
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         horikawa.not_a_name  # noqa: B018
+
+
+@pytest.mark.parametrize("path", sorted(Path(horikawa.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_stays_below_the_compile_peak_step(path):
+    # compiling a module of 4,096 tokens or more raises the import-time peak by about 0.25 MB
+    with path.open("rb") as source:
+        tokens = [token for token in tokenize.tokenize(source.readline)
+                  if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
+    assert len(tokens) < 4096
 
 
 def test_help_states_the_verify_range_cap():

@@ -77,6 +77,15 @@ has no symbolic builds, one whose component-II builder refuses an
 claimless cover that ``verify``'s three cover checks build, on the same
 ``Affine``; a base with no ``_component_one_cover`` leaves it out.
 
+``symbolic_us`` times ``<``, ``==`` and ``+`` of ``records`` values in
+microseconds per call, each made as one ``operator`` call: under
+``affine``, chi = ``Affine(*SYMBOLIC_CLASS)`` against 2 * chi + 2, and
+under ``planar``, 3 * epsilon against 2 * chi + 2 on the ``Planar``
+epsilon of ``epsilon_family_trapezoid``, the shape of the comparisons
+that the ``stable-epsilon-bound`` pass makes; each comparison is
+decided, as False.  Each pass fills about ``BUILD_WINDOW_S``; a base
+with no ``records.Affine`` or no ``records.Planar`` leaves that kind out.
+
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
 values of the first instance of the class found in a ``build_stable``
@@ -121,6 +130,7 @@ import importlib
 import importlib.util
 import io
 import json
+import operator
 import os
 import platform
 import random
@@ -405,6 +415,22 @@ def builds(pkgs, repeat: int) -> dict:
     return figures
 
 
+def symbolic(pkgs, repeat: int) -> dict:
+    """``<``, ``==`` and ``+`` on an Affine and on a Planar of the epsilon pass's shape,
+    each where every package has it, in us per call."""
+    operands = {"affine": [], "planar": []}
+    for records in (pkg.records for pkg in pkgs if hasattr(pkg.records, "Affine")):
+        chi = records.Affine(*SYMBOLIC_CLASS)
+        operands["affine"].append((chi, 2 * chi + 2))
+        if hasattr(records, "Planar"):
+            epsilon = records.Planar(0, 0, 1, (2 * chi + 2) // 3 - 1)
+            operands["planar"].append((3 * epsilon, 2 * chi + 2))
+    ops = {"lt": operator.lt, "eq": operator.eq, "add": operator.add}
+    return {kind: {name: windowed([functools.partial(op, x, y) for x, y in pairs], repeat, 100)
+                   for name, op in ops.items()}
+            for kind, pairs in operands.items() if len(pairs) == len(pkgs)}
+
+
 def record_samples(pkg) -> dict:
     """The first instance of each record class that a ``RECORD_BUILDS`` build reaches, by name."""
     found = {}
@@ -541,6 +567,7 @@ def figures(pkgs, repeat: int) -> dict:
         "per_check": {f"{chi},{k}": per_check(pkgs, chi, k, repeat) for chi, k in RANGES},
         "kernels_us": {**sample_kernels(pkgs, repeat), "rank_1e5": big_kernels(pkgs, repeat)},
         "builds_us": builds(pkgs, repeat),
+        "symbolic_us": symbolic(pkgs, repeat),
         "records_us": records(pkgs, repeat),
         "report_us": report_layer(pkgs, repeat),
         "cli_us": cli_calls(pkgs, repeat),
