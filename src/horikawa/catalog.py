@@ -250,24 +250,22 @@ def build_component_one(chi: int, general_position: bool = True) -> Construction
     produces a minimal surface with the requested invariants.
     """
     lattice.require_int("chi", chi)  # before the claim's arithmetic reads chi
-    claim, notes = UNLABELED, ()
+    return _component_one_cover(chi, general_position, *_component_one_claim(chi))
+
+
+def _component_one_claim(chi: int | Affine) -> tuple[str, tuple[str, ...]]:
+    """Component I's claim at chi and its notes: I where 8 divides 2chi - 6, else unlabeled."""
     if component_count(2 * chi - 6) == 2:
-        claim = COMPONENT_I
-        if chi == 7:
-            notes = (NOTE_K1_INVOLUTION,)
-    return _component_one_cover(chi, general_position, claim, notes,
-                                fiber_component_self_intersections=(-3, -3))
+        return COMPONENT_I, (NOTE_K1_INVOLUTION,) if chi == 7 else ()
+    return UNLABELED, ()
 
 
 def _component_one_cover(chi: int, general_position: bool = True, claim: str = UNLABELED,
-                         notes: tuple[str, ...] = (), **fields) -> ConstructionRecipe:
-    """``build_component_one``'s cover, with ``claim``, ``notes`` after the cover's own
-    and ``fields`` passed to its one recipe.
-
-    The cover reads chi only through ``pick_parameters``' (1 - chi) % 3; the claim
-    reads K^2 = 2chi - 6 mod 8.  Kept out of here, it leaves ``verify`` free to build
-    the cover once per class of chi mod 3, where the claim would need mod 12.
-    """
+                         notes: tuple[str, ...] = ()) -> ConstructionRecipe:
+    """``build_component_one``'s cover, its fiber data included, with ``claim`` and
+    ``notes`` after the cover's own.  It reads chi only through ``pick_parameters``'
+    (1 - chi) % 3, and ``_component_one_claim`` reads 2chi - 6 mod 8: kept apart, they
+    let ``verify`` build the cover once per class of chi mod 3, not of chi mod 12."""
     lattice.require_int("chi", chi)
     if chi < 4:
         raise ValueError("the general type line K^2 = 2*chi - 6 needs chi >= 4")
@@ -285,8 +283,8 @@ def _component_one_cover(chi: int, general_position: bool = True, claim: str = U
         report=report,
         component_claim=claim,
         certificates=(nef,),
+        fiber_component_self_intersections=(-3, -3),
         notes=(NOTE_FIBER_DECOMPOSITION, NOTE_UNIQUE_FIBRATION, NOTE_ORDER3_SYMMETRY, *notes),
-        **fields,
     )
 
 

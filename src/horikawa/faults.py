@@ -113,7 +113,7 @@ REGISTRY: dict[str, Fault] = {
         "catalog.epsilon_family", "2 * chi - 6, 3 * epsilon", "2 * chi - 6, 6 * epsilon"),
     "fiber-data-evened": Fault(
         "first-line recipes record (-2, -2) fiber components",
-        "catalog.build_component_one",
+        "catalog._component_one_cover",
         "fiber_component_self_intersections=(-3, -3)",
         "fiber_component_self_intersections=(-2, -2)"),
 }

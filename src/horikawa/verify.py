@@ -330,12 +330,12 @@ def _check_parity_discriminator(chi_max, k_max, builds):
             "even data must be inconclusive")
     _expect(catalog.parity_discriminator([]) == catalog.PARITY_INCONCLUSIVE,
             "vacuous data must be inconclusive")
-    # chi = 7 is always tested, so the check has a case below chi_max = 7; the claim
-    # is the public builder's, so the check reads it, not the shared cover
+    # chi = 7 is always tested, so the check has a case below chi_max = 7; the fibers
+    # are the run's shared cover's, the claim the public builder's rule for it
     def case(chi):
-        recipe = catalog.build_component_one(chi)
-        verdict = catalog.parity_discriminator(recipe.fiber_component_self_intersections)
-        _expect(verdict == catalog.COMPONENT_I == recipe.component_claim,
+        fibers = builds.component_one(chi).fiber_component_self_intersections
+        verdict = catalog.parity_discriminator(fibers)
+        _expect(verdict == catalog.COMPONENT_I == catalog._component_one_claim(chi)[0],
                 "fiber parity does not certify the first component at chi = {}", chi)
 
     _each(case, range(7, max(chi_max, 7) + 1, 4))
@@ -490,16 +490,16 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
     duration of the run.  The parity check, which reads component I's
-    claim, and the classification by chi run each residue class of chi
-    mod 12 that holds more than 3 cases once, on an ``Affine`` chi; the
-    three checks that read component I's cover do so for each class of
-    chi mod 3, from chi = 5, that holds more than 6, and the five stable
-    checks for each class of chi mod 3, from chi = 4, that holds more
-    than 6 (the epsilon bound's epsilon below the top as one ``Planar``);
-    the component-II checks and the classification by k for each class
-    of k mod 3 that holds more than 3, on an ``Affine`` k.  The rest run
-    case by case (see ``_each``); the outcome is the one a run of every
-    case would give.
+    claim and the run's covers, and the classification by chi run each
+    class of chi mod 12 that holds more than 3 cases once, on an
+    ``Affine`` chi; the three other checks that read the covers do so
+    for each class of chi mod 3, from chi = 5, that holds more than 6,
+    and the five stable checks for each class of chi mod 3, from chi = 4,
+    that holds more than 6 (the epsilon bound's epsilon below the top as
+    one ``Planar``); the component-II checks and the classification by k
+    for each class of k mod 3 that holds more than 3, on an ``Affine`` k.
+    The rest run case by case (see ``_each``); the outcome is the one a
+    run of every case would give.
     """
     for name, value in (("chi_max", chi_max), ("k_max", k_max)):
         if type(value) is not int:  # no Affine: a range is never symbolic
@@ -523,9 +523,9 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
 def _run_checks(chi_max: int, k_max: int) -> tuple[CheckResult, ...]:
     # One build of component I's cover or of the stable surface per chi, of component II
-    # per k, or per residue class of either, per run; the parity check makes its own
-    # public component-I builds.  The builders are read here, inside any injected fault,
-    # and the memo dies with the run.  A build that raises is not kept, so each check
+    # per k, or per residue class of either, per run, the parity check's classes of chi
+    # mod 12 included.  The builders are read here, inside any injected fault, and the
+    # memo dies with the run.  A build that raises is not kept, so each check
     # that asks for it reports its own error.
     # The two certificate checks only look: where the run holds the build
     # of a chi, they read the certificate it issued from the same (e, alpha,

@@ -161,12 +161,15 @@ class TestComponentOne:
         assert recipe.fiber_component_self_intersections == (-3, -3)
 
     def test_the_public_build_is_the_cover_and_its_claim(self):
+        # the cover carries the fiber data itself; only the claim and its notes are added
         for chi in range(4, 61):
             public, cover = build_component_one(chi), catalog._component_one_cover(chi)
             assert (cover.component_claim, cover.fiber_component_self_intersections) == (
-                "unlabeled", None)
-            assert public._replace(component_claim=cover.component_claim, notes=cover.notes,
-                                   fiber_component_self_intersections=None) == cover
+                "unlabeled", (-3, -3))
+            assert public == catalog._component_one_cover(
+                chi, True, *catalog._component_one_claim(chi))
+            assert public._replace(component_claim=cover.component_claim,
+                                   notes=cover.notes) == cover
             assert public.notes == cover.notes + (
                 (catalog.NOTE_K1_INVOLUTION,) if chi == 7 else ())
 
@@ -585,6 +588,13 @@ class TestSymbolicBuilds:
         symbolic = build(Affine(residue, 12, 1, 4))
         for t in range(1, 5):
             assert _at(symbolic, t) == build(residue + 12 * t)
+
+    @pytest.mark.parametrize("residue", [3, 7, 11])
+    def test_a_class_of_chi_mod_12_has_the_claim_at_every_t(self, residue):
+        # the classes verify's parity check passes the claim rule: chi = 7 + 4s from 12
+        symbolic = catalog._component_one_claim(Affine(residue, 12, 1, 8))
+        for t in range(1, 9):
+            assert _at(symbolic, t) == catalog._component_one_claim(residue + 12 * t)
 
     @pytest.mark.parametrize("residue", range(3))
     def test_a_class_of_chi_mod_3_builds_the_stable_line_at_every_t(self, residue):

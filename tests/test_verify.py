@@ -355,55 +355,54 @@ class TestSymbolicClasses:
     COVER_CLASSES = [(0, 3, 2, 33), (1, 3, 2, 33), (2, 3, 1, 32)]  # chi = 6, 7, 5 to CHI_MAX
 
     def test_each_class_is_built_once_on_an_affine(self, calls):
-        # the parity check's chi = 7 + 4s, by class of chi mod 12 from chi = 12, are
-        # the only public component-I builds, and each makes one cover of its own
+        # the parity check's chi = 7 + 4s, by class of chi mod 12 from chi = 12, ask the
+        # run's covers for their classes; no public component-I build is made
         assert verify.run_verification(self.CHI_MAX, 6).passed
         parity = [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in (3, 7, 11)] + [7, 11]
         assert sorted(calls, key=repr) == sorted(
-            [("build_component_one", key) for key in parity]
-            + [("_component_one_cover", key) for key in (*self.COVER_CLASSES, 4, *parity)]
+            [("_component_one_cover", key) for key in (*self.COVER_CLASSES, 4, *parity)]
             + [("build_stable", key) for key in (*self.STABLE_CLASSES, 3)]
             + [("build_component_two", k) for k in range(1, 7)], key=repr)
 
-    @pytest.mark.parametrize("chi_max, classes", [
-        (22, []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
-        (23, [(2, 3, 1, 7)]),
-        (24, [(0, 3, 2, 8), (2, 3, 1, 7)]),
-        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)]),
-        (CHI_MAX, COVER_CLASSES),
+    @pytest.mark.parametrize("chi_max, classes, parity", [
+        (22, [], []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
+        (23, [(2, 3, 1, 7)], [11, 23]),
+        (24, [(0, 3, 2, 8), (2, 3, 1, 7)], [11, 15, 23]),
+        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)], [7, 11, 15, 19, 23]),
+        (CHI_MAX, COVER_CLASSES, [(3, 12, 1, 8), (7, 12, 1, 7), (11, 12, 1, 7), 7, 11]),
     ])
     def test_component_one_cover_is_built_by_class_of_chi_mod_3(self, chi_max, classes,
-                                                                 monkeypatch):
+                                                                 parity, monkeypatch):
         # the cover reads chi mod 3 only; chi = 4, where the tricanonical identity's
         # fiber multiple chi - 4 is 0 on the class of 1, is an int, so that class
-        # starts at chi = 7
+        # starts at chi = 7.  The parity check, which runs after the three cover
+        # checks, then asks the run for its chi = 7 + 4s, and only the ones the run
+        # does not hold, as an int or by class of chi mod 12, are built
         built, build = [], catalog._component_one_cover
 
         def recorded(chi, *args, **kwargs):
-            if not (args or kwargs):  # as the checks' memo calls it, not build_component_one
-                built.append(chi)
+            built.append(chi)
             return build(chi, *args, **kwargs)
 
         monkeypatch.setattr(catalog, "_component_one_cover", recorded)
         assert verify.run_verification(chi_max, 6).passed
-        assert [verify._key(chi) for chi in built[:len(classes)]] == classes
-        concrete = built[len(classes):]
+        covers = built[:len(built) - len(parity)]
+        assert [verify._key(chi) for chi in built[len(covers):]] == parity
+        assert [verify._key(chi) for chi in covers[:len(classes)]] == classes
+        concrete = covers[len(classes):]
         assert all(type(chi) is int for chi in concrete) and concrete == sorted(concrete)
-        assert sorted(n for chi in built for n in _members(chi)) == list(range(4, chi_max + 1))
+        assert sorted(n for chi in covers for n in _members(chi)) == list(range(4, chi_max + 1))
         if chi_max >= 25:
             assert concrete == [4]
 
     @pytest.mark.parametrize("chi_max", [30, CHI_MAX])
-    def test_the_public_builder_runs_only_the_parity_cases(self, chi_max, monkeypatch):
-        built, build = [], catalog.build_component_one
+    def test_the_public_builder_is_never_called(self, chi_max, monkeypatch):
+        # every check reads component I's cover from the run's builds
+        def refused(*args, **kwargs):
+            raise AssertionError("verify called build_component_one")
 
-        def recorded(chi):
-            built.append(chi)
-            return build(chi)
-
-        monkeypatch.setattr(catalog, "build_component_one", recorded)
+        monkeypatch.setattr(catalog, "build_component_one", refused)
         assert verify.run_verification(chi_max, 6).passed
-        assert sorted(n for chi in built for n in _members(chi)) == list(range(7, chi_max + 1, 4))
 
     @pytest.mark.parametrize("chi_max, classes", [
         (21, []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
@@ -487,18 +486,27 @@ class TestSharedBuilds:
 
     def test_one_build_per_chi(self, calls):
         # the stable line as three classes of chi mod 3 and chi = 3, component I's cover
-        # as three classes of chi mod 3 and chi = 4, and the parity check's public
-        # builds chi by chi, at chi = 7, 11, ..., 27, each with a cover of its own
+        # as three classes of chi mod 3 and chi = 4, and, for the parity check, at
+        # chi = 7, 11, ..., 27 as ints, which those classes hold only symbolically
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 4, "_component_one_cover": 4 + 6,
-                                      "build_component_one": 6}
+        assert self.totals(calls) == {"build_stable": 4, "_component_one_cover": 4 + 6}
         assert set(calls.values()) == {1}
 
     def test_nothing_cached_across_runs(self, calls):
         verify.run_verification(chi_max=30, k_max=6)
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 8, "_component_one_cover": 20,
-                                      "build_component_one": 12}
+        assert self.totals(calls) == {"build_stable": 8, "_component_one_cover": 20}
+
+    @pytest.mark.parametrize("chi_max, k_max", [(6, 2), (12, 3), (16, 4), (20, 5), (22, 4)])
+    def test_the_parity_check_shares_the_covers(self, calls, chi_max, k_max):
+        # up to chi_max = 22 every chi is an int, and the parity check's chi = 7, 11,
+        # 15, 19 are the cover checks' own builds; below chi_max = 7 its chi = 7 is the
+        # one cover it adds
+        assert verify.run_verification(chi_max, k_max).passed
+        assert sorted(chi for name, chi in calls if name == "_component_one_cover") == list(
+            range(4, max(chi_max, 7) + 1))
+        assert {name for name, _chi in calls} == {"_component_one_cover", "build_stable"}
+        assert set(calls.values()) == {1}
 
     def test_fault_does_not_outlive_its_run(self):
         clean = verify.run_verification(chi_max=30, k_max=6)
