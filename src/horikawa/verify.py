@@ -29,7 +29,8 @@ def _key(n):
 
 class _Memo(dict):
     """One builder's builds in one run, by chi or k, an Affine one by ``_key``:
-    ``memo(chi)`` builds on a miss, ``memo.get(chi)`` only looks, and a build
+    ``memo(chi)`` builds on a miss, ``memo.get(chi)`` only looks,
+    ``memo.holding(chi)`` also takes a held class that holds chi, and a build
     that raises is not kept."""
 
     __slots__ = ("build",)
@@ -47,10 +48,29 @@ class _Memo(dict):
     def get(self, chi):
         return dict.get(self, _key(chi))
 
+    def holding(self, chi):
+        """The build held under chi's key, else a held class Affine(a, b, lo, hi)
+        holding every member of chi: b divides chi's step, and chi's residue and both
+        ends fall in the class.  Only where none is held does it build chi's own.  A
+        field that a class build leaves free of Affine is that field at each member."""
+        key = _key(chi)
+        if key not in self:
+            first, last, step = (chi, chi, 0) if type(chi) is int else (
+                chi.a + chi.b * chi.lo, chi.a + chi.b * chi.hi, chi.b)
+            for held in self:
+                if type(held) is tuple:
+                    a, b, lo, hi = held
+                    if step % b == (first - a) % b == 0 and all(
+                            a + b * lo <= end <= a + b * hi for end in (first, last)):
+                        return self[held]
+        return self[key]
+
 
 class _Builds(NamedTuple):
     """The builds the checks share within one run: of component I's cover (its claim
-    left out) and of the stable surfaces by chi, of component II by k."""
+    left out) and of the stable surfaces by chi, of component II by k.  The parity
+    check reads the covers through ``holding``, so a class of chi mod 3 serves its
+    chi and its classes of chi mod 12."""
 
     component_one: _Memo
     stable: _Memo
@@ -330,11 +350,15 @@ def _check_parity_discriminator(chi_max, k_max, builds):
             "even data must be inconclusive")
     _expect(catalog.parity_discriminator([]) == catalog.PARITY_INCONCLUSIVE,
             "vacuous data must be inconclusive")
-    # chi = 7 is always tested, so the check has a case below chi_max = 7; the fibers
-    # are the run's shared cover's, the claim the public builder's rule for it
+    # chi = 7 is always tested, so the check has a case below chi_max = 7.  The fibers
+    # are read from the run's cover that holds chi, a class of chi mod 3 if the run
+    # built one, and from chi's own cover unless they are ints only; the claim is the
+    # public builder's rule for chi
     def case(chi):
-        fibers = builds.component_one(chi).fiber_component_self_intersections
-        verdict = catalog.parity_discriminator(fibers)
+        recipe = builds.component_one.holding(chi)
+        if any(type(value) is not int for value in recipe.fiber_component_self_intersections):
+            recipe = builds.component_one(chi)
+        verdict = catalog.parity_discriminator(recipe.fiber_component_self_intersections)
         _expect(verdict == catalog.COMPONENT_I == catalog._component_one_claim(chi)[0],
                 "fiber parity does not certify the first component at chi = {}", chi)
 
@@ -490,9 +514,11 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
     duration of the run.  The parity check, which reads component I's
-    claim and the run's covers, and the classification by chi run each
-    class of chi mod 12 that holds more than 3 cases once, on an
-    ``Affine`` chi; the three other checks that read the covers do so
+    claim, and the classification by chi run each class of chi mod 12
+    that holds more than 3 cases once, on an ``Affine`` chi, and the
+    parity check reads each case's fibers from the run's cover of chi or
+    of a class of chi mod 3 that holds it, so from chi_max = 7 it builds
+    no cover of its own; the three other checks that read the covers do so
     for each class of chi mod 3, from chi = 5, that holds more than 6,
     and the five stable checks for each class of chi mod 3, from chi = 4,
     that holds more than 6 (the epsilon bound's epsilon below the top as
@@ -523,8 +549,9 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
 
 def _run_checks(chi_max: int, k_max: int) -> tuple[CheckResult, ...]:
     # One build of component I's cover or of the stable surface per chi, of component II
-    # per k, or per residue class of either, per run, the parity check's classes of chi
-    # mod 12 included.  The builders are read here, inside any injected fault, and the
+    # per k, or per residue class of either, per run; the parity check reads the covers
+    # of the cover checks, and builds only a chi or class that none of them holds (at
+    # chi_max = 6, chi = 7).  The builders are read here, inside any injected fault, and the
     # memo dies with the run.  A build that raises is not kept, so each check
     # that asks for it reports its own error.
     # The two certificate checks only look: where the run holds the build

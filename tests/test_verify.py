@@ -7,6 +7,7 @@ import inspect
 import json
 import random
 import re
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -355,29 +356,29 @@ class TestSymbolicClasses:
     COVER_CLASSES = [(0, 3, 2, 33), (1, 3, 2, 33), (2, 3, 1, 32)]  # chi = 6, 7, 5 to CHI_MAX
 
     def test_each_class_is_built_once_on_an_affine(self, calls):
-        # the parity check's chi = 7 + 4s, by class of chi mod 12 from chi = 12, ask the
-        # run's covers for their classes; no public component-I build is made
+        # the parity check's chi = 7 + 4s, by class of chi mod 12 from chi = 12 and 7
+        # and 11 as ints, are read from the run's classes of chi mod 3, so it builds
+        # nothing; no public component-I build is made
         assert verify.run_verification(self.CHI_MAX, 6).passed
-        parity = [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in (3, 7, 11)] + [7, 11]
         assert sorted(calls, key=repr) == sorted(
-            [("_component_one_cover", key) for key in (*self.COVER_CLASSES, 4, *parity)]
+            [("_component_one_cover", key) for key in (*self.COVER_CLASSES, 4)]
             + [("build_stable", key) for key in (*self.STABLE_CLASSES, 3)]
             + [("build_component_two", k) for k in range(1, 7)], key=repr)
 
     @pytest.mark.parametrize("chi_max, classes, parity", [
         (22, [], []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
-        (23, [(2, 3, 1, 7)], [11, 23]),
-        (24, [(0, 3, 2, 8), (2, 3, 1, 7)], [11, 15, 23]),
-        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)], [7, 11, 15, 19, 23]),
-        (CHI_MAX, COVER_CLASSES, [(3, 12, 1, 8), (7, 12, 1, 7), (11, 12, 1, 7), 7, 11]),
+        (23, [(2, 3, 1, 7)], []),
+        (24, [(0, 3, 2, 8), (2, 3, 1, 7)], []),
+        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)], []),
+        (CHI_MAX, COVER_CLASSES, []),
     ])
     def test_component_one_cover_is_built_by_class_of_chi_mod_3(self, chi_max, classes,
                                                                  parity, monkeypatch):
         # the cover reads chi mod 3 only; chi = 4, where the tricanonical identity's
         # fiber multiple chi - 4 is 0 on the class of 1, is an int, so that class
         # starts at chi = 7.  The parity check, which runs after the three cover
-        # checks, then asks the run for its chi = 7 + 4s, and only the ones the run
-        # does not hold, as an int or by class of chi mod 12, are built
+        # checks, then reads its chi = 7 + 4s from the int or the class of chi mod 3
+        # that the run holds, so from chi_max = 7 it builds none
         built, build = [], catalog._component_one_cover
 
         def recorded(chi, *args, **kwargs):
@@ -486,16 +487,16 @@ class TestSharedBuilds:
 
     def test_one_build_per_chi(self, calls):
         # the stable line as three classes of chi mod 3 and chi = 3, component I's cover
-        # as three classes of chi mod 3 and chi = 4, and, for the parity check, at
-        # chi = 7, 11, ..., 27 as ints, which those classes hold only symbolically
+        # as three classes of chi mod 3 and chi = 4, from which the parity check reads
+        # its chi = 7, 11, ..., 27
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 4, "_component_one_cover": 4 + 6}
+        assert self.totals(calls) == {"build_stable": 4, "_component_one_cover": 4}
         assert set(calls.values()) == {1}
 
     def test_nothing_cached_across_runs(self, calls):
         verify.run_verification(chi_max=30, k_max=6)
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 8, "_component_one_cover": 20}
+        assert self.totals(calls) == {"build_stable": 8, "_component_one_cover": 8}
 
     @pytest.mark.parametrize("chi_max, k_max", [(6, 2), (12, 3), (16, 4), (20, 5), (22, 4)])
     def test_the_parity_check_shares_the_covers(self, calls, chi_max, k_max):
@@ -566,6 +567,104 @@ class TestSharedBuilds:
             ("component-two-invariants", "classification-components"),
             "pipeline error: ValueError: no cover at k = 3")
         assert k_calls == {1: 1, 2: 1, 3: 2}
+
+
+def _key_id(chi) -> str:
+    return str(verify._key(chi))
+
+
+class TestHolding:
+    CLASS = (1, 3, 2, 13)  # chi = 7, 10, ..., 40
+
+    @pytest.fixture
+    def memo(self):
+        """A memo holding the class of 1 mod 3 from 7 to 40, whose builder records each key."""
+        built = []
+
+        def build(chi):
+            built.append(verify._key(chi))
+            return ("build of", verify._key(chi))
+
+        memo = verify._Memo(build)
+        memo(Affine(*self.CLASS))
+        built.clear()
+        return memo, built
+
+    @pytest.mark.parametrize("chi", [7, 19, 40, Affine(7, 12, 0, 2), Affine(19, 12, 0, 1),
+                                     Affine(1, 6, 1, 6), Affine(*CLASS)],
+                             ids=_key_id)
+    def test_a_chi_inside_a_held_class_is_served_with_no_build(self, memo, chi):
+        memo, built = memo
+        assert memo.holding(chi) == ("build of", self.CLASS)
+        assert built == []
+
+    @pytest.mark.parametrize("chi", [
+        8, 4, 43,  # another residue, below lo and past hi
+        Affine(7, 12, 0, 3), Affine(4, 12, 0, 2),  # 43, past hi; 4, below lo
+        Affine(8, 12, 0, 2), Affine(7, 4, 0, 2),  # another residue; a step 3 does not divide
+    ], ids=_key_id)
+    def test_a_chi_outside_every_held_class_gets_its_own_build(self, memo, chi):
+        memo, built = memo
+        assert memo.holding(chi) == ("build of", verify._key(chi))
+        assert built == [verify._key(chi)]
+        assert memo.holding(chi) == ("build of", verify._key(chi)) and len(built) == 1
+
+    def test_an_int_held_under_its_own_key_comes_first(self, memo):
+        memo, built = memo
+        memo(19)
+        assert memo.holding(19) == ("build of", 19) and built == [19]
+
+    def test_a_class_whose_build_raised_is_not_read(self):
+        built = []
+
+        def build(chi):
+            built.append(verify._key(chi))
+            if type(chi) is not int:
+                raise ValueError("no class build")
+            return ("build of", chi)
+
+        memo = verify._Memo(build)
+        with pytest.raises(ValueError):
+            memo(Affine(*self.CLASS))
+        assert memo.holding(19) == ("build of", 19)
+        assert built == [self.CLASS, 19]
+
+    def test_fibers_that_hold_an_affine_are_not_read_from_a_class(self, monkeypatch):
+        # at chi_max = 40 the three classes of chi mod 3 hold every chi = 7 + 4s; their
+        # fibers made symbolic send the parity check to an own build of each
+        built, build = [], catalog._component_one_cover
+
+        def symbolic_fibers(chi, *args):
+            built.append(verify._key(chi))
+            recipe = build(chi, *args)
+            if type(chi) is int:
+                return recipe
+            return types.SimpleNamespace(**dict(
+                recipe._asdict(), fiber_component_self_intersections=(chi - chi - 3, -3)))
+
+        monkeypatch.setattr(catalog, "_component_one_cover", symbolic_fibers)
+        assert verify.run_verification(40, 8).passed
+        assert built == [(0, 3, 2, 13), (1, 3, 2, 13), (2, 3, 1, 12), 4, *range(7, 40, 4)]
+
+    @pytest.mark.parametrize("chi_max", [7, 23, 40, 100, 300])
+    def test_the_parity_check_builds_nothing_of_its_own(self, chi_max, monkeypatch):
+        # a clean run's covers are exactly the three cover checks' own
+        def covers_built(names):
+            built, build = [], catalog._component_one_cover
+
+            def recorded(chi, *args):
+                built.append(verify._key(chi))
+                return build(chi, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(catalog, "_component_one_cover", recorded)
+                patch.setattr(verify, "_CHECKS", [c for c in verify._CHECKS if c[0] in names])
+                assert verify.run_verification(chi_max, 6).passed
+            return built
+
+        cover_checks = ("component-one-invariants", "component-one-tricanonical-identity",
+                        "minimality-nef-witnesses")
+        assert covers_built(verify.check_names()) == covers_built(cover_checks)
 
 
 class TestSharedCertificates:

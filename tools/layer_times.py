@@ -25,10 +25,17 @@ the call), together with the whole run, at each range of ``RANGES``.  From
 break-even of ``verify``'s stable checks, so each runs as one symbolic
 case, and from (36,7) on so does each class of component I's cover (two
 of the three at (24,4)); (6,2) and (16,4) run every chi as an int.  The
-parity check and the classification by chi run by class of chi mod 12
-from (100,6) on.
+classification by chi runs by class of chi mod 12 from (100,6) on, and
+the parity check's cases too, but from (16,4) on it reads each case's
+fibers from the run's cover of chi or of its class of chi mod 3 and
+builds no cover of its own.
 Each pass makes ``RUNS_PER_PASS`` back-to-back runs of each package, and
 its figures are the means per run.
+
+``builds`` counts the calls of each builder of ``BUILDERS`` (component
+I's cover, the stable surface and component II) in one clean run at
+each range of ``RANGES``, for each package that has the builder.  A
+count is exact, so it is the same in every pass and is taken once.
 
 ``kernels_us`` times the lattice kernels in microseconds per call, on
 the data of each lattice sample check of ``verify`` and at rank 10^5.
@@ -144,6 +151,7 @@ from pathlib import Path
 
 RANGES = ((6, 2), (16, 4), (24, 4), (36, 7), (40, 8), (100, 6), (150, 50), (300, 100),
           (600, 200))
+BUILDERS = ("_component_one_cover", "build_stable", "build_component_two")
 RUNS_PER_PASS = 5
 REPORTS = {
     "construct_component_I_chi20000": ("construct", "component-I", "--chi", "20000"),
@@ -246,6 +254,34 @@ def per_check(pkgs, chi_max: int, k_max: int, repeat: int) -> dict:
         name: [[sum(times[n:n + RUNS_PER_PASS]) / RUNS_PER_PASS
                 for n in range(0, len(times), RUNS_PER_PASS)] for times in per_package]
         for name, per_package in spent.items()}}
+
+
+def build_counts(pkgs, chi_max: int, k_max: int) -> dict:
+    """The calls of each ``BUILDERS`` builder that every package has, in one clean run."""
+    names = [name for name in BUILDERS if all(hasattr(pkg.catalog, name) for pkg in pkgs)]
+    counts = {name: [] for name in names}
+    for pkg in pkgs:
+        made = dict.fromkeys(names, 0)
+        saved = {name: getattr(pkg.catalog, name) for name in names}
+
+        def counting(name, build):
+            def call(*args, **kwargs):
+                made[name] += 1
+                return build(*args, **kwargs)
+            return call
+
+        for name, build in saved.items():
+            setattr(pkg.catalog, name, counting(name, build))
+        try:
+            outcome = pkg.verify.run_verification(chi_max, k_max)
+        finally:
+            for name, build in saved.items():
+                setattr(pkg.catalog, name, build)
+        if not all(check.passed for check in outcome.checks):
+            raise SystemExit(f"a check failed at ({chi_max},{k_max})")
+        for name in names:
+            counts[name].append([made[name]])
+    return counts
 
 
 def sample_source(pkg):
@@ -565,6 +601,7 @@ def figures(pkgs, repeat: int) -> dict:
     """Every figure; each leaf lists, per package, the figure's value in every pass."""
     return {
         "per_check": {f"{chi},{k}": per_check(pkgs, chi, k, repeat) for chi, k in RANGES},
+        "builds": {f"{chi},{k}": build_counts(pkgs, chi, k) for chi, k in RANGES},
         "kernels_us": {**sample_kernels(pkgs, repeat), "rank_1e5": big_kernels(pkgs, repeat)},
         "builds_us": builds(pkgs, repeat),
         "symbolic_us": symbolic(pkgs, repeat),
