@@ -352,13 +352,10 @@ def _check_parity_discriminator(chi_max, k_max, builds):
             "vacuous data must be inconclusive")
     # chi = 7 is always tested, so the check has a case below chi_max = 7.  The fibers
     # are read from the run's cover that holds chi, a class of chi mod 3 if the run
-    # built one, and from chi's own cover unless they are ints only; the claim is the
-    # public builder's rule for chi
+    # built one; the claim is the public builder's rule for chi
     def case(chi):
-        recipe = builds.component_one.holding(chi)
-        if any(type(value) is not int for value in recipe.fiber_component_self_intersections):
-            recipe = builds.component_one(chi)
-        verdict = catalog.parity_discriminator(recipe.fiber_component_self_intersections)
+        fibers = builds.component_one.holding(chi).fiber_component_self_intersections
+        verdict = catalog.parity_discriminator(fibers)
         _expect(verdict == catalog.COMPONENT_I == catalog._component_one_claim(chi)[0],
                 "fiber parity does not certify the first component at chi = {}", chi)
 

@@ -7,7 +7,6 @@ import inspect
 import json
 import random
 import re
-import types
 from collections import Counter
 from pathlib import Path
 
@@ -365,20 +364,18 @@ class TestSymbolicClasses:
             + [("build_stable", key) for key in (*self.STABLE_CLASSES, 3)]
             + [("build_component_two", k) for k in range(1, 7)], key=repr)
 
-    @pytest.mark.parametrize("chi_max, classes, parity", [
-        (22, [], []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
-        (23, [(2, 3, 1, 7)], []),
-        (24, [(0, 3, 2, 8), (2, 3, 1, 7)], []),
-        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)], []),
-        (CHI_MAX, COVER_CLASSES, []),
+    @pytest.mark.parametrize("chi_max, classes", [
+        (22, []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
+        (23, [(2, 3, 1, 7)]),
+        (24, [(0, 3, 2, 8), (2, 3, 1, 7)]),
+        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)]),
+        (CHI_MAX, COVER_CLASSES),
     ])
     def test_component_one_cover_is_built_by_class_of_chi_mod_3(self, chi_max, classes,
-                                                                 parity, monkeypatch):
+                                                                 monkeypatch):
         # the cover reads chi mod 3 only; chi = 4, where the tricanonical identity's
         # fiber multiple chi - 4 is 0 on the class of 1, is an int, so that class
-        # starts at chi = 7.  The parity check, which runs after the three cover
-        # checks, then reads its chi = 7 + 4s from the int or the class of chi mod 3
-        # that the run holds, so from chi_max = 7 it builds none
+        # starts at chi = 7
         built, build = [], catalog._component_one_cover
 
         def recorded(chi, *args, **kwargs):
@@ -387,12 +384,10 @@ class TestSymbolicClasses:
 
         monkeypatch.setattr(catalog, "_component_one_cover", recorded)
         assert verify.run_verification(chi_max, 6).passed
-        covers = built[:len(built) - len(parity)]
-        assert [verify._key(chi) for chi in built[len(covers):]] == parity
-        assert [verify._key(chi) for chi in covers[:len(classes)]] == classes
-        concrete = covers[len(classes):]
+        assert [verify._key(chi) for chi in built[:len(classes)]] == classes
+        concrete = built[len(classes):]
         assert all(type(chi) is int for chi in concrete) and concrete == sorted(concrete)
-        assert sorted(n for chi in covers for n in _members(chi)) == list(range(4, chi_max + 1))
+        assert sorted(n for chi in built for n in _members(chi)) == list(range(4, chi_max + 1))
         if chi_max >= 25:
             assert concrete == [4]
 
@@ -628,23 +623,6 @@ class TestHolding:
             memo(Affine(*self.CLASS))
         assert memo.holding(19) == ("build of", 19)
         assert built == [self.CLASS, 19]
-
-    def test_fibers_that_hold_an_affine_are_not_read_from_a_class(self, monkeypatch):
-        # at chi_max = 40 the three classes of chi mod 3 hold every chi = 7 + 4s; their
-        # fibers made symbolic send the parity check to an own build of each
-        built, build = [], catalog._component_one_cover
-
-        def symbolic_fibers(chi, *args):
-            built.append(verify._key(chi))
-            recipe = build(chi, *args)
-            if type(chi) is int:
-                return recipe
-            return types.SimpleNamespace(**dict(
-                recipe._asdict(), fiber_component_self_intersections=(chi - chi - 3, -3)))
-
-        monkeypatch.setattr(catalog, "_component_one_cover", symbolic_fibers)
-        assert verify.run_verification(40, 8).passed
-        assert built == [(0, 3, 2, 13), (1, 3, 2, 13), (2, 3, 1, 12), 4, *range(7, 40, 4)]
 
     @pytest.mark.parametrize("chi_max", [7, 23, 40, 100, 300])
     def test_the_parity_check_builds_nothing_of_its_own(self, chi_max, monkeypatch):
