@@ -125,75 +125,91 @@ class Affine:
     at the ends of the interval, and c0 mod c1.  == answers True where both
     bounds are 0, and False where they have one sign or c1 does not divide
     c0, as no integer t makes d 0.  Anything else raises TypeError: text,
-    hashing, int(), and a branch the interval does not decide.  ``Planar``,
-    the form in two parameters, is its subclass, so a field annotated
-    ``int | Affine`` admits both; it overrides only its arithmetic and
-    ``_bounds``.
+    hashing, int(), and a branch the interval does not decide.
+
+    Every value carries ``c``, the coefficient of a second parameter s, and
+    ``cap``, the Affine that bounds s; an Affine has c = 0 and no cap.  A value
+    with a cap is a ``Planar``, a subclass with only a constructor of its own, so
+    ``int | Affine`` fields admit both and this arithmetic is the only one.
     """
 
-    __slots__ = ("a", "b", "lo", "hi")
+    __slots__ = ("a", "b", "c", "lo", "hi", "cap")
 
     def __init__(self, a: int, b: int, lo: int, hi: int):
-        self.a, self.b, self.lo, self.hi = a, b, lo, hi
+        self.a, self.b, self.c = a, b, 0
+        self.lo, self.hi, self.cap = lo, hi, None
 
-    def _of(self, other) -> tuple[int, int]:
-        # each caller has taken an int already
-        if type(other) is Affine and (other.lo, other.hi) == (self.lo, self.hi):
-            return other.a, other.b
+    def _of(self, other) -> tuple[int, int, int, Affine | None]:
+        """The a, b and c of ``other``, a value on [lo, hi] (each caller has taken an int
+        already), and the cap of a result: either's, equal where both have one."""
+        if isinstance(other, Affine) and other.lo == self.lo and other.hi == self.hi:
+            if other.cap is None:
+                return other.a, other.b, 0, self.cap
+            if self.cap is None or (other.cap.a, other.cap.b) == (self.cap.a, self.cap.b):
+                return other.a, other.b, other.c, other.cap
         raise TypeError(f"{other!r:.80} is no int and no Affine on [{self.lo}, {self.hi}]")
 
-    # Each result is made as DivisorClass._make makes a class, without __init__:
-    # object.__new__ and the four slots stored in place.
+    # Each result is made as DivisorClass._make makes a class, without __init__, its
+    # slots stored three at a time, which builds no tuple.  +, - and * make an Affine
+    # here and a Planar in _planar, so that CPython's attribute caches see one class each.
 
     def __add__(self, other):
         if type(other) is int:
-            a, b = self.a + other, self.b
+            a, b, c = other, 0, 0
+            cap = self.cap
         else:
-            a, b = self._of(other)
-            a, b = self.a + a, self.b + b
+            a, b, c, cap = self._of(other)
+        if cap is not None:
+            return _planar(self.a + a, self.b + b, self.c + c, cap)
         result = _new(Affine)
-        result.a, result.b, result.lo, result.hi = a, b, self.lo, self.hi
+        result.a, result.b, result.c = self.a + a, self.b + b, 0
+        result.lo, result.hi, result.cap = self.lo, self.hi, None
         return result
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is int:
-            a, b = self.a - other, self.b
+            a, b, c = other, 0, 0
+            cap = self.cap
         else:
-            a, b = self._of(other)
-            a, b = self.a - a, self.b - b
+            a, b, c, cap = self._of(other)
+        if cap is not None:
+            return _planar(self.a - a, self.b - b, self.c - c, cap)
         result = _new(Affine)
-        result.a, result.b, result.lo, result.hi = a, b, self.lo, self.hi
+        result.a, result.b, result.c = self.a - a, self.b - b, 0
+        result.lo, result.hi, result.cap = self.lo, self.hi, None
         return result
 
-    def __rsub__(self, other):
+    def __rsub__(self, other=0):  # an Affine on the left has taken its own __sub__
         if type(other) is not int:
-            return -self + other
-        result = _new(Affine)
-        result.a, result.b, result.lo, result.hi = other - self.a, -self.b, self.lo, self.hi
+            return NotImplemented
+        result = _new(type(self))
+        result.a, result.b, result.c = other - self.a, -self.b, -self.c
+        result.lo, result.hi, result.cap = self.lo, self.hi, self.cap
         return result
 
-    def __neg__(self):
-        result = _new(Affine)
-        result.a, result.b, result.lo, result.hi = -self.a, -self.b, self.lo, self.hi
-        return result
+    __neg__ = __rsub__  # 0 - self
 
     def __mul__(self, other):
         if type(other) is not int:
             return NotImplemented
+        if self.cap is not None:
+            return _planar(self.a * other, self.b * other, self.c * other, self.cap)
         result = _new(Affine)
-        result.a, result.b, result.lo, result.hi = self.a * other, self.b * other, self.lo, self.hi
+        result.a, result.b, result.c = self.a * other, self.b * other, 0
+        result.lo, result.hi, result.cap = self.lo, self.hi, None
         return result
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        if type(other) is not int or other < 1 or self.b % other:
+        # an Affine's c is 0, so ``and`` spares it two divisions
+        if type(other) is not int or other < 1 or self.b % other or self.c and self.c % other:
             return NotImplemented
-        quotient = _new(Affine)
-        quotient.a, quotient.b, quotient.lo, quotient.hi = (self.a // other, self.b // other,
-                                                            self.lo, self.hi)
+        quotient = _new(type(self))
+        quotient.a, quotient.b, quotient.lo = self.a // other, self.b // other, self.lo
+        quotient.c, quotient.hi, quotient.cap = self.c and self.c // other, self.hi, self.cap
         return quotient, self.a % other
 
     def __floordiv__(self, other):
@@ -209,17 +225,24 @@ class Affine:
         raise TypeError("an Affine has no text")
 
     def _bounds(self, other) -> tuple[int, int, int]:
-        """The least and the greatest value of d = self - other = c0 + c1*t, at the
-        ends of the interval as d is linear, and c0 mod c1 (0 where c1 is 0)."""
+        """The least and the greatest value of d = self - other = c0 + c1*t + c2*s, and
+        c0 mod gcd(c1, c2) (0 where both are 0): with no cap at the ends of the interval,
+        else at the trapezoid's corners (lo, 1), (hi, 1), (lo, cap(lo)) and (hi, cap(hi)),
+        as a linear form on it takes its extremes there (Schrijver 1986, section 8)."""
         if type(other) is int:
-            c0, c1 = self.a - other, self.b
+            c0, c1, c2 = self.a - other, self.b, self.c
+            cap = self.cap
         else:
-            a, b = self._of(other)
-            c0, c1 = self.a - a, self.b - b
+            a, b, c, cap = self._of(other)
+            c0, c1, c2 = self.a - a, self.b - b, self.c - c
         low, high = c0 + c1 * self.lo, c0 + c1 * self.hi
-        if c1 < 0:
-            low, high = high, low
-        return low, high, c0 % (c1 or 1)
+        if cap is None:
+            if c1 < 0:
+                low, high = high, low
+            return low, high, c0 % (c1 or 1)
+        corners = (low + c2, high + c2, low + c2 * (cap.a + cap.b * self.lo),
+                   high + c2 * (cap.a + cap.b * self.hi))
+        return min(corners), max(corners), c0 % (math.gcd(c1, c2) or 1)
 
     # A sign that d has at both bounds it has at every point between them, and
     # a d that is 0 at both is 0 at every point; <= and >= are the negations of
@@ -264,85 +287,27 @@ class Planar(Affine):
     ``cap`` is an Affine on [lo, hi], at least 1 at both ends.  ``verify``
     runs the epsilon bound on it once per residue class of chi: chi = r +
     12t is an Affine, and epsilon = s runs below the top, cap = top - 1.
-    It has what an Affine has, with an Affine on [lo, hi] as the value with
-    c = 0, so the two mix; divmod needs m to divide b and c.  Its comparisons
-    are Affine's, on its own ``_bounds``: the corners (lo, 1), (hi, 1),
-    (lo, cap(lo)) and (hi, cap(hi)) are integer points of the trapezoid, and
-    a linear form takes its extremes at them (Schrijver 1986, section 8), so
-    its signs there decide a comparison exactly when every point gives one
-    answer.  == answers False also where gcd(c1, c2) does not divide c0, and
-    raises wherever else the corners differ in sign, which is sound, as
-    ``verify`` then runs the class case by case.
+    An Affine on [lo, hi] mixes with it as the value with c = 0, and a
+    result with it is a Planar; divmod needs m to divide b and c.  ==
+    answers False also where gcd(c1, c2) does not divide c0, and raises
+    wherever else the corners differ in sign, which is sound, as ``verify``
+    then runs the class case by case.
     """
 
-    __slots__ = ("c", "cap")
+    __slots__ = ()
 
     def __init__(self, a: int, b: int, c: int, cap: Affine):
         if type(cap) is not Affine or min(cap.a + cap.b * cap.lo, cap.a + cap.b * cap.hi) < 1:
             raise ValueError("cap must be an Affine that is at least 1 at both ends")
-        self.a, self.b, self.c, self.cap, self.lo, self.hi = a, b, c, cap, cap.lo, cap.hi
-
-    def _of(self, other) -> tuple[int, int, int]:
-        # each caller has taken an int already; an Affine on [lo, hi] has c = 0
-        if type(other) is Planar and _values(other.cap) == _values(self.cap):
-            return other.a, other.b, other.c
-        return (*Affine._of(self, other), 0)
-
-    def _made(self, a: int, b: int, c: int) -> Planar:
-        # made as Affine makes its results, on the same trapezoid
-        result = _new(Planar)
-        result.a, result.b, result.c, result.cap, result.lo, result.hi = (a, b, c, self.cap,
-                                                                          self.lo, self.hi)
-        return result
-
-    def __add__(self, other):
-        if type(other) is int:
-            return self._made(self.a + other, self.b, self.c)
-        a, b, c = self._of(other)
-        return self._made(self.a + a, self.b + b, self.c + c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is int:
-            return self + -other
-        a, b, c = self._of(other)
-        return self._made(self.a - a, self.b - b, self.c - c)
-
-    def __rsub__(self, other):  # an int or an Affine minus self
-        return -self + other
-
-    def __neg__(self):
-        return self._made(-self.a, -self.b, -self.c)
-
-    def __mul__(self, other):
-        if type(other) is not int:
-            return NotImplemented
-        return self._made(self.a * other, self.b * other, self.c * other)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        if type(other) is not int or other < 1 or self.b % other or self.c % other:
-            return NotImplemented
-        return self._made(self.a // other, self.b // other, self.c // other), self.a % other
-
-    def _bounds(self, other) -> tuple[int, int, int]:
-        """The least and the greatest value of d = self - other = c0 + c1*t + c2*s at
-        the four corners, and c0 mod gcd(c1, c2) (0 where both are 0)."""
-        if type(other) is int:
-            c0, c1, c2 = self.a - other, self.b, self.c
-        else:
-            a, b, c = self._of(other)
-            c0, c1, c2 = self.a - a, self.b - b, self.c - c
-        low, high, cap = c0 + c1 * self.lo, c0 + c1 * self.hi, self.cap
-        corners = (low + c2, high + c2, low + c2 * (cap.a + cap.b * self.lo),
-                   high + c2 * (cap.a + cap.b * self.hi))
-        return min(corners), max(corners), c0 % (math.gcd(c1, c2) or 1)
+        self.a, self.b, self.c = a, b, c
+        self.lo, self.hi, self.cap = cap.lo, cap.hi, cap
 
 
-def _values(x: Affine) -> tuple[int, int, int, int]:
-    return x.a, x.b, x.lo, x.hi
+def _planar(a: int, b: int, c: int, cap: Affine) -> Planar:
+    result = _new(Planar)
+    result.a, result.b, result.c = a, b, c
+    result.lo, result.hi, result.cap = cap.lo, cap.hi, cap
+    return result
 
 
 _UNDECIDED = "the interval does not decide this comparison"

@@ -564,6 +564,14 @@ class TestWriter:
             written = json.loads(out)["payload"]["recipe"]["scroll_curve"]["monomials"]
             assert written == sorted(map(list, recipe.scroll_curve.monomials))
 
+    def test_thirds_are_written_as_the_fraction_in_lowest_terms(self):
+        # the writer makes no Fraction, as gcd(value, 3) is 1 or 3
+        from horikawa.reporting import _ESCAPE, _write_thirds
+
+        big = [10**70 + d for d in range(-5, 6)]
+        for value in [*range(-3000, 3001), *big, *(-v for v in big)]:
+            assert _write_thirds(value) == _ESCAPE(str(Fraction(value, 3)))
+
 
 # ---------------------------------------------------------------------------
 # a field of any record class that a payload reaches, off its annotation

@@ -578,13 +578,27 @@ class TestPlanar:
             assert _at(x // n, t, s) == _at(quotient, t, s)
 
     def test_every_method_that_reads_c_is_its_own(self):
-        # an inherited Affine method reads a, b and the interval only, so it would drop c:
-        # s < 2 on 1 <= s <= 3 holds at s = 1 alone, but -2 < 0 at both ends of t
-        own = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
-               "__divmod__", "_of", "_bounds"}
-        assert own <= set(vars(Planar))
+        # a comparison that read a, b and the interval only would drop c: s < 2 on
+        # 1 <= s <= 3 holds at s = 1 alone, but -2 < 0 at both ends of t
         with pytest.raises(TypeError, match="does not decide"):
             Planar(0, 0, 1, Affine(3, 0, 0, 2)) < 2
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_planar_and_operand(), st.integers(-6, 6))
+    def test_a_result_has_a_cap_exactly_where_an_operand_has_one(self, pair, n):
+        # on Affines and ints an Affine with c = 0 and no cap; with one Planar, in
+        # either order, a Planar on its cap
+        x, _y = pair
+        z = Affine(x.a, x.b, x.lo, x.hi)
+        plain = [z + z, z + n, n + z, z - z, z - n, n - z, -z, z * n, n * z, 6 * z // 3,
+                 divmod(6 * z, 2)[0]]
+        for result in plain:
+            assert type(result) is Affine and result.c == 0 and result.cap is None
+        capped = [x + z, z + x, x - z, z - x, x + n, n + x, x - n, n - x, -x, x * n, n * x,
+                  6 * x // 3, divmod(6 * x, 2)[0]]
+        for result in capped:
+            assert type(result) is Planar and result.cap is x.cap
+            assert (result.lo, result.hi) == (x.lo, x.hi)
 
     @pytest.mark.parametrize("use", [
         str, hash, int, operator.index, lambda x: x * x, lambda x: x * 1.5,

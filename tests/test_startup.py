@@ -6,8 +6,9 @@ with an injected fault, so importing the command line front end and
 running the other commands must load neither, nor ``dataclasses`` or
 ``inspect``; decoding a verification report loads neither.  The command
 table reads a plain command line, so no command loads ``argparse``; a help
-page does.  ``fractions`` loads only where a stable record's K^2 is made,
-so ``classify`` and ``enumerate`` do not load it, and they build no codec:
+page does.  ``fractions`` loads only where a stable record's K^2 is made as
+a Fraction, which no probed command does: a JSON report writes it in thirds
+without one.  ``classify`` and ``enumerate`` build no codec:
 the writers and readers are generated when a JSON report is first written.  Every record
 is a ``typing.NamedTuple``, except the divisor class, a slotted class that
 equals no tuple, and every record refuses a value off its annotation
@@ -67,13 +68,12 @@ def test_only_verify_paper_loads_verify_and_faults():
         "import": [],
         "classify": [0, []],
         "enumerate": [0, []],
-        # a stable record's K^2 is the first Fraction made
-        "construct": [0, ["fractions"]],
-        "verify-paper --chi-max": [0, ["fractions", "horikawa.verify"]],
-        "verify-paper --inject-fault": [
-            1, ["fractions", "horikawa.faults", "horikawa.verify", "inspect"]],
+        # a JSON report writes a stable record's K^2 in thirds with no Fraction
+        "construct": [0, []],
+        "verify-paper --chi-max": [0, ["horikawa.verify"]],
+        "verify-paper --inject-fault": [1, ["horikawa.faults", "horikawa.verify", "inspect"]],
         # argparse renders help and usage errors, and reads what the table does not
-        "--help": [0, ["argparse", "fractions", "horikawa.faults", "horikawa.verify", "inspect"]],
+        "--help": [0, ["argparse", "horikawa.faults", "horikawa.verify", "inspect"]],
     }
 
 

@@ -84,14 +84,18 @@ has no symbolic builds, one whose component-II builder refuses an
 claimless cover that ``verify``'s three cover checks build, on the same
 ``Affine``; a base with no ``_component_one_cover`` leaves it out.
 
-``symbolic_us`` times ``<``, ``==`` and ``+`` of ``records`` values in
-microseconds per call, each made as one ``operator`` call: under
-``affine``, chi = ``Affine(*SYMBOLIC_CLASS)`` against 2 * chi + 2, and
-under ``planar``, 3 * epsilon against 2 * chi + 2 on the ``Planar``
-epsilon of ``epsilon_family_trapezoid``, the shape of the comparisons
-that the ``stable-epsilon-bound`` pass makes; each comparison is
-decided, as False.  Each pass fills about ``BUILD_WINDOW_S``; a base
-with no ``records.Affine`` or no ``records.Planar`` leaves that kind out.
+``symbolic_us`` times each operation of ``records`` values in
+``SYMBOLIC_CALLS`` in microseconds per call, each made as one call of
+an ``operator`` function or of ``divmod``: ``<``, ``==`` and ``+`` of x
+and y, and x - 3, x * 3 and divmod(x, 3).  Under ``affine``, x is chi =
+``Affine(*SYMBOLIC_CLASS)`` and y is 2 * chi + 2, and under ``planar``,
+x is 3 * epsilon on the ``Planar`` epsilon of
+``epsilon_family_trapezoid`` and y is 2 * chi + 2, the shape of the
+comparisons that the ``stable-epsilon-bound`` pass makes; ``planar``
+also times the ``MIXED_CALLS``, y + x and y < x, with the ``Affine`` on
+the left.  Each comparison is decided.  Each pass fills about
+``BUILD_WINDOW_S``; a base with no ``records.Affine`` or no
+``records.Planar`` leaves that kind out.
 
 ``records_us`` times one construction of each record class in
 microseconds per call, its checked constructor called with the field
@@ -175,6 +179,14 @@ SYMBOLIC_STABLE_CLASS = (5, 3, 1, 160)
 SYMBOLIC_EPSILON = (150, (0, 1, 1, 99))
 BUILD_WINDOW_S = 0.005
 RECORD_BUILDS = (("build_stable", 150), ("build_component_one", 150))
+# the symbolic operations timed on (x, y), as the function and arguments of one call:
+# x against y, x with the int 3, and, for a Planar x and an Affine y, y against x
+SYMBOLIC_CALLS = {
+    "lt": lambda x, y: (operator.lt, x, y), "eq": lambda x, y: (operator.eq, x, y),
+    "add": lambda x, y: (operator.add, x, y), "sub_int": lambda x, _y: (operator.sub, x, 3),
+    "mul_int": lambda x, _y: (operator.mul, x, 3), "divmod_3": lambda x, _y: (divmod, x, 3)}
+MIXED_CALLS = {"affine_add": lambda x, y: (operator.add, y, x),
+               "affine_lt": lambda x, y: (operator.lt, y, x)}
 
 
 def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
@@ -452,8 +464,8 @@ def builds(pkgs, repeat: int) -> dict:
 
 
 def symbolic(pkgs, repeat: int) -> dict:
-    """``<``, ``==`` and ``+`` on an Affine and on a Planar of the epsilon pass's shape,
-    each where every package has it, in us per call."""
+    """Each ``SYMBOLIC_CALLS`` operation on an Affine and on a Planar of the epsilon pass's
+    shape, and each ``MIXED_CALLS`` one, each where every package has it, in us per call."""
     operands = {"affine": [], "planar": []}
     for records in (pkg.records for pkg in pkgs if hasattr(pkg.records, "Affine")):
         chi = records.Affine(*SYMBOLIC_CLASS)
@@ -461,9 +473,9 @@ def symbolic(pkgs, repeat: int) -> dict:
         if hasattr(records, "Planar"):
             epsilon = records.Planar(0, 0, 1, (2 * chi + 2) // 3 - 1)
             operands["planar"].append((3 * epsilon, 2 * chi + 2))
-    ops = {"lt": operator.lt, "eq": operator.eq, "add": operator.add}
-    return {kind: {name: windowed([functools.partial(op, x, y) for x, y in pairs], repeat, 100)
-                   for name, op in ops.items()}
+    calls = {"affine": SYMBOLIC_CALLS, "planar": {**SYMBOLIC_CALLS, **MIXED_CALLS}}
+    return {kind: {name: windowed([functools.partial(*call(x, y)) for x, y in pairs], repeat, 100)
+                   for name, call in calls[kind].items()}
             for kind, pairs in operands.items() if len(pairs) == len(pkgs)}
 
 
