@@ -68,9 +68,9 @@ class _Memo(dict):
 
 class _Builds(NamedTuple):
     """The builds the checks share within one run: of component I's cover (its claim
-    left out) and of the stable surfaces by chi, of component II by k.  The parity
-    check reads the covers through ``holding``, so a class of chi mod 3 serves its
-    chi and its classes of chi mod 12."""
+    left out) and of the stable surfaces, each by chi or by the same classes of chi
+    mod 3, and of component II by k.  The parity check reads the covers through
+    ``holding``, so a class of chi mod 3 serves its chi and its classes of chi mod 12."""
 
     component_one: _Memo
     stable: _Memo
@@ -85,39 +85,33 @@ def _expect(condition: bool, detail: str, *values):
 
 # Each family of cases splits by residue class of n mod its modulus, a class holding
 # only the n from its head up, and runs a class as one symbolic case where it holds
-# more cases than its break-even: (modulus, head, break-even).  The stable head keeps
-# chi = 3 an int: stable-ampleness-certificate branches on chi == 3, which no class
-# holding 3 decides, so class 0 begins at chi = 6 and all five stable checks, the
-# epsilon bound from chi = 4 included, ask the memo for the same three classes.  The
-# cover head keeps chi = 4 an int: on the class of 1 mod 3 the tricanonical identity's
-# fiber multiple alpha + 2beta - 3e - 6 is chi - 4, and n * D cannot decide n == 0 on
-# a class holding 4, which would send the class back to concrete builds.
+# more cases than its break-even: (modulus, head, break-even).  The head of chi mod 3
+# keeps chi = 3 an int: stable-ampleness-certificate branches on chi == 3, which no
+# class holding 3 decides, so class 0 begins at chi = 6 and all eight per-chi checks
+# ask the memos for the same three classes.
 # Break-evens measured on a shared 2-core x86_64 VM: one symbolic pass over a chi's
 # epsilon interval costs about 4.5 concrete cases, one over a class of k mod 3, with
 # its component-II build, about 2.6 concrete k, one over a class of chi mod 12, with
-# the builds it reads, about 2.2 concrete chi, one over a class of chi mod 3, its
-# stable build and the five stable checks' bodies, about 1.9-2.4 concrete chi, and one
-# over a class of chi mod 3, its cover and the three cover checks' bodies, about
-# 2.0-2.3 concrete chi.  The stable and cover break-evens are 6, not 3: a symbolic
-# attempt that raises under a fault is pure overhead, and at 6 no stable class runs
-# symbolically up to chi_max = 21 and no cover class up to chi_max = 22, which covers
-# fault-matrix's (12-20) ranges; no chi class does up to chi_max = 47, no k class up
-# to k_max = 11.
+# the builds it reads, about 2.2 concrete chi, and one over a class of chi mod 3, its
+# stable build or cover and the bodies of the checks that read it, about 1.9-2.4
+# concrete chi.  That break-even is 6, not 3: a symbolic attempt that raises under a
+# fault is pure overhead, and at 6 no class of chi mod 3 runs symbolically up to
+# chi_max = 21, which covers fault-matrix's (12-20) ranges; no chi class does up to
+# chi_max = 47, no k class up to k_max = 11.
 _FAMILIES = {
     "epsilon": (1, 1, 5),  # the epsilon of one chi
     "k": (3, 3, 3),  # component II reads k mod 3
     "chi": (12, 12, 3),  # the classification and the claim read K^2 = 2chi - 6 mod 8
     # component I's cover and build_stable read chi only through pick_parameters'
     # (1 - chi) % 3
-    "cover": (3, 5, 6),
-    "stable": (3, 4, 6),
+    "chi mod 3": (3, 4, 6),
 }
 
 
 def _each(body: Callable, cases: range, family: str = "chi") -> None:
     """Run ``body`` on every n in ``cases``, a range whose step divides the modulus
-    of ``family`` (see ``_FAMILIES``): the chi of the claim, component I's cover
-    or the stable line, k, or the epsilon of one chi.
+    of ``family`` (see ``_FAMILIES``): the chi of the claim, the chi of component
+    I's cover and the stable line, k, or the epsilon of one chi.
 
     First each residue class r of n mod the modulus, from n = max(start, head)
     up, that holds more cases than its break-even runs as one Affine(r, modulus,
@@ -148,11 +142,12 @@ def _each(body: Callable, cases: range, family: str = "chi") -> None:
         body(n)
 
 
-def _per_chi(first: int, family: str):
-    """Make the check ``body(builds, chi)`` into one that ``_each`` runs from chi = ``first``."""
+def _per_chi(first: int):
+    """Make the check ``body(builds, chi)`` into one that ``_each`` runs from chi = ``first``
+    by class of chi mod 3."""
     def check(body):
         return lambda chi_max, k_max, builds: _each(functools.partial(body, builds),
-                                                    range(first, chi_max + 1), family)
+                                                    range(first, chi_max + 1), "chi mod 3")
     return check
 
 
@@ -244,7 +239,7 @@ def _check_section_count_oracle(chi_max, k_max, builds):
 @_check("component-one-invariants",
         "first-line construction reports K^2 = 2*chi - 6, chi, p_g = chi - 1 "
         "and 3*K^2 equal to the tri-canonical square")
-@_per_chi(4, "cover")
+@_per_chi(4)
 def _check_component_one_invariants(builds, chi):
     report = builds.component_one(chi).report
     _expect(report.k_squared == 2 * chi - 6, "K^2 = {} instead of {} at chi = {}",
@@ -259,12 +254,14 @@ def _check_component_one_invariants(builds, chi):
 
 @_check("component-one-tricanonical-identity",
         "the tri-canonical class equals its fiber-plus-branch form coefficientwise")
-@_per_chi(4, "cover")
+@_per_chi(4)
 def _check_tricanonical_identity(builds, chi):
     recipe = builds.component_one(chi)
     e, alpha, beta = recipe.parameters
-    fiber = lattice.pullback(recipe.base, Hirzebruch(e).fiber())
-    alt = (alpha + 2 * beta - 3 * e - 6) * fiber + recipe.branch[0]
+    # one class of F_e, not (chi - 4) times the fiber: no product of a class decides
+    # chi - 4 == 0 on the class of chi that holds 4
+    fiber_term = Hirzebruch(e).divisor((0, alpha + 2 * beta - 3 * e - 6))
+    alt = lattice.pullback(recipe.base, fiber_term) + recipe.branch[0]
     _expect(recipe.report.canonical_multiple.cls == alt,
             "tri-canonical class disagrees with its fiber form at chi = {}", chi)
 
@@ -365,7 +362,7 @@ def _check_parity_discriminator(chi_max, k_max, builds):
 @_check("stable-invariants",
         "stable construction reports K^2 = 2*chi - 5 with three one-third quotient "
         "points and divisor square 3*K^2")
-@_per_chi(3, "stable")
+@_per_chi(3)
 def _check_stable_invariants(builds, chi):
     # compared in thirds (3*K^2), as the record keeps K^2, so no Fraction is made
     # unless a comparison fails
@@ -390,7 +387,7 @@ def _check_stable_invariants(builds, chi):
 @_check("stable-ampleness-certificate",
         "feasibility is impossible except at chi = 3, where only the negative "
         "section survives and general position excludes it")
-@_per_chi(3, "stable")
+@_per_chi(3)
 def _check_stable_certificates(builds, chi):
     e, alpha, beta = catalog.pick_parameters(chi)
     construction = builds.stable.get(chi)
@@ -410,7 +407,7 @@ def _check_stable_certificates(builds, chi):
 
 
 @_check("stable-bicanonical-count", "h0 of 2K equals chi + K^2 - 1 and differs from chi + K^2")
-@_per_chi(3, "stable")
+@_per_chi(3)
 def _check_stable_bicanonical(builds, chi):
     record = builds.stable(chi).record
     value = stable.h0_2K(record)
@@ -424,7 +421,7 @@ def _check_stable_bicanonical(builds, chi):
 @_check("stable-tricanonical-lift",
         "the resolved tri-canonical class is the node pullback of the certified "
         "ample divisor minus the new exceptional classes")
-@_per_chi(3, "stable")
+@_per_chi(3)
 def _check_stable_tricanonical_lift(builds, chi):
     construction = builds.stable(chi)
     certificate = construction.recipe.certificates[0]
@@ -454,7 +451,7 @@ def _epsilon_case(chi, epsilon):
 @_check("stable-epsilon-bound",
         "contracting 3*epsilon curves gives K^2 = 2*chi - 6 + epsilon within "
         "3*K^2 <= 8*chi - 16, with equality only at the top")
-@_per_chi(4, "stable")
+@_per_chi(4)
 def _check_epsilon_bound(builds, chi):
     # epsilon in [1, top - 1], then top: the bound is an equality only at top, which
     # a region holding it leaves undecided.  A class of chi = r + 3t, whose top stays
@@ -471,7 +468,7 @@ def _check_epsilon_bound(builds, chi):
 @_check("minimality-nef-witnesses",
         "the tri-canonical divisor pairs nonnegatively with every witness curve "
         "and the feasibility analysis closes")
-@_per_chi(4, "cover")
+@_per_chi(4)
 def _check_nef_witnesses(builds, chi):
     e, alpha, beta = catalog.pick_parameters(chi)
     recipe = builds.component_one.get(chi)
@@ -510,19 +507,13 @@ def run_verification(chi_max: int = 30, k_max: int = 6,
     both second-component cover shapes appear.  Both must be ``int``s,
     and both are capped at ``RANGE_CAP``, so that every run is bounded.
     An optional named fault from the fault registry is injected for the
-    duration of the run.  The parity check, which reads component I's
-    claim, and the classification by chi run each class of chi mod 12
-    that holds more than 3 cases once, on an ``Affine`` chi, and the
-    parity check reads each case's fibers from the run's cover of chi or
-    of a class of chi mod 3 that holds it, so from chi_max = 7 it builds
-    no cover of its own; the three other checks that read the covers do so
-    for each class of chi mod 3, from chi = 5, that holds more than 6,
-    and the five stable checks for each class of chi mod 3, from chi = 4,
-    that holds more than 6 (the epsilon bound's epsilon below the top as
-    one ``Planar``); the component-II checks and the classification by k
-    for each class of k mod 3 that holds more than 3, on an ``Affine`` k.
-    The rest run case by case (see ``_each``); the outcome is the one a
-    run of every case would give.
+    duration of the run.  Each check runs a residue class of chi, k or
+    epsilon that holds more cases than its family's break-even (see
+    ``_FAMILIES``) once, on an ``Affine``, and the rest case by case (see
+    ``_each``); the outcome is the one a run of every case would give.
+    The parity check reads each case's fibers from the run's cover of chi
+    or of a class of chi mod 3 that holds it, so from chi_max = 7 it builds
+    no cover of its own.
     """
     for name, value in (("chi_max", chi_max), ("k_max", k_max)):
         if type(value) is not int:  # no Affine: a range is never symbolic

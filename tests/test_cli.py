@@ -571,7 +571,7 @@ def test_argv_property(argv):
 
 GOLDEN = Path(__file__).parent / "golden"
 _PLAIN_ARGVS = [case["argv"] for case in json.loads(
-    (GOLDEN / "cases.json").read_text(encoding="utf-8"))]
+    (GOLDEN / "cases.json").read_text(encoding="utf-8")) if "form" not in case]
 
 
 def _argparse_items(argv) -> list:

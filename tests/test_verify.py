@@ -352,7 +352,6 @@ class TestSymbolicClasses:
         return made
 
     STABLE_CLASSES = [(0, 3, 2, 33), (1, 3, 1, 33), (2, 3, 1, 32)]  # chi = 6, 4, 5 to CHI_MAX
-    COVER_CLASSES = [(0, 3, 2, 33), (1, 3, 2, 33), (2, 3, 1, 32)]  # chi = 6, 7, 5 to CHI_MAX
 
     def test_each_class_is_built_once_on_an_affine(self, calls):
         # the parity check's chi = 7 + 4s, by class of chi mod 12 from chi = 12 and 7
@@ -360,22 +359,22 @@ class TestSymbolicClasses:
         # nothing; no public component-I build is made
         assert verify.run_verification(self.CHI_MAX, 6).passed
         assert sorted(calls, key=repr) == sorted(
-            [("_component_one_cover", key) for key in (*self.COVER_CLASSES, 4)]
+            [("_component_one_cover", key) for key in self.STABLE_CLASSES]
             + [("build_stable", key) for key in (*self.STABLE_CLASSES, 3)]
             + [("build_component_two", k) for k in range(1, 7)], key=repr)
 
     @pytest.mark.parametrize("chi_max, classes", [
-        (22, []),  # no class holds more than 6 chi: the fault-matrix ranges stay ints
-        (23, [(2, 3, 1, 7)]),
-        (24, [(0, 3, 2, 8), (2, 3, 1, 7)]),
-        (25, [(0, 3, 2, 8), (1, 3, 2, 8), (2, 3, 1, 7)]),
-        (CHI_MAX, COVER_CLASSES),
+        (22, [(1, 3, 1, 7)]),  # the first class that holds more than 6 chi
+        (23, [(1, 3, 1, 7), (2, 3, 1, 7)]),
+        (24, [(0, 3, 2, 8), (1, 3, 1, 7), (2, 3, 1, 7)]),
+        (25, [(0, 3, 2, 8), (1, 3, 1, 8), (2, 3, 1, 7)]),
+        (CHI_MAX, STABLE_CLASSES),
     ])
     def test_component_one_cover_is_built_by_class_of_chi_mod_3(self, chi_max, classes,
                                                                  monkeypatch):
-        # the cover reads chi mod 3 only; chi = 4, where the tricanonical identity's
-        # fiber multiple chi - 4 is 0 on the class of 1, is an int, so that class
-        # starts at chi = 7
+        # the cover reads chi mod 3 only, and its classes are the stable line's: the
+        # class of 1 starts at chi = 4, where the tricanonical identity's fiber term
+        # chi - 4 is 0
         built, build = [], catalog._component_one_cover
 
         def recorded(chi, *args, **kwargs):
@@ -388,8 +387,20 @@ class TestSymbolicClasses:
         concrete = built[len(classes):]
         assert all(type(chi) is int for chi in concrete) and concrete == sorted(concrete)
         assert sorted(n for chi in built for n in _members(chi)) == list(range(4, chi_max + 1))
-        if chi_max >= 25:
-            assert concrete == [4]
+        if chi_max >= 24:
+            assert concrete == []
+
+    @pytest.mark.parametrize("hi", [7, 10 ** 30])
+    def test_the_tricanonical_identity_decides_the_class_that_holds_chi_4(self, hi,
+                                                                          monkeypatch):
+        # its fiber term is one pulled-back class, so no class is scaled by chi - 4,
+        # which a product could not tell from 0 on chi = 4, 7, ...
+        monkeypatch.setattr(verify, "_each",
+                            lambda body, cases, family: body(Affine(1, 3, 1, hi)))
+        check = {name: fn for name, _identity, fn in verify._CHECKS}[
+            "component-one-tricanonical-identity"]
+        check(30, 6, verify._Builds(*map(verify._Memo, (
+            catalog._component_one_cover, catalog.build_stable, catalog.build_component_two))))
 
     @pytest.mark.parametrize("chi_max", [30, CHI_MAX])
     def test_the_public_builder_is_never_called(self, chi_max, monkeypatch):
@@ -482,24 +493,26 @@ class TestSharedBuilds:
 
     def test_one_build_per_chi(self, calls):
         # the stable line as three classes of chi mod 3 and chi = 3, component I's cover
-        # as three classes of chi mod 3 and chi = 4, from which the parity check reads
-        # its chi = 7, 11, ..., 27
+        # as the same three classes, from which the parity check reads its chi = 7, 11,
+        # ..., 27
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 4, "_component_one_cover": 4}
+        assert self.totals(calls) == {"build_stable": 4, "_component_one_cover": 3}
         assert set(calls.values()) == {1}
 
     def test_nothing_cached_across_runs(self, calls):
         verify.run_verification(chi_max=30, k_max=6)
         verify.run_verification(chi_max=30, k_max=6)
-        assert self.totals(calls) == {"build_stable": 8, "_component_one_cover": 8}
+        assert self.totals(calls) == {"build_stable": 8, "_component_one_cover": 6}
 
     @pytest.mark.parametrize("chi_max, k_max", [(6, 2), (12, 3), (16, 4), (20, 5), (22, 4)])
     def test_the_parity_check_shares_the_covers(self, calls, chi_max, k_max):
-        # up to chi_max = 22 every chi is an int, and the parity check's chi = 7, 11,
-        # 15, 19 are the cover checks' own builds; below chi_max = 7 its chi = 7 is the
-        # one cover it adds
+        # the parity check's chi = 7, 11, 15, 19 are the cover checks' own builds, of
+        # chi or, at chi_max = 22, of the class of 1 mod 3; below chi_max = 7 its chi = 7
+        # is the one cover it adds
         assert verify.run_verification(chi_max, k_max).passed
-        assert sorted(chi for name, chi in calls if name == "_component_one_cover") == list(
+        built = [Affine(*chi) if type(chi) is tuple else chi
+                 for name, chi in calls if name == "_component_one_cover"]
+        assert sorted(n for chi in built for n in _members(chi)) == list(
             range(4, max(chi_max, 7) + 1))
         assert {name for name, _chi in calls} == {"_component_one_cover", "build_stable"}
         assert set(calls.values()) == {1}
@@ -662,21 +675,24 @@ class TestSharedCertificates:
         assert verify.run_verification(chi_max=30, k_max=6).passed
         assert issued == {"ampleness_certificate": [], "nef_certificate": []}
 
-    @pytest.mark.parametrize("builder, tamper, check, detail", [
+    # at chi_max = 21 chi = 4 is an int build; in a class, a failed pass reruns as ints
+    # that issue their own certificates, so a certificate tampered in the build alone
+    # would go unseen there
+    @pytest.mark.parametrize("builder, tamper, check, detail, chi_max", [
         ("build_stable",
          lambda c: c._replace(recipe=c.recipe._replace(certificates=(
              c.recipe.certificates[0]._replace(witness_virtual_count=-1),))),
-         "stable-ampleness-certificate", "witness count -1 instead of 2 at chi = 3"),
+         "stable-ampleness-certificate", "witness count -1 instead of 2 at chi = 3", 30),
         ("_component_one_cover",
          lambda r: r._replace(certificates=(r.certificates[0]._replace(verdict="asserted"),)),
-         "minimality-nef-witnesses", "nef verdict is asserted at chi = 4"),
+         "minimality-nef-witnesses", "nef verdict is asserted at chi = 4", 21),
     ], ids=["ampleness", "nef"])
     def test_check_reads_the_certificate_of_the_build(self, builder, tamper, check, detail,
-                                                      monkeypatch):
+                                                      chi_max, monkeypatch):
         build = getattr(catalog, builder)
         monkeypatch.setattr(catalog, builder,
                             lambda chi, *args, **kwargs: tamper(build(chi, *args, **kwargs)))
-        outcome = verify.run_verification(chi_max=30, k_max=6)
+        outcome = verify.run_verification(chi_max=chi_max, k_max=6)
         assert {c.name: c.detail for c in outcome.checks if not c.passed} == {check: detail}
 
     def test_ampleness_issued_where_no_stable_build_holds(self, issued):

@@ -22,9 +22,9 @@ the ratio of the two best passes can read far from 1 for identical code.
 calls it (the registered check functions are wrapped for the duration of
 the call), together with the whole run, at each range of ``RANGES``.  From
 (24,4) on, each residue class of chi mod 3 holds more cases than the
-break-even of ``verify``'s stable checks, so each runs as one symbolic
-case, and from (36,7) on so does each class of component I's cover (two
-of the three at (24,4)); (6,2) and (16,4) run every chi as an int.  The
+break-even of ``verify``'s checks on component I's cover and the stable
+surface, so each runs as one symbolic case; (6,2) and (16,4) run every
+chi as an int.  The
 classification by chi runs by class of chi mod 12 from (100,6) on, and
 the parity check's cases too, but from (16,4) on it reads each case's
 fibers from the run's cover of chi or of its class of chi mod 3 and
