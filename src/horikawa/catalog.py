@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import covers, lattice, stable
 from .covers import CoverSpec, InvariantReport, ScrollCurve
 from .lattice import DivisorClass, Hirzebruch, ProjectivePlane, SurfaceModel
-from .records import Affine, CheckedRecord, checked
+from .records import Affine, checked
 from .stable import SingularityLedger, StableSurfaceRecord
 
 
@@ -79,7 +79,7 @@ def admissible(k_squared: int, chi: int) -> bool:
 
 
 @checked
-class AdmissiblePair(CheckedRecord, NamedTuple("AdmissiblePair", [
+class AdmissiblePair(NamedTuple("AdmissiblePair", [
         ("k_squared", int | Affine), ("chi", int | Affine)])):
     """An admissible (K^2, chi) pair."""
 
@@ -93,7 +93,7 @@ _IMAGE = ProjectivePlane | Hirzebruch | str  # a surface, or CONE_IMAGE
 
 
 @checked
-class CanonicalImages(CheckedRecord, NamedTuple("CanonicalImages", [
+class CanonicalImages(NamedTuple("CanonicalImages", [
         ("first_top_e", int | Affine), ("second", tuple[_IMAGE, ...])])):
     """Canonical images of the two components where 8 divides K^2 on the low line.
 

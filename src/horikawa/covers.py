@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import lattice
 from .lattice import DivisorClass, SurfaceModel
-from .records import Affine, CheckedRecord, checked
+from .records import Affine, checked
 
 
 class BuildingDataError(ValueError):
@@ -90,7 +90,7 @@ def _exact_quotient(c: int, degree: int) -> int:
 
 
 @checked
-class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
+class CoverSpec(NamedTuple("CoverSpec", [
         ("degree", int), ("base", SurfaceModel), ("branch", tuple[DivisorClass, ...])])):
     """Reduced building data of a degree 2 or degree 3 cyclic cover.
 
@@ -98,18 +98,17 @@ class CoverSpec(CheckedRecord, NamedTuple("CoverSpec", [
     degree * root = sum of j * branch[j-1]; it is kept outside the fields.
     """
 
-    refusal = BuildingDataError  # of a field off its annotation, as of other bad data
-
     def __new__(cls, degree: int, base: SurfaceModel, branch: tuple[DivisorClass, ...]):
         # the fields' test tests each branch entry once; where it refuses, or the
         # degree or the branch length is wrong, derive_root refuses first with
-        # the message it gives a direct caller
+        # the message it gives a direct caller, and else the field's refusal is
+        # a BuildingDataError, as of other bad data
         try:
             self = cls._tested(cls, degree, base,
                                tuple(branch) if isinstance(branch, (tuple, list)) else branch)
-        except BuildingDataError:
+        except ValueError as refusal:
             derive_root(degree, branch, base)
-            raise
+            raise BuildingDataError(*refusal.args) from None
         if degree not in (2, 3) or len(self.branch) != degree - 1:
             derive_root(degree, branch, base)
         object.__setattr__(self, "root", _root(degree, self.branch, base))
@@ -227,7 +226,7 @@ _EXPONENTS = tuple[int | Affine, int | Affine, int | Affine, int | Affine]
 
 
 @checked
-class ScrollCurve(CheckedRecord, NamedTuple("ScrollCurve", [
+class ScrollCurve(NamedTuple("ScrollCurve", [
         ("e", int | Affine), ("monomials", tuple[_EXPONENTS, ...])])):
     """A curve on a Hirzebruch surface cut out by scroll monomials.
 

@@ -15,7 +15,7 @@ import math
 from operator import add, sub
 from typing import NamedTuple
 
-from .records import Affine, CheckedRecord, _immutable, checked
+from .records import Affine, _immutable, checked
 
 
 class SurfaceMismatchError(ValueError):
@@ -29,7 +29,7 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r:.80}")
 
 
-class SurfaceModel(CheckedRecord):
+class SurfaceModel:
     """Shared behaviour of the supported symbolic surface descriptions."""
 
     def divisor(self, coeffs) -> "DivisorClass":

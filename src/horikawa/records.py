@@ -1,11 +1,13 @@
-"""Records: named tuples that test their fields against their annotations.
+"""Records: immutable named tuples that test their fields against their annotations.
 
-``checked`` gives a record class's named tuple a ``__new__`` generated on
-first use from the field annotations, as source with one test per field, as
-``namedtuple`` generates its methods: construction, ``_make`` and
-``_replace`` refuse a value off its annotation with ValueError, a ``bool``
-in an ``int`` field included.  The entries of a tuple, a frozenset or a
-dict are tested by exact type.  The codec reads the same ``hints``.
+``checked`` is the one record mechanism.  It gives a record class's named
+tuple a ``__new__`` generated on first use from the field annotations, as
+source with one test per field, as ``namedtuple`` generates its methods:
+construction, ``_make`` and ``_replace`` refuse a value off its annotation
+with ValueError, a ``bool`` in an ``int`` field included.  The entries of a
+tuple, a frozenset or a dict are tested by exact type.  It also makes the
+class refuse every assignment and deletion with AttributeError.  The codec
+reads the same ``hints``.
 """
 
 from __future__ import annotations
@@ -28,24 +30,8 @@ def _make(cls, values):
     return cls(*values)
 
 
-class CheckedRecord:
-    """Mixin of the records with a constructor of their own.
-
-    Each is ``class X(CheckedRecord, NamedTuple("X", [...]))``, whose
-    ``__new__`` checks values and derives state around
-    ``cls._tested(cls, ...)``, its fields' test.  Derived state lives in the
-    instance ``__dict__``, outside the tuple, so equality, hashing, ``repr``
-    and the codec see only the fields; it is written once with
-    ``object.__setattr__``, and every other assignment is refused.
-    """
-
-    __setattr__ = __delattr__ = _immutable
-    _make = _make
-
-
-def _refuse(cls, name: str, value, text: str):
-    # a record whose refusals all share a ValueError subclass names it ``refusal``
-    raise getattr(cls, "refusal", ValueError)(f"{name} must be {text}, got {value!r:.80}")
+def _refuse(name: str, value, text: str):
+    raise ValueError(f"{name} must be {text}, got {value!r:.80}")
 
 
 def _text(hint) -> str:
@@ -88,10 +74,17 @@ def _test(hint, v: str, scope: dict) -> str:
 
 
 def checked(cls):
-    """Give the record class ``cls`` the ``__new__`` that tests its fields, generated on first use.
+    """Make the record class ``cls`` immutable and give it the ``__new__`` that tests its
+    fields, generated on first use.
 
-    It goes on the named tuple that holds the fields, the class itself or the
-    base of a ``CheckedRecord``, as ``__new__`` and as ``_tested``.
+    The fields are those of the named tuple in its bases: the class itself,
+    ``class X(NamedTuple)``, or for a record with a constructor of its own,
+    ``class X(NamedTuple("X", [...]))``, whose ``__new__`` checks values and
+    derives state around ``cls._tested(cls, ...)``.  The test goes on that
+    named tuple as ``__new__`` and as ``_tested``.  Derived state lives in the
+    instance ``__dict__``, outside the tuple, so equality, hashing, ``repr`` and
+    the codec see only the fields; it is written once with
+    ``object.__setattr__``, and every other assignment is refused.
     """
     base = next(c for c in cls.__mro__ if "_fields" in vars(c))
     defaults, fields = base.__new__.__defaults__, base._fields
@@ -99,7 +92,7 @@ def checked(cls):
     def first_use(_cls, *args, **kwargs):
         scope = {"_new": tuple.__new__, "_refuse": _refuse}
         tests = "".join(f"\n    if not {_test(hints(cls)[name], name, scope)}: _refuse("
-                        f"_cls, {name!r}, {name}, {_text(hints(cls)[name])!r})" for name in fields)
+                        f"{name!r}, {name}, {_text(hints(cls)[name])!r})" for name in fields)
         values = "".join(f"{name}, " for name in fields)
         source = f"def new(_cls, {', '.join(fields)}):{tests}\n    return _new(_cls, ({values}))"
         exec(compile(source, f"<fields' test of {cls.__name__}>", "exec"), scope)
@@ -109,6 +102,7 @@ def checked(cls):
 
     base.__new__ = base._tested = staticmethod(first_use)
     base._make = _make
+    cls.__setattr__ = cls.__delattr__ = _immutable
     return cls
 
 

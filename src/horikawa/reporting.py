@@ -34,7 +34,7 @@ from .catalog import (CONE_IMAGE, AmplenessCertificate, CanonicalImages, Compone
                       ConstructionRecipe, NefCertificate)
 from .covers import CanonicalMultiple, InvariantReport, ScrollCurve
 from .lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
-from .records import Affine, CheckedRecord, checked, hints
+from .records import Affine, checked, hints
 from .stable import StableSurfaceRecord
 
 SCHEMA = "horikawa-report/3"
@@ -94,7 +94,7 @@ RANGE_CAP = 1000
 
 
 @checked
-class VerificationOutcome(CheckedRecord, NamedTuple("VerificationOutcome", [
+class VerificationOutcome(NamedTuple("VerificationOutcome", [
         ("chi_max", int), ("k_max", int), ("fault", str | None),
         ("checks", tuple[CheckResult, ...]), ("passed", bool)])):
     """One run of the identity suite; ``passed`` is derived from the checks

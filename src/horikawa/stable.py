@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import covers, lattice
 from .covers import CoverSpec, InvariantReport
-from .records import Affine, CheckedRecord, checked
+from .records import Affine, checked
 
 
 class LedgerError(ValueError):
@@ -21,7 +21,7 @@ class LedgerError(ValueError):
 
 
 @checked
-class SingularityLedger(CheckedRecord, NamedTuple("SingularityLedger", [
+class SingularityLedger(NamedTuple("SingularityLedger", [
         ("third11_count", int | Affine), ("canonical_count", int)])):
     """Counts of the singular points carried by a surface."""
 
@@ -36,7 +36,7 @@ EMPTY_LEDGER = SingularityLedger()
 
 
 @checked
-class StableSurfaceRecord(CheckedRecord, NamedTuple("StableSurfaceRecord", [
+class StableSurfaceRecord(NamedTuple("StableSurfaceRecord", [
         ("k_squared_thirds", int | Affine), ("chi", int | Affine), ("ledger", SingularityLedger),
         ("ample_canonical", bool), ("smoothable", bool)])):
     """Invariants and flags of a normal stable surface.

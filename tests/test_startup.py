@@ -15,6 +15,9 @@ equals no tuple, and every record refuses a value off its annotation
 where it is built; the codec plan of every record class a payload reaches
 is pinned in ``tests/golden/codec_plans.json``.  Each package module stays
 below 4,096 tokens, the step past which its import-time compile peak rises.
+The tokens are CPython 3.11's, the parser the step was measured with and the
+one tier-1 and the benchmark run on: from 3.12 (PEP 701) an f-string is
+several tokens, so the same count is higher there and fails on two modules.
 """
 
 import functools
@@ -129,7 +132,10 @@ def test_run_verification_is_served_by_the_package():
 @pytest.mark.parametrize("path", sorted(Path(horikawa.__file__).parent.glob("*.py")),
                          ids=lambda path: path.name)
 def test_module_stays_below_the_compile_peak_step(path):
-    # compiling a module of 4,096 tokens or more raises the import-time peak by about 0.25 MB
+    # compiling a module of 4,096 tokens or more raises the import-time peak by about 0.25 MB,
+    # measured with CPython 3.11's parser; 3.12 and 3.13 split each f-string into several
+    # tokens (PEP 701), so there the same count reads 4,995 for reporting and 4,384 for
+    # lattice and fails: tier-1 and the benchmark run on 3.11
     with path.open("rb") as source:
         tokens = [token for token in tokenize.tokenize(source.readline)
                   if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
@@ -243,11 +249,15 @@ def _every_record() -> dict:
 
 @pytest.mark.parametrize("name", _CODEC_RECORDS + ["CoverSpec", "Report"])
 def test_record_refuses_assignment(name):
+    # one refusal, from ``checked`` or the divisor class, for a field and for any other name
     record = _every_record()[name]
+    refused = f"^{name} is immutable: cannot change "
     for field in type(record)._fields:
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=refused + f"'{field}'$"):
             setattr(record, field, getattr(record, field))
-    with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=refused + f"'{field}'$"):
+            delattr(record, field)
+    with pytest.raises(AttributeError, match=refused + "'not_a_field'$"):
         record.not_a_field = 1
 
 
