@@ -26,16 +26,16 @@ class Fault(NamedTuple):
 
 
 REGISTRY: dict[str, Fault] = {
-    # -- lattice ------------------------------------------------------------
+    # -- lattice and its kernels ---------------------------------------------
     "pairing-negative-section-sign": Fault(
         "the negative section squares to +e instead of -e",
-        "lattice._hirzebruch_dot", "return -e * u[0]", "return e * u[0]"),
+        "kernels._hirzebruch_dot", "return -e * u[0]", "return e * u[0]"),
     "pairing-drops-transpose-term": Fault(
         "the ruled surface pairing loses one of its two cross terms",
-        "lattice._hirzebruch_dot", " + u[1] * v[0]", ""),
+        "kernels._hirzebruch_dot", " + u[1] * v[0]", ""),
     "pairing-exceptional-sign": Fault(
         "exceptional curves square to +1 instead of -1",
-        "lattice._exceptional_dot", "return -total", "return total"),
+        "kernels._exceptional_dot", "return -total", "return total"),
     "canonical-ruled-fiber-coefficient": Fault(
         "the ruled surface canonical class uses fiber coefficient e+1",
         "lattice.canonical_class", "-(surface.e + 2)", "-(surface.e + 1)"),
@@ -49,7 +49,7 @@ REGISTRY: dict[str, Fault] = {
         "runs + ((0, zeros),)) + surface.exceptional(surface.point_count)"),
     "sections-ruled-off-by-one": Fault(
         "ruled surface section counts drop the +1 per summand",
-        "lattice._hirzebruch_sections", "b - i * e + 1", "b - i * e"),
+        "kernels._hirzebruch_sections", "b - i * e + 1", "b - i * e"),
     "blowup-drops-a-point": Fault(
         "blowing up n points only adds n-1 exceptional classes",
         "lattice.blow_up", "BlowUp(surface, point_count,",

@@ -6,15 +6,17 @@ class keeps its coefficients on the root surface (the plane or F_e) and
 one run-length encoding of its coefficients on all exceptional classes,
 so arithmetic costs grow with the number of runs, not with the number of
 blown-up points.  Every pairing or section count below is computed in
-exact integer arithmetic.
+exact integer arithmetic; the walks of run lists and the root surfaces'
+pairings and section sums are the private kernels of ``kernels``.
 """
 
 from __future__ import annotations
 
-import math
 from operator import add, sub
 from typing import NamedTuple
 
+from .kernels import (_exceptional_dot, _hirzebruch_dot, _hirzebruch_sections, _merge_runs,
+                      _plane_sections, _split_runs)
 from .records import Affine, _immutable, checked
 
 
@@ -313,35 +315,6 @@ def _levels(surface: SurfaceModel) -> tuple[SurfaceModel, int]:
     return surface._levels if type(surface) is BlowUp else (surface, 0)
 
 
-def _merge_runs(u: tuple, v: tuple, op) -> tuple:
-    """Canonical runs of ``op`` applied position by position, in one walk of both lists."""
-    merged, last, j, n = [], None, -1, 0
-    for x, m in u:
-        while m:
-            if not n:  # the run of v is used up: take the next one
-                j += 1
-                y, n = v[j]
-            step = m if m < n else n
-            z = op(x, y)
-            if z == last:
-                merged[-1] = (z, merged[-1][1] + step)
-            else:
-                merged.append((z, step))
-                last = z
-            m -= step
-            n -= step
-    return tuple(merged)
-
-
-def _split_runs(runs: tuple, k: int) -> tuple[tuple, tuple]:
-    """The runs of the first ``k`` positions and of the rest, for ``k`` below the total."""
-    for i, (value, length) in enumerate(runs):
-        if k < length:
-            lower = runs[:i] + (((value, k),) if k else ())
-            return lower, ((value, length - k),) + runs[i + 1:]
-        k -= length
-
-
 def picard_rank(surface: SurfaceModel) -> int:
     root, count = _levels(surface)
     if isinstance(root, (ProjectivePlane, Hirzebruch)):
@@ -371,29 +344,6 @@ def surface_descriptor(surface: SurfaceModel) -> str:
             f"{surface.point_count} points{suffix}"
         )
     raise TypeError(f"unsupported surface {surface!r}")
-
-
-def _hirzebruch_dot(e: int, u, v) -> int:
-    # D0.D0 = -e, D0.F = F.D0 = 1, F.F = 0
-    return -e * u[0] * v[0] + u[0] * v[1] + u[1] * v[0]
-
-
-def _exceptional_dot(u, v) -> int:
-    # E_i.E_i = -1, distinct exceptionals and pullbacks are orthogonal;
-    # u and v are the runs of the two classes, walked side by side once
-    if len(u) == 1 == len(v):
-        total = u[0][0] * v[0][0] * u[0][1]
-    else:
-        total, j, y, n = 0, -1, 0, 0
-        for x, m in u:
-            while n < m:  # the run of v ends first: take the next one
-                total += x * y * n
-                m -= n
-                j += 1
-                y, n = v[j]
-            total += x * y * m
-            n -= m
-    return -total
 
 
 def canonical_class(surface: SurfaceModel) -> DivisorClass:
@@ -500,16 +450,6 @@ def h0(d: DivisorClass) -> SectionCount:
             "general position assumption"
         )
     return SectionCount(max(0, value - imposed), False)
-
-
-def _plane_sections(d: int) -> int:
-    return math.comb(d + 2, 2) if d >= 0 else 0
-
-
-def _hirzebruch_sections(e: int, a: int, b: int) -> int:
-    if a < 0:
-        return 0
-    return sum([x for i in range(a + 1) if (x := b - i * e + 1) > 0])
 
 
 def format_class(d: DivisorClass) -> str:

@@ -224,8 +224,12 @@ class Affine:
         else at the trapezoid's corners (lo, 1), (hi, 1), (lo, cap(lo)) and (hi, cap(hi)),
         as a linear form on it takes its extremes there (Schrijver 1986, section 8)."""
         if type(other) is int:
-            c0, c1, c2 = self.a - other, self.b, self.c
             cap = self.cap
+            if cap is None:  # an Affine and an int, the most frequent case, read no c
+                c0, c1 = self.a - other, self.b
+                low, high = c0 + c1 * self.lo, c0 + c1 * self.hi
+                return (high, low, c0 % c1) if c1 < 0 else (low, high, c0 % (c1 or 1))
+            c0, c1, c2 = self.a - other, self.b, self.c
         else:
             a, b, c, cap = self._of(other)
             c0, c1, c2 = self.a - a, self.b - b, self.c - c

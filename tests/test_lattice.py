@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import lattice, samples
+from horikawa import kernels, lattice, samples
 from horikawa.lattice import (BlowUp, DivisorClass, Hirzebruch, ProjectivePlane,
                               SurfaceMismatchError)
 from horikawa.records import Affine, Planar
@@ -567,15 +567,15 @@ class TestFastPaths:
     def test_run_arithmetic_matches_dense_oracle(self, pair):
         u, v = pair
         for op in (add, sub, mul):
-            merged = lattice._merge_runs(runs_of(u), runs_of(v), op)
+            merged = kernels._merge_runs(runs_of(u), runs_of(v), op)
             assert merged == runs_of(list(map(op, u, v)))
         expected = -sum(x * y for x, y in zip(u, v))
-        assert lattice._exceptional_dot(runs_of(u), runs_of(v)) == expected
+        assert kernels._exceptional_dot(runs_of(u), runs_of(v)) == expected
 
     def test_single_runs_take_the_short_path(self):
-        assert lattice._merge_runs(((3, 7),), ((-3, 7),), add) == ((0, 7),)
-        assert lattice._exceptional_dot(((3, 7),), ((-2, 7),)) == 42
-        assert lattice._exceptional_dot((), ()) == 0
+        assert kernels._merge_runs(((3, 7),), ((-3, 7),), add) == ((0, 7),)
+        assert kernels._exceptional_dot(((3, 7),), ((-2, 7),)) == 42
+        assert kernels._exceptional_dot((), ()) == 0
 
     @pytest.mark.parametrize("u, v, expected", [
         (((2, 10),), ((1, 4), (-1, 6)), 4),
@@ -584,14 +584,14 @@ class TestFastPaths:
         (((1, 3), (0, 4), (2, 3)), ((1, 5), (-2, 5)), 9),
     ], ids=["one-against-two", "two-against-one", "ends-together", "ends-apart"])
     def test_mixed_run_counts(self, u, v, expected):
-        assert lattice._exceptional_dot(u, v) == expected
-        assert lattice._merge_runs(u, v, add) == coalesced(
+        assert kernels._exceptional_dot(u, v) == expected
+        assert kernels._merge_runs(u, v, add) == coalesced(
             (x + y, n) for x, y, n in run_pieces(u, v))
 
     @pytest.mark.parametrize("root", [P2, Hirzebruch(0), Hirzebruch(3)])
     def test_root_classes_have_empty_runs(self, root):
         a, b = root.divisor((1,) * lattice.picard_rank(root)), root.zero()
-        assert a.runs == b.runs == () and lattice._merge_runs((), (), sub) == ()
+        assert a.runs == b.runs == () and kernels._merge_runs((), (), sub) == ()
         assert (a + b).runs == (a - a).runs == (3 * a).runs == ()
         assert a.dot(b) == 0 and a.square() == gram_dot(root, a.coeffs, a.coeffs)
 
@@ -610,9 +610,9 @@ class TestFastPaths:
     def test_long_runs_match_a_run_oracle(self, pair):
         u, v = pair
         pieces = run_pieces(u, v)
-        assert lattice._exceptional_dot(u, v) == -sum(x * y * n for x, y, n in pieces)
+        assert kernels._exceptional_dot(u, v) == -sum(x * y * n for x, y, n in pieces)
         for op in (add, sub, mul):
-            assert lattice._merge_runs(u, v, op) == coalesced((op(x, y), n) for x, y, n in pieces)
+            assert kernels._merge_runs(u, v, op) == coalesced((op(x, y), n) for x, y, n in pieces)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.data())

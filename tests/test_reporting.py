@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from horikawa import catalog, cli, covers, lattice, verify
 from horikawa.lattice import BlowUp, DivisorClass, Hirzebruch, ProjectivePlane
+from horikawa.codec import _compile, _shape
 from horikawa.reporting import (ClassificationPayload, ConstructionPayload,
                                 CheckResult, EnumerationPayload, EnumerationRow,
-                                Report, VerificationOutcome, _compile,
-                                _shape, render_text)
+                                Report, VerificationOutcome, render_text)
 from horikawa.records import Affine
 from horikawa.stable import StableSurfaceRecord
 
@@ -550,7 +550,7 @@ class TestWriter:
         (_construction_report, ['"kind": "blow-up"', '"certificate": "nefness"',
                                 '"display": "', '"base_display": "blow-up of F_1']),
         (_stable_report, ['"in_component_without_canonical_models": true']),
-    ], ids=["huge-head", "virtual-p_g", "images-none", "frozenset", "plane", "thirds",
+    ], ids=["huge-head", "virtual-p_g", "images-none", "monomials", "plane", "thirds",
             "tags-and-displays", "stable-encode-only"])
     def test_each_shape(self, build, fragments):
         report = build()
@@ -566,7 +566,7 @@ class TestWriter:
 
     def test_thirds_are_written_as_the_fraction_in_lowest_terms(self):
         # the writer makes no Fraction, as gcd(value, 3) is 1 or 3
-        from horikawa.reporting import _ESCAPE, _write_thirds
+        from horikawa.codec import _ESCAPE, _write_thirds
 
         big = [10**70 + d for d in range(-5, 6)]
         for value in [*range(-3000, 3001), *big, *(-v for v in big)]:
@@ -762,9 +762,9 @@ def _values(shape):
     kind = shape[0]
     if kind in ("int", "thirds"):
         return st.integers(0, 9) | st.integers(-9, 9) | st.integers(-2**70, 2**70)
-    if kind in ("optional", "tuple", "frozenset"):
+    if kind in ("optional", "tuple"):
         inner = _values(shape[1])
-        return {"optional": st.none() | inner, "frozenset": st.frozensets(inner, max_size=3),
+        return {"optional": st.none() | inner,
                 "tuple": st.lists(inner, max_size=3).map(tuple)}[kind]
     if kind == "fixed":
         return st.tuples(*map(_values, shape[1]))
@@ -800,8 +800,8 @@ def test_round_trip_law(name, data):
 
 
 class TestViews:
-    """Canonical images are surfaces, and a curve's monomials a tuple, written as
-    their text and as a set, as before either was symbolic."""
+    """Canonical images are surfaces, written as their text, as before they were
+    symbolic; a curve's monomials are read by their own annotation."""
 
     @staticmethod
     def data(*argv) -> dict:
@@ -833,11 +833,16 @@ class TestViews:
         with pytest.raises(ValueError, match="canonical_image must be ProjectivePlane"):
             Report.from_jsonable(data)
 
-    def test_monomials_read_back_in_ascending_order(self):
-        data = self.data("construct", "component-II", "--k", "2")
-        want = Report.from_jsonable(data)
-        data["payload"]["recipe"]["scroll_curve"]["monomials"].reverse()
-        assert Report.from_jsonable(data) == want
+    @pytest.mark.parametrize("edit", [list.reverse, lambda monomials: monomials.append(
+        monomials[0])], ids=["reversed", "repeated"])
+    def test_monomials_out_of_order_or_repeated_are_refused(self, edit):
+        # as ScrollCurve refuses them where it is built: a reader sorts nothing
+        data = self.data("construct", "component-II", "--k", "4")
+        assert Report.from_jsonable(data).payload.recipe.scroll_curve is not None
+        edit(data["payload"]["recipe"]["scroll_curve"]["monomials"])
+        with pytest.raises(ValueError, match="^recipe: scroll_curve: monomials must ascend "
+                                             "without repeats, got "):
+            Report.from_jsonable(data)
 
 
 class TestDeepNesting:

@@ -14,10 +14,10 @@ is a ``typing.NamedTuple``, except the divisor class, a slotted class that
 equals no tuple, and every record refuses a value off its annotation
 where it is built; the codec plan of every record class a payload reaches
 is pinned in ``tests/golden/codec_plans.json``.  Each package module stays
-below 4,096 tokens, the step past which its import-time compile peak rises.
-The tokens are CPython 3.11's, the parser the step was measured with and the
-one tier-1 and the benchmark run on: from 3.12 (PEP 701) an f-string is
-several tokens, so the same count is higher there and fails on two modules.
+below 4,096 tokens, the step past which its import-time compile peak rises,
+as the running interpreter's tokenizer counts them: from 3.12 (PEP 701) an
+f-string is several tokens, so a module counts more there, and CI runs the
+rule on every Python the package declares.
 """
 
 import functools
@@ -32,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import horikawa
-from horikawa import catalog, cli, covers, lattice, reporting, verify
+from horikawa import catalog, cli, codec, covers, lattice, reporting, verify
 from horikawa.lattice import Hirzebruch, ProjectivePlane
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,8 +83,8 @@ def test_only_verify_paper_loads_verify_and_faults():
 _CODEC_PROBE = """
 import contextlib, io, json, sys
 import horikawa.cli
-from horikawa import reporting
-built = lambda: [codec.cache_info().currsize for codec in (reporting._record, reporting._envelope)]
+from horikawa import codec
+built = lambda: [cached.cache_info().currsize for cached in (codec._record, codec._envelope)]
 seen = {"import": built()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -134,8 +134,8 @@ def test_run_verification_is_served_by_the_package():
 def test_module_stays_below_the_compile_peak_step(path):
     # compiling a module of 4,096 tokens or more raises the import-time peak by about 0.25 MB,
     # measured with CPython 3.11's parser; 3.12 and 3.13 split each f-string into several
-    # tokens (PEP 701), so there the same count reads 4,995 for reporting and 4,384 for
-    # lattice and fails: tier-1 and the benchmark run on 3.11
+    # tokens (PEP 701), so a module counts more there; CI runs this test on 3.10, 3.12 and
+    # 3.13 as well
     with path.open("rb") as source:
         tokens = [token for token in tokenize.tokenize(source.readline)
                   if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
@@ -312,7 +312,7 @@ def _render_shape(shape):
 
 def codec_plans() -> dict:
     """Class name -> [[field, key, shape], ...], tag and encode-only key, JSON ready."""
-    plans, pending = {}, [reporting._PAYLOADS[kind] for kind in sorted(reporting._PAYLOADS)]
+    plans, pending = {}, [codec._PAYLOADS[kind] for kind in sorted(codec._PAYLOADS)]
     while pending:
         shape = pending.pop()
         kind = shape[0]
@@ -325,7 +325,7 @@ def codec_plans() -> dict:
         elif kind == "object":
             for cls in shape[2].values():
                 if cls.__name__ not in plans:
-                    fields, tag, extra = reporting._plan(cls)
+                    fields, tag, extra = codec._plan(cls)
                     plans[cls.__name__] = {
                         "fields": [[name, key, _render_shape(sub)] for name, key, sub in fields],
                         "tag": None if tag is None else list(tag),

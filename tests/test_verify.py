@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa import catalog, faults, lattice, samples, verify
+from horikawa import catalog, faults, kernels, lattice, runner, samples, verify
 from horikawa.records import Affine, Planar
 from horikawa.stable import SingularityLedger, StableSurfaceRecord
 
@@ -63,10 +63,10 @@ class TestRunVerification:
         # and chi + K^2 - 1 = 10/3 is no integer, so the identity fails
         record = StableSurfaceRecord(4, 3, SingularityLedger(4))
         recipe = catalog.build_stable(3).recipe
-        builds = verify._Builds(catalog.build_component_one,
+        builds = runner._Builds(catalog.build_component_one,
                                 lambda chi: catalog.StableConstruction(record, recipe),
                                 catalog.build_component_two)
-        with pytest.raises(verify._CheckFailure,
+        with pytest.raises(runner._CheckFailure,
                            match="^bicanonical count 3 instead of 10/3 at chi = 3$"):
             verify._check_stable_bicanonical(3, 2, builds)
 
@@ -83,7 +83,7 @@ class TestRunVerification:
         dot = lattice.DivisorClass.dot
         monkeypatch.setattr(lattice.DivisorClass, "dot",
                             lambda x, y: dot(x, y) + offset(x, y))
-        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+        with pytest.raises(runner._CheckFailure, match=f"^{re.escape(detail)}$"):
             verify._check_symmetry_bilinearity(6, 2, None)
 
     @pytest.mark.parametrize("thirds, count, detail", [
@@ -98,7 +98,7 @@ class TestRunVerification:
     def test_epsilon_bound_details(self, thirds, count, detail, monkeypatch):
         record = StableSurfaceRecord(thirds, 4, SingularityLedger(count))
         monkeypatch.setattr(catalog, "epsilon_family", lambda chi, epsilon: record)
-        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+        with pytest.raises(runner._CheckFailure, match=f"^{re.escape(detail)}$"):
             verify._check_epsilon_bound(6, 2, None)
 
     @pytest.mark.parametrize("oracle, wrong, detail", [
@@ -109,7 +109,7 @@ class TestRunVerification:
     ], ids=["ruled", "plane"])
     def test_section_count_details(self, oracle, wrong, detail, monkeypatch):
         monkeypatch.setattr(samples, oracle, wrong)
-        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+        with pytest.raises(runner._CheckFailure, match=f"^{re.escape(detail)}$"):
             verify._check_section_count_oracle(6, 2, None)
 
     def test_isometry_detail(self, monkeypatch):
@@ -117,7 +117,7 @@ class TestRunVerification:
         monkeypatch.setattr(lattice.DivisorClass, "dot",
                             lambda x, y: dot(x, y) + isinstance(x.surface, lattice.BlowUp))
         detail = f"pullback not isometric on F_0 + {samples.ISOMETRY_POINT_COUNTS[0]}"
-        with pytest.raises(verify._CheckFailure, match=f"^{re.escape(detail)}$"):
+        with pytest.raises(runner._CheckFailure, match=f"^{re.escape(detail)}$"):
             verify._check_pullback_isometry(6, 2, None)
 
     def test_check_names_are_stable(self):
@@ -135,15 +135,15 @@ def _concrete_epsilon_bound(chi_max):
             record = catalog.epsilon_family(chi, epsilon)
             thirds = record.k_squared_thirds
             if not thirds <= bound:
-                raise verify._CheckFailure(f"bound violated at chi = {chi}, epsilon = {epsilon}")
+                raise runner._CheckFailure(f"bound violated at chi = {chi}, epsilon = {epsilon}")
             if (thirds == bound) != (3 * epsilon == 2 * chi + 2):
-                raise verify._CheckFailure(
+                raise runner._CheckFailure(
                     f"bound equality mischaracterised at chi = {chi}, epsilon = {epsilon}")
             if thirds != 3 * (2 * chi - 6 + epsilon):
-                raise verify._CheckFailure(
+                raise runner._CheckFailure(
                     f"K^2 = {record.k_squared} at chi = {chi}, epsilon = {epsilon}")
             if record.ledger.third11_count != 3 * epsilon:
-                raise verify._CheckFailure(
+                raise runner._CheckFailure(
                     f"ledger count wrong at chi = {chi}, epsilon = {epsilon}")
 
 
@@ -157,8 +157,8 @@ def _ending(check):
 
 
 def _symbol(n):
-    """An int itself, an Affine by ``verify._key``, a Planar by its coefficients and cap's key."""
-    return (n.a, n.b, n.c, verify._key(n.cap)) if type(n) is Planar else verify._key(n)
+    """An int itself, an Affine by ``runner._key``, a Planar by its coefficients and cap's key."""
+    return (n.a, n.b, n.c, runner._key(n.cap)) if type(n) is Planar else runner._key(n)
 
 
 def _pairs(chi, epsilon) -> list:
@@ -201,7 +201,7 @@ class TestSymbolicEpsilonBound:
         for chi in range(4, 22):
             top = (2 * chi + 2) // 3
             want += ([(chi, (0, 1, 1, top - 1)), (chi, top)]
-                     if top - 1 > verify._FAMILIES["epsilon"][2]
+                     if top - 1 > runner._FAMILIES["epsilon"][2]
                      else [(chi, epsilon) for epsilon in range(1, top + 1)])
         assert calls == want
 
@@ -285,7 +285,7 @@ class TestSymbolicEpsilonBound:
 
         monkeypatch.setattr(catalog, "epsilon_family", miscounted_at_18)
         detail = f"ledger count wrong at chi = 18, epsilon = {first}"
-        with pytest.raises(verify._CheckFailure, match=f"^{detail}$"):
+        with pytest.raises(runner._CheckFailure, match=f"^{detail}$"):
             verify._check_epsilon_bound(chi_max, 2, None)
         assert [epsilon for chi, epsilon in calls if chi == 18] == [(0, 1, 1, 11),
                                                                     *range(1, first + 1)]
@@ -296,7 +296,7 @@ class TestSymbolicEpsilonBound:
 
 
 def _members(n) -> list:
-    """The ints that a case of ``verify._each`` stands for: itself, or an Affine's values."""
+    """The ints that a case of ``runner._each`` stands for: itself, or an Affine's values."""
     return [n] if type(n) is int else list(range(n.a + n.b * n.lo, n.a + n.b * n.hi + 1, n.b))
 
 
@@ -305,13 +305,13 @@ class TestSymbolicClasses:
 
     @settings(max_examples=200, derandomize=True)
     @given(st.integers(1, 40), st.integers(0, 200), st.sampled_from([1, 2, 3, 4, 6, 12]),
-           st.sampled_from(sorted(verify._FAMILIES)))
+           st.sampled_from(sorted(runner._FAMILIES)))
     def test_every_case_runs_once(self, start, count, step, family):
         # a symbolic class holds only cases from n = head up; the rest run as ints, in order
-        modulus, head, break_even = verify._FAMILIES[family]
+        modulus, head, break_even = runner._FAMILIES[family]
         step = step if modulus % step == 0 else 1
         cases, seen = range(start, start + count, step), []
-        verify._each(seen.append, cases, family)
+        runner._each(seen.append, cases, family)
         assert sorted(n for case in seen for n in _members(case)) == list(cases)
         symbolic = [case for case in seen if type(case) is Affine]
         assert all(case.b == modulus and case.a + case.b * case.lo >= head
@@ -329,12 +329,12 @@ class TestSymbolicClasses:
         seen = []
 
         def body(n):
-            seen.append(n if type(n) is int else verify._key(n))
+            seen.append(n if type(n) is int else runner._key(n))
             if n % 12 == 5 and n > 40:
-                raise verify._CheckFailure(f"fails at {n}")
+                raise runner._CheckFailure(f"fails at {n}")
 
-        with pytest.raises(verify._CheckFailure, match="^fails at 41$"):
-            verify._each(body, range(4, self.CHI_MAX + 1))
+        with pytest.raises(runner._CheckFailure, match="^fails at 41$"):
+            runner._each(body, range(4, self.CHI_MAX + 1))
         assert seen == [(r, 12, 1, (self.CHI_MAX - r) // 12) for r in range(12)] + [
             *range(4, 12), 17, 29, 41]
 
@@ -345,7 +345,7 @@ class TestSymbolicClasses:
         for name in ("build_component_one", "_component_one_cover", "build_stable",
                      "build_component_two"):
             def recorded(chi, *args, _name=name, _build=getattr(catalog, name), **kwargs):
-                made.append((_name, verify._key(chi)))
+                made.append((_name, runner._key(chi)))
                 return _build(chi, *args, **kwargs)
 
             monkeypatch.setattr(catalog, name, recorded)
@@ -383,7 +383,7 @@ class TestSymbolicClasses:
 
         monkeypatch.setattr(catalog, "_component_one_cover", recorded)
         assert verify.run_verification(chi_max, 6).passed
-        assert [verify._key(chi) for chi in built[:len(classes)]] == classes
+        assert [runner._key(chi) for chi in built[:len(classes)]] == classes
         concrete = built[len(classes):]
         assert all(type(chi) is int for chi in concrete) and concrete == sorted(concrete)
         assert sorted(n for chi in built for n in _members(chi)) == list(range(4, chi_max + 1))
@@ -395,11 +395,11 @@ class TestSymbolicClasses:
                                                                           monkeypatch):
         # its fiber term is one pulled-back class, so no class is scaled by chi - 4,
         # which a product could not tell from 0 on chi = 4, 7, ...
-        monkeypatch.setattr(verify, "_each",
+        monkeypatch.setattr(runner, "_each",
                             lambda body, cases, family: body(Affine(1, 3, 1, hi)))
         check = {name: fn for name, _identity, fn in verify._CHECKS}[
             "component-one-tricanonical-identity"]
-        check(30, 6, verify._Builds(*map(verify._Memo, (
+        check(30, 6, runner._Builds(*map(runner._Memo, (
             catalog._component_one_cover, catalog.build_stable, catalog.build_component_two))))
 
     @pytest.mark.parametrize("chi_max", [30, CHI_MAX])
@@ -430,7 +430,7 @@ class TestSymbolicClasses:
         assert verify.run_verification(chi_max, 6).passed
         assert [type(chi) is Affine and chi.b == 3 for chi in built] == (
             [True] * len(classes) + [False] * (len(built) - len(classes)))
-        assert [verify._key(chi) for chi in built] == (
+        assert [runner._key(chi) for chi in built] == (
             [*classes, 3] if classes else list(range(3, chi_max + 1)))
 
     def test_each_class_of_k_is_built_once_on_an_affine(self, calls):
@@ -465,9 +465,9 @@ class TestSymbolicClasses:
             return [(check.name, check.passed, check.detail) for check in outcome.checks]
 
         symbolic = results()
-        monkeypatch.setattr(verify, "_FAMILIES", {
+        monkeypatch.setattr(runner, "_FAMILIES", {
             family: (modulus, head, verify.RANGE_CAP)
-            for family, (modulus, head, _break_even) in verify._FAMILIES.items()})
+            for family, (modulus, head, _break_even) in runner._FAMILIES.items()})
         assert results() == symbolic
 
 
@@ -478,7 +478,7 @@ class TestSharedBuilds:
         calls = Counter()
         for name in ("build_component_one", "_component_one_cover", "build_stable"):
             def counting(chi, *args, _name=name, _build=getattr(catalog, name), **kwargs):
-                calls[_name, verify._key(chi)] += 1
+                calls[_name, runner._key(chi)] += 1
                 return _build(chi, *args, **kwargs)
 
             monkeypatch.setattr(catalog, name, counting)
@@ -578,7 +578,7 @@ class TestSharedBuilds:
 
 
 def _key_id(chi) -> str:
-    return str(verify._key(chi))
+    return str(runner._key(chi))
 
 
 class TestHolding:
@@ -590,10 +590,10 @@ class TestHolding:
         built = []
 
         def build(chi):
-            built.append(verify._key(chi))
-            return ("build of", verify._key(chi))
+            built.append(runner._key(chi))
+            return ("build of", runner._key(chi))
 
-        memo = verify._Memo(build)
+        memo = runner._Memo(build)
         memo(Affine(*self.CLASS))
         built.clear()
         return memo, built
@@ -613,9 +613,9 @@ class TestHolding:
     ], ids=_key_id)
     def test_a_chi_outside_every_held_class_gets_its_own_build(self, memo, chi):
         memo, built = memo
-        assert memo.holding(chi) == ("build of", verify._key(chi))
-        assert built == [verify._key(chi)]
-        assert memo.holding(chi) == ("build of", verify._key(chi)) and len(built) == 1
+        assert memo.holding(chi) == ("build of", runner._key(chi))
+        assert built == [runner._key(chi)]
+        assert memo.holding(chi) == ("build of", runner._key(chi)) and len(built) == 1
 
     def test_an_int_held_under_its_own_key_comes_first(self, memo):
         memo, built = memo
@@ -626,12 +626,12 @@ class TestHolding:
         built = []
 
         def build(chi):
-            built.append(verify._key(chi))
+            built.append(runner._key(chi))
             if type(chi) is not int:
                 raise ValueError("no class build")
             return ("build of", chi)
 
-        memo = verify._Memo(build)
+        memo = runner._Memo(build)
         with pytest.raises(ValueError):
             memo(Affine(*self.CLASS))
         assert memo.holding(19) == ("build of", 19)
@@ -644,7 +644,7 @@ class TestHolding:
             built, build = [], catalog._component_one_cover
 
             def recorded(chi, *args):
-                built.append(verify._key(chi))
+                built.append(runner._key(chi))
                 return build(chi, *args)
 
             with monkeypatch.context() as patch:
@@ -703,7 +703,7 @@ class TestSharedCertificates:
         result = outcome.checks[verify.check_names().index("stable-ampleness-certificate")]
         assert (result.passed, result.detail) == (True, "")
         alphas = issued["ampleness_certificate"]
-        assert [verify._key(alpha) for alpha in alphas] == [
+        assert [runner._key(alpha) for alpha in alphas] == [
             (0, 3, 2, 10), (1, 3, 1, 9), (2, 3, 1, 9), 3]
         assert sorted(n for alpha in alphas for n in _members(alpha)) == list(range(3, 31))
 
@@ -721,7 +721,7 @@ class TestSharedCertificates:
         # the run holds the covers of the classes of 0 and 1 mod 3 and of chi = 4, and
         # the invariant checks stop at chi = 5, so the class of 2 is the one not built
         alphas = issued["nef_certificate"]
-        assert [verify._key(alpha) for alpha in alphas] == [(2, 3, 1, 9)]
+        assert [runner._key(alpha) for alpha in alphas] == [(2, 3, 1, 9)]
         assert _members(alphas[0]) == list(range(5, 30, 3))
 
 
@@ -859,12 +859,12 @@ class TestMutation:
     @pytest.mark.parametrize("old", ["return -e * u[0] * v[0] * 7", "u[0]"])
     def test_edit_not_found_exactly_once_names_the_fault(self, old, monkeypatch):
         monkeypatch.setitem(faults.REGISTRY, f"broken {old}",
-                            faults.Fault("never applies", "lattice._hirzebruch_dot", old, ""))
-        original = lattice._hirzebruch_dot
-        with pytest.raises(LookupError, match=r"fault 'broken .*lattice\._hirzebruch_dot"):
+                            faults.Fault("never applies", "kernels._hirzebruch_dot", old, ""))
+        original = kernels._hirzebruch_dot
+        with pytest.raises(LookupError, match=r"fault 'broken .*kernels\._hirzebruch_dot"):
             with faults.injected(f"broken {old}"):
                 pass
-        assert lattice._hirzebruch_dot is original
+        assert kernels._hirzebruch_dot is original
 
     def test_every_target_restored_when_the_body_raises(self):
         for name in faults.fault_names():

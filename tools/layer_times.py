@@ -1,4 +1,4 @@
-"""Per-check, kernel, builder, record, report, command and cold-start timings, as JSON.
+"""Per-check, kernel, builder, record, report, command and cold-start figures, as JSON.
 
     PYTHONPATH=src python3 tools/layer_times.py [--repeat N] [--against PATH]
 
@@ -85,11 +85,11 @@ claimless cover that ``verify``'s three cover checks build, on the same
 ``Affine``; a base with no ``_component_one_cover`` leaves it out.
 
 ``symbolic_us`` times each operation of ``records`` values in
-``SYMBOLIC_CALLS`` in microseconds per call, each made as one call of
-an ``operator`` function or of ``divmod``: ``<``, ``==`` and ``+`` of x
-and y, and x - 3, x * 3 and divmod(x, 3).  Under ``affine``, x is chi =
-``Affine(*SYMBOLIC_CLASS)`` and y is 2 * chi + 2, and under ``planar``,
-x is 3 * epsilon on the ``Planar`` epsilon of
+``SYMBOLIC_CALLS`` in microseconds per call, each made as one call of an
+``operator`` function or of ``divmod``: ``<``, ``==`` and ``+`` of x and
+y, and x < 0, x == 0, x - 3, x * 3 and divmod(x, 3).  Under ``affine``, x
+is chi = ``Affine(*SYMBOLIC_CLASS)`` and y is 2 * chi + 2, and under
+``planar``, x is 3 * epsilon on the ``Planar`` epsilon of
 ``epsilon_family_trapezoid`` and y is 2 * chi + 2, the shape of the
 comparisons that the ``stable-epsilon-bound`` pass makes; ``planar``
 also times the ``MIXED_CALLS``, y + x and y < x, with the ``Affine`` on
@@ -123,6 +123,18 @@ a fresh checkout.  Both keep their ``.pyc`` files under a temporary
 prefix, outside the checkouts, and each package is imported from its
 own ``src``.
 
+``startup_peak_mb`` is the import peak: the ``ru_maxrss`` in MB of a new
+subprocess once it has imported ``PEAK_IMPORTS``, the package modules
+that the benchmark's ``bench/workloads.py`` imports, the median of
+``--repeat`` starts (at least ``PEAK_STARTS``) per package.  A small
+launcher process starts each one, as Linux keeps a process's peak across
+exec.  Each package is copied without its ``__pycache__`` to a temporary
+directory and imported from there, with no ``PYTHONPYCACHEPREFIX``, so
+the standard library reads its own compiled files, as in a benchmark
+run.  ``pyc`` reads the package's compiled files written by an untimed
+start; ``no_pyc`` runs with ``PYTHONDONTWRITEBYTECODE=1``, so the
+package is compiled from source, as in a fresh checkout.
+
 ``report_us`` times the report layer in microseconds per call:
 ``to_jsonable``, ``to_json``, ``from_json`` and ``render_text`` on the
 reports of the ``REPORTS`` commands, each read back from the JSON that
@@ -145,6 +157,7 @@ import operator
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -180,13 +193,17 @@ SYMBOLIC_EPSILON = (150, (0, 1, 1, 99))
 BUILD_WINDOW_S = 0.005
 RECORD_BUILDS = (("build_stable", 150), ("build_component_one", 150))
 # the symbolic operations timed on (x, y), as the function and arguments of one call:
-# x against y, x with the int 3, and, for a Planar x and an Affine y, y against x
+# x against y, x with an int, and, for a Planar x and an Affine y, y against x
 SYMBOLIC_CALLS = {
     "lt": lambda x, y: (operator.lt, x, y), "eq": lambda x, y: (operator.eq, x, y),
+    "lt_int": lambda x, _y: (operator.lt, x, 0), "eq_int": lambda x, _y: (operator.eq, x, 0),
     "add": lambda x, y: (operator.add, x, y), "sub_int": lambda x, _y: (operator.sub, x, 3),
     "mul_int": lambda x, _y: (operator.mul, x, 3), "divmod_3": lambda x, _y: (divmod, x, 3)}
 MIXED_CALLS = {"affine_add": lambda x, y: (operator.add, y, x),
                "affine_lt": lambda x, y: (operator.lt, y, x)}
+# the package modules that bench/workloads.py imports, and the fewest starts per figure
+PEAK_IMPORTS = ("horikawa.cli", "horikawa.faults", "horikawa.verify", "horikawa.reporting")
+PEAK_STARTS = 5
 
 
 def passes(fns, repeat: int, number: int = 1, scale: float = 1.0) -> list:
@@ -560,6 +577,44 @@ def startup(pkgs, repeat: int) -> dict:
     return figures
 
 
+# Linux keeps a process's peak resident set across exec, so a probe started from this
+# process would report this process's peak: a small launcher starts it instead
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def import_peak(src: Path, env: dict) -> float:
+    """The peak resident set size in MB of a fresh process that imports ``PEAK_IMPORTS``."""
+    probe = (f"import resource, {', '.join(PEAK_IMPORTS)}\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    result = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, "-c", probe],
+                            env={**env, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                            check=True)
+    return int(result.stdout) / 1024
+
+
+def startup_peak(pkgs, repeat: int) -> dict:
+    """The median import peak in MB over at least ``PEAK_STARTS`` starts per package, with and
+    without the package's ``.pyc`` files; the standard library reads its own."""
+    figures = {}
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
+    for mode in ("pyc", "no_pyc"):
+        with tempfile.TemporaryDirectory() as root:
+            srcs = [Path(root, str(n)) for n in range(len(pkgs))]
+            for pkg, src in zip(pkgs, srcs):  # a fresh copy: no __pycache__, as a new checkout
+                shutil.copytree(pkg.src / "horikawa", src / "horikawa",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+                if mode == "pyc":
+                    import_peak(src, env)  # writes the .pyc files beside the copy
+            mode_env = env if mode == "pyc" else {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+            starts = [[] for _ in pkgs]
+            for n in range(max(repeat, PEAK_STARTS)):
+                for i in (range(len(pkgs)) if n % 2 == 0 else reversed(range(len(pkgs)))):
+                    starts[i].append(import_peak(srcs[i], mode_env))
+        figures[mode] = [[statistics.median(runs)] for runs in starts]
+    return figures
+
+
 def cli_report(pkg, argv) -> tuple:
     """The JSON text ``cli.main`` prints for ``argv`` and the report read back from it."""
     stdout = io.StringIO()
@@ -621,6 +676,7 @@ def figures(pkgs, repeat: int) -> dict:
         "report_us": report_layer(pkgs, repeat),
         "cli_us": cli_calls(pkgs, repeat),
         "startup_ms": startup(pkgs, repeat),
+        "startup_peak_mb": startup_peak(pkgs, repeat),
     }
 
 
